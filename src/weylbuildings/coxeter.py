@@ -19,11 +19,16 @@ with product 4 cos^2(pi / m_st):
 
 For an asymmetric pair the smaller (more negative) entry goes to the row of
 the smaller generator id.  Because the representation is faithful and has
-integer matrix entries, group elements can be stored, hashed and compared
-as integer matrices, and the word length of an element is exactly its
-breadth-first depth in the Cayley graph of (W, S).  That is how growth
-tables, lengths and reduced words are computed below: one shared BFS index
-per diagram, extended on demand.
+integer matrix entries, group elements are stored, hashed and compared as
+integer matrices, whose column t is the root w(alpha_t).
+
+Lengths, reduced words and growth come from local descent tests
+(Bjorner and Brenti, Combinatorics of Coxeter Groups, 4.2 and 4.8;
+Casselman, Invent. Math. 116, 1994).  With rho*(alpha_t) = 1 and
+y = rho* w, y_t is the sum of column t; s is a right descent of w
+(l(ws) < l(w)) iff y_s < 0, and y(ws)_t = y_t - A[s][t] y_s.  Distinct w
+give distinct y, so peeling descents counts the length and a BFS over
+ascents of rho* counts the shells.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Sequence
 
 __all__ = [
     "INFINITE_ORDER",
@@ -121,11 +126,15 @@ class CoxeterDiagram:
     """A Coxeter diagram: generator ids plus the symmetric order matrix.
 
     ``orders[i][j]`` is m(generators[i], generators[j]); the diagonal is 1
-    and infinite orders are stored as ``math.inf``.
+    and infinite orders are stored as ``math.inf``.  Derived from them:
+    ``cartan``, the generalized Cartan matrix, and ``kernel``, an integer
+    basis of its kernel, fixed by the group (the null root delta if affine).
     """
 
     generators: tuple[int, ...]
     orders: tuple[tuple[float, ...], ...]
+    cartan: Matrix = field(init=False, repr=False, compare=False)
+    kernel: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.generators)
@@ -142,6 +151,9 @@ class CoxeterDiagram:
                     raise ValueError("order matrix must be symmetric")
                 if m not in CRYSTALLOGRAPHIC_ORDERS:
                     raise ValueError(f"non-crystallographic order {m!r}")
+        cartan = _cartan_matrix(self)
+        object.__setattr__(self, "cartan", cartan)
+        object.__setattr__(self, "kernel", _kernel(cartan))
 
     @property
     def size(self) -> int:
@@ -209,7 +221,7 @@ def affine_diagram(label: AffineTypeLabel | str) -> CoxeterDiagram:
 # -- reflection representation ------------------------------------------------
 
 
-def _cartan_matrix(diagram: CoxeterDiagram) -> tuple[tuple[int, ...], ...]:
+def _cartan_matrix(diagram: CoxeterDiagram) -> Matrix:
     n = diagram.size
     gens = diagram.generators
     rows = [[0] * n for _ in range(n)]
@@ -225,33 +237,50 @@ def _cartan_matrix(diagram: CoxeterDiagram) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
+def _kernel(matrix: Matrix) -> tuple[tuple[int, ...], ...]:
+    """Integer basis of the kernel of a square matrix, by Gauss-Jordan elimination."""
+    reduced: dict[int, list[Fraction]] = {}  # pivot column -> row with 1 there, 0 at other pivots
+    for row in matrix:
+        for c, pivot_row in reduced.items():
+            row = [x - row[c] * y for x, y in zip(row, pivot_row)]
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is not None:
+            row = [Fraction(x) / row[c] for x in row]
+            for k, other in reduced.items():
+                reduced[k] = [x - other[c] * y for x, y in zip(other, row)]
+            reduced[c] = row
+    basis = []
+    for free in (c for c in range(len(matrix)) if c not in reduced):
+        v = [-reduced[c][free] if c in reduced else Fraction(c == free) for c in range(len(matrix))]
+        scale = math.lcm(*(x.denominator for x in v))
+        basis.append(tuple(int(x * scale) for x in v))
+    return tuple(basis)
+
+
 def generator_matrices(diagram: CoxeterDiagram) -> tuple[Matrix, ...]:
     """Integer reflection matrix for each generator, in diagram order.
 
     Matrix of sigma_s in the basis (alpha_t): identity except in row s,
     where the entry at column t is delta_st - A[s][t].
     """
-    cartan = _cartan_matrix(diagram)
-    n = diagram.size
-    out = []
-    for s in range(n):
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for t in range(n):
-            rows[s][t] = (1 if s == t else 0) - cartan[s][t]
-        out.append(tuple(tuple(r) for r in rows))
-    return tuple(out)
+    ident = _identity(diagram.size)
+    return tuple(
+        tuple(_times(row, s, diagram.cartan) for row in ident) for s in range(diagram.size)
+    )
 
 
 def _identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum(a[i][k] * col[k] for k in range(n)) for col in cols) for i in range(n)
-    )
+def _times(row: tuple[int, ...], s: int, cartan: Matrix) -> tuple[int, ...]:
+    """Row vector r times sigma_s: r_t - A[s][t] r_s.  On each row of the
+    matrix of w this gives the matrix of ws; on y = rho* w, rho* ws."""
+    return tuple(x - a * row[s] for x, a in zip(row, cartan[s]))
+
+
+def _first_negative(values: Sequence[int]) -> int | None:
+    return next((i for i, x in enumerate(values) if x < 0), None)
 
 
 # -- group elements ----------------------------------------------------------
@@ -261,112 +290,70 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
 class GroupElement:
     """A Weyl group element, identified with its reflection matrix.
 
-    Equality and hashing use the matrix alone; the representation is
-    faithful, so this is equality in the group.  ``cached_length`` is a
-    memo, not part of the identity.
+    Equality and hashing use the matrix; the representation is faithful,
+    so this is equality in the group.
     """
 
     matrix: Matrix
-    cached_length: int | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.cached_length is not None and self.cached_length < 0:
-            raise ValueError("cached length must be non-negative")
 
 
 def identity_element(diagram: CoxeterDiagram) -> GroupElement:
-    return GroupElement(_identity(diagram.size), 0)
+    return GroupElement(_identity(diagram.size))
 
 
 def element_from_word(diagram: CoxeterDiagram, word: Sequence[int]) -> GroupElement:
     """Product of generator matrices, word read left to right."""
-    mats = generator_matrices(diagram)
     index = {g: i for i, g in enumerate(diagram.generators)}
     acc = _identity(diagram.size)
     for letter in word:
         if letter not in index:
             raise ValueError(f"unknown generator {letter!r}")
-        acc = _matmul(acc, mats[index[letter]])
+        acc = tuple(_times(row, index[letter], diagram.cartan) for row in acc)
     return GroupElement(acc)
 
 
-# -- shared Cayley BFS index ---------------------------------------------------
+def _peel(diagram: CoxeterDiagram, element: GroupElement) -> list[int]:
+    """Indices s_1..s_k, each the first right descent left, with w s_1...s_k = 1.
 
-
-class _CayleyIndex:
-    """Lazily grown BFS of the Cayley graph, shared per diagram.
-
-    info maps a matrix to (depth, parent matrix, letter appended on the
-    right); right multiplication keeps reduced words readable off the
-    parent chain in left-to-right order.
+    Raises ValueError, naming the matrix, unless it is a group element.  A
+    matrix M that fixes delta has rho*(M delta) = rho*(delta) > 0, so rho* M
+    lies in the Tits cone and the peel ends; it ends at 1 exactly when M is
+    a group element.
     """
-
-    def __init__(self, diagram: CoxeterDiagram):
-        self.diagram = diagram
-        self.mats = generator_matrices(diagram)
-        self.letters = diagram.generators
-        ident = _identity(diagram.size)
-        self.info: dict[Matrix, tuple[int, Matrix | None, int | None]] = {
-            ident: (0, None, None)
-        }
-        self.frontier: list[Matrix] = [ident]
-        self.depth = 0
-
-    def extend_to(self, depth: int) -> None:
-        while self.depth < depth and self.frontier:
-            nxt = []
-            for m in self.frontier:
-                for mat, letter in zip(self.mats, self.letters):
-                    prod = _matmul(m, mat)
-                    if prod not in self.info:
-                        self.info[prod] = (self.depth + 1, m, letter)
-                        nxt.append(prod)
-            self.frontier = nxt
-            self.depth += 1
-
-    def locate(self, matrix: Matrix, cutoff: int) -> tuple[int, Matrix | None, int | None]:
-        while matrix not in self.info:
-            if self.depth >= cutoff or not self.frontier:
-                raise ValueError(f"element not reachable within cutoff {cutoff}")
-            self.extend_to(self.depth + 1)
-        return self.info[matrix]
-
-    def counts(self, upto: int) -> list[int]:
-        self.extend_to(upto)
-        out = [0] * (upto + 1)
-        for depth, _, _ in self.info.values():
-            if depth <= upto:
-                out[depth] += 1
-        return out
+    m = element.matrix
+    n = diagram.size
+    shaped = len(m) == n and all(len(row) == n for row in m)
+    if not shaped or any(
+        tuple(sum(a * b for a, b in zip(row, v)) for row in m) != v for v in diagram.kernel
+    ):
+        raise ValueError(f"not an element of the group: {element.matrix!r}")
+    word = []
+    while (s := _first_negative([sum(col) for col in zip(*m)])) is not None:
+        m = tuple(_times(row, s, diagram.cartan) for row in m)
+        word.append(s)
+    if m != _identity(n):
+        raise ValueError(f"not an element of the group: {element.matrix!r}")
+    return word
 
 
-@lru_cache(maxsize=None)
-def _index_for(diagram: CoxeterDiagram) -> _CayleyIndex:
-    return _CayleyIndex(diagram)
+def length(diagram: CoxeterDiagram, element: GroupElement) -> int:
+    """Word length of an element; ValueError for a matrix outside the group."""
+    return len(_peel(diagram, element))
 
 
-def length(diagram: CoxeterDiagram, element: GroupElement, cutoff: int = 64) -> int:
-    """Word length of an element: its BFS depth from the identity.
+def reduced_word(diagram: CoxeterDiagram, element: GroupElement) -> tuple[int, ...]:
+    """The lexicographically first reduced word, in diagram generator order.
 
-    Raises ValueError if the element is not found within ``cutoff`` BFS
-    rounds (in particular for matrices outside the group).
+    Its first letter is the first left descent s of w (x_s < 0 for
+    x = rho* w^-1), followed by the word of sw.  ValueError as for length.
     """
-    if element.cached_length is not None:
-        return element.cached_length
-    depth, _, _ = _index_for(diagram).locate(element.matrix, cutoff)
-    return depth
-
-
-def reduced_word(diagram: CoxeterDiagram, element: GroupElement, cutoff: int = 64) -> tuple[int, ...]:
-    """One reduced word for an element, read off the BFS parent chain."""
-    idx = _index_for(diagram)
-    depth, parent, letter = idx.locate(element.matrix, cutoff)
-    word: list[int] = []
-    while letter is not None:
-        word.append(letter)
-        assert parent is not None
-        depth, parent, letter = idx.info[parent]
-    word.reverse()
+    x = (1,) * diagram.size
+    for s in _peel(diagram, element):
+        x = _times(x, s, diagram.cartan)
+    word = []
+    while (s := _first_negative(x)) is not None:
+        x = _times(x, s, diagram.cartan)
+        word.append(diagram.generators[s])
     return tuple(word)
 
 
@@ -390,12 +377,21 @@ class GrowthTable:
 
 
 def bfs_growth(diagram: CoxeterDiagram, cutoff: int) -> GrowthTable:
-    """Count elements per word length by BFS with matrix deduplication.
+    """Count elements per word length by BFS over the orbit of rho*.
+
+    Shell k + 1 is the set of rho* ws over rho* w in shell k and ascents
+    s of w (y_s > 0); only one shell is kept.
 
     >>> bfs_growth(affine_diagram("A1~"), 4).counts
     (1, 2, 2, 2, 2)
     """
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    counts = _index_for(diagram).counts(cutoff)
+    shell = {(1,) * diagram.size}
+    counts = [1]
+    for _ in range(cutoff):
+        shell = {
+            _times(y, s, diagram.cartan) for y in shell for s in range(len(y)) if y[s] > 0
+        }
+        counts.append(len(shell))
     return GrowthTable(tuple(counts), cutoff)

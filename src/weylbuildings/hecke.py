@@ -8,13 +8,14 @@ generated by the e_s subject to
 
 Products are computed from the only rule the presentation forces:
 
-    e_s * e_w = e_{sw}                    if l(sw) > l(w),
-    e_s * e_w = (q-1) e_w + q e_{sw}      if l(sw) < l(w),
+    e_w * e_s = e_{ws}                    if l(ws) > l(w),
+    e_w * e_s = (q-1) e_w + q e_{ws}      if l(ws) < l(w),
 
-extended to e_v * e_w by decomposing v into a reduced word and applying
+extended to e_v * e_w by decomposing w into a reduced word and applying
 the one-letter rule repeatedly; that the result does not depend on the
-chosen reduced word is itself a tested property.  Lengths come from the
-shared Cayley index of the coxeter module.
+chosen reduced word is itself a tested property.  l(ws) < l(w) is the
+right descent test of the coxeter module: the root w(alpha_s), column s
+of w's matrix, is negative.
 
 The parameter q is carried per element as an exact rational (integers in
 geometric uses, arbitrary rationals allowed algebraically); products
@@ -37,7 +38,8 @@ from .building import BallGraph, face_of, generator_face_types, vertex_label
 from .coxeter import (
     CoxeterDiagram,
     GroupElement,
-    _matmul,
+    Matrix,
+    _times,
     element_from_word,
     identity_element,
     length,
@@ -136,43 +138,32 @@ def basis_element(
     return HeckeElement(diagram, Fraction(q), ((w, Fraction(1)),))
 
 
-def _left_mul_generator(
-    diagram: CoxeterDiagram, q: Fraction, s: int, coeffs: Mapping[GroupElement, Fraction]
-) -> dict[GroupElement, Fraction]:
-    # e_s * (sum c_w e_w) by the one-letter rule
-    gen = element_from_word(diagram, [s])
-    out: dict[GroupElement, Fraction] = {}
-
-    def add(w: GroupElement, c: Fraction) -> None:
-        out[w] = out.get(w, Fraction(0)) + c
-
-    for w, c in coeffs.items():
-        lw = length(diagram, w)
-        sw = GroupElement(_matmul(gen.matrix, w.matrix))
-        lsw = length(diagram, sw)
-        if lsw == lw + 1:
-            add(sw, c)
-        elif lsw == lw - 1:
-            add(w, (q - 1) * c)
-            add(sw, q * c)
-        else:
-            raise AssertionError("generator must change length by exactly 1")
-    return {w: c for w, c in out.items() if c != 0}
-
-
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product in the algebra, bilinear over the one-letter rule."""
+    """Product in the algebra, bilinear over the one-letter rule.
+
+    Raises ValueError if a term of a or b is not a group element.
+    """
     a._require_compatible(b)
     diagram, q = a.diagram, a.q
-    right = dict(b.terms)
-    acc: dict[GroupElement, Fraction] = {}
-    for v, cv in a.terms:
-        partial = right
-        for s in reversed(reduced_word(diagram, v)):
-            partial = _left_mul_generator(diagram, q, s, partial)
-        for w, c in partial.items():
-            acc[w] = acc.get(w, Fraction(0)) + cv * c
-    return HeckeElement(diagram, q, tuple(acc.items()))
+    for u in a.support:
+        length(diagram, u)  # rejects a matrix outside the group
+    acc: dict[Matrix, Fraction] = {}
+    for w, cw in b.terms:
+        partial = {u.matrix: c for u, c in a.terms}
+        for letter in reduced_word(diagram, w):
+            s = diagram.generators.index(letter)
+            step: dict[Matrix, Fraction] = {}
+            for u, c in partial.items():
+                us = tuple(_times(row, s, diagram.cartan) for row in u)
+                if any(row[s] < 0 for row in u):
+                    step[u] = step.get(u, Fraction(0)) + (q - 1) * c
+                    step[us] = step.get(us, Fraction(0)) + q * c
+                else:
+                    step[us] = step.get(us, Fraction(0)) + c
+            partial = {u: c for u, c in step.items() if c != 0}
+        for u, c in partial.items():
+            acc[u] = acc.get(u, Fraction(0)) + cw * c
+    return HeckeElement(diagram, q, tuple((GroupElement(u), c) for u, c in acc.items()))
 
 
 def special_character(x: HeckeElement) -> Fraction:

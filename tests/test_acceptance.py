@@ -62,9 +62,6 @@ def _report(number: int, description: str, ok: bool) -> None:
 
 
 def test_criterion_1_growth_equals_closed_form():
-    import weylbuildings.coxeter as coxeter_module
-
-    coxeter_module._index_for.cache_clear()
     t0 = time.monotonic()
     ok = True
     for label in ("A1~", "A2~", "A3~", "C2~", "G2~"):

@@ -1,10 +1,17 @@
 """The command line: formats, determinism, exit statuses."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weylbuildings
 from weylbuildings.cli import main
+
+SRC = str(Path(weylbuildings.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -149,3 +156,25 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# -- python -m ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("module", ["weylbuildings", "weylbuildings.cli"])
+@pytest.mark.parametrize("label, status", [("A1~", 0), ("Z9~", 2)])
+def test_python_dash_m_exit_status(module, label, status):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "growth", "--type", label, "--K", "3", "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == status
+    if status == 0:
+        assert [r["enumerated"] for r in json.loads(proc.stdout)["rows"]] == [1, 2, 2, 2]
+    else:
+        assert proc.stdout == ""
+        assert "Z9~" in proc.stderr

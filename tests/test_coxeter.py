@@ -3,10 +3,13 @@
 Growth tables are cross-checked against two independent oracles that never
 touch the reflection representation: the affine-permutation (window) model
 for the cyclic types, and exact affine-isometry models of the plane for the
-two exceptional rank-2 types.
+two exceptional rank-2 types.  A third oracle, a breadth-first search of the
+reflection matrices themselves, checks lengths, reduced words and growth of
+every family against the descent arithmetic.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,9 +18,11 @@ from hypothesis import strategies as st
 
 from weylbuildings import (
     INFINITE_ORDER,
+    GroupElement,
     affine_diagram,
     bfs_growth,
     element_from_word,
+    generator_matrices,
     identity_element,
     length,
     parse_type_label,
@@ -154,6 +159,47 @@ def test_g2_growth_matches_plane_isometries():
     assert bfs_growth(affine_diagram("G2~"), 8).counts == expected
 
 
+# -- oracle 3: breadth-first search of the reflection matrices ---------------
+
+
+def _matrix_bfs(diagram, depth: int) -> dict:
+    """Matrix -> reduced word, from a Cayley-graph BFS that right multiplies
+    by the generators in diagram order; the first parent found gives the word."""
+    columns = [list(zip(*g)) for g in generator_matrices(diagram)]
+    ident = identity_element(diagram).matrix
+    words = {ident: ()}
+    frontier = [ident]
+    for _ in range(depth):
+        nxt = []
+        for m in frontier:
+            for letter, cols in zip(diagram.generators, columns):
+                prod = tuple(tuple(sum(a * b for a, b in zip(row, c)) for c in cols) for row in m)
+                if prod not in words:
+                    words[prod] = words[m] + (letter,)
+                    nxt.append(prod)
+        frontier = nxt
+    return words
+
+
+ORACLE_DEPTH = {
+    "A1~": 20, "A2~": 8, "A3~": 7, "A4~": 6, "B3~": 6, "B4~": 5, "C2~": 9, "C3~": 6,
+    "D4~": 5, "D5~": 5, "E6~": 4, "E7~": 4, "E8~": 4, "F4~": 5, "G2~": 9,
+}
+
+
+@pytest.mark.parametrize("label", sorted(ORACLE_DEPTH))
+def test_descents_match_matrix_bfs(label):
+    d = affine_diagram(label)
+    depth = ORACLE_DEPTH[label]
+    counts = [0] * (depth + 1)
+    for matrix, word in _matrix_bfs(d, depth).items():
+        counts[len(word)] += 1
+        w = GroupElement(matrix)
+        assert length(d, w) == len(word)
+        assert reduced_word(d, w) == word
+    assert bfs_growth(d, depth).counts == tuple(counts)
+
+
 # -- labels and diagrams -------------------------------------------------------
 
 def test_label_parsing_and_rank_windows():
@@ -228,3 +274,40 @@ def test_length_changes_by_one(word, s):
 def test_growth_table_validation():
     with pytest.raises(ValueError):
         bfs_growth(affine_diagram("A1~"), -1)
+
+
+def test_length_and_word_beyond_64():
+    d = affine_diagram("A1~")
+    word = (1, 0) * 100
+    w = element_from_word(d, word)
+    assert length(d, w) == 200
+    assert reduced_word(d, w) == word
+
+
+def _perturbed_a2():
+    # one row of a length-4 element moved by +1 and -1: it still fixes
+    # delta = (1, 1, 1), so only the end of the descent peel can reject it
+    rows = [list(r) for r in element_from_word(affine_diagram("A2~"), [0, 1, 2, 0]).matrix]
+    rows[0][1] += 1
+    rows[0][2] -= 1
+    return tuple(tuple(r) for r in rows)
+
+
+NON_MEMBERS = {
+    "minus-identity-A1~": ("A1~", ((-1, 0), (0, -1))),
+    "minus-identity-A3~": ("A3~", tuple(tuple(-int(i == j) for j in range(4)) for i in range(4))),
+    "diagram-swap-A1~": ("A1~", ((0, 1), (1, 0))),
+    "perturbed-A2~": ("A2~", _perturbed_a2()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_MEMBERS))
+def test_non_members_rejected_quickly(case):
+    label, matrix = NON_MEMBERS[case]
+    d = affine_diagram(label)
+    for fn in (length, reduced_word):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="not an element of the group") as exc:
+            fn(d, GroupElement(matrix))
+        assert time.perf_counter() - t0 < 1
+        assert repr(matrix) in str(exc.value)

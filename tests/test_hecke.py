@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from weylbuildings import (
     GroupElement,
+    HeckeElement,
     affine_diagram,
     basis_element,
     convolve_chamber_function,
@@ -90,6 +91,43 @@ def test_associativity(u, v, w):
     b = basis_element(d, v, q)
     c = basis_element(d, w, q)
     assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+@pytest.mark.parametrize("total", [80, 200])
+def test_a1_products_beyond_64(total):
+    d = affine_diagram("A1~")
+    q = Fraction(3)
+    v = [0, 1] * (total // 4)
+    w = [0, 1] * (total // 4)
+    assert multiply(basis_element(d, v, q), basis_element(d, w, q)) == basis_element(d, v + w, q)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["A1~", "A2~"]), st.data())
+def test_associativity_beyond_64(label, data):
+    """A prefix of a power of a Coxeter element is reduced in an affine group
+    (Speyer 2009), so the long factor below has length above 64."""
+    d = affine_diagram(label)
+    q = Fraction(2)
+    coxeter = data.draw(st.permutations(d.generators))
+    size = data.draw(st.integers(min_value=65, max_value=90))
+    long_word = (list(coxeter) * size)[:size]
+    assert length(d, element_from_word(d, long_word)) == size
+    short = st.lists(st.sampled_from(d.generators), max_size=4)
+    factors = [basis_element(d, data.draw(short), q) for _ in range(2)]
+    factors.insert(data.draw(st.integers(min_value=0, max_value=2)), basis_element(d, long_word, q))
+    a, b, c = factors
+    assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+def test_non_member_factor_rejected():
+    d = affine_diagram("A1~")
+    q = Fraction(2)
+    swap = HeckeElement(d, q, ((GroupElement(((0, 1), (1, 0))), Fraction(1)),))
+    e0 = basis_element(d, [0], q)
+    for a, b in ((swap, e0), (e0, swap)):
+        with pytest.raises(ValueError, match="not an element of the group"):
+            multiply(a, b)
 
 
 def test_character_on_basis():
