@@ -8,7 +8,10 @@ edges, omega(s, t) = -omega(t, s).  The coboundary is
     d f (s, t) = f(s) - f(t),
 
 and ``integrate`` sums a 1-cochain along a vertex path; on a tree the
-integral depends only on the endpoints.
+integral depends only on the endpoints.  Both cochains keep their values
+in the shared finite map of the ``exact`` module (``SparseMap``: nonzero
+entries only, canonical order, O(1) lookup); a 1-cochain stores one value
+per unordered edge and applies the orientation sign on lookup.
 
 Ends of the tree through the sphere of radius r around a base vertex o
 are the (p + 1) p^(r-1) oriented rim edges (t, s) with s at depth r.  The
@@ -43,6 +46,7 @@ from .building import (
     classes_adjacent,
     standard_lattice,
 )
+from .exact import SparseMap, fraction_json
 
 __all__ = [
     "ZeroCochain",
@@ -75,30 +79,19 @@ def _require_tree(ctx: PrimeContext) -> None:
 
 @dataclass(frozen=True)
 class ZeroCochain:
-    """Finitely supported rational function on vertices; no zero entries."""
+    """Finitely supported rational function on vertices, in a ``SparseMap``."""
 
     values: tuple[tuple[LatticeClass, Fraction], ...]
 
     def __post_init__(self) -> None:
-        cleaned = tuple(
-            (v, Fraction(x))
-            for v, x in sorted(self.values, key=lambda t: t[0].hnf)
-            if x != 0
-        )
-        keys = [v for v, _ in cleaned]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate vertices")
-        object.__setattr__(self, "values", cleaned)
+        object.__setattr__(self, "values", SparseMap(self.values, lambda v: v.hnf))
 
     @property
     def support(self) -> tuple[LatticeClass, ...]:
-        return tuple(v for v, _ in self.values)
+        return self.values.support()
 
     def value(self, vertex: LatticeClass) -> Fraction:
-        for v, x in self.values:
-            if v == vertex:
-                return x
-        return Fraction(0)
+        return self.values.lookup(vertex)
 
 
 def zero_cochain_from_map(values: Mapping[LatticeClass, Fraction]) -> ZeroCochain:
@@ -112,9 +105,9 @@ Edge = tuple[LatticeClass, LatticeClass]
 class OneCochain:
     """Antisymmetric rational function on oriented edges, finite support.
 
-    One value is stored per unordered edge, on the orientation with the
-    lexicographically smaller canonical form first; lookups on either
-    orientation apply the sign.
+    ``values`` is a ``SparseMap`` with one value per unordered edge, on
+    the orientation with the lexicographically smaller canonical form
+    first; lookups on either orientation apply the sign.
     """
 
     values: tuple[tuple[Edge, Fraction], ...]
@@ -128,25 +121,20 @@ class OneCochain:
             if key in acc and acc[key] != signed:
                 raise ValueError("conflicting values on the two orientations of an edge")
             acc[key] = signed
-        cleaned = tuple(
-            (e, x) for e, x in sorted(acc.items(), key=lambda t: (t[0][0].hnf, t[0][1].hnf)) if x != 0
-        )
-        object.__setattr__(self, "values", cleaned)
+        object.__setattr__(self, "values", SparseMap(acc.items(), lambda e: (e[0].hnf, e[1].hnf)))
 
     @property
     def support(self) -> tuple[Edge, ...]:
-        return tuple(e for e, _ in self.values)
+        return self.values.support()
 
     def support_vertices(self) -> tuple[LatticeClass, ...]:
         out = {v for (s, t), _ in self.values for v in (s, t)}
         return tuple(sorted(out, key=lambda v: v.hnf))
 
     def value(self, s: LatticeClass, t: LatticeClass) -> Fraction:
-        key, sign = ((s, t), 1) if s.hnf < t.hnf else ((t, s), -1)
-        for e, x in self.values:
-            if e == key:
-                return sign * x
-        return Fraction(0)
+        if s.hnf < t.hnf:
+            return self.values.lookup((s, t))
+        return -self.values.lookup((t, s))
 
 
 def one_cochain_from_map(values: Mapping[Edge, Fraction]) -> OneCochain:
@@ -192,11 +180,8 @@ class VertexTree:
 
     def ends(self) -> tuple[Edge, ...]:
         """Oriented rim edges (parent, leaf), leaves at the full depth."""
-        rim = []
-        for i in self.shell(self.radius):
-            p = self.parent[i]
-            rim.append((self.vertices[p], self.vertices[i]))
-        return tuple(rim)
+        rim = self.shell(self.radius)
+        return tuple((self.vertices[self.parent[i]], self.vertices[i]) for i in rim)
 
 
 def vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> VertexTree:
@@ -304,6 +289,25 @@ class BoundaryFunction:
         return len(gaps) == 1
 
 
+def _integrals(
+    omega: OneCochain, origin: LatticeClass, depth: int, ctx: PrimeContext
+) -> tuple[VertexTree, list[Fraction]]:
+    """The vertex tree to the given depth and the integral of omega from
+    the origin to each of its vertices, in one walk down the tree."""
+    _require_tree(ctx)
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    tree = vertex_tree(ctx, origin, depth)
+    for v in omega.support_vertices():
+        if v not in tree.index:
+            raise ValueError("cochain support escapes the sphere at this depth")
+    to_vertex: list[Fraction] = [Fraction(0)] * len(tree)
+    for i in range(1, len(tree)):
+        j = tree.parent[i]
+        to_vertex[i] = to_vertex[j] + omega.value(tree.vertices[j], tree.vertices[i])
+    return tree, to_vertex
+
+
 def boundary_value(
     omega: OneCochain, origin: LatticeClass, depth: int, ctx: PrimeContext
 ) -> BoundaryFunction:
@@ -312,29 +316,13 @@ def boundary_value(
     Requires the support of omega to sit inside the depth-r sphere at the
     origin, so integrals out of the sphere are settled.
     """
-    _require_tree(ctx)
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    tree = vertex_tree(ctx, origin, depth)
-    for v in omega.support_vertices():
-        if v not in tree.index:
-            raise ValueError("cochain support escapes the sphere at this depth")
-    # integral from the origin to every vertex, by depth order
-    to_vertex: list[Fraction] = [Fraction(0)] * len(tree)
-    for i in range(1, len(tree)):
-        j = tree.parent[i]
-        to_vertex[i] = to_vertex[j] + omega.value(tree.vertices[j], tree.vertices[i])
-    parts = []
-    for i in tree.shell(depth):
-        j = tree.parent[i]
-        parts.append(((tree.vertices[j], tree.vertices[i]), to_vertex[i]))
+    tree, to_vertex = _integrals(omega, origin, depth, ctx)
+    # the shell lists leaves by canonical form, the order BoundaryFunction keeps
+    parts = tuple(zip(tree.ends(), (to_vertex[i] for i in tree.shell(depth))))
     chart = None
     if origin == standard_lattice(ctx):
-        chart_pairs = []
-        for (t, s), value in sorted(parts, key=lambda r: (r[0][1].hnf, r[0][0].hnf)):
-            chart_pairs.append((end_chart((t, s), ctx), value))
-        chart = tuple(chart_pairs)
-    return BoundaryFunction(depth=depth, parts=tuple(parts), chart=chart)
+        chart = tuple((end_chart(e, ctx), x) for e, x in parts)
+    return BoundaryFunction(depth=depth, parts=parts, chart=chart)
 
 
 def primitive_cochain(
@@ -346,18 +334,12 @@ def primitive_cochain(
     Far vertices then get c - c = 0, so the support stays inside the
     sphere; a non-constant boundary value is an error (no such f exists).
     """
-    _require_tree(ctx)
-    bf = boundary_value(omega, origin, depth, ctx)
-    c = bf.constant_value()
-    if c is None:
+    tree, to_vertex = _integrals(omega, origin, depth, ctx)
+    rim = {to_vertex[i] for i in tree.shell(depth)}
+    if len(rim) != 1:
         raise ValueError("boundary value is not constant: omega is not a coboundary")
-    tree = vertex_tree(ctx, origin, depth)
-    to_vertex: list[Fraction] = [Fraction(0)] * len(tree)
-    for i in range(1, len(tree)):
-        j = tree.parent[i]
-        to_vertex[i] = to_vertex[j] + omega.value(tree.vertices[j], tree.vertices[i])
-    values = {tree.vertices[i]: c - to_vertex[i] for i in range(len(tree))}
-    return zero_cochain_from_map(values)
+    (c,) = rim
+    return ZeroCochain(tuple((v, c - x) for v, x in zip(tree.vertices, to_vertex)))
 
 
 def lift(g: BoundaryFunction, origin: LatticeClass, ctx: PrimeContext) -> OneCochain:
@@ -409,7 +391,7 @@ def boundary_function_to_json(g: BoundaryFunction) -> list[dict]:
         out.append(
             {
                 "edge": [[list(row) for row in t.hnf], [list(row) for row in s.hnf]],
-                "value": {"num": str(value.numerator), "den": str(value.denominator)},
+                "value": fraction_json(value),
                 "chart": None if chart is None else [chart[0][0], chart[0][1]],
             }
         )

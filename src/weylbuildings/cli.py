@@ -41,9 +41,10 @@ from .boundary import (
 )
 from .building import PrimeContext, ball, ball_to_json, standard_lattice
 from .coxeter import affine_diagram, bfs_growth, element_from_word, parse_type_label
+from .exact import fraction_json
 from .harmonic import harmonicity_defect, iwahori_vector, min_distance_chamber
 from .hecke import basis_element, multiply, special_character, unit
-from .period import geometric_lambda, lambda_partial, make_report, report_to_json
+from .period import geometric_lambda, make_report, report_to_json
 from .poincare import bott_rational, expand, exponents_for
 
 __all__ = ["build_parser", "main", "entrypoint"]
@@ -51,10 +52,6 @@ __all__ = ["build_parser", "main", "entrypoint"]
 
 class UsageError(ValueError):
     """Bad parameter combination; maps to exit status 2."""
-
-
-def _frac_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
 def _cell(x) -> str:
@@ -79,7 +76,11 @@ def _emit(args, payload: dict, table_lines: list[str], csv_table: tuple[list[str
     else:
         text = "\n".join(table_lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot open --out {args.out}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -116,7 +117,7 @@ def cmd_growth(args) -> int:
             {
                 "k": k,
                 "enumerated": enumerated[k],
-                "closedForm": _frac_json(closed[k]),
+                "closedForm": fraction_json(closed[k]),
                 "equal": equal[k],
             }
             for k in range(args.K + 1)
@@ -162,8 +163,8 @@ def cmd_period(args) -> int:
         partial = report.partial_sums[radius]
         geometric = {
             "R": radius,
-            "enumerated": _frac_json(geo),
-            "closedFormPartial": _frac_json(partial),
+            "enumerated": fraction_json(geo),
+            "closedFormPartial": fraction_json(partial),
             "equal": geo == partial,
         }
         ok = ok and geo == partial
@@ -181,7 +182,7 @@ def cmd_period(args) -> int:
     table.append(f"truncation certified: {_cell(certified)}")
     if geometric is not None:
         table.append(
-            f"geometric sum at R = {geometric['R']}: {_cell(Fraction(int(geometric['enumerated']['num']), int(geometric['enumerated']['den'])))}"
+            f"geometric sum at R = {geometric['R']}: {_cell(geo)}"
             f" (matches partial sum: {_cell(geometric['equal'])})"
         )
     header = ["k", "partialSum", "closedForm", "tailBound"]
@@ -333,7 +334,7 @@ def cmd_hecke(args) -> int:
     payload = {
         "command": "hecke",
         "type": str(label),
-        "q": _frac_json(q),
+        "q": fraction_json(q),
         "checks": [{"name": name, "pass": passed} for name, passed in checks],
         "pass": ok,
     }
@@ -493,10 +494,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,8 +5,10 @@ codimension-1 face D when the values over the p + 1 chambers containing D
 sum to zero; ``harmonicity_defect`` returns that sum for an interior face
 of a ball.
 
-Two storage forms coexist.  Map form is a finite support map with no zero
-entries.  Rule form holds a base chamber and an integer q >= 2 and means
+Two storage forms coexist.  Map form keeps its values in the shared
+finite map of the ``exact`` module (``SparseMap``: nonzero entries only,
+sorted by the chamber's canonical form, O(1) lookup).  Rule form holds a
+base chamber and an integer q >= 2 and means
 
     C  |->  (-1/q)^d(base, C),
 
@@ -30,6 +32,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .building import BallGraph, Face, FlagChamber
+from .exact import SparseMap, fraction_json
 
 __all__ = [
     "Cochain",
@@ -47,9 +50,9 @@ __all__ = [
 class Cochain:
     """A chamber function in map form or closed-rule form, exactly one.
 
-    Map form: ``values`` is a tuple of (chamber, nonzero rational),
-    sorted canonically.  Rule form: ``rule`` is (base chamber, q) and the
-    function is C -> (-1/q)^d(base, C).
+    Map form: ``values`` is a ``SparseMap`` of (chamber, nonzero
+    rational) pairs, sorted canonically.  Rule form: ``rule`` is (base
+    chamber, q) and the function is C -> (-1/q)^d(base, C).
     """
 
     values: tuple[tuple[FlagChamber, Fraction], ...] | None = None
@@ -59,15 +62,7 @@ class Cochain:
         if (self.values is None) == (self.rule is None):
             raise ValueError("exactly one of values and rule must be given")
         if self.values is not None:
-            cleaned = tuple(
-                (c, Fraction(v))
-                for c, v in sorted(self.values, key=lambda t: t[0].sort_key())
-                if v != 0
-            )
-            keys = [c for c, _ in cleaned]
-            if len(set(keys)) != len(keys):
-                raise ValueError("duplicate chambers in values")
-            object.__setattr__(self, "values", cleaned)
+            object.__setattr__(self, "values", SparseMap(self.values, FlagChamber.sort_key))
         else:
             base, q = self.rule
             if not isinstance(base, FlagChamber):
@@ -78,25 +73,19 @@ class Cochain:
     def value(self, chamber: FlagChamber, graph: BallGraph) -> Fraction:
         """Evaluate at a chamber, resolving distances through ``graph``."""
         if self.values is not None:
-            for c, v in self.values:
-                if c == chamber:
-                    return v
-            return Fraction(0)
-        base, q = self.rule
-        if graph.chambers[0] != base:
-            raise ValueError("rule-form cochain needs a ball centered at its base")
+            return self.values.lookup(chamber)
         i = graph.index.get(chamber)
         if i is None:
             raise ValueError("chamber outside the ball: distance unknown")
-        return Fraction(-1, q) ** graph.distance[i]
+        return self.value_at_index(i, graph)
 
     def value_at_index(self, i: int, graph: BallGraph) -> Fraction:
-        if self.rule is not None:
-            base, q = self.rule
-            if graph.chambers[0] != base:
-                raise ValueError("rule-form cochain needs a ball centered at its base")
-            return Fraction(-1, q) ** graph.distance[i]
-        return self.value(graph.chambers[i], graph)
+        if self.values is not None:
+            return self.values.lookup(graph.chambers[i])
+        base, q = self.rule
+        if graph.chambers[0] != base:
+            raise ValueError("rule-form cochain needs a ball centered at its base")
+        return Fraction(-1, q) ** graph.distance[i]
 
 
 def cochain_from_map(values: Mapping[FlagChamber, Fraction]) -> Cochain:
@@ -201,17 +190,14 @@ def cochain_to_json(f: Cochain, graph: BallGraph | None = None) -> list[dict]:
     """
     if f.values is not None:
         pairs = f.values
+    elif graph is None:
+        raise ValueError("rule-form serialization needs a ball")
     else:
-        if graph is None:
-            raise ValueError("rule-form serialization needs a ball")
-        pairs = tuple(
-            (graph.chambers[i], f.value_at_index(i, graph))
-            for i in range(len(graph.chambers))
-        )
+        pairs = [(c, f.value_at_index(i, graph)) for i, c in enumerate(graph.chambers)]
     return [
         {
             "chamber": [[list(row) for row in cls.hnf] for cls in chamber.classes],
-            "value": {"num": str(v.numerator), "den": str(v.denominator)},
+            "value": fraction_json(v),
         }
         for chamber, v in pairs
     ]

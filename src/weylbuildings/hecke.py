@@ -19,7 +19,9 @@ of w's matrix, is negative.
 
 The parameter q is carried per element as an exact rational (integers in
 geometric uses, arbitrary rationals allowed algebraically); products
-require equal q and equal diagram.
+require equal q and equal diagram.  The coefficients live in the shared
+finite map of the ``exact`` module (``SparseMap``: nonzero entries only,
+sorted by the matrix of w, O(1) lookup).
 
 ``special_character`` is the algebra character determined by e_s -> -1,
 so e_w -> (-1)^l(w).  ``convolve_chamber_function`` is the geometric
@@ -45,6 +47,7 @@ from .coxeter import (
     length,
     reduced_word,
 )
+from .exact import SparseMap, fraction_json
 
 __all__ = [
     "HeckeElement",
@@ -61,7 +64,7 @@ __all__ = [
 class HeckeElement:
     """Finite linear combination of basis elements e_w over one diagram.
 
-    ``terms`` is sorted by the matrix of w and carries no zero
+    ``terms`` is a ``SparseMap`` sorted by the matrix of w, with no zero
     coefficients, so equality of elements is equality of the fields.
     """
 
@@ -71,26 +74,17 @@ class HeckeElement:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", Fraction(self.q))
-        cleaned = tuple(
-            (w, Fraction(c)) for w, c in sorted(self.terms, key=lambda t: t[0].matrix) if c != 0
-        )
-        mats = [w.matrix for w, _ in cleaned]
-        if len(set(mats)) != len(mats):
-            raise ValueError("duplicate basis elements in terms")
-        size = self.diagram.size
-        if any(len(w.matrix) != size for w, _ in cleaned):
+        terms = SparseMap(self.terms, lambda w: w.matrix)
+        if any(len(w.matrix) != self.diagram.size for w in terms.support()):
             raise ValueError("group elements do not match the diagram")
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", terms)
 
     @property
     def support(self) -> tuple[GroupElement, ...]:
-        return tuple(w for w, _ in self.terms)
+        return self.terms.support()
 
     def coefficient(self, w: GroupElement) -> Fraction:
-        for v, c in self.terms:
-            if v == w:
-                return c
-        return Fraction(0)
+        return self.terms.lookup(w)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -103,10 +97,9 @@ class HeckeElement:
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         self._require_compatible(other)
-        acc: dict[GroupElement, Fraction] = dict(self.terms)
-        for w, c in other.terms:
-            acc[w] = acc.get(w, Fraction(0)) + c
-        return HeckeElement(self.diagram, self.q, tuple(acc.items()))
+        support = dict.fromkeys(self.support + other.support)
+        terms = tuple((w, self.coefficient(w) + other.coefficient(w)) for w in support)
+        return HeckeElement(self.diagram, self.q, terms)
 
     def __neg__(self) -> "HeckeElement":
         return HeckeElement(self.diagram, self.q, tuple((w, -c) for w, c in self.terms))
@@ -211,11 +204,11 @@ def convolve_chamber_function(
 def hecke_to_json(x: HeckeElement) -> dict:
     """Plain-data form: q and (reduced word, coefficient) pairs."""
     return {
-        "q": {"num": str(x.q.numerator), "den": str(x.q.denominator)},
+        "q": fraction_json(x.q),
         "terms": [
             {
                 "word": list(reduced_word(x.diagram, w)),
-                "coeff": {"num": str(c.numerator), "den": str(c.denominator)},
+                "coeff": fraction_json(c),
             }
             for w, c in x.terms
         ],

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .building import BallGraph, PrimeContext, ball
 from .coxeter import AffineTypeLabel, affine_diagram, bfs_growth, parse_type_label
+from .exact import fraction_json
 from .poincare import absolute_tail, bott_rational, evaluate, exponents_for
 
 __all__ = [
@@ -153,18 +154,14 @@ def make_report(label: AffineTypeLabel | str, q: int, cutoff: int) -> PeriodRepo
     )
 
 
-def _frac_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
 def report_to_json(report: PeriodReport) -> dict:
     return {
         "type": str(report.label),
         "qF": report.q_f,
         "qE": report.q_e,
         "K": report.cutoff,
-        "partialSums": [_frac_json(s) for s in report.partial_sums],
-        "closedForm": _frac_json(report.closed_form),
-        "tailBound": _frac_json(report.tail_bound),
-        "majorant": _frac_json(report.majorant),
+        "partialSums": [fraction_json(s) for s in report.partial_sums],
+        "closedForm": fraction_json(report.closed_form),
+        "tailBound": fraction_json(report.tail_bound),
+        "majorant": fraction_json(report.majorant),
     }

@@ -29,6 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from .coxeter import AffineTypeLabel, parse_type_label
+from .exact import fraction_json
 
 __all__ = [
     "ExponentTable",
@@ -308,8 +309,5 @@ def rational_function_to_json(rf: RationalFunction) -> dict:
 def series_to_json(series: SeriesTruncation) -> dict:
     """Exact coefficients as {num, den} decimal-string pairs."""
     return {
-        "coefficients": [
-            {"num": str(c.numerator), "den": str(c.denominator)}
-            for c in series.coefficients
-        ]
+        "coefficients": [fraction_json(c) for c in series.coefficients]
     }

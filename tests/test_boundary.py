@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import weylbuildings.boundary
 from weylbuildings import (
     BoundaryFunction,
     PrimeContext,
@@ -127,6 +128,25 @@ def test_boundary_value_charts_anchored(ctx2):
     blob = boundary_function_to_json(g)
     assert len(blob) == 3
     assert all(rec["chart"] is not None for rec in blob)
+    one = {"num": "1", "den": "1"}
+    assert blob == [
+        {"edge": [[[1, 0], [0, 1]], [[1, 0], [0, 2]]], "value": one, "chart": [1, 0]},
+        {"edge": [[[1, 0], [0, 1]], [[1, 1], [0, 2]]], "value": one, "chart": [1, 1]},
+        {"edge": [[[1, 0], [0, 1]], [[2, 0], [0, 1]]], "value": one, "chart": [0, 1]},
+    ]
+
+
+def test_boundary_function_json_literal(ctx2):
+    o = standard_lattice(ctx2)
+    a, b, _ = vertex_neighbors(o, ctx2)
+    omega = one_cochain_from_map({(o, a): Fraction(3, 2), (b, o): Fraction(-5)})
+    blob = boundary_function_to_json(boundary_value(omega, o, 1, ctx2))
+    assert [rec["value"] for rec in blob] == [
+        {"num": "3", "den": "2"},
+        {"num": "5", "den": "1"},
+        {"num": "0", "den": "1"},
+    ]
+    assert [rec["chart"] for rec in blob] == [[1, 0], [1, 1], [0, 1]]
 
 
 def test_boundary_value_detects_non_coboundary(ctx2):
@@ -138,6 +158,21 @@ def test_boundary_value_detects_non_coboundary(ctx2):
     assert g.constant_value() is None
     with pytest.raises(ValueError):
         primitive_cochain(omega, o, 2, ctx2)
+
+
+def test_primitive_builds_one_vertex_tree(ctx2, monkeypatch):
+    o = standard_lattice(ctx2)
+    f = zero_cochain_from_map({o: Fraction(2), vertex_neighbors(o, ctx2)[1]: Fraction(-1, 3)})
+    omega = coboundary(f, ctx2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return vertex_tree(*args)
+
+    monkeypatch.setattr(weylbuildings.boundary, "vertex_tree", counted)
+    assert primitive_cochain(omega, o, 2, ctx2) == f
+    assert len(calls) == 1
 
 
 def test_primitive_recovers_original(ctx2, ctx3):

@@ -132,6 +132,25 @@ def test_out_writes_file(tmp_path, capsys):
 # -- sad paths --------------------------------------------------------------------
 
 
+def test_out_into_missing_directory_exits_2(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylbuildings", "growth", "--type", "A1~", "--K", "3",
+         "--out", str(target)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert str(target) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not target.parent.exists()
+
+
 def test_bad_label_exits_2(capsys):
     code, _, err = run(capsys, "growth", "--type", "Z9~", "--K", "3")
     assert code == 2

@@ -1,5 +1,7 @@
 """Chamber cochains: defects, the sign-decaying vector, decay, rigidity."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -111,3 +113,44 @@ def test_cochain_json(tree_p2):
     f = cochain_from_map({g.chambers[0]: Fraction(-3, 4)})
     blob = cochain_to_json(f, g)
     assert blob == cochain_to_json(f, g)
+
+
+def test_cochain_json_map_form_literal(tree_p2):
+    g = tree_p2
+    f = cochain_from_map(
+        {g.chambers[5]: Fraction(2), g.chambers[0]: Fraction(-3, 4), g.chambers[3]: Fraction(0)}
+    )
+    assert cochain_to_json(f, g) == [
+        {
+            "chamber": [[[1, 0], [0, 1]], [[1, 0], [0, 2]]],
+            "value": {"num": "-3", "den": "4"},
+        },
+        {
+            "chamber": [[[1, 0], [0, 4]], [[1, 0], [0, 8]]],
+            "value": {"num": "2", "den": "1"},
+        },
+    ]
+
+
+def test_cochain_json_rule_form_literal(tree_p2):
+    g = tree_p2
+    blob = cochain_to_json(iwahori_vector(g.chambers[0], 2), g)
+    assert len(blob) == 1021
+    assert blob[:2] == [
+        {
+            "chamber": [[[1, 0], [0, 1]], [[1, 0], [0, 2]]],
+            "value": {"num": "1", "den": "1"},
+        },
+        {
+            "chamber": [[[1, 0], [0, 1]], [[1, 1], [0, 2]]],
+            "value": {"num": "-1", "den": "2"},
+        },
+    ]
+    assert blob[-1] == {
+        "chamber": [[[128, 0], [0, 1]], [[256, 0], [0, 1]]],
+        "value": {"num": "1", "den": "256"},
+    }
+    text = json.dumps(blob, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1d40ad8377545a7ba081c221c0cb57335c3065427eb82084d7292bba7990fcbe"
+    )

@@ -179,6 +179,10 @@ def test_json_rendering():
     for rec in blob["terms"]:
         assert set(rec) == {"word", "coeff"}
         assert all(isinstance(i, int) for i in rec["word"])
+    assert blob["terms"] == [
+        {"word": [0, 1], "coeff": {"num": "5", "den": "2"}},
+        {"word": [1], "coeff": {"num": "7", "den": "2"}},
+    ]
 
 
 # -- the chamber realization ---------------------------------------------------------

@@ -104,3 +104,15 @@ def test_report_json_shape():
     assert blob["K"] == 5
     assert blob["closedForm"] == {"num": "1", "den": "3"}
     assert len(blob["partialSums"]) == 6
+
+
+def test_report_json_partial_sums_literal():
+    blob = report_to_json(make_report(A1, 2, 5))
+    assert blob["partialSums"] == [
+        {"num": "1", "den": "1"},
+        {"num": "0", "den": "1"},
+        {"num": "1", "den": "2"},
+        {"num": "1", "den": "4"},
+        {"num": "3", "den": "8"},
+        {"num": "5", "den": "16"},
+    ]
