@@ -42,6 +42,9 @@ from .building import (
     Face,
     LatticeClass,
     PrimeContext,
+    _coordinates,
+    _det,
+    _val_int,
     chambers_containing,
     classes_adjacent,
     standard_lattice,
@@ -171,12 +174,6 @@ class VertexTree:
 
     def shell(self, k: int) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.depth) if d == k)
-
-    def path_indices(self, i: int) -> tuple[int, ...]:
-        out = [i]
-        while self.parent[out[-1]] is not None:
-            out.append(self.parent[out[-1]])
-        return tuple(reversed(out))
 
     def ends(self) -> tuple[Edge, ...]:
         """Oriented rim edges (parent, leaf), leaves at the full depth."""
@@ -342,18 +339,36 @@ def primitive_cochain(
     return ZeroCochain(tuple((v, c - x) for v, x in zip(tree.vertices, to_vertex)))
 
 
+def _distance(origin: LatticeClass, v: LatticeClass, p: int) -> int:
+    """Tree distance v_p(det X) - 2 min v_p(X), X the coordinates of v's
+    rows over the origin's basis (the gap between the elementary divisors);
+    v is scaled by p^(v_p(det origin)) first, so X is integral."""
+    rows = v.scaled_rows(p, origin.det_valuation(p))
+    x = [_coordinates(origin.hnf, row) for row in rows]
+    low = min(_val_int(c, p) for row in x for c in row if c)
+    return _val_int(_det(x), p) - 2 * low
+
+
 def lift(g: BoundaryFunction, origin: LatticeClass, ctx: PrimeContext) -> OneCochain:
     """A 1-cochain on the rim edges whose boundary value is exactly g.
 
     Realizes g as the coboundary data of the vertex function equal to g
     on the depth-r leaves and 0 inside; only the rim edges carry values.
+    The parts must be end_count(p, r) distinct adjacent pairs (t, s) at
+    distances r - 1 and r from the origin, which in a tree are all the ends.
     """
     _require_tree(ctx)
-    tree = vertex_tree(ctx, origin, g.depth)
-    expected = set(tree.ends())
-    given = [e for e, _ in g.parts]
-    if set(given) != expected or len(given) != len(expected):
+    r, p = g.depth, ctx.p
+    edges = [e for e, _ in g.parts]
+    if len(edges) != end_count(p, r) or len(set(edges)) != len(edges):
         raise ValueError("parts must enumerate the ends at this depth exactly once")
+    for t, s in edges:
+        if not (
+            _distance(origin, t, p) == r - 1
+            and _distance(origin, s, p) == r
+            and classes_adjacent(t, s, ctx)
+        ):
+            raise ValueError(f"part is not a rim edge at depth {r}")
     return one_cochain_from_map({e: x for e, x in g.parts})
 
 

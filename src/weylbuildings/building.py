@@ -28,7 +28,15 @@ power of an n-cycle given by v_p(det g), whence the sign character
 epsilon(g) = (-1)^((n-1) v_p(det g)).  Both computations of epsilon live
 here and must agree.
 
-Arithmetic is exact.  Hermite normalization runs modulo p^(B+1) where B
+Arithmetic is exact, and inside this module it is integer arithmetic.
+``Fraction`` enters only at the public entry points that take or return
+rational matrices: ``lattice_from_rows``, ``act`` (and ``weyl_to_chamber``,
+which feeds it a product of generators), the ``epsilon`` functions,
+``affine_generator_matrix`` and ``label_shift_matrix``.
+``lattice_from_rows`` scales its rows to integers once; everything after
+that (content stripping, the determinant bound, Hermite normalization,
+membership and the residue quotients behind ``chambers_containing``) works
+on Python integers.  Hermite normalization runs modulo p^(B+1) where B
 bounds the determinant valuation of the matrix at hand, which recovers
 the canonical form exactly because row operations are unimodular over
 Z_p.  The context's declared precision is enforced as a validity
@@ -41,7 +49,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "PrecisionError",
@@ -119,9 +127,13 @@ def _val_int(x: int, p: int) -> int:
 
 
 def _val_fraction(x: Fraction, p: int) -> int:
+    """v_p(x) of a nonzero rational whose denominator is a power of p."""
     if x == 0:
         raise ValueError("valuation of zero")
-    return _val_int(x.numerator, p) - _val_int(x.denominator, p)
+    v = _val_int(x.denominator, p)
+    if x.denominator != p**v:
+        raise ValueError("denominators must be powers of p")
+    return _val_int(x.numerator, p) - v
 
 
 def _det(m: Sequence[Sequence]) -> object:
@@ -190,19 +202,6 @@ def _hermite_rows(rows: Sequence[Sequence[int]], p: int, val_bound: int) -> IntM
     return tuple(tuple(row[:n]) for row in work[:n])
 
 
-def _rows_min_valuation(rows: Iterable[Iterable[Fraction]], p: int) -> int:
-    best: int | None = None
-    for row in rows:
-        for x in row:
-            if x:
-                v = _val_fraction(Fraction(x), p)
-                if best is None or v < best:
-                    best = v
-    if best is None:
-        raise ValueError("zero matrix spans no lattice")
-    return best
-
-
 # -- lattice classes -----------------------------------------------------------
 
 
@@ -229,9 +228,9 @@ def lattice_from_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> Latti
     """Canonicalize the homothety class spanned by the given generating rows.
 
     Entries may be rational with p-power denominators.  The rows are
-    rescaled to an integral primitive matrix, then put in Hermite form
-    relative to an exact determinant-valuation bound read off the maximal
-    minors.  Extra rows beyond n are allowed as long as the span is full.
+    scaled to integers by the largest denominator, then canonicalized in
+    integer arithmetic.  Extra rows beyond n are allowed as long as the
+    span is full.
     """
     frows = [[Fraction(x) for x in row] for row in rows]
     n = len(frows[0])
@@ -239,28 +238,34 @@ def lattice_from_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> Latti
         raise ValueError(f"need at least {n} rows of length {n}")
     for row in frows:
         for x in row:
-            d = x.denominator
-            while d % p == 0:
-                d //= p
-            if d != 1:
-                raise ValueError("denominators must be powers of p")
-    shift = -_rows_min_valuation(frows, p)
-    scale = Fraction(p) ** shift
-    int_rows: list[list[int]] = []
-    for row in frows:
-        scaled = [x * scale for x in row]
-        int_rows.append([x.numerator for x in scaled])
+            if x:
+                _val_fraction(x, p)
+    scale = max(x.denominator for row in frows for x in row)
+    return _canonical([[x.numerator * (scale // x.denominator) for x in row] for row in frows], p)
+
+
+def _canonical(rows: Sequence[Sequence[int]], p: int) -> LatticeClass:
+    """Class of the Z_p-span of integer rows: the p-power content is
+    stripped, then the rows are put in Hermite form relative to an exact
+    determinant-valuation bound read off the maximal minors."""
+    n = len(rows[0])
+    content = min((_val_int(x, p) for row in rows for x in row if x), default=None)
+    if content is None:
+        raise ValueError("zero matrix spans no lattice")
+    if content:
+        f = p**content
+        rows = [[x // f for x in row] for row in rows]
     # the lattice determinant valuation is the minimum over maximal minors
     bound: int | None = None
-    for picks in itertools.combinations(range(len(int_rows)), n):
-        d = _det([int_rows[i] for i in picks])
+    for picks in itertools.combinations(range(len(rows)), n):
+        d = _det([rows[i] for i in picks])
         if d:
-            v = _val_int(int(d), p)
+            v = _val_int(d, p)
             if bound is None or v < bound:
                 bound = v
     if bound is None:
         raise ValueError("rows do not span a full lattice")
-    return LatticeClass(_hermite_rows(int_rows, p, bound))
+    return LatticeClass(_hermite_rows(rows, p, bound))
 
 
 def standard_lattice(ctx: PrimeContext) -> LatticeClass:
@@ -280,21 +285,24 @@ def vertex_label(cls: LatticeClass, ctx: PrimeContext) -> int:
 # -- membership ----------------------------------------------------------------
 
 
-def _contains_vector(basis_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    # back-substitution against an upper-triangular basis; exact integers
+def _coordinates(basis_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int] | None:
+    """Coordinates of an integer vector over an upper-triangular basis with
+    p-power diagonal, by back-substitution; None when the vector is not in
+    the Z_p-span (a coordinate would need p in its denominator)."""
     v = list(vec)
-    for i in range(len(v)):
-        d = basis_rows[i][i]
-        if v[i] % d:
-            return False
-        c = v[i] // d
+    coords: list[int] = []
+    for i, row in enumerate(basis_rows):
+        c, rest = divmod(v[i], row[i])
+        if rest:
+            return None
+        coords.append(c)
         if c:
-            v = [y - c * z for y, z in zip(v, basis_rows[i])]
-    return not any(v)
+            v = [y - c * z for y, z in zip(v, row)]
+    return coords
 
 
 def _contains_lattice(outer_rows: Sequence[Sequence[int]], inner_rows: Sequence[Sequence[int]]) -> bool:
-    return all(_contains_vector(outer_rows, row) for row in inner_rows)
+    return all(_coordinates(outer_rows, row) is not None for row in inner_rows)
 
 
 def _chain_step_ok(a: LatticeClass, b: LatticeClass, ctx: PrimeContext) -> bool:
@@ -412,19 +420,10 @@ def _quotient_basis(
     n = len(outer_rows)
     coord_rows: list[list[int]] = []
     for row in inner_rows:
-        v = [Fraction(x) for x in row]
-        coords: list[Fraction] = []
-        for i in range(n):
-            c = v[i] / outer_rows[i][i]
-            coords.append(c)
-            if c:
-                v = [y - c * z for y, z in zip(v, outer_rows[i])]
-        ints = []
-        for c in coords:
-            if c.denominator != 1:
-                raise ValueError("inner rows do not lie in the outer lattice")
-            ints.append(c.numerator % p)
-        coord_rows.append(ints)
+        coords = _coordinates(outer_rows, row)
+        if coords is None:
+            raise ValueError("inner rows do not lie in the outer lattice")
+        coord_rows.append([c % p for c in coords])
     pivots: set[int] = set()
     r = 0
     for col in range(n):
@@ -452,12 +451,8 @@ def _insertions(
     """The p + 1 classes strictly between outer and inner when the quotient
     is a plane over F_p: inner plus one of the p + 1 lines of the plane."""
     u, v = _quotient_basis(outer_rows, inner_rows, p)
-    found = []
-    for t in range(p):
-        w = [x + t * y for x, y in zip(u, v)]
-        found.append(lattice_from_rows(list(inner_rows) + [w], p))
-    found.append(lattice_from_rows(list(inner_rows) + [v], p))
-    return found
+    lines = [[x + t * y for x, y in zip(u, v)] for t in range(p)] + [v]
+    return [_canonical(list(inner_rows) + [w], p) for w in lines]
 
 
 def chambers_containing(
@@ -522,14 +517,7 @@ def _to_qmatrix(g: Sequence[Sequence[Fraction | int]], n: int) -> QMatrix:
 def _check_entries(g: QMatrix, ctx: PrimeContext) -> None:
     for row in g:
         for x in row:
-            if x == 0:
-                continue
-            d = x.denominator
-            while d % ctx.p == 0:
-                d //= ctx.p
-            if d != 1:
-                raise ValueError("matrix denominators must be powers of p")
-            if abs(_val_fraction(x, ctx.p)) > ctx.precision:
+            if x and abs(_val_fraction(x, ctx.p)) > ctx.precision:
                 raise PrecisionError("declared precision does not cover the matrix entries")
 
 
@@ -619,41 +607,21 @@ def _matmul_q(a: QMatrix, b: QMatrix) -> QMatrix:
     )
 
 
-def _inverse_q(a: QMatrix) -> QMatrix:
-    n = len(a)
-    d = Fraction(_det(a))
-    if d == 0:
-        raise ValueError("matrix is singular")
-    if n == 2:
-        adj = ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
-    else:
-        cof = [[Fraction(0)] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                sub = [[a[r][c] for c in range(3) if c != j] for r in range(3) if r != i]
-                minor = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-                cof[i][j] = (-1) ** (i + j) * minor
-        adj = tuple(tuple(cof[j][i] for j in range(3)) for i in range(3))
-    return tuple(tuple(x / d for x in row) for row in adj)
-
-
 def affine_generator_matrix(ctx: PrimeContext, i: int) -> QMatrix:
     """Matrix realizing the i-th affine Weyl generator, 0 <= i < n.
 
     Generators 1 .. n-1 are the adjacent-coordinate transpositions; the
-    affine generator 0 is their first one conjugated by the label shift.
+    affine generator 0 is the first one conjugated by the label shift,
+    which swaps e_1 and e_n with weights: e_1 -> p e_n, e_n -> e_1 / p.
     """
-    n = ctx.n
+    n, p = ctx.n, ctx.p
     if not 0 <= i < n:
         raise ValueError(f"generator index must lie in 0..{n - 1}")
-    if i >= 1:
-        rows = [[Fraction(1 if r == c else 0) for c in range(n)] for r in range(n)]
-        rows[i - 1][i - 1] = rows[i][i] = Fraction(0)
-        rows[i - 1][i] = rows[i][i - 1] = Fraction(1)
-        return tuple(tuple(r) for r in rows)
-    shift = label_shift_matrix(ctx)
-    s1 = affine_generator_matrix(ctx, 1)
-    return _matmul_q(_matmul_q(shift, s1), _inverse_q(shift))
+    a, b, up, down = (i - 1, i, 1, 1) if i >= 1 else (0, n - 1, Fraction(1, p), p)
+    rows = [[Fraction(1 if r == c else 0) for c in range(n)] for r in range(n)]
+    rows[a][a] = rows[b][b] = Fraction(0)
+    rows[a][b], rows[b][a] = Fraction(up), Fraction(down)
+    return tuple(tuple(r) for r in rows)
 
 
 def weyl_to_chamber(word: Sequence[int], ctx: PrimeContext) -> FlagChamber:

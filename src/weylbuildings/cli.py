@@ -14,7 +14,10 @@ rows carry a method column (enumerated vs closed-form) where two routes
 are compared.  Identical configuration produces byte-identical JSON.
 
 Exit status: 0 when every exact check passes, 1 when any check fails,
-2 on usage errors (bad flags, malformed labels, invalid parameters).
+2 on usage errors (bad flags, malformed labels, invalid parameters).  A
+``ValueError`` or ``AssertionError`` raised by the library once the
+arguments are validated is a broken invariant: it is reported as
+``error: check failed: <message>`` with exit status 1.
 """
 
 from __future__ import annotations
@@ -40,7 +43,13 @@ from .boundary import (
     zero_cochain_from_map,
 )
 from .building import PrimeContext, ball, ball_to_json, standard_lattice
-from .coxeter import affine_diagram, bfs_growth, element_from_word, parse_type_label
+from .coxeter import (
+    INFINITE_ORDER,
+    affine_diagram,
+    bfs_growth,
+    element_from_word,
+    parse_type_label,
+)
 from .exact import fraction_json
 from .harmonic import harmonicity_defect, iwahori_vector, min_distance_chamber
 from .hecke import basis_element, multiply, special_character, unit
@@ -301,9 +310,8 @@ def cmd_hecke(args) -> int:
     for i, s in enumerate(diagram.generators):
         for t in diagram.generators[i + 1 :]:
             m = diagram.order(s, t)
-            if m == float("inf"):
+            if m == INFINITE_ORDER:
                 continue
-            m = int(m)
             left = one
             right = one
             for j in range(m):
@@ -494,9 +502,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # UsageError included
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, AssertionError) as exc:
+        print(f"error: check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -165,13 +165,12 @@ class CoxeterDiagram:
 
 
 def _diagram_from_edges(count: int, edges: dict[tuple[int, int], float]) -> CoxeterDiagram:
-    rows = [[2.0] * count for _ in range(count)]
+    rows = [[2] * count for _ in range(count)]
     for i in range(count):
         rows[i][i] = 1
     for (a, b), m in edges.items():
         rows[a][b] = rows[b][a] = m
-    orders = tuple(tuple(int(x) if x != INFINITE_ORDER else x for x in row) for row in rows)
-    return CoxeterDiagram(tuple(range(count)), orders)
+    return CoxeterDiagram(tuple(range(count)), tuple(tuple(row) for row in rows))
 
 
 def affine_diagram(label: AffineTypeLabel | str) -> CoxeterDiagram:

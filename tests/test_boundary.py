@@ -219,6 +219,39 @@ def test_lift_requires_complete_parts(ctx2):
         lift(g, o, ctx2)
 
 
+def test_lift_builds_no_vertex_tree(ctx3, monkeypatch):
+    o = lattice_from_rows([[1, 1], [0, 3]], 3)
+    ends = vertex_tree(ctx3, o, 2).ends()
+    g = BoundaryFunction(depth=2, parts=tuple((e, Fraction(i, 5)) for i, e in enumerate(ends)))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return vertex_tree(*args)
+
+    monkeypatch.setattr(weylbuildings.boundary, "vertex_tree", counted)
+    omega = lift(g, o, ctx3)
+    assert calls == []
+    assert boundary_value(omega, o, 2, ctx3).parts == g.parts
+
+
+@pytest.mark.parametrize("swap", ["inner edge", "reversed rim edge", "repeated rim edge"])
+def test_lift_rejects_a_part_that_is_not_a_new_rim_edge(ctx2, swap):
+    o = standard_lattice(ctx2)
+    tree = vertex_tree(ctx2, o, 2)
+    ends = list(tree.ends())
+    first_ring = tree.vertices[tree.shell(1)[0]]
+    replacement = {
+        "inner edge": (o, first_ring),
+        "reversed rim edge": ends[0][::-1],
+        "repeated rim edge": ends[1],
+    }[swap]
+    parts = [(replacement, Fraction(1))] + [(e, Fraction(1)) for e in ends[1:]]
+    assert len(parts) == end_count(2, 2)
+    with pytest.raises(ValueError):
+        lift(BoundaryFunction(depth=2, parts=tuple(parts)), o, ctx2)
+
+
 # -- end charts -----------------------------------------------------------------------
 
 

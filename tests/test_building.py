@@ -1,11 +1,12 @@
 """Lattice classes, chambers, the group action, and enumerated balls."""
 
+import hashlib
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weylbuildings import (
@@ -103,6 +104,70 @@ def test_canonical_form_unimodular_invariance(rows, shift):
     )
     scaled = lattice_from_rows([[p * v for v in r] for r in rows], p)
     assert base == swapped == sheared == scaled
+
+
+def _vdet(rows, p):
+    """v_p of the determinant of the Z_p-span: least valuation of a maximal
+    minor, or None when the rows do not span a full lattice."""
+    vals = []
+    for a, b, c in combinations(rows, 3):
+        d = (
+            a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])
+        )
+        if d:
+            vals.append(_val(Fraction(d), p))
+    return min(vals, default=None)
+
+
+def _val(x, p):
+    x = Fraction(x)
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def _spans_contain(rows, vec, p):
+    # vec lies in the span iff adding it leaves the determinant valuation alone
+    return _vdet(list(rows) + [vec], p) == _vdet(rows, p)
+
+
+@st.composite
+def _rational_rows(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    entry = st.builds(
+        lambda a, e: Fraction(a, p**e),
+        st.integers(min_value=-12, max_value=12),
+        st.integers(min_value=0, max_value=2),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=3, max_size=3), min_size=3, max_size=4))
+    return p, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_rows(), st.integers(min_value=-3, max_value=3), st.integers(0, 3))
+def test_canonical_form_gl3_rational_rows(case, shear, k):
+    p, rows = case
+    assume(_vdet(rows, p) is not None)
+    cls = lattice_from_rows(rows, p)
+    swapped = [rows[1], rows[0]] + rows[2:]
+    sheared = [[x + shear * y for x, y in zip(rows[0], rows[-1])]] + rows[1:]
+    for variant in (
+        swapped,
+        sheared,
+        [[x * p**k for x in row] for row in rows],
+        [[x / p for x in row] for row in rows],
+    ):
+        assert lattice_from_rows(variant, p) == cls
+    # the canonical rows span the input lattice rescaled to be primitive
+    low = min(_val(x, p) for row in rows for x in row if x)
+    scaled = [[x / Fraction(p) ** low for x in row] for row in rows]
+    assert all(_spans_contain(cls.hnf, row, p) for row in scaled)
+    assert all(_spans_contain(scaled, row, p) for row in cls.hnf)
 
 
 # -- labels and adjacency ----------------------------------------------------------
@@ -316,6 +381,19 @@ def test_generator_matrices_are_involutions():
             assert act(m, moved, ctx) == chamber
 
 
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_affine_generator_is_conjugate_by_label_shift(n, p):
+    ctx = PrimeContext(p=p, n=n, precision=6)
+    shift = label_shift_matrix(ctx)
+    s0, s1 = affine_generator_matrix(ctx, 0), affine_generator_matrix(ctx, 1)
+    assert _matmul(s0, shift) == _matmul(shift, s1)
+
+
 def test_ball_precision_gate():
     ctx = PrimeContext(p=2, n=2, precision=3)
     with pytest.raises(PrecisionError):
@@ -344,6 +422,20 @@ def test_ball_json_deterministic_and_adjacent(gl3_p2):
         for ftype, j in pairs:
             assert 0 <= ftype < 3
             assert [ftype, i] in adjacency[j]
+
+
+@pytest.mark.parametrize(
+    "n, p, radius, digest",
+    [
+        (2, 3, 5, "a7ef97a35308f9c24cc0aad502b3de0bbb006e6e515dd1345e8e51a37b1337a9"),
+        (3, 2, 3, "237ec9006a34e04723c981b2faf4a31dc7a7933eadae458e8ebb104fe8d34b6f"),
+        (3, 3, 2, "1871bf67241c59f89b3c1e608690b67c16e66d39963f9201db0f01e33d2744c5"),
+    ],
+)
+def test_ball_json_literal(n, p, radius, digest):
+    ctx = PrimeContext(p=p, n=n, precision=radius + n + 1)
+    text = json.dumps(ball_to_json(ball(ctx, radius)), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_make_chamber_validation():

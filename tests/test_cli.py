@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import weylbuildings
+import weylbuildings.cli
 from weylbuildings.cli import main
 
 SRC = str(Path(weylbuildings.__file__).resolve().parents[1])
@@ -175,6 +176,28 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_library_value_error_is_a_failed_check(capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("tail bound fails to certify the truncation")
+
+    monkeypatch.setattr(weylbuildings.cli, "make_report", broken)
+    code, out, err = run(capsys, "period", "--type", "A1~", "--q", "2", "--K", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: check failed: tail bound fails to certify the truncation\n"
+
+
+def test_library_assertion_is_a_failed_check(capsys, monkeypatch):
+    def broken(*args):
+        raise AssertionError("a face must lie in exactly p + 1 chambers")
+
+    monkeypatch.setattr(weylbuildings.cli, "ball", broken)
+    code, out, err = run(capsys, "ball", "--n", "2", "--p", "2", "--R", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: check failed: a face must lie in exactly p + 1 chambers\n"
 
 
 # -- python -m ----------------------------------------------------------------------
