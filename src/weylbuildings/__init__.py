@@ -3,212 +3,29 @@ algebras, lattice-class buildings over the p-adic numbers (n = 2, 3),
 harmonic cochains, the tree boundary map, and the alternating period sum.
 
 Everything is integer or Fraction arithmetic: no floats, no rounding.
+
+The public names are those of each module's ``__all__``, re-exported here
+in the order coxeter, poincare, building, hecke, harmonic, boundary, period.
 """
 
-from .boundary import (
-    BoundaryFunction,
-    OneCochain,
-    VertexTree,
-    ZeroCochain,
-    boundary_function_to_json,
-    boundary_value,
-    coboundary,
-    end_chart,
-    end_count,
-    integrate,
-    lift,
-    one_cochain_from_map,
-    primitive_cochain,
-    sphere_vertex_count,
-    vertex_neighbors,
-    vertex_tree,
-    zero_cochain_from_map,
-)
-from .building import (
-    BallGraph,
-    Face,
-    FlagChamber,
-    LatticeClass,
-    PrecisionError,
-    PrimeContext,
-    act,
-    affine_generator_matrix,
-    ball,
-    ball_to_json,
-    chambers_containing,
-    classes_adjacent,
-    epsilon,
-    epsilon_from_determinant,
-    epsilon_from_labels,
-    face_of,
-    face_type,
-    generator_face_types,
-    label_shift_matrix,
-    lattice_from_rows,
-    make_chamber,
-    standard_chamber,
-    standard_lattice,
-    vertex_label,
-    weyl_to_chamber,
-)
-from .coxeter import (
-    CRYSTALLOGRAPHIC_ORDERS,
-    INFINITE_ORDER,
-    AffineTypeLabel,
-    CoxeterDiagram,
-    GroupElement,
-    GrowthTable,
-    affine_diagram,
-    bfs_growth,
-    element_from_word,
-    generator_matrices,
-    identity_element,
-    length,
-    parse_type_label,
-    reduced_word,
-)
-from .harmonic import (
-    Cochain,
-    cochain_from_map,
-    cochain_to_json,
-    decay_profile,
-    finite_support_rigidity,
-    harmonicity_defect,
-    iwahori_vector,
-    min_distance_chamber,
-)
-from .hecke import (
-    HeckeElement,
-    basis_element,
-    convolve_chamber_function,
-    hecke_to_json,
-    multiply,
-    special_character,
-    unit,
-)
-from .period import (
-    PeriodReport,
-    absolute_majorant,
-    geometric_lambda,
-    geometric_shell_terms,
-    lambda_closed,
-    lambda_partial,
-    make_report,
-    report_to_json,
-)
-from .poincare import (
-    ExponentTable,
-    PoleError,
-    RationalFunction,
-    SeriesTruncation,
-    absolute_tail,
-    bott_rational,
-    evaluate,
-    expand,
-    exponents_for,
-    rational_function_to_json,
-    series_to_json,
-)
+from . import boundary, building, coxeter, harmonic, hecke, period, poincare
+from .boundary import *  # noqa: F403
+from .building import *  # noqa: F403
+from .coxeter import *  # noqa: F403
+from .harmonic import *  # noqa: F403
+from .hecke import *  # noqa: F403
+from .period import *  # noqa: F403
+from .poincare import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # coxeter
-    "INFINITE_ORDER",
-    "CRYSTALLOGRAPHIC_ORDERS",
-    "AffineTypeLabel",
-    "parse_type_label",
-    "CoxeterDiagram",
-    "affine_diagram",
-    "generator_matrices",
-    "GroupElement",
-    "identity_element",
-    "element_from_word",
-    "length",
-    "reduced_word",
-    "GrowthTable",
-    "bfs_growth",
-    # poincare
-    "ExponentTable",
-    "exponents_for",
-    "RationalFunction",
-    "bott_rational",
-    "SeriesTruncation",
-    "expand",
-    "evaluate",
-    "absolute_tail",
-    "PoleError",
-    "rational_function_to_json",
-    "series_to_json",
-    # building
-    "PrecisionError",
-    "PrimeContext",
-    "LatticeClass",
-    "lattice_from_rows",
-    "standard_lattice",
-    "vertex_label",
-    "FlagChamber",
-    "make_chamber",
-    "standard_chamber",
-    "Face",
-    "face_of",
-    "face_type",
-    "chambers_containing",
-    "classes_adjacent",
-    "act",
-    "epsilon",
-    "epsilon_from_labels",
-    "epsilon_from_determinant",
-    "affine_generator_matrix",
-    "label_shift_matrix",
-    "generator_face_types",
-    "weyl_to_chamber",
-    "BallGraph",
-    "ball",
-    "ball_to_json",
-    # hecke
-    "HeckeElement",
-    "unit",
-    "basis_element",
-    "multiply",
-    "special_character",
-    "convolve_chamber_function",
-    "hecke_to_json",
-    # harmonic
-    "Cochain",
-    "cochain_from_map",
-    "iwahori_vector",
-    "harmonicity_defect",
-    "min_distance_chamber",
-    "decay_profile",
-    "finite_support_rigidity",
-    "cochain_to_json",
-    # boundary
-    "ZeroCochain",
-    "zero_cochain_from_map",
-    "OneCochain",
-    "one_cochain_from_map",
-    "coboundary",
-    "integrate",
-    "vertex_neighbors",
-    "VertexTree",
-    "vertex_tree",
-    "sphere_vertex_count",
-    "end_count",
-    "BoundaryFunction",
-    "boundary_value",
-    "primitive_cochain",
-    "lift",
-    "end_chart",
-    "boundary_function_to_json",
-    # period
-    "lambda_partial",
-    "lambda_closed",
-    "absolute_majorant",
-    "geometric_lambda",
-    "geometric_shell_terms",
-    "PeriodReport",
-    "make_report",
-    "report_to_json",
+    *coxeter.__all__,
+    *poincare.__all__,
+    *building.__all__,
+    *hecke.__all__,
+    *harmonic.__all__,
+    *boundary.__all__,
+    *period.__all__,
 ]

@@ -51,6 +51,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .exact import row_reduce
+
 __all__ = [
     "PrecisionError",
     "PrimeContext",
@@ -418,27 +420,13 @@ def _quotient_basis(
     space single out two outer basis rows spanning the quotient plane.
     """
     n = len(outer_rows)
-    coord_rows: list[list[int]] = []
+    coord_rows: list[dict[int, int]] = []
     for row in inner_rows:
         coords = _coordinates(outer_rows, row)
         if coords is None:
             raise ValueError("inner rows do not lie in the outer lattice")
-        coord_rows.append([c % p for c in coords])
-    pivots: set[int] = set()
-    r = 0
-    for col in range(n):
-        sel = next((i for i in range(r, len(coord_rows)) if coord_rows[i][col]), None)
-        if sel is None:
-            continue
-        coord_rows[r], coord_rows[sel] = coord_rows[sel], coord_rows[r]
-        inv = pow(coord_rows[r][col], -1, p)
-        coord_rows[r] = [(x * inv) % p for x in coord_rows[r]]
-        for i in range(len(coord_rows)):
-            if i != r and coord_rows[i][col]:
-                f = coord_rows[i][col]
-                coord_rows[i] = [(x - f * y) % p for x, y in zip(coord_rows[i], coord_rows[r])]
-        pivots.add(col)
-        r += 1
+        coord_rows.append(dict(enumerate(coords)))
+    pivots = row_reduce(coord_rows, p)
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 2:
         raise ValueError("quotient of the face gap is not two-dimensional")
@@ -548,6 +536,10 @@ def epsilon_from_determinant(g: Sequence[Sequence[Fraction | int]], ctx: PrimeCo
     d = _det(gm)
     if d == 0:
         raise ValueError("matrix is singular")
+    for row in gm:
+        for x in row:
+            if x:
+                _val_fraction(x, ctx.p)
     return -1 if ((ctx.n - 1) * _val_fraction(Fraction(d), ctx.p)) % 2 else 1
 
 

@@ -210,7 +210,7 @@ def cmd_harmonic(args) -> int:
     ctx = _context(args)
     graph = ball(ctx, args.R)
     vector = iwahori_vector(graph.chambers[0], ctx.p)
-    interior = [f for f, members in graph.faces.items() if len(members) == ctx.p + 1]
+    interior = graph.interior_faces()
     nonzero = 0
     unique_violations = 0
     for face in interior:

@@ -36,8 +36,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
+
+from .exact import row_reduce
 
 __all__ = [
     "INFINITE_ORDER",
@@ -237,20 +238,13 @@ def _cartan_matrix(diagram: CoxeterDiagram) -> Matrix:
 
 
 def _kernel(matrix: Matrix) -> tuple[tuple[int, ...], ...]:
-    """Integer basis of the kernel of a square matrix, by Gauss-Jordan elimination."""
-    reduced: dict[int, list[Fraction]] = {}  # pivot column -> row with 1 there, 0 at other pivots
-    for row in matrix:
-        for c, pivot_row in reduced.items():
-            row = [x - row[c] * y for x, y in zip(row, pivot_row)]
-        c = next((c for c, x in enumerate(row) if x), None)
-        if c is not None:
-            row = [Fraction(x) / row[c] for x in row]
-            for k, other in reduced.items():
-                reduced[k] = [x - other[c] * y for x, y in zip(other, row)]
-            reduced[c] = row
+    """Integer basis of the kernel of a square matrix: one vector per free
+    column of the reduced row echelon form, scaled to integers."""
+    n = len(matrix)
+    reduced = row_reduce(dict(enumerate(row)) for row in matrix)
     basis = []
-    for free in (c for c in range(len(matrix)) if c not in reduced):
-        v = [-reduced[c][free] if c in reduced else Fraction(c == free) for c in range(len(matrix))]
+    for free in (c for c in range(n) if c not in reduced):
+        v = [-reduced[c].get(free, 0) if c in reduced else int(c == free) for c in range(n)]
         scale = math.lcm(*(x.denominator for x in v))
         basis.append(tuple(int(x * scale) for x in v))
     return tuple(basis)

@@ -1,14 +1,15 @@
-"""Exact-rational plumbing shared by the cochain and Hecke layers.
+"""Exact plumbing shared by the Coxeter, building, cochain and Hecke layers.
 
 ``SparseMap`` is the one finitely supported function to Fraction: chamber,
 vertex and edge cochains and Hecke elements all store their values in
-one.  ``fraction_json`` is the one {num, den} encoder.
+one.  ``fraction_json`` is the one {num, den} encoder.  ``row_reduce`` is
+the one Gauss-Jordan elimination, over Q or over F_p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Mapping
 
 
 class SparseMap(tuple):
@@ -43,3 +44,46 @@ class SparseMap(tuple):
 
 def fraction_json(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
+def row_reduce(
+    rows: Iterable[Mapping[int, int | Fraction]], modulus: int | None = None
+) -> dict[int, dict[int, int | Fraction]]:
+    """Reduced row echelon form of the span of sparse rows, over Q, or over
+    F_modulus when a prime modulus is given.
+
+    A row maps columns to values; zero values may be left out.  The result
+    maps each pivot column, in increasing order, to its row: 1 at the
+    pivot, nothing at smaller columns or at the other pivots, no stored
+    zeros.  The reduced echelon form of a row space is unique, so neither
+    the pivots nor the rows depend on the order of the input.  The rank is
+    the number of pivots; each free column f gives the kernel vector
+    e_f - sum over pivots c of row_c[f] e_c (Cohen, GTM 138, 2.3.1).
+    """
+
+    def clean(x):
+        return x if modulus is None else x % modulus
+
+    def subtract(row: dict, factor, pivot_row: dict) -> None:
+        for k, y in pivot_row.items():
+            x = clean(row.get(k, 0) - factor * y)
+            if x:
+                row[k] = x
+            else:
+                row.pop(k, None)
+
+    reduced: dict[int, dict] = {}
+    for given in rows:
+        row = {c: y for c, x in given.items() if (y := clean(x))}
+        for c in [c for c in row if c in reduced]:
+            subtract(row, row[c], reduced[c])
+        if not row:
+            continue
+        lead = min(row)
+        inv = 1 / Fraction(row[lead]) if modulus is None else pow(row[lead], -1, modulus)
+        row = {k: clean(x * inv) for k, x in row.items()}
+        for other in reduced.values():
+            if lead in other:
+                subtract(other, other[lead], row)
+        reduced[lead] = row
+    return dict(sorted(reduced.items()))

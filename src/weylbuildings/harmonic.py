@@ -20,9 +20,10 @@ minimal distance d and the other p at d + 1 (``min_distance_chamber``
 checks that and returns the minimizer), so the sum is
 (-1/q)^d + p (-1/q)^(d+1) = 0 exactly when q = p.
 
-``finite_support_rigidity`` decides, by exact rational rank computation,
-that the only cochain supported strictly inside a ball that is harmonic
-at every fully visible face is zero.
+``finite_support_rigidity`` decides, by an exact rank over Q from the
+sparse row reduction of the ``exact`` module, that the only cochain
+supported strictly inside a ball that is harmonic at every fully visible
+face is zero.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .building import BallGraph, Face, FlagChamber
-from .exact import SparseMap, fraction_json
+from .exact import SparseMap, fraction_json, row_reduce
 
 __all__ = [
     "Cochain",
@@ -141,45 +142,20 @@ def finite_support_rigidity(graph: BallGraph) -> bool:
     """Whether zero is the only cochain supported at distance <= R - 1
     that is harmonic at every face fully visible in the ball.
 
-    Sets up the exact linear system (one equation per interior face, one
-    unknown per interior chamber) and returns True iff its kernel is
-    trivial, by fraction-exact Gaussian elimination.
+    Sets up the exact linear system (one 0/1 equation per interior face,
+    one unknown per interior chamber) and returns True iff its kernel is
+    trivial, that is iff its sparse reduced echelon form over Q has a
+    pivot in every column.
     """
     if graph.radius < 2:
         raise ValueError("rigidity needs radius at least 2")
     interior = [i for i, d in enumerate(graph.distance) if d <= graph.radius - 1]
     column_of = {i: j for j, i in enumerate(interior)}
-    unknowns = len(interior)
-    rows: list[list[Fraction]] = []
-    full = graph.ctx.p + 1
-    for members in graph.faces.values():
-        if len(members) != full:
-            continue
-        row = [Fraction(0)] * unknowns
-        touched = False
-        for i in members:
-            j = column_of.get(i)
-            if j is not None:
-                row[j] += 1
-                touched = True
-        if touched:
-            rows.append(row)
-    rank = 0
-    for col in range(unknowns):
-        sel = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [x / lead for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == unknowns:
-            break
-    return rank == unknowns
+    rows = (
+        {column_of[i]: 1 for i in graph.faces[face] if i in column_of}
+        for face in graph.interior_faces()
+    )
+    return len(row_reduce(rows)) == len(interior)
 
 
 def cochain_to_json(f: Cochain, graph: BallGraph | None = None) -> list[dict]:

@@ -274,6 +274,15 @@ def test_epsilon_frozen_values():
     )
 
 
+def test_epsilon_rejects_entries_with_foreign_denominators():
+    # det = 1 passes the determinant check, but entries must have p-power denominators
+    ctx = PrimeContext(p=2, n=2, precision=8)
+    m = [[Fraction(1, 3), Fraction(0)], [Fraction(0), Fraction(3)]]
+    for route in (epsilon_from_determinant, epsilon_from_labels, epsilon):
+        with pytest.raises(ValueError, match="denominators must be powers of p"):
+            route(m, ctx)
+
+
 def test_epsilon_routes_agree_and_multiply():
     import random
 

@@ -102,6 +102,11 @@ def test_finite_support_rigidity(tree_p2, tree_p3, gl3_p2):
     assert finite_support_rigidity(ball(ctx_gl3, 2))
 
 
+@pytest.mark.parametrize("n, p, R", [(2, 2, 6), (2, 3, 4), (3, 2, 4)])
+def test_finite_support_rigidity_larger_balls(n, p, R):
+    assert finite_support_rigidity(ball(PrimeContext(p=p, n=n, precision=R + n + 1), R))
+
+
 def test_rigidity_requires_room():
     ctx = PrimeContext(p=2, n=2, precision=6)
     with pytest.raises(ValueError):
