@@ -343,7 +343,7 @@ def _distance(origin: LatticeClass, v: LatticeClass, p: int) -> int:
     """Tree distance v_p(det X) - 2 min v_p(X), X the coordinates of v's
     rows over the origin's basis (the gap between the elementary divisors);
     v is scaled by p^(v_p(det origin)) first, so X is integral."""
-    rows = v.scaled_rows(p, origin.det_valuation(p))
+    rows = v.scaled_rows(p, origin.valuation)
     x = [_coordinates(origin.hnf, row) for row in rows]
     low = min(_val_int(c, p) for row in x for c in row if c)
     return _val_int(_det(x), p) - 2 * low
@@ -382,10 +382,10 @@ def end_chart(edge: Edge, ctx: PrimeContext) -> tuple[int, int]:
     _require_tree(ctx)
     t, s = edge
     p = ctx.p
-    r = s.det_valuation(p)
+    r = s.valuation
     if r < 1:
         raise ValueError("the deep vertex of an end must have positive depth")
-    if t.det_valuation(p) != r - 1 or not classes_adjacent(t, s, ctx):
+    if t.valuation != r - 1 or not classes_adjacent(t, s, ctx):
         raise ValueError("edge must step outward from depth r - 1 to depth r")
     (a, b), (_, d) = s.hnf
     if a == 1:

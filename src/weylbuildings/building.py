@@ -34,18 +34,29 @@ rational matrices: ``lattice_from_rows``, ``act`` (and ``weyl_to_chamber``,
 which feeds it a product of generators), the ``epsilon`` functions,
 ``affine_generator_matrix`` and ``label_shift_matrix``.
 ``lattice_from_rows`` scales its rows to integers once; everything after
-that (content stripping, the determinant bound, Hermite normalization,
-membership and the residue quotients behind ``chambers_containing``) works
-on Python integers.  Hermite normalization runs modulo p^(B+1) where B
-bounds the determinant valuation of the matrix at hand, which recovers
-the canonical form exactly because row operations are unimodular over
-Z_p.  The context's declared precision is enforced as a validity
+that (content stripping, Hermite normalization, membership and the
+residue quotients behind ``chambers_containing``) works on Python
+integers.  Hermite normalization of a span of determinant valuation v
+runs modulo p^(v+1), which recovers the canonical form exactly because
+row operations are unimodular over Z_p, and asserts that the diagonal
+exponents sum to v.  Every ``LatticeClass`` records that v when its form
+is built, so labels and chain-step gaps never re-derive it.
+
+Two kinds of flags are checked in two ways.  Flags that callers supply
+go through ``make_chamber``, which tests every chain step by membership;
+``lattice_from_rows`` reads v off the maximal minors of caller rows.
+Flags that ``chambers_containing`` builds skip both: it checks the
+face's own steps by membership, and each class it inserts is the inner
+lattice of the open gap plus one line, whose valuation must be one less
+than the inner lattice's; that single exact check makes both new steps
+index p.  The context's declared precision is enforced as a validity
 precondition: balls need precision >= radius + n + 1 and group elements
 must have entry valuations within the declared window.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -156,16 +167,21 @@ def _det(m: Sequence[Sequence]) -> object:
 # -- Hermite form over Z_p ----------------------------------------------------
 
 
-def _hermite_rows(rows: Sequence[Sequence[int]], p: int, val_bound: int) -> IntMatrix:
-    """Upper-triangular Z_p-Hermite form of the row span of integer rows.
+def _hermite_rows(rows: Sequence[Sequence[int]], p: int, valuation: int) -> IntMatrix:
+    """Upper-triangular Z_p-Hermite form of the row span of integer rows,
+    given v = v_p(det) of that span.
 
-    Works modulo p^(val_bound + 1); correct whenever every diagonal
-    valuation of the true form is <= val_bound.  All row operations are
-    unimodular over Z_p, so representative choices along the way span the
-    same lattice and the fully reduced entries are exact.
+    Works modulo p^(v + 1), which yields the form of the span plus
+    p^(v + 1) Z_p^n: its diagonal exponents are min(e_i, v + 1) for the
+    elementary divisor exponents e_i of the span.  They sum to v exactly
+    when the span's valuation is v, and then every e_i <= v, so the span
+    already contains p^(v + 1) Z_p^n and the form is exact.  Any other
+    valuation raises AssertionError.  All row operations are unimodular
+    over Z_p, so representative choices along the way span the same
+    lattice and the fully reduced entries are exact.
     """
     n = len(rows[0])
-    cap = val_bound + 1
+    cap = valuation + 1
     modulus = p**cap
     work = [[x % modulus for x in row] for row in rows]
     m = len(work)
@@ -181,7 +197,7 @@ def _hermite_rows(rows: Sequence[Sequence[int]], p: int, val_bound: int) -> IntM
             if v < best:
                 pivot, best = r, v
         if pivot < 0:
-            raise PrecisionError("rows not of full rank at the working precision")
+            raise AssertionError("rows do not span a lattice of the expected valuation")
         work[col], work[pivot] = work[pivot], work[col]
         a = best
         unit = work[col][col] // p**a
@@ -194,6 +210,8 @@ def _hermite_rows(rows: Sequence[Sequence[int]], p: int, val_bound: int) -> IntM
             if x:
                 f = x // p**a
                 work[r] = [(y - f * z) % modulus for y, z in zip(work[r], work[col])]
+    if sum(diag) != valuation:
+        raise AssertionError("rows do not span a lattice of the expected valuation")
     for col in range(1, n):
         d = p ** diag[col]
         for r in range(col):
@@ -209,16 +227,19 @@ def _hermite_rows(rows: Sequence[Sequence[int]], p: int, val_bound: int) -> IntM
 
 @dataclass(frozen=True)
 class LatticeClass:
-    """Homothety class of a lattice, held as its canonical Hermite matrix."""
+    """Homothety class of a lattice, held as its canonical Hermite matrix.
+
+    ``valuation`` is v_p(det) of that matrix, the sum of its diagonal
+    exponents, recorded when the form is built; equality and hashing use
+    ``hnf`` alone.
+    """
 
     hnf: IntMatrix
+    valuation: int = field(compare=False)
 
     @property
     def n(self) -> int:
         return len(self.hnf)
-
-    def det_valuation(self, p: int) -> int:
-        return sum(_val_int(self.hnf[i][i], p) for i in range(self.n))
 
     def scaled_rows(self, p: int, k: int) -> list[list[int]]:
         # integer rows of p^k times the canonical representative, k >= 0
@@ -246,10 +267,12 @@ def lattice_from_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> Latti
     return _canonical([[x.numerator * (scale // x.denominator) for x in row] for row in frows], p)
 
 
-def _canonical(rows: Sequence[Sequence[int]], p: int) -> LatticeClass:
+def _canonical(rows: Sequence[Sequence[int]], p: int, valuation: int | None = None) -> LatticeClass:
     """Class of the Z_p-span of integer rows: the p-power content is
-    stripped, then the rows are put in Hermite form relative to an exact
-    determinant-valuation bound read off the maximal minors."""
+    stripped, then the rows are put in Hermite form relative to the span's
+    determinant valuation.  A caller that knows that valuation passes it
+    (``_hermite_rows`` asserts it); otherwise it is read off the maximal
+    minors."""
     n = len(rows[0])
     content = min((_val_int(x, p) for row in rows for x in row if x), default=None)
     if content is None:
@@ -257,22 +280,24 @@ def _canonical(rows: Sequence[Sequence[int]], p: int) -> LatticeClass:
     if content:
         f = p**content
         rows = [[x // f for x in row] for row in rows]
-    # the lattice determinant valuation is the minimum over maximal minors
-    bound: int | None = None
-    for picks in itertools.combinations(range(len(rows)), n):
-        d = _det([rows[i] for i in picks])
-        if d:
-            v = _val_int(d, p)
-            if bound is None or v < bound:
-                bound = v
-    if bound is None:
-        raise ValueError("rows do not span a full lattice")
-    return LatticeClass(_hermite_rows(rows, p, bound))
+    if valuation is not None:
+        valuation -= n * content
+    else:
+        # the lattice determinant valuation is the minimum over maximal minors
+        for picks in itertools.combinations(range(len(rows)), n):
+            d = _det([rows[i] for i in picks])
+            if d:
+                v = _val_int(d, p)
+                if valuation is None or v < valuation:
+                    valuation = v
+        if valuation is None:
+            raise ValueError("rows do not span a full lattice")
+    return LatticeClass(_hermite_rows(rows, p, valuation), valuation)
 
 
 def standard_lattice(ctx: PrimeContext) -> LatticeClass:
     eye = tuple(tuple(1 if i == j else 0 for j in range(ctx.n)) for i in range(ctx.n))
-    return LatticeClass(eye)
+    return LatticeClass(eye, 0)
 
 
 def vertex_label(cls: LatticeClass, ctx: PrimeContext) -> int:
@@ -281,7 +306,7 @@ def vertex_label(cls: LatticeClass, ctx: PrimeContext) -> int:
     Equals v_p(det) of the canonical representative mod n; homothety
     rescaling shifts the determinant valuation by multiples of n.
     """
-    return cls.det_valuation(ctx.p) % ctx.n
+    return cls.valuation % ctx.n
 
 
 # -- membership ----------------------------------------------------------------
@@ -310,7 +335,7 @@ def _contains_lattice(outer_rows: Sequence[Sequence[int]], inner_rows: Sequence[
 def _chain_step_ok(a: LatticeClass, b: LatticeClass, ctx: PrimeContext) -> bool:
     # some homothety rescaling B of b satisfies a > B with index p
     p, n = ctx.p, ctx.n
-    gap = a.det_valuation(p) + 1 - b.det_valuation(p)
+    gap = a.valuation + 1 - b.valuation
     if gap % n or gap < 0:
         return False
     return _contains_lattice(a.hnf, b.scaled_rows(p, gap // n))
@@ -355,7 +380,7 @@ class FlagChamber:
 
 
 def make_chamber(classes: Sequence[LatticeClass], ctx: PrimeContext) -> FlagChamber:
-    """Validated chamber from an ordered cyclic flag of n classes."""
+    """Validated chamber from a caller-supplied cyclic flag of n classes."""
     cs = tuple(classes)
     if len(cs) != ctx.n:
         raise ValueError(f"a chamber needs exactly {ctx.n} classes")
@@ -376,7 +401,7 @@ def standard_chamber(ctx: PrimeContext) -> FlagChamber:
             tuple((p if i >= n - k else 1) if i == j else 0 for j in range(n))
             for i in range(n)
         )
-        classes.append(LatticeClass(rows))
+        classes.append(LatticeClass(rows, k))
     return make_chamber(classes, ctx)
 
 
@@ -434,13 +459,21 @@ def _quotient_basis(
 
 
 def _insertions(
-    outer_rows: Sequence[Sequence[int]], inner_rows: Sequence[Sequence[int]], p: int
+    outer_rows: Sequence[Sequence[int]],
+    inner_rows: Sequence[Sequence[int]],
+    inner_valuation: int,
+    p: int,
 ) -> list[LatticeClass]:
     """The p + 1 classes strictly between outer and inner when the quotient
-    is a plane over F_p: inner plus one of the p + 1 lines of the plane."""
+    is a plane over F_p: inner plus one of the p + 1 lines of the plane.
+
+    Each sum M of inner and one line lies between inner and outer; both
+    steps have index p exactly when v_p(det M) = v_p(det inner) - 1, which
+    ``_canonical`` asserts, so no membership test is needed.
+    """
     u, v = _quotient_basis(outer_rows, inner_rows, p)
     lines = [[x + t * y for x, y in zip(u, v)] for t in range(p)] + [v]
-    return [_canonical(list(inner_rows) + [w], p) for w in lines]
+    return [_canonical(list(inner_rows) + [w], p, inner_valuation - 1) for w in lines]
 
 
 def chambers_containing(
@@ -459,11 +492,11 @@ def chambers_containing(
     chambers: list[FlagChamber] | None = None
     if n == 2:
         (a,) = classes
-        middles = _insertions(a.hnf, a.scaled_rows(p, 1), p)
-        chambers = [make_chamber([a, m], ctx) for m in middles]
+        middles = _insertions(a.hnf, a.scaled_rows(p, 1), a.valuation + n, p)
+        chambers = [FlagChamber((a, m)) for m in middles]
     else:
         for a, b in ((classes[0], classes[1]), (classes[1], classes[0])):
-            gap = a.det_valuation(p) - b.det_valuation(p)
+            gap = a.valuation - b.valuation
             for d in (1, 2):
                 if (gap + d) % n:
                     continue
@@ -477,11 +510,11 @@ def chambers_containing(
                 if not _contains_lattice(b_rows, pa_rows):
                     continue
                 if d == 2:
-                    middles = _insertions(a.hnf, b_rows, p)
-                    chambers = [make_chamber([a, m, b], ctx) for m in middles]
+                    middles = _insertions(a.hnf, b_rows, b.valuation + n * k, p)
+                    chambers = [FlagChamber((a, m, b)) for m in middles]
                 else:
-                    middles = _insertions(b_rows, pa_rows, p)
-                    chambers = [make_chamber([a, b, m], ctx) for m in middles]
+                    middles = _insertions(b_rows, pa_rows, a.valuation + n, p)
+                    chambers = [FlagChamber((a, b, m)) for m in middles]
                 break
             if chambers is not None:
                 break
@@ -627,7 +660,13 @@ def weyl_to_chamber(word: Sequence[int], ctx: PrimeContext) -> FlagChamber:
 
 def generator_face_types(ctx: PrimeContext) -> dict[int, int]:
     """Face type crossed between the standard chamber and its image under
-    each generator.  The assignment is a bijection onto the labels."""
+    each generator.  The assignment is a bijection onto the labels.  It is
+    computed once per context; every call returns a fresh dict."""
+    return dict(_generator_face_types(ctx))
+
+
+@functools.lru_cache(maxsize=64)  # a process meets few contexts; the bound caps a long-lived one
+def _generator_face_types(ctx: PrimeContext) -> tuple[tuple[int, int], ...]:
     base = standard_chamber(ctx)
     base_faces = {face_of(base, pos) for pos in range(ctx.n)}
     mapping: dict[int, int] = {}
@@ -642,7 +681,7 @@ def generator_face_types(ctx: PrimeContext) -> dict[int, int]:
         mapping[i] = face_type(common.pop(), ctx)
     if sorted(mapping.values()) != list(range(ctx.n)):
         raise AssertionError("generators do not hit each face type exactly once")
-    return mapping
+    return tuple(mapping.items())
 
 
 # -- balls of chambers ----------------------------------------------------------------
@@ -704,7 +743,7 @@ class BallGraph:
         return tuple(reversed(types))
 
     def weyl_word(self, i: int) -> tuple[int, ...]:
-        to_generator = {t: g for g, t in generator_face_types(self.ctx).items()}
+        to_generator = {t: g for g, t in _generator_face_types(self.ctx)}
         return tuple(to_generator[t] for t in self.gallery_types(i))
 
 
@@ -734,7 +773,7 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
                 if star is None:
                     star = chambers_containing(face, ctx)
                     star_cache[face] = star
-                ftype = face_type(face, ctx)
+                ftype = vertex_label(chamber.classes[pos], ctx)
                 for other in star:
                     if other not in index and other not in discovered:
                         discovered[other] = (i, ftype)
@@ -771,16 +810,13 @@ def ball_to_json(graph: BallGraph) -> dict:
     ``adjacency[i]`` lists ``[face type, neighbor index]`` pairs for every
     neighbor inside the ball, sorted by face type then neighbor.
     """
-    adjacency: list[list[list[int]]] = []
-    for i, chamber in enumerate(graph.chambers):
-        pairs: list[list[int]] = []
-        for pos in range(graph.ctx.n):
-            face = face_of(chamber, pos)
-            ftype = face_type(face, graph.ctx)
-            for j in graph.faces.get(face, ()):
-                if j != i:
-                    pairs.append([ftype, j])
-        adjacency.append(sorted(pairs))
+    adjacency: list[list[list[int]]] = [[] for _ in graph.chambers]
+    for face, members in graph.faces.items():
+        ftype = face_type(face, graph.ctx)
+        for i in members:
+            adjacency[i].extend([ftype, j] for j in members if j != i)
+    for pairs in adjacency:
+        pairs.sort()
     return {
         "p": graph.ctx.p,
         "n": graph.ctx.n,

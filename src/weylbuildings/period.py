@@ -96,17 +96,13 @@ def geometric_shell_terms(graph: BallGraph) -> list[Fraction]:
 def geometric_lambda(
     ctx: PrimeContext, radius: int, graph: BallGraph | None = None
 ) -> Fraction:
-    """Partial period by literal summation over an enumerated ball."""
+    """Partial period over an enumerated ball: the geometric shell terms
+    summed up to the radius."""
     if graph is None:
         graph = ball(ctx, radius)
     elif graph.ctx != ctx or graph.radius < radius:
         raise ValueError("supplied ball does not cover the requested radius")
-    x = Fraction(-1, ctx.p * ctx.p)
-    total = Fraction(0)
-    for d in graph.distance:
-        if d <= radius:
-            total += x**d
-    return total
+    return sum(geometric_shell_terms(graph)[: radius + 1], Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ __all__ = [
     "evaluate",
     "absolute_tail",
     "PoleError",
-    "rational_function_to_json",
     "series_to_json",
 ]
 
@@ -296,14 +295,6 @@ def absolute_tail(table: ExponentTable, q: int, cutoff: int) -> Fraction:
         Fraction(0),
     )
     return total - partial
-
-
-def rational_function_to_json(rf: RationalFunction) -> dict:
-    """Coefficient lists, constant term first, as decimal strings."""
-    return {
-        "numerator": [str(c) for c in rf.numerator],
-        "denominator": [str(c) for c in rf.denominator],
-    }
 
 
 def series_to_json(series: SeriesTruncation) -> dict:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import weylbuildings.building as building
 from weylbuildings import (
     Face,
     PrecisionError,
@@ -439,6 +440,8 @@ def test_ball_json_deterministic_and_adjacent(gl3_p2):
         (2, 3, 5, "a7ef97a35308f9c24cc0aad502b3de0bbb006e6e515dd1345e8e51a37b1337a9"),
         (3, 2, 3, "237ec9006a34e04723c981b2faf4a31dc7a7933eadae458e8ebb104fe8d34b6f"),
         (3, 3, 2, "1871bf67241c59f89b3c1e608690b67c16e66d39963f9201db0f01e33d2744c5"),
+        (3, 3, 4, "3a16183973eb20c99739c5bc9cfff6dbe91dd7a0c6e9f343cb213dfc68481526"),
+        (2, 5, 4, "496193c57b8f15af2e8d031e6498efe67aa07d773f811bd80619fa6c1b945751"),
     ],
 )
 def test_ball_json_literal(n, p, radius, digest):
@@ -457,3 +460,67 @@ def test_make_chamber_validation():
         make_chamber((o, far), ctx)
     with pytest.raises(ValueError):
         make_chamber((o, o), ctx)
+
+
+# -- what chambers_containing builds without re-validating ------------------------------
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 3, 4), (2, 5, 3), (3, 2, 3), (3, 3, 2)])
+def test_constructed_flags_pass_the_full_checks(n, p, radius):
+    # chambers_containing skips make_chamber and the minor bound; every flag
+    # it builds, inside the ball and one step beyond, must still pass them
+    ctx = PrimeContext(p=p, n=n, precision=radius + n + 1)
+    graph = ball(ctx, radius)
+    built = {c for face in graph.faces for c in chambers_containing(face, ctx)}
+    assert set(graph.chambers) <= built
+    for chamber in built:
+        assert make_chamber(chamber.classes, ctx) == chamber
+        for pos, cls in enumerate(chamber.classes):
+            assert cls.valuation == sum(_val(cls.hnf[i][i], p) for i in range(n))
+            assert face_type(face_of(chamber, pos), ctx) == vertex_label(cls, ctx)
+
+
+def test_canonical_asserts_the_given_valuation():
+    rows = [[1, 0], [0, 9]]  # v_3(det) = 2
+    assert building._canonical(rows, 3, 2) == lattice_from_rows(rows, 3)
+    assert lattice_from_rows(rows, 3).valuation == 2
+    for wrong in (1, 3):
+        with pytest.raises(AssertionError, match="expected valuation"):
+            building._canonical(rows, 3, wrong)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_insertion_inside_the_inner_lattice_fails_the_valuation_check(n, monkeypatch, capsys):
+    # a "line" taken from the inner lattice adds nothing, so the sum keeps
+    # the inner valuation instead of dropping it by one
+    def inner_lines(outer_rows, inner_rows, p):
+        return list(inner_rows[0]), list(inner_rows[1])
+
+    monkeypatch.setattr(building, "_quotient_basis", inner_lines)
+    ctx = PrimeContext(p=3, n=n, precision=6)
+    with pytest.raises(AssertionError, match="expected valuation"):
+        chambers_containing(face_of(standard_chamber(ctx), 0), ctx)
+    from weylbuildings.cli import main
+
+    assert main(["ball", "--n", str(n), "--p", "3", "--R", "2"]) == 1
+    assert "expected valuation" in capsys.readouterr().err
+
+
+def test_generator_face_types_computed_once_per_context(tree_p2, monkeypatch):
+    calls = []
+    real_act = building.act
+
+    def counting_act(g, x, ctx):
+        if isinstance(x, building.FlagChamber):
+            calls.append(ctx)
+        return real_act(g, x, ctx)
+
+    monkeypatch.setattr(building, "act", counting_act)
+    building._generator_face_types.cache_clear()
+    words = [tree_p2.weyl_word(i) for i in range(len(tree_p2))]
+    assert len(calls) == tree_p2.ctx.n  # one image of the base chamber per generator
+    assert {words[i] for i in tree_p2.shell(1)} == {(0,), (1,)}
+    mapping = generator_face_types(tree_p2.ctx)
+    mapping.clear()  # callers get their own dict
+    assert sorted(generator_face_types(tree_p2.ctx)) == [0, 1]
+    assert len(calls) == tree_p2.ctx.n

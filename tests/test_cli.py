@@ -1,5 +1,6 @@
 """The command line: formats, determinism, exit statuses."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -198,6 +199,32 @@ def test_library_assertion_is_a_failed_check(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: check failed: a face must lie in exactly p + 1 chambers\n"
+
+
+# -- bytes pinned by the benchmark -------------------------------------------------------
+
+EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+_BALLS = [(2, 2, 4), (2, 2, 5), (2, 2, 6), (2, 3, 3), (2, 3, 4), (2, 3, 5), (2, 5, 2), (2, 5, 3),
+          (3, 2, 2), (3, 2, 3), (3, 3, 2)]
+# every cli-building request of the benchmark except its ~20k chamber ball
+CHEAP_BUILDING_REQUESTS = (
+    [("ball", "--n", n, "--p", p, "--R", r) for n, p, r in _BALLS + [(2, 2, 9), (3, 3, 4)]]
+    + [("harmonic", "--n", n, "--p", p, "--R", r) for n, p, r in _BALLS]
+    + [("boundary", "--p", p, "--R", r, "--seed", seed)
+       for p, r in ((2, 4), (3, 3), (5, 2)) for seed in range(5)]
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [tuple(str(a) for a in req) + ("--format", "json") for req in CHEAP_BUILDING_REQUESTS],
+    ids=" ".join,
+)
+def test_building_requests_match_benchmark_digests(argv, capsys):
+    expected = json.loads(EXPECTED.read_text())[" ".join(argv)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 # -- python -m ----------------------------------------------------------------------
