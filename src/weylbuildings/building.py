@@ -256,6 +256,8 @@ def lattice_from_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> Latti
     span is full.
     """
     frows = [[Fraction(x) for x in row] for row in rows]
+    if not frows or not frows[0]:
+        raise ValueError("need at least n rows of length n, for some n >= 1")
     n = len(frows[0])
     if any(len(row) != n for row in frows) or len(frows) < n:
         raise ValueError(f"need at least {n} rows of length {n}")

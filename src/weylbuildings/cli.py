@@ -43,13 +43,7 @@ from .boundary import (
     zero_cochain_from_map,
 )
 from .building import PrimeContext, ball, ball_to_json, standard_lattice
-from .coxeter import (
-    INFINITE_ORDER,
-    affine_diagram,
-    bfs_growth,
-    element_from_word,
-    parse_type_label,
-)
+from .coxeter import INFINITE_ORDER, affine_diagram, bfs_growth, parse_type_label
 from .exact import fraction_json
 from .harmonic import harmonicity_defect, iwahori_vector, min_distance_chamber
 from .hecke import basis_element, multiply, special_character, unit
@@ -63,12 +57,15 @@ class UsageError(ValueError):
     """Bad parameter combination; maps to exit status 2."""
 
 
+# what a subcommand returns: whether every check passed, the JSON payload,
+# the table lines and the CSV (header, rows); ``main`` renders one of them
+Result = tuple[bool, dict, list[str], tuple[list[str], list]]
+
+
 def _cell(x) -> str:
     if isinstance(x, bool):
         return "yes" if x else "no"
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    return str(x)
+    return str(x)  # a Fraction prints as n or n/d
 
 
 def _emit(args, payload: dict, table_lines: list[str], csv_table: tuple[list[str], list[list]]) -> None:
@@ -107,51 +104,58 @@ def _parse_label(text: str):
         raise UsageError(str(exc)) from exc
 
 
+# -- shared renderings --------------------------------------------------------
+
+
+def _comparison(title: str, enumerated, closed, closed_json) -> Result:
+    """Enumerated against closed-form values, k by k: the JSON rows and
+    ``allEqual``, the transposed table grid and the CSV rows."""
+    rows = [[k, a, b, a == b] for k, (a, b) in enumerate(zip(enumerated, closed))]
+    ok = all(e for *_, e in rows)
+    payload = {
+        "rows": [
+            {"k": k, "enumerated": a, "closedForm": closed_json(b), "equal": e}
+            for k, a, b, e in rows
+        ],
+        "allEqual": ok,
+    }
+    grid = [
+        [name] + [_cell(row[i]) for row in rows]
+        for i, name in enumerate(("method", "enumerated", "closed-form"))
+    ]
+    table = [title] + _columns(grid) + [f"all equal: {_cell(ok)}"]
+    return ok, payload, table, (["k", "enumerated", "closedForm", "equal"], rows)
+
+
+def _checks(title: str, checks: list[tuple[str, bool]]) -> Result:
+    """Named pass/fail checks: the JSON ``checks`` and ``pass``, one
+    ``name: yes`` line each and the ``check,pass`` CSV."""
+    ok = all(passed for _, passed in checks)
+    payload = {"checks": [{"name": name, "pass": passed} for name, passed in checks], "pass": ok}
+    table = [title] + [f"{name}: {_cell(passed)}" for name, passed in checks]
+    return ok, payload, table + [f"pass: {_cell(ok)}"], (["check", "pass"], checks)
+
+
 # -- growth -----------------------------------------------------------------
 
 
-def cmd_growth(args) -> int:
+def cmd_growth(args) -> Result:
     label = _parse_label(args.type)
     if args.K < 0:
         raise UsageError("--K must be nonnegative")
     enumerated = bfs_growth(affine_diagram(label), args.K).counts
     closed = expand(bott_rational(exponents_for(label)), args.K).coefficients
-    equal = [Fraction(a) == b for a, b in zip(enumerated, closed)]
-    ok = all(equal)
-    payload = {
-        "command": "growth",
-        "type": str(label),
-        "K": args.K,
-        "rows": [
-            {
-                "k": k,
-                "enumerated": enumerated[k],
-                "closedForm": fraction_json(closed[k]),
-                "equal": equal[k],
-            }
-            for k in range(args.K + 1)
-        ],
-        "allEqual": ok,
-    }
-    grid = [
-        ["method"] + [str(k) for k in range(args.K + 1)],
-        ["enumerated"] + [str(c) for c in enumerated],
-        ["closed-form"] + [_cell(c) for c in closed],
-    ]
-    table = [f"growth table for {label}"] + _columns(grid) + [f"all equal: {_cell(ok)}"]
-    header = ["k", "enumerated", "closedForm", "equal"]
-    rows = [[k, enumerated[k], closed[k], equal[k]] for k in range(args.K + 1)]
-    _emit(args, payload, table, (header, rows))
-    return 0 if ok else 1
+    ok, body, table, csv_table = _comparison(
+        f"growth table for {label}", enumerated, closed, fraction_json
+    )
+    return ok, {"command": "growth", "type": str(label), "K": args.K, **body}, table, csv_table
 
 
 # -- period -----------------------------------------------------------------
 
 
-def cmd_period(args) -> int:
+def cmd_period(args) -> Result:
     label = _parse_label(args.type)
-    if args.q is None:
-        raise UsageError("period needs --q")
     try:
         q = int(args.q)
     except ValueError as exc:
@@ -160,53 +164,46 @@ def cmd_period(args) -> int:
         raise UsageError("the residue cardinality q must be at least 2")
     if args.K < 0:
         raise UsageError("--K must be nonnegative")
+    # construction certifies the truncation: it raises when the tail bound fails
     report = make_report(label, q, args.K)
-    certified = abs(report.partial_sums[-1] - report.closed_form) <= report.tail_bound
-    ok = certified
-    geometric = None
+    payload = {"command": "period", **report_to_json(report), "certified": True}
+    grid = [["k", "partial sum"]] + [[str(k), _cell(s)] for k, s in enumerate(report.partial_sums)]
+    table = [
+        f"period report for {label}, q = {q}",
+        *_columns(grid),
+        f"closed form: {_cell(report.closed_form)}",
+        f"tail bound: {_cell(report.tail_bound)}",
+        f"absolute majorant: {_cell(report.majorant)}",
+        "truncation certified: yes",
+    ]
+    ok = True
     n = label.rank + 1
     if label.family == "A" and n in (2, 3) and q in (2, 3):
         radius = min(args.K, 3 if n == 2 else 2)
         ctx = PrimeContext(p=q, n=n, precision=radius + n + 1)
         geo = geometric_lambda(ctx, radius)
-        partial = report.partial_sums[radius]
-        geometric = {
+        ok = geo == report.partial_sums[radius]
+        payload["geometric"] = {
             "R": radius,
             "enumerated": fraction_json(geo),
-            "closedFormPartial": fraction_json(partial),
-            "equal": geo == partial,
+            "closedFormPartial": fraction_json(report.partial_sums[radius]),
+            "equal": ok,
         }
-        ok = ok and geo == partial
-    payload = {"command": "period", **report_to_json(report), "certified": certified}
-    if geometric is not None:
-        payload["geometric"] = geometric
-    table = [f"period report for {label}, q = {q}"]
-    grid = [["k", "partial sum"]] + [
-        [str(k), _cell(s)] for k, s in enumerate(report.partial_sums)
-    ]
-    table += _columns(grid)
-    table.append(f"closed form: {_cell(report.closed_form)}")
-    table.append(f"tail bound: {_cell(report.tail_bound)}")
-    table.append(f"absolute majorant: {_cell(report.majorant)}")
-    table.append(f"truncation certified: {_cell(certified)}")
-    if geometric is not None:
         table.append(
-            f"geometric sum at R = {geometric['R']}: {_cell(geo)}"
-            f" (matches partial sum: {_cell(geometric['equal'])})"
+            f"geometric sum at R = {radius}: {_cell(geo)} (matches partial sum: {_cell(ok)})"
         )
     header = ["k", "partialSum", "closedForm", "tailBound"]
     rows = [
         [k, s, report.closed_form, report.tail_bound]
         for k, s in enumerate(report.partial_sums)
     ]
-    _emit(args, payload, table, (header, rows))
-    return 0 if ok else 1
+    return ok, payload, table, (header, rows)
 
 
 # -- harmonic ----------------------------------------------------------------
 
 
-def cmd_harmonic(args) -> int:
+def cmd_harmonic(args) -> Result:
     ctx = _context(args)
     graph = ball(ctx, args.R)
     vector = iwahori_vector(graph.chambers[0], ctx.p)
@@ -243,58 +240,31 @@ def cmd_harmonic(args) -> int:
         ["zero defect", nonzero, len(interior), nonzero == 0],
         ["unique minimum", unique_violations, len(interior), unique_violations == 0],
     ]
-    _emit(args, payload, table, (header, rows))
-    return 0 if ok else 1
+    return ok, payload, table, (header, rows)
 
 
 # -- ball --------------------------------------------------------------------
 
 
-def cmd_ball(args) -> int:
+def cmd_ball(args) -> Result:
     ctx = _context(args)
     graph = ball(ctx, args.R)
-    sizes = graph.shell_sizes()
     counts = bfs_growth(affine_diagram(f"A{ctx.n - 1}~"), args.R).counts
     predicted = [counts[k] * ctx.p**k for k in range(args.R + 1)]
-    equal = [a == b for a, b in zip(sizes, predicted)]
-    ok = all(equal)
-    payload = {
-        "command": "ball",
-        "rows": [
-            {
-                "k": k,
-                "enumerated": sizes[k],
-                "closedForm": predicted[k],
-                "equal": equal[k],
-            }
-            for k in range(args.R + 1)
-        ],
-        "allEqual": ok,
-        "ball": ball_to_json(graph),
-    }
-    grid = [
-        ["method"] + [str(k) for k in range(args.R + 1)],
-        ["enumerated"] + [str(s) for s in sizes],
-        ["closed-form"] + [str(x) for x in predicted],
-    ]
-    table = (
-        [f"shell counts for n = {ctx.n}, p = {ctx.p}, R = {args.R}"]
-        + _columns(grid)
-        + [f"all equal: {_cell(ok)}"]
+    ok, body, table, csv_table = _comparison(
+        f"shell counts for n = {ctx.n}, p = {ctx.p}, R = {args.R}",
+        graph.shell_sizes(),
+        predicted,
+        int,
     )
-    header = ["k", "enumerated", "closedForm", "equal"]
-    rows = [[k, sizes[k], predicted[k], equal[k]] for k in range(args.R + 1)]
-    _emit(args, payload, table, (header, rows))
-    return 0 if ok else 1
+    return ok, {"command": "ball", **body, "ball": ball_to_json(graph)}, table, csv_table
 
 
 # -- hecke -------------------------------------------------------------------
 
 
-def cmd_hecke(args) -> int:
+def cmd_hecke(args) -> Result:
     label = _parse_label(args.type)
-    if args.q is None:
-        raise UsageError("hecke needs --q")
     try:
         q = Fraction(args.q)
     except (ValueError, ZeroDivisionError) as exc:
@@ -312,53 +282,30 @@ def cmd_hecke(args) -> int:
             m = diagram.order(s, t)
             if m == INFINITE_ORDER:
                 continue
-            left = one
-            right = one
+            left = right = one
             for j in range(m):
                 left = multiply(left, basis_element(diagram, [s if j % 2 == 0 else t], q))
                 right = multiply(right, basis_element(diagram, [t if j % 2 == 0 else s], q))
             checks.append((f"braid relation for generators {s}, {t}", left == right))
-    words = [[], [0]]
-    if diagram.size > 1:
-        words += [[1], [0, 1], [1, 0]]
-    elements = [element_from_word(diagram, w) for w in words]
-    char_ok = True
-    for v in elements:
-        for w in elements:
-            e_v = basis_element(diagram, v, q)
-            e_w = basis_element(diagram, w, q)
-            if special_character(multiply(e_v, e_w)) != special_character(
-                e_v
-            ) * special_character(e_w):
-                char_ok = False
-    checks.append(("character multiplicativity on short elements", char_ok))
-    unit_ok = all(
-        multiply(one, basis_element(diagram, w, q)) == basis_element(diagram, w, q)
-        and multiply(basis_element(diagram, w, q), one) == basis_element(diagram, w, q)
-        for w in words
+    # every affine diagram has at least the generators 0 and 1
+    short = [basis_element(diagram, w, q) for w in ([], [0], [1], [0, 1], [1, 0])]
+    char_ok = all(
+        special_character(multiply(x, y)) == special_character(x) * special_character(y)
+        for x in short
+        for y in short
     )
+    checks.append(("character multiplicativity on short elements", char_ok))
+    unit_ok = all(multiply(one, x) == x and multiply(x, one) == x for x in short)
     checks.append(("unit element absorbs", unit_ok))
-    ok = all(passed for _, passed in checks)
-    payload = {
-        "command": "hecke",
-        "type": str(label),
-        "q": fraction_json(q),
-        "checks": [{"name": name, "pass": passed} for name, passed in checks],
-        "pass": ok,
-    }
-    table = [f"relation checks for {label} at q = {_cell(q)}"]
-    table += [f"{name}: {_cell(passed)}" for name, passed in checks]
-    table.append(f"pass: {_cell(ok)}")
-    header = ["check", "pass"]
-    rows = [[name, passed] for name, passed in checks]
-    _emit(args, payload, table, (header, rows))
-    return 0 if ok else 1
+    ok, body, table, csv_table = _checks(f"relation checks for {label} at q = {_cell(q)}", checks)
+    payload = {"command": "hecke", "type": str(label), "q": fraction_json(q), **body}
+    return ok, payload, table, csv_table
 
 
 # -- boundary ----------------------------------------------------------------
 
 
-def cmd_boundary(args) -> int:
+def cmd_boundary(args) -> Result:
     if args.n != 2:
         raise UsageError("boundary checks run on the n = 2 tree")
     ctx = _context(args)
@@ -408,7 +355,9 @@ def cmd_boundary(args) -> int:
             lift_ok = False
     checks.append(("lift round-trips through the boundary value", lift_ok))
 
-    ok = all(passed for _, passed in checks)
+    ok, body, table, csv_table = _checks(
+        f"tree checks for p = {ctx.p}, depth {args.R} (seed {args.seed})", checks
+    )
     payload = {
         "command": "boundary",
         "p": ctx.p,
@@ -416,16 +365,9 @@ def cmd_boundary(args) -> int:
         "seed": args.seed,
         "vertexCount": len(tree),
         "endCount": len(ends),
-        "checks": [{"name": name, "pass": passed} for name, passed in checks],
-        "pass": ok,
+        **body,
     }
-    table = [f"tree checks for p = {ctx.p}, depth {args.R} (seed {args.seed})"]
-    table += [f"{name}: {_cell(passed)}" for name, passed in checks]
-    table.append(f"pass: {_cell(ok)}")
-    header = ["check", "pass"]
-    rows = [[name, passed] for name, passed in checks]
-    _emit(args, payload, table, (header, rows))
-    return 0 if ok else 1
+    return ok, payload, table, csv_table
 
 
 # -- plumbing ----------------------------------------------------------------
@@ -454,6 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "table"), default="table")
         p.add_argument("--out", default=None, help="write output to this path")
 
+    def ball_options(p: argparse.ArgumentParser, radius: int, radius_help=None) -> None:
+        p.add_argument("--n", type=int, default=2)
+        p.add_argument("--p", type=int, default=2)
+        p.add_argument("--R", type=int, default=radius, help=radius_help)
+
     g = sub.add_parser("growth", help="enumerated growth vs closed-form series")
     g.add_argument("--type", required=True, help="affine type label like A2~")
     g.add_argument("--K", type=int, default=10, help="largest length to compare")
@@ -468,16 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_period)
 
     h = sub.add_parser("harmonic", help="defect scan over an enumerated ball")
-    h.add_argument("--n", type=int, default=2)
-    h.add_argument("--p", type=int, default=2)
-    h.add_argument("--R", type=int, default=4)
+    ball_options(h, 4)
     common(h)
     h.set_defaults(func=cmd_harmonic)
 
     b = sub.add_parser("ball", help="shell counts vs the counting formula")
-    b.add_argument("--n", type=int, default=2)
-    b.add_argument("--p", type=int, default=2)
-    b.add_argument("--R", type=int, default=3)
+    ball_options(b, 3)
     common(b)
     b.set_defaults(func=cmd_ball)
 
@@ -488,9 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(func=cmd_hecke)
 
     d = sub.add_parser("boundary", help="tree boundary-map checks")
-    d.add_argument("--n", type=int, default=2)
-    d.add_argument("--p", type=int, default=2)
-    d.add_argument("--R", type=int, default=2, help="sphere depth")
+    ball_options(d, 2, "sphere depth")
     d.add_argument("--seed", type=int, default=0)
     common(d)
     d.set_defaults(func=cmd_boundary)
@@ -498,16 +439,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        ok, payload, table_lines, csv_table = args.func(args)
+        _emit(args, payload, table_lines, csv_table)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, AssertionError) as exc:
         print(f"error: check failed: {exc}", file=sys.stderr)
         return 1
+    return 0 if ok else 1
 
 
 def entrypoint() -> None:

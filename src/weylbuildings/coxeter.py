@@ -107,15 +107,18 @@ class AffineTypeLabel:
         return f"{self.family}{self.rank}~"
 
 
-def parse_type_label(text: str) -> AffineTypeLabel:
-    """Parse a label string like ``"A2~"`` (family letter, rank, tilde).
+def parse_type_label(label: AffineTypeLabel | str) -> AffineTypeLabel:
+    """Parse a label string like ``"A2~"`` (family letter, rank, tilde); a
+    label that is already parsed is returned unchanged.
 
     >>> parse_type_label("G2~")
     AffineTypeLabel(family='G', rank=2)
     """
-    m = _LABEL_RE.match(text.strip())
+    if isinstance(label, AffineTypeLabel):
+        return label
+    m = _LABEL_RE.match(label.strip())
     if m is None:
-        raise ValueError(f"malformed affine type label {text!r}")
+        raise ValueError(f"malformed affine type label {label!r}")
     return AffineTypeLabel(m.group(1), int(m.group(2)))
 
 
@@ -180,8 +183,7 @@ def affine_diagram(label: AffineTypeLabel | str) -> CoxeterDiagram:
     A1~ is the infinite dihedral pair; A(n-1)~ for n >= 3 is an n-cycle of
     order-3 bonds.  B/C/D/E/F/G follow the usual affine extensions.
     """
-    if isinstance(label, str):
-        label = parse_type_label(label)
+    label = parse_type_label(label)
     fam, l = label.family, label.rank
     edges: dict[tuple[int, int], float]
     if fam == "A":

@@ -182,7 +182,10 @@ def convolve_chamber_function(
     the radius.
     """
     ctx = graph.ctx
-    ftype = generator_face_types(ctx)[generator]
+    types = generator_face_types(ctx)
+    if generator not in types:
+        raise ValueError(f"unknown generator {generator!r}: the generators are 0..{ctx.n - 1}")
+    ftype = types[generator]
     full = ctx.p + 1
     out: dict[int, Fraction] = {}
     for i, chamber in enumerate(graph.chambers):

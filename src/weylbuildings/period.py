@@ -41,10 +41,6 @@ __all__ = [
 ]
 
 
-def _as_label(label: AffineTypeLabel | str) -> AffineTypeLabel:
-    return parse_type_label(label) if isinstance(label, str) else label
-
-
 def _require_q(q: int) -> None:
     if not isinstance(q, int) or q < 2:
         raise ValueError("the residue cardinality q must be an integer >= 2")
@@ -57,7 +53,6 @@ def lambda_partial(label: AffineTypeLabel | str, q: int, cutoff: int) -> list[Fr
     independent of the closed-form series.
     """
     _require_q(q)
-    label = _as_label(label)
     counts = bfs_growth(affine_diagram(label), cutoff).counts
     x = Fraction(-1, q)
     sums: list[Fraction] = []
@@ -71,14 +66,12 @@ def lambda_partial(label: AffineTypeLabel | str, q: int, cutoff: int) -> list[Fr
 def lambda_closed(label: AffineTypeLabel | str, q: int) -> Fraction:
     """Closed form of the period: the growth series evaluated at -1/q."""
     _require_q(q)
-    label = _as_label(label)
     return evaluate(bott_rational(exponents_for(label)), Fraction(-1, q))
 
 
 def absolute_majorant(label: AffineTypeLabel | str, q: int) -> Fraction:
     """P(1/q): exact upper bound for the summed absolute values."""
     _require_q(q)
-    label = _as_label(label)
     return evaluate(bott_rational(exponents_for(label)), Fraction(1, q))
 
 
@@ -136,7 +129,7 @@ def make_report(label: AffineTypeLabel | str, q: int, cutoff: int) -> PeriodRepo
     _require_q(q)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    label = _as_label(label)
+    label = parse_type_label(label)
     sums = lambda_partial(label, q, cutoff)
     return PeriodReport(
         label=label,

@@ -77,8 +77,7 @@ _EXCEPTIONAL = {
 
 def exponents_for(label: AffineTypeLabel | str) -> ExponentTable:
     """Exponent multiset of the spherical Weyl group of the given type."""
-    if isinstance(label, str):
-        label = parse_type_label(label)
+    label = parse_type_label(label)
     fam, l = label.family, label.rank
     if fam == "A":
         exps = tuple(range(1, l + 1))

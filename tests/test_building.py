@@ -84,6 +84,12 @@ def test_canonical_form_overdetermined_rows():
         lattice_from_rows([[1, 2]], p)  # too few rows
 
 
+@pytest.mark.parametrize("rows", [[], [[]], [[], []]], ids=repr)
+def test_empty_rows_rejected(rows):
+    with pytest.raises(ValueError, match="need at least n rows of length n"):
+        lattice_from_rows(rows, 2)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(

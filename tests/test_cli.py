@@ -227,6 +227,29 @@ def test_building_requests_match_benchmark_digests(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+# -- every subcommand's bytes, pinned --------------------------------------------------
+
+# Each record holds an argv, its exit status, its exact stderr and the SHA-256
+# of its stdout: every subcommand in table, json and csv, the defaults, usage
+# errors raised by the subcommands and by argparse, and each --help.  The
+# records were taken before the subcommands shared their renderers; a change
+# that alters the CLI's bytes on purpose is the only reason to retake them.
+PINNED = json.loads((Path(__file__).resolve().parent / "cli_bytes.json").read_text())
+
+
+@pytest.mark.parametrize("record", PINNED, ids=lambda r: " ".join(r["argv"]) or "(no arguments)")
+def test_cli_bytes_are_pinned(record, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal width
+    try:
+        code = main(list(record["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == record["status"]
+    assert out.err == record["stderr"]
+    assert hashlib.sha256(out.out.encode()).hexdigest() == record["stdout_sha256"]
+
+
 # -- python -m ----------------------------------------------------------------------
 
 

@@ -22,8 +22,10 @@ from weylbuildings import (
     affine_diagram,
     bfs_growth,
     element_from_word,
+    exponents_for,
     generator_matrices,
     identity_element,
+    lambda_closed,
     length,
     parse_type_label,
     reduced_word,
@@ -208,6 +210,14 @@ def test_label_parsing_and_rank_windows():
     for bad in ("Z9~", "A0~", "B1~", "D3~", "E9~", "F5~", "G3~", "A2", ""):
         with pytest.raises(ValueError):
             parse_type_label(bad)
+
+
+def test_parsed_label_passes_through():
+    label = parse_type_label("C3~")
+    assert parse_type_label(label) is label
+    assert affine_diagram(label) == affine_diagram("C3~")
+    assert exponents_for(label) == exponents_for("C3~")
+    assert lambda_closed(label, 3) == lambda_closed("C3~", 3)
 
 
 def test_affine_diagram_shapes():

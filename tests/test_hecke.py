@@ -237,6 +237,12 @@ def test_convolution_realizes_right_multiplication(tree_p2):
                 assert conv.get(i, Fraction(0)) == expected.get(i, Fraction(0))
 
 
+@pytest.mark.parametrize("generator", [5, 2, -1])
+def test_convolution_rejects_unknown_generator(tree_p2, generator):
+    with pytest.raises(ValueError, match=rf"unknown generator {generator}: .* 0\.\.1"):
+        convolve_chamber_function({0: Fraction(1)}, generator, tree_p2)
+
+
 def test_harmonic_vector_is_sign_eigenvector(tree_p2):
     g = tree_p2
     vector = iwahori_vector(g.chambers[0], g.ctx.p)
