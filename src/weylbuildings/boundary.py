@@ -24,6 +24,10 @@ supported f with d f = omega whenever the boundary value is constant.
 ``lift`` realizes surjectivity: any assignment of values to the ends is
 the boundary value of a 1-cochain carried by the rim edges.
 
+``vertex_tree`` builds each sphere once per (context, origin, depth) and
+hands every caller the same tree, which is read-only; ``boundary_value``
+and ``primitive_cochain`` walk that shared tree instead of rebuilding it.
+
 When o is the standard vertex, each end is named by a point ball of the
 projective line: a vertex at depth r is the line lattice
 { x : x = lambda v mod p^r } of a primitive vector v, and ``end_chart``
@@ -34,8 +38,10 @@ charts of distinct ends at one depth are disjoint residue balls.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .building import (
@@ -159,7 +165,11 @@ def vertex_neighbors(vertex: LatticeClass, ctx: PrimeContext) -> tuple[LatticeCl
 
 @dataclass(frozen=True)
 class VertexTree:
-    """Vertices within a depth around an origin, with BFS parents."""
+    """Vertices within a depth around an origin, with BFS parents.
+
+    Trees are cached and shared between callers, so every field is
+    immutable: ``index`` is a read-only view.
+    """
 
     ctx: PrimeContext
     origin: LatticeClass
@@ -182,9 +192,16 @@ class VertexTree:
 
 
 def vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> VertexTree:
+    """The vertices within the radius around the origin.  Built once per
+    (ctx, origin, radius); every call returns that same read-only tree."""
     _require_tree(ctx)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    return _vertex_tree(ctx, origin, radius)
+
+
+@functools.lru_cache(maxsize=32)  # a process meets few spheres; the bound caps a long-lived one
+def _vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> VertexTree:
     vertices = [origin]
     index = {origin: 0}
     depth: list[int] = [0]
@@ -210,7 +227,7 @@ def vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> VertexT
         vertices=tuple(vertices),
         depth=tuple(depth),
         parent=tuple(parent),
-        index=index,
+        index=MappingProxyType(index),
     )
 
 

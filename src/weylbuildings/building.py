@@ -269,6 +269,22 @@ def lattice_from_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> Latti
     return _canonical([[x.numerator * (scale // x.denominator) for x in row] for row in frows], p)
 
 
+def _content(rows: Sequence[Sequence[int]], p: int) -> int | None:
+    """Least p-adic valuation of a nonzero entry, None for a zero matrix.
+    The scan stops at the first entry prime to p; it starts from the last
+    row, where ``_insertions`` puts the added line."""
+    content = None
+    for row in reversed(rows):
+        for x in row:
+            if x % p:
+                return 0
+            if x:
+                v = _val_int(x, p)
+                if content is None or v < content:
+                    content = v
+    return content
+
+
 def _canonical(rows: Sequence[Sequence[int]], p: int, valuation: int | None = None) -> LatticeClass:
     """Class of the Z_p-span of integer rows: the p-power content is
     stripped, then the rows are put in Hermite form relative to the span's
@@ -276,7 +292,7 @@ def _canonical(rows: Sequence[Sequence[int]], p: int, valuation: int | None = No
     (``_hermite_rows`` asserts it); otherwise it is read off the maximal
     minors."""
     n = len(rows[0])
-    content = min((_val_int(x, p) for row in rows for x in row if x), default=None)
+    content = _content(rows, p)
     if content is None:
         raise ValueError("zero matrix spans no lattice")
     if content:
@@ -764,6 +780,8 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
     parent: list[int | None] = [None]
     crossed: list[int | None] = [None]
     star_cache: dict[Face, tuple[FlagChamber, ...]] = {}
+    # face -> in-ball chambers; expanded chambers enter in the BFS
+    faces: dict[Face, set[int]] = {}
     frontier = [0]
     for depth in range(1, radius + 1):
         discovered: dict[FlagChamber, tuple[int, int]] = {}
@@ -771,6 +789,7 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
             chamber = chambers[i]
             for pos in range(ctx.n):
                 face = face_of(chamber, pos)
+                faces.setdefault(face, set()).add(i)
                 star = star_cache.get(face)
                 if star is None:
                     star = chambers_containing(face, ctx)
@@ -790,10 +809,11 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
             crossed.append(ftype)
         if not frontier:
             break
-    faces: dict[Face, set[int]] = {}
-    for i, chamber in enumerate(chambers):
+    # the last shell found is never expanded; it enters here, after every
+    # expanded chamber, so faces keep the order of their first chamber
+    for i in frontier:
         for pos in range(ctx.n):
-            faces.setdefault(face_of(chamber, pos), set()).add(i)
+            faces.setdefault(face_of(chambers[i], pos), set()).add(i)
     return BallGraph(
         ctx=ctx,
         radius=radius,

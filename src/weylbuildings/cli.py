@@ -17,7 +17,9 @@ Exit status: 0 when every exact check passes, 1 when any check fails,
 2 on usage errors (bad flags, malformed labels, invalid parameters).  A
 ``ValueError`` or ``AssertionError`` raised by the library once the
 arguments are validated is a broken invariant: it is reported as
-``error: check failed: <message>`` with exit status 1.
+``error: check failed: <message>`` with exit status 1.  A stdout whose
+reader has gone (``... | true``) is reported as one ``error:`` line with
+exit status 2, like an ``--out`` path that cannot be opened.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -90,6 +93,7 @@ def _emit(args, payload: dict, table_lines: list[str], csv_table: tuple[list[str
             fh.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
 
 
 def _columns(rows: list[list[str]]) -> list[str]:
@@ -445,6 +449,11 @@ def main(argv=None) -> int:
         _emit(args, payload, table_lines, csv_table)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # the reader of stdout has gone: silence the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
         return 2
     except (ValueError, AssertionError) as exc:
         print(f"error: check failed: {exc}", file=sys.stderr)

@@ -20,14 +20,22 @@ minimal distance d and the other p at d + 1 (``min_distance_chamber``
 checks that and returns the minimizer), so the sum is
 (-1/q)^d + p (-1/q)^(d+1) = 0 exactly when q = p.
 
-``finite_support_rigidity`` decides, by an exact rank over Q from the
-sparse row reduction of the ``exact`` module, that the only cochain
-supported strictly inside a ball that is harmonic at every fully visible
-face is zero.
+``finite_support_rigidity`` decides that the only cochain supported
+strictly inside a ball that is harmonic at every fully visible face is
+zero.  It first looks for a unit-triangular certificate: each unknown
+chamber C gets an ascent face, an interior face on which C is the closest
+chamber and the other p sit at d(C) + 1 (such a face exists because an
+affine Weyl group has no longest element, and the gate property of panels
+gives the distance shape).  Ordered by decreasing distance, those rows
+form a lower triangular matrix with 1 on the diagonal, so the system has
+full rank.  Only when some unknown has no ascent face does it fall back to
+the exact rank over Q from the sparse row reduction of the ``exact``
+module.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -84,9 +92,15 @@ class Cochain:
         if self.values is not None:
             return self.values.lookup(graph.chambers[i])
         base, q = self.rule
-        if graph.chambers[0] != base:
+        center = graph.chambers[0]
+        if center is not base and center != base:
             raise ValueError("rule-form cochain needs a ball centered at its base")
-        return Fraction(-1, q) ** graph.distance[i]
+        return _sign_power(q, graph.distance[i])
+
+
+@functools.lru_cache(maxsize=1024)  # few (q, distance) pairs; the bound caps a long-lived process
+def _sign_power(q: int, d: int) -> Fraction:
+    return Fraction(-1, q) ** d
 
 
 def cochain_from_map(values: Mapping[FlagChamber, Fraction]) -> Cochain:
@@ -138,17 +152,33 @@ def decay_profile(f: Cochain, graph: BallGraph) -> tuple[tuple[int, Fraction], .
     return tuple(enumerate(out))
 
 
-def finite_support_rigidity(graph: BallGraph) -> bool:
-    """Whether zero is the only cochain supported at distance <= R - 1
-    that is harmonic at every face fully visible in the ball.
+def _ascent_faces(graph: BallGraph) -> dict[int, Face] | None:
+    """One ascent face per unknown chamber, or None if some unknown has none.
 
-    Sets up the exact linear system (one 0/1 equation per interior face,
-    one unknown per interior chamber) and returns True iff its kernel is
-    trivial, that is iff its sparse reduced echelon form over Q has a
-    pivot in every column.
+    The unknowns are the chambers at distance <= R - 1; the ascent face of
+    an unknown C is an interior face on which C is the closest chamber and
+    the other p sit at d(C) + 1.  Each face has one closest chamber, so
+    the chosen faces are distinct.
     """
-    if graph.radius < 2:
-        raise ValueError("rigidity needs radius at least 2")
+    dist, full, last = graph.distance, graph.ctx.p + 1, graph.radius - 1
+    chosen: dict[int, Face] = {}
+    for face, members in graph.faces.items():
+        if len(members) != full:
+            continue
+        low = min(members, key=dist.__getitem__)
+        d = dist[low]
+        if d > last or low in chosen:
+            continue
+        if all(dist[j] == d + 1 for j in members if j != low):
+            chosen[low] = face
+    if len(chosen) != sum(1 for d in dist if d <= last):
+        return None
+    return chosen
+
+
+def _full_rank(graph: BallGraph) -> bool:
+    """Whether the sparse reduced echelon form over Q of the whole system
+    has a pivot in every column."""
     interior = [i for i, d in enumerate(graph.distance) if d <= graph.radius - 1]
     column_of = {i: j for j, i in enumerate(interior)}
     rows = (
@@ -156,6 +186,21 @@ def finite_support_rigidity(graph: BallGraph) -> bool:
         for face in graph.interior_faces()
     )
     return len(row_reduce(rows)) == len(interior)
+
+
+def finite_support_rigidity(graph: BallGraph) -> bool:
+    """Whether zero is the only cochain supported at distance <= R - 1
+    that is harmonic at every face fully visible in the ball.
+
+    The linear system has one 0/1 equation per interior face and one
+    unknown per interior chamber.  If every unknown has an ascent face
+    (``_ascent_faces``), the rows of those faces, unknowns ordered by
+    decreasing distance, are unit lower triangular, so the kernel is
+    trivial.  Otherwise the exact rank decides (``_full_rank``).
+    """
+    if graph.radius < 2:
+        raise ValueError("rigidity needs radius at least 2")
+    return _ascent_faces(graph) is not None or _full_rank(graph)
 
 
 def cochain_to_json(f: Cochain, graph: BallGraph | None = None) -> list[dict]:

@@ -175,6 +175,18 @@ def test_primitive_builds_one_vertex_tree(ctx2, monkeypatch):
     assert len(calls) == 1
 
 
+def test_vertex_tree_is_built_once_and_read_only(ctx3):
+    o = lattice_from_rows([[1, 2], [0, 3]], 3)
+    tree = vertex_tree(ctx3, o, 2)
+    assert vertex_tree(ctx3, o, 2) is tree
+    assert vertex_tree(ctx3, o, 1) is not tree
+    assert tree.index[o] == 0
+    with pytest.raises(TypeError):
+        tree.index[o] = 1
+    with pytest.raises(AttributeError):
+        tree.index.clear()
+
+
 def test_primitive_recovers_original(ctx2, ctx3):
     rng = random.Random(2)
     for ctx, depth in ((ctx2, 3), (ctx3, 2)):

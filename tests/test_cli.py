@@ -153,6 +153,34 @@ def test_out_into_missing_directory_exits_2(tmp_path):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["growth", "--type", "A1~", "--K", "3", "--format", "json"],
+        ["ball", "--n", "2", "--p", "3", "--R", "5", "--format", "json"],
+    ],
+)
+def test_closed_stdout_exits_2(argv):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child starts
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "weylbuildings", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_bad_label_exits_2(capsys):
     code, _, err = run(capsys, "growth", "--type", "Z9~", "--K", "3")
     assert code == 2

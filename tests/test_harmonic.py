@@ -1,5 +1,6 @@
 """Chamber cochains: defects, the sign-decaying vector, decay, rigidity."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -18,6 +19,7 @@ from weylbuildings import (
     iwahori_vector,
     min_distance_chamber,
 )
+from weylbuildings.harmonic import _ascent_faces, _full_rank
 
 
 def test_iwahori_vector_frozen_values(tree_p2):
@@ -93,18 +95,56 @@ def test_map_cochain_outside_ball_is_zero(tree_p2):
     assert f.value_at_index(2, g) == 0
 
 
-def test_finite_support_rigidity(tree_p2, tree_p3, gl3_p2):
+def assert_certificate(g):
+    """One distinct interior ascent face per unknown, every other member
+    of it one step farther out: the unit-triangular certificate."""
+    chosen = _ascent_faces(g)
+    assert chosen is not None
+    assert sorted(chosen) == [i for i, d in enumerate(g.distance) if d <= g.radius - 1]
+    assert len(set(chosen.values())) == len(chosen)
+    for i, face in chosen.items():
+        members = g.faces[face]
+        assert len(members) == g.ctx.p + 1
+        assert i in members
+        assert all(g.distance[j] == g.distance[i] + 1 for j in members if j != i)
+
+
+def test_finite_support_rigidity():
     ctx2 = PrimeContext(p=2, n=2, precision=8)
     ctx3 = PrimeContext(p=3, n=2, precision=8)
-    assert finite_support_rigidity(ball(ctx2, 3))
-    assert finite_support_rigidity(ball(ctx3, 3))
     ctx_gl3 = PrimeContext(p=2, n=3, precision=8)
-    assert finite_support_rigidity(ball(ctx_gl3, 2))
+    for g in (ball(ctx2, 3), ball(ctx3, 3), ball(ctx_gl3, 2)):
+        assert_certificate(g)
+        assert _full_rank(g)
+        assert finite_support_rigidity(g)
 
 
 @pytest.mark.parametrize("n, p, R", [(2, 2, 6), (2, 3, 4), (3, 2, 4)])
 def test_finite_support_rigidity_larger_balls(n, p, R):
-    assert finite_support_rigidity(ball(PrimeContext(p=p, n=n, precision=R + n + 1), R))
+    g = ball(PrimeContext(p=p, n=n, precision=R + n + 1), R)
+    assert_certificate(g)
+    assert _full_rank(g)
+    assert finite_support_rigidity(g)
+
+
+@pytest.mark.parametrize("n, p, R", [(2, 2, 8), (2, 3, 6), (2, 5, 4), (3, 2, 5)])
+def test_rigidity_certificate_on_balls_too_large_for_the_rank(n, p, R):
+    g = ball(PrimeContext(p=p, n=n, precision=R + n + 1), R)
+    assert_certificate(g)
+    assert finite_support_rigidity(g)
+
+
+def test_rigidity_tampered_distances_take_the_rank_fallback():
+    g = ball(PrimeContext(p=2, n=2, precision=8), 4)
+    # push one child of a distance-1 chamber out to distance 3: that
+    # chamber's outward face no longer has all its other members at 2
+    c = g.shell(1)[0]
+    child = next(j for j in g.shell(2) if g.parent[j] == c)
+    distance = list(g.distance)
+    distance[child] = 3
+    tampered = dataclasses.replace(g, distance=tuple(distance))
+    assert _ascent_faces(tampered) is None
+    assert finite_support_rigidity(tampered) == _full_rank(tampered)
 
 
 def test_rigidity_requires_room():
