@@ -45,13 +45,14 @@ is built, so labels and chain-step gaps never re-derive it.
 Two kinds of flags are checked in two ways.  Flags that callers supply
 go through ``make_chamber``, which tests every chain step by membership;
 ``lattice_from_rows`` reads v off the maximal minors of caller rows.
-Flags that ``chambers_containing`` builds skip both: it checks the
-face's own steps by membership, and each class it inserts is the inner
-lattice of the open gap plus one line, whose valuation must be one less
-than the inner lattice's; that single exact check makes both new steps
-index p.  The context's declared precision is enforced as a validity
-precondition: balls need precision >= radius + n + 1 and group elements
-must have entry valuations within the declared window.
+Flags that ``chambers_containing`` builds skip both: it reads the open
+gap off the face's labels and checks the face with one containment, and
+each class it inserts is the inner lattice of the gap plus one line,
+whose valuation must be one less than the inner lattice's; that single
+exact check makes both new steps index p.  The context's declared
+precision is enforced as a validity precondition: balls need precision
+>= radius + n + 1 and group elements must have entry valuations within
+the declared window.
 """
 
 from __future__ import annotations
@@ -362,13 +363,15 @@ def _chain_step_ok(a: LatticeClass, b: LatticeClass, ctx: PrimeContext) -> bool:
 def classes_adjacent(u: LatticeClass, v: LatticeClass, ctx: PrimeContext) -> bool:
     """Whether [u] and [v] span an edge of the building.
 
-    Adjacency means some representatives satisfy u > v' > p u; for n = 3
-    the index of v' in u may be p or p^2, and the two possibilities are
-    the two orientations of an index-p containment.
+    Adjacency means some representatives satisfy u > v' > p u.  Along a
+    chamber's flag each index-p step raises the label by one, so the
+    labels fix the orientation: the edge is an index-p step from the class
+    whose label is one less.  For n = 2 both orders are such steps; equal
+    labels, and so u = v, admit none.
     """
-    if u == v:
-        return False
-    return _chain_step_ok(u, v, ctx) or _chain_step_ok(v, u, ctx)
+    if (vertex_label(v, ctx) - vertex_label(u, ctx)) % ctx.n != 1:
+        u, v = v, u
+    return _chain_step_ok(u, v, ctx)
 
 
 # -- chambers --------------------------------------------------------------------
@@ -499,45 +502,26 @@ def chambers_containing(
 ) -> tuple[FlagChamber, ...]:
     """All p + 1 chambers containing a codimension-1 face, sorted.
 
-    The face's classes chain into the cyclic flag with exactly one gap of
-    index p^2; the chambers correspond to the p + 1 lines of the residue
-    plane in that gap.
+    The labels place the open gap.  With label(last) = label(first) + n - 2
+    and k = (v(first) + n - 2 - v(last)) / n, the face chains as
+    first > ... > p^k last by index-p steps and leaves the gap
+    p^k last > p first of index p^2, one chamber per line of its residue
+    plane.  One containment, first > p^k last, checks the face, since an
+    index-p sublattice of first contains p first.  For n = 2 first is last.
     """
     classes = tuple(face.classes) if isinstance(face, Face) else tuple(face)
     p, n = ctx.p, ctx.n
     if len(classes) != n - 1:
         raise ValueError(f"a codimension-1 face has {n - 1} classes")
-    chambers: list[FlagChamber] | None = None
-    if n == 2:
-        (a,) = classes
-        middles = _insertions(a.hnf, a.scaled_rows(p, 1), a.valuation + n, p)
-        chambers = [FlagChamber((a, m)) for m in middles]
-    else:
-        for a, b in ((classes[0], classes[1]), (classes[1], classes[0])):
-            gap = a.valuation - b.valuation
-            for d in (1, 2):
-                if (gap + d) % n:
-                    continue
-                k = (gap + d) // n
-                if k < 0:
-                    continue
-                b_rows = b.scaled_rows(p, k)
-                pa_rows = [[p * x for x in row] for row in a.hnf]
-                if not _contains_lattice(a.hnf, b_rows):
-                    continue
-                if not _contains_lattice(b_rows, pa_rows):
-                    continue
-                if d == 2:
-                    middles = _insertions(a.hnf, b_rows, b.valuation + n * k, p)
-                    chambers = [FlagChamber((a, m, b)) for m in middles]
-                else:
-                    middles = _insertions(b_rows, pa_rows, a.valuation + n, p)
-                    chambers = [FlagChamber((a, b, m)) for m in middles]
-                break
-            if chambers is not None:
-                break
-        if chambers is None:
-            raise ValueError("classes do not bound a codimension-1 face")
+    first, last = classes[0], classes[-1]
+    if (vertex_label(last, ctx) - vertex_label(first, ctx)) % n != n - 2:
+        first, last = last, first
+    k, rest = divmod(first.valuation + n - 2 - last.valuation, n)
+    outer = last.scaled_rows(p, k) if k >= 0 and not rest else None
+    if outer is None or (len(classes) > 1 and not _contains_lattice(first.hnf, outer)):
+        raise ValueError("classes do not bound a codimension-1 face")
+    middles = _insertions(outer, first.scaled_rows(p, 1), first.valuation + n, p)
+    chambers = [FlagChamber((first, last)[: n - 1] + (m,)) for m in middles]
     if len(set(chambers)) != p + 1:
         raise AssertionError("a face must lie in exactly p + 1 chambers")
     return tuple(sorted(chambers, key=FlagChamber.sort_key))

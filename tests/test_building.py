@@ -223,6 +223,46 @@ def test_chambers_containing_edge_gl3():
                 assert cls in other.classes
 
 
+def _old_adjacency(u, v, ctx):
+    # the rule before labels fixed the orientation: try both index-p steps
+    return building._chain_step_ok(u, v, ctx) or building._chain_step_ok(v, u, ctx)
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 3, 3), (3, 2, 2)])
+def test_adjacency_by_label_matches_both_orientations(n, p, radius):
+    ctx = PrimeContext(p=p, n=n, precision=radius + n + 1)
+    graph = ball(ctx, radius)
+    vertices = sorted({c for ch in graph.chambers for c in ch.classes}, key=lambda c: c.hnf)
+    for u, v in combinations(vertices, 2):
+        adjacent = classes_adjacent(u, v, ctx)
+        assert adjacent == classes_adjacent(v, u, ctx) == _old_adjacency(u, v, ctx)
+    for chamber in graph.chambers:
+        for u, v in combinations(chamber.classes, 2):
+            assert classes_adjacent(u, v, ctx)
+
+
+def test_gl3_star_does_not_depend_on_class_order(gl3_p2):
+    ctx = gl3_p2.ctx
+    for face in gl3_p2.faces:
+        a, b = face.classes
+        star = chambers_containing(face, ctx)
+        assert chambers_containing((a, b), ctx) == chambers_containing((b, a), ctx) == star
+
+
+def test_gl3_non_faces_rejected():
+    ctx = PrimeContext(p=2, n=3, precision=6)
+    o = standard_lattice(ctx)
+    same_label = lattice_from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 4]], 2)  # label 0, like o
+    # label 1, one more than same_label's, but 2 far does not lie in same_label
+    far = lattice_from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]], 2)
+    assert vertex_label(far, ctx) == (vertex_label(same_label, ctx) + 1) % 3
+    assert not _old_adjacency(same_label, far, ctx)
+    for pair in ((o, same_label), (o, o), (same_label, far)):
+        for face in (pair, pair[::-1]):
+            with pytest.raises(ValueError, match="codimension-1 face"):
+                chambers_containing(face, ctx)
+
+
 def test_face_types_partition():
     ctx = PrimeContext(p=2, n=3, precision=6)
     chamber = standard_chamber(ctx)
@@ -324,6 +364,13 @@ def test_shell_sizes_match_counting_formula(tree_p2, tree_p3, gl3_p2):
     assert tree_p3.shell_sizes() == tuple(a1[k] * 3**k for k in range(9))
     a2 = bfs_growth(affine_diagram("A2~"), 3).counts
     assert gl3_p2.shell_sizes() == tuple(a2[k] * 2**k for k in range(4))
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 7, 3), (2, 11, 3), (3, 5, 3)])
+def test_shell_sizes_at_larger_primes(n, p, radius):
+    growth = bfs_growth(affine_diagram("A1~" if n == 2 else "A2~"), radius).counts
+    graph = ball(PrimeContext(p=p, n=n, precision=radius + n + 1), radius)
+    assert graph.shell_sizes() == tuple(growth[k] * p**k for k in range(radius + 1))
 
 
 def test_ball_structure_invariants(gl3_p2):
@@ -471,7 +518,9 @@ def test_make_chamber_validation():
 # -- what chambers_containing builds without re-validating ------------------------------
 
 
-@pytest.mark.parametrize("n, p, radius", [(2, 3, 4), (2, 5, 3), (3, 2, 3), (3, 3, 2)])
+@pytest.mark.parametrize(
+    "n, p, radius", [(2, 3, 4), (2, 5, 3), (3, 2, 3), (3, 3, 2), (2, 7, 3), (3, 5, 2)]
+)
 def test_constructed_flags_pass_the_full_checks(n, p, radius):
     # chambers_containing skips make_chamber and the minor bound; every flag
     # it builds, inside the ball and one step beyond, must still pass them
