@@ -14,6 +14,8 @@ base chamber and an integer q >= 2 and means
 
 the unique cochain of that decay invariant under the base chamber's
 stabilizer; it evaluates lazily against a ball centered at the base.
+Its defects and decay profiles come from the distances alone, computed in
+integers with one ``Fraction`` per result.
 ``iwahori_vector`` builds it.  Its harmonicity is a sharp cancellation:
 among the p + 1 chambers over an interior face, exactly one sits at the
 minimal distance d and the other p at d + 1 (``min_distance_chamber``
@@ -91,11 +93,15 @@ class Cochain:
     def value_at_index(self, i: int, graph: BallGraph) -> Fraction:
         if self.values is not None:
             return self.values.lookup(graph.chambers[i])
+        return _sign_power(self._rule_q(graph), graph.distance[i])
+
+    def _rule_q(self, graph: BallGraph) -> int:
+        """The rule's q, once the ball is known to be centered at its base."""
         base, q = self.rule
         center = graph.chambers[0]
         if center is not base and center != base:
             raise ValueError("rule-form cochain needs a ball centered at its base")
-        return _sign_power(q, graph.distance[i])
+        return q
 
 
 @functools.lru_cache(maxsize=1024)  # few (q, distance) pairs; the bound caps a long-lived process
@@ -118,7 +124,13 @@ def harmonicity_defect(f: Cochain, face: Face, graph: BallGraph) -> Fraction:
     members = graph.faces.get(face)
     if members is None or len(members) != graph.ctx.p + 1:
         raise ValueError("face is not interior to the ball")
-    return sum((f.value_at_index(i, graph) for i in members), Fraction(0))
+    if f.values is not None:
+        return sum((f.value_at_index(i, graph) for i in members), Fraction(0))
+    # sum_i (-1/q)^d_i = (-1)^D sum_i (-q)^(D - d_i) / q^D with D = max d_i
+    q, dist = f._rule_q(graph), graph.distance
+    top = max(dist[i] for i in members)
+    num = sum((-q) ** (top - dist[i]) for i in members)
+    return Fraction(-num if top % 2 else num, q**top)
 
 
 def min_distance_chamber(face: Face, graph: BallGraph) -> tuple[FlagChamber, int]:
@@ -142,8 +154,14 @@ def min_distance_chamber(face: Face, graph: BallGraph) -> tuple[FlagChamber, int
 
 
 def decay_profile(f: Cochain, graph: BallGraph) -> tuple[tuple[int, Fraction], ...]:
-    """Per-distance maxima of |f| over the ball: (k, max at distance k)."""
+    """Per-distance maxima of |f| over the ball: (k, max at distance k).
+    For a rule-form f it is q^-k at each distance k that occurs, 0 elsewhere."""
     out: list[Fraction] = [Fraction(0)] * (max(graph.distance) + 1)
+    if f.values is None:
+        q = f._rule_q(graph)
+        for k in set(graph.distance):
+            out[k] = Fraction(1, q**k)
+        return tuple(enumerate(out))
     for i in range(len(graph.chambers)):
         v = abs(f.value_at_index(i, graph))
         k = graph.distance[i]

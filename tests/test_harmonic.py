@@ -86,6 +86,52 @@ def test_rule_cochain_requires_matching_center(tree_p2):
     f = iwahori_vector(g.chambers[3], 2)  # centered off the ball center
     with pytest.raises(ValueError):
         f.value_at_index(0, g)
+    with pytest.raises(ValueError):
+        harmonicity_defect(f, g.interior_faces()[0], g)
+    with pytest.raises(ValueError):
+        decay_profile(f, g)
+
+
+def reference_profile(f, g):
+    """Per-distance maxima of |f|, one chamber at a time."""
+    out = [Fraction(0)] * (max(g.distance) + 1)
+    for i, d in enumerate(g.distance):
+        out[d] = max(out[d], abs(f.value_at_index(i, g)))
+    return tuple(enumerate(out))
+
+
+def test_rule_defect_and_profile_when_q_is_not_p(tree_p2, gl3_p2):
+    # q != p leaves a nonzero defect on every face, so its sign is seen
+    for g, q in ((tree_p2, 3), (tree_p2, 5), (gl3_p2, 3)):
+        f = iwahori_vector(g.chambers[0], q)
+        for face in g.interior_faces():
+            defect = harmonicity_defect(f, face, g)
+            assert defect == sum((f.value_at_index(i, g) for i in g.faces[face]), Fraction(0))
+            _, delta = min_distance_chamber(face, g)
+            assert defect == Fraction(-1, q) ** delta * (1 - Fraction(g.ctx.p, q))
+        assert decay_profile(f, g) == reference_profile(f, g)
+
+
+def test_rule_defect_and_profile_on_any_distances():
+    g = ball(PrimeContext(p=2, n=2, precision=8), 4)
+    # distance multisets of other shapes than one at delta and p at
+    # delta + 1, and no chamber at distance 3
+    distance = list(g.distance)
+    for face in g.interior_faces()[:12]:
+        for step, i in enumerate(g.faces[face]):
+            distance[i] = (distance[i] + 2 * step) % 7
+    distance = [6 if d == 3 else d for d in distance]
+    tampered = dataclasses.replace(g, distance=tuple(distance))
+    shapes = {tuple(sorted(distance[i] - min(distance[j] for j in m) for i in m))
+              for m in (tampered.faces[face] for face in tampered.interior_faces())}
+    assert len(shapes) > 2
+    assert dict(decay_profile(iwahori_vector(g.chambers[0], 2), tampered))[3] == 0
+    for q in (2, 3):
+        f = iwahori_vector(g.chambers[0], q)
+        for face in tampered.interior_faces():
+            expected = sum((f.value_at_index(i, tampered) for i in tampered.faces[face]), Fraction(0))
+            assert harmonicity_defect(f, face, tampered) == expected
+        assert decay_profile(f, tampered) == reference_profile(f, tampered)
 
 
 def test_map_cochain_outside_ball_is_zero(tree_p2):
