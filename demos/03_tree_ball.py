@@ -23,7 +23,7 @@ from weylbuildings import (
 
 
 def main() -> None:
-    ctx = PrimeContext(p=2, n=2, precision=12)
+    ctx = PrimeContext(p=2, n=2)
     o = standard_lattice(ctx)
     print(f"standard vertex, p = 2: {o.hnf}, label {vertex_label(o, ctx)}")
     other = lattice_from_rows([[2, 1], [0, 2]], 2)
@@ -35,7 +35,7 @@ def main() -> None:
     print(f"chambers through one vertex-face: {len(star)} (p + 1)")
 
     for n, p, radius in ((2, 2, 6), (2, 3, 5), (3, 2, 3)):
-        ctx = PrimeContext(p=p, n=n, precision=radius + n + 1)
+        ctx = PrimeContext(p=p, n=n)
         graph = ball(ctx, radius)
         counts = bfs_growth(affine_diagram(f"A{n - 1}~"), radius).counts
         predicted = tuple(counts[k] * p**k for k in range(radius + 1))

@@ -23,7 +23,7 @@ from weylbuildings import (
 
 
 def main() -> None:
-    ctx = PrimeContext(p=2, n=2, precision=12)
+    ctx = PrimeContext(p=2, n=2)
     graph = ball(ctx, 8)
     f = iwahori_vector(graph.chambers[0], 2)
 
@@ -45,7 +45,7 @@ def main() -> None:
           f"{all(conv[i] == -values[i] for i in inner)}")
 
     for p in (2, 3):
-        rigid = finite_support_rigidity(ball(PrimeContext(p=p, n=2, precision=8), 3))
+        rigid = finite_support_rigidity(ball(PrimeContext(p=p, n=2), 3))
         print(f"finite-support rigidity on the p = {p} tree ball R = 3: {rigid}")
 
 

@@ -27,7 +27,7 @@ from weylbuildings import (
 
 
 def main() -> None:
-    ctx = PrimeContext(p=2, n=2, precision=10)
+    ctx = PrimeContext(p=2, n=2)
     o = standard_lattice(ctx)
 
     for r in (1, 2, 3):

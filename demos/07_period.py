@@ -33,7 +33,7 @@ def main() -> None:
     print(f"|S_12 - closed| = {abs(report.partial_sums[-1] - report.closed_form)} "
           f"<= tail bound {report.tail_bound}")
 
-    ctx = PrimeContext(p=2, n=2, precision=10)
+    ctx = PrimeContext(p=2, n=2)
     graph = ball(ctx, 6)
     partials = lambda_partial(label, q, 6)
     print("\nchamber-by-chamber against the series:")

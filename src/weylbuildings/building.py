@@ -30,17 +30,19 @@ here and must agree.
 
 Arithmetic is exact, and inside this module it is integer arithmetic.
 ``Fraction`` enters only at the public entry points that take or return
-rational matrices: ``lattice_from_rows``, ``act`` (and ``weyl_to_chamber``,
-which feeds it a product of generators), the ``epsilon`` functions,
-``affine_generator_matrix`` and ``label_shift_matrix``.
-``lattice_from_rows`` scales its rows to integers once; everything after
-that (content stripping, Hermite normalization, membership and the
-residue quotients behind ``chambers_containing``) works on Python
-integers.  Hermite normalization of a span of determinant valuation v
-runs modulo p^(v+1), which recovers the canonical form exactly because
-row operations are unimodular over Z_p, and asserts that the diagonal
-exponents sum to v.  Every ``LatticeClass`` records that v when its form
-is built, so labels and chain-step gaps never re-derive it.
+rational matrices: ``lattice_from_rows``, ``act``, the ``epsilon``
+functions, ``affine_generator_matrix`` and ``label_shift_matrix``.
+``lattice_from_rows`` scales its rows to integers once, and ``act``
+scales g once to the integer matrix p^a g, which moves no homothety
+class; ``weyl_to_chamber`` applies the generators one at a time through
+``act``.  Everything after that (content stripping, Hermite
+normalization, membership and the residue quotients behind
+``chambers_containing``) works on Python integers.  Hermite
+normalization of a span of determinant valuation v runs modulo p^(v+1),
+which recovers the canonical form exactly because row operations are
+unimodular over Z_p, and asserts that the diagonal exponents sum to v.
+Every ``LatticeClass`` records that v when its form is built, so labels
+and chain-step gaps never re-derive it.
 
 Two kinds of flags are checked in two ways.  Flags that callers supply
 go through ``make_chamber``, which tests every chain step by membership;
@@ -49,24 +51,20 @@ Flags that ``chambers_containing`` builds skip both: it reads the open
 gap off the face's labels and checks the face with one containment, and
 each class it inserts is the inner lattice of the gap plus one line,
 whose valuation must be one less than the inner lattice's; that single
-exact check makes both new steps index p.  The context's declared
-precision is enforced as a validity precondition: balls need precision
->= radius + n + 1 and group elements must have entry valuations within
-the declared window.
+exact check makes both new steps index p.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exact import row_reduce
 
 __all__ = [
-    "PrecisionError",
     "PrimeContext",
     "LatticeClass",
     "lattice_from_rows",
@@ -97,10 +95,6 @@ IntMatrix = tuple[tuple[int, ...], ...]
 QMatrix = tuple[tuple[Fraction, ...], ...]
 
 
-class PrecisionError(ValueError):
-    """Declared p-adic working precision does not cover the computation."""
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -114,19 +108,26 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """Ambient data: the prime p, the dimension n, declared precision."""
+    """Ambient data: the prime p and the dimension n.
+
+    All arithmetic is exact, so there is no p-adic working precision.  The
+    ``precision`` keyword is still accepted for callers written against the
+    older signature; it is neither stored nor read, so contexts that differ
+    only in it are equal and share every per-context cache.
+    """
 
     p: int
     n: int
-    precision: int
+    precision: InitVar[int | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _ignored: int | None) -> None:
+        for name, value in (("p", self.p), ("n", self.n)):
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if self.n not in (2, 3):
             raise ValueError("only n = 2 and n = 3 are supported")
-        if self.precision < 1:
-            raise ValueError("precision must be positive")
 
 
 # -- valuations and determinants ---------------------------------------------
@@ -140,14 +141,17 @@ def _val_int(x: int, p: int) -> int:
     return v
 
 
-def _val_fraction(x: Fraction, p: int) -> int:
-    """v_p(x) of a nonzero rational whose denominator is a power of p."""
-    if x == 0:
-        raise ValueError("valuation of zero")
-    v = _val_int(x.denominator, p)
-    if x.denominator != p**v:
-        raise ValueError("denominators must be powers of p")
-    return _val_int(x.numerator, p) - v
+def _integer_rows(rows: Sequence[Sequence[Fraction]], p: int) -> list[list[int]]:
+    """The rows times the least power of p that makes them integral; every
+    denominator must be a power of p."""
+    scale = 1
+    for row in rows:
+        for x in row:
+            d = x.denominator
+            if d != p ** _val_int(d, p):
+                raise ValueError("denominators must be powers of p")
+            scale = max(scale, d)
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
 def _det(m: Sequence[Sequence]) -> object:
@@ -262,12 +266,7 @@ def lattice_from_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> Latti
     n = len(frows[0])
     if any(len(row) != n for row in frows) or len(frows) < n:
         raise ValueError(f"need at least {n} rows of length {n}")
-    for row in frows:
-        for x in row:
-            if x:
-                _val_fraction(x, p)
-    scale = max(x.denominator for row in frows for x in row)
-    return _canonical([[x.numerator * (scale // x.denominator) for x in row] for row in frows], p)
+    return _canonical(_integer_rows(frows, p), p)
 
 
 def _content(rows: Sequence[Sequence[int]], p: int) -> int | None:
@@ -530,61 +529,57 @@ def chambers_containing(
 # -- group action -------------------------------------------------------------------
 
 
-def _to_qmatrix(g: Sequence[Sequence[Fraction | int]], n: int) -> QMatrix:
-    rows = tuple(tuple(Fraction(x) for x in row) for row in g)
+def _integral_matrix(
+    g: Sequence[Sequence[Fraction | int]], ctx: PrimeContext
+) -> tuple[list[list[int]], int]:
+    """The integer matrix p^a g for the least such a >= 0, and the
+    valuation of its determinant.  Raises ValueError unless g is an
+    invertible n x n matrix whose denominators are powers of p."""
+    n = ctx.n
+    rows = [[Fraction(x) for x in row] for row in g]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"matrix must be {n} x {n}")
-    return rows
-
-
-def _check_entries(g: QMatrix, ctx: PrimeContext) -> None:
-    for row in g:
-        for x in row:
-            if x and abs(_val_fraction(x, ctx.p)) > ctx.precision:
-                raise PrecisionError("declared precision does not cover the matrix entries")
+    gi = _integer_rows(rows, ctx.p)
+    d = _det(gi)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    return gi, _val_int(d, ctx.p)
 
 
 def act(g: Sequence[Sequence[Fraction | int]], x, ctx: PrimeContext):
     """Left action of g in GL_n(Q_p) on a lattice class or a chamber.
 
     Basis vectors are the rows r_i of the stored matrix; the image lattice
-    is spanned by the rows r_i g^T.
+    is spanned by the rows r_i g^T.  The action is taken through the
+    integer matrix g' = p^a g, which gives the same classes since p^a is a
+    homothety; the image of a class of valuation v then has valuation
+    v + v_p(det g'), which ``_hermite_rows`` asserts.
     """
-    gm = _to_qmatrix(g, ctx.n)
-    if _det(gm) == 0:
-        raise ValueError("matrix is singular")
-    _check_entries(gm, ctx)
+    gi, shift = _integral_matrix(g, ctx)
+
+    def image(cls: LatticeClass) -> LatticeClass:
+        rows = [[sum(a * b for a, b in zip(r, gj)) for gj in gi] for r in cls.hnf]
+        return _canonical(rows, ctx.p, cls.valuation + shift)
+
     if isinstance(x, LatticeClass):
-        rows = [
-            [sum(Fraction(x.hnf[i][k]) * gm[j][k] for k in range(ctx.n)) for j in range(ctx.n)]
-            for i in range(ctx.n)
-        ]
-        return lattice_from_rows(rows, ctx.p)
+        return image(x)
     if isinstance(x, FlagChamber):
-        return FlagChamber(tuple(act(gm, c, ctx) for c in x.classes))
+        return FlagChamber(tuple(image(c) for c in x.classes))
     raise TypeError("act expects a LatticeClass or a FlagChamber")
 
 
 def epsilon_from_determinant(g: Sequence[Sequence[Fraction | int]], ctx: PrimeContext) -> int:
     """Sign character via the determinant: (-1)^((n-1) v_p(det g))."""
-    gm = _to_qmatrix(g, ctx.n)
-    d = _det(gm)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    for row in gm:
-        for x in row:
-            if x:
-                _val_fraction(x, ctx.p)
-    return -1 if ((ctx.n - 1) * _val_fraction(Fraction(d), ctx.p)) % 2 else 1
+    # v_p(det p^a g) = v_p(det g) + n a, and (n - 1) n a is even
+    _, v = _integral_matrix(g, ctx)
+    return -1 if ((ctx.n - 1) * v) % 2 else 1
 
 
 def epsilon_from_labels(g: Sequence[Sequence[Fraction | int]], ctx: PrimeContext) -> int:
     """Sign character via the signature of the induced label permutation."""
-    gm = _to_qmatrix(g, ctx.n)
     perm: dict[int, int] = {}
     for cls in standard_chamber(ctx).classes:
-        image = act(gm, cls, ctx)
-        perm[vertex_label(cls, ctx)] = vertex_label(image, ctx)
+        perm[vertex_label(cls, ctx)] = vertex_label(act(g, cls, ctx), ctx)
     if sorted(perm) != list(range(ctx.n)) or sorted(perm.values()) != list(range(ctx.n)):
         raise ValueError("the matrix does not permute the vertex labels")
     sign, seen = 1, set()
@@ -627,13 +622,6 @@ def label_shift_matrix(ctx: PrimeContext) -> QMatrix:
     return tuple(tuple(r) for r in rows)
 
 
-def _matmul_q(a: QMatrix, b: QMatrix) -> QMatrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
 def affine_generator_matrix(ctx: PrimeContext, i: int) -> QMatrix:
     """Matrix realizing the i-th affine Weyl generator, 0 <= i < n.
 
@@ -653,11 +641,10 @@ def affine_generator_matrix(ctx: PrimeContext, i: int) -> QMatrix:
 
 def weyl_to_chamber(word: Sequence[int], ctx: PrimeContext) -> FlagChamber:
     """Image of the standard chamber under the product of generators."""
-    n = ctx.n
-    g = tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-    for letter in word:
-        g = _matmul_q(g, affine_generator_matrix(ctx, letter))
-    return act(g, standard_chamber(ctx), ctx)
+    chamber = standard_chamber(ctx)
+    for letter in reversed(word):
+        chamber = act(affine_generator_matrix(ctx, letter), chamber, ctx)
+    return chamber
 
 
 def generator_face_types(ctx: PrimeContext) -> dict[int, int]:
@@ -753,10 +740,6 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
     """Breadth-first enumeration of the chamber ball of the given radius."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if ctx.precision < radius + ctx.n + 1:
-        raise PrecisionError(
-            f"precision {ctx.precision} is below radius + n + 1 = {radius + ctx.n + 1}"
-        )
     start = center if center is not None else standard_chamber(ctx)
     chambers: list[FlagChamber] = [start]
     index: dict[FlagChamber, int] = {start: 0}

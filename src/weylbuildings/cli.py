@@ -184,7 +184,7 @@ def cmd_period(args) -> Result:
     n = label.rank + 1
     if label.family == "A" and n in (2, 3) and q in (2, 3):
         radius = min(args.K, 3 if n == 2 else 2)
-        ctx = PrimeContext(p=q, n=n, precision=radius + n + 1)
+        ctx = PrimeContext(p=q, n=n)
         geo = geometric_lambda(ctx, radius)
         ok = geo == report.partial_sums[radius]
         payload["geometric"] = {
@@ -383,7 +383,7 @@ def _context(args) -> PrimeContext:
     if args.R < 0:
         raise UsageError("--R must be nonnegative")
     try:
-        return PrimeContext(p=args.p, n=args.n, precision=args.R + args.n + 1)
+        return PrimeContext(p=args.p, n=args.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

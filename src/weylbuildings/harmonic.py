@@ -78,6 +78,8 @@ class Cochain:
             base, q = self.rule
             if not isinstance(base, FlagChamber):
                 raise ValueError("rule base must be a chamber")
+            if not isinstance(q, int):
+                raise ValueError(f"rule parameter q must be an int, got {q!r}")
             if q < 2:
                 raise ValueError("rule parameter q must be at least 2")
 

@@ -7,17 +7,17 @@ from weylbuildings import PrimeContext, ball
 
 @pytest.fixture(scope="session")
 def ctx22() -> PrimeContext:
-    return PrimeContext(p=2, n=2, precision=12)
+    return PrimeContext(p=2, n=2)
 
 
 @pytest.fixture(scope="session")
 def ctx32() -> PrimeContext:
-    return PrimeContext(p=3, n=2, precision=12)
+    return PrimeContext(p=3, n=2)
 
 
 @pytest.fixture(scope="session")
 def ctx23() -> PrimeContext:
-    return PrimeContext(p=2, n=3, precision=8)
+    return PrimeContext(p=2, n=3)
 
 
 @pytest.fixture(scope="session")

@@ -104,7 +104,7 @@ def test_criterion_2_shell_counts(tree_p2, tree_p3, gl3_p2):
 def test_criterion_3_zero_defect_and_uniqueness(tree_p2, tree_p3):
     ok = True
     faces = 0
-    gl3 = ball(PrimeContext(p=2, n=3, precision=6), 2)
+    gl3 = ball(PrimeContext(p=2, n=3), 2)
     for graph in (tree_p2, tree_p3, gl3):
         vector = iwahori_vector(graph.chambers[0], graph.ctx.p)
         for face in graph.interior_faces():
@@ -272,7 +272,7 @@ def test_criterion_7_sign_character():
     ok = True
     rng = random.Random(23)
     for n in (2, 3):
-        ctx = PrimeContext(p=2, n=n, precision=16)
+        ctx = PrimeContext(p=2, n=n)
         mats = []
         for _ in range(25):  # monomial: permutation times powers and units
             perm = list(range(n))
@@ -310,7 +310,7 @@ def test_criterion_8_boundary_map():
     ok = True
     rng = random.Random(29)
     for p in (2, 3):
-        ctx = PrimeContext(p=p, n=2, precision=10)
+        ctx = PrimeContext(p=p, n=2)
         o = standard_lattice(ctx)
         depth = 3
         inner = vertex_tree(ctx, o, depth - 1)
@@ -351,9 +351,9 @@ def test_criterion_8_boundary_map():
 
 def test_criterion_9_rigidity():
     ok = True
-    ok = ok and finite_support_rigidity(ball(PrimeContext(p=2, n=2, precision=8), 3))
-    ok = ok and finite_support_rigidity(ball(PrimeContext(p=3, n=2, precision=8), 3))
-    ok = ok and finite_support_rigidity(ball(PrimeContext(p=2, n=3, precision=7), 2))
+    ok = ok and finite_support_rigidity(ball(PrimeContext(p=2, n=2), 3))
+    ok = ok and finite_support_rigidity(ball(PrimeContext(p=3, n=2), 3))
+    ok = ok and finite_support_rigidity(ball(PrimeContext(p=2, n=3), 2))
     _report(
         9,
         "no nonzero finitely supported harmonic cochain: exact rank is full on "

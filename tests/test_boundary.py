@@ -29,12 +29,12 @@ from weylbuildings import (
 
 @pytest.fixture(scope="module")
 def ctx2():
-    return PrimeContext(p=2, n=2, precision=10)
+    return PrimeContext(p=2, n=2)
 
 
 @pytest.fixture(scope="module")
 def ctx3():
-    return PrimeContext(p=3, n=2, precision=10)
+    return PrimeContext(p=3, n=2)
 
 
 # -- tree shape -----------------------------------------------------------------

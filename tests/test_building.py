@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 import weylbuildings.building as building
 from weylbuildings import (
     Face,
-    PrecisionError,
     PrimeContext,
     act,
     affine_diagram,
@@ -52,7 +52,7 @@ def test_canonical_form_is_primitive_not_diagonal():
 
 def test_canonical_form_scales_away_common_power():
     assert lattice_from_rows([[2, 0], [0, 2]], 2) == standard_lattice(
-        PrimeContext(p=2, n=2, precision=4)
+        PrimeContext(p=2, n=2)
     )
     assert lattice_from_rows([[4, 0], [0, 8]], 2).hnf == ((1, 0), (0, 2))
 
@@ -181,16 +181,16 @@ def test_canonical_form_gl3_rational_rows(case, shear, k):
 
 
 def test_vertex_labels():
-    ctx = PrimeContext(p=2, n=2, precision=6)
+    ctx = PrimeContext(p=2, n=2)
     assert vertex_label(standard_lattice(ctx), ctx) == 0
     assert vertex_label(lattice_from_rows([[1, 0], [0, 2]], 2), ctx) == 1
-    ctx3 = PrimeContext(p=2, n=3, precision=6)
+    ctx3 = PrimeContext(p=2, n=3)
     assert vertex_label(lattice_from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]], 2), ctx3) == 1
     assert vertex_label(lattice_from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 2]], 2), ctx3) == 2
 
 
 def test_adjacency_tree():
-    ctx = PrimeContext(p=2, n=2, precision=6)
+    ctx = PrimeContext(p=2, n=2)
     o = standard_lattice(ctx)
     near = lattice_from_rows([[1, 0], [0, 2]], 2)
     far = lattice_from_rows([[1, 0], [0, 4]], 2)
@@ -202,7 +202,7 @@ def test_adjacency_tree():
 
 
 def test_chambers_containing_vertex_tree():
-    ctx = PrimeContext(p=3, n=2, precision=6)
+    ctx = PrimeContext(p=3, n=2)
     o = standard_lattice(ctx)
     stars = chambers_containing(Face((o,)), ctx)
     assert len(stars) == 4  # p + 1
@@ -211,7 +211,7 @@ def test_chambers_containing_vertex_tree():
 
 
 def test_chambers_containing_edge_gl3():
-    ctx = PrimeContext(p=2, n=3, precision=6)
+    ctx = PrimeContext(p=2, n=3)
     chamber = standard_chamber(ctx)
     for pos in range(3):
         face = face_of(chamber, pos)
@@ -230,7 +230,7 @@ def _old_adjacency(u, v, ctx):
 
 @pytest.mark.parametrize("n, p, radius", [(2, 3, 3), (3, 2, 2)])
 def test_adjacency_by_label_matches_both_orientations(n, p, radius):
-    ctx = PrimeContext(p=p, n=n, precision=radius + n + 1)
+    ctx = PrimeContext(p=p, n=n)
     graph = ball(ctx, radius)
     vertices = sorted({c for ch in graph.chambers for c in ch.classes}, key=lambda c: c.hnf)
     for u, v in combinations(vertices, 2):
@@ -250,7 +250,7 @@ def test_gl3_star_does_not_depend_on_class_order(gl3_p2):
 
 
 def test_gl3_non_faces_rejected():
-    ctx = PrimeContext(p=2, n=3, precision=6)
+    ctx = PrimeContext(p=2, n=3)
     o = standard_lattice(ctx)
     same_label = lattice_from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 4]], 2)  # label 0, like o
     # label 1, one more than same_label's, but 2 far does not lie in same_label
@@ -264,7 +264,7 @@ def test_gl3_non_faces_rejected():
 
 
 def test_face_types_partition():
-    ctx = PrimeContext(p=2, n=3, precision=6)
+    ctx = PrimeContext(p=2, n=3)
     chamber = standard_chamber(ctx)
     types = sorted(face_type(face_of(chamber, pos), ctx) for pos in range(3))
     assert types == [0, 1, 2]
@@ -274,7 +274,7 @@ def test_face_types_partition():
 
 
 def test_action_identity_and_scalars():
-    ctx = PrimeContext(p=2, n=2, precision=8)
+    ctx = PrimeContext(p=2, n=2)
     chamber = standard_chamber(ctx)
     ident = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     assert act(ident, chamber, ctx) == chamber
@@ -286,7 +286,7 @@ def test_action_identity_and_scalars():
 
 def test_label_shift_stabilizes_standard_chamber():
     for n in (2, 3):
-        ctx = PrimeContext(p=2, n=n, precision=8)
+        ctx = PrimeContext(p=2, n=n)
         pi = label_shift_matrix(ctx)
         chamber = standard_chamber(ctx)
         assert act(pi, chamber, ctx) == chamber
@@ -296,25 +296,43 @@ def test_label_shift_stabilizes_standard_chamber():
         assert vertex_label(image, ctx) == 1 % n
 
 
-def test_action_precision_gate():
-    ctx = PrimeContext(p=2, n=2, precision=2)
-    chamber = standard_chamber(ctx)
-    huge = [[Fraction(1, 2**5), Fraction(0)], [Fraction(0), Fraction(1)]]
-    with pytest.raises(PrecisionError):
-        act(huge, chamber, ctx)
+@pytest.mark.parametrize("p", [2, 3])
+def test_action_with_large_valuations_by_hand(p):
+    # diag(p^-5, 1) Z_p^2 = p^-5 (Z_p + p^5 Z_p): the class of diag(1, p^5)
+    ctx = PrimeContext(p=p, n=2)
+    image = act([[Fraction(1, p**5), 0], [0, 1]], standard_lattice(ctx), ctx)
+    assert image.hnf == ((1, 0), (0, p**5))
+    assert image.valuation == 5
+    # g e1 = e1, g e2 = p^-4 e1 + e2, g e3 = p^3 e3; times p^4 the span is
+    # (p^4, 0, 0), (1, p^4, 0), (0, 0, p^7), whose Hermite form is below
+    ctx3 = PrimeContext(p=p, n=3)
+    g = [[1, Fraction(1, p**4), 0], [0, 1, 0], [0, 0, p**3]]
+    image = act(g, standard_lattice(ctx3), ctx3)
+    assert image.hnf == ((1, p**4, 0), (0, p**8, 0), (0, 0, p**7))
+    assert image.valuation == 15
+    assert image == lattice_from_rows([[1, 0, 0], [Fraction(1, p**4), 1, 0], [0, 0, p**3]], p)
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 3), Fraction(1, 6), Fraction(5, 12)], ids=str)
+def test_action_rejects_entries_with_foreign_denominators(entry):
+    ctx = PrimeContext(p=2, n=2)
+    g = [[entry, 0], [0, 1]]
+    for x in (standard_lattice(ctx), standard_chamber(ctx)):
+        with pytest.raises(ValueError, match="denominators must be powers of p"):
+            act(g, x, ctx)
 
 
 # -- the sign character --------------------------------------------------------------
 
 
 def test_epsilon_frozen_values():
-    ctx = PrimeContext(p=2, n=2, precision=8)
+    ctx = PrimeContext(p=2, n=2)
     f = Fraction
     assert epsilon([[f(1), f(0)], [f(0), f(1)]], ctx) == 1
     assert epsilon([[f(2), f(0)], [f(0), f(1)]], ctx) == -1
     assert epsilon([[f(2), f(0)], [f(0), f(2)]], ctx) == 1
     assert epsilon([[f(0), f(1)], [f(1), f(0)]], ctx) == 1  # unit determinant
-    ctx3 = PrimeContext(p=2, n=3, precision=8)
+    ctx3 = PrimeContext(p=2, n=3)
     assert epsilon([[f(2), f(0), f(0)], [f(0), f(1), f(0)], [f(0), f(0), f(1)]], ctx3) == 1
     assert (
         epsilon([[f(2), f(0), f(0)], [f(0), f(2), f(0)], [f(0), f(0), f(1)]], ctx3) == 1
@@ -323,7 +341,7 @@ def test_epsilon_frozen_values():
 
 def test_epsilon_rejects_entries_with_foreign_denominators():
     # det = 1 passes the determinant check, but entries must have p-power denominators
-    ctx = PrimeContext(p=2, n=2, precision=8)
+    ctx = PrimeContext(p=2, n=2)
     m = [[Fraction(1, 3), Fraction(0)], [Fraction(0), Fraction(3)]]
     for route in (epsilon_from_determinant, epsilon_from_labels, epsilon):
         with pytest.raises(ValueError, match="denominators must be powers of p"):
@@ -335,7 +353,7 @@ def test_epsilon_routes_agree_and_multiply():
 
     rng = random.Random(11)
     for n in (2, 3):
-        ctx = PrimeContext(p=2, n=n, precision=16)
+        ctx = PrimeContext(p=2, n=n)
         mats = []
         for _ in range(30):
             perm = list(range(n))
@@ -369,7 +387,7 @@ def test_shell_sizes_match_counting_formula(tree_p2, tree_p3, gl3_p2):
 @pytest.mark.parametrize("n, p, radius", [(2, 7, 3), (2, 11, 3), (3, 5, 3)])
 def test_shell_sizes_at_larger_primes(n, p, radius):
     growth = bfs_growth(affine_diagram("A1~" if n == 2 else "A2~"), radius).counts
-    graph = ball(PrimeContext(p=p, n=n, precision=radius + n + 1), radius)
+    graph = ball(PrimeContext(p=p, n=n), radius)
     assert graph.shell_sizes() == tuple(growth[k] * p**k for k in range(radius + 1))
 
 
@@ -427,7 +445,7 @@ def test_cells_have_residue_power_sizes(gl3_p2):
 
 def test_generator_face_types_bijective():
     for n in (2, 3):
-        ctx = PrimeContext(p=2, n=n, precision=6)
+        ctx = PrimeContext(p=2, n=n)
         mapping = generator_face_types(ctx)
         assert sorted(mapping) == list(range(n))
         assert sorted(mapping.values()) == list(range(n))
@@ -435,7 +453,7 @@ def test_generator_face_types_bijective():
 
 def test_generator_matrices_are_involutions():
     for n in (2, 3):
-        ctx = PrimeContext(p=3, n=n, precision=8)
+        ctx = PrimeContext(p=3, n=n)
         chamber = standard_chamber(ctx)
         for i in range(n):
             m = affine_generator_matrix(ctx, i)
@@ -451,16 +469,31 @@ def _matmul(a, b):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_affine_generator_is_conjugate_by_label_shift(n, p):
-    ctx = PrimeContext(p=p, n=n, precision=6)
+    ctx = PrimeContext(p=p, n=n)
     shift = label_shift_matrix(ctx)
     s0, s1 = affine_generator_matrix(ctx, 0), affine_generator_matrix(ctx, 1)
     assert _matmul(s0, shift) == _matmul(shift, s1)
 
 
-def test_ball_precision_gate():
-    ctx = PrimeContext(p=2, n=2, precision=3)
-    with pytest.raises(PrecisionError):
-        ball(ctx, 4)
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n, longest", [(2, 4), (3, 3)])
+def test_weyl_to_chamber_is_the_action_of_the_word_matrix(n, longest, p):
+    ctx = PrimeContext(p=p, n=n)
+    base = standard_chamber(ctx)
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(longest + 1):
+        for word in product(range(n), repeat=k):
+            g = eye
+            for letter in word:
+                g = _matmul(g, affine_generator_matrix(ctx, letter))
+            assert weyl_to_chamber(word, ctx) == act(g, base, ctx), word
+
+
+@pytest.mark.parametrize("name, value", [("p", 2.0), ("n", 2.0), ("p", "2"), ("n", Fraction(2))])
+def test_context_rejects_non_int_parameters(name, value):
+    kwargs = {"p": 2, "n": 2, name: value}
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an int, got {value!r}")):
+        PrimeContext(**kwargs)
 
 
 def test_ball_center_choice(tree_p2):
@@ -498,13 +531,13 @@ def test_ball_json_deterministic_and_adjacent(gl3_p2):
     ],
 )
 def test_ball_json_literal(n, p, radius, digest):
-    ctx = PrimeContext(p=p, n=n, precision=radius + n + 1)
+    ctx = PrimeContext(p=p, n=n)
     text = json.dumps(ball_to_json(ball(ctx, radius)), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_make_chamber_validation():
-    ctx = PrimeContext(p=2, n=2, precision=6)
+    ctx = PrimeContext(p=2, n=2)
     o = standard_lattice(ctx)
     near = lattice_from_rows([[1, 0], [0, 2]], 2)
     far = lattice_from_rows([[1, 0], [0, 4]], 2)
@@ -524,7 +557,7 @@ def test_make_chamber_validation():
 def test_constructed_flags_pass_the_full_checks(n, p, radius):
     # chambers_containing skips make_chamber and the minor bound; every flag
     # it builds, inside the ball and one step beyond, must still pass them
-    ctx = PrimeContext(p=p, n=n, precision=radius + n + 1)
+    ctx = PrimeContext(p=p, n=n)
     graph = ball(ctx, radius)
     built = {c for face in graph.faces for c in chambers_containing(face, ctx)}
     assert set(graph.chambers) <= built
@@ -552,7 +585,7 @@ def test_insertion_inside_the_inner_lattice_fails_the_valuation_check(n, monkeyp
         return list(inner_rows[0]), list(inner_rows[1])
 
     monkeypatch.setattr(building, "_quotient_basis", inner_lines)
-    ctx = PrimeContext(p=3, n=n, precision=6)
+    ctx = PrimeContext(p=3, n=n)
     with pytest.raises(AssertionError, match="expected valuation"):
         chambers_containing(face_of(standard_chamber(ctx), 0), ctx)
     from weylbuildings.cli import main

@@ -29,7 +29,7 @@ from weylbuildings import (
 )
 from weylbuildings.exact import row_reduce
 
-CTX = PrimeContext(p=2, n=2, precision=8)
+CTX = PrimeContext(p=2, n=2)
 
 
 def _cochain():

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,14 @@ def test_cochain_forms_exclusive():
         Cochain(values=None, rule=None)
 
 
+@pytest.mark.parametrize("q", [2.0, Fraction(2), "2"], ids=repr)
+def test_rule_cochain_rejects_non_int_q(q, tree_p2):
+    base = tree_p2.chambers[0]
+    for make in (lambda: iwahori_vector(base, q), lambda: Cochain(rule=(base, q))):
+        with pytest.raises(ValueError, match=re.escape(f"q must be an int, got {q!r}")):
+            make()
+
+
 def test_rule_cochain_requires_matching_center(tree_p2):
     g = tree_p2
     f = iwahori_vector(g.chambers[3], 2)  # centered off the ball center
@@ -113,7 +122,7 @@ def test_rule_defect_and_profile_when_q_is_not_p(tree_p2, gl3_p2):
 
 
 def test_rule_defect_and_profile_on_any_distances():
-    g = ball(PrimeContext(p=2, n=2, precision=8), 4)
+    g = ball(PrimeContext(p=2, n=2), 4)
     # distance multisets of other shapes than one at delta and p at
     # delta + 1, and no chamber at distance 3
     distance = list(g.distance)
@@ -156,9 +165,9 @@ def assert_certificate(g):
 
 
 def test_finite_support_rigidity():
-    ctx2 = PrimeContext(p=2, n=2, precision=8)
-    ctx3 = PrimeContext(p=3, n=2, precision=8)
-    ctx_gl3 = PrimeContext(p=2, n=3, precision=8)
+    ctx2 = PrimeContext(p=2, n=2)
+    ctx3 = PrimeContext(p=3, n=2)
+    ctx_gl3 = PrimeContext(p=2, n=3)
     for g in (ball(ctx2, 3), ball(ctx3, 3), ball(ctx_gl3, 2)):
         assert_certificate(g)
         assert _full_rank(g)
@@ -167,7 +176,7 @@ def test_finite_support_rigidity():
 
 @pytest.mark.parametrize("n, p, R", [(2, 2, 6), (2, 3, 4), (3, 2, 4)])
 def test_finite_support_rigidity_larger_balls(n, p, R):
-    g = ball(PrimeContext(p=p, n=n, precision=R + n + 1), R)
+    g = ball(PrimeContext(p=p, n=n), R)
     assert_certificate(g)
     assert _full_rank(g)
     assert finite_support_rigidity(g)
@@ -175,13 +184,13 @@ def test_finite_support_rigidity_larger_balls(n, p, R):
 
 @pytest.mark.parametrize("n, p, R", [(2, 2, 8), (2, 3, 6), (2, 5, 4), (3, 2, 5)])
 def test_rigidity_certificate_on_balls_too_large_for_the_rank(n, p, R):
-    g = ball(PrimeContext(p=p, n=n, precision=R + n + 1), R)
+    g = ball(PrimeContext(p=p, n=n), R)
     assert_certificate(g)
     assert finite_support_rigidity(g)
 
 
 def test_rigidity_tampered_distances_take_the_rank_fallback():
-    g = ball(PrimeContext(p=2, n=2, precision=8), 4)
+    g = ball(PrimeContext(p=2, n=2), 4)
     # push one child of a distance-1 chamber out to distance 3: that
     # chamber's outward face no longer has all its other members at 2
     c = g.shell(1)[0]
@@ -194,7 +203,7 @@ def test_rigidity_tampered_distances_take_the_rank_fallback():
 
 
 def test_rigidity_requires_room():
-    ctx = PrimeContext(p=2, n=2, precision=6)
+    ctx = PrimeContext(p=2, n=2)
     with pytest.raises(ValueError):
         finite_support_rigidity(ball(ctx, 1))
 
