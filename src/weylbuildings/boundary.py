@@ -195,6 +195,8 @@ def vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> VertexT
     """The vertices within the radius around the origin.  Built once per
     (ctx, origin, radius); every call returns that same read-only tree."""
     _require_tree(ctx)
+    if not isinstance(radius, int):
+        raise ValueError(f"radius must be an int, got {radius!r}")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     return _vertex_tree(ctx, origin, radius)

@@ -141,12 +141,14 @@ def _val_int(x: int, p: int) -> int:
     return v
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]], p: int) -> list[list[int]]:
+def _integer_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> list[list[int]]:
     """The rows times the least power of p that makes them integral; every
-    denominator must be a power of p."""
+    entry must be an int or a Fraction whose denominator is a power of p."""
     scale = 1
     for row in rows:
         for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise ValueError(f"entries must be int or Fraction, got {x!r}")
             d = x.denominator
             if d != p ** _val_int(d, p):
                 raise ValueError("denominators must be powers of p")
@@ -255,18 +257,17 @@ class LatticeClass:
 def lattice_from_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> LatticeClass:
     """Canonicalize the homothety class spanned by the given generating rows.
 
-    Entries may be rational with p-power denominators.  The rows are
+    Entries are ints or Fractions with p-power denominators.  The rows are
     scaled to integers by the largest denominator, then canonicalized in
     integer arithmetic.  Extra rows beyond n are allowed as long as the
     span is full.
     """
-    frows = [[Fraction(x) for x in row] for row in rows]
-    if not frows or not frows[0]:
+    if not rows or not rows[0]:
         raise ValueError("need at least n rows of length n, for some n >= 1")
-    n = len(frows[0])
-    if any(len(row) != n for row in frows) or len(frows) < n:
+    n = len(rows[0])
+    if any(len(row) != n for row in rows) or len(rows) < n:
         raise ValueError(f"need at least {n} rows of length {n}")
-    return _canonical(_integer_rows(frows, p), p)
+    return _canonical(_integer_rows(rows, p), p)
 
 
 def _content(rows: Sequence[Sequence[int]], p: int) -> int | None:
@@ -536,10 +537,9 @@ def _integral_matrix(
     valuation of its determinant.  Raises ValueError unless g is an
     invertible n x n matrix whose denominators are powers of p."""
     n = ctx.n
-    rows = [[Fraction(x) for x in row] for row in g]
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if len(g) != n or any(len(r) != n for r in g):
         raise ValueError(f"matrix must be {n} x {n}")
-    gi = _integer_rows(rows, ctx.p)
+    gi = _integer_rows(g, ctx.p)
     d = _det(gi)
     if d == 0:
         raise ValueError("matrix is singular")
@@ -681,11 +681,11 @@ class BallGraph:
     """All chambers within a gallery radius of a center chamber.
 
     Chambers are indexed breadth-first, sorted within each shell; `faces`
-    records, for every face met, the sorted indices of its in-ball
-    chambers (a face is interior when it has p + 1 of them).  `parent`
-    and `crossed_type` trace one minimal gallery back to the center, so
-    `gallery_types` / `weyl_word` read off a word for the Weyl distance
-    from the center.
+    records, for every face of a ball chamber, the increasing indices of
+    its in-ball chambers (a face is interior when it has p + 1 of them).
+    `parent` and `crossed_type` trace one minimal gallery back to the
+    center, so `gallery_types` / `weyl_word` read off a word for the Weyl
+    distance from the center.
     """
 
     ctx: PrimeContext
@@ -738,6 +738,8 @@ class BallGraph:
 
 def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> BallGraph:
     """Breadth-first enumeration of the chamber ball of the given radius."""
+    if not isinstance(radius, int):
+        raise ValueError(f"radius must be an int, got {radius!r}")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     start = center if center is not None else standard_chamber(ctx)
@@ -746,9 +748,9 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
     distance: list[int] = [0]
     parent: list[int | None] = [None]
     crossed: list[int | None] = [None]
-    star_cache: dict[Face, tuple[FlagChamber, ...]] = {}
-    # face -> in-ball chambers; expanded chambers enter in the BFS
-    faces: dict[Face, set[int]] = {}
+    # face -> in-ball chambers in index order; the first expanded chamber to
+    # meet a face discovers its whole star, so later ones only append
+    faces: dict[Face, list[int]] = {}
     frontier = [0]
     for depth in range(1, radius + 1):
         discovered: dict[FlagChamber, tuple[int, int]] = {}
@@ -756,13 +758,12 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
             chamber = chambers[i]
             for pos in range(ctx.n):
                 face = face_of(chamber, pos)
-                faces.setdefault(face, set()).add(i)
-                star = star_cache.get(face)
-                if star is None:
-                    star = chambers_containing(face, ctx)
-                    star_cache[face] = star
+                if face in faces:
+                    faces[face].append(i)
+                    continue
+                faces[face] = [i]
                 ftype = vertex_label(chamber.classes[pos], ctx)
-                for other in star:
+                for other in chambers_containing(face, ctx):
                     if other not in index and other not in discovered:
                         discovered[other] = (i, ftype)
         frontier = []
@@ -780,7 +781,7 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
     # expanded chamber, so faces keep the order of their first chamber
     for i in frontier:
         for pos in range(ctx.n):
-            faces.setdefault(face_of(chambers[i], pos), set()).add(i)
+            faces.setdefault(face_of(chambers[i], pos), []).append(i)
     return BallGraph(
         ctx=ctx,
         radius=radius,
@@ -788,7 +789,7 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
         distance=tuple(distance),
         parent=tuple(parent),
         crossed_type=tuple(crossed),
-        faces={f: tuple(sorted(m)) for f, m in faces.items()},
+        faces={f: tuple(m) for f, m in faces.items()},
         index=index,
     )
 

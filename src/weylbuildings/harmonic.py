@@ -37,7 +37,6 @@ module.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -95,7 +94,7 @@ class Cochain:
     def value_at_index(self, i: int, graph: BallGraph) -> Fraction:
         if self.values is not None:
             return self.values.lookup(graph.chambers[i])
-        return _sign_power(self._rule_q(graph), graph.distance[i])
+        return Fraction(-1, self._rule_q(graph)) ** graph.distance[i]
 
     def _rule_q(self, graph: BallGraph) -> int:
         """The rule's q, once the ball is known to be centered at its base."""
@@ -104,11 +103,6 @@ class Cochain:
         if center is not base and center != base:
             raise ValueError("rule-form cochain needs a ball centered at its base")
         return q
-
-
-@functools.lru_cache(maxsize=1024)  # few (q, distance) pairs; the bound caps a long-lived process
-def _sign_power(q: int, d: int) -> Fraction:
-    return Fraction(-1, q) ** d
 
 
 def cochain_from_map(values: Mapping[FlagChamber, Fraction]) -> Cochain:

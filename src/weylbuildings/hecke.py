@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .building import BallGraph, face_of, generator_face_types, vertex_label
+from .building import BallGraph, face_type, generator_face_types
 from .coxeter import (
     CoxeterDiagram,
     GroupElement,
@@ -188,19 +188,12 @@ def convolve_chamber_function(
     ftype = types[generator]
     full = ctx.p + 1
     out: dict[int, Fraction] = {}
-    for i, chamber in enumerate(graph.chambers):
-        position = next(
-            pos for pos in range(ctx.n) if vertex_label(chamber.classes[pos], ctx) == ftype
-        )
-        face = face_of(chamber, position)
-        members = graph.faces.get(face, ())
-        if len(members) != full:
+    for face, members in graph.faces.items():
+        if len(members) != full or face_type(face, ctx) != ftype:
             continue
-        total = Fraction(0)
-        for j in members:
-            if j != i:
-                total += f.get(j, Fraction(0))
-        out[i] = total
+        total = sum((f.get(j, Fraction(0)) for j in members), Fraction(0))
+        for i in members:
+            out[i] = total - f.get(i, Fraction(0))
     return out
 
 

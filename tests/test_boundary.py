@@ -1,6 +1,7 @@
 """The tree at n = 2: cochains, integration, boundary values, ends."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,15 @@ def test_vertex_tree_is_built_once_and_read_only(ctx3):
         tree.index[o] = 1
     with pytest.raises(AttributeError):
         tree.index.clear()
+
+
+@pytest.mark.parametrize("radius", [2.0, "2"], ids=repr)
+def test_vertex_tree_rejects_non_int_radius(ctx2, radius):
+    o = standard_lattice(ctx2)
+    with pytest.raises(ValueError, match=re.escape(f"radius must be an int, got {radius!r}")):
+        vertex_tree(ctx2, o, radius)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        vertex_tree(ctx2, o, -1)
 
 
 def test_primitive_recovers_original(ctx2, ctx3):

@@ -73,6 +73,22 @@ def test_canonical_form_fraction_rows():
         lattice_from_rows([[Fraction(1, 3), 0], [0, 1]], 2)
 
 
+@pytest.mark.parametrize("entry", [0.1, 0.5, 2.0, "1/2"], ids=repr)
+def test_non_rational_entries_rejected(entry):
+    # a float converts exactly to a Fraction, so it must be refused by type
+    ctx = PrimeContext(p=2, n=2)
+    rows = [[entry, 0], [0, 1]]
+    message = re.escape(f"entries must be int or Fraction, got {entry!r}")
+    with pytest.raises(ValueError, match=message):
+        lattice_from_rows(rows, 2)
+    for x in (standard_lattice(ctx), standard_chamber(ctx)):
+        with pytest.raises(ValueError, match=message):
+            act(rows, x, ctx)
+    for route in (epsilon_from_determinant, epsilon_from_labels, epsilon):
+        with pytest.raises(ValueError, match=message):
+            route(rows, ctx)
+
+
 def test_canonical_form_overdetermined_rows():
     p = 2
     a = lattice_from_rows([[1, 0], [0, 2], [1, 2]], p)
@@ -407,6 +423,37 @@ def test_ball_structure_invariants(gl3_p2):
         assert len(members) <= g.ctx.p + 1
         for i in members:
             assert set(face.classes) <= set(g.chambers[i].classes)
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 3, 4), (3, 2, 3)])
+def test_ball_enumerates_each_star_once(n, p, radius, monkeypatch):
+    ctx = PrimeContext(p=p, n=n)
+    seen = []
+
+    def counted(face, ctx):
+        seen.append(face)
+        return chambers_containing(face, ctx)
+
+    monkeypatch.setattr(building, "chambers_containing", counted)
+    g = ball(ctx, radius)
+    expanded = {
+        face_of(c, pos)
+        for c, d in zip(g.chambers, g.distance)
+        if d < radius
+        for pos in range(n)
+    }
+    assert len(seen) == len(expanded)
+    assert set(seen) == expanded
+    for members in g.faces.values():
+        assert all(a < b for a, b in zip(members, members[1:]))
+
+
+@pytest.mark.parametrize("radius", [2.0, "2", None], ids=repr)
+def test_ball_rejects_non_int_radius(ctx22, radius):
+    with pytest.raises(ValueError, match=re.escape(f"radius must be an int, got {radius!r}")):
+        ball(ctx22, radius)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        ball(ctx22, -1)
 
 
 def test_interior_faces_are_full_stars(tree_p2):

@@ -15,12 +15,15 @@ from weylbuildings import (
     basis_element,
     convolve_chamber_function,
     element_from_word,
+    face_of,
+    generator_face_types,
     hecke_to_json,
     iwahori_vector,
     length,
     multiply,
     special_character,
     unit,
+    vertex_label,
 )
 
 PARAMS = [Fraction(2), Fraction(3), Fraction(4), Fraction(7, 2)]
@@ -235,6 +238,37 @@ def test_convolution_realizes_right_multiplication(tree_p2):
                     expected[i] += c
             for i in inner:
                 assert conv.get(i, Fraction(0)) == expected.get(i, Fraction(0))
+
+
+def _convolve_by_chamber(f, generator, graph):
+    """f * e_s by its definition: at each chamber, find its face of the
+    generator's type by label, then sum f over the other chambers of that
+    face if the face is interior."""
+    ctx = graph.ctx
+    ftype = generator_face_types(ctx)[generator]
+    out = {}
+    for i, chamber in enumerate(graph.chambers):
+        pos = next(k for k in range(ctx.n) if vertex_label(chamber.classes[k], ctx) == ftype)
+        members = graph.faces[face_of(chamber, pos)]
+        if len(members) == ctx.p + 1:
+            out[i] = sum((f.get(j, Fraction(0)) for j in members if j != i), Fraction(0))
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["gl3_p2", "tree_p2"])
+def test_convolution_matches_per_chamber_definition(fixture, request):
+    import random
+
+    g = request.getfixturevalue(fixture)
+    rng = random.Random(3)
+    functions = [
+        {i: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for i in range(len(g))},
+        {i: Fraction(rng.randint(1, 9)) for i in rng.sample(range(len(g)), k=7)},
+        {},
+    ]
+    for f in functions:
+        for s in range(g.ctx.n):
+            assert convolve_chamber_function(f, s, g) == _convolve_by_chamber(f, s, g)
 
 
 @pytest.mark.parametrize("generator", [5, 2, -1])
