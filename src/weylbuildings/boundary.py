@@ -55,7 +55,7 @@ from .building import (
     classes_adjacent,
     standard_lattice,
 )
-from .exact import SparseMap, fraction_json
+from .exact import SparseMap, _fraction, fraction_json
 
 __all__ = [
     "ZeroCochain",
@@ -126,7 +126,8 @@ class OneCochain:
         for (s, t), x in self.values:
             if s == t:
                 raise ValueError("an edge needs two distinct vertices")
-            key, signed = ((s, t), Fraction(x)) if s.hnf < t.hnf else ((t, s), -Fraction(x))
+            x = _fraction(x, "values")
+            key, signed = ((s, t), x) if s.hnf < t.hnf else ((t, s), -x)
             if key in acc and acc[key] != signed:
                 raise ValueError("conflicting values on the two orientations of an edge")
             acc[key] = signed

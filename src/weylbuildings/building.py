@@ -23,6 +23,8 @@ elsewhere.
 
 The vertex labelling lambda([L]) = v_p(det L) mod n makes every chamber
 hit each label exactly once; a face's type is the label it omits.
+Generator i of the affine Weyl group A(n-1)~ is the index i; it crosses
+the standard chamber's face of type -i mod n (``generator_face_types``).
 GL_n(Q_p) acts by g.[L] = [gL]; the label permutation induced by g is the
 power of an n-cycle given by v_p(det g), whence the sign character
 epsilon(g) = (-1)^((n-1) v_p(det g)).  Both computations of epsilon live
@@ -56,13 +58,12 @@ exact check makes both new steps index p.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import row_reduce
+from .exact import _fraction, row_reduce
 
 __all__ = [
     "PrimeContext",
@@ -147,9 +148,7 @@ def _integer_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> list[list
     scale = 1
     for row in rows:
         for x in row:
-            if not isinstance(x, (int, Fraction)):
-                raise ValueError(f"entries must be int or Fraction, got {x!r}")
-            d = x.denominator
+            d = _fraction(x, "entries").denominator
             if d != p ** _val_int(d, p):
                 raise ValueError("denominators must be powers of p")
             scale = max(scale, d)
@@ -630,8 +629,8 @@ def affine_generator_matrix(ctx: PrimeContext, i: int) -> QMatrix:
     which swaps e_1 and e_n with weights: e_1 -> p e_n, e_n -> e_1 / p.
     """
     n, p = ctx.n, ctx.p
-    if not 0 <= i < n:
-        raise ValueError(f"generator index must lie in 0..{n - 1}")
+    if not isinstance(i, int) or not 0 <= i < n:
+        raise ValueError(f"generator index must be an int in 0..{n - 1}, got {i!r}")
     a, b, up, down = (i - 1, i, 1, 1) if i >= 1 else (0, n - 1, Fraction(1, p), p)
     rows = [[Fraction(1 if r == c else 0) for c in range(n)] for r in range(n)]
     rows[a][a] = rows[b][b] = Fraction(0)
@@ -649,28 +648,10 @@ def weyl_to_chamber(word: Sequence[int], ctx: PrimeContext) -> FlagChamber:
 
 def generator_face_types(ctx: PrimeContext) -> dict[int, int]:
     """Face type crossed between the standard chamber and its image under
-    each generator.  The assignment is a bijection onto the labels.  It is
-    computed once per context; every call returns a fresh dict."""
-    return dict(_generator_face_types(ctx))
-
-
-@functools.lru_cache(maxsize=64)  # a process meets few contexts; the bound caps a long-lived one
-def _generator_face_types(ctx: PrimeContext) -> tuple[tuple[int, int], ...]:
-    base = standard_chamber(ctx)
-    base_faces = {face_of(base, pos) for pos in range(ctx.n)}
-    mapping: dict[int, int] = {}
-    for i in range(ctx.n):
-        image = act(affine_generator_matrix(ctx, i), base, ctx)
-        if image == base:
-            raise AssertionError("a generator must move the standard chamber")
-        image_faces = {face_of(image, pos) for pos in range(ctx.n)}
-        common = base_faces & image_faces
-        if len(common) != 1:
-            raise AssertionError("generator image is not adjacent to the base chamber")
-        mapping[i] = face_type(common.pop(), ctx)
-    if sorted(mapping.values()) != list(range(ctx.n)):
-        raise AssertionError("generators do not hit each face type exactly once")
-    return tuple(mapping.items())
+    each generator i: -i mod n.  Generator i >= 1 swaps coordinates i - 1
+    and i, so of the standard flag it moves only the class with n - i
+    entries p (label n - i); generator 0 moves only the standard lattice."""
+    return {i: -i % ctx.n for i in range(ctx.n)}
 
 
 # -- balls of chambers ----------------------------------------------------------------
@@ -685,7 +666,7 @@ class BallGraph:
     its in-ball chambers (a face is interior when it has p + 1 of them).
     `parent` and `crossed_type` trace one minimal gallery back to the
     center, so `gallery_types` / `weyl_word` read off a word for the Weyl
-    distance from the center.
+    distance from the center (face type t is generator -t mod n).
     """
 
     ctx: PrimeContext
@@ -732,7 +713,7 @@ class BallGraph:
         return tuple(reversed(types))
 
     def weyl_word(self, i: int) -> tuple[int, ...]:
-        to_generator = {t: g for g, t in _generator_face_types(self.ctx)}
+        to_generator = generator_face_types(self.ctx)
         return tuple(to_generator[t] for t in self.gallery_types(i))
 
 

@@ -17,10 +17,11 @@ with product 4 cos^2(pi / m_st):
     m_st = 2 -> (0, 0),   3 -> (-1, -1),   4 -> (-1, -2),
     6 -> (-1, -3),   infinity -> (-2, -2).
 
-For an asymmetric pair the smaller (more negative) entry goes to the row of
-the smaller generator id.  Because the representation is faithful and has
-integer matrix entries, group elements are stored, hashed and compared as
-integer matrices, whose column t is the root w(alpha_t).
+A generator is its index 0..n-1.  For an asymmetric pair the smaller (more
+negative) entry goes to the row of the smaller index.  Because the
+representation is faithful and has integer matrix entries, group elements
+are stored, hashed and compared as integer matrices, whose column t is the
+root w(alpha_t).
 
 Lengths, reduced words and growth come from local descent tests
 (Bjorner and Brenti, Combinatorics of Coxeter Groups, 4.2 and 4.8;
@@ -60,7 +61,7 @@ __all__ = [
 INFINITE_ORDER = math.inf
 CRYSTALLOGRAPHIC_ORDERS = frozenset({2, 3, 4, 6, INFINITE_ORDER})
 
-# off-diagonal Cartan pair (to smaller id, to larger id) for each order
+# off-diagonal Cartan pair (to smaller index, to larger index) for each order
 _CARTAN_PAIRS = {
     2: (0, 0),
     3: (-1, -1),
@@ -127,25 +128,22 @@ def parse_type_label(label: AffineTypeLabel | str) -> AffineTypeLabel:
 
 @dataclass(frozen=True)
 class CoxeterDiagram:
-    """A Coxeter diagram: generator ids plus the symmetric order matrix.
+    """A Coxeter diagram: the symmetric order matrix of generators 0..n-1.
 
-    ``orders[i][j]`` is m(generators[i], generators[j]); the diagonal is 1
-    and infinite orders are stored as ``math.inf``.  Derived from them:
-    ``cartan``, the generalized Cartan matrix, and ``kernel``, an integer
-    basis of its kernel, fixed by the group (the null root delta if affine).
+    ``orders[s][t]`` is m(s, t); the diagonal is 1 and infinite orders are
+    stored as ``math.inf``.  Derived from them: ``cartan``, the generalized
+    Cartan matrix, and ``kernel``, an integer basis of its kernel, fixed by
+    the group (the null root delta if affine).
     """
 
-    generators: tuple[int, ...]
     orders: tuple[tuple[float, ...], ...]
     cartan: Matrix = field(init=False, repr=False, compare=False)
     kernel: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.generators)
-        if len(set(self.generators)) != n or n == 0:
-            raise ValueError("generator ids must be distinct and nonempty")
-        if len(self.orders) != n or any(len(row) != n for row in self.orders):
-            raise ValueError("order matrix shape must match generator count")
+        n = len(self.orders)
+        if n == 0 or any(len(row) != n for row in self.orders):
+            raise ValueError("order matrix must be square and nonempty")
         for i in range(n):
             if self.orders[i][i] != 1:
                 raise ValueError("diagonal orders must be 1")
@@ -161,11 +159,20 @@ class CoxeterDiagram:
 
     @property
     def size(self) -> int:
-        return len(self.generators)
+        return len(self.orders)
+
+    @property
+    def generators(self) -> range:
+        return range(self.size)
 
     def order(self, s: int, t: int) -> float:
-        i, j = self.generators.index(s), self.generators.index(t)
-        return self.orders[i][j]
+        return self.orders[_generator(self, s)][_generator(self, t)]
+
+
+def _generator(diagram: CoxeterDiagram, letter: int) -> int:
+    if not isinstance(letter, int) or not 0 <= letter < diagram.size:
+        raise ValueError(f"unknown generator {letter!r}")
+    return letter
 
 
 def _diagram_from_edges(count: int, edges: dict[tuple[int, int], float]) -> CoxeterDiagram:
@@ -174,7 +181,7 @@ def _diagram_from_edges(count: int, edges: dict[tuple[int, int], float]) -> Coxe
         rows[i][i] = 1
     for (a, b), m in edges.items():
         rows[a][b] = rows[b][a] = m
-    return CoxeterDiagram(tuple(range(count)), tuple(tuple(row) for row in rows))
+    return CoxeterDiagram(tuple(tuple(row) for row in rows))
 
 
 def affine_diagram(label: AffineTypeLabel | str) -> CoxeterDiagram:
@@ -225,7 +232,6 @@ def affine_diagram(label: AffineTypeLabel | str) -> CoxeterDiagram:
 
 def _cartan_matrix(diagram: CoxeterDiagram) -> Matrix:
     n = diagram.size
-    gens = diagram.generators
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = 2
@@ -234,8 +240,8 @@ def _cartan_matrix(diagram: CoxeterDiagram) -> Matrix:
                 continue
             m = diagram.orders[i][j]
             lo, hi = _CARTAN_PAIRS[m]
-            # the more negative entry sits in the row of the smaller id
-            rows[i][j] = lo if gens[i] < gens[j] else hi
+            # the more negative entry sits in the row of the smaller index
+            rows[i][j] = lo if i < j else hi
     return tuple(tuple(r) for r in rows)
 
 
@@ -298,12 +304,10 @@ def identity_element(diagram: CoxeterDiagram) -> GroupElement:
 
 def element_from_word(diagram: CoxeterDiagram, word: Sequence[int]) -> GroupElement:
     """Product of generator matrices, word read left to right."""
-    index = {g: i for i, g in enumerate(diagram.generators)}
     acc = _identity(diagram.size)
     for letter in word:
-        if letter not in index:
-            raise ValueError(f"unknown generator {letter!r}")
-        acc = tuple(_times(row, index[letter], diagram.cartan) for row in acc)
+        s = _generator(diagram, letter)
+        acc = tuple(_times(row, s, diagram.cartan) for row in acc)
     return GroupElement(acc)
 
 
@@ -337,7 +341,7 @@ def length(diagram: CoxeterDiagram, element: GroupElement) -> int:
 
 
 def reduced_word(diagram: CoxeterDiagram, element: GroupElement) -> tuple[int, ...]:
-    """The lexicographically first reduced word, in diagram generator order.
+    """The lexicographically first reduced word, in generator index order.
 
     Its first letter is the first left descent s of w (x_s < 0 for
     x = rho* w^-1), followed by the word of sw.  ValueError as for length.
@@ -348,7 +352,7 @@ def reduced_word(diagram: CoxeterDiagram, element: GroupElement) -> tuple[int, .
     word = []
     while (s := _first_negative(x)) is not None:
         x = _times(x, s, diagram.cartan)
-        word.append(diagram.generators[s])
+        word.append(s)
     return tuple(word)
 
 
@@ -380,8 +384,8 @@ def bfs_growth(diagram: CoxeterDiagram, cutoff: int) -> GrowthTable:
     >>> bfs_growth(affine_diagram("A1~"), 4).counts
     (1, 2, 2, 2, 2)
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
+    if not isinstance(cutoff, int) or cutoff < 0:
+        raise ValueError(f"cutoff must be a non-negative int, got {cutoff!r}")
     shell = {(1,) * diagram.size}
     counts = [1]
     for _ in range(cutoff):

@@ -15,12 +15,12 @@ from typing import Callable, Hashable, Iterable, Mapping
 class SparseMap(tuple):
     """Frozen finite map to Fraction, stored as the tuple of its pairs.
 
-    Values become Fractions, zero entries are dropped, a repeated key
-    raises ValueError, and the pairs are sorted by ``order(key)``; without
-    ``order`` they keep the given order, which copying and unpickling use.
-    Being that tuple, it compares and hashes on the ordered pairs and
-    keeps its owners' tuple-of-pairs fields; a dict beside the tuple
-    answers ``lookup`` in O(1).
+    Values must be ints or Fractions and become Fractions; zero entries
+    are dropped, a repeated key raises ValueError, and the pairs are
+    sorted by ``order(key)``; without ``order`` they keep the given order,
+    which copying and unpickling use.  Being that tuple, it compares and
+    hashes on the ordered pairs and keeps its owners' tuple-of-pairs
+    fields; a dict beside the tuple answers ``lookup`` in O(1).
     """
 
     def __new__(cls, pairs: Iterable[tuple[Hashable, Fraction]], order: Callable | None = None):
@@ -28,7 +28,7 @@ class SparseMap(tuple):
         for key, x in pairs:
             if key in index:
                 raise ValueError(f"duplicate key: {key!r}")
-            index[key] = Fraction(x)
+            index[key] = _fraction(x, "values")
         keys = index if order is None else sorted(index, key=order)
         self = super().__new__(cls, ((k, index[k]) for k in keys if index[k]))
         self._index = dict(self)
@@ -40,6 +40,14 @@ class SparseMap(tuple):
     def lookup(self, key: Hashable) -> Fraction:
         """The value at a key; a key outside the support reads as 0."""
         return self._index.get(key, Fraction(0))
+
+
+def _fraction(x: int | Fraction, name: str) -> Fraction:
+    """x as a Fraction.  A float or a string would convert, but not to the
+    value meant, so anything but an int or a Fraction raises ValueError."""
+    if not isinstance(x, (int, Fraction)):
+        raise ValueError(f"{name} must be int or Fraction, got {x!r}")
+    return Fraction(x)
 
 
 def fraction_json(x: Fraction) -> dict:

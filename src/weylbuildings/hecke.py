@@ -47,7 +47,7 @@ from .coxeter import (
     length,
     reduced_word,
 )
-from .exact import SparseMap, fraction_json
+from .exact import SparseMap, _fraction, fraction_json
 
 __all__ = [
     "HeckeElement",
@@ -73,7 +73,7 @@ class HeckeElement:
     terms: tuple[tuple[GroupElement, Fraction], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", Fraction(self.q))
+        object.__setattr__(self, "q", _fraction(self.q, "q"))
         terms = SparseMap(self.terms, lambda w: w.matrix)
         if any(len(w.matrix) != self.diagram.size for w in terms.support()):
             raise ValueError("group elements do not match the diagram")
@@ -108,7 +108,7 @@ class HeckeElement:
         return self + (-other)
 
     def __rmul__(self, scalar: int | Fraction) -> "HeckeElement":
-        s = Fraction(scalar)
+        s = _fraction(scalar, "scalar")
         return HeckeElement(self.diagram, self.q, tuple((w, s * c) for w, c in self.terms))
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
@@ -119,7 +119,7 @@ class HeckeElement:
 
 def unit(diagram: CoxeterDiagram, q: int | Fraction) -> HeckeElement:
     """The identity element e_1."""
-    return HeckeElement(diagram, Fraction(q), ((identity_element(diagram), Fraction(1)),))
+    return HeckeElement(diagram, q, ((identity_element(diagram), Fraction(1)),))
 
 
 def basis_element(
@@ -128,7 +128,7 @@ def basis_element(
     """The basis element e_w; w may be given as a word in the generators."""
     if not isinstance(w, GroupElement):
         w = element_from_word(diagram, w)
-    return HeckeElement(diagram, Fraction(q), ((w, Fraction(1)),))
+    return HeckeElement(diagram, q, ((w, Fraction(1)),))
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -143,8 +143,7 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     acc: dict[Matrix, Fraction] = {}
     for w, cw in b.terms:
         partial = {u.matrix: c for u, c in a.terms}
-        for letter in reduced_word(diagram, w):
-            s = diagram.generators.index(letter)
+        for s in reduced_word(diagram, w):
             step: dict[Matrix, Fraction] = {}
             for u, c in partial.items():
                 us = tuple(_times(row, s, diagram.cartan) for row in u)
@@ -183,7 +182,7 @@ def convolve_chamber_function(
     """
     ctx = graph.ctx
     types = generator_face_types(ctx)
-    if generator not in types:
+    if not isinstance(generator, int) or generator not in types:
         raise ValueError(f"unknown generator {generator!r}: the generators are 0..{ctx.n - 1}")
     ftype = types[generator]
     full = ctx.p + 1

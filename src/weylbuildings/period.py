@@ -127,8 +127,6 @@ class PeriodReport:
 def make_report(label: AffineTypeLabel | str, q: int, cutoff: int) -> PeriodReport:
     """Assemble partial sums, closed form, tail bound and majorant."""
     _require_q(q)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
     label = parse_type_label(label)
     sums = lambda_partial(label, q, cutoff)
     return PeriodReport(

@@ -251,8 +251,8 @@ def expand(rf: RationalFunction, cutoff: int) -> SeriesTruncation:
     Requires a denominator with nonzero constant term.  Coefficients obey
     den_0 c_k = num_k - sum_{j>=1} den_j c_{k-j}.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
+    if not isinstance(cutoff, int) or cutoff < 0:
+        raise ValueError(f"cutoff must be a non-negative int, got {cutoff!r}")
     den = rf.denominator
     if not den or den[0] == 0:
         raise ZeroDivisionError("denominator has a zero constant term")
@@ -285,8 +285,8 @@ def absolute_tail(table: ExponentTable, q: int, cutoff: int) -> Fraction:
     All N(k) are non-negative, so this majorizes the absolute value of
     every signed tail with the same coefficients at |x| = 1/q.
     """
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    if not isinstance(q, int) or q < 2:
+        raise ValueError(f"q must be an int >= 2, got {q!r}")
     rf = bott_rational(table)
     total = evaluate(rf, Fraction(1, q))
     partial = sum(

@@ -33,6 +33,7 @@ from weylbuildings import (
     lattice_from_rows,
     length,
     make_chamber,
+    reduced_word,
     standard_chamber,
     standard_lattice,
     vertex_label,
@@ -498,6 +499,38 @@ def test_generator_face_types_bijective():
         assert sorted(mapping.values()) == list(range(n))
 
 
+def _crossed_face_types(ctx):
+    """Reference for ``generator_face_types``: the type of the one face that
+    the standard chamber shares with its image under each generator."""
+    base = standard_chamber(ctx)
+    base_faces = {face_of(base, pos) for pos in range(ctx.n)}
+    mapping = {}
+    for i in range(ctx.n):
+        image = act(affine_generator_matrix(ctx, i), base, ctx)
+        assert image != base
+        common = base_faces & {face_of(image, pos) for pos in range(ctx.n)}
+        assert len(common) == 1
+        mapping[i] = face_type(common.pop(), ctx)
+    return mapping
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_generator_face_types_match_the_action(n, p):
+    ctx = PrimeContext(p=p, n=n)
+    assert generator_face_types(ctx) == _crossed_face_types(ctx)
+
+
+@pytest.mark.parametrize("letter", [2, -1, 1.0, "1"], ids=repr)
+def test_generator_matrix_rejects_non_index(letter):
+    ctx = PrimeContext(p=2, n=2)
+    message = re.escape(f"generator index must be an int in 0..1, got {letter!r}")
+    with pytest.raises(ValueError, match=message):
+        affine_generator_matrix(ctx, letter)
+    with pytest.raises(ValueError, match=message):
+        weyl_to_chamber([0, letter], ctx)
+
+
 def test_generator_matrices_are_involutions():
     for n in (2, 3):
         ctx = PrimeContext(p=3, n=n)
@@ -534,6 +567,56 @@ def test_weyl_to_chamber_is_the_action_of_the_word_matrix(n, longest, p):
             for letter in word:
                 g = _matmul(g, affine_generator_matrix(ctx, letter))
             assert weyl_to_chamber(word, ctx) == act(g, base, ctx), word
+
+
+def _unipotent(ctx, i, t):
+    """u_i(t) = I + t E(i-1, i) for i >= 1 and u_0(t) = I + t p E(n-1, 0)."""
+    n = ctx.n
+    u = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    r, c, scale = (i - 1, i, 1) if i else (n - 1, 0, ctx.p)
+    u[r][c] = Fraction(t * scale)
+    return u
+
+
+def _reduced_words_by_length(diagram, radius):
+    """One reduced word per group element, grouped by length 0..radius."""
+    shells = [{()}]
+    for k in range(1, radius + 1):
+        shells.append(
+            {
+                reduced_word(diagram, w)
+                for word in shells[-1]
+                for s in diagram.generators
+                if length(diagram, w := element_from_word(diagram, word + (s,))) == k
+            }
+        )
+    return shells
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 3, 4), (3, 2, 3), (3, 3, 2), (2, 5, 3)])
+def test_bruhat_iwahori_galleries_give_the_ball(n, p, radius):
+    """Second route to every ball (Iwahori and Matsumoto 1965): the chambers
+    at gallery distance k are u_i1(t1) s_i1 ... u_ik(tk) s_ik applied to the
+    standard chamber, over one reduced word i1..ik per element of length k
+    and all t in {0..p-1}^k, each chamber once."""
+    ctx = PrimeContext(p=p, n=n)
+    graph = ball(ctx, radius)
+    d = affine_diagram(f"A{n - 1}~")
+    base = standard_chamber(ctx)
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k, words in enumerate(_reduced_words_by_length(d, radius)):
+        reached = {}
+        for word in words:
+            for ts in product(range(p), repeat=k):
+                g = eye
+                for i, t in zip(word, ts):
+                    g = _matmul(_matmul(g, _unipotent(ctx, i, t)), affine_generator_matrix(ctx, i))
+                reached[act(g, base, ctx)] = word
+        assert len(reached) == len(words) * p**k
+        assert set(reached) == {graph.chambers[i] for i in graph.shell(k)}
+        for chamber, word in reached.items():
+            found = graph.weyl_word(graph.index[chamber])
+            assert element_from_word(d, found) == element_from_word(d, word), (found, word)
 
 
 @pytest.mark.parametrize("name, value", [("p", 2.0), ("n", 2.0), ("p", "2"), ("n", Fraction(2))])
@@ -641,21 +724,19 @@ def test_insertion_inside_the_inner_lattice_fails_the_valuation_check(n, monkeyp
     assert "expected valuation" in capsys.readouterr().err
 
 
-def test_generator_face_types_computed_once_per_context(tree_p2, monkeypatch):
+def test_weyl_word_needs_no_group_action(tree_p2, monkeypatch):
     calls = []
     real_act = building.act
 
     def counting_act(g, x, ctx):
-        if isinstance(x, building.FlagChamber):
-            calls.append(ctx)
+        calls.append(ctx)
         return real_act(g, x, ctx)
 
     monkeypatch.setattr(building, "act", counting_act)
-    building._generator_face_types.cache_clear()
     words = [tree_p2.weyl_word(i) for i in range(len(tree_p2))]
-    assert len(calls) == tree_p2.ctx.n  # one image of the base chamber per generator
+    assert calls == []  # the face types are read off the generator indices
     assert {words[i] for i in tree_p2.shell(1)} == {(0,), (1,)}
     mapping = generator_face_types(tree_p2.ctx)
     mapping.clear()  # callers get their own dict
     assert sorted(generator_face_types(tree_p2.ctx)) == [0, 1]
-    assert len(calls) == tree_p2.ctx.n
+    assert calls == []

@@ -9,6 +9,7 @@ every family against the descent arithmetic.
 """
 
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -249,6 +250,20 @@ def test_generator_involutions_and_braid_orders():
     assert element_from_word(d, [0, 1, 0, 1]) != ident
 
 
+@pytest.mark.parametrize("letter", [1.0, "1", None, -1, 3], ids=repr)
+def test_generators_are_indices(letter):
+    d = affine_diagram("A2~")
+    assert d.generators == range(3)
+    assert reduced_word(d, element_from_word(d, [2, 1])) == (2, 1)
+    message = re.escape(f"unknown generator {letter!r}")
+    with pytest.raises(ValueError, match=message):
+        element_from_word(d, [0, letter])
+    with pytest.raises(ValueError, match=message):
+        d.order(0, letter)
+    with pytest.raises(ValueError, match=message):
+        d.order(letter, 0)
+
+
 def test_infinite_order_in_rank_one():
     d = affine_diagram("A1~")
     ident = identity_element(d)
@@ -284,6 +299,12 @@ def test_length_changes_by_one(word, s):
 def test_growth_table_validation():
     with pytest.raises(ValueError):
         bfs_growth(affine_diagram("A1~"), -1)
+
+
+@pytest.mark.parametrize("cutoff", [2.0, "2", None], ids=repr)
+def test_growth_rejects_non_int_cutoff(cutoff):
+    with pytest.raises(ValueError, match=re.escape(f"got {cutoff!r}")):
+        bfs_growth(affine_diagram("A1~"), cutoff)
 
 
 def test_length_and_word_beyond_64():

@@ -8,6 +8,7 @@ dense Gauss-Jordan elimination gives, over Q and over F_p.
 """
 
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,14 @@ def test_pickle_round_trip(owner):
     g = pickle.loads(pickle.dumps(f))
     assert g == f
     assert [read(g, k) for k in keys] == [read(f, k) for k in keys]
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, "1/2"], ids=repr)
+def test_non_rational_values_rejected(owner, value):
+    # a float or a string converts to a Fraction, but not to the value meant
+    build, _, _, keys = owner
+    with pytest.raises(ValueError, match=re.escape(f"values must be int or Fraction, got {value!r}")):
+        build([(keys[0], 1), (keys[1], value)])
 
 
 def test_one_cochain_rejects_conflicting_orientations():

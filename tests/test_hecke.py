@@ -1,5 +1,6 @@
 """Deformed group algebra on the Weyl basis, plus its chamber realization."""
 
+import re
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product
@@ -271,7 +272,20 @@ def test_convolution_matches_per_chamber_definition(fixture, request):
             assert convolve_chamber_function(f, s, g) == _convolve_by_chamber(f, s, g)
 
 
-@pytest.mark.parametrize("generator", [5, 2, -1])
+@pytest.mark.parametrize("value", [0.1, 2.0, "1/2"], ids=repr)
+def test_non_rational_q_and_scalars_rejected(value):
+    d = affine_diagram("A1~")
+    for name, build in (
+        ("q", lambda: unit(d, value)),
+        ("q", lambda: basis_element(d, [0], value)),
+        ("q", lambda: HeckeElement(d, value, ())),
+        ("scalar", lambda: value * unit(d, 2)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be int or Fraction, got {value!r}")):
+            build()
+
+
+@pytest.mark.parametrize("generator", [5, 2, -1, 1.0])
 def test_convolution_rejects_unknown_generator(tree_p2, generator):
     with pytest.raises(ValueError, match=rf"unknown generator {generator}: .* 0\.\.1"):
         convolve_chamber_function({0: Fraction(1)}, generator, tree_p2)

@@ -69,6 +69,12 @@ def test_report_validation():
         make_report(A1, 1, 6)
 
 
+@pytest.mark.parametrize("cutoff", [2.0, "2", -1], ids=repr)
+def test_report_rejects_bad_cutoff(cutoff):
+    with pytest.raises(ValueError, match=f"cutoff must be a non-negative int, got {cutoff!r}"):
+        make_report("A1~", 2, cutoff)
+
+
 def test_geometric_sum_frozen(tree_p2):
     assert geometric_lambda(tree_p2.ctx, 3, graph=tree_p2) == Fraction(1, 4)
     assert geometric_lambda(tree_p2.ctx, 0, graph=tree_p2) == Fraction(1)

@@ -1,5 +1,6 @@
 """Closed-form growth series: product form, expansion, evaluation, tails."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -163,6 +164,16 @@ def test_rational_function_normalizes():
     assert rf.denominator[0] == 1 or rf.denominator[0] == -1
     # sign anchor: the constant term of the denominator is positive
     assert RationalFunction((1,), (-2, 1)).denominator == (2, -1)
+
+
+def test_non_int_cutoff_and_q_rejected():
+    table = exponents_for(parse_type_label("A1~"))
+    for cutoff in (2.0, "2"):
+        with pytest.raises(ValueError, match=f"got {cutoff!r}"):
+            expand(bott_rational(table), cutoff)
+    for q in (2.5, Fraction(5, 2), "3"):
+        with pytest.raises(ValueError, match=re.escape(f"q must be an int >= 2, got {q!r}")):
+            absolute_tail(table, q, 3)
 
 
 def test_rational_function_rejects_zero_denominator():
