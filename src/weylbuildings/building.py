@@ -717,12 +717,16 @@ class BallGraph:
         return tuple(to_generator[t] for t in self.gallery_types(i))
 
 
-def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> BallGraph:
-    """Breadth-first enumeration of the chamber ball of the given radius."""
+def _require_radius(radius: int) -> None:
     if not isinstance(radius, int):
         raise ValueError(f"radius must be an int, got {radius!r}")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+
+
+def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> BallGraph:
+    """Breadth-first enumeration of the chamber ball of the given radius."""
+    _require_radius(radius)
     start = center if center is not None else standard_chamber(ctx)
     chambers: list[FlagChamber] = [start]
     index: dict[FlagChamber, int] = {start: 0}

@@ -18,18 +18,18 @@ with product 4 cos^2(pi / m_st):
     6 -> (-1, -3),   infinity -> (-2, -2).
 
 A generator is its index 0..n-1.  For an asymmetric pair the smaller (more
-negative) entry goes to the row of the smaller index.  Because the
-representation is faithful and has integer matrix entries, group elements
-are stored, hashed and compared as integer matrices, whose column t is the
-root w(alpha_t).
+negative) entry goes to the row of the smaller index.  The representation
+is faithful and has integer matrix entries; column t of the matrix of w
+is the root w(alpha_t), and two elements are equal when their matrices are.
 
 Lengths, reduced words and growth come from local descent tests
 (Bjorner and Brenti, Combinatorics of Coxeter Groups, 4.2 and 4.8;
 Casselman, Invent. Math. 116, 1994).  With rho*(alpha_t) = 1 and
 y = rho* w, y_t is the sum of column t; s is a right descent of w
 (l(ws) < l(w)) iff y_s < 0, and y(ws)_t = y_t - A[s][t] y_s.  Distinct w
-give distinct y, so peeling descents counts the length and a BFS over
-ascents of rho* counts the shells.
+give distinct y, so a group element is stored as its point y, peeling
+descents counts the length and a BFS over ascents of rho* counts the
+shells.  The matrix is derived from the peel only when it is read.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Sequence
 
 from .exact import row_reduce
@@ -264,80 +265,116 @@ def generator_matrices(diagram: CoxeterDiagram) -> tuple[Matrix, ...]:
     Matrix of sigma_s in the basis (alpha_t): identity except in row s,
     where the entry at column t is delta_st - A[s][t].
     """
-    ident = _identity(diagram.size)
-    return tuple(
-        tuple(_times(row, s, diagram.cartan) for row in ident) for s in range(diagram.size)
-    )
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple(_matrix_of(diagram, (s,)) for s in diagram.generators)
 
 
 def _times(row: tuple[int, ...], s: int, cartan: Matrix) -> tuple[int, ...]:
-    """Row vector r times sigma_s: r_t - A[s][t] r_s.  On each row of the
-    matrix of w this gives the matrix of ws; on y = rho* w, rho* ws."""
-    return tuple(x - a * row[s] for x, a in zip(row, cartan[s]))
+    """Row vector r times sigma_s: r_t - A[s][t] r_s.  On y = rho* w this
+    gives rho* ws."""
+    r = row[s]
+    return tuple([x - a * r for x, a in zip(row, cartan[s])])
 
 
-def _first_negative(values: Sequence[int]) -> int | None:
-    return next((i for i, x in enumerate(values) if x < 0), None)
+def _descents(diagram: CoxeterDiagram, y: tuple[int, ...]) -> list[int]:
+    """The peel of y: s_1..s_k, each the first s with y_s < 0 left."""
+    word, s = [], 0
+    while s < len(y):
+        if y[s] < 0:
+            word.append(s)
+            y, s = _times(y, s, diagram.cartan), 0
+        else:
+            s += 1
+    return word
+
+
+def _matrix_of(diagram: CoxeterDiagram, peel: Sequence[int]) -> Matrix:
+    """sigma_{s_k} ... sigma_{s_1} for a peel s_1..s_k.  Each factor sigma_s
+    on the left changes only row s: in each column c, c_s -= A[s] . c."""
+    cols = [[int(i == j) for i in diagram.generators] for j in diagram.generators]
+    for s in peel:
+        for c in cols:
+            c[s] -= sum(map(mul, diagram.cartan[s], c))
+    return tuple(zip(*cols))
 
 
 # -- group elements ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    """A Weyl group element, identified with its reflection matrix.
+    """A Weyl group element, stored as its point y = rho* w (the column sums
+    of a caller's matrix, checked when it first meets a diagram).  ``matrix``
+    is derived when read.  Equality is equality of matrices, which equal
+    points over one diagram decide; the hash is that of the point."""
 
-    Equality and hashing use the matrix; the representation is faithful,
-    so this is equality in the group.
-    """
+    __slots__ = ("point", "_matrix", "_diagram", "_peel")
 
-    matrix: Matrix
+    def __init__(self, matrix: Matrix) -> None:
+        self._matrix, self._diagram, self._peel = tuple(map(tuple, matrix)), None, None
+        self.point: tuple[int, ...] = tuple(map(sum, zip(*self._matrix)))
+
+    @property
+    def matrix(self) -> Matrix:
+        if self._matrix is None:
+            self._matrix = _matrix_of(self._diagram, self._peel_of(self._diagram))
+        return self._matrix
+
+    def _check(self, diagram: CoxeterDiagram) -> None:
+        """ValueError, naming the matrix, unless it is in the diagram's group;
+        checked once per diagram.  M is a member iff it fixes the kernel and
+        equals the matrix derived from the peel of its column sums."""
+        if self._diagram is diagram or self._diagram == diagram:
+            return
+        m, n = self.matrix, diagram.size
+        fixes_kernel = len(m) == n and all(len(row) == n for row in m) and all(
+            tuple(sum(a * b for a, b in zip(row, v)) for row in m) == v for v in diagram.kernel
+        )
+        # M delta = delta gives rho*(M delta) > 0: rho* M is in the Tits cone, the peel ends
+        peel = _descents(diagram, self.point) if fixes_kernel else None
+        if peel is None or _matrix_of(diagram, peel) != m:
+            raise ValueError(f"not an element of the group: {m!r}")
+        self._diagram, self._peel = diagram, peel
+
+    def _peel_of(self, diagram: CoxeterDiagram) -> list[int]:
+        """The peel s_1..s_k of the point, with w s_1...s_k = 1; once per diagram."""
+        self._check(diagram)
+        if self._peel is None:
+            self._peel = _descents(diagram, self.point)
+        return self._peel
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroupElement):
+            return NotImplemented
+        same = self._diagram is not None and self._diagram == other._diagram
+        return self.point == other.point and (same or self.matrix == other.matrix)
+
+    def __hash__(self) -> int:
+        return hash(self.point)
+
+    def __repr__(self) -> str:
+        return f"GroupElement(matrix={self.matrix!r})"
+
+
+def _element(diagram: CoxeterDiagram, point: tuple[int, ...]) -> GroupElement:
+    w = GroupElement.__new__(GroupElement)
+    w.point, w._matrix, w._diagram, w._peel = point, None, diagram, None
+    return w
 
 
 def identity_element(diagram: CoxeterDiagram) -> GroupElement:
-    return GroupElement(_identity(diagram.size))
+    return _element(diagram, (1,) * diagram.size)
 
 
 def element_from_word(diagram: CoxeterDiagram, word: Sequence[int]) -> GroupElement:
-    """Product of generator matrices, word read left to right."""
-    acc = _identity(diagram.size)
+    """Product of the generators, word read left to right."""
+    y = (1,) * diagram.size
     for letter in word:
-        s = _generator(diagram, letter)
-        acc = tuple(_times(row, s, diagram.cartan) for row in acc)
-    return GroupElement(acc)
-
-
-def _peel(diagram: CoxeterDiagram, element: GroupElement) -> list[int]:
-    """Indices s_1..s_k, each the first right descent left, with w s_1...s_k = 1.
-
-    Raises ValueError, naming the matrix, unless it is a group element.  A
-    matrix M that fixes delta has rho*(M delta) = rho*(delta) > 0, so rho* M
-    lies in the Tits cone and the peel ends; it ends at 1 exactly when M is
-    a group element.
-    """
-    m = element.matrix
-    n = diagram.size
-    shaped = len(m) == n and all(len(row) == n for row in m)
-    if not shaped or any(
-        tuple(sum(a * b for a, b in zip(row, v)) for row in m) != v for v in diagram.kernel
-    ):
-        raise ValueError(f"not an element of the group: {element.matrix!r}")
-    word = []
-    while (s := _first_negative([sum(col) for col in zip(*m)])) is not None:
-        m = tuple(_times(row, s, diagram.cartan) for row in m)
-        word.append(s)
-    if m != _identity(n):
-        raise ValueError(f"not an element of the group: {element.matrix!r}")
-    return word
+        y = _times(y, _generator(diagram, letter), diagram.cartan)
+    return _element(diagram, y)
 
 
 def length(diagram: CoxeterDiagram, element: GroupElement) -> int:
     """Word length of an element; ValueError for a matrix outside the group."""
-    return len(_peel(diagram, element))
+    return len(element._peel_of(diagram))
 
 
 def reduced_word(diagram: CoxeterDiagram, element: GroupElement) -> tuple[int, ...]:
@@ -347,13 +384,9 @@ def reduced_word(diagram: CoxeterDiagram, element: GroupElement) -> tuple[int, .
     x = rho* w^-1), followed by the word of sw.  ValueError as for length.
     """
     x = (1,) * diagram.size
-    for s in _peel(diagram, element):
+    for s in element._peel_of(diagram):
         x = _times(x, s, diagram.cartan)
-    word = []
-    while (s := _first_negative(x)) is not None:
-        x = _times(x, s, diagram.cartan)
-        word.append(s)
-    return tuple(word)
+    return tuple(_descents(diagram, x))
 
 
 # -- growth ------------------------------------------------------------------

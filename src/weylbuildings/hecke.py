@@ -13,15 +13,15 @@ Products are computed from the only rule the presentation forces:
 
 extended to e_v * e_w by decomposing w into a reduced word and applying
 the one-letter rule repeatedly; that the result does not depend on the
-chosen reduced word is itself a tested property.  l(ws) < l(w) is the
-right descent test of the coxeter module: the root w(alpha_s), column s
-of w's matrix, is negative.
+chosen reduced word is itself a tested property.  Products step the
+points y = rho* w of the coxeter module, n integers per term: l(ws) < l(w)
+exactly when y_s < 0.
 
 The parameter q is carried per element as an exact rational (integers in
 geometric uses, arbitrary rationals allowed algebraically); products
 require equal q and equal diagram.  The coefficients live in the shared
 finite map of the ``exact`` module (``SparseMap``: nonzero entries only,
-sorted by the matrix of w, O(1) lookup).
+sorted by the point of w, O(1) lookup).
 
 ``special_character`` is the algebra character determined by e_s -> -1,
 so e_w -> (-1)^l(w).  ``convolve_chamber_function`` is the geometric
@@ -40,7 +40,7 @@ from .building import BallGraph, face_type, generator_face_types
 from .coxeter import (
     CoxeterDiagram,
     GroupElement,
-    Matrix,
+    _element,
     _times,
     element_from_word,
     identity_element,
@@ -64,8 +64,9 @@ __all__ = [
 class HeckeElement:
     """Finite linear combination of basis elements e_w over one diagram.
 
-    ``terms`` is a ``SparseMap`` sorted by the matrix of w, with no zero
-    coefficients, so equality of elements is equality of the fields.
+    ``terms`` is a ``SparseMap`` sorted by the point of w, with no zero
+    coefficients, so equality of elements is equality of the fields.  A w
+    outside the diagram's group raises ValueError here, naming its matrix.
     """
 
     diagram: CoxeterDiagram
@@ -74,9 +75,9 @@ class HeckeElement:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", _fraction(self.q, "q"))
-        terms = SparseMap(self.terms, lambda w: w.matrix)
-        if any(len(w.matrix) != self.diagram.size for w in terms.support()):
-            raise ValueError("group elements do not match the diagram")
+        terms = SparseMap(self.terms, lambda w: w.point)
+        for w in terms.support():
+            w._check(self.diagram)
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -132,30 +133,32 @@ def basis_element(
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product in the algebra, bilinear over the one-letter rule.
-
-    Raises ValueError if a term of a or b is not a group element.
-    """
+    """Product in the algebra, bilinear over the one-letter rule, on points."""
     a._require_compatible(b)
-    diagram, q = a.diagram, a.q
-    for u in a.support:
-        length(diagram, u)  # rejects a matrix outside the group
-    acc: dict[Matrix, Fraction] = {}
+    diagram, q, q1 = a.diagram, a.q, a.q - 1
+    acc: dict[tuple[int, ...], Fraction] = {}
     for w, cw in b.terms:
-        partial = {u.matrix: c for u, c in a.terms}
-        for s in reduced_word(diagram, w):
-            step: dict[Matrix, Fraction] = {}
-            for u, c in partial.items():
-                us = tuple(_times(row, s, diagram.cartan) for row in u)
-                if any(row[s] < 0 for row in u):
-                    step[u] = step.get(u, Fraction(0)) + (q - 1) * c
-                    step[us] = step.get(us, Fraction(0)) + q * c
+        partial = {u.point: c for u, c in a.terms}
+        # w = s_k ... s_1 for its peel s_1..s_k, a reduced word
+        for s in reversed(w._peel_of(diagram)):
+            step: dict[tuple[int, ...], Fraction] = {}
+            for y, c in partial.items():
+                ys = _times(y, s, diagram.cartan)
+                if y[s] < 0:
+                    _add(step, y, q1 * c)
+                    _add(step, ys, q * c)
                 else:
-                    step[us] = step.get(us, Fraction(0)) + c
-            partial = {u: c for u, c in step.items() if c != 0}
-        for u, c in partial.items():
-            acc[u] = acc.get(u, Fraction(0)) + cw * c
-    return HeckeElement(diagram, q, tuple((GroupElement(u), c) for u, c in acc.items()))
+                    _add(step, ys, c)
+            partial = {y: c for y, c in step.items() if c}
+        for y, c in partial.items():
+            _add(acc, y, cw * c)
+    return HeckeElement(diagram, q, tuple((_element(diagram, y), c) for y, c in acc.items()))
+
+
+def _add(acc: dict, key: tuple[int, ...], c: Fraction) -> None:
+    """acc[key] += c, with no arithmetic for a new key."""
+    old = acc.get(key)
+    acc[key] = c if old is None else old + c
 
 
 def special_character(x: HeckeElement) -> Fraction:
@@ -171,7 +174,7 @@ def convolve_chamber_function(
 ) -> dict[int, Fraction]:
     """Right action of e_s on a function over a ball's chambers.
 
-    ``f`` maps chamber indices to values (missing indices read as 0).
+    ``f`` maps chamber indices to ints or Fractions (missing indices read as 0).
     The result is defined on every chamber whose face of the generator's
     type is interior to the ball; at such a chamber C it is the sum of f
     over the other p chambers sharing that face.
@@ -185,19 +188,20 @@ def convolve_chamber_function(
     if not isinstance(generator, int) or generator not in types:
         raise ValueError(f"unknown generator {generator!r}: the generators are 0..{ctx.n - 1}")
     ftype = types[generator]
+    f = {i: _fraction(x, "values") for i, x in f.items()}
     full = ctx.p + 1
     out: dict[int, Fraction] = {}
     for face, members in graph.faces.items():
         if len(members) != full or face_type(face, ctx) != ftype:
             continue
-        total = sum((f.get(j, Fraction(0)) for j in members), Fraction(0))
+        total = sum((f.get(j, 0) for j in members), Fraction(0))
         for i in members:
-            out[i] = total - f.get(i, Fraction(0))
+            out[i] = total - f.get(i, 0)
     return out
 
 
 def hecke_to_json(x: HeckeElement) -> dict:
-    """Plain-data form: q and (reduced word, coefficient) pairs."""
+    """Plain-data form: q and (reduced word, coefficient) pairs, by matrix."""
     return {
         "q": fraction_json(x.q),
         "terms": [
@@ -205,6 +209,6 @@ def hecke_to_json(x: HeckeElement) -> dict:
                 "word": list(reduced_word(x.diagram, w)),
                 "coeff": fraction_json(c),
             }
-            for w, c in x.terms
+            for w, c in sorted(x.terms, key=lambda term: term[0].matrix)
         ],
     }

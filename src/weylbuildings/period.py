@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .building import BallGraph, PrimeContext, ball
+from .building import BallGraph, PrimeContext, _require_radius, ball
 from .coxeter import AffineTypeLabel, affine_diagram, bfs_growth, parse_type_label
 from .exact import fraction_json
 from .poincare import absolute_tail, bott_rational, evaluate, exponents_for
@@ -91,6 +91,7 @@ def geometric_lambda(
 ) -> Fraction:
     """Partial period over an enumerated ball: the geometric shell terms
     summed up to the radius."""
+    _require_radius(radius)
     if graph is None:
         graph = ball(ctx, radius)
     elif graph.ctx != ctx or graph.radius < radius:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from .coxeter import AffineTypeLabel, parse_type_label
-from .exact import fraction_json
+from .exact import _fraction, fraction_json
 
 __all__ = [
     "ExponentTable",
@@ -267,12 +267,12 @@ def expand(rf: RationalFunction, cutoff: int) -> SeriesTruncation:
 
 
 def evaluate(rf: RationalFunction, x: Fraction) -> Fraction:
-    """Exact value rf(x); raises PoleError on a pole.
+    """Exact value rf(x) at an int or Fraction x; raises PoleError on a pole.
 
     >>> evaluate(bott_rational(exponents_for("A1~")), Fraction(-1, 2))
     Fraction(1, 3)
     """
-    x = Fraction(x)
+    x = _fraction(x, "x")
     den = _eval(rf.denominator, x)
     if den == 0:
         raise PoleError(f"pole at {x}")

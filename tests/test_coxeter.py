@@ -9,6 +9,7 @@ every family against the descent arithmetic.
 """
 
 import math
+import random
 import re
 import time
 from fractions import Fraction
@@ -201,6 +202,105 @@ def test_descents_match_matrix_bfs(label):
         assert length(d, w) == len(word)
         assert reduced_word(d, w) == word
     assert bfs_growth(d, depth).counts == tuple(counts)
+
+
+# -- the point route against the matrix route ---------------------------------
+
+
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, c)) for c in cols) for row in a)
+
+
+def _row_product(diagram, word):
+    """Reference: the generator matrices multiplied row by column, word read
+    left to right."""
+    mats = generator_matrices(diagram)
+    acc = tuple(tuple(int(i == j) for j in range(diagram.size)) for i in range(diagram.size))
+    for s in word:
+        acc = _matmul(acc, mats[s])
+    return acc
+
+
+def _reduced_by_matrices(diagram, rng, size):
+    """A random word that the matrices certify reduced: each new letter s is
+    not a right descent, i.e. column s of the product so far is positive."""
+    mats = generator_matrices(diagram)
+    word, m = [], _row_product(diagram, ())
+    while len(word) < size:
+        s = rng.choice([s for s in diagram.generators if all(row[s] >= 0 for row in m)])
+        word.append(s)
+        m = _matmul(m, mats[s])
+    return word
+
+
+@pytest.mark.parametrize("label", sorted(ORACLE_DEPTH))
+def test_points_give_the_matrices_of_long_words(label):
+    d = affine_diagram(label)
+    n = d.size
+    # sigma_s is the identity but in row s, where column t holds delta_st - A[s][t]
+    assert generator_matrices(d) == tuple(
+        tuple(tuple(int(i == t) - int(i == s) * d.cartan[s][t] for t in range(n)) for i in range(n))
+        for s in range(n)
+    )
+    rng = random.Random(label)
+    words = [[rng.randrange(n) for _ in range(size)] for size in (0, 1, 17, 120)]
+    reduced = _reduced_by_matrices(d, rng, 120)
+    for word in words + [reduced]:
+        expected = _row_product(d, word)
+        w = element_from_word(d, word)
+        assert w.matrix == expected
+        caller = GroupElement(expected)
+        assert caller == w and hash(caller) == hash(w)
+        assert length(d, caller) == length(d, w) <= len(word)
+        assert reduced_word(d, caller) == reduced_word(d, w)
+    w = element_from_word(d, reduced)
+    assert length(d, w) == 120
+    assert _row_product(d, reduced_word(d, w)) == w.matrix
+
+
+BRAID_TYPES = ("A2~", "A3~", "B3~", "C2~", "D4~", "E6~", "F4~", "G2~")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BRAID_TYPES), st.data())
+def test_braid_relations_inside_long_words(label, data):
+    d = affine_diagram(label)
+    letters = st.sampled_from(d.generators)
+    head = data.draw(st.lists(letters, min_size=65, max_size=100))
+    tail = data.draw(st.lists(letters, max_size=30))
+    s = data.draw(letters)
+    t = data.draw(letters.filter(lambda t: t != s))
+    m = int(d.order(s, t))
+    left = head + [(s, t)[j % 2] for j in range(m)] + tail
+    right = head + [(t, s)[j % 2] for j in range(m)] + tail
+    u, v = element_from_word(d, left), element_from_word(d, right)
+    assert u == v and u.point == v.point
+    assert u.matrix == _row_product(d, right)
+    assert length(d, u) == length(d, v) <= len(left)
+    assert element_from_word(d, head + [s, s] + tail) == element_from_word(d, head + tail)
+
+
+def test_equality_is_equality_of_matrices():
+    a1, a2, g2 = affine_diagram("A1~"), affine_diagram("A2~"), affine_diagram("G2~")
+    assert identity_element(a2) == identity_element(g2)
+    assert hash(identity_element(a2)) == hash(identity_element(g2))
+    # equal points, unequal matrices
+    swap = GroupElement(((0, 1), (1, 0)))
+    assert swap.point == identity_element(a1).point
+    assert swap != identity_element(a1)
+    assert swap != GroupElement(((1, 0), (0, 1)))
+    # rows given as lists are the same matrix
+    s0 = GroupElement([[-1, 2], [0, 1]])
+    assert s0 == element_from_word(a1, [0]) and length(a1, s0) == 1
+    # a matrix checked under one diagram is checked again under another
+    ident = GroupElement(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert length(a2, ident) == 0
+    assert length(g2, ident) == 0 and reduced_word(g2, ident) == ()
+    w = element_from_word(a2, [0, 1])
+    with pytest.raises(ValueError, match=re.escape(f"not an element of the group: {w.matrix!r}")):
+        length(g2, w)
+    assert length(a2, w) == 2 and reduced_word(a2, w) == (0, 1)
 
 
 # -- labels and diagrams -------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylbuildings import coxeter
 from weylbuildings import (
     GroupElement,
     HeckeElement,
@@ -125,13 +126,32 @@ def test_associativity_beyond_64(label, data):
 
 
 def test_non_member_factor_rejected():
+    # a term is checked where the Hecke element is built, before any product
     d = affine_diagram("A1~")
     q = Fraction(2)
-    swap = HeckeElement(d, q, ((GroupElement(((0, 1), (1, 0))), Fraction(1)),))
-    e0 = basis_element(d, [0], q)
-    for a, b in ((swap, e0), (e0, swap)):
-        with pytest.raises(ValueError, match="not an element of the group"):
-            multiply(a, b)
+    swap_term = ((GroupElement(((0, 1), (1, 0))), Fraction(1)),)
+    with pytest.raises(ValueError, match="not an element of the group"):
+        HeckeElement(d, q, swap_term)
+
+
+def test_products_derive_no_matrix(monkeypatch):
+    # terms are stepped and compared as points; a matrix is built only when read
+    d = affine_diagram("B3~")
+    q = Fraction(5, 3)
+    a = basis_element(d, [0, 1, 2, 3, 2, 1], q) + 2 * basis_element(d, [3, 2], q)
+    b = basis_element(d, [1, 2, 1, 0, 3], q)
+    expected = multiply(a, b)
+    blob = hecke_to_json(expected)
+
+    def refuse(*args):
+        raise AssertionError("a matrix was derived")
+
+    monkeypatch.setattr(coxeter, "_matrix_of", refuse)
+    product = multiply(a, b)
+    assert product == expected
+    assert special_character(product) == special_character(a) * special_character(b)
+    monkeypatch.undo()
+    assert hecke_to_json(product) == blob
 
 
 def test_character_on_basis():
@@ -187,6 +207,17 @@ def test_json_rendering():
         {"word": [0, 1], "coeff": {"num": "5", "den": "2"}},
         {"word": [1], "coeff": {"num": "7", "den": "2"}},
     ]
+
+
+def test_json_lists_terms_by_matrix():
+    # terms are stored by point; the rendering keeps the order by matrix
+    d = affine_diagram("A2~")
+    q = Fraction(3)
+    x = multiply(basis_element(d, [0, 1, 2, 0], q), basis_element(d, [0, 2, 1, 0], q))
+    by_point = [w.matrix for w, _ in x.terms]
+    assert by_point != sorted(by_point)
+    rendered = [element_from_word(d, t["word"]).matrix for t in hecke_to_json(x)["terms"]]
+    assert rendered == sorted(by_point)
 
 
 # -- the chamber realization ---------------------------------------------------------
@@ -283,6 +314,12 @@ def test_non_rational_q_and_scalars_rejected(value):
     ):
         with pytest.raises(ValueError, match=re.escape(f"{name} must be int or Fraction, got {value!r}")):
             build()
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, "1/2"], ids=repr)
+def test_convolution_rejects_non_rational_values(tree_p2, value):
+    with pytest.raises(ValueError, match=re.escape(f"values must be int or Fraction, got {value!r}")):
+        convolve_chamber_function({0: Fraction(1), 1: value}, 1, tree_p2)
 
 
 @pytest.mark.parametrize("generator", [5, 2, -1, 1.0])

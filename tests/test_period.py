@@ -1,5 +1,6 @@
 """The alternating series: partial sums, closed form, tails, geometry."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,16 @@ def test_geometric_matches_partials_term_by_term(tree_p2, tree_p3, gl3_p2):
 def test_geometric_requires_large_enough_graph(tree_p2):
     with pytest.raises(ValueError):
         geometric_lambda(tree_p2.ctx, 9, graph=tree_p2)
+
+
+@pytest.mark.parametrize("radius", [2.0, "2"], ids=repr)
+def test_geometric_rejects_non_int_radius(tree_p2, radius):
+    with pytest.raises(ValueError, match=re.escape(f"radius must be an int, got {radius!r}")):
+        geometric_lambda(tree_p2.ctx, radius, graph=tree_p2)
+    with pytest.raises(ValueError, match=re.escape(f"radius must be an int, got {radius!r}")):
+        geometric_lambda(tree_p2.ctx, radius)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        geometric_lambda(tree_p2.ctx, -2, graph=tree_p2)
 
 
 def test_report_json_shape():

@@ -116,6 +116,14 @@ def test_evaluate_pole():
         evaluate(rf, Fraction(1))
 
 
+@pytest.mark.parametrize("x", [0.5, 2.0, "1/2", None], ids=repr)
+def test_evaluate_rejects_non_rational_point(x):
+    # a float converts to a Fraction exactly, but not to the value meant
+    rf = bott_rational(exponents_for("A1~"))
+    with pytest.raises(ValueError, match=re.escape(f"x must be int or Fraction, got {x!r}")):
+        evaluate(rf, x)
+
+
 def test_evaluate_agrees_with_partial_sums_direction():
     # partial sums of the alternating series approach the evaluation
     rf = bott_rational(exponents_for(parse_type_label("A2~")))
