@@ -26,7 +26,8 @@ the boundary value of a 1-cochain carried by the rim edges.
 
 ``vertex_tree`` builds each sphere once per (context, origin, depth) and
 hands every caller the same tree, which is read-only; ``boundary_value``
-and ``primitive_cochain`` walk that shared tree instead of rebuilding it.
+and ``primitive_cochain`` walk that shared tree instead of rebuilding it,
+and ``lift`` checks its parts against the tree's rim edges.
 
 When o is the standard vertex, each end is named by a point ball of the
 projective line: a vertex at depth r is the line lattice
@@ -48,10 +49,7 @@ from .building import (
     Face,
     LatticeClass,
     PrimeContext,
-    _coordinates,
-    _det,
     _require_radius,
-    _val_int,
     chambers_containing,
     classes_adjacent,
     standard_lattice,
@@ -79,9 +77,12 @@ __all__ = [
 ]
 
 
-def _require_tree(ctx: PrimeContext) -> None:
+def _require_tree(ctx: PrimeContext, *vertices: LatticeClass) -> None:
     if ctx.n != 2:
         raise ValueError("the boundary machinery lives on the n = 2 tree")
+    for v in vertices:
+        if v.n != 2:
+            raise ValueError(f"a vertex of the n = 2 tree is a 2x2 class, got {v.n}x{v.n}: {v.hnf}")
 
 
 # -- cochains -------------------------------------------------------------------
@@ -138,10 +139,6 @@ class OneCochain:
     def support(self) -> tuple[Edge, ...]:
         return self.values.support()
 
-    def support_vertices(self) -> tuple[LatticeClass, ...]:
-        out = {v for (s, t), _ in self.values for v in (s, t)}
-        return tuple(sorted(out, key=lambda v: v.hnf))
-
     def value(self, s: LatticeClass, t: LatticeClass) -> Fraction:
         if s.hnf < t.hnf:
             return self.values.lookup((s, t))
@@ -157,7 +154,7 @@ def one_cochain_from_map(values: Mapping[Edge, Fraction]) -> OneCochain:
 
 def vertex_neighbors(vertex: LatticeClass, ctx: PrimeContext) -> tuple[LatticeClass, ...]:
     """The p + 1 neighbors, read off the chambers through the vertex."""
-    _require_tree(ctx)
+    _require_tree(ctx, vertex)
     out = []
     for chamber in chambers_containing(Face((vertex,)), ctx):
         (other,) = tuple(c for c in chamber.classes if c != vertex)
@@ -196,7 +193,7 @@ class VertexTree:
 def vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> VertexTree:
     """The vertices within the radius around the origin.  Built once per
     (ctx, origin, radius); every call returns that same read-only tree."""
-    _require_tree(ctx)
+    _require_tree(ctx, origin)
     _require_radius(radius)
     return _vertex_tree(ctx, origin, radius)
 
@@ -232,13 +229,25 @@ def _vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> Vertex
     )
 
 
+def _require_count(p: int, r: int) -> None:
+    for name, value in (("p", p), ("r", r)):
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
+    if r < 0:
+        raise ValueError(f"r must be nonnegative, got {r}")
+
+
 def sphere_vertex_count(p: int, r: int) -> int:
     """1 + (p+1)(p^r - 1)/(p - 1): vertices within depth r of a vertex."""
+    _require_count(p, r)
     return 1 + (p + 1) * (p**r - 1) // (p - 1)
 
 
 def end_count(p: int, r: int) -> int:
     """(p+1) p^(r-1): rim edges at depth r >= 1."""
+    _require_count(p, r)
     if r < 1:
         raise ValueError("ends need depth at least 1")
     return (p + 1) * p ** (r - 1)
@@ -259,7 +268,7 @@ def coboundary(f: ZeroCochain, ctx: PrimeContext) -> OneCochain:
 
 def integrate(omega: OneCochain, path: Sequence[LatticeClass], ctx: PrimeContext) -> Fraction:
     """Sum of omega along consecutive oriented edges of a vertex path."""
-    _require_tree(ctx)
+    _require_tree(ctx, *path)
     total = Fraction(0)
     for s, t in zip(path, path[1:]):
         if not classes_adjacent(s, t, ctx):
@@ -274,16 +283,18 @@ def integrate(omega: OneCochain, path: Sequence[LatticeClass], ctx: PrimeContext
 @dataclass(frozen=True)
 class BoundaryFunction:
     """Function on the ends at one depth: (rim edge, value) per end,
-    with an optional projective chart per end."""
+    with an optional projective chart per end.  The depth is an int; the
+    values are ints or Fractions and become Fractions."""
 
     depth: int
     parts: tuple[tuple[Edge, Fraction], ...]
     chart: tuple[tuple[tuple[int, int], Fraction], ...] | None = None
 
     def __post_init__(self) -> None:
-        ordered = tuple(
-            sorted(self.parts, key=lambda t: (t[0][1].hnf, t[0][0].hnf))
-        )
+        if not isinstance(self.depth, int):
+            raise ValueError(f"depth must be an int, got {self.depth!r}")
+        parts = ((e, _fraction(x, "values")) for e, x in self.parts)
+        ordered = tuple(sorted(parts, key=lambda t: (t[0][1].hnf, t[0][0].hnf)))
         object.__setattr__(self, "parts", ordered)
         if self.chart is not None and len(self.chart) != len(self.parts):
             raise ValueError("chart must name each end exactly once")
@@ -308,18 +319,27 @@ def _integrals(
     omega: OneCochain, origin: LatticeClass, depth: int, ctx: PrimeContext
 ) -> tuple[VertexTree, list[Fraction]]:
     """The vertex tree to the given depth and the integral of omega from
-    the origin to each of its vertices, in one walk down the tree."""
+    the origin to each of its vertices, in one walk down the tree.  Each
+    supported tree edge is the step omega(parent, child) at its child; a
+    supported pair that is not an edge lies on no path and adds nothing."""
     _require_tree(ctx)
     if depth < 1:
         raise ValueError("depth must be at least 1")
     tree = vertex_tree(ctx, origin, depth)
-    for v in omega.support_vertices():
-        if v not in tree.index:
+    index, parent = tree.index, tree.parent
+    step: dict[int, Fraction] = {}
+    for (s, t), x in omega.values:
+        i, j = index.get(s), index.get(t)
+        if i is None or j is None:
             raise ValueError("cochain support escapes the sphere at this depth")
+        if parent[j] == i:
+            step[j] = x
+        elif parent[i] == j:
+            step[i] = -x
     to_vertex: list[Fraction] = [Fraction(0)] * len(tree)
     for i in range(1, len(tree)):
-        j = tree.parent[i]
-        to_vertex[i] = to_vertex[j] + omega.value(tree.vertices[j], tree.vertices[i])
+        x = step.get(i)
+        to_vertex[i] = to_vertex[parent[i]] if x is None else to_vertex[parent[i]] + x
     return tree, to_vertex
 
 
@@ -336,7 +356,7 @@ def boundary_value(
     parts = tuple(zip(tree.ends(), (to_vertex[i] for i in tree.shell(depth))))
     chart = None
     if origin == standard_lattice(ctx):
-        chart = tuple((end_chart(e, ctx), x) for e, x in parts)
+        chart = tuple((_chart(s, ctx.p), x) for (_, s), x in parts)
     return BoundaryFunction(depth=depth, parts=parts, chart=chart)
 
 
@@ -357,37 +377,24 @@ def primitive_cochain(
     return ZeroCochain(tuple((v, c - x) for v, x in zip(tree.vertices, to_vertex)))
 
 
-def _distance(origin: LatticeClass, v: LatticeClass, p: int) -> int:
-    """Tree distance v_p(det X) - 2 min v_p(X), X the coordinates of v's
-    rows over the origin's basis (the gap between the elementary divisors);
-    v is scaled by p^(v_p(det origin)) first, so X is integral."""
-    rows = v.scaled_rows(p, origin.valuation)
-    x = [_coordinates(origin.hnf, row) for row in rows]
-    low = min(_val_int(c, p) for row in x for c in row if c)
-    return _val_int(_det(x), p) - 2 * low
-
-
 def lift(g: BoundaryFunction, origin: LatticeClass, ctx: PrimeContext) -> OneCochain:
     """A 1-cochain on the rim edges whose boundary value is exactly g.
 
     Realizes g as the coboundary data of the vertex function equal to g
     on the depth-r leaves and 0 inside; only the rim edges carry values.
     The parts must be end_count(p, r) distinct adjacent pairs (t, s) at
-    distances r - 1 and r from the origin, which in a tree are all the ends.
+    distances r - 1 and r from the origin.  In a tree such a pair is
+    (parent(s), s) for a leaf s at depth r, so the parts are checked
+    against the rim edges of the shared ``vertex_tree`` to depth r.
     """
-    _require_tree(ctx)
-    r, p = g.depth, ctx.p
-    edges = [e for e, _ in g.parts]
-    if len(edges) != end_count(p, r) or len(set(edges)) != len(edges):
+    _require_tree(ctx, origin)
+    r = g.depth
+    edges = {e for e, _ in g.parts}
+    if len(g.parts) != end_count(ctx.p, r) or len(edges) != len(g.parts):
         raise ValueError("parts must enumerate the ends at this depth exactly once")
-    for t, s in edges:
-        if not (
-            _distance(origin, t, p) == r - 1
-            and _distance(origin, s, p) == r
-            and classes_adjacent(t, s, ctx)
-        ):
-            raise ValueError(f"part is not a rim edge at depth {r}")
-    return one_cochain_from_map({e: x for e, x in g.parts})
+    if edges != set(vertex_tree(ctx, origin, r).ends()):
+        raise ValueError(f"part is not a rim edge at depth {r}")
+    return one_cochain_from_map(dict(g.parts))
 
 
 def end_chart(edge: Edge, ctx: PrimeContext) -> tuple[int, int]:
@@ -397,14 +404,19 @@ def end_chart(edge: Edge, ctx: PrimeContext) -> tuple[int, int]:
     p^r } for a primitive vector v, recovered from the canonical form and
     normalized to (1, y) with y mod p^r, or (x, 1) with p | x, x mod p^r.
     """
-    _require_tree(ctx)
+    _require_tree(ctx, *edge)
     t, s = edge
-    p = ctx.p
     r = s.valuation
     if r < 1:
         raise ValueError("the deep vertex of an end must have positive depth")
     if t.valuation != r - 1 or not classes_adjacent(t, s, ctx):
         raise ValueError("edge must step outward from depth r - 1 to depth r")
+    return _chart(s, ctx.p)
+
+
+def _chart(s: LatticeClass, p: int) -> tuple[int, int]:
+    """``end_chart`` of a rim edge known to step outward to s."""
+    r = s.valuation
     (a, b), (_, d) = s.hnf
     if a == 1:
         return (1, b % p**r)

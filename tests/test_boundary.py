@@ -12,6 +12,7 @@ from weylbuildings import (
     PrimeContext,
     boundary_function_to_json,
     boundary_value,
+    classes_adjacent,
     coboundary,
     end_chart,
     end_count,
@@ -26,6 +27,7 @@ from weylbuildings import (
     vertex_tree,
     zero_cochain_from_map,
 )
+from weylbuildings.building import _coordinates, _det, _val_int
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +163,43 @@ def test_boundary_value_detects_non_coboundary(ctx2):
         primitive_cochain(omega, o, 2, ctx2)
 
 
+def test_boundary_value_matches_path_integrals(ctx2, ctx3):
+    # the one walk down the tree against integrate along each root-to-leaf path
+    rng = random.Random(4)
+    for ctx, o in ((ctx2, standard_lattice(ctx2)), (ctx3, lattice_from_rows([[1, 1], [0, 3]], 3))):
+        tree = vertex_tree(ctx, o, 3)
+        for _ in range(10):
+            values = {}
+            for i in rng.sample(range(1, len(tree)), k=8):
+                edge = (tree.vertices[tree.parent[i]], tree.vertices[i])
+                values[edge if rng.random() < 0.5 else edge[::-1]] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            omega = one_cochain_from_map(values)
+            g = boundary_value(omega, o, 3, ctx)
+            for (_, leaf), x in g.parts:
+                path = [leaf]
+                while path[-1] != o:
+                    path.append(tree.vertices[tree.parent[tree.index[path[-1]]]])
+                assert integrate(omega, path[::-1], ctx) == x
+
+
+def test_boundary_value_ignores_non_adjacent_pairs(ctx2):
+    o = standard_lattice(ctx2)
+    tree = vertex_tree(ctx2, o, 2)
+    a, b, _ = (tree.vertices[i] for i in tree.shell(1))
+    leaf = tree.vertices[tree.shell(2)[0]]
+    omega = coboundary(zero_cochain_from_map({o: Fraction(2), a: Fraction(-1, 3)}), ctx2)
+    before = boundary_value(omega, o, 2, ctx2)
+    pairs = {(a, b): Fraction(7), (o, leaf): Fraction(-5, 2)}
+    padded = one_cochain_from_map({**dict(omega.values), **pairs})
+    assert padded != omega
+    assert boundary_value(padded, o, 2, ctx2) == before
+    outside = vertex_tree(ctx2, o, 3).vertices[-1]
+    for pair in ((leaf, outside), (o, outside)):
+        escaped = one_cochain_from_map({**dict(omega.values), pair: Fraction(1)})
+        with pytest.raises(ValueError, match="escapes the sphere"):
+            boundary_value(escaped, o, 2, ctx2)
+
+
 def test_primitive_builds_one_vertex_tree(ctx2, monkeypatch):
     o = standard_lattice(ctx2)
     f = zero_cochain_from_map({o: Fraction(2), vertex_neighbors(o, ctx2)[1]: Fraction(-1, 3)})
@@ -241,20 +280,45 @@ def test_lift_requires_complete_parts(ctx2):
         lift(g, o, ctx2)
 
 
-def test_lift_builds_no_vertex_tree(ctx3, monkeypatch):
+def test_lift_round_trip_builds_no_new_vertex_tree(ctx3):
+    # lift and boundary_value both read the tree already built for the ends
+    cache = weylbuildings.boundary._vertex_tree
     o = lattice_from_rows([[1, 1], [0, 3]], 3)
+    cache.cache_clear()
     ends = vertex_tree(ctx3, o, 2).ends()
     g = BoundaryFunction(depth=2, parts=tuple((e, Fraction(i, 5)) for i, e in enumerate(ends)))
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return vertex_tree(*args)
-
-    monkeypatch.setattr(weylbuildings.boundary, "vertex_tree", counted)
+    misses = cache.cache_info().misses
     omega = lift(g, o, ctx3)
-    assert calls == []
     assert boundary_value(omega, o, 2, ctx3).parts == g.parts
+    assert cache.cache_info().misses == misses
+
+
+def _distance(origin, v, p):
+    """Tree distance v_p(det X) - 2 min v_p(X), X the coordinates of v's
+    rows over the origin's basis (the gap between the elementary divisors)."""
+    rows = v.scaled_rows(p, origin.valuation)
+    x = [_coordinates(origin.hnf, row) for row in rows]
+    low = min(_val_int(c, p) for row in x for c in row if c)
+    return _val_int(_det(x), p) - 2 * low
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rim_edges_are_the_outward_steps_to_depth_r(p):
+    # the rim of the shared tree against the distance-and-adjacency predicate
+    ctx = PrimeContext(p=p, n=2)
+    for o in (standard_lattice(ctx), lattice_from_rows([[1, 1], [0, p]], p)):
+        for r in (1, 2, 3):
+            rim = set(vertex_tree(ctx, o, r).ends())
+            wider = vertex_tree(ctx, o, r + 1)
+            for i in range(1, len(wider)):
+                edge = (wider.vertices[wider.parent[i]], wider.vertices[i])
+                for t, s in (edge, edge[::-1]):
+                    outward = (
+                        _distance(o, t, p) == r - 1
+                        and _distance(o, s, p) == r
+                        and classes_adjacent(t, s, ctx)
+                    )
+                    assert ((t, s) in rim) == outward
 
 
 @pytest.mark.parametrize("swap", ["inner edge", "reversed rim edge", "repeated rim edge"])
@@ -303,3 +367,70 @@ def test_end_chart_rejects_inward_edge(ctx2):
     parent, leaf = tree.ends()[0]
     with pytest.raises(ValueError):
         end_chart((leaf, parent), ctx2)
+
+
+def test_boundary_value_charts_are_the_end_charts(ctx2, ctx3):
+    rng = random.Random(5)
+    for ctx in (ctx2, ctx3):
+        o = standard_lattice(ctx)
+        for r in (1, 2, 3):
+            ends = vertex_tree(ctx, o, r).ends()
+            values = tuple((e, Fraction(rng.randint(-5, 5))) for e in ends)
+            g = boundary_value(lift(BoundaryFunction(depth=r, parts=values), o, ctx), o, r, ctx)
+            assert g.chart == tuple((end_chart(e, ctx), x) for e, x in g.parts)
+
+
+# -- input checks ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [0.5, "1/2", None], ids=repr)
+def test_boundary_function_rejects_non_rational_values(ctx2, value):
+    (edge,) = vertex_tree(ctx2, standard_lattice(ctx2), 1).ends()[:1]
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        BoundaryFunction(depth=1, parts=((edge, value),))
+
+
+def test_boundary_function_values_become_fractions(ctx2):
+    ends = vertex_tree(ctx2, standard_lattice(ctx2), 1).ends()
+    g = BoundaryFunction(depth=1, parts=tuple((e, 1) for e in ends))
+    assert type(g.constant_value()) is Fraction
+    assert [rec["value"] for rec in boundary_function_to_json(g)] == [{"num": "1", "den": "1"}] * 3
+
+
+@pytest.mark.parametrize("depth", [2.0, "2", Fraction(2)], ids=repr)
+def test_boundary_function_rejects_non_int_depth(ctx2, depth):
+    ends = vertex_tree(ctx2, standard_lattice(ctx2), 2).ends()
+    with pytest.raises(ValueError, match=re.escape(f"depth must be an int, got {depth!r}")):
+        BoundaryFunction(depth=depth, parts=tuple((e, Fraction(1)) for e in ends))
+
+
+@pytest.mark.parametrize("count", [end_count, sphere_vertex_count])
+def test_closed_form_counts_reject_bad_arguments(count):
+    for p, r, name in ((2, 2.0, "r"), (2.0, 2, "p"), ("3", 1, "p"), (2, Fraction(1), "r")):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an int")):
+            count(p, r)
+    with pytest.raises(ValueError, match="r must be nonnegative, got -1"):
+        count(2, -1)
+    with pytest.raises(ValueError, match="p must be at least 2"):
+        count(1, 2)
+    assert sphere_vertex_count(3, 0) == 1
+
+
+def test_boundary_refuses_a_vertex_of_the_wrong_size(ctx2):
+    o = standard_lattice(ctx2)
+    big = standard_lattice(PrimeContext(p=2, n=3))
+    ends = vertex_tree(ctx2, o, 1).ends()
+    g = BoundaryFunction(depth=1, parts=tuple((e, Fraction(1)) for e in ends))
+    omega = lift(g, o, ctx2)
+    calls = (
+        lambda: vertex_neighbors(big, ctx2),
+        lambda: vertex_tree(ctx2, big, 1),
+        lambda: lift(g, big, ctx2),
+        lambda: boundary_value(omega, big, 1, ctx2),
+        lambda: primitive_cochain(omega, big, 1, ctx2),
+        lambda: end_chart((o, big), ctx2),
+        lambda: integrate(omega, [o, big], ctx2),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="2x2 class, got 3x3"):
+            call()
