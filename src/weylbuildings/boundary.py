@@ -46,11 +46,10 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .building import (
-    Face,
     LatticeClass,
     PrimeContext,
     _require_radius,
-    chambers_containing,
+    _tree_neighbors,
     classes_adjacent,
     standard_lattice,
 )
@@ -130,10 +129,9 @@ class OneCochain:
                 raise ValueError("an edge needs two distinct vertices")
             x = _fraction(x, "values")
             key, signed = ((s, t), x) if s.hnf < t.hnf else ((t, s), -x)
-            if key in acc and acc[key] != signed:
+            if acc.setdefault(key, signed) != signed:
                 raise ValueError("conflicting values on the two orientations of an edge")
-            acc[key] = signed
-        object.__setattr__(self, "values", SparseMap(acc.items(), lambda e: (e[0].hnf, e[1].hnf)))
+        object.__setattr__(self, "values", SparseMap._of(acc, lambda e: (e[0].hnf, e[1].hnf)))
 
     @property
     def support(self) -> tuple[Edge, ...]:
@@ -153,13 +151,11 @@ def one_cochain_from_map(values: Mapping[Edge, Fraction]) -> OneCochain:
 
 
 def vertex_neighbors(vertex: LatticeClass, ctx: PrimeContext) -> tuple[LatticeClass, ...]:
-    """The p + 1 neighbors, read off the chambers through the vertex."""
+    """The p + 1 neighbors in canonical order: the index-p sublattices of
+    the vertex, one per line of L / pL, in the closed form of the tree
+    (Serre, *Trees*, Ch. II §1; ``building._tree_neighbors``)."""
     _require_tree(ctx, vertex)
-    out = []
-    for chamber in chambers_containing(Face((vertex,)), ctx):
-        (other,) = tuple(c for c in chamber.classes if c != vertex)
-        out.append(other)
-    return tuple(sorted(set(out), key=lambda v: v.hnf))
+    return tuple(sorted(_tree_neighbors(vertex, ctx.p), key=lambda v: v.hnf))
 
 
 @dataclass(frozen=True)

@@ -49,11 +49,16 @@ and chain-step gaps never re-derive it.
 Two kinds of flags are checked in two ways.  Flags that callers supply
 go through ``make_chamber``, which tests every chain step by membership;
 ``lattice_from_rows`` reads v off the maximal minors of caller rows.
-Flags that ``chambers_containing`` builds skip both: it reads the open
-gap off the face's labels and checks the face with one containment, and
-each class it inserts is the inner lattice of the gap plus one line,
-whose valuation must be one less than the inner lattice's; that single
-exact check makes both new steps index p.
+Flags that ``chambers_containing`` builds skip both.  On the n = 2 tree
+the neighbors of a vertex are its index-p sublattices (Serre, *Trees*,
+Ch. II §1): with Hermite rows r0 = (p^a, b) and r1 = (0, p^c), the classes
+of <p r0, r1> and of <r0 + t r1, p r1> for t = 0..p-1, each divided by its
+p-content, whose valuation is the sum of its two exponents.  For n = 3 it
+reads the open gap off the face's labels and checks the face with one
+containment, and each class it inserts is the inner lattice of the gap
+plus one line, whose valuation must be one less than the inner lattice's;
+that single exact check makes both new steps index p.  Either way the
+star must hold exactly p + 1 distinct chambers.
 """
 
 from __future__ import annotations
@@ -496,31 +501,54 @@ def _insertions(
     return [_canonical(list(inner_rows) + [w], p, inner_valuation - 1) for w in lines]
 
 
+def _tree_neighbors(vertex: LatticeClass, p: int) -> list[LatticeClass]:
+    """The p + 1 neighbors of a vertex L of the n = 2 tree: <p r0, r1> and
+    <r0 + t r1, p r1>, one per line of L / pL (Serre, *Trees*, Ch. II §1).
+    Each span is already in Hermite form, and it contains pL with L
+    primitive, so its p-content is 0 or 1."""
+    (x, y), (_, z) = vertex.hnf
+    spans = [(p * x, p * y % z, z)] + [(x, y + t * z, p * z) for t in range(p)]
+    v = vertex.valuation + 1
+    out = []
+    for d0, m, d1 in spans:
+        if d0 % p or m % p or d1 % p:
+            out.append(LatticeClass(((d0, m), (0, d1)), v))
+        else:
+            out.append(LatticeClass(((d0 // p, m // p), (0, d1 // p)), v - 2))
+    return out
+
+
 def chambers_containing(
     face: Face | Sequence[LatticeClass], ctx: PrimeContext
 ) -> tuple[FlagChamber, ...]:
     """All p + 1 chambers containing a codimension-1 face, sorted.
 
-    The labels place the open gap.  With label(last) = label(first) + n - 2
-    and k = (v(first) + n - 2 - v(last)) / n, the face chains as
-    first > ... > p^k last by index-p steps and leaves the gap
+    For n = 2 the face is one vertex and the chambers are its edges to the
+    p + 1 neighbors of ``_tree_neighbors`` (Serre, *Trees*, Ch. II §1).
+    For n = 3 the labels place the open gap.  With label(last) =
+    label(first) + 1 and k = (v(first) + 1 - v(last)) / 3, the face chains
+    as first > p^k last by an index-p step and leaves the gap
     p^k last > p first of index p^2, one chamber per line of its residue
-    plane.  One containment, first > p^k last, checks the face, since an
-    index-p sublattice of first contains p first.  For n = 2 first is last.
+    plane (``_insertions``).  One containment, first > p^k last, checks
+    the face, since an index-p sublattice of first contains p first.
     """
     classes = tuple(face.classes) if isinstance(face, Face) else tuple(face)
     p, n = ctx.p, ctx.n
     if len(classes) != n - 1:
         raise ValueError(f"a codimension-1 face has {n - 1} classes")
-    first, last = classes[0], classes[-1]
-    if (vertex_label(last, ctx) - vertex_label(first, ctx)) % n != n - 2:
-        first, last = last, first
-    k, rest = divmod(first.valuation + n - 2 - last.valuation, n)
-    outer = last.scaled_rows(p, k) if k >= 0 and not rest else None
-    if outer is None or (len(classes) > 1 and not _contains_lattice(first.hnf, outer)):
-        raise ValueError("classes do not bound a codimension-1 face")
-    middles = _insertions(outer, first.scaled_rows(p, 1), first.valuation + n, p)
-    chambers = [FlagChamber((first, last)[: n - 1] + (m,)) for m in middles]
+    if n == 2:
+        flag, middles = classes, _tree_neighbors(classes[0], p)
+    else:
+        first, last = classes
+        if (vertex_label(last, ctx) - vertex_label(first, ctx)) % n != 1:
+            first, last = last, first
+        k, rest = divmod(first.valuation + 1 - last.valuation, n)
+        outer = last.scaled_rows(p, k) if k >= 0 and not rest else None
+        if outer is None or not _contains_lattice(first.hnf, outer):
+            raise ValueError("classes do not bound a codimension-1 face")
+        flag = (first, last)
+        middles = _insertions(outer, first.scaled_rows(p, 1), first.valuation + n, p)
+    chambers = [FlagChamber(flag + (m,)) for m in middles]
     if len(set(chambers)) != p + 1:
         raise AssertionError("a face must lie in exactly p + 1 chambers")
     return tuple(sorted(chambers, key=FlagChamber.sort_key))

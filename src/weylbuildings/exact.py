@@ -26,16 +26,28 @@ class SparseMap(tuple):
     def __new__(cls, pairs: Iterable[tuple[Hashable, Fraction]], order: Callable | None = None):
         index: dict[Hashable, Fraction] = {}
         for key, x in pairs:
-            if key in index:
-                raise ValueError(f"duplicate key: {key!r}")
+            size = len(index)
             index[key] = _fraction(x, "values")
-        keys = index if order is None else sorted(index, key=order)
-        self = super().__new__(cls, ((k, index[k]) for k in keys if index[k]))
-        self._index = dict(self)
+            if len(index) == size:
+                raise ValueError(f"duplicate key: {key!r}")
+        return cls._of(index, order)
+
+    @classmethod
+    def _of(cls, index: dict[Hashable, Fraction], order: Callable | None = None) -> "SparseMap":
+        """The map of a dict whose values are already Fractions; the dict
+        becomes the lookup index, so each key is hashed only where the
+        caller built it (and once more if its value is zero)."""
+        for key in [k for k, x in index.items() if not x]:
+            del index[key]
+        pairs = index.items()
+        if order is not None:
+            pairs = sorted(pairs, key=lambda kx: order(kx[0]))
+        self = super().__new__(cls, pairs)
+        self._index = index
         return self
 
     def support(self) -> tuple:
-        return tuple(self._index)
+        return tuple(k for k, _ in self)
 
     def lookup(self, key: Hashable) -> Fraction:
         """The value at a key; a key outside the support reads as 0."""
@@ -45,6 +57,8 @@ class SparseMap(tuple):
 def _fraction(x: int | Fraction, name: str) -> Fraction:
     """x as a Fraction.  A float or a string would convert, but not to the
     value meant, so anything but an int or a Fraction raises ValueError."""
+    if type(x) is Fraction:
+        return x
     if not isinstance(x, (int, Fraction)):
         raise ValueError(f"{name} must be int or Fraction, got {x!r}")
     return Fraction(x)

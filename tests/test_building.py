@@ -1,6 +1,7 @@
 """Lattice classes, chambers, the group action, and enumerated balls."""
 
 import hashlib
+import inspect
 import json
 import re
 from fractions import Fraction
@@ -37,6 +38,7 @@ from weylbuildings import (
     standard_chamber,
     standard_lattice,
     vertex_label,
+    vertex_tree,
     weyl_to_chamber,
 )
 
@@ -707,21 +709,71 @@ def test_canonical_asserts_the_given_valuation():
             building._canonical(rows, 3, wrong)
 
 
+def _generic_tree_neighbors(v, p):
+    # the generic star of a vertex of the tree: p L plus one line of L / p L
+    return building._insertions(v.hnf, v.scaled_rows(p, 1), v.valuation + 2, p)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_insertion_inside_the_inner_lattice_fails_the_valuation_check(n, monkeypatch, capsys):
     # a "line" taken from the inner lattice adds nothing, so the sum keeps
-    # the inner valuation instead of dropping it by one
+    # the inner valuation instead of dropping it by one; n = 2 stars take
+    # the closed form, so there the generic route is called directly
     def inner_lines(outer_rows, inner_rows, p):
         return list(inner_rows[0]), list(inner_rows[1])
 
     monkeypatch.setattr(building, "_quotient_basis", inner_lines)
     ctx = PrimeContext(p=3, n=n)
+    face = face_of(standard_chamber(ctx), 0)
     with pytest.raises(AssertionError, match="expected valuation"):
+        if n == 2:
+            _generic_tree_neighbors(face.classes[0], 3)
+        else:
+            chambers_containing(face, ctx)
+    if n == 3:
+        from weylbuildings.cli import main
+
+        assert main(["ball", "--n", "3", "--p", "3", "--R", "2"]) == 1
+        assert "expected valuation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, mutant",
+    [
+        ("y + t * z", "y"),  # r0 in place of r0 + t r1
+        ("(p * x, p * y % z, z)", "(x, y, p * z)"),  # <r0, p r1> in place of <p r0, r1>
+    ],
+)
+def test_a_mutated_tree_neighbor_rule_fails_the_star_count(line, mutant, monkeypatch, capsys):
+    # each mutant repeats a neighbor, so some n = 2 star has fewer than
+    # p + 1 chambers; the count check must catch it, and the CLI exits 1
+    source = inspect.getsource(building._tree_neighbors)
+    assert source.count(line) == 1
+    namespace = dict(vars(building))
+    exec(source.replace(line, mutant), namespace)
+    monkeypatch.setattr(building, "_tree_neighbors", namespace["_tree_neighbors"])
+    ctx = PrimeContext(p=3, n=2)
+    with pytest.raises(AssertionError, match=r"exactly p \+ 1 chambers"):
         chambers_containing(face_of(standard_chamber(ctx), 0), ctx)
     from weylbuildings.cli import main
 
-    assert main(["ball", "--n", str(n), "--p", "3", "--R", "2"]) == 1
-    assert "expected valuation" in capsys.readouterr().err
+    assert main(["ball", "--n", "2", "--p", "3", "--R", "2"]) == 1
+    assert "exactly p + 1 chambers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, radius", [(2, 4), (3, 4), (5, 3), (7, 3), (11, 2)])
+def test_tree_neighbors_match_the_generic_insertions(p, radius):
+    # the closed form against the generic star, neighbor set and valuations,
+    # on every vertex of two vertex trees
+    ctx = PrimeContext(p=p, n=2)
+    for origin in (standard_lattice(ctx), lattice_from_rows([[1, 1], [0, p]], p)):
+        tree = vertex_tree(ctx, origin, radius)
+        for v in tree.vertices:
+            closed = [(c.hnf, c.valuation) for c in building._tree_neighbors(v, p)]
+            generic = [(c.hnf, c.valuation) for c in _generic_tree_neighbors(v, p)]
+            assert len(set(closed)) == p + 1
+            assert set(closed) == set(generic)
+            assert all(val == sum(_val(row[i], p) for i, row in enumerate(h)) for h, val in closed)
 
 
 def test_weyl_word_needs_no_group_action(tree_p2, monkeypatch):
