@@ -48,12 +48,11 @@ from typing import Mapping, Sequence
 from .building import (
     LatticeClass,
     PrimeContext,
-    _require_radius,
     _tree_neighbors,
     classes_adjacent,
     standard_lattice,
 )
-from .exact import SparseMap, _fraction, fraction_json
+from .exact import SparseMap, _fraction, _int, fraction_json
 
 __all__ = [
     "ZeroCochain",
@@ -190,7 +189,7 @@ def vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> VertexT
     """The vertices within the radius around the origin.  Built once per
     (ctx, origin, radius); every call returns that same read-only tree."""
     _require_tree(ctx, origin)
-    _require_radius(radius)
+    _int(radius, "radius", 0)
     return _vertex_tree(ctx, origin, radius)
 
 
@@ -225,26 +224,17 @@ def _vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> Vertex
     )
 
 
-def _require_count(p: int, r: int) -> None:
-    for name, value in (("p", p), ("r", r)):
-        if not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
-    if r < 0:
-        raise ValueError(f"r must be nonnegative, got {r}")
-
-
 def sphere_vertex_count(p: int, r: int) -> int:
     """1 + (p+1)(p^r - 1)/(p - 1): vertices within depth r of a vertex."""
-    _require_count(p, r)
+    _int(p, "p", 2)
+    _int(r, "r", 0)
     return 1 + (p + 1) * (p**r - 1) // (p - 1)
 
 
 def end_count(p: int, r: int) -> int:
     """(p+1) p^(r-1): rim edges at depth r >= 1."""
-    _require_count(p, r)
-    if r < 1:
+    _int(p, "p", 2)
+    if _int(r, "r", 0) < 1:
         raise ValueError("ends need depth at least 1")
     return (p + 1) * p ** (r - 1)
 
@@ -287,8 +277,7 @@ class BoundaryFunction:
     chart: tuple[tuple[tuple[int, int], Fraction], ...] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.depth, int):
-            raise ValueError(f"depth must be an int, got {self.depth!r}")
+        _int(self.depth, "depth")
         parts = ((e, _fraction(x, "values")) for e, x in self.parts)
         ordered = tuple(sorted(parts, key=lambda t: (t[0][1].hnf, t[0][0].hnf)))
         object.__setattr__(self, "parts", ordered)

@@ -68,7 +68,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import _fraction, row_reduce
+from .exact import _fraction, _int, row_reduce
 
 __all__ = [
     "PrimeContext",
@@ -127,12 +127,9 @@ class PrimeContext:
     precision: InitVar[int | None] = None
 
     def __post_init__(self, _ignored: int | None) -> None:
-        for name, value in (("p", self.p), ("n", self.n)):
-            if not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if not _is_prime(self.p):
+        if not _is_prime(_int(self.p, "p")):
             raise ValueError(f"{self.p} is not prime")
-        if self.n not in (2, 3):
+        if _int(self.n, "n") not in (2, 3):
             raise ValueError("only n = 2 and n = 3 are supported")
 
 
@@ -383,16 +380,16 @@ def classes_adjacent(u: LatticeClass, v: LatticeClass, ctx: PrimeContext) -> boo
 
 @dataclass(frozen=True)
 class FlagChamber:
-    """Cyclic flag of n lattice classes, stored from its least rotation."""
+    """Cyclic flag of n lattice classes, stored from its least class: a
+    chamber's classes carry distinct labels, so that is its least rotation."""
 
     classes: tuple[LatticeClass, ...]
 
     def __post_init__(self) -> None:
         cs = self.classes
-        n = len(cs)
-        if n == 0:
+        if not cs:
             raise ValueError("empty flag")
-        best = min(range(n), key=lambda i: tuple(cs[(i + j) % n].hnf for j in range(n)))
+        best = min(range(len(cs)), key=lambda i: cs[i].hnf)
         if best:
             object.__setattr__(self, "classes", cs[best:] + cs[:best])
 
@@ -536,6 +533,9 @@ def chambers_containing(
     p, n = ctx.p, ctx.n
     if len(classes) != n - 1:
         raise ValueError(f"a codimension-1 face has {n - 1} classes")
+    for c in classes:
+        if len(c.hnf) != n:
+            raise ValueError(f"face classes must be {n}x{n}, got {c.n}x{c.n}: {c.hnf}")
     if n == 2:
         flag, middles = classes, _tree_neighbors(classes[0], p)
     else:
@@ -657,7 +657,7 @@ def affine_generator_matrix(ctx: PrimeContext, i: int) -> QMatrix:
     which swaps e_1 and e_n with weights: e_1 -> p e_n, e_n -> e_1 / p.
     """
     n, p = ctx.n, ctx.p
-    if not isinstance(i, int) or not 0 <= i < n:
+    if type(i) is not int or not 0 <= i < n:
         raise ValueError(f"generator index must be an int in 0..{n - 1}, got {i!r}")
     a, b, up, down = (i - 1, i, 1, 1) if i >= 1 else (0, n - 1, Fraction(1, p), p)
     rows = [[Fraction(1 if r == c else 0) for c in range(n)] for r in range(n)]
@@ -745,16 +745,9 @@ class BallGraph:
         return tuple(to_generator[t] for t in self.gallery_types(i))
 
 
-def _require_radius(radius: int) -> None:
-    if not isinstance(radius, int):
-        raise ValueError(f"radius must be an int, got {radius!r}")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-
-
 def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> BallGraph:
     """Breadth-first enumeration of the chamber ball of the given radius."""
-    _require_radius(radius)
+    _int(radius, "radius", 0)
     start = center if center is not None else standard_chamber(ctx)
     chambers: list[FlagChamber] = [start]
     index: dict[FlagChamber, int] = {start: 0}

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Sequence
 
-from .exact import row_reduce
+from .exact import _int, row_reduce
 
 __all__ = [
     "INFINITE_ORDER",
@@ -171,7 +171,7 @@ class CoxeterDiagram:
 
 
 def _generator(diagram: CoxeterDiagram, letter: int) -> int:
-    if not isinstance(letter, int) or not 0 <= letter < diagram.size:
+    if type(letter) is not int or not 0 <= letter < diagram.size:
         raise ValueError(f"unknown generator {letter!r}")
     return letter
 
@@ -417,8 +417,7 @@ def bfs_growth(diagram: CoxeterDiagram, cutoff: int) -> GrowthTable:
     >>> bfs_growth(affine_diagram("A1~"), 4).counts
     (1, 2, 2, 2, 2)
     """
-    if not isinstance(cutoff, int) or cutoff < 0:
-        raise ValueError(f"cutoff must be a non-negative int, got {cutoff!r}")
+    _int(cutoff, "cutoff", 0)
     shell = {(1,) * diagram.size}
     counts = [1]
     for _ in range(cutoff):

@@ -2,8 +2,9 @@
 
 ``SparseMap`` is the one finitely supported function to Fraction: chamber,
 vertex and edge cochains and Hecke elements all store their values in
-one.  ``fraction_json`` is the one {num, den} encoder.  ``row_reduce`` is
-the one Gauss-Jordan elimination, over Q or over F_p.
+one.  ``_fraction`` and ``_int`` are the one checks of a rational and of
+an integer argument.  ``fraction_json`` is the one {num, den} encoder.
+``row_reduce`` is the one Gauss-Jordan elimination, over Q or over F_p.
 """
 
 from __future__ import annotations
@@ -56,12 +57,23 @@ class SparseMap(tuple):
 
 def _fraction(x: int | Fraction, name: str) -> Fraction:
     """x as a Fraction.  A float or a string would convert, but not to the
-    value meant, so anything but an int or a Fraction raises ValueError."""
+    value meant, and a bool is not a number, so anything but an int or a
+    Fraction raises ValueError."""
     if type(x) is Fraction:
         return x
-    if not isinstance(x, (int, Fraction)):
+    if type(x) is not int:
         raise ValueError(f"{name} must be int or Fraction, got {x!r}")
     return Fraction(x)
+
+
+def _int(value: int, name: str, least: int | None = None) -> int:
+    """The value if it is an int (a bool is not) of at least ``least``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return value
 
 
 def fraction_json(x: Fraction) -> dict:

@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .building import BallGraph, Face, FlagChamber
-from .exact import SparseMap, fraction_json, row_reduce
+from .exact import SparseMap, _int, fraction_json, row_reduce
 
 __all__ = [
     "Cochain",
@@ -77,10 +77,7 @@ class Cochain:
             base, q = self.rule
             if not isinstance(base, FlagChamber):
                 raise ValueError("rule base must be a chamber")
-            if not isinstance(q, int):
-                raise ValueError(f"rule parameter q must be an int, got {q!r}")
-            if q < 2:
-                raise ValueError("rule parameter q must be at least 2")
+            _int(q, "rule parameter q", 2)
 
     def value(self, chamber: FlagChamber, graph: BallGraph) -> Fraction:
         """Evaluate at a chamber, resolving distances through ``graph``."""

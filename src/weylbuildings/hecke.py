@@ -185,7 +185,7 @@ def convolve_chamber_function(
     """
     ctx = graph.ctx
     types = generator_face_types(ctx)
-    if not isinstance(generator, int) or generator not in types:
+    if type(generator) is not int or generator not in types:
         raise ValueError(f"unknown generator {generator!r}: the generators are 0..{ctx.n - 1}")
     ftype = types[generator]
     f = {i: _fraction(x, "values") for i, x in f.items()}

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .building import BallGraph, PrimeContext, _require_radius, ball
+from .building import BallGraph, PrimeContext, ball
 from .coxeter import AffineTypeLabel, affine_diagram, bfs_growth, parse_type_label
-from .exact import fraction_json
+from .exact import _int, fraction_json
 from .poincare import absolute_tail, bott_rational, evaluate, exponents_for
 
 __all__ = [
@@ -41,18 +41,13 @@ __all__ = [
 ]
 
 
-def _require_q(q: int) -> None:
-    if not isinstance(q, int) or q < 2:
-        raise ValueError("the residue cardinality q must be an integer >= 2")
-
-
 def lambda_partial(label: AffineTypeLabel | str, q: int, cutoff: int) -> list[Fraction]:
     """Exact partial sums S_0..S_K of sum_k N(k) (-1/q)^k.
 
     N comes from the breadth-first growth table, so this route is
     independent of the closed-form series.
     """
-    _require_q(q)
+    _int(q, "q", 2)
     counts = bfs_growth(affine_diagram(label), cutoff).counts
     x = Fraction(-1, q)
     sums: list[Fraction] = []
@@ -65,13 +60,13 @@ def lambda_partial(label: AffineTypeLabel | str, q: int, cutoff: int) -> list[Fr
 
 def lambda_closed(label: AffineTypeLabel | str, q: int) -> Fraction:
     """Closed form of the period: the growth series evaluated at -1/q."""
-    _require_q(q)
+    _int(q, "q", 2)
     return evaluate(bott_rational(exponents_for(label)), Fraction(-1, q))
 
 
 def absolute_majorant(label: AffineTypeLabel | str, q: int) -> Fraction:
     """P(1/q): exact upper bound for the summed absolute values."""
-    _require_q(q)
+    _int(q, "q", 2)
     return evaluate(bott_rational(exponents_for(label)), Fraction(1, q))
 
 
@@ -91,7 +86,7 @@ def geometric_lambda(
 ) -> Fraction:
     """Partial period over an enumerated ball: the geometric shell terms
     summed up to the radius."""
-    _require_radius(radius)
+    _int(radius, "radius", 0)
     if graph is None:
         graph = ball(ctx, radius)
     elif graph.ctx != ctx or graph.radius < radius:
@@ -127,7 +122,7 @@ class PeriodReport:
 
 def make_report(label: AffineTypeLabel | str, q: int, cutoff: int) -> PeriodReport:
     """Assemble partial sums, closed form, tail bound and majorant."""
-    _require_q(q)
+    _int(q, "q", 2)
     label = parse_type_label(label)
     sums = lambda_partial(label, q, cutoff)
     return PeriodReport(

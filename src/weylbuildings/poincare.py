@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from .coxeter import AffineTypeLabel, parse_type_label
-from .exact import _fraction, fraction_json
+from .exact import _fraction, _int, fraction_json
 
 __all__ = [
     "ExponentTable",
@@ -251,8 +251,7 @@ def expand(rf: RationalFunction, cutoff: int) -> SeriesTruncation:
     Requires a denominator with nonzero constant term.  Coefficients obey
     den_0 c_k = num_k - sum_{j>=1} den_j c_{k-j}.
     """
-    if not isinstance(cutoff, int) or cutoff < 0:
-        raise ValueError(f"cutoff must be a non-negative int, got {cutoff!r}")
+    _int(cutoff, "cutoff", 0)
     den = rf.denominator
     if not den or den[0] == 0:
         raise ZeroDivisionError("denominator has a zero constant term")
@@ -285,8 +284,7 @@ def absolute_tail(table: ExponentTable, q: int, cutoff: int) -> Fraction:
     All N(k) are non-negative, so this majorizes the absolute value of
     every signed tail with the same coefficients at |x| = 1/q.
     """
-    if not isinstance(q, int) or q < 2:
-        raise ValueError(f"q must be an int >= 2, got {q!r}")
+    _int(q, "q", 2)
     rf = bott_rational(table)
     total = evaluate(rf, Fraction(1, q))
     partial = sum(

@@ -282,6 +282,23 @@ def test_gl3_non_faces_rejected():
                 chambers_containing(face, ctx)
 
 
+def test_face_classes_of_another_size_rejected():
+    ctx2, ctx3 = PrimeContext(p=2, n=2), PrimeContext(p=2, n=3)
+    v2, v3 = standard_lattice(ctx2), standard_lattice(ctx3)
+    with pytest.raises(ValueError, match=re.escape(f"face classes must be 2x2, got 3x3: {v3.hnf}")):
+        chambers_containing(Face((v3,)), ctx2)
+    with pytest.raises(ValueError, match=re.escape(f"face classes must be 3x3, got 2x2: {v2.hnf}")):
+        chambers_containing((v3, v2), ctx3)
+
+
+@pytest.mark.parametrize("p, n, radius", [(3, 2, 4), (3, 3, 2)])
+def test_chambers_are_stored_from_their_least_rotation(p, n, radius):
+    for chamber in ball(PrimeContext(p=p, n=n), radius).chambers:
+        cs = chamber.classes
+        rotations = [cs[i:] + cs[:i] for i in range(n)]
+        assert cs == min(rotations, key=lambda r: tuple(c.hnf for c in r))
+
+
 def test_face_types_partition():
     ctx = PrimeContext(p=2, n=3)
     chamber = standard_chamber(ctx)

@@ -80,7 +80,8 @@ def test_unit_and_linearity():
     assert multiply(combo, one) == combo
     assert combo + b == 3 * a
     assert combo - combo == a - a
-    assert (combo - combo).is_zero
+    assert (combo - combo).is_zero()
+    assert not combo.is_zero()
 
 
 @settings(max_examples=30, deadline=None)

@@ -72,9 +72,13 @@ def test_report_validation():
         make_report(A1, 1, 6)
 
 
-@pytest.mark.parametrize("cutoff", [2.0, "2", -1], ids=repr)
-def test_report_rejects_bad_cutoff(cutoff):
-    with pytest.raises(ValueError, match=f"cutoff must be a non-negative int, got {cutoff!r}"):
+@pytest.mark.parametrize(
+    "cutoff, problem",
+    [(2.0, "an int"), ("2", "an int"), (-1, "nonnegative")],
+    ids=["2.0", "'2'", "-1"],
+)
+def test_report_rejects_bad_cutoff(cutoff, problem):
+    with pytest.raises(ValueError, match=re.escape(f"cutoff must be {problem}, got {cutoff!r}")):
         make_report("A1~", 2, cutoff)
 
 
