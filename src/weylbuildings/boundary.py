@@ -48,6 +48,7 @@ from typing import Mapping, Sequence
 from .building import (
     LatticeClass,
     PrimeContext,
+    _require_classes,
     _tree_neighbors,
     classes_adjacent,
     standard_lattice,
@@ -78,9 +79,7 @@ __all__ = [
 def _require_tree(ctx: PrimeContext, *vertices: LatticeClass) -> None:
     if ctx.n != 2:
         raise ValueError("the boundary machinery lives on the n = 2 tree")
-    for v in vertices:
-        if v.n != 2:
-            raise ValueError(f"a vertex of the n = 2 tree is a 2x2 class, got {v.n}x{v.n}: {v.hnf}")
+    _require_classes(ctx, *vertices)
 
 
 # -- cochains -------------------------------------------------------------------

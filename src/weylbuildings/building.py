@@ -64,11 +64,12 @@ star must hold exactly p + 1 distinct chambers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import _fraction, _int, row_reduce
+from .exact import _fraction, _int
 
 __all__ = [
     "PrimeContext",
@@ -101,15 +102,11 @@ IntMatrix = tuple[tuple[int, ...], ...]
 QMatrix = tuple[tuple[Fraction, ...], ...]
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def _prime(p: int) -> int:
+    """p if it is a prime int; ValueError naming it otherwise."""
+    if _int(p, "p") < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"{p} is not prime")
+    return p
 
 
 @dataclass(frozen=True)
@@ -127,8 +124,7 @@ class PrimeContext:
     precision: InitVar[int | None] = None
 
     def __post_init__(self, _ignored: int | None) -> None:
-        if not _is_prime(_int(self.p, "p")):
-            raise ValueError(f"{self.p} is not prime")
+        _prime(self.p)
         if _int(self.n, "n") not in (2, 3):
             raise ValueError("only n = 2 and n = 3 are supported")
 
@@ -258,11 +254,12 @@ class LatticeClass:
 def lattice_from_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> LatticeClass:
     """Canonicalize the homothety class spanned by the given generating rows.
 
-    Entries are ints or Fractions with p-power denominators.  The rows are
-    scaled to integers by the largest denominator, then canonicalized in
-    integer arithmetic.  Extra rows beyond n are allowed as long as the
-    span is full.
+    Entries are ints or Fractions with p-power denominators, for a prime
+    int p.  The rows are scaled to integers by the largest denominator,
+    then canonicalized in integer arithmetic.  Extra rows beyond n are
+    allowed as long as the span is full.
     """
+    _prime(p)
     if not rows or not rows[0]:
         raise ValueError("need at least n rows of length n, for some n >= 1")
     n = len(rows[0])
@@ -329,6 +326,17 @@ def vertex_label(cls: LatticeClass, ctx: PrimeContext) -> int:
     return cls.valuation % ctx.n
 
 
+def _require_classes(ctx: PrimeContext, *classes: LatticeClass) -> None:
+    """ValueError unless each class is n x n and the product of its Hermite
+    diagonal is p ** valuation, as for every class built under ctx."""
+    n, p = ctx.n, ctx.p
+    for c in classes:
+        if c.n != n:
+            raise ValueError(f"expected a {n}x{n} class, got {c.n}x{c.n}: {c.hnf}")
+        if math.prod(row[i] for i, row in enumerate(c.hnf)) != p**c.valuation:
+            raise ValueError(f"expected a class of the p = {p} building, got {c.hnf}")
+
+
 # -- membership ----------------------------------------------------------------
 
 
@@ -370,6 +378,7 @@ def classes_adjacent(u: LatticeClass, v: LatticeClass, ctx: PrimeContext) -> boo
     whose label is one less.  For n = 2 both orders are such steps; equal
     labels, and so u = v, admit none.
     """
+    _require_classes(ctx, u, v)
     if (vertex_label(v, ctx) - vertex_label(u, ctx)) % ctx.n != 1:
         u, v = v, u
     return _chain_step_ok(u, v, ctx)
@@ -406,6 +415,7 @@ def make_chamber(classes: Sequence[LatticeClass], ctx: PrimeContext) -> FlagCham
     cs = tuple(classes)
     if len(cs) != ctx.n:
         raise ValueError(f"a chamber needs exactly {ctx.n} classes")
+    _require_classes(ctx, *cs)
     if len(set(cs)) != len(cs):
         raise ValueError("flag classes must be distinct")
     for i in range(len(cs)):
@@ -461,23 +471,24 @@ def _quotient_basis(
 ) -> tuple[list[int], list[int]]:
     """Two rows of the outer basis spanning the quotient outer / inner.
 
-    Requires p * outer <= inner <= outer with a two-dimensional quotient.
-    The inner rows are written in coordinates over the upper-triangular
-    outer basis and reduced mod p; the free columns of the reduced row
-    space single out two outer basis rows spanning the quotient plane.
+    Requires p * outer <= inner <= outer with a two-dimensional quotient,
+    so inner / p outer is a line (n = 3) or zero (n = 2).  In coordinates
+    over the upper-triangular outer basis, an inner row nonzero mod p spans
+    that line, and the outer rows but the one at its first coordinate prime
+    to p span the quotient (a row inside p outer leads at None).  Rows
+    leading at two columns span more than a line; rank 2 at one column
+    leaves a line inside inner, which ``_canonical`` refuses by valuation.
     """
-    n = len(outer_rows)
-    coord_rows: list[dict[int, int]] = []
+    leads = set()
     for row in inner_rows:
         coords = _coordinates(outer_rows, row)
         if coords is None:
             raise ValueError("inner rows do not lie in the outer lattice")
-        coord_rows.append(dict(enumerate(coords)))
-    pivots = row_reduce(coord_rows, p)
-    free = [c for c in range(n) if c not in pivots]
+        leads.add(next((c for c, x in enumerate(coords) if x % p), None))
+    free = [row for c, row in enumerate(outer_rows) if c not in leads]
     if len(free) != 2:
         raise ValueError("quotient of the face gap is not two-dimensional")
-    return list(outer_rows[free[0]]), list(outer_rows[free[1]])
+    return list(free[0]), list(free[1])
 
 
 def _insertions(
@@ -533,9 +544,7 @@ def chambers_containing(
     p, n = ctx.p, ctx.n
     if len(classes) != n - 1:
         raise ValueError(f"a codimension-1 face has {n - 1} classes")
-    for c in classes:
-        if len(c.hnf) != n:
-            raise ValueError(f"face classes must be {n}x{n}, got {c.n}x{c.n}: {c.hnf}")
+    _require_classes(ctx, *classes)
     if n == 2:
         flag, middles = classes, _tree_neighbors(classes[0], p)
     else:
@@ -589,8 +598,10 @@ def act(g: Sequence[Sequence[Fraction | int]], x, ctx: PrimeContext):
         return _canonical(rows, ctx.p, cls.valuation + shift)
 
     if isinstance(x, LatticeClass):
+        _require_classes(ctx, x)
         return image(x)
     if isinstance(x, FlagChamber):
+        _require_classes(ctx, *x.classes)
         return FlagChamber(tuple(image(c) for c in x.classes))
     raise TypeError("act expects a LatticeClass or a FlagChamber")
 
@@ -746,9 +757,13 @@ class BallGraph:
 
 
 def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> BallGraph:
-    """Breadth-first enumeration of the chamber ball of the given radius."""
+    """Breadth-first enumeration of the chamber ball of the given radius,
+    around the standard chamber or a caller's center, which ``make_chamber``
+    checks."""
     _int(radius, "radius", 0)
-    start = center if center is not None else standard_chamber(ctx)
+    if center is not None and not isinstance(center, FlagChamber):
+        raise ValueError(f"center must be a FlagChamber, got {center!r}")
+    start = standard_chamber(ctx) if center is None else make_chamber(center.classes, ctx)
     chambers: list[FlagChamber] = [start]
     index: dict[FlagChamber, int] = {start: 0}
     distance: list[int] = [0]

@@ -102,7 +102,7 @@ class AffineTypeLabel:
         if window is None:
             raise ValueError(f"unknown family {self.family!r}")
         lo, hi = window
-        if self.rank < lo or (hi is not None and self.rank > hi):
+        if _int(self.rank, "rank") < lo or (hi is not None and self.rank > hi):
             raise ValueError(f"rank {self.rank} invalid for family {self.family}")
 
     def __str__(self) -> str:
@@ -118,7 +118,7 @@ def parse_type_label(label: AffineTypeLabel | str) -> AffineTypeLabel:
     """
     if isinstance(label, AffineTypeLabel):
         return label
-    m = _LABEL_RE.match(label.strip())
+    m = _LABEL_RE.match(label.strip()) if isinstance(label, str) else None
     if m is None:
         raise ValueError(f"malformed affine type label {label!r}")
     return AffineTypeLabel(m.group(1), int(m.group(2)))
@@ -146,12 +146,14 @@ class CoxeterDiagram:
         if n == 0 or any(len(row) != n for row in self.orders):
             raise ValueError("order matrix must be square and nonempty")
         for i in range(n):
-            if self.orders[i][i] != 1:
+            if _int(self.orders[i][i], "diagonal order") != 1:
                 raise ValueError("diagonal orders must be 1")
             for j in range(i + 1, n):
                 m = self.orders[i][j]
                 if m != self.orders[j][i]:
                     raise ValueError("order matrix must be symmetric")
+                if m != INFINITE_ORDER and type(m) is not int:
+                    raise ValueError(f"an order must be an int or math.inf, got {m!r}")
                 if m not in CRYSTALLOGRAPHIC_ORDERS:
                     raise ValueError(f"non-crystallographic order {m!r}")
         cartan = _cartan_matrix(self)
@@ -309,7 +311,8 @@ class GroupElement:
     __slots__ = ("point", "_matrix", "_diagram", "_peel")
 
     def __init__(self, matrix: Matrix) -> None:
-        self._matrix, self._diagram, self._peel = tuple(map(tuple, matrix)), None, None
+        entries = tuple(tuple(_int(x, "matrix entries") for x in row) for row in matrix)
+        self._matrix, self._diagram, self._peel = entries, None, None
         self.point: tuple[int, ...] = tuple(map(sum, zip(*self._matrix)))
 
     @property

@@ -4,7 +4,8 @@
 vertex and edge cochains and Hecke elements all store their values in
 one.  ``_fraction`` and ``_int`` are the one checks of a rational and of
 an integer argument.  ``fraction_json`` is the one {num, den} encoder.
-``row_reduce`` is the one Gauss-Jordan elimination, over Q or over F_p.
+``row_reduce`` is the one Gauss-Jordan elimination, over Q; the residue
+plane of a building face is read off one coordinate row without it.
 """
 
 from __future__ import annotations
@@ -80,11 +81,8 @@ def fraction_json(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def row_reduce(
-    rows: Iterable[Mapping[int, int | Fraction]], modulus: int | None = None
-) -> dict[int, dict[int, int | Fraction]]:
-    """Reduced row echelon form of the span of sparse rows, over Q, or over
-    F_modulus when a prime modulus is given.
+def row_reduce(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form over Q of the span of sparse rows.
 
     A row maps columns to values; zero values may be left out.  The result
     maps each pivot column, in increasing order, to its row: 1 at the
@@ -95,12 +93,9 @@ def row_reduce(
     e_f - sum over pivots c of row_c[f] e_c (Cohen, GTM 138, 2.3.1).
     """
 
-    def clean(x):
-        return x if modulus is None else x % modulus
-
-    def subtract(row: dict, factor, pivot_row: dict) -> None:
+    def subtract(row: dict, factor: Fraction, pivot_row: dict) -> None:
         for k, y in pivot_row.items():
-            x = clean(row.get(k, 0) - factor * y)
+            x = row.get(k, 0) - factor * y
             if x:
                 row[k] = x
             else:
@@ -108,14 +103,14 @@ def row_reduce(
 
     reduced: dict[int, dict] = {}
     for given in rows:
-        row = {c: y for c, x in given.items() if (y := clean(x))}
+        row = {c: x for c, x in given.items() if x}
         for c in [c for c in row if c in reduced]:
             subtract(row, row[c], reduced[c])
         if not row:
             continue
         lead = min(row)
-        inv = 1 / Fraction(row[lead]) if modulus is None else pow(row[lead], -1, modulus)
-        row = {k: clean(x * inv) for k, x in row.items()}
+        inv = 1 / Fraction(row[lead])
+        row = {k: x * inv for k, x in row.items()}
         for other in reduced.values():
             if lead in other:
                 subtract(other, other[lead], row)

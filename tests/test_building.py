@@ -24,6 +24,7 @@ from weylbuildings import (
     chambers_containing,
     classes_adjacent,
     element_from_word,
+    end_chart,
     epsilon,
     epsilon_from_determinant,
     epsilon_from_labels,
@@ -38,6 +39,7 @@ from weylbuildings import (
     standard_chamber,
     standard_lattice,
     vertex_label,
+    vertex_neighbors,
     vertex_tree,
     weyl_to_chamber,
 )
@@ -285,10 +287,64 @@ def test_gl3_non_faces_rejected():
 def test_face_classes_of_another_size_rejected():
     ctx2, ctx3 = PrimeContext(p=2, n=2), PrimeContext(p=2, n=3)
     v2, v3 = standard_lattice(ctx2), standard_lattice(ctx3)
-    with pytest.raises(ValueError, match=re.escape(f"face classes must be 2x2, got 3x3: {v3.hnf}")):
+    with pytest.raises(ValueError, match=re.escape(f"expected a 2x2 class, got 3x3: {v3.hnf}")):
         chambers_containing(Face((v3,)), ctx2)
-    with pytest.raises(ValueError, match=re.escape(f"face classes must be 3x3, got 2x2: {v2.hnf}")):
+    with pytest.raises(ValueError, match=re.escape(f"expected a 3x3 class, got 2x2: {v2.hnf}")):
         chambers_containing((v3, v2), ctx3)
+
+
+P2, P3 = PrimeContext(p=2, n=2), PrimeContext(p=3, n=2)
+O2 = standard_lattice(P2)
+ONE_THREE = lattice_from_rows([[1, 0], [0, 3]], 3)  # a vertex of the p = 3 tree
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: chambers_containing(Face((ONE_THREE,)), P2),
+        lambda: vertex_neighbors(ONE_THREE, P2),
+        lambda: vertex_tree(P2, ONE_THREE, 1),
+        lambda: end_chart((O2, ONE_THREE), P2),
+        lambda: classes_adjacent(O2, ONE_THREE, P2),
+        lambda: make_chamber([O2, ONE_THREE], P2),
+        lambda: act([[1, 0], [0, 1]], ONE_THREE, P2),
+        lambda: ball(P2, 1, center=building.FlagChamber((O2, ONE_THREE))),
+    ],
+    ids=[
+        "chambers_containing",
+        "vertex_neighbors",
+        "vertex_tree",
+        "end_chart",
+        "classes_adjacent",
+        "make_chamber",
+        "act",
+        "ball",
+    ],
+)
+def test_a_class_of_another_prime_is_refused(call):
+    # its Hermite diagonal (1, 3) is not a power of 2, so no answer about
+    # the p = 2 tree can be right
+    with pytest.raises(ValueError, match=re.escape("expected a class of the p = 2 building, got ((1, 0), (0, 3))")):
+        call()
+
+
+def test_a_center_of_another_building_is_refused():
+    with pytest.raises(ValueError, match=re.escape("expected a class of the p = 3 building, got ((1, 0), (0, 2))")):
+        ball(P3, 1, center=standard_chamber(P2))
+    with pytest.raises(ValueError, match="a chamber needs exactly 3 classes"):
+        ball(PrimeContext(p=2, n=3), 1, center=standard_chamber(P2))
+    with pytest.raises(ValueError, match=re.escape("center must be a FlagChamber, got 'x'")):
+        ball(P2, 1, center="x")
+
+
+def test_act_refuses_a_class_of_another_size():
+    v3 = standard_lattice(PrimeContext(p=2, n=3))
+    with pytest.raises(ValueError, match=re.escape(f"expected a 2x2 class, got 3x3: {v3.hnf}")):
+        act([[1, 0], [0, 1]], v3, P2)
+    with pytest.raises(ValueError, match=re.escape("expected a 2x2 class, got 3x3")):
+        act([[1, 0], [0, 1]], standard_chamber(PrimeContext(p=2, n=3)), P2)
+    with pytest.raises(ValueError, match=re.escape("expected a 2x2 class, got 3x3")):
+        make_chamber([v3, v3], P2)
 
 
 @pytest.mark.parametrize("p, n, radius", [(3, 2, 4), (3, 3, 2)])
@@ -724,6 +780,58 @@ def test_canonical_asserts_the_given_valuation():
     for wrong in (1, 3):
         with pytest.raises(AssertionError, match="expected valuation"):
             building._canonical(rows, 3, wrong)
+
+
+def _face_gap(face, ctx):
+    # the gap p^k last > p first that chambers_containing fills for an
+    # n = 3 face: outer rows, inner rows and the inner valuation
+    first, last = face.classes
+    if (vertex_label(last, ctx) - vertex_label(first, ctx)) % 3 != 1:
+        first, last = last, first
+    k = (first.valuation + 1 - last.valuation) // 3
+    return last.scaled_rows(ctx.p, k), first.scaled_rows(ctx.p, 1), first.valuation + 3
+
+
+def _spans_lattice(rows, basis, p):
+    # the rows lie in the lattice of the triangular basis, and their span
+    # has its determinant valuation (the least over maximal minors)
+    if any(building._coordinates(basis, row) is None for row in rows):
+        return False
+    minors = [building._det(list(m)) for m in combinations(rows, len(basis))]
+    return min(_val(d, p) for d in minors if d) == _val(building._det(basis), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_quotient_basis_completes_every_face_gap(p):
+    ctx = PrimeContext(p=p, n=3)
+    for face in ball(ctx, 2).faces:
+        outer, inner, _ = _face_gap(face, ctx)
+        u, v = building._quotient_basis(outer, inner, p)
+        assert u in outer and v in outer and u != v
+        assert _spans_lattice(inner + [u, v], outer, p)
+        assert not _spans_lattice(inner + [u], outer, p)
+        assert not _spans_lattice(inner + [v], outer, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_one_dimensional_face_gap_is_refused(p):
+    # inner plus one quotient row leaves a line, not a plane: its rows lead
+    # at two columns
+    ctx = PrimeContext(p=p, n=3)
+    for face in ball(ctx, 1).faces:
+        outer, inner, valuation = _face_gap(face, ctx)
+        u, _ = building._quotient_basis(outer, inner, p)
+        with pytest.raises(ValueError, match="quotient of the face gap is not two-dimensional"):
+            building._insertions(outer, inner + [u], valuation - 1, p)
+
+
+def test_a_line_gap_leading_at_one_column_fails_the_valuation_check():
+    # rank 2 mod p with both rows leading at column 0: the rule returns
+    # e1, e2, and the line e1 lies inside inner
+    outer = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    inner = [[1, 0, 0], [1, 1, 0], [0, 0, 3]]
+    with pytest.raises(AssertionError, match="expected valuation"):
+        building._insertions(outer, inner, 1, 3)
 
 
 def _generic_tree_neighbors(v, p):

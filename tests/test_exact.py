@@ -4,7 +4,7 @@ Chamber cochains in map form, vertex and edge cochains on the tree and
 Hecke elements all store a finitely supported map to Fraction; each owner
 must drop zeros, reject duplicate keys, ignore input order and read a
 missing key as 0.  ``row_reduce`` must give the reduced echelon form that
-dense Gauss-Jordan elimination gives, over Q and over F_p.
+dense Gauss-Jordan elimination gives over Q.
 """
 
 import pickle
@@ -149,17 +149,10 @@ def test_one_cochain_rejects_conflicting_orientations():
 # -- row reduction -----------------------------------------------------------------
 
 
-def _dense_rref(matrix, ncols, modulus=None):
+def _dense_rref(matrix, ncols):
     """Column-by-column Gauss-Jordan on dense rows, kept as the reference:
     {pivot column: reduced dense row}."""
-    if modulus is None:
-        rows = [[Fraction(x) for x in row] for row in matrix]
-    else:
-        rows = [[x % modulus for x in row] for row in matrix]
-
-    def clean(x):
-        return x if modulus is None else x % modulus
-
+    rows = [[Fraction(x) for x in row] for row in matrix]
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
@@ -167,61 +160,53 @@ def _dense_rref(matrix, ncols, modulus=None):
         if sel is None:
             continue
         rows[rank], rows[sel] = rows[sel], rows[rank]
-        lead = rows[rank][col]
-        inv = 1 / lead if modulus is None else pow(lead, -1, modulus)
-        rows[rank] = [clean(x * inv) for x in rows[rank]]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 factor = rows[r][col]
-                rows[r] = [clean(x - factor * y) for x, y in zip(rows[r], rows[rank])]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
     return {col: rows[i] for i, col in enumerate(pivots)}
 
 
 @st.composite
 def _matrices(draw):
-    """(modulus, column count, rows): up to 8 x 8, zero rows and dependent
-    rows included; the modulus None means Q."""
-    modulus = draw(st.sampled_from([None, 2, 3, 5]))
+    """(column count, rows) over Q: up to 8 x 8, zero rows and dependent
+    rows included."""
     ncols = draw(st.integers(1, 8))
-    if modulus is None:
-        entry = st.fractions(-3, 3, max_denominator=4)
-    else:
-        entry = st.integers(-6, 6)
-    entry = st.one_of(st.just(0), entry)
+    entry = st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=4))
     row = st.lists(entry, min_size=ncols, max_size=ncols)
     rows = draw(st.lists(row, max_size=8))
     if rows:
         weights = st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows))
         for ws in draw(st.lists(weights, max_size=8 - len(rows))):
             rows.append([sum(w * r[j] for w, r in zip(ws, rows)) for j in range(ncols)])
-    return modulus, ncols, draw(st.permutations(rows))
+    return ncols, draw(st.permutations(rows))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_matrices())
 def test_row_reduce_matches_dense_gauss_jordan(case):
-    modulus, ncols, matrix = case
+    ncols, matrix = case
     # sparse rows; zeros at odd columns are stored, which must not matter
     sparse = [{j: x for j, x in enumerate(row) if x or j % 2} for row in matrix]
-    reduced = row_reduce(sparse, modulus)
-    expected = _dense_rref(matrix, ncols, modulus)
+    reduced = row_reduce(sparse)
+    expected = _dense_rref(matrix, ncols)
     assert list(reduced) == list(expected)
     for col, row in expected.items():
         assert reduced[col] == {j: x for j, x in enumerate(row) if x}
-    assert row_reduce(reversed(sparse), modulus) == reduced
+    assert row_reduce(reversed(sparse)) == reduced
     for free in (c for c in range(ncols) if c not in reduced):
         v = [int(c == free) for c in range(ncols)]
         for col, row in reduced.items():
             v[col] = -row.get(free, 0)
         for row in matrix:
-            dot = sum(x * y for x, y in zip(row, v))
-            assert (dot if modulus is None else dot % modulus) == 0
+            assert sum(x * y for x, y in zip(row, v)) == 0
 
 
 def test_row_reduce_values_are_canonical():
     reduced = row_reduce([{0: 2, 1: 4, 2: 0}, {0: 1, 1: 2, 2: 1}])
     assert reduced == {0: {0: 1, 1: 2}, 2: {2: 1}}
     assert all(isinstance(x, Fraction) for row in reduced.values() for x in row.values())
-    assert row_reduce([{0: 3, 1: 4}, {1: 5}], 5) == {0: {0: 1, 1: 3}}
     assert row_reduce([{}, {3: 0}]) == {}

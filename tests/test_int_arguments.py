@@ -12,8 +12,11 @@ import pytest
 
 import weylbuildings
 from weylbuildings import (
+    AffineTypeLabel,
     BoundaryFunction,
     Cochain,
+    CoxeterDiagram,
+    GroupElement,
     PrimeContext,
     absolute_majorant,
     absolute_tail,
@@ -31,7 +34,9 @@ from weylbuildings import (
     geometric_lambda,
     lambda_closed,
     lambda_partial,
+    lattice_from_rows,
     make_report,
+    parse_type_label,
     sphere_vertex_count,
     standard_chamber,
     standard_lattice,
@@ -63,6 +68,10 @@ INT_ARGUMENTS = [
     ("n", lambda x: PrimeContext(p=2, n=x)),
     ("depth", lambda x: BoundaryFunction(depth=x, parts=())),
     ("rule parameter q", lambda x: Cochain(rule=(standard_chamber(P2), x))),
+    ("p", lambda x: lattice_from_rows([[1, 0], [0, 1]], x)),
+    ("rank", lambda x: AffineTypeLabel("A", x)),
+    ("matrix entries", lambda x: GroupElement([[x, 0], [0, 1]])),
+    ("diagonal order", lambda x: CoxeterDiagram(((x, 3), (3, 1)))),
 ]
 
 
@@ -98,6 +107,28 @@ def test_integer_argument_refuses_non_int(name, call, value):
 def test_generators_and_rationals_refuse_bool(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lattice_from_rows([[1, 0], [0, 1]], 4), "4 is not prime"),
+        (lambda: GroupElement("ab"), "matrix entries must be an int, got 'a'"),
+        (lambda: parse_type_label(3), "malformed affine type label 3"),
+        (
+            lambda: CoxeterDiagram(((1, 3.0), (3.0, 1))),
+            "an order must be an int or math.inf, got 3.0",
+        ),
+    ],
+    ids=["lattice_from_rows", "GroupElement", "parse_type_label", "CoxeterDiagram"],
+)
+def test_arguments_of_the_wrong_kind_are_named(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_infinite_orders_stay_admitted():
+    assert CoxeterDiagram(((1, float("inf")), (float("inf"), 1))) == affine_diagram("A1~")
 
 
 def test_int_bounds():
