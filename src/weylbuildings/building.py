@@ -327,10 +327,13 @@ def vertex_label(cls: LatticeClass, ctx: PrimeContext) -> int:
 
 
 def _require_classes(ctx: PrimeContext, *classes: LatticeClass) -> None:
-    """ValueError unless each class is n x n and the product of its Hermite
-    diagonal is p ** valuation, as for every class built under ctx."""
+    """ValueError unless each class is a ``LatticeClass``, n x n, and the
+    product of its Hermite diagonal is p ** valuation, as for every class
+    built under ctx."""
     n, p = ctx.n, ctx.p
     for c in classes:
+        if not isinstance(c, LatticeClass):
+            raise ValueError(f"expected a lattice class, got {c!r}")
         if c.n != n:
             raise ValueError(f"expected a {n}x{n} class, got {c.n}x{c.n}: {c.hnf}")
         if math.prod(row[i] for i, row in enumerate(c.hnf)) != p**c.valuation:

@@ -12,6 +12,8 @@ Shared flags: --type, --q, --p, --n, --R, --K, --format {json,csv,table},
 --out PATH, --seed.  All numbers are exact rationals rendered as text;
 rows carry a method column (enumerated vs closed-form) where two routes
 are compared.  Identical configuration produces byte-identical JSON.
+Each subcommand imports the library modules it uses when it runs, so a
+request loads only those.
 
 Exit status: 0 when every exact check passes, 1 when any check fails,
 2 on usage errors (bad flags, malformed labels, invalid parameters).  A
@@ -32,26 +34,10 @@ import os
 import random
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .boundary import (
-    BoundaryFunction,
-    boundary_value,
-    coboundary,
-    end_chart,
-    end_count,
-    lift,
-    primitive_cochain,
-    sphere_vertex_count,
-    vertex_tree,
-    zero_cochain_from_map,
-)
-from .building import PrimeContext, ball, ball_to_json, standard_lattice
-from .coxeter import INFINITE_ORDER, affine_diagram, bfs_growth, parse_type_label
-from .exact import fraction_json
-from .harmonic import harmonicity_defect, iwahori_vector, min_distance_chamber
-from .hecke import basis_element, multiply, special_character, unit
-from .period import geometric_lambda, make_report, report_to_json
-from .poincare import bott_rational, expand, exponents_for
+if TYPE_CHECKING:
+    from .building import PrimeContext
 
 __all__ = ["build_parser", "main", "entrypoint"]
 
@@ -102,6 +88,8 @@ def _columns(rows: list[list[str]]) -> list[str]:
 
 
 def _parse_label(text: str):
+    from .coxeter import parse_type_label
+
     try:
         return parse_type_label(text)
     except ValueError as exc:
@@ -144,6 +132,10 @@ def _checks(title: str, checks: list[tuple[str, bool]]) -> Result:
 
 
 def cmd_growth(args) -> Result:
+    from .coxeter import affine_diagram, bfs_growth
+    from .exact import fraction_json
+    from .poincare import bott_rational, expand, exponents_for
+
     label = _parse_label(args.type)
     if args.K < 0:
         raise UsageError("--K must be nonnegative")
@@ -159,6 +151,9 @@ def cmd_growth(args) -> Result:
 
 
 def cmd_period(args) -> Result:
+    from .exact import fraction_json
+    from .period import geometric_lambda, make_report, report_to_json
+
     label = _parse_label(args.type)
     try:
         q = int(args.q)
@@ -183,6 +178,8 @@ def cmd_period(args) -> Result:
     ok = True
     n = label.rank + 1
     if label.family == "A" and n in (2, 3) and q in (2, 3):
+        from .building import PrimeContext
+
         radius = min(args.K, 3 if n == 2 else 2)
         ctx = PrimeContext(p=q, n=n)
         geo = geometric_lambda(ctx, radius)
@@ -208,6 +205,9 @@ def cmd_period(args) -> Result:
 
 
 def cmd_harmonic(args) -> Result:
+    from .building import ball
+    from .harmonic import harmonicity_defect, iwahori_vector, min_distance_chamber
+
     ctx = _context(args)
     graph = ball(ctx, args.R)
     vector = iwahori_vector(graph.chambers[0], ctx.p)
@@ -251,6 +251,9 @@ def cmd_harmonic(args) -> Result:
 
 
 def cmd_ball(args) -> Result:
+    from .building import ball, ball_to_json
+    from .coxeter import affine_diagram, bfs_growth
+
     ctx = _context(args)
     graph = ball(ctx, args.R)
     counts = bfs_growth(affine_diagram(f"A{ctx.n - 1}~"), args.R).counts
@@ -268,6 +271,10 @@ def cmd_ball(args) -> Result:
 
 
 def cmd_hecke(args) -> Result:
+    from .coxeter import INFINITE_ORDER, affine_diagram
+    from .exact import fraction_json
+    from .hecke import basis_element, multiply, special_character, unit
+
     label = _parse_label(args.type)
     try:
         q = Fraction(args.q)
@@ -310,6 +317,20 @@ def cmd_hecke(args) -> Result:
 
 
 def cmd_boundary(args) -> Result:
+    from .boundary import (
+        BoundaryFunction,
+        boundary_value,
+        coboundary,
+        end_chart,
+        end_count,
+        lift,
+        primitive_cochain,
+        sphere_vertex_count,
+        vertex_tree,
+        zero_cochain_from_map,
+    )
+    from .building import standard_lattice
+
     if args.n != 2:
         raise UsageError("boundary checks run on the n = 2 tree")
     ctx = _context(args)
@@ -378,6 +399,8 @@ def cmd_boundary(args) -> Result:
 
 
 def _context(args) -> PrimeContext:
+    from .building import PrimeContext
+
     if args.n not in (2, 3):
         raise UsageError("--n must be 2 or 3")
     if args.R < 0:

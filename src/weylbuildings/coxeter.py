@@ -311,7 +311,13 @@ class GroupElement:
     __slots__ = ("point", "_matrix", "_diagram", "_peel")
 
     def __init__(self, matrix: Matrix) -> None:
-        entries = tuple(tuple(_int(x, "matrix entries") for x in row) for row in matrix)
+        try:
+            entries = tuple(tuple(_int(x, "matrix entries") for x in row) for row in matrix)
+            square = all(len(row) == len(entries) for row in entries)
+        except TypeError:  # it, or one of its rows, is not iterable
+            square = False
+        if not square:
+            raise ValueError(f"a group element needs a square matrix, got {matrix!r}")
         self._matrix, self._diagram, self._peel = entries, None, None
         self.point: tuple[int, ...] = tuple(map(sum, zip(*self._matrix)))
 

@@ -34,9 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .building import BallGraph, face_type, generator_face_types
 from .coxeter import (
     CoxeterDiagram,
     GroupElement,
@@ -48,6 +47,9 @@ from .coxeter import (
     reduced_word,
 )
 from .exact import SparseMap, _fraction, fraction_json
+
+if TYPE_CHECKING:
+    from .building import BallGraph
 
 __all__ = [
     "HeckeElement",
@@ -183,6 +185,8 @@ def convolve_chamber_function(
     omitted from the result, so compositions should stay a step inside
     the radius.
     """
+    from .building import face_type, generator_face_types
+
     ctx = graph.ctx
     types = generator_face_types(ctx)
     if type(generator) is not int or generator not in types:

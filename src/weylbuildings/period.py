@@ -23,11 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .building import BallGraph, PrimeContext, ball
 from .coxeter import AffineTypeLabel, affine_diagram, bfs_growth, parse_type_label
 from .exact import _int, fraction_json
 from .poincare import absolute_tail, bott_rational, evaluate, exponents_for
+
+if TYPE_CHECKING:
+    from .building import BallGraph, PrimeContext
 
 __all__ = [
     "lambda_partial",
@@ -86,6 +89,8 @@ def geometric_lambda(
 ) -> Fraction:
     """Partial period over an enumerated ball: the geometric shell terms
     summed up to the radius."""
+    from .building import ball
+
     _int(radius, "radius", 0)
     if graph is None:
         graph = ball(ctx, radius)

@@ -328,6 +328,20 @@ def test_a_class_of_another_prime_is_refused(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_chamber([O2, "x"], P2),
+        lambda: vertex_neighbors("x", P2),
+        lambda: chambers_containing(["x"], P2),
+    ],
+    ids=["make_chamber", "vertex_neighbors", "chambers_containing"],
+)
+def test_a_value_that_is_not_a_class_is_refused(call):
+    with pytest.raises(ValueError, match=re.escape("expected a lattice class, got 'x'")):
+        call()
+
+
 def test_a_center_of_another_building_is_refused():
     with pytest.raises(ValueError, match=re.escape("expected a class of the p = 3 building, got ((1, 0), (0, 2))")):
         ball(P3, 1, center=standard_chamber(P2))

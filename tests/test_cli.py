@@ -211,7 +211,7 @@ def test_library_value_error_is_a_failed_check(capsys, monkeypatch):
     def broken(*args):
         raise ValueError("tail bound fails to certify the truncation")
 
-    monkeypatch.setattr(weylbuildings.cli, "make_report", broken)
+    monkeypatch.setattr(weylbuildings.period, "make_report", broken)
     code, out, err = run(capsys, "period", "--type", "A1~", "--q", "2", "--K", "3")
     assert code == 1
     assert out == ""
@@ -222,7 +222,7 @@ def test_library_assertion_is_a_failed_check(capsys, monkeypatch):
     def broken(*args):
         raise AssertionError("a face must lie in exactly p + 1 chambers")
 
-    monkeypatch.setattr(weylbuildings.cli, "ball", broken)
+    monkeypatch.setattr(weylbuildings.building, "ball", broken)
     code, out, err = run(capsys, "ball", "--n", "2", "--p", "2", "--R", "2")
     assert code == 1
     assert out == ""

@@ -442,3 +442,9 @@ def test_non_members_rejected_quickly(case):
             fn(d, GroupElement(matrix))
         assert time.perf_counter() - t0 < 1
         assert repr(matrix) in str(exc.value)
+
+
+@pytest.mark.parametrize("matrix", [5, None, [1, 2], [[1, 0], [0]], [[1, 0, 0]]], ids=repr)
+def test_a_matrix_that_is_not_square_is_refused(matrix):
+    with pytest.raises(ValueError, match=re.escape(f"a group element needs a square matrix, got {matrix!r}")):
+        GroupElement(matrix)
