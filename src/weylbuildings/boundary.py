@@ -40,7 +40,6 @@ charts of distinct ends at one depth are disjoint residue balls.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -53,7 +52,7 @@ from .building import (
     classes_adjacent,
     standard_lattice,
 )
-from .exact import SparseMap, _fraction, _int, fraction_json
+from .exact import SparseMap, Value, _fraction, _int, fraction_json
 
 __all__ = [
     "ZeroCochain",
@@ -85,14 +84,13 @@ def _require_tree(ctx: PrimeContext, *vertices: LatticeClass) -> None:
 # -- cochains -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroCochain:
+class ZeroCochain(Value):
     """Finitely supported rational function on vertices, in a ``SparseMap``."""
 
-    values: tuple[tuple[LatticeClass, Fraction], ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", SparseMap(self.values, lambda v: v.hnf))
+    def __init__(self, values: tuple[tuple[LatticeClass, Fraction], ...]) -> None:
+        self._set(SparseMap(values, lambda v: v.hnf))
 
     @property
     def support(self) -> tuple[LatticeClass, ...]:
@@ -109,8 +107,7 @@ def zero_cochain_from_map(values: Mapping[LatticeClass, Fraction]) -> ZeroCochai
 Edge = tuple[LatticeClass, LatticeClass]
 
 
-@dataclass(frozen=True)
-class OneCochain:
+class OneCochain(Value):
     """Antisymmetric rational function on oriented edges, finite support.
 
     ``values`` is a ``SparseMap`` with one value per unordered edge, on
@@ -118,18 +115,18 @@ class OneCochain:
     first; lookups on either orientation apply the sign.
     """
 
-    values: tuple[tuple[Edge, Fraction], ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, values: tuple[tuple[Edge, Fraction], ...]) -> None:
         acc: dict[Edge, Fraction] = {}
-        for (s, t), x in self.values:
+        for (s, t), x in values:
             if s == t:
                 raise ValueError("an edge needs two distinct vertices")
             x = _fraction(x, "values")
             key, signed = ((s, t), x) if s.hnf < t.hnf else ((t, s), -x)
             if acc.setdefault(key, signed) != signed:
                 raise ValueError("conflicting values on the two orientations of an edge")
-        object.__setattr__(self, "values", SparseMap._of(acc, lambda e: (e[0].hnf, e[1].hnf)))
+        self._set(SparseMap._of(acc, lambda e: (e[0].hnf, e[1].hnf)))
 
     @property
     def support(self) -> tuple[Edge, ...]:
@@ -156,21 +153,30 @@ def vertex_neighbors(vertex: LatticeClass, ctx: PrimeContext) -> tuple[LatticeCl
     return tuple(sorted(_tree_neighbors(vertex, ctx.p), key=lambda v: v.hnf))
 
 
-@dataclass(frozen=True)
-class VertexTree:
+class VertexTree(Value):
     """Vertices within a depth around an origin, with BFS parents.
 
     Trees are cached and shared between callers, so every field is
     immutable: ``index`` is a read-only view.
     """
 
-    ctx: PrimeContext
-    origin: LatticeClass
-    radius: int
-    vertices: tuple[LatticeClass, ...]
-    depth: tuple[int, ...]
-    parent: tuple[int | None, ...]
-    index: Mapping[LatticeClass, int]
+    __slots__ = ("ctx", "origin", "radius", "vertices", "depth", "parent", "index")
+
+    def __init__(
+        self,
+        ctx: PrimeContext,
+        origin: LatticeClass,
+        radius: int,
+        vertices: tuple[LatticeClass, ...],
+        depth: tuple[int, ...],
+        parent: tuple[int | None, ...],
+        index: Mapping[LatticeClass, int],
+    ) -> None:
+        self._set(ctx, origin, radius, vertices, depth, parent, index)
+
+    def __reduce__(self) -> tuple:
+        # the read-only index does not pickle; the shared tree is rebuilt
+        return vertex_tree, (self.ctx, self.origin, self.radius)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -265,22 +271,24 @@ def integrate(omega: OneCochain, path: Sequence[LatticeClass], ctx: PrimeContext
 # -- boundary values -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryFunction:
+class BoundaryFunction(Value):
     """Function on the ends at one depth: (rim edge, value) per end,
     with an optional projective chart per end.  The depth is an int; the
     values are ints or Fractions and become Fractions."""
 
-    depth: int
-    parts: tuple[tuple[Edge, Fraction], ...]
-    chart: tuple[tuple[tuple[int, int], Fraction], ...] | None = None
+    __slots__ = ("depth", "parts", "chart")
 
-    def __post_init__(self) -> None:
-        _int(self.depth, "depth")
-        parts = ((e, _fraction(x, "values")) for e, x in self.parts)
+    def __init__(
+        self,
+        depth: int,
+        parts: tuple[tuple[Edge, Fraction], ...],
+        chart: tuple[tuple[tuple[int, int], Fraction], ...] | None = None,
+    ) -> None:
+        _int(depth, "depth")
+        parts = ((e, _fraction(x, "values")) for e, x in parts)
         ordered = tuple(sorted(parts, key=lambda t: (t[0][1].hnf, t[0][0].hnf)))
-        object.__setattr__(self, "parts", ordered)
-        if self.chart is not None and len(self.chart) != len(self.parts):
+        self._set(depth, ordered, chart)
+        if chart is not None and len(chart) != len(ordered):
             raise ValueError("chart must name each end exactly once")
 
     def constant_value(self) -> Fraction | None:

@@ -65,11 +65,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import _fraction, _int
+from .exact import Value, _fraction, _int
 
 __all__ = [
     "PrimeContext",
@@ -109,8 +108,7 @@ def _prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class PrimeContext:
+class PrimeContext(Value):
     """Ambient data: the prime p and the dimension n.
 
     All arithmetic is exact, so there is no p-adic working precision.  The
@@ -119,13 +117,12 @@ class PrimeContext:
     only in it are equal and share every per-context cache.
     """
 
-    p: int
-    n: int
-    precision: InitVar[int | None] = None
+    __slots__ = ("p", "n")
 
-    def __post_init__(self, _ignored: int | None) -> None:
-        _prime(self.p)
-        if _int(self.n, "n") not in (2, 3):
+    def __init__(self, p: int, n: int, precision: int | None = None) -> None:
+        self._set(p, n)
+        _prime(p)
+        if _int(n, "n") not in (2, 3):
             raise ValueError("only n = 2 and n = 3 are supported")
 
 
@@ -229,8 +226,7 @@ def _hermite_rows(rows: Sequence[Sequence[int]], p: int, valuation: int) -> IntM
 # -- lattice classes -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticeClass:
+class LatticeClass(Value):
     """Homothety class of a lattice, held as its canonical Hermite matrix.
 
     ``valuation`` is v_p(det) of that matrix, the sum of its diagonal
@@ -238,8 +234,20 @@ class LatticeClass:
     ``hnf`` alone.
     """
 
-    hnf: IntMatrix
-    valuation: int = field(compare=False)
+    __slots__ = ("hnf", "valuation")
+    _uncompared = ("valuation",)
+
+    def __init__(self, hnf: IntMatrix, valuation: int) -> None:
+        object.__setattr__(self, "hnf", hnf)
+        object.__setattr__(self, "valuation", valuation)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is LatticeClass:
+            return self.hnf == other.hnf
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.hnf,))
 
     @property
     def n(self) -> int:
@@ -390,20 +398,25 @@ def classes_adjacent(u: LatticeClass, v: LatticeClass, ctx: PrimeContext) -> boo
 # -- chambers --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlagChamber:
+class FlagChamber(Value):
     """Cyclic flag of n lattice classes, stored from its least class: a
     chamber's classes carry distinct labels, so that is its least rotation."""
 
-    classes: tuple[LatticeClass, ...]
+    __slots__ = ("classes",)
 
-    def __post_init__(self) -> None:
-        cs = self.classes
-        if not cs:
+    def __init__(self, classes: tuple[LatticeClass, ...]) -> None:
+        if not classes:
             raise ValueError("empty flag")
-        best = min(range(len(cs)), key=lambda i: cs[i].hnf)
-        if best:
-            object.__setattr__(self, "classes", cs[best:] + cs[:best])
+        best = min(range(len(classes)), key=lambda i: classes[i].hnf)
+        object.__setattr__(self, "classes", classes[best:] + classes[:best] if best else classes)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is FlagChamber:
+            return self.classes == other.classes
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.classes,))
 
     @property
     def n(self) -> int:
@@ -443,21 +456,29 @@ def standard_chamber(ctx: PrimeContext) -> FlagChamber:
 # -- faces ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(Value):
     """Codimension-1 simplex: an unordered set of n - 1 vertex classes."""
 
-    classes: tuple[LatticeClass, ...]
+    __slots__ = ("classes",)
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.classes, key=lambda c: c.hnf))
-        object.__setattr__(self, "classes", ordered)
+    def __init__(self, classes: tuple[LatticeClass, ...]) -> None:
+        object.__setattr__(self, "classes", tuple(sorted(classes, key=lambda c: c.hnf)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Face:
+            return self.classes == other.classes
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.classes,))
 
 
 def face_of(chamber: FlagChamber, position: int) -> Face:
-    """Face obtained by dropping the flag entry at the given position."""
+    """Face obtained by dropping the flag entry at a position in 0..n-1."""
     cs = chamber.classes
-    return Face(tuple(c for i, c in enumerate(cs) if i != position))
+    if not 0 <= _int(position, "position") < len(cs):
+        raise ValueError(f"position must be in 0..{len(cs) - 1}, got {position!r}")
+    return Face(cs[:position] + cs[position + 1 :])
 
 
 def face_type(face: Face, ctx: PrimeContext) -> int:
@@ -699,8 +720,7 @@ def generator_face_types(ctx: PrimeContext) -> dict[int, int]:
 # -- balls of chambers ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BallGraph:
+class BallGraph(Value):
     """All chambers within a gallery radius of a center chamber.
 
     Chambers are indexed breadth-first, sorted within each shell; `faces`
@@ -711,14 +731,23 @@ class BallGraph:
     distance from the center (face type t is generator -t mod n).
     """
 
-    ctx: PrimeContext
-    radius: int
-    chambers: tuple[FlagChamber, ...]
-    distance: tuple[int, ...]
-    parent: tuple[int | None, ...]
-    crossed_type: tuple[int | None, ...]
-    faces: Mapping[Face, tuple[int, ...]]
-    index: Mapping[FlagChamber, int] = field(compare=False)
+    __slots__ = (
+        "ctx", "radius", "chambers", "distance", "parent", "crossed_type", "faces", "index"
+    )
+    _uncompared = ("index",)
+
+    def __init__(
+        self,
+        ctx: PrimeContext,
+        radius: int,
+        chambers: tuple[FlagChamber, ...],
+        distance: tuple[int, ...],
+        parent: tuple[int | None, ...],
+        crossed_type: tuple[int | None, ...],
+        faces: Mapping[Face, tuple[int, ...]],
+        index: Mapping[FlagChamber, int],
+    ) -> None:
+        self._set(ctx, radius, chambers, distance, parent, crossed_type, faces, index)
 
     def __len__(self) -> int:
         return len(self.chambers)
@@ -740,6 +769,8 @@ class BallGraph:
         return tuple(self.faces[face])
 
     def neighbors(self, i: int) -> tuple[int, ...]:
+        if not 0 <= _int(i, "chamber index") < len(self.chambers):
+            raise ValueError(f"chamber index must be in 0..{len(self.chambers) - 1}, got {i!r}")
         out: set[int] = set()
         for pos in range(self.ctx.n):
             out.update(self.faces.get(face_of(self.chambers[i], pos), ()))
@@ -747,6 +778,8 @@ class BallGraph:
         return tuple(sorted(out))
 
     def gallery_types(self, i: int) -> tuple[int, ...]:
+        if not 0 <= _int(i, "chamber index") < len(self.chambers):
+            raise ValueError(f"chamber index must be in 0..{len(self.chambers) - 1}, got {i!r}")
         types: list[int] = []
         cur = i
         while self.parent[cur] is not None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -467,6 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a request builds large acyclic structures, which the cyclic collector
+    # would only rescan; it is paused for the subcommand and then restored
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         ok, payload, table_lines, csv_table = args.func(args)
         _emit(args, payload, table_lines, csv_table)
@@ -481,6 +486,9 @@ def main(argv=None) -> int:
     except (ValueError, AssertionError) as exc:
         print(f"error: check failed: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
     return 0 if ok else 1
 
 

@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from operator import mul
 from typing import Sequence
 
-from .exact import _int, row_reduce
+from .exact import Value, _int, row_reduce
 
 __all__ = [
     "INFINITE_ORDER",
@@ -90,20 +89,19 @@ _RANK_WINDOW = {
 }
 
 
-@dataclass(frozen=True)
-class AffineTypeLabel:
+class AffineTypeLabel(Value):
     """Label of an irreducible affine type, printed as e.g. ``A2~``."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self) -> None:
-        window = _RANK_WINDOW.get(self.family)
+    def __init__(self, family: str, rank: int) -> None:
+        self._set(family, rank)
+        window = _RANK_WINDOW.get(family)
         if window is None:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {family!r}")
         lo, hi = window
-        if _int(self.rank, "rank") < lo or (hi is not None and self.rank > hi):
-            raise ValueError(f"rank {self.rank} invalid for family {self.family}")
+        if _int(rank, "rank") < lo or (hi is not None and rank > hi):
+            raise ValueError(f"rank {rank} invalid for family {family}")
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}~"
@@ -127,8 +125,7 @@ def parse_type_label(label: AffineTypeLabel | str) -> AffineTypeLabel:
 # -- diagrams ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoxeterDiagram:
+class CoxeterDiagram(Value):
     """A Coxeter diagram: the symmetric order matrix of generators 0..n-1.
 
     ``orders[s][t]`` is m(s, t); the diagonal is 1 and infinite orders are
@@ -137,20 +134,20 @@ class CoxeterDiagram:
     the group (the null root delta if affine).
     """
 
-    orders: tuple[tuple[float, ...], ...]
-    cartan: Matrix = field(init=False, repr=False, compare=False)
-    kernel: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("orders", "cartan", "kernel")
+    _uncompared = _hidden = ("cartan", "kernel")
 
-    def __post_init__(self) -> None:
-        n = len(self.orders)
-        if n == 0 or any(len(row) != n for row in self.orders):
+    def __init__(self, orders: tuple[tuple[float, ...], ...]) -> None:
+        object.__setattr__(self, "orders", orders)
+        n = len(orders)
+        if n == 0 or any(len(row) != n for row in orders):
             raise ValueError("order matrix must be square and nonempty")
         for i in range(n):
-            if _int(self.orders[i][i], "diagonal order") != 1:
+            if _int(orders[i][i], "diagonal order") != 1:
                 raise ValueError("diagonal orders must be 1")
             for j in range(i + 1, n):
-                m = self.orders[i][j]
-                if m != self.orders[j][i]:
+                m = orders[i][j]
+                if m != orders[j][i]:
                     raise ValueError("order matrix must be symmetric")
                 if m != INFINITE_ORDER and type(m) is not int:
                     raise ValueError(f"an order must be an int or math.inf, got {m!r}")
@@ -401,19 +398,18 @@ def reduced_word(diagram: CoxeterDiagram, element: GroupElement) -> tuple[int, .
 # -- growth ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthTable:
+class GrowthTable(Value):
     """counts[k] = number of group elements of length exactly k <= cutoff."""
 
-    counts: tuple[int, ...]
-    cutoff: int
+    __slots__ = ("counts", "cutoff")
 
-    def __post_init__(self) -> None:
-        if len(self.counts) != self.cutoff + 1:
+    def __init__(self, counts: tuple[int, ...], cutoff: int) -> None:
+        self._set(counts, cutoff)
+        if len(counts) != cutoff + 1:
             raise ValueError("counts must cover 0..cutoff")
-        if self.counts[0] != 1:
+        if counts[0] != 1:
             raise ValueError("counts[0] must be 1 (the identity)")
-        if any(c <= 0 for c in self.counts):
+        if any(c <= 0 for c in counts):
             raise ValueError("affine shell counts are positive at every length")
 
 

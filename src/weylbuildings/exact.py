@@ -6,12 +6,79 @@ one.  ``_fraction`` and ``_int`` are the one checks of a rational and of
 an integer argument.  ``fraction_json`` is the one {num, den} encoder.
 ``row_reduce`` is the one Gauss-Jordan elimination, over Q; the residue
 plane of a building face is read off one coordinate row without it.
+``Value`` is the one base of the library's immutable records: slotted,
+frozen, compared and hashed on a per-class key, with no code generated
+when a class is defined.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Mapping
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, a field of a ``Value``."""
+
+
+def _restore(cls: type, state: tuple) -> "Value":
+    """Unpickle a ``Value``: its fields as they were, with no ``__init__``."""
+    self = cls.__new__(cls)
+    self._set(*state)
+    return self
+
+
+class Value:
+    """An immutable record whose fields are its ``__slots__``, in the order
+    of its ``__init__`` parameters, which sets each with
+    ``object.__setattr__`` or ``_set``.
+
+    ``==`` holds between instances of one class with equal keys, the tuple
+    of the fields not named in ``_uncompared``; the hash is that of the
+    key.  ``repr`` shows the fields not named in ``_hidden`` as
+    ``Name(field=value, ...)``.  Assignment and deletion raise
+    ``FrozenInstanceError``; pickling and copying restore the fields
+    without calling ``__init__``.  A class on a hot path may define
+    ``__eq__`` and ``__hash__`` on its fields directly, with the same values.
+    """
+
+    __slots__ = ()
+    _uncompared: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        compared = [f for f in cls.__slots__ if f not in cls._uncompared]
+        get = attrgetter(*compared)
+        cls._key = (lambda self: get(self)) if len(compared) > 1 else (lambda self: (get(self),))
+        cls._shown = tuple(f for f in cls.__slots__ if f not in cls._hidden)
+
+    def _set(self, *values: object) -> None:
+        """Set the fields to the values, in ``__slots__`` order."""
+        for name, x in zip(self.__slots__, values):
+            object.__setattr__(self, name, x)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return _restore, (type(self), tuple(getattr(self, f) for f in self.__slots__))
 
 
 class SparseMap(tuple):

@@ -37,12 +37,11 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .building import BallGraph, Face, FlagChamber
-from .exact import SparseMap, _int, fraction_json, row_reduce
+from .exact import SparseMap, Value, _int, fraction_json, row_reduce
 
 __all__ = [
     "Cochain",
@@ -56,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Value):
     """A chamber function in map form or closed-rule form, exactly one.
 
     Map form: ``values`` is a ``SparseMap`` of (chamber, nonzero
@@ -65,19 +63,23 @@ class Cochain:
     chamber, q) and the function is C -> (-1/q)^d(base, C).
     """
 
-    values: tuple[tuple[FlagChamber, Fraction], ...] | None = None
-    rule: tuple[FlagChamber, int] | None = None
+    __slots__ = ("values", "rule")
 
-    def __post_init__(self) -> None:
-        if (self.values is None) == (self.rule is None):
+    def __init__(
+        self,
+        values: tuple[tuple[FlagChamber, Fraction], ...] | None = None,
+        rule: tuple[FlagChamber, int] | None = None,
+    ) -> None:
+        if (values is None) == (rule is None):
             raise ValueError("exactly one of values and rule must be given")
-        if self.values is not None:
-            object.__setattr__(self, "values", SparseMap(self.values, FlagChamber.sort_key))
+        if values is not None:
+            values = SparseMap(values, FlagChamber.sort_key)
         else:
-            base, q = self.rule
+            base, q = rule
             if not isinstance(base, FlagChamber):
                 raise ValueError("rule base must be a chamber")
             _int(q, "rule parameter q", 2)
+        self._set(values, rule)
 
     def value(self, chamber: FlagChamber, graph: BallGraph) -> Fraction:
         """Evaluate at a chamber, resolving distances through ``graph``."""

@@ -32,7 +32,6 @@ C's face of the generator's type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -46,7 +45,7 @@ from .coxeter import (
     length,
     reduced_word,
 )
-from .exact import SparseMap, _fraction, fraction_json
+from .exact import SparseMap, Value, _fraction, fraction_json
 
 if TYPE_CHECKING:
     from .building import BallGraph
@@ -62,8 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeckeElement:
+class HeckeElement(Value):
     """Finite linear combination of basis elements e_w over one diagram.
 
     ``terms`` is a ``SparseMap`` sorted by the point of w, with no zero
@@ -71,16 +69,25 @@ class HeckeElement:
     outside the diagram's group raises ValueError here, naming its matrix.
     """
 
-    diagram: CoxeterDiagram
-    q: Fraction
-    terms: tuple[tuple[GroupElement, Fraction], ...]
+    __slots__ = ("diagram", "q", "terms")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", _fraction(self.q, "q"))
-        terms = SparseMap(self.terms, lambda w: w.point)
+    def __init__(
+        self, diagram: CoxeterDiagram, q: Fraction, terms: tuple[tuple[GroupElement, Fraction], ...]
+    ) -> None:
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "q", _fraction(q, "q"))
+        terms = SparseMap(terms, lambda w: w.point)
         for w in terms.support():
-            w._check(self.diagram)
+            w._check(diagram)
         object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is HeckeElement:
+            return (self.diagram, self.q, self.terms) == (other.diagram, other.q, other.terms)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.diagram, self.q, self.terms))
 
     @property
     def support(self) -> tuple[GroupElement, ...]:

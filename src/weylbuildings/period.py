@@ -21,12 +21,11 @@ tail bound P(1/q_F) - sum_{k<=K} N(k) q_F^{-k} certifies convergence:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .coxeter import AffineTypeLabel, affine_diagram, bfs_growth, parse_type_label
-from .exact import _int, fraction_json
+from .exact import Value, _int, fraction_json
 from .poincare import absolute_tail, bott_rational, evaluate, exponents_for
 
 if TYPE_CHECKING:
@@ -99,29 +98,34 @@ def geometric_lambda(
     return sum(geometric_shell_terms(graph)[: radius + 1], Fraction(0))
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(Value):
     """Everything the period computation produces, exactly.
 
     Invariant: |partial_sums[-1] - closed_form| <= tail_bound, and
     q_e = q_f^2 (the decay parameter lives over the quadratic extension).
     """
 
-    label: AffineTypeLabel
-    q_f: int
-    q_e: int
-    cutoff: int
-    partial_sums: tuple[Fraction, ...]
-    closed_form: Fraction
-    tail_bound: Fraction
-    majorant: Fraction
+    __slots__ = (
+        "label", "q_f", "q_e", "cutoff", "partial_sums", "closed_form", "tail_bound", "majorant"
+    )
 
-    def __post_init__(self) -> None:
-        if self.q_e != self.q_f**2:
+    def __init__(
+        self,
+        label: AffineTypeLabel,
+        q_f: int,
+        q_e: int,
+        cutoff: int,
+        partial_sums: tuple[Fraction, ...],
+        closed_form: Fraction,
+        tail_bound: Fraction,
+        majorant: Fraction,
+    ) -> None:
+        self._set(label, q_f, q_e, cutoff, partial_sums, closed_form, tail_bound, majorant)
+        if q_e != q_f**2:
             raise ValueError("q_e must be the square of q_f")
-        if len(self.partial_sums) != self.cutoff + 1:
+        if len(partial_sums) != cutoff + 1:
             raise ValueError("partial sums must cover 0..cutoff")
-        if abs(self.partial_sums[-1] - self.closed_form) > self.tail_bound:
+        if abs(partial_sums[-1] - closed_form) > tail_bound:
             raise ValueError("tail bound fails to certify the truncation")
 
 

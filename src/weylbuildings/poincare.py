@@ -24,12 +24,11 @@ polynomials, series coefficients and point evaluations are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .coxeter import AffineTypeLabel, parse_type_label
-from .exact import _fraction, _int, fraction_json
+from .exact import Value, _fraction, _int, fraction_json
 
 __all__ = [
     "ExponentTable",
@@ -52,17 +51,16 @@ class PoleError(ZeroDivisionError):
 # -- exponent tables ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentTable:
+class ExponentTable(Value):
     """Exponents of the spherical Weyl group behind an affine type."""
 
-    label: AffineTypeLabel
-    exponents: tuple[int, ...]
+    __slots__ = ("label", "exponents")
 
-    def __post_init__(self) -> None:
-        if len(self.exponents) != self.label.rank:
+    def __init__(self, label: AffineTypeLabel, exponents: tuple[int, ...]) -> None:
+        self._set(label, exponents)
+        if len(exponents) != label.rank:
             raise ValueError("need exactly rank many exponents")
-        if list(self.exponents) != sorted(self.exponents) or self.exponents[0] < 1:
+        if list(exponents) != sorted(exponents) or exponents[0] < 1:
             raise ValueError("exponents must be ascending positive integers")
 
 
@@ -182,8 +180,7 @@ def _eval(a: Poly, x: Fraction) -> Fraction:
 # -- rational functions --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Value):
     """Quotient of integer polynomials, normalized on construction.
 
     Normalization: the polynomial gcd is cancelled, the shared integer
@@ -192,11 +189,10 @@ class RationalFunction:
     vanishes).  Two constructions of the same function compare equal.
     """
 
-    numerator: Poly
-    denominator: Poly
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self) -> None:
-        num, den = _trim(list(self.numerator)), _trim(list(self.denominator))
+    def __init__(self, numerator: Poly, denominator: Poly) -> None:
+        num, den = _trim(list(numerator)), _trim(list(denominator))
         if not den:
             raise ZeroDivisionError("zero denominator polynomial")
         if num:
@@ -211,8 +207,7 @@ class RationalFunction:
         if anchor < 0:
             num = tuple(-x for x in num)
             den = tuple(-x for x in den)
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+        self._set(num, den)
 
 
 def bott_rational(table: ExponentTable) -> RationalFunction:
@@ -234,11 +229,13 @@ def bott_rational(table: ExponentTable) -> RationalFunction:
 # -- series and evaluation -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesTruncation:
+class SeriesTruncation(Value):
     """Taylor coefficients c_0..c_K of a rational function at X = 0."""
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[Fraction, ...]) -> None:
+        self._set(coefficients)
 
     @property
     def cutoff(self) -> int:

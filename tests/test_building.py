@@ -931,3 +931,18 @@ def test_weyl_word_needs_no_group_action(tree_p2, monkeypatch):
     mapping.clear()  # callers get their own dict
     assert sorted(generator_face_types(tree_p2.ctx)) == [0, 1]
     assert calls == []
+
+
+@pytest.mark.parametrize("method", ["gallery_types", "weyl_word", "neighbors"])
+def test_ball_methods_refuse_an_index_outside_the_ball(method):
+    g = ball(PrimeContext(p=2, n=2), 2)
+    last = len(g) - 1
+    read = getattr(g, method)
+    read(0), read(last)
+    for i in (-1, -len(g), last + 1, 10**6):
+        message = f"chamber index must be in 0..{last}, got {i}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read(i)
+    for i in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match=re.escape(f"chamber index must be an int, got {i!r}")):
+            read(i)

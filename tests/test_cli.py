@@ -1,5 +1,6 @@
 """The command line: formats, determinism, exit statuses."""
 
+import gc
 import hashlib
 import json
 import os
@@ -227,6 +228,34 @@ def test_library_assertion_is_a_failed_check(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: check failed: a face must lie in exactly p + 1 chambers\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_the_collector_is_paused_for_a_request_and_then_restored(enabled, capsys, monkeypatch):
+    during = []
+
+    def report(label, q, cutoff):
+        during.append(gc.isenabled())
+        if q == 3:
+            raise ValueError("tail bound fails to certify the truncation")
+        if q == 5:
+            raise KeyError("not a check")
+        return real(label, q, cutoff)
+
+    real = weylbuildings.period.make_report
+    monkeypatch.setattr(weylbuildings.period, "make_report", report)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for q, status in [("2", 0), ("3", 1), ("1", 2)]:
+            assert run(capsys, "period", "--type", "B3~", "--q", q, "--K", "3")[0] == status
+            assert gc.isenabled() is enabled
+        with pytest.raises(KeyError):
+            main(["period", "--type", "B3~", "--q", "5", "--K", "3"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False, False]  # q = 1 is refused before the report
 
 
 # -- bytes pinned by the benchmark -------------------------------------------------------

@@ -1,7 +1,8 @@
 """Integer arguments are ints: a bool, a float or a string fails at the
 boundary with a ValueError that names the argument and the value, and no
 module under ``src/`` tests for an int with ``isinstance``, which lets a
-bool through."""
+bool through.  No module under ``src/`` imports ``dataclasses`` either: its
+import alone costs a cold request more than most of the library."""
 
 import ast
 import re
@@ -31,6 +32,7 @@ from weylbuildings import (
     evaluate,
     expand,
     exponents_for,
+    face_of,
     geometric_lambda,
     lambda_closed,
     lambda_partial,
@@ -72,6 +74,7 @@ INT_ARGUMENTS = [
     ("rank", lambda x: AffineTypeLabel("A", x)),
     ("matrix entries", lambda x: GroupElement([[x, 0], [0, 1]])),
     ("diagonal order", lambda x: CoxeterDiagram(((x, 3), (3, 1)))),
+    ("position", lambda x: face_of(standard_chamber(P2), x)),
 ]
 
 
@@ -131,6 +134,12 @@ def test_infinite_orders_stay_admitted():
     assert CoxeterDiagram(((1, float("inf")), (float("inf"), 1))) == affine_diagram("A1~")
 
 
+@pytest.mark.parametrize("position", [-1, 2, 5])
+def test_face_of_refuses_a_position_outside_the_flag(position):
+    with pytest.raises(ValueError, match=re.escape(f"position must be in 0..1, got {position}")):
+        face_of(standard_chamber(P2), position)
+
+
 def test_int_bounds():
     assert _int(0, "r", 0) == 0
     assert _int(2, "q", 2) == 2
@@ -181,4 +190,33 @@ def test_checker_sees_int_isinstance():
     assert int_isinstance_calls(source, "m.py") == [
         "m.py:1: isinstance(..., int)",
         "m.py:2: isinstance(..., int)",
+    ]
+
+
+def dataclass_imports(source: str, name: str) -> list[str]:
+    """``import dataclasses`` and ``from dataclasses import ...`` in the
+    source of the module at ``name``."""
+    return [
+        f"{name}:{node.lineno}: imports dataclasses"
+        for node in ast.walk(ast.parse(source, filename=name))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses" and not node.level)
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
+def test_no_dataclasses_import(path):
+    name = path.relative_to(SRC).as_posix()
+    assert dataclass_imports(path.read_text(encoding="utf-8"), name) == []
+
+
+def test_checker_sees_dataclasses_imports():
+    source = (
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "import os, dataclasses as dc\nfrom .dataclasses import x\nimport dataclasses_json\n"
+    )
+    assert dataclass_imports(source, "m.py") == [
+        "m.py:1: imports dataclasses",
+        "m.py:2: imports dataclasses",
+        "m.py:3: imports dataclasses",
     ]

@@ -112,3 +112,30 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "module 'weylbuildings' has no attribute 'no_such_name'\n"
+
+
+# ``dataclasses`` and ``inspect``, with the ``ast``, ``dis`` and ``tokenize``
+# that ``inspect`` loads, are the largest import a cold request could make
+HEAVY = ("dataclasses", "inspect")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "growth --type A2~ --K 5",
+        "hecke --type A2~ --q 3",
+        "ball --n 2 --p 3 --R 2",
+        "boundary --p 3 --R 2 --seed 4",
+    ],
+)
+def test_no_subcommand_imports_dataclasses_or_inspect(argv):
+    heavy = f"print(sorted(m for m in {HEAVY!r} if m in __import__('sys').modules))"
+    baseline = fresh(heavy)
+    assert baseline.returncode == 0, baseline.stderr
+    code = (
+        "import sys\nfrom weylbuildings.cli import main\n"
+        f"status = main(sys.argv[1:])\nsys.stdout = sys.stderr\n{heavy}\nsys.exit(status)"
+    )
+    proc = fresh(code, *argv.split())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] + "\n" == baseline.stdout

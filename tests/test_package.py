@@ -1,7 +1,5 @@
 """The package namespace is exactly the concatenation of the modules' own."""
 
-import dataclasses
-
 import weylbuildings
 from weylbuildings import PrimeContext, standard_lattice, vertex_tree
 from weylbuildings import boundary, building, coxeter, harmonic, hecke, period, poincare
@@ -23,7 +21,8 @@ def test_package_names_are_the_modules_own_objects():
 
 def test_context_has_no_precision_field():
     # bench/session.py still passes precision=; it is accepted and dropped
-    assert [f.name for f in dataclasses.fields(PrimeContext)] == ["p", "n"]
+    assert PrimeContext.__slots__ == ("p", "n")
+    assert not hasattr(PrimeContext(p=2, n=3, precision=8), "precision")
     assert not hasattr(weylbuildings, "PrecisionError")
     assert not hasattr(building, "PrecisionError")
     old, new = PrimeContext(p=2, n=3, precision=8), PrimeContext(p=2, n=3)
