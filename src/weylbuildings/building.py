@@ -38,31 +38,29 @@ functions, ``affine_generator_matrix`` and ``label_shift_matrix``.
 scales g once to the integer matrix p^a g, which moves no homothety
 class; ``weyl_to_chamber`` applies the generators one at a time through
 ``act``.  Everything after that (content stripping, Hermite
-normalization, membership and the residue quotients behind
-``chambers_containing``) works on Python integers.  Hermite
-normalization of a span of determinant valuation v runs modulo p^(v+1),
-which recovers the canonical form exactly because row operations are
-unimodular over Z_p, and asserts that the diagonal exponents sum to v.
+normalization, membership and the kernels behind ``chambers_containing``)
+works on Python integers.  Hermite normalization of a span of
+determinant valuation v runs modulo p^(v+1), which recovers the
+canonical form exactly because row operations are unimodular over Z_p,
+and asserts that the diagonal exponents sum to v.
 Every ``LatticeClass`` records that v when its form is built, so labels
 and chain-step gaps never re-derive it.
 
 Two kinds of flags are checked in two ways.  Flags that callers supply
 go through ``make_chamber``, which tests every chain step by membership;
 ``lattice_from_rows`` reads v off the maximal minors of caller rows.
-Flags that ``chambers_containing`` builds skip both.  On the n = 2 tree
-the neighbors of a vertex are its index-p sublattices (Serre, *Trees*,
-Ch. II §1): with Hermite rows r0 = (p^a, b) and r1 = (0, p^c), the classes
-of <p r0, r1> and of <r0 + t r1, p r1> for t = 0..p-1, each divided by its
-p-content, whose valuation is the sum of its two exponents.  For n = 3 it
-reads the open gap off the face's labels and checks the face with one
-containment, and each class it inserts is the inner lattice of the gap
-plus one line, whose valuation must be one less than the inner lattice's;
-that single exact check makes both new steps index p.  Either way the
-star must hold exactly p + 1 distinct chambers.
+Flags that ``chambers_containing`` builds skip both.  The vertex a face
+misses is an index-p sublattice of a face vertex L, the kernel of a
+nonzero functional on L / pL (Abramenko and Brown, *Buildings*, the SL_n
+example); on L's Hermite rows that kernel is in Hermite form once its
+entries above the diagonal are reduced.  An n = 3 face is checked by one
+containment, and either way the star must hold exactly p + 1 distinct
+chambers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -278,10 +276,9 @@ def lattice_from_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> Latti
 
 def _content(rows: Sequence[Sequence[int]], p: int) -> int | None:
     """Least p-adic valuation of a nonzero entry, None for a zero matrix.
-    The scan stops at the first entry prime to p; it starts from the last
-    row, where ``_insertions`` puts the added line."""
+    The scan stops at the first entry prime to p."""
     content = None
-    for row in reversed(rows):
+    for row in rows:
         for x in row:
             if x % p:
                 return 0
@@ -490,54 +487,52 @@ def face_type(face: Face, ctx: PrimeContext) -> int:
     return missing.pop()
 
 
-def _quotient_basis(
-    outer_rows: Sequence[Sequence[int]], inner_rows: Sequence[Sequence[int]], p: int
-) -> tuple[list[int], list[int]]:
-    """Two rows of the outer basis spanning the quotient outer / inner.
-
-    Requires p * outer <= inner <= outer with a two-dimensional quotient,
-    so inner / p outer is a line (n = 3) or zero (n = 2).  In coordinates
-    over the upper-triangular outer basis, an inner row nonzero mod p spans
-    that line, and the outer rows but the one at its first coordinate prime
-    to p span the quotient (a row inside p outer leads at None).  Rows
-    leading at two columns span more than a line; rank 2 at one column
-    leaves a line inside inner, which ``_canonical`` refuses by valuation.
-    """
-    leads = set()
-    for row in inner_rows:
-        coords = _coordinates(outer_rows, row)
-        if coords is None:
-            raise ValueError("inner rows do not lie in the outer lattice")
-        leads.add(next((c for c, x in enumerate(coords) if x % p), None))
-    free = [row for c, row in enumerate(outer_rows) if c not in leads]
-    if len(free) != 2:
-        raise ValueError("quotient of the face gap is not two-dimensional")
-    return list(free[0]), list(free[1])
+@functools.lru_cache(maxsize=32)  # a process meets few primes; the bound caps a long-lived one
+def _functionals(n: int, p: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The nonzero functionals phi on F_p^n up to scalars, each scaled to 1
+    at its last nonzero entry j, as pairs (j, phi)."""
+    return tuple(
+        (j, head + (1,) + (0,) * (n - 1 - j))
+        for j in range(n)
+        for head in itertools.product(range(p), repeat=j)
+    )
 
 
-def _insertions(
-    outer_rows: Sequence[Sequence[int]],
-    inner_rows: Sequence[Sequence[int]],
-    inner_valuation: int,
-    p: int,
-) -> list[LatticeClass]:
-    """The p + 1 classes strictly between outer and inner when the quotient
-    is a plane over F_p: inner plus one of the p + 1 lines of the plane.
-
-    Each sum M of inner and one line lies between inner and outer; both
-    steps have index p exactly when v_p(det M) = v_p(det inner) - 1, which
-    ``_canonical`` asserts, so no membership test is needed.
-    """
-    u, v = _quotient_basis(outer_rows, inner_rows, p)
-    lines = [[x + t * y for x, y in zip(u, v)] for t in range(p)] + [v]
-    return [_canonical(list(inner_rows) + [w], p, inner_valuation - 1) for w in lines]
+def _sublattices(vertex: LatticeClass, line: Sequence[int], p: int) -> list[LatticeClass]:
+    """Classes of the index-p sublattices of L = vertex that contain a line
+    of L / pL, given over L's Hermite rows r_0..r_(n-1); the zero line
+    gives all of them.  They are the kernels of the ``_functionals`` phi
+    that vanish on the line, r_i - phi_i r_j (i < j), p r_j, r_i (i > j):
+    upper triangular, so only the entries above the diagonal need reducing.
+    The kernel contains pL with L primitive, so its p-content is 0 or 1."""
+    basis, n = vertex.hnf, vertex.n
+    v = vertex.valuation + 1
+    out = []
+    for j, phi in _functionals(n, p):
+        if sum(f * x for f, x in zip(phi, line)) % p:
+            continue
+        rj = basis[j]
+        rows = [[x - f * y for x, y in zip(r, rj)] for r, f in zip(basis[:j], phi)]
+        rows += [[p * y for y in rj]] + [list(r) for r in basis[j + 1 :]]
+        for c in range(1, n):
+            d = rows[c][c]
+            for row in rows[:c]:
+                t = row[c] // d
+                if t:
+                    row[:] = [x - t * y for x, y in zip(row, rows[c])]
+        if any(x % p for row in rows for x in row):
+            out.append(LatticeClass(tuple(map(tuple, rows)), v))
+        else:
+            out.append(LatticeClass(tuple(tuple(x // p for x in row) for row in rows), v - n))
+    return out
 
 
 def _tree_neighbors(vertex: LatticeClass, p: int) -> list[LatticeClass]:
     """The p + 1 neighbors of a vertex L of the n = 2 tree: <p r0, r1> and
     <r0 + t r1, p r1>, one per line of L / pL (Serre, *Trees*, Ch. II §1).
-    Each span is already in Hermite form, and it contains pL with L
-    primitive, so its p-content is 0 or 1."""
+    This is ``_sublattices`` with the zero line, t in place of -t, written
+    out because it is faster on the tree; each span is already in Hermite
+    form, and its p-content is 0 or 1."""
     (x, y), (_, z) = vertex.hnf
     spans = [(p * x, p * y % z, z)] + [(x, y + t * z, p * z) for t in range(p)]
     v = vertex.valuation + 1
@@ -555,14 +550,14 @@ def chambers_containing(
 ) -> tuple[FlagChamber, ...]:
     """All p + 1 chambers containing a codimension-1 face, sorted.
 
-    For n = 2 the face is one vertex and the chambers are its edges to the
-    p + 1 neighbors of ``_tree_neighbors`` (Serre, *Trees*, Ch. II §1).
-    For n = 3 the labels place the open gap.  With label(last) =
-    label(first) + 1 and k = (v(first) + 1 - v(last)) / 3, the face chains
-    as first > p^k last by an index-p step and leaves the gap
-    p^k last > p first of index p^2, one chamber per line of its residue
-    plane (``_insertions``).  One containment, first > p^k last, checks
-    the face, since an index-p sublattice of first contains p first.
+    The missing vertex is an index-p sublattice of a face vertex that
+    contains a line (``_sublattices``).  For n = 2 the face is one vertex,
+    the line is zero and ``_tree_neighbors`` writes the star out.  For
+    n = 3, with label(last) = label(first) + 1 and k = (v(first) + 1 -
+    v(last)) / 3, the face chains as first > p^k last by an index-p step;
+    that one containment checks the face, since an index-p sublattice of
+    first contains p first.  The missing vertex lies in p^k last and
+    contains p first, whose line is a coordinate row nonzero mod p.
     """
     classes = tuple(face.classes) if isinstance(face, Face) else tuple(face)
     p, n = ctx.p, ctx.n
@@ -580,7 +575,11 @@ def chambers_containing(
         if outer is None or not _contains_lattice(first.hnf, outer):
             raise ValueError("classes do not bound a codimension-1 face")
         flag = (first, last)
-        middles = _insertions(outer, first.scaled_rows(p, 1), first.valuation + n, p)
+        for row in first.scaled_rows(p, 1):
+            line = _coordinates(outer, row)
+            if any(x % p for x in line):
+                break
+        middles = _sublattices(last, line, p)
     chambers = [FlagChamber(flag + (m,)) for m in middles]
     if len(set(chambers)) != p + 1:
         raise AssertionError("a face must lie in exactly p + 1 chambers")

@@ -299,11 +299,13 @@ def _matrix_of(diagram: CoxeterDiagram, peel: Sequence[int]) -> Matrix:
 # -- group elements ----------------------------------------------------------
 
 
-class GroupElement:
+class GroupElement(Value):
     """A Weyl group element, stored as its point y = rho* w (the column sums
     of a caller's matrix, checked when it first meets a diagram).  ``matrix``
     is derived when read.  Equality is equality of matrices, which equal
-    points over one diagram decide; the hash is that of the point."""
+    points over one diagram decide; the hash is that of the point.  Frozen
+    like every ``Value``: only the methods that derive them fill the three
+    lazy slots."""
 
     __slots__ = ("point", "_matrix", "_diagram", "_peel")
 
@@ -315,13 +317,13 @@ class GroupElement:
             square = False
         if not square:
             raise ValueError(f"a group element needs a square matrix, got {matrix!r}")
-        self._matrix, self._diagram, self._peel = entries, None, None
-        self.point: tuple[int, ...] = tuple(map(sum, zip(*self._matrix)))
+        self._set(tuple(map(sum, zip(*entries))), entries, None, None)
 
     @property
     def matrix(self) -> Matrix:
         if self._matrix is None:
-            self._matrix = _matrix_of(self._diagram, self._peel_of(self._diagram))
+            matrix = _matrix_of(self._diagram, self._peel_of(self._diagram))
+            object.__setattr__(self, "_matrix", matrix)
         return self._matrix
 
     def _check(self, diagram: CoxeterDiagram) -> None:
@@ -338,13 +340,14 @@ class GroupElement:
         peel = _descents(diagram, self.point) if fixes_kernel else None
         if peel is None or _matrix_of(diagram, peel) != m:
             raise ValueError(f"not an element of the group: {m!r}")
-        self._diagram, self._peel = diagram, peel
+        object.__setattr__(self, "_diagram", diagram)
+        object.__setattr__(self, "_peel", peel)
 
     def _peel_of(self, diagram: CoxeterDiagram) -> list[int]:
         """The peel s_1..s_k of the point, with w s_1...s_k = 1; once per diagram."""
         self._check(diagram)
         if self._peel is None:
-            self._peel = _descents(diagram, self.point)
+            object.__setattr__(self, "_peel", _descents(diagram, self.point))
         return self._peel
 
     def __eq__(self, other: object) -> bool:
@@ -362,7 +365,7 @@ class GroupElement:
 
 def _element(diagram: CoxeterDiagram, point: tuple[int, ...]) -> GroupElement:
     w = GroupElement.__new__(GroupElement)
-    w.point, w._matrix, w._diagram, w._peel = point, None, diagram, None
+    w._set(point, None, diagram, None)
     return w
 
 

@@ -4,8 +4,8 @@
 vertex and edge cochains and Hecke elements all store their values in
 one.  ``_fraction`` and ``_int`` are the one checks of a rational and of
 an integer argument.  ``fraction_json`` is the one {num, den} encoder.
-``row_reduce`` is the one Gauss-Jordan elimination, over Q; the residue
-plane of a building face is read off one coordinate row without it.
+``row_reduce`` is the one Gauss-Jordan elimination, over Q; a building
+face's chamber star is written down as kernels of functionals without it.
 ``Value`` is the one base of the library's immutable records: slotted,
 frozen, compared and hashed on a per-class key, with no code generated
 when a class is defined.

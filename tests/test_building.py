@@ -4,8 +4,10 @@ import hashlib
 import inspect
 import json
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 import weylbuildings.building as building
 from weylbuildings import (
     Face,
+    FlagChamber,
+    LatticeClass,
     PrimeContext,
     act,
     affine_diagram,
@@ -43,6 +47,7 @@ from weylbuildings import (
     vertex_tree,
     weyl_to_chamber,
 )
+from weylbuildings.building import _canonical, _coordinates
 
 # -- canonical forms -------------------------------------------------------------
 
@@ -796,14 +801,74 @@ def test_canonical_asserts_the_given_valuation():
             building._canonical(rows, 3, wrong)
 
 
+# -- the star rule against the line insertions it replaced -------------------------
+#
+# ``_quotient_basis`` and ``_insertions`` built every n = 3 star until the
+# kernel rule ``building._sublattices`` replaced them: the inner lattice of
+# a face gap plus one line of its residue plane, each sum put in Hermite
+# form by ``_canonical``.  They stay here, unchanged, as the reference.
+
+
+def _quotient_basis(
+    outer_rows: Sequence[Sequence[int]], inner_rows: Sequence[Sequence[int]], p: int
+) -> tuple[list[int], list[int]]:
+    """Two rows of the outer basis spanning the quotient outer / inner.
+
+    Requires p * outer <= inner <= outer with a two-dimensional quotient,
+    so inner / p outer is a line (n = 3) or zero (n = 2).  In coordinates
+    over the upper-triangular outer basis, an inner row nonzero mod p spans
+    that line, and the outer rows but the one at its first coordinate prime
+    to p span the quotient (a row inside p outer leads at None).  Rows
+    leading at two columns span more than a line; rank 2 at one column
+    leaves a line inside inner, which ``_canonical`` refuses by valuation.
+    """
+    leads = set()
+    for row in inner_rows:
+        coords = _coordinates(outer_rows, row)
+        if coords is None:
+            raise ValueError("inner rows do not lie in the outer lattice")
+        leads.add(next((c for c, x in enumerate(coords) if x % p), None))
+    free = [row for c, row in enumerate(outer_rows) if c not in leads]
+    if len(free) != 2:
+        raise ValueError("quotient of the face gap is not two-dimensional")
+    return list(free[0]), list(free[1])
+
+
+def _insertions(
+    outer_rows: Sequence[Sequence[int]],
+    inner_rows: Sequence[Sequence[int]],
+    inner_valuation: int,
+    p: int,
+) -> list[LatticeClass]:
+    """The p + 1 classes strictly between outer and inner when the quotient
+    is a plane over F_p: inner plus one of the p + 1 lines of the plane.
+
+    Each sum M of inner and one line lies between inner and outer; both
+    steps have index p exactly when v_p(det M) = v_p(det inner) - 1, which
+    ``_canonical`` asserts, so no membership test is needed.
+    """
+    u, v = _quotient_basis(outer_rows, inner_rows, p)
+    lines = [[x + t * y for x, y in zip(u, v)] for t in range(p)] + [v]
+    return [_canonical(list(inner_rows) + [w], p, inner_valuation - 1) for w in lines]
+
+
 def _face_gap(face, ctx):
-    # the gap p^k last > p first that chambers_containing fills for an
-    # n = 3 face: outer rows, inner rows and the inner valuation
+    # the gap p^k last > p first that an n = 3 face leaves open: outer rows,
+    # inner rows and the inner valuation
     first, last = face.classes
     if (vertex_label(last, ctx) - vertex_label(first, ctx)) % 3 != 1:
         first, last = last, first
     k = (first.valuation + 1 - last.valuation) // 3
     return last.scaled_rows(ctx.p, k), first.scaled_rows(ctx.p, 1), first.valuation + 3
+
+
+def _reference_star(face, ctx):
+    # the sorted chambers of an n = 3 face by the line insertions
+    first, last = face.classes
+    if (vertex_label(last, ctx) - vertex_label(first, ctx)) % 3 != 1:
+        first, last = last, first
+    middles = _insertions(*_face_gap(face, ctx), ctx.p)
+    return sorted((FlagChamber((first, last, m)) for m in middles), key=FlagChamber.sort_key)
 
 
 def _spans_lattice(rows, basis, p):
@@ -820,7 +885,7 @@ def test_quotient_basis_completes_every_face_gap(p):
     ctx = PrimeContext(p=p, n=3)
     for face in ball(ctx, 2).faces:
         outer, inner, _ = _face_gap(face, ctx)
-        u, v = building._quotient_basis(outer, inner, p)
+        u, v = _quotient_basis(outer, inner, p)
         assert u in outer and v in outer and u != v
         assert _spans_lattice(inner + [u, v], outer, p)
         assert not _spans_lattice(inner + [u], outer, p)
@@ -834,9 +899,9 @@ def test_a_one_dimensional_face_gap_is_refused(p):
     ctx = PrimeContext(p=p, n=3)
     for face in ball(ctx, 1).faces:
         outer, inner, valuation = _face_gap(face, ctx)
-        u, _ = building._quotient_basis(outer, inner, p)
+        u, _ = _quotient_basis(outer, inner, p)
         with pytest.raises(ValueError, match="quotient of the face gap is not two-dimensional"):
-            building._insertions(outer, inner + [u], valuation - 1, p)
+            _insertions(outer, inner + [u], valuation - 1, p)
 
 
 def test_a_line_gap_leading_at_one_column_fails_the_valuation_check():
@@ -845,35 +910,73 @@ def test_a_line_gap_leading_at_one_column_fails_the_valuation_check():
     outer = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     inner = [[1, 0, 0], [1, 1, 0], [0, 0, 3]]
     with pytest.raises(AssertionError, match="expected valuation"):
-        building._insertions(outer, inner, 1, 3)
+        _insertions(outer, inner, 1, 3)
 
 
 def _generic_tree_neighbors(v, p):
     # the generic star of a vertex of the tree: p L plus one line of L / p L
-    return building._insertions(v.hnf, v.scaled_rows(p, 1), v.valuation + 2, p)
+    return _insertions(v.hnf, v.scaled_rows(p, 1), v.valuation + 2, p)
+
+
+def _classes(classes):
+    return {(c.hnf, c.valuation) for c in classes}
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_insertion_inside_the_inner_lattice_fails_the_valuation_check(n, monkeypatch, capsys):
-    # a "line" taken from the inner lattice adds nothing, so the sum keeps
-    # the inner valuation instead of dropping it by one; n = 2 stars take
-    # the closed form, so there the generic route is called directly
+    # a "line" taken from the inner lattice adds nothing, so the reference
+    # sum keeps the inner valuation instead of dropping it by one
     def inner_lines(outer_rows, inner_rows, p):
         return list(inner_rows[0]), list(inner_rows[1])
 
-    monkeypatch.setattr(building, "_quotient_basis", inner_lines)
+    monkeypatch.setattr(sys.modules[__name__], "_quotient_basis", inner_lines)
     ctx = PrimeContext(p=3, n=n)
     face = face_of(standard_chamber(ctx), 0)
     with pytest.raises(AssertionError, match="expected valuation"):
         if n == 2:
             _generic_tree_neighbors(face.classes[0], 3)
         else:
-            chambers_containing(face, ctx)
+            _insertions(*_face_gap(face, ctx), 3)
     if n == 3:
+        # the kernel rule, handed a line inside p outer, keeps every functional:
+        # p^2 + p + 1 chambers on one face, which the star count refuses
+        line = "line = _coordinates(outer, row)"
+        source = inspect.getsource(building.chambers_containing)
+        assert source.count(line) == 1
+        namespace = dict(vars(building))
+        exec(source.replace(line, "line = [p * x for x in _coordinates(outer, row)]"), namespace)
+        monkeypatch.setattr(building, "chambers_containing", namespace["chambers_containing"])
         from weylbuildings.cli import main
 
         assert main(["ball", "--n", "3", "--p", "3", "--R", "2"]) == 1
-        assert "expected valuation" in capsys.readouterr().err
+        assert "exactly p + 1 chambers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, radius", [(2, 4), (3, 3), (5, 2)])
+def test_the_kernel_rule_matches_the_line_insertions(p, radius):
+    # second route to every n = 3 star: the kernels of the functionals
+    # against the reference sums, chambers and valuations, on every face
+    ctx = PrimeContext(p=p, n=3)
+    for face in ball(ctx, radius).faces:
+        reference = _reference_star(face, ctx)
+        star = chambers_containing(face, ctx)
+        assert list(star) == reference
+        assert _classes(c.classes[2] for c in star) == _classes(c.classes[2] for c in reference)
+
+
+def test_stars_need_no_hermite_elimination(monkeypatch):
+    # every star is written in Hermite form directly; the elimination serves
+    # only lattice_from_rows and act
+    def refuse(*args, **kwargs):
+        raise AssertionError("a star ran the Hermite elimination")
+
+    monkeypatch.setattr(building, "_hermite_rows", refuse)
+    monkeypatch.setattr(building, "_canonical", refuse)
+    for n, p, radius in [(2, 3, 5), (3, 3, 3), (3, 2, 4)]:
+        ctx = PrimeContext(p=p, n=n)
+        graph = ball(ctx, radius)
+        for face in graph.faces:
+            assert len(chambers_containing(face, ctx)) == p + 1
 
 
 @pytest.mark.parametrize(
@@ -900,18 +1003,68 @@ def test_a_mutated_tree_neighbor_rule_fails_the_star_count(line, mutant, monkeyp
     assert "exactly p + 1 chambers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, mutant, failure",
+    [
+        # phi scaled to -1 at j: the filter tests one functional, the rows
+        # are the kernel of another, and a flag beyond the ball breaks
+        (
+            "head + (1,) + (0,) * (n - 1 - j)",
+            "head + (p - 1,) + (0,) * (n - 1 - j)",
+            "classes do not bound a codimension-1 face",
+        ),
+        # entries above the diagonal left unreduced: one class, two forms
+        ("t = row[c] // d", "t = 0", "all equal: no"),
+        # a kernel inside pL kept whole: not primitive, so not canonical
+        ("if any(x % p for row in rows for x in row):", "if True:", "all equal: no"),
+        # every functional kept: p^2 + p + 1 chambers on one face
+        (
+            "if sum(f * x for f, x in zip(phi, line)) % p:",
+            "if False:",
+            "exactly p + 1 chambers",
+        ),
+    ],
+    ids=["phi-not-scaled", "reduction-skipped", "content-kept", "line-filter-dropped"],
+)
+def test_a_mutated_kernel_rule_is_caught(line, mutant, failure, monkeypatch, capsys):
+    # the mutant's stars differ from the reference on some face of a ball
+    # built by the real rule, and the CLI exits 1 on a radius-3 ball
+    ctx = PrimeContext(p=3, n=3)
+    faces = list(ball(ctx, 2).faces)
+    name = "_functionals" if "head" in line else "_sublattices"
+    source = inspect.getsource(getattr(building, name))
+    assert source.count(line) == 1
+    namespace = dict(vars(building))
+    exec(source.replace(line, mutant), namespace)
+    monkeypatch.setattr(building, name, namespace[name])
+
+    def agrees(face):
+        try:
+            return list(chambers_containing(face, ctx)) == _reference_star(face, ctx)
+        except AssertionError:
+            return False
+
+    assert not all(agrees(face) for face in faces)
+    from weylbuildings.cli import main
+
+    assert main(["ball", "--n", "3", "--p", "3", "--R", "3"]) == 1
+    out = capsys.readouterr()
+    assert failure in out.out + out.err
+
+
 @pytest.mark.parametrize("p, radius", [(2, 4), (3, 4), (5, 3), (7, 3), (11, 2)])
 def test_tree_neighbors_match_the_generic_insertions(p, radius):
-    # the closed form against the generic star, neighbor set and valuations,
-    # on every vertex of two vertex trees
+    # the closed form against the generic star and against the kernel rule
+    # with the zero line, neighbor set and valuations, on every vertex of
+    # two vertex trees
     ctx = PrimeContext(p=p, n=2)
     for origin in (standard_lattice(ctx), lattice_from_rows([[1, 1], [0, p]], p)):
         tree = vertex_tree(ctx, origin, radius)
         for v in tree.vertices:
             closed = [(c.hnf, c.valuation) for c in building._tree_neighbors(v, p)]
-            generic = [(c.hnf, c.valuation) for c in _generic_tree_neighbors(v, p)]
             assert len(set(closed)) == p + 1
-            assert set(closed) == set(generic)
+            assert set(closed) == _classes(_generic_tree_neighbors(v, p))
+            assert set(closed) == _classes(building._sublattices(v, [0, 0], p))
             assert all(val == sum(_val(row[i], p) for i, row in enumerate(h)) for h, val in closed)
 
 

@@ -92,6 +92,8 @@ def test_geometric_matches_partials_term_by_term(tree_p2, tree_p3, gl3_p2):
         (tree_p2, A1, 2, 6),
         (tree_p3, A1, 3, 5),
         (gl3_p2, A2, 2, 3),
+        (ball(PrimeContext(p=3, n=3), 4), A2, 3, 4),
+        (ball(PrimeContext(p=5, n=3), 3), A2, 5, 3),
         (ball(PrimeContext(p=5, n=2), 5), A1, 5, 5),
         (ball(PrimeContext(p=7, n=2), 4), A1, 7, 4),
         (ball(PrimeContext(p=11, n=2), 3), A1, 11, 3),

@@ -79,6 +79,8 @@ def test_product_form_lowest_terms_and_sign():
 
 def test_expansion_matches_enumeration():
     sizes = {"A1~": 10, "A2~": 10, "A3~": 22, "C2~": 10, "D5~": 9, "E8~": 8, "G2~": 10}
+    sizes.update({"B3~": 16, "B4~": 12, "B5~": 9, "C3~": 14, "C4~": 10, "D4~": 12})
+    sizes.update({"F4~": 14, "E6~": 9, "E7~": 8})
     for label, depth in sizes.items():
         counts = bfs_growth(affine_diagram(label), depth).counts
         coeffs = expand(bott_rational(exponents_for(parse_type_label(label))), depth).coefficients

@@ -11,6 +11,7 @@ import pytest
 from weylbuildings import (
     BoundaryFunction,
     Cochain,
+    GroupElement,
     PrimeContext,
     affine_diagram,
     ball,
@@ -19,6 +20,7 @@ from weylbuildings import (
     bott_rational,
     coboundary,
     cochain_from_map,
+    element_from_word,
     expand,
     exponents_for,
     face_of,
@@ -88,9 +90,12 @@ def replaced(x, name):
 
 
 def test_the_table_covers_every_value_class():
+    # GroupElement is left out of the table: its equality compares matrices,
+    # its hash is that of the point alone, and its methods fill three lazy
+    # slots, so it has tests of its own below
     classes = {type(x) for x, _, _ in VALUES}
     assert len(classes) == 18
-    assert classes == set(Value.__subclasses__())
+    assert classes | {GroupElement} == set(Value.__subclasses__())
 
 
 @pytest.mark.parametrize("x, fields, uncompared", VALUES, ids=IDS)
@@ -174,3 +179,38 @@ def test_keywords_and_defaults_are_kept():
     assert BoundaryFunction(depth=2, parts=ends).chart is None
     with pytest.raises(ValueError, match="exactly one of values and rule"):
         Cochain()
+
+
+@pytest.mark.parametrize("name", ["point", "_matrix", "_diagram", "_peel", "other"])
+def test_a_group_element_is_frozen(name):
+    # reassigning the point would leave the element filed under its old hash
+    w = (basis_element(A1, [0], 2) * basis_element(A1, [1], 2)).support[0]
+    u = GroupElement(w.matrix)
+    for x in (w, u):
+        before = (x.point, x.matrix, x._diagram, x._peel)
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(x, name, (5, -3))
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(x, name)
+        assert (x.point, x.matrix, x._diagram, x._peel) == before
+
+
+def test_a_frozen_group_element_keeps_its_coefficient():
+    x = basis_element(A1, [0], 2)
+    w = x.support[0]
+    with pytest.raises(FrozenInstanceError):
+        w.point = (5, -3)
+    assert x.coefficient(w) == x.coefficient(element_from_word(A1, [0])) == 1
+
+
+def test_a_group_element_fills_its_lazy_slots_and_pickles():
+    w = element_from_word(A1, [0, 1])
+    assert w._matrix is None and w._peel is None
+    assert w.matrix == ((3, -2), (2, -1)) == w._matrix
+    u = GroupElement(w.matrix)
+    assert u._diagram is None and u == w and hash(u) == hash(w) == hash(w.point)
+    assert repr(u) == repr(w) == "GroupElement(matrix=((3, -2), (2, -1)))"
+    for x in (w, u):
+        y = pickle.loads(pickle.dumps(x))
+        assert type(y) is GroupElement and y == x and y.point == x.point
+    assert copy.copy(w) == w
