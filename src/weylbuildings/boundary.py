@@ -24,10 +24,10 @@ supported f with d f = omega whenever the boundary value is constant.
 ``lift`` realizes surjectivity: any assignment of values to the ends is
 the boundary value of a 1-cochain carried by the rim edges.
 
-``vertex_tree`` builds each sphere once per (context, origin, depth) and
-hands every caller the same tree, which is read-only; ``boundary_value``
-and ``primitive_cochain`` walk that shared tree instead of rebuilding it,
-and ``lift`` checks its parts against the tree's rim edges.
+``vertex_tree`` builds each sphere once per (context, origin, depth), by
+the shell search behind ``building.ball``, and hands every caller that one
+read-only tree; ``boundary_value`` and ``primitive_cochain`` walk it
+instead of rebuilding it, and ``lift`` checks its parts against its rim.
 
 When o is the standard vertex, each end is named by a point ball of the
 projective line: a vertex at depth r is the line lattice
@@ -48,6 +48,7 @@ from .building import (
     LatticeClass,
     PrimeContext,
     _require_classes,
+    _shells,
     _tree_neighbors,
     classes_adjacent,
     standard_lattice,
@@ -186,13 +187,17 @@ class VertexTree(Value):
 
     def ends(self) -> tuple[Edge, ...]:
         """Oriented rim edges (parent, leaf), leaves at the full depth."""
+        if self.radius < 1:
+            raise ValueError("ends need depth at least 1")
         rim = self.shell(self.radius)
         return tuple((self.vertices[self.parent[i]], self.vertices[i]) for i in rim)
 
 
 def vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> VertexTree:
-    """The vertices within the radius around the origin.  Built once per
-    (ctx, origin, radius); every call returns that same read-only tree."""
+    """The vertices within the radius around the origin, found by the shell
+    search that builds ``building.ball``: in a tree each new vertex has one
+    neighbor in the shell before it, its parent.  Built once per (ctx,
+    origin, radius); every call returns that same read-only tree."""
     _require_tree(ctx, origin)
     _int(radius, "radius", 0)
     return _vertex_tree(ctx, origin, radius)
@@ -200,33 +205,10 @@ def vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> VertexT
 
 @functools.lru_cache(maxsize=32)  # a process meets few spheres; the bound caps a long-lived one
 def _vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> VertexTree:
-    vertices = [origin]
-    index = {origin: 0}
-    depth: list[int] = [0]
-    parent: list[int | None] = [None]
-    frontier = [0]
-    for k in range(1, radius + 1):
-        discovered: dict[LatticeClass, int] = {}
-        for i in frontier:
-            for nb in vertex_neighbors(vertices[i], ctx):
-                if nb not in index and nb not in discovered:
-                    discovered[nb] = i
-        frontier = []
-        for v in sorted(discovered, key=lambda v: v.hnf):
-            frontier.append(len(vertices))
-            index[v] = len(vertices)
-            vertices.append(v)
-            depth.append(k)
-            parent.append(discovered[v])
-    return VertexTree(
-        ctx=ctx,
-        origin=origin,
-        radius=radius,
-        vertices=tuple(vertices),
-        depth=tuple(depth),
-        parent=tuple(parent),
-        index=MappingProxyType(index),
+    vertices, index, depth, parent, _, _ = _shells(
+        origin, radius, lambda i, v: ((None, _tree_neighbors(v, ctx.p)),), lambda v: v.hnf
     )
+    return VertexTree(ctx, origin, radius, vertices, depth, parent, MappingProxyType(index))
 
 
 def sphere_vertex_count(p: int, r: int) -> int:

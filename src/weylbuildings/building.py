@@ -19,7 +19,8 @@ drops one class and is contained in exactly p + 1 chambers, one for each
 line of the two-dimensional residue quotient it leaves open.  ``ball``
 enumerates all chambers within a gallery radius of a base chamber, which
 is the raw material for shell counts, harmonic cochains and period sums
-elsewhere.
+elsewhere.  Its breadth-first shell search, ``_shells``, also builds the
+vertex tree of the ``boundary`` module.
 
 The vertex labelling lambda([L]) = v_p(det L) mod n makes every chamber
 hit each label exactly once; a face's type is the label it omits.
@@ -328,6 +329,7 @@ def vertex_label(cls: LatticeClass, ctx: PrimeContext) -> int:
     Equals v_p(det) of the canonical representative mod n; homothety
     rescaling shifts the determinant valuation by multiples of n.
     """
+    _require_classes(ctx, cls)
     return cls.valuation % ctx.n
 
 
@@ -387,7 +389,7 @@ def classes_adjacent(u: LatticeClass, v: LatticeClass, ctx: PrimeContext) -> boo
     labels, and so u = v, admit none.
     """
     _require_classes(ctx, u, v)
-    if (vertex_label(v, ctx) - vertex_label(u, ctx)) % ctx.n != 1:
+    if (v.valuation - u.valuation) % ctx.n != 1:
         u, v = v, u
     return _chain_step_ok(u, v, ctx)
 
@@ -480,8 +482,15 @@ def face_of(chamber: FlagChamber, position: int) -> Face:
 
 def face_type(face: Face, ctx: PrimeContext) -> int:
     """The vertex label missing from the face."""
-    present = {vertex_label(c, ctx) for c in face.classes}
-    missing = set(range(ctx.n)) - present
+    if not isinstance(face, Face):
+        raise ValueError(f"expected a Face, got {face!r}")
+    _require_classes(ctx, *face.classes)
+    return _face_type(face, ctx.n)
+
+
+def _face_type(face: Face, n: int) -> int:
+    # unchecked, for the faces the building enumerates itself
+    missing = set(range(n)) - {c.valuation % n for c in face.classes}
     if len(missing) != 1:
         raise ValueError("face vertices do not carry distinct labels")
     return missing.pop()
@@ -568,7 +577,7 @@ def chambers_containing(
         flag, middles = classes, _tree_neighbors(classes[0], p)
     else:
         first, last = classes
-        if (vertex_label(last, ctx) - vertex_label(first, ctx)) % n != 1:
+        if (last.valuation - first.valuation) % n != 1:
             first, last = last, first
         k, rest = divmod(first.valuation + 1 - last.valuation, n)
         outer = last.scaled_rows(p, k) if k >= 0 and not rest else None
@@ -791,60 +800,70 @@ class BallGraph(Value):
         return tuple(to_generator[t] for t in self.gallery_types(i))
 
 
+def _shells(start, radius: int, step, key) -> tuple:
+    """Breadth-first shells out to the radius.  ``step(i, item)`` returns
+    (tag, neighbors) groups; a neighbor's first finder is its parent, and
+    each new shell is indexed in ``key`` order.  Returns the items, index
+    map, distances, parents and tags, and the last (unexpanded) shell."""
+    items, index, distance, parent, tags = [start], {start: 0}, [0], [None], [None]
+    frontier = [0]
+    for depth in range(1, radius + 1):
+        discovered: dict[object, tuple[int, object]] = {}
+        for i in frontier:
+            for tag, group in step(i, items[i]):
+                for other in group:
+                    if other not in index and other not in discovered:
+                        discovered[other] = (i, tag)
+        frontier = []
+        for item in sorted(discovered, key=key):
+            src, tag = discovered[item]
+            frontier.append(len(items))
+            index[item] = len(items)
+            items.append(item)
+            distance.append(depth)
+            parent.append(src)
+            tags.append(tag)
+    return tuple(items), index, tuple(distance), tuple(parent), tuple(tags), frontier
+
+
 def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> BallGraph:
     """Breadth-first enumeration of the chamber ball of the given radius,
     around the standard chamber or a caller's center, which ``make_chamber``
-    checks."""
+    checks.  The shells come from ``_shells``, stepping by chamber stars."""
     _int(radius, "radius", 0)
     if center is not None and not isinstance(center, FlagChamber):
         raise ValueError(f"center must be a FlagChamber, got {center!r}")
     start = standard_chamber(ctx) if center is None else make_chamber(center.classes, ctx)
-    chambers: list[FlagChamber] = [start]
-    index: dict[FlagChamber, int] = {start: 0}
-    distance: list[int] = [0]
-    parent: list[int | None] = [None]
-    crossed: list[int | None] = [None]
     # face -> in-ball chambers in index order; the first expanded chamber to
     # meet a face discovers its whole star, so later ones only append
     faces: dict[Face, list[int]] = {}
-    frontier = [0]
-    for depth in range(1, radius + 1):
-        discovered: dict[FlagChamber, tuple[int, int]] = {}
-        for i in frontier:
-            chamber = chambers[i]
-            for pos in range(ctx.n):
-                face = face_of(chamber, pos)
-                if face in faces:
-                    faces[face].append(i)
-                    continue
-                faces[face] = [i]
-                ftype = vertex_label(chamber.classes[pos], ctx)
-                for other in chambers_containing(face, ctx):
-                    if other not in index and other not in discovered:
-                        discovered[other] = (i, ftype)
-        frontier = []
-        for chamber in sorted(discovered, key=FlagChamber.sort_key):
-            src, ftype = discovered[chamber]
-            frontier.append(len(chambers))
-            index[chamber] = len(chambers)
-            chambers.append(chamber)
-            distance.append(depth)
-            parent.append(src)
-            crossed.append(ftype)
-        if not frontier:
-            break
-    # the last shell found is never expanded; it enters here, after every
+
+    def stars(i: int, chamber: FlagChamber):
+        groups = []
+        for pos in range(ctx.n):
+            face = face_of(chamber, pos)
+            if face in faces:
+                faces[face].append(i)
+                continue
+            faces[face] = [i]
+            groups.append((chamber.classes[pos].valuation % ctx.n, chambers_containing(face, ctx)))
+        return groups
+
+    chambers, index, distance, parent, crossed, last = _shells(
+        start, radius, stars, FlagChamber.sort_key
+    )
+    # the last shell is never expanded; it enters here, after every
     # expanded chamber, so faces keep the order of their first chamber
-    for i in frontier:
+    for i in last:
         for pos in range(ctx.n):
             faces.setdefault(face_of(chambers[i], pos), []).append(i)
     return BallGraph(
         ctx=ctx,
         radius=radius,
-        chambers=tuple(chambers),
-        distance=tuple(distance),
-        parent=tuple(parent),
-        crossed_type=tuple(crossed),
+        chambers=chambers,
+        distance=distance,
+        parent=parent,
+        crossed_type=crossed,
         faces={f: tuple(m) for f, m in faces.items()},
         index=index,
     )
@@ -858,7 +877,7 @@ def ball_to_json(graph: BallGraph) -> dict:
     """
     adjacency: list[list[list[int]]] = [[] for _ in graph.chambers]
     for face, members in graph.faces.items():
-        ftype = face_type(face, graph.ctx)
+        ftype = _face_type(face, graph.ctx.n)
         for i in members:
             adjacency[i].extend([ftype, j] for j in members if j != i)
     for pairs in adjacency:

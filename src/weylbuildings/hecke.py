@@ -81,14 +81,6 @@ class HeckeElement(Value):
             w._check(diagram)
         object.__setattr__(self, "terms", terms)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is HeckeElement:
-            return (self.diagram, self.q, self.terms) == (other.diagram, other.q, other.terms)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.diagram, self.q, self.terms))
-
     @property
     def support(self) -> tuple[GroupElement, ...]:
         return self.terms.support()
@@ -192,7 +184,7 @@ def convolve_chamber_function(
     omitted from the result, so compositions should stay a step inside
     the radius.
     """
-    from .building import face_type, generator_face_types
+    from .building import _face_type, generator_face_types
 
     ctx = graph.ctx
     types = generator_face_types(ctx)
@@ -203,7 +195,7 @@ def convolve_chamber_function(
     full = ctx.p + 1
     out: dict[int, Fraction] = {}
     for face, members in graph.faces.items():
-        if len(members) != full or face_type(face, ctx) != ftype:
+        if len(members) != full or _face_type(face, ctx.n) != ftype:
             continue
         total = sum((f.get(j, 0) for j in members), Fraction(0))
         for i in members:

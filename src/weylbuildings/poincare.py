@@ -24,6 +24,7 @@ polynomials, series coefficients and point evaluations are
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd
 
@@ -211,16 +212,21 @@ class RationalFunction(Value):
 
 
 def bott_rational(table: ExponentTable) -> RationalFunction:
-    """The growth series as a reduced rational function.
+    """The growth series as a reduced rational function, built once per table.
 
     >>> bott_rational(exponents_for("A2~"))
     RationalFunction(numerator=(1, 1, 1), denominator=(1, -2, 1))
     """
     if not table.exponents:
         raise ValueError("empty exponent table")
+    return _bott_rational(tuple(table.exponents))
+
+
+@functools.lru_cache(maxsize=32)  # immutable results; the bound caps a long-lived process
+def _bott_rational(exponents: tuple[int, ...]) -> RationalFunction:
     num: Poly = (1,)
     den: Poly = (1,)
-    for m in table.exponents:
+    for m in exponents:
         num = _mul(num, _one_minus_x_pow(m + 1))
         den = _mul(den, _mul(_one_minus_x_pow(1), _one_minus_x_pow(m)))
     return RationalFunction(num, den)

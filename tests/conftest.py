@@ -1,8 +1,12 @@
-"""Shared fixtures: the expensive chamber balls are built once per session."""
+"""Shared fixtures: the expensive chamber balls, built once per session, and
+per-field digests that pin a value exactly."""
+
+import hashlib
+from collections.abc import Mapping
 
 import pytest
 
-from weylbuildings import PrimeContext, ball
+from weylbuildings import Face, FlagChamber, LatticeClass, PrimeContext, ball
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +40,32 @@ def tree_p3(ctx32):
 def gl3_p2(ctx23):
     """Radius-3 chamber ball for n = 3, p = 2 (103 chambers)."""
     return ball(ctx23, 3)
+
+
+def _plain(x):
+    """Nested plain data for a library value; maps keep their iteration order."""
+    if isinstance(x, LatticeClass):
+        return ("class", x.hnf, x.valuation)
+    if isinstance(x, (FlagChamber, Face)):
+        return (type(x).__name__, tuple(_plain(c) for c in x.classes))
+    if isinstance(x, PrimeContext):
+        return ("ctx", x.p, x.n)
+    if isinstance(x, Mapping):
+        return ("map", tuple((_plain(k), _plain(v)) for k, v in x.items()))
+    if isinstance(x, (tuple, list)):
+        return type(x)(_plain(y) for y in x)
+    return x
+
+
+@pytest.fixture(scope="session")
+def field_digests():
+    """Field name -> short sha256 of the field's plain data, for every slot
+    of a value: a change to any field, or to a map's order, shows."""
+
+    def digests(value) -> dict[str, str]:
+        return {
+            name: hashlib.sha256(repr(_plain(getattr(value, name))).encode()).hexdigest()[:16]
+            for name in type(value).__slots__
+        }
+
+    return digests

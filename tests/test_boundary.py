@@ -227,6 +227,60 @@ def test_vertex_tree_is_built_once_and_read_only(ctx3):
         tree.index.clear()
 
 
+# Per-field digests (conftest ``field_digests``) of trees recorded before
+# the tree and ``ball`` shared one shell search, around the standard vertex
+# and around [[1, 1], [0, p]]; "index" pins the map's order too.
+TREE_FIELDS = {
+    (2, 5, False): {
+        "ctx": "36e8288abafd2280", "origin": "816b134ae8875a6e", "radius": "ef2d127de37b942b",
+        "vertices": "398a394013d5249f", "depth": "9ae09fa46f5045f6",
+        "parent": "72beb7778633882d", "index": "9b21a5f3263522f6",
+    },
+    (2, 5, True): {
+        "ctx": "36e8288abafd2280", "origin": "e4d59547fb5e196e", "radius": "ef2d127de37b942b",
+        "vertices": "d522ce853f18f307", "depth": "9ae09fa46f5045f6",
+        "parent": "5d7fb921bb14b925", "index": "2d2114e12dad7636",
+    },
+    (3, 3, False): {
+        "ctx": "7aa397fe15389834", "origin": "816b134ae8875a6e", "radius": "4e07408562bedb8b",
+        "vertices": "a0dae35a5e120bc8", "depth": "f1a4c9adead33196",
+        "parent": "4e02a166d8a21c2e", "index": "0fb2115727bbb5c0",
+    },
+    (3, 3, True): {
+        "ctx": "7aa397fe15389834", "origin": "5064afce45aa3b17", "radius": "4e07408562bedb8b",
+        "vertices": "b7ae5cc39e4905b6", "depth": "f1a4c9adead33196",
+        "parent": "e369169332e8f0ab", "index": "5b483532d2e58afb",
+    },
+    (5, 2, False): {
+        "ctx": "a46fe8dd3891c4ed", "origin": "816b134ae8875a6e", "radius": "d4735e3a265e16ee",
+        "vertices": "e7d8000b63b125fd", "depth": "8b9c1bd07b160ff6",
+        "parent": "eefb3aba1795c69b", "index": "45557e08a5047dcb",
+    },
+    (5, 2, True): {
+        "ctx": "a46fe8dd3891c4ed", "origin": "ad398fc233b33f96", "radius": "d4735e3a265e16ee",
+        "vertices": "46192018fc50011d", "depth": "8b9c1bd07b160ff6",
+        "parent": "3ccb9a5cef8d2300", "index": "62408ac08b72ce57",
+    },
+}
+
+
+@pytest.mark.parametrize("key", list(TREE_FIELDS), ids=str)
+def test_vertex_tree_fields_are_pinned(key, field_digests):
+    p, radius, moved = key
+    ctx = PrimeContext(p=p, n=2)
+    origin = lattice_from_rows([[1, 1], [0, p]], p) if moved else standard_lattice(ctx)
+    assert field_digests(vertex_tree(ctx, origin, radius)) == TREE_FIELDS[key]
+
+
+def test_a_radius_zero_tree_has_no_ends(ctx2):
+    # as end_count(p, 0) says; the origin has no parent to start a rim edge
+    with pytest.raises(ValueError, match="ends need depth at least 1"):
+        end_count(2, 0)
+    with pytest.raises(ValueError, match="ends need depth at least 1"):
+        vertex_tree(ctx2, standard_lattice(ctx2), 0).ends()
+    assert len(vertex_tree(ctx2, standard_lattice(ctx2), 1).ends()) == end_count(2, 1)
+
+
 @pytest.mark.parametrize("radius", [2.0, "2"], ids=repr)
 def test_vertex_tree_rejects_non_int_radius(ctx2, radius):
     o = standard_lattice(ctx2)

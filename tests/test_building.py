@@ -314,6 +314,8 @@ ONE_THREE = lattice_from_rows([[1, 0], [0, 3]], 3)  # a vertex of the p = 3 tree
         lambda: make_chamber([O2, ONE_THREE], P2),
         lambda: act([[1, 0], [0, 1]], ONE_THREE, P2),
         lambda: ball(P2, 1, center=building.FlagChamber((O2, ONE_THREE))),
+        lambda: vertex_label(ONE_THREE, P2),
+        lambda: face_type(Face((ONE_THREE,)), P2),
     ],
     ids=[
         "chambers_containing",
@@ -324,6 +326,8 @@ ONE_THREE = lattice_from_rows([[1, 0], [0, 3]], 3)  # a vertex of the p = 3 tree
         "make_chamber",
         "act",
         "ball",
+        "vertex_label",
+        "face_type",
     ],
 )
 def test_a_class_of_another_prime_is_refused(call):
@@ -339,12 +343,26 @@ def test_a_class_of_another_prime_is_refused(call):
         lambda: make_chamber([O2, "x"], P2),
         lambda: vertex_neighbors("x", P2),
         lambda: chambers_containing(["x"], P2),
+        lambda: vertex_label("x", P2),
     ],
-    ids=["make_chamber", "vertex_neighbors", "chambers_containing"],
+    ids=["make_chamber", "vertex_neighbors", "chambers_containing", "vertex_label"],
 )
 def test_a_value_that_is_not_a_class_is_refused(call):
     with pytest.raises(ValueError, match=re.escape("expected a lattice class, got 'x'")):
         call()
+
+
+def test_labels_and_face_types_refuse_a_class_of_another_size_or_a_non_face():
+    ctx3 = PrimeContext(p=2, n=3)
+    v3 = standard_lattice(ctx3)
+    with pytest.raises(ValueError, match=re.escape(f"expected a 2x2 class, got 3x3: {v3.hnf}")):
+        vertex_label(v3, P2)
+    face = face_of(standard_chamber(ctx3), 2)
+    assert face.classes[0] == v3
+    with pytest.raises(ValueError, match=re.escape(f"expected a 2x2 class, got 3x3: {v3.hnf}")):
+        face_type(face, P2)
+    with pytest.raises(ValueError, match=re.escape("expected a Face, got 'x'")):
+        face_type("x", P2)
 
 
 def test_a_center_of_another_building_is_refused():
@@ -758,6 +776,46 @@ def test_ball_json_literal(n, p, radius, digest):
     ctx = PrimeContext(p=p, n=n)
     text = json.dumps(ball_to_json(ball(ctx, radius)), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Per-field digests (conftest ``field_digests``) of balls recorded before
+# ``ball`` and the vertex tree shared one shell search; "faces" and
+# "index" pin the maps' iteration order too.
+BALL_FIELDS = {
+    (2, 3, 6, None): {
+        "ctx": "7aa397fe15389834", "radius": "e7f6c011776e8db7", "chambers": "49533d0248cac975",
+        "distance": "177d3e501d9efa99", "parent": "63dc5b4b128c9890",
+        "crossed_type": "bf816b5929bae2ae", "faces": "173f39e319cdb149", "index": "80adbf25ccdee57f",
+    },
+    (2, 5, 4, None): {
+        "ctx": "a46fe8dd3891c4ed", "radius": "4b227777d4dd1fc6", "chambers": "dc851911471753c4",
+        "distance": "078e98e8a4dd762c", "parent": "01e26a89fa8da0e0",
+        "crossed_type": "b3033b63aa658f21", "faces": "763e0b33e049957d", "index": "f4866ba98c6281d0",
+    },
+    (3, 2, 4, None): {
+        "ctx": "1970f320eb50221c", "radius": "4b227777d4dd1fc6", "chambers": "19517cb414d5cae3",
+        "distance": "5162878bc889ae8b", "parent": "bc2ee434feaf2b80",
+        "crossed_type": "eee494d09e1a10e8", "faces": "5e57c5585a87f291", "index": "65797e17edd5fa9e",
+    },
+    (3, 3, 3, None): {
+        "ctx": "d10324bca3f40124", "radius": "4e07408562bedb8b", "chambers": "9dcd149b456fd7bb",
+        "distance": "3bdf3dde22cc10a4", "parent": "51835edd12d29a87",
+        "crossed_type": "2d26b3a5aeee7203", "faces": "4396b59aa6ab6a68", "index": "853947660bbfe32a",
+    },
+    (3, 2, 3, (0, 1, 2)): {
+        "ctx": "1970f320eb50221c", "radius": "4e07408562bedb8b", "chambers": "d67ebe1068f85eeb",
+        "distance": "6b81a67b8c4ea874", "parent": "69d024a44e6bfcbd",
+        "crossed_type": "6fef46ef217d3472", "faces": "12811ea1e35584d9", "index": "6262a6abec45a1c1",
+    },
+}
+
+
+@pytest.mark.parametrize("key", list(BALL_FIELDS), ids=str)
+def test_ball_fields_are_pinned(key, field_digests):
+    n, p, radius, word = key
+    ctx = PrimeContext(p=p, n=n)
+    center = None if word is None else weyl_to_chamber(word, ctx)
+    assert field_digests(ball(ctx, radius, center)) == BALL_FIELDS[key]
 
 
 def test_make_chamber_validation():

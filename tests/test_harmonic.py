@@ -180,7 +180,9 @@ def test_finite_support_rigidity():
         assert finite_support_rigidity(g)
 
 
-@pytest.mark.parametrize("n, p, R", [(2, 2, 6), (2, 3, 4), (3, 2, 4)])
+@pytest.mark.parametrize(
+    "n, p, R", [(2, 2, 6), (2, 3, 4), (3, 2, 4), (2, 7, 3), (2, 11, 3), (3, 5, 3)]
+)
 def test_finite_support_rigidity_larger_balls(n, p, R):
     g = ball(PrimeContext(p=p, n=n), R)
     assert_certificate(g)

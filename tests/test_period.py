@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import weylbuildings.poincare as poincare
 from weylbuildings import (
     PeriodReport,
     PrimeContext,
@@ -82,6 +83,21 @@ def test_report_rejects_bad_cutoff(cutoff, problem):
         make_report("A1~", 2, cutoff)
 
 
+def test_a_report_normalizes_the_closed_form_series_once(monkeypatch):
+    # every RationalFunction takes one gcd; the closed form, the tail bound
+    # and the majorant share one series
+    calls = []
+    gcd = poincare._poly_gcd
+    monkeypatch.setattr(poincare, "_poly_gcd", lambda a, b: calls.append(a) or gcd(a, b))
+    poincare._bott_rational.cache_clear()
+    report = make_report("E8~", 2, 6)
+    assert len(calls) == 1
+    assert report == make_report("E8~", 2, 6) and len(calls) == 1
+    # the partial sums still come from the enumerated growth counts alone
+    monkeypatch.setattr(poincare, "_bott_rational", None)
+    assert lambda_partial("E8~", 2, 6) == list(report.partial_sums)
+
+
 def test_geometric_sum_frozen(tree_p2):
     assert geometric_lambda(tree_p2.ctx, 3, graph=tree_p2) == Fraction(1, 4)
     assert geometric_lambda(tree_p2.ctx, 0, graph=tree_p2) == Fraction(1)
@@ -94,6 +110,8 @@ def test_geometric_matches_partials_term_by_term(tree_p2, tree_p3, gl3_p2):
         (gl3_p2, A2, 2, 3),
         (ball(PrimeContext(p=3, n=3), 4), A2, 3, 4),
         (ball(PrimeContext(p=5, n=3), 3), A2, 5, 3),
+        (ball(PrimeContext(p=2, n=3), 6), A2, 2, 6),
+        (ball(PrimeContext(p=3, n=3), 5), A2, 3, 5),
         (ball(PrimeContext(p=5, n=2), 5), A1, 5, 5),
         (ball(PrimeContext(p=7, n=2), 4), A1, 7, 4),
         (ball(PrimeContext(p=11, n=2), 3), A1, 11, 3),
