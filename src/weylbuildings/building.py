@@ -38,14 +38,18 @@ functions, ``affine_generator_matrix`` and ``label_shift_matrix``.
 ``lattice_from_rows`` scales its rows to integers once, and ``act``
 scales g once to the integer matrix p^a g, which moves no homothety
 class; ``weyl_to_chamber`` applies the generators one at a time through
-``act``.  Everything after that (content stripping, Hermite
-normalization, membership and the kernels behind ``chambers_containing``)
-works on Python integers.  Hermite normalization of a span of
-determinant valuation v runs modulo p^(v+1), which recovers the
-canonical form exactly because row operations are unimodular over Z_p,
-and asserts that the diagonal exponents sum to v.
-Every ``LatticeClass`` records that v when its form is built, so labels
-and chain-step gaps never re-derive it.
+``act``.  Everything after that (Hermite normalization, membership and
+the kernels behind ``chambers_containing``) works on Python integers.
+The canonical matrix of a derived class comes from one function,
+``_class_of``: given upper-triangular rows with a p-power diagonal and
+their determinant valuation v, it reduces the entries above the diagonal
+and strips the p-content (``_tree_neighbors`` is its closed form on the
+tree).  Caller rows and images under ``act`` first go through
+``_hermite_rows``, an elimination modulo p^(v+1) that yields triangular
+rows of the same span, because row operations are unimodular over Z_p,
+and asserts that the diagonal exponents sum to v.  Every
+``LatticeClass`` records the valuation of its form, so labels and
+chain-step gaps never re-derive it.
 
 Two kinds of flags are checked in two ways.  Flags that callers supply
 go through ``make_chamber``, which tests every chain step by membership;
@@ -53,10 +57,10 @@ go through ``make_chamber``, which tests every chain step by membership;
 Flags that ``chambers_containing`` builds skip both.  The vertex a face
 misses is an index-p sublattice of a face vertex L, the kernel of a
 nonzero functional on L / pL (Abramenko and Brown, *Buildings*, the SL_n
-example); on L's Hermite rows that kernel is in Hermite form once its
-entries above the diagonal are reduced.  An n = 3 face is checked by one
-containment, and either way the star must hold exactly p + 1 distinct
-chambers.
+example); on L's Hermite rows that kernel is triangular, so it goes
+straight to ``_class_of``, with no elimination.  An n = 3 face is
+checked by one containment, and either way the star must hold exactly
+p + 1 distinct chambers.
 """
 
 from __future__ import annotations
@@ -167,59 +171,61 @@ def _det(m: Sequence[Sequence]) -> object:
 # -- Hermite form over Z_p ----------------------------------------------------
 
 
-def _hermite_rows(rows: Sequence[Sequence[int]], p: int, valuation: int) -> IntMatrix:
-    """Upper-triangular Z_p-Hermite form of the row span of integer rows,
-    given v = v_p(det) of that span.
+def _hermite_rows(rows: Sequence[Sequence[int]], p: int, valuation: int) -> list[list[int]]:
+    """n upper-triangular rows with p-power diagonal that span the same
+    Z_p-lattice as the given integer rows, whose span has v = v_p(det).
 
-    Works modulo p^(v + 1), which yields the form of the span plus
-    p^(v + 1) Z_p^n: its diagonal exponents are min(e_i, v + 1) for the
+    Works modulo p^(v + 1), which yields rows of the span plus
+    p^(v + 1) Z_p^n: their diagonal exponents are min(e_i, v + 1) for the
     elementary divisor exponents e_i of the span.  They sum to v exactly
     when the span's valuation is v, and then every e_i <= v, so the span
-    already contains p^(v + 1) Z_p^n and the form is exact.  Any other
-    valuation raises AssertionError.  All row operations are unimodular
-    over Z_p, so representative choices along the way span the same
-    lattice and the fully reduced entries are exact.
+    already contains p^(v + 1) Z_p^n and the rows span it exactly.  Any
+    other valuation raises AssertionError.  All row operations are
+    unimodular over Z_p.  The entries above the diagonal are left for
+    ``_class_of`` to reduce.
     """
     n = len(rows[0])
     cap = valuation + 1
     modulus = p**cap
     work = [[x % modulus for x in row] for row in rows]
     m = len(work)
-
-    def val(x: int) -> int:
-        return cap if x == 0 else _val_int(x, p)
-
     diag: list[int] = []
     for col in range(n):
-        pivot, best = -1, cap
-        for r in range(col, m):
-            v = val(work[r][col])
-            if v < best:
-                pivot, best = r, v
-        if pivot < 0:
+        # the pivot is the first row of least valuation in the column
+        a, pivot = min((_val_int(x, p) if (x := work[r][col]) else cap, r) for r in range(col, m))
+        if a == cap:
             raise AssertionError("rows do not span a lattice of the expected valuation")
         work[col], work[pivot] = work[pivot], work[col]
-        a = best
-        unit = work[col][col] // p**a
-        inv = pow(unit, -1, modulus)
+        inv = pow(work[col][col] // p**a, -1, modulus)
         work[col] = [(x * inv) % modulus for x in work[col]]
         work[col][col] = p**a
         diag.append(a)
         for r in range(col + 1, m):
-            x = work[r][col]
-            if x:
-                f = x // p**a
+            if f := work[r][col] // p**a:
                 work[r] = [(y - f * z) % modulus for y, z in zip(work[r], work[col])]
     if sum(diag) != valuation:
         raise AssertionError("rows do not span a lattice of the expected valuation")
-    for col in range(1, n):
-        d = p ** diag[col]
-        for r in range(col):
-            t = work[r][col] // d
-            if t:
-                work[r] = [(y - t * z) % modulus for y, z in zip(work[r], work[col])]
-                work[r][col] %= d
-    return tuple(tuple(row[:n]) for row in work[:n])
+    return work[:n]
+
+
+def _class_of(rows: list[list[int]], p: int, valuation: int) -> LatticeClass:
+    """Class of the lattice spanned by upper-triangular integer rows with a
+    p-power diagonal, given v = v_p(det) of that span; the rows are
+    rewritten in place.  Each entry above the diagonal is reduced modulo
+    the diagonal entry of its column, in exact integers, which gives the
+    one Hermite form of the lattice (Cohen, GTM 138, §2.4).  Then p is
+    divided out while it divides every entry, each time taking n from v,
+    which leaves the canonical, primitive form of the class."""
+    n = len(rows)
+    for c in range(1, n):
+        d = rows[c][c]
+        for row in rows[:c]:
+            if t := row[c] // d:
+                row[:] = [x - t * y for x, y in zip(row, rows[c])]
+    while not any(x % p for row in rows for x in row):
+        rows = [[x // p for x in row] for row in rows]
+        valuation -= n
+    return LatticeClass(tuple(map(tuple, rows)), valuation)
 
 
 # -- lattice classes -----------------------------------------------------------
@@ -267,6 +273,8 @@ def lattice_from_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> Latti
     allowed as long as the span is full.
     """
     _prime(p)
+    if not isinstance(rows, Sequence) or not all(isinstance(row, Sequence) for row in rows):
+        raise ValueError(f"rows must be a sequence of rows of entries, got {rows!r}")
     if not rows or not rows[0]:
         raise ValueError("need at least n rows of length n, for some n >= 1")
     n = len(rows[0])
@@ -275,47 +283,21 @@ def lattice_from_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> Latti
     return _canonical(_integer_rows(rows, p), p)
 
 
-def _content(rows: Sequence[Sequence[int]], p: int) -> int | None:
-    """Least p-adic valuation of a nonzero entry, None for a zero matrix.
-    The scan stops at the first entry prime to p."""
-    content = None
-    for row in rows:
-        for x in row:
-            if x % p:
-                return 0
-            if x:
-                v = _val_int(x, p)
-                if content is None or v < content:
-                    content = v
-    return content
-
-
 def _canonical(rows: Sequence[Sequence[int]], p: int, valuation: int | None = None) -> LatticeClass:
-    """Class of the Z_p-span of integer rows: the p-power content is
-    stripped, then the rows are put in Hermite form relative to the span's
-    determinant valuation.  A caller that knows that valuation passes it
-    (``_hermite_rows`` asserts it); otherwise it is read off the maximal
-    minors."""
-    n = len(rows[0])
-    content = _content(rows, p)
-    if content is None:
+    """Class of the Z_p-span of integer rows: ``_hermite_rows`` makes them
+    triangular relative to the span's determinant valuation, and
+    ``_class_of`` reduces them and strips their p-content.  A caller that
+    knows that valuation passes it (``_hermite_rows`` asserts it);
+    otherwise it is read off the maximal minors."""
+    if not any(x for row in rows for x in row):
         raise ValueError("zero matrix spans no lattice")
-    if content:
-        f = p**content
-        rows = [[x // f for x in row] for row in rows]
-    if valuation is not None:
-        valuation -= n * content
-    else:
+    if valuation is None:
         # the lattice determinant valuation is the minimum over maximal minors
-        for picks in itertools.combinations(range(len(rows)), n):
-            d = _det([rows[i] for i in picks])
-            if d:
-                v = _val_int(d, p)
-                if valuation is None or v < valuation:
-                    valuation = v
-        if valuation is None:
+        minors = [d for m in itertools.combinations(rows, len(rows[0])) if (d := _det(m))]
+        if not minors:
             raise ValueError("rows do not span a full lattice")
-    return LatticeClass(_hermite_rows(rows, p, valuation), valuation)
+        valuation = min(_val_int(d, p) for d in minors)
+    return _class_of(_hermite_rows(rows, p, valuation), p, valuation)
 
 
 def standard_lattice(ctx: PrimeContext) -> LatticeClass:
@@ -340,11 +322,17 @@ def _require_classes(ctx: PrimeContext, *classes: LatticeClass) -> None:
     n, p = ctx.n, ctx.p
     for c in classes:
         if not isinstance(c, LatticeClass):
-            raise ValueError(f"expected a lattice class, got {c!r}")
+            raise _not_a_class(classes)
         if c.n != n:
             raise ValueError(f"expected a {n}x{n} class, got {c.n}x{c.n}: {c.hnf}")
         if math.prod(row[i] for i, row in enumerate(c.hnf)) != p**c.valuation:
             raise ValueError(f"expected a class of the p = {p} building, got {c.hnf}")
+
+
+def _not_a_class(values: Sequence[object]) -> ValueError:
+    """The error for the first value that is not a ``LatticeClass``."""
+    bad = next(x for x in values if not isinstance(x, LatticeClass))
+    return ValueError(f"expected a lattice class, got {bad!r}")
 
 
 # -- membership ----------------------------------------------------------------
@@ -406,7 +394,10 @@ class FlagChamber(Value):
     def __init__(self, classes: tuple[LatticeClass, ...]) -> None:
         if not classes:
             raise ValueError("empty flag")
-        best = min(range(len(classes)), key=lambda i: classes[i].hnf)
+        try:
+            best = min(range(len(classes)), key=lambda i: classes[i].hnf)
+        except AttributeError:
+            raise _not_a_class(classes) from None
         object.__setattr__(self, "classes", classes[best:] + classes[:best] if best else classes)
 
     def __eq__(self, other: object) -> bool:
@@ -461,7 +452,11 @@ class Face(Value):
     __slots__ = ("classes",)
 
     def __init__(self, classes: tuple[LatticeClass, ...]) -> None:
-        object.__setattr__(self, "classes", tuple(sorted(classes, key=lambda c: c.hnf)))
+        try:
+            ordered = tuple(sorted(classes, key=lambda c: c.hnf))
+        except AttributeError:
+            raise _not_a_class(classes) from None
+        object.__setattr__(self, "classes", ordered)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is Face:
@@ -512,8 +507,9 @@ def _sublattices(vertex: LatticeClass, line: Sequence[int], p: int) -> list[Latt
     of L / pL, given over L's Hermite rows r_0..r_(n-1); the zero line
     gives all of them.  They are the kernels of the ``_functionals`` phi
     that vanish on the line, r_i - phi_i r_j (i < j), p r_j, r_i (i > j):
-    upper triangular, so only the entries above the diagonal need reducing.
-    The kernel contains pL with L primitive, so its p-content is 0 or 1."""
+    upper triangular with a p-power diagonal, so ``_class_of`` reduces them
+    and strips their p-content, which is 0 or 1 since the kernel contains
+    pL with L primitive."""
     basis, n = vertex.hnf, vertex.n
     v = vertex.valuation + 1
     out = []
@@ -523,25 +519,17 @@ def _sublattices(vertex: LatticeClass, line: Sequence[int], p: int) -> list[Latt
         rj = basis[j]
         rows = [[x - f * y for x, y in zip(r, rj)] for r, f in zip(basis[:j], phi)]
         rows += [[p * y for y in rj]] + [list(r) for r in basis[j + 1 :]]
-        for c in range(1, n):
-            d = rows[c][c]
-            for row in rows[:c]:
-                t = row[c] // d
-                if t:
-                    row[:] = [x - t * y for x, y in zip(row, rows[c])]
-        if any(x % p for row in rows for x in row):
-            out.append(LatticeClass(tuple(map(tuple, rows)), v))
-        else:
-            out.append(LatticeClass(tuple(tuple(x // p for x in row) for row in rows), v - n))
+        out.append(_class_of(rows, p, v))
     return out
 
 
 def _tree_neighbors(vertex: LatticeClass, p: int) -> list[LatticeClass]:
     """The p + 1 neighbors of a vertex L of the n = 2 tree: <p r0, r1> and
     <r0 + t r1, p r1>, one per line of L / pL (Serre, *Trees*, Ch. II §1).
-    This is ``_sublattices`` with the zero line, t in place of -t, written
-    out because it is faster on the tree; each span is already in Hermite
-    form, and its p-content is 0 or 1."""
+    This is the closed form of ``_sublattices`` plus ``_class_of`` on the
+    zero line, with t in place of -t: each span is already reduced, and its
+    p-content is 0 or 1.  It is written out because the tree's stars are
+    about twice as fast without the generic rows and helper."""
     (x, y), (_, z) = vertex.hnf
     spans = [(p * x, p * y % z, z)] + [(x, y + t * z, p * z) for t in range(p)]
     v = vertex.valuation + 1

@@ -93,7 +93,9 @@ def geometric_lambda(
     _int(radius, "radius", 0)
     if graph is None:
         graph = ball(ctx, radius)
-    elif graph.ctx != ctx or graph.radius < radius:
+    elif graph.ctx != ctx:
+        raise ValueError(f"supplied ball belongs to {graph.ctx!r}, not to {ctx!r}")
+    elif graph.radius < radius:
         raise ValueError("supplied ball does not cover the requested radius")
     return sum(geometric_shell_terms(graph)[: radius + 1], Fraction(0))
 

@@ -61,6 +61,8 @@ class ExponentTable(Value):
         self._set(label, exponents)
         if len(exponents) != label.rank:
             raise ValueError("need exactly rank many exponents")
+        for x in exponents:
+            _int(x, "exponents")
         if list(exponents) != sorted(exponents) or exponents[0] < 1:
             raise ValueError("exponents must be ascending positive integers")
 
@@ -193,6 +195,8 @@ class RationalFunction(Value):
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: Poly, denominator: Poly) -> None:
+        for x in (*numerator, *denominator):
+            _int(x, "coefficients")
         num, den = _trim(list(numerator)), _trim(list(denominator))
         if not den:
             raise ZeroDivisionError("zero denominator polynomial")

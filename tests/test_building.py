@@ -6,7 +6,8 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import prod
 from typing import Sequence
 
 import pytest
@@ -116,6 +117,13 @@ def test_empty_rows_rejected(rows):
         lattice_from_rows(rows, 2)
 
 
+@pytest.mark.parametrize("rows", [[1, 2], [[1, 0], 2], 5, None], ids=repr)
+def test_rows_that_are_not_rows_are_named(rows):
+    message = f"rows must be a sequence of rows of entries, got {rows!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lattice_from_rows(rows, 2)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(
@@ -201,6 +209,88 @@ def test_canonical_form_gl3_rational_rows(case, shear, k):
     scaled = [[x / Fraction(p) ** low for x in row] for row in rows]
     assert all(_spans_contain(cls.hnf, row, p) for row in scaled)
     assert all(_spans_contain(scaled, row, p) for row in cls.hnf)
+
+
+# -- the normal form, checked by its definition ---------------------------------------
+#
+# ``_class_of`` writes every class the building derives, and the reference
+# ``_insertions`` below reaches it through ``_canonical`` as well, so the
+# predicate here is written out from the definition instead.
+
+
+def _is_normal_form(hnf, valuation, p):
+    """Upper triangular, a diagonal of powers of p whose exponents sum to
+    the valuation, each entry above the diagonal in [0, the diagonal entry
+    below it), and some entry prime to p."""
+    n = len(hnf)
+    if any(len(row) != n for row in hnf) or any(hnf[i][j] for i in range(n) for j in range(i)):
+        return False
+    diagonal = [hnf[i][i] for i in range(n)]
+    if any(d < 1 or d != p ** _val(d, p) for d in diagonal):
+        return False
+    if sum(_val(d, p) for d in diagonal) != valuation:
+        return False
+    if any(not 0 <= hnf[i][j] < hnf[j][j] for j in range(n) for i in range(j)):
+        return False
+    return any(x % p for row in hnf for x in row)
+
+
+def _leibniz_det(rows):
+    total = 0
+    for perm in permutations(range(len(rows))):
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        total += sign * prod(rows[i][j] for i, j in enumerate(perm))
+    return total
+
+
+def _over_triangular(basis, vec):
+    # the x with x . basis = vec, by forward substitution in Fractions
+    x = []
+    for j in range(len(vec)):
+        x.append((Fraction(vec[j]) - sum(x[i] * basis[i][j] for i in range(j))) / basis[j][j])
+    return x
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 3, 4), (3, 2, 4), (3, 3, 3)])
+def test_every_ball_class_is_in_normal_form(n, p, radius):
+    # the classes of the ball's chambers and of every star of its faces:
+    # the ball stores a chamber as first found, so the stars' copies of the
+    # classes, valuations included, are checked too
+    ctx = PrimeContext(p=p, n=n)
+    graph = ball(ctx, radius)
+    stars = [chamber for face in graph.faces for chamber in chambers_containing(face, ctx)]
+    for chamber in graph.chambers + tuple(stars):
+        for c in chamber.classes:
+            assert _is_normal_form(c.hnf, c.valuation, p), c
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from([2, 3]).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-12, max_value=12), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.integers(min_value=0, max_value=3),
+)
+def test_lattice_from_rows_gives_the_normal_form_of_the_class(p, rows, k):
+    # integer rows with a common power p^k; the form spans the input lattice
+    # once rescaled by p^s, where n s is the gap between the two valuations
+    rows = [[p**k * x for x in row] for row in rows]
+    det = _leibniz_det(rows)
+    assume(det != 0)
+    n = len(rows)
+    cls = lattice_from_rows(rows, p)
+    assert _is_normal_form(cls.hnf, cls.valuation, p)
+    s, rest = divmod(_val(det, p) - cls.valuation, n)
+    assert rest == 0 and s >= k
+    # the input lies in p^s times the form, and both have one valuation
+    scaled = [[p**s * x for x in row] for row in cls.hnf]
+    for row in rows:
+        assert all(x == 0 or _val(x, p) >= 0 for x in _over_triangular(scaled, row))
 
 
 # -- labels and adjacency ----------------------------------------------------------
@@ -344,8 +434,21 @@ def test_a_class_of_another_prime_is_refused(call):
         lambda: vertex_neighbors("x", P2),
         lambda: chambers_containing(["x"], P2),
         lambda: vertex_label("x", P2),
+        lambda: Face(("x",)),
+        lambda: FlagChamber(("x",)),
+        lambda: Face((O2, "x")),
+        lambda: FlagChamber((O2, "x")),
     ],
-    ids=["make_chamber", "vertex_neighbors", "chambers_containing", "vertex_label"],
+    ids=[
+        "make_chamber",
+        "vertex_neighbors",
+        "chambers_containing",
+        "vertex_label",
+        "Face",
+        "FlagChamber",
+        "Face-second",
+        "FlagChamber-second",
+    ],
 )
 def test_a_value_that_is_not_a_class_is_refused(call):
     with pytest.raises(ValueError, match=re.escape("expected a lattice class, got 'x'")):
@@ -1062,21 +1165,28 @@ def test_a_mutated_tree_neighbor_rule_fails_the_star_count(line, mutant, monkeyp
 
 
 @pytest.mark.parametrize(
-    "line, mutant, failure",
+    "name, line, mutant, failure",
     [
         # phi scaled to -1 at j: the filter tests one functional, the rows
         # are the kernel of another, and a flag beyond the ball breaks
         (
+            "_functionals",
             "head + (1,) + (0,) * (n - 1 - j)",
             "head + (p - 1,) + (0,) * (n - 1 - j)",
             "classes do not bound a codimension-1 face",
         ),
         # entries above the diagonal left unreduced: one class, two forms
-        ("t = row[c] // d", "t = 0", "all equal: no"),
+        ("_class_of", "if t := row[c] // d:", "if t := 0:", "all equal: no"),
         # a kernel inside pL kept whole: not primitive, so not canonical
-        ("if any(x % p for row in rows for x in row):", "if True:", "all equal: no"),
+        (
+            "_class_of",
+            "while not any(x % p for row in rows for x in row):",
+            "while False:",
+            "all equal: no",
+        ),
         # every functional kept: p^2 + p + 1 chambers on one face
         (
+            "_sublattices",
             "if sum(f * x for f, x in zip(phi, line)) % p:",
             "if False:",
             "exactly p + 1 chambers",
@@ -1084,12 +1194,13 @@ def test_a_mutated_tree_neighbor_rule_fails_the_star_count(line, mutant, monkeyp
     ],
     ids=["phi-not-scaled", "reduction-skipped", "content-kept", "line-filter-dropped"],
 )
-def test_a_mutated_kernel_rule_is_caught(line, mutant, failure, monkeypatch, capsys):
+def test_a_mutated_kernel_rule_is_caught(name, line, mutant, failure, monkeypatch, capsys):
     # the mutant's stars differ from the reference on some face of a ball
-    # built by the real rule, and the CLI exits 1 on a radius-3 ball
+    # built by the real rule, and the CLI exits 1 on a radius-3 ball; the
+    # reference stars are taken first, since ``_canonical`` behind them
+    # calls ``_class_of`` too
     ctx = PrimeContext(p=3, n=3)
-    faces = list(ball(ctx, 2).faces)
-    name = "_functionals" if "head" in line else "_sublattices"
+    references = {face: _reference_star(face, ctx) for face in ball(ctx, 2).faces}
     source = inspect.getsource(getattr(building, name))
     assert source.count(line) == 1
     namespace = dict(vars(building))
@@ -1098,11 +1209,11 @@ def test_a_mutated_kernel_rule_is_caught(line, mutant, failure, monkeypatch, cap
 
     def agrees(face):
         try:
-            return list(chambers_containing(face, ctx)) == _reference_star(face, ctx)
+            return list(chambers_containing(face, ctx)) == references[face]
         except AssertionError:
             return False
 
-    assert not all(agrees(face) for face in faces)
+    assert not all(agrees(face) for face in references)
     from weylbuildings.cli import main
 
     assert main(["ball", "--n", "3", "--p", "3", "--R", "3"]) == 1

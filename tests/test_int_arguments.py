@@ -17,8 +17,10 @@ from weylbuildings import (
     BoundaryFunction,
     Cochain,
     CoxeterDiagram,
+    ExponentTable,
     GroupElement,
     PrimeContext,
+    RationalFunction,
     absolute_majorant,
     absolute_tail,
     affine_diagram,
@@ -75,6 +77,8 @@ INT_ARGUMENTS = [
     ("matrix entries", lambda x: GroupElement([[x, 0], [0, 1]])),
     ("diagonal order", lambda x: CoxeterDiagram(((x, 3), (3, 1)))),
     ("position", lambda x: face_of(standard_chamber(P2), x)),
+    ("exponents", lambda x: ExponentTable(parse_type_label("A2~"), (x, 2))),
+    ("coefficients", lambda x: RationalFunction((1,), (1, x))),
 ]
 
 

@@ -131,6 +131,16 @@ def test_geometric_requires_large_enough_graph(tree_p2):
         geometric_lambda(tree_p2.ctx, 9, graph=tree_p2)
 
 
+def test_geometric_names_a_ball_of_another_building(tree_p2):
+    # the ball covers the radius; it is the building that differs
+    p3 = PrimeContext(p=3, n=2)
+    message = "supplied ball belongs to PrimeContext(p=2, n=2), not to PrimeContext(p=3, n=2)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        geometric_lambda(p3, 1, graph=tree_p2)
+    with pytest.raises(ValueError, match="does not cover the requested radius"):
+        geometric_lambda(tree_p2.ctx, 9, graph=tree_p2)
+
+
 @pytest.mark.parametrize("radius", [2.0, "2"], ids=repr)
 def test_geometric_rejects_non_int_radius(tree_p2, radius):
     with pytest.raises(ValueError, match=re.escape(f"radius must be an int, got {radius!r}")):
