@@ -205,9 +205,12 @@ def vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> VertexT
 
 @functools.lru_cache(maxsize=32)  # a process meets few spheres; the bound caps a long-lived one
 def _vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> VertexTree:
-    vertices, index, depth, parent, _, _ = _shells(
-        origin, radius, lambda i, v: ((None, _tree_neighbors(v, ctx.p)),), lambda v: v.hnf
+    vertices, depth, parent, _, _ = _shells(
+        (origin.hnf, origin),
+        radius,
+        lambda i, v: ((None, [(w.hnf, w) for w in _tree_neighbors(v, ctx.p)]),),
     )
+    index = {v: i for i, v in enumerate(vertices)}
     return VertexTree(ctx, origin, radius, vertices, depth, parent, MappingProxyType(index))
 
 

@@ -20,7 +20,11 @@ line of the two-dimensional residue quotient it leaves open.  ``ball``
 enumerates all chambers within a gallery radius of a base chamber, which
 is the raw material for shell counts, harmonic cochains and period sums
 elsewhere.  Its breadth-first shell search, ``_shells``, also builds the
-vertex tree of the ``boundary`` module.
+vertex tree of the ``boundary`` module.  The search runs on plain keys,
+the tuples of Hermite tuples that C hashes and orders: a chamber is keyed
+by its ``sort_key`` and a face by the sorted Hermite tuples of its
+classes, and each public ``FlagChamber`` and ``Face`` of a ball is built
+once, at the end, with its index and face maps.
 
 The vertex labelling lambda([L]) = v_p(det L) mod n makes every chamber
 hit each label exactly once; a face's type is the label it omits.
@@ -39,7 +43,7 @@ functions, ``affine_generator_matrix`` and ``label_shift_matrix``.
 scales g once to the integer matrix p^a g, which moves no homothety
 class; ``weyl_to_chamber`` applies the generators one at a time through
 ``act``.  Everything after that (Hermite normalization, membership and
-the kernels behind ``chambers_containing``) works on Python integers.
+the kernels behind each chamber star) works on Python integers.
 The canonical matrix of a derived class comes from one function,
 ``_class_of``: given upper-triangular rows with a p-power diagonal and
 their determinant valuation v, it reduces the entries above the diagonal
@@ -54,13 +58,14 @@ chain-step gaps never re-derive it.
 Two kinds of flags are checked in two ways.  Flags that callers supply
 go through ``make_chamber``, which tests every chain step by membership;
 ``lattice_from_rows`` reads v off the maximal minors of caller rows.
-Flags that ``chambers_containing`` builds skip both.  The vertex a face
-misses is an index-p sublattice of a face vertex L, the kernel of a
-nonzero functional on L / pL (Abramenko and Brown, *Buildings*, the SL_n
-example); on L's Hermite rows that kernel is triangular, so it goes
-straight to ``_class_of``, with no elimination.  An n = 3 face is
-checked by one containment, and either way the star must hold exactly
-p + 1 distinct chambers.
+Flags that ``_star`` builds, for ``chambers_containing`` and ``ball``
+alike, skip both; each of the two checks a face's classes before it asks
+for the face's star.  The vertex a face misses is an index-p sublattice
+of a face vertex L, the kernel of a nonzero functional on L / pL
+(Abramenko and Brown, *Buildings*, the SL_n example); on L's Hermite
+rows that kernel is triangular, so it goes straight to ``_class_of``,
+with no elimination.  An n = 3 face is checked by one containment, and
+either way the star must hold exactly p + 1 distinct chambers.
 """
 
 from __future__ import annotations
@@ -467,6 +472,15 @@ class Face(Value):
         return hash((self.classes,))
 
 
+def _stored(kind: type, classes: tuple[LatticeClass, ...]):
+    """A ``FlagChamber`` or ``Face`` of classes already in its stored order
+    (least rotation, or sorted by ``hnf``), built unchecked: for the flags
+    and faces the building enumerates itself."""
+    value = object.__new__(kind)
+    object.__setattr__(value, "classes", classes)
+    return value
+
+
 def face_of(chamber: FlagChamber, position: int) -> Face:
     """Face obtained by dropping the flag entry at a position in 0..n-1."""
     cs = chamber.classes
@@ -545,7 +559,19 @@ def _tree_neighbors(vertex: LatticeClass, p: int) -> list[LatticeClass]:
 def chambers_containing(
     face: Face | Sequence[LatticeClass], ctx: PrimeContext
 ) -> tuple[FlagChamber, ...]:
-    """All p + 1 chambers containing a codimension-1 face, sorted.
+    """All p + 1 chambers containing a codimension-1 face, sorted: the
+    face's classes are checked, then ``_star`` writes the chambers out."""
+    classes = tuple(face.classes) if isinstance(face, Face) else tuple(face)
+    if len(classes) != ctx.n - 1:
+        raise ValueError(f"a codimension-1 face has {ctx.n - 1} classes")
+    _require_classes(ctx, *classes)
+    return tuple(_stored(FlagChamber, flag) for _, flag in _star(classes, ctx))
+
+
+def _star(classes: tuple[LatticeClass, ...], ctx: PrimeContext) -> list[tuple]:
+    """The p + 1 chambers on a face of checked classes, as (key, flag)
+    pairs sorted by key: each flag starts at its least class, and its key
+    is the tuple of its Hermite tuples, ``FlagChamber.sort_key``.
 
     The missing vertex is an index-p sublattice of a face vertex that
     contains a line (``_sublattices``).  For n = 2 the face is one vertex,
@@ -556,13 +582,16 @@ def chambers_containing(
     first contains p first.  The missing vertex lies in p^k last and
     contains p first, whose line is a coordinate row nonzero mod p.
     """
-    classes = tuple(face.classes) if isinstance(face, Face) else tuple(face)
     p, n = ctx.p, ctx.n
-    if len(classes) != n - 1:
-        raise ValueError(f"a codimension-1 face has {n - 1} classes")
-    _require_classes(ctx, *classes)
+    star: dict[tuple, tuple[LatticeClass, ...]] = {}
     if n == 2:
-        flag, middles = classes, _tree_neighbors(classes[0], p)
+        (vertex,) = classes
+        a = vertex.hnf
+        for m in _tree_neighbors(vertex, p):
+            if a <= m.hnf:
+                star[a, m.hnf] = (vertex, m)
+            else:
+                star[m.hnf, a] = (m, vertex)
     else:
         first, last = classes
         if (last.valuation - first.valuation) % n != 1:
@@ -571,16 +600,23 @@ def chambers_containing(
         outer = last.scaled_rows(p, k) if k >= 0 and not rest else None
         if outer is None or not _contains_lattice(first.hnf, outer):
             raise ValueError("classes do not bound a codimension-1 face")
-        flag = (first, last)
         for row in first.scaled_rows(p, 1):
             line = _coordinates(outer, row)
             if any(x % p for x in line):
                 break
-        middles = _sublattices(last, line, p)
-    chambers = [FlagChamber(flag + (m,)) for m in middles]
-    if len(set(chambers)) != p + 1:
+        # the least of the three rotations of (first, last, m), as in FlagChamber
+        a, b = first.hnf, last.hnf
+        for m in _sublattices(last, line, p):
+            c = m.hnf
+            if a <= b and a <= c:
+                star[a, b, c] = (first, last, m)
+            elif b <= c:
+                star[b, c, a] = (last, m, first)
+            else:
+                star[c, a, b] = (m, first, last)
+    if len(star) != p + 1:
         raise AssertionError("a face must lie in exactly p + 1 chambers")
-    return tuple(sorted(chambers, key=FlagChamber.sort_key))
+    return sorted(star.items())
 
 
 # -- group action -------------------------------------------------------------------
@@ -788,63 +824,83 @@ class BallGraph(Value):
         return tuple(to_generator[t] for t in self.gallery_types(i))
 
 
-def _shells(start, radius: int, step, key) -> tuple:
-    """Breadth-first shells out to the radius.  ``step(i, item)`` returns
-    (tag, neighbors) groups; a neighbor's first finder is its parent, and
-    each new shell is indexed in ``key`` order.  Returns the items, index
-    map, distances, parents and tags, and the last (unexpanded) shell."""
-    items, index, distance, parent, tags = [start], {start: 0}, [0], [None], [None]
+def _shells(start: tuple, radius: int, step) -> tuple:
+    """Breadth-first shells out to the radius, on plain keys.  ``start`` and
+    every neighbor are (key, item) pairs whose keys are hashable, ordered
+    and name the item; ``step(i, item)`` returns (tag, neighbors) groups.  A
+    neighbor's first finder is its parent, and each new shell is indexed in
+    key order.  Returns the items, distances, parents and tags, and the
+    last (unexpanded) shell; each caller builds its own public index."""
+    key, item = start
+    seen, items, distance, parent, tags = {key}, [item], [0], [None], [None]
     frontier = [0]
     for depth in range(1, radius + 1):
-        discovered: dict[object, tuple[int, object]] = {}
+        discovered: dict[object, tuple[int, object, object]] = {}
         for i in frontier:
             for tag, group in step(i, items[i]):
-                for other in group:
-                    if other not in index and other not in discovered:
-                        discovered[other] = (i, tag)
-        frontier = []
-        for item in sorted(discovered, key=key):
-            src, tag = discovered[item]
-            frontier.append(len(items))
-            index[item] = len(items)
+                for key, item in group:
+                    if key not in seen and key not in discovered:
+                        discovered[key] = (i, tag, item)
+        seen.update(discovered)
+        frontier = list(range(len(items), len(items) + len(discovered)))
+        for key in sorted(discovered):
+            src, tag, item = discovered[key]
             items.append(item)
             distance.append(depth)
             parent.append(src)
             tags.append(tag)
-    return tuple(items), index, tuple(distance), tuple(parent), tuple(tags), frontier
+    return tuple(items), tuple(distance), tuple(parent), tuple(tags), frontier
 
 
 def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> BallGraph:
     """Breadth-first enumeration of the chamber ball of the given radius,
     around the standard chamber or a caller's center, which ``make_chamber``
-    checks.  The shells come from ``_shells``, stepping by chamber stars."""
+    checks.  The shells come from ``_shells``, stepping by chamber stars
+    (``_star``) on the flags' class tuples, keyed by their Hermite tuples;
+    each expanded face's classes are checked first.  Faces are keyed by
+    the sorted Hermite tuples of their classes.  The public chambers,
+    faces and index are built once, at the end."""
     _int(radius, "radius", 0)
     if center is not None and not isinstance(center, FlagChamber):
         raise ValueError(f"center must be a FlagChamber, got {center!r}")
     start = standard_chamber(ctx) if center is None else make_chamber(center.classes, ctx)
-    # face -> in-ball chambers in index order; the first expanded chamber to
-    # meet a face discovers its whole star, so later ones only append
-    faces: dict[Face, list[int]] = {}
+    n = ctx.n
+    # face key -> (face classes, in-ball chambers in index order); the first
+    # expanded chamber to meet a face discovers its whole star, so later
+    # ones only append
+    faces: dict[tuple, tuple[tuple[LatticeClass, ...], list[int]]] = {}
 
-    def stars(i: int, chamber: FlagChamber):
+    def meet(i: int, flag: tuple[LatticeClass, ...], pos: int) -> tuple[LatticeClass, ...] | None:
+        # the face dropping flag[pos], if chamber i is the first to meet it
+        face = flag[:pos] + flag[pos + 1 :]
+        if n == 3 and face[1].hnf < face[0].hnf:
+            face = face[::-1]
+        key = face[0].hnf if n == 2 else (face[0].hnf, face[1].hnf)
+        entry = faces.get(key)
+        if entry is not None:
+            entry[1].append(i)
+            return None
+        faces[key] = (face, [i])
+        return face
+
+    def stars(i: int, flag: tuple[LatticeClass, ...]):
         groups = []
-        for pos in range(ctx.n):
-            face = face_of(chamber, pos)
-            if face in faces:
-                faces[face].append(i)
-                continue
-            faces[face] = [i]
-            groups.append((chamber.classes[pos].valuation % ctx.n, chambers_containing(face, ctx)))
+        for pos in range(n):
+            face = meet(i, flag, pos)
+            if face is not None:
+                _require_classes(ctx, *face)
+                groups.append((flag[pos].valuation % n, _star(face, ctx)))
         return groups
 
-    chambers, index, distance, parent, crossed, last = _shells(
-        start, radius, stars, FlagChamber.sort_key
+    flags, distance, parent, crossed, last = _shells(
+        (start.sort_key(), start.classes), radius, stars
     )
     # the last shell is never expanded; it enters here, after every
     # expanded chamber, so faces keep the order of their first chamber
     for i in last:
-        for pos in range(ctx.n):
-            faces.setdefault(face_of(chambers[i], pos), []).append(i)
+        for pos in range(n):
+            meet(i, flags[i], pos)
+    chambers = tuple(_stored(FlagChamber, flag) for flag in flags)
     return BallGraph(
         ctx=ctx,
         radius=radius,
@@ -852,34 +908,37 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
         distance=distance,
         parent=parent,
         crossed_type=crossed,
-        faces={f: tuple(m) for f, m in faces.items()},
-        index=index,
+        faces={_stored(Face, face): tuple(m) for face, m in faces.values()},
+        index={chamber: i for i, chamber in enumerate(chambers)},
     )
 
 
 def ball_to_json(graph: BallGraph) -> dict:
     """Deterministic plain-data rendering of a chamber ball.
 
+    ``chambers[i]`` is the tuple of the stored Hermite tuples of chamber
+    i's classes, which the JSON encoder writes as nested arrays.
     ``adjacency[i]`` lists ``[face type, neighbor index]`` pairs for every
-    neighbor inside the ball, sorted by face type then neighbor.
+    neighbor inside the ball, sorted by face type then neighbor: a chamber
+    has one face of each type and a face's members are increasing, so the
+    faces are read type by type and the pairs come out in order.
     """
-    adjacency: list[list[list[int]]] = [[] for _ in graph.chambers]
+    n = graph.ctx.n
+    by_type: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for face, members in graph.faces.items():
-        ftype = _face_type(face, graph.ctx.n)
-        for i in members:
-            adjacency[i].extend([ftype, j] for j in members if j != i)
-    for pairs in adjacency:
-        pairs.sort()
+        by_type[_face_type(face, n)].append(members)
+    adjacency: list[list[list[int]]] = [[] for _ in graph.chambers]
+    for ftype, group in enumerate(by_type):
+        for members in group:
+            for i in members:
+                adjacency[i] += [[ftype, j] for j in members if j != i]
     return {
         "p": graph.ctx.p,
-        "n": graph.ctx.n,
+        "n": n,
         "radius": graph.radius,
         "chamber_count": len(graph.chambers),
         "shell_sizes": list(graph.shell_sizes()),
-        "chambers": [
-            [[list(row) for row in cls.hnf] for cls in chamber.classes]
-            for chamber in graph.chambers
-        ],
+        "chambers": [chamber.sort_key() for chamber in graph.chambers],
         "adjacency": adjacency,
         "distance": list(graph.distance),
         "parent": [(-1 if x is None else x) for x in graph.parent],

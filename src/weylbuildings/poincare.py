@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
 from .coxeter import AffineTypeLabel, parse_type_label
 from .exact import Value, _fraction, _int, fraction_json
@@ -53,11 +54,15 @@ class PoleError(ZeroDivisionError):
 
 
 class ExponentTable(Value):
-    """Exponents of the spherical Weyl group behind an affine type."""
+    """Exponents of the spherical Weyl group behind an affine type, stored
+    as a tuple whatever sequence they come in, so every table hashes."""
 
     __slots__ = ("label", "exponents")
 
-    def __init__(self, label: AffineTypeLabel, exponents: tuple[int, ...]) -> None:
+    def __init__(self, label: AffineTypeLabel, exponents: Sequence[int]) -> None:
+        if not isinstance(exponents, Sequence):
+            raise ValueError(f"exponents must be a sequence of ints, got {exponents!r}")
+        exponents = tuple(exponents)
         self._set(label, exponents)
         if len(exponents) != label.rank:
             raise ValueError("need exactly rank many exponents")

@@ -57,6 +57,17 @@ def _plain(x):
     return x
 
 
+def _fields(value) -> dict[str, object]:
+    return {name: _plain(getattr(value, name)) for name in type(value).__slots__}
+
+
+@pytest.fixture(scope="session")
+def field_values():
+    """Field name -> the field's plain data, for every slot of a value, so
+    that two values compare field by field, maps in their order."""
+    return _fields
+
+
 @pytest.fixture(scope="session")
 def field_digests():
     """Field name -> short sha256 of the field's plain data, for every slot
@@ -64,8 +75,8 @@ def field_digests():
 
     def digests(value) -> dict[str, str]:
         return {
-            name: hashlib.sha256(repr(_plain(getattr(value, name))).encode()).hexdigest()[:16]
-            for name in type(value).__slots__
+            name: hashlib.sha256(repr(plain).encode()).hexdigest()[:16]
+            for name, plain in _fields(value).items()
         }
 
     return digests

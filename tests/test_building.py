@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
+from types import MappingProxyType
 from typing import Sequence
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import weylbuildings.building as building
 from weylbuildings import (
+    BallGraph,
     Face,
     FlagChamber,
     LatticeClass,
@@ -48,7 +50,9 @@ from weylbuildings import (
     vertex_tree,
     weyl_to_chamber,
 )
-from weylbuildings.building import _canonical, _coordinates
+from weylbuildings.boundary import VertexTree
+from weylbuildings.building import _canonical, _coordinates, _face_type
+from weylbuildings.exact import _int
 
 # -- canonical forms -------------------------------------------------------------
 
@@ -643,14 +647,16 @@ def test_ball_structure_invariants(gl3_p2):
 
 @pytest.mark.parametrize("n, p, radius", [(2, 3, 4), (3, 2, 3)])
 def test_ball_enumerates_each_star_once(n, p, radius, monkeypatch):
+    # ball writes its stars with the private ``_star``, on checked classes
     ctx = PrimeContext(p=p, n=n)
     seen = []
+    star = building._star
 
-    def counted(face, ctx):
-        seen.append(face)
-        return chambers_containing(face, ctx)
+    def counted(classes, ctx):
+        seen.append(Face(classes))
+        return star(classes, ctx)
 
-    monkeypatch.setattr(building, "chambers_containing", counted)
+    monkeypatch.setattr(building, "_star", counted)
     g = ball(ctx, radius)
     expanded = {
         face_of(c, pos)
@@ -921,6 +927,162 @@ def test_ball_fields_are_pinned(key, field_digests):
     assert field_digests(ball(ctx, radius, center)) == BALL_FIELDS[key]
 
 
+# -- the ball against the route it replaced ------------------------------------
+#
+# Until ``ball`` searched on Hermite-tuple keys and built each chamber and
+# face once, it ran ``_shells`` on ``FlagChamber`` items and ``Face`` keys
+# through public ``chambers_containing``, and ``ball_to_json`` sorted each
+# adjacency list and wrote chambers as lists.  Those three, and the vertex
+# tree on the old search, stay here unchanged as the reference.
+
+
+def _reference_shells(start, radius: int, step, key) -> tuple:
+    """Breadth-first shells out to the radius.  ``step(i, item)`` returns
+    (tag, neighbors) groups; a neighbor's first finder is its parent, and
+    each new shell is indexed in ``key`` order.  Returns the items, index
+    map, distances, parents and tags, and the last (unexpanded) shell."""
+    items, index, distance, parent, tags = [start], {start: 0}, [0], [None], [None]
+    frontier = [0]
+    for depth in range(1, radius + 1):
+        discovered: dict[object, tuple[int, object]] = {}
+        for i in frontier:
+            for tag, group in step(i, items[i]):
+                for other in group:
+                    if other not in index and other not in discovered:
+                        discovered[other] = (i, tag)
+        frontier = []
+        for item in sorted(discovered, key=key):
+            src, tag = discovered[item]
+            frontier.append(len(items))
+            index[item] = len(items)
+            items.append(item)
+            distance.append(depth)
+            parent.append(src)
+            tags.append(tag)
+    return tuple(items), index, tuple(distance), tuple(parent), tuple(tags), frontier
+
+
+def _reference_ball(ctx, radius, center=None):
+    _int(radius, "radius", 0)
+    if center is not None and not isinstance(center, FlagChamber):
+        raise ValueError(f"center must be a FlagChamber, got {center!r}")
+    start = standard_chamber(ctx) if center is None else make_chamber(center.classes, ctx)
+    # face -> in-ball chambers in index order; the first expanded chamber to
+    # meet a face discovers its whole star, so later ones only append
+    faces: dict[Face, list[int]] = {}
+
+    def stars(i: int, chamber: FlagChamber):
+        groups = []
+        for pos in range(ctx.n):
+            face = face_of(chamber, pos)
+            if face in faces:
+                faces[face].append(i)
+                continue
+            faces[face] = [i]
+            groups.append((chamber.classes[pos].valuation % ctx.n, chambers_containing(face, ctx)))
+        return groups
+
+    chambers, index, distance, parent, crossed, last = _reference_shells(
+        start, radius, stars, FlagChamber.sort_key
+    )
+    # the last shell is never expanded; it enters here, after every
+    # expanded chamber, so faces keep the order of their first chamber
+    for i in last:
+        for pos in range(ctx.n):
+            faces.setdefault(face_of(chambers[i], pos), []).append(i)
+    return BallGraph(
+        ctx=ctx,
+        radius=radius,
+        chambers=chambers,
+        distance=distance,
+        parent=parent,
+        crossed_type=crossed,
+        faces={f: tuple(m) for f, m in faces.items()},
+        index=index,
+    )
+
+
+def _reference_ball_to_json(graph):
+    adjacency: list[list[list[int]]] = [[] for _ in graph.chambers]
+    for face, members in graph.faces.items():
+        ftype = _face_type(face, graph.ctx.n)
+        for i in members:
+            adjacency[i].extend([ftype, j] for j in members if j != i)
+    for pairs in adjacency:
+        pairs.sort()
+    return {
+        "p": graph.ctx.p,
+        "n": graph.ctx.n,
+        "radius": graph.radius,
+        "chamber_count": len(graph.chambers),
+        "shell_sizes": list(graph.shell_sizes()),
+        "chambers": [
+            [[list(row) for row in cls.hnf] for cls in chamber.classes]
+            for chamber in graph.chambers
+        ],
+        "adjacency": adjacency,
+        "distance": list(graph.distance),
+        "parent": [(-1 if x is None else x) for x in graph.parent],
+        "crossed_type": [(-1 if x is None else x) for x in graph.crossed_type],
+    }
+
+
+def _reference_vertex_tree(ctx, origin, radius):
+    vertices, index, depth, parent, _, _ = _reference_shells(
+        origin, radius, lambda i, v: ((None, building._tree_neighbors(v, ctx.p)),), lambda v: v.hnf
+    )
+    return VertexTree(ctx, origin, radius, vertices, depth, parent, MappingProxyType(index))
+
+
+@pytest.mark.parametrize(
+    "n, p, radius, word",
+    [
+        (2, 3, 7, None),
+        (2, 5, 4, None),
+        (2, 7, 3, None),
+        (3, 2, 5, None),
+        (3, 3, 4, None),
+        (3, 5, 2, None),
+        (2, 3, 5, (1, 0, 1)),
+        (3, 3, 3, (2, 0, 1, 2)),
+    ],
+    ids=str,
+)
+def test_ball_matches_the_reference_route(n, p, radius, word, field_values):
+    # every field, the maps' order and the JSON bytes, at sizes beyond the pins
+    ctx = PrimeContext(p=p, n=n)
+    center = None if word is None else weyl_to_chamber(word, ctx)
+    graph, reference = ball(ctx, radius, center), _reference_ball(ctx, radius, center)
+    assert field_values(graph) == field_values(reference)
+    assert list(graph.index.items()) == list(reference.index.items())
+    assert json.dumps(ball_to_json(graph)) == json.dumps(_reference_ball_to_json(reference))
+
+
+@pytest.mark.parametrize("p, radius", [(2, 8), (3, 5), (5, 3)])
+def test_vertex_tree_matches_the_reference_route(p, radius, field_values):
+    ctx = PrimeContext(p=p, n=2)
+    for origin in (standard_lattice(ctx), lattice_from_rows([[1, 1], [0, p]], p)):
+        tree = vertex_tree(ctx, origin, radius)
+        assert field_values(tree) == field_values(_reference_vertex_tree(ctx, origin, radius))
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 3, 6), (3, 2, 4)])
+def test_ball_hashes_each_public_key_once(n, p, radius, monkeypatch):
+    # the search runs on Hermite tuples; chambers and faces are hashed only
+    # as the keys of the public index and face map
+    calls = {FlagChamber: 0, Face: 0}
+    for kind in calls:
+
+        def counted(self, kind=kind, original=kind.__hash__):
+            calls[kind] += 1
+            return original(self)
+
+        monkeypatch.setattr(kind, "__hash__", counted)
+    graph = ball(PrimeContext(p=p, n=n), radius)
+    assert calls[FlagChamber] <= len(graph.chambers)
+    assert calls[Face] <= len(graph.faces)
+
+
 def test_make_chamber_validation():
     ctx = PrimeContext(p=2, n=2)
     o = standard_lattice(ctx)
@@ -1101,12 +1263,13 @@ def test_insertion_inside_the_inner_lattice_fails_the_valuation_check(n, monkeyp
     if n == 3:
         # the kernel rule, handed a line inside p outer, keeps every functional:
         # p^2 + p + 1 chambers on one face, which the star count refuses
+        # (``_star`` writes the stars of both chambers_containing and ball)
         line = "line = _coordinates(outer, row)"
-        source = inspect.getsource(building.chambers_containing)
+        source = inspect.getsource(building._star)
         assert source.count(line) == 1
         namespace = dict(vars(building))
         exec(source.replace(line, "line = [p * x for x in _coordinates(outer, row)]"), namespace)
-        monkeypatch.setattr(building, "chambers_containing", namespace["chambers_containing"])
+        monkeypatch.setattr(building, "_star", namespace["_star"])
         from weylbuildings.cli import main
 
         assert main(["ball", "--n", "3", "--p", "3", "--R", "2"]) == 1

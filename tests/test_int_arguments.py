@@ -126,8 +126,14 @@ def test_generators_and_rationals_refuse_bool(call, message):
             lambda: CoxeterDiagram(((1, 3.0), (3.0, 1))),
             "an order must be an int or math.inf, got 3.0",
         ),
+        (
+            lambda: ExponentTable(parse_type_label("A2~"), 3),
+            "exponents must be a sequence of ints, got 3",
+        ),
     ],
-    ids=["lattice_from_rows", "GroupElement", "parse_type_label", "CoxeterDiagram"],
+    ids=[
+        "lattice_from_rows", "GroupElement", "parse_type_label", "CoxeterDiagram", "ExponentTable"
+    ],
 )
 def test_arguments_of_the_wrong_kind_are_named(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -11,6 +11,7 @@ import pytest
 from weylbuildings import (
     BoundaryFunction,
     Cochain,
+    ExponentTable,
     GroupElement,
     PrimeContext,
     affine_diagram,
@@ -171,6 +172,13 @@ def test_pickling_gives_an_equal_value(x, fields, uncompared):
 )
 def test_repr_is_the_dataclass_repr(x, text):
     assert repr(x) == text
+
+
+def test_an_exponent_table_stores_its_exponents_as_a_tuple():
+    # a list would leave the table unhashable
+    table = ExponentTable(parse_type_label("A2~"), [1, 2])
+    assert table.exponents == (1, 2)
+    assert table == exponents_for("A2~") and hash(table) == hash(exponents_for("A2~"))
 
 
 def test_keywords_and_defaults_are_kept():
