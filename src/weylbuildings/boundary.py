@@ -362,16 +362,20 @@ def lift(g: BoundaryFunction, origin: LatticeClass, ctx: PrimeContext) -> OneCoc
     The parts must be end_count(p, r) distinct adjacent pairs (t, s) at
     distances r - 1 and r from the origin.  In a tree such a pair is
     (parent(s), s) for a leaf s at depth r, so the parts are checked
-    against the rim edges of the shared ``vertex_tree`` to depth r.
+    against the rim edges of the shared ``vertex_tree`` to depth r, in
+    order and without hashing: equal parts sit side by side, and the
+    distinct parts must be the rim edges themselves.
     """
     _require_tree(ctx, origin)
     r = g.depth
-    edges = {e for e, _ in g.parts}
-    if len(g.parts) != end_count(ctx.p, r) or len(edges) != len(g.parts):
+    edges = tuple(e for e, _ in g.parts)
+    if len(edges) != end_count(ctx.p, r) or any(a == b for a, b in zip(edges, edges[1:])):
         raise ValueError("parts must enumerate the ends at this depth exactly once")
-    if edges != set(vertex_tree(ctx, origin, r).ends()):
+    # BoundaryFunction sorts its parts by leaf form, and ends() lists the
+    # leaves of one shell, which the shell search orders by form too
+    if edges != vertex_tree(ctx, origin, r).ends():
         raise ValueError(f"part is not a rim edge at depth {r}")
-    return one_cochain_from_map(dict(g.parts))
+    return OneCochain(g.parts)
 
 
 def end_chart(edge: Edge, ctx: PrimeContext) -> tuple[int, int]:

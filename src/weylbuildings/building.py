@@ -452,9 +452,18 @@ def standard_chamber(ctx: PrimeContext) -> FlagChamber:
 
 
 class Face(Value):
-    """Codimension-1 simplex: an unordered set of n - 1 vertex classes."""
+    """Codimension-1 simplex: an unordered set of n - 1 vertex classes.
 
-    __slots__ = ("classes",)
+    Its hash is that of ``(classes,)``, computed once, when the face is
+    built, and kept in the hidden, uncompared ``_hash``: a ball's faces
+    are looked up in its face map on every harmonic query, and hashing
+    the nested Hermite tuples again each time would cost more than the
+    lookup itself.
+    """
+
+    __slots__ = ("classes", "_hash")
+    _uncompared = ("_hash",)
+    _hidden = ("_hash",)
 
     def __init__(self, classes: tuple[LatticeClass, ...]) -> None:
         try:
@@ -462,6 +471,7 @@ class Face(Value):
         except AttributeError:
             raise _not_a_class(classes) from None
         object.__setattr__(self, "classes", ordered)
+        object.__setattr__(self, "_hash", hash((ordered,)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is Face:
@@ -469,7 +479,7 @@ class Face(Value):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.classes,))
+        return self._hash
 
 
 def _stored(kind: type, classes: tuple[LatticeClass, ...]):
@@ -478,6 +488,8 @@ def _stored(kind: type, classes: tuple[LatticeClass, ...]):
     and faces the building enumerates itself."""
     value = object.__new__(kind)
     object.__setattr__(value, "classes", classes)
+    if kind is Face:
+        object.__setattr__(value, "_hash", hash((classes,)))
     return value
 
 

@@ -40,7 +40,9 @@ class Value:
     ``Name(field=value, ...)``.  Assignment and deletion raise
     ``FrozenInstanceError``; pickling and copying restore the fields
     without calling ``__init__``.  A class on a hot path may define
-    ``__eq__`` and ``__hash__`` on its fields directly, with the same values.
+    ``__eq__`` and ``__hash__`` on its fields directly, with the same values,
+    and may keep its hash in a slot named in both ``_uncompared`` and
+    ``_hidden``, filled when the value is built, with the same value.
     """
 
     __slots__ = ()

@@ -114,8 +114,16 @@ def iwahori_vector(base: FlagChamber, q: int) -> Cochain:
     return Cochain(rule=(base, q))
 
 
+_ZERO = Fraction(0)
+
+
 def harmonicity_defect(f: Cochain, face: Face, graph: BallGraph) -> Fraction:
-    """Sum of f over all p + 1 chambers containing an interior face."""
+    """Sum of f over all p + 1 chambers containing an interior face.
+
+    A rule-form f is summed in integers over the list of the members'
+    distances, with one ``Fraction`` for a nonzero result; the harmonic
+    case, a zero numerator, returns a shared ``Fraction(0)``.
+    """
     members = graph.faces.get(face)
     if members is None or len(members) != graph.ctx.p + 1:
         raise ValueError("face is not interior to the ball")
@@ -123,8 +131,11 @@ def harmonicity_defect(f: Cochain, face: Face, graph: BallGraph) -> Fraction:
         return sum((f.value_at_index(i, graph) for i in members), Fraction(0))
     # sum_i (-1/q)^d_i = (-1)^D sum_i (-q)^(D - d_i) / q^D with D = max d_i
     q, dist = f._rule_q(graph), graph.distance
-    top = max(dist[i] for i in members)
-    num = sum((-q) ** (top - dist[i]) for i in members)
+    ds = [dist[i] for i in members]
+    top = max(ds)
+    num = sum([(-q) ** (top - d) for d in ds])
+    if not num:
+        return _ZERO
     return Fraction(-num if top % 2 else num, q**top)
 
 
@@ -133,19 +144,21 @@ def min_distance_chamber(face: Face, graph: BallGraph) -> tuple[FlagChamber, int
 
     Asserts the sharp shape of the distance multiset: one chamber at the
     minimum delta and the remaining p at delta + 1; any other shape is
-    reported as a failure, not returned.
+    reported as a failure, not returned.  A tied minimum fails that check,
+    so the first minimizer found is the only one.
     """
     members = graph.faces.get(face)
     if members is None or len(members) != graph.ctx.p + 1:
         raise ValueError("face is not interior to the ball")
-    dists = [(graph.distance[i], i) for i in members]
-    dists.sort()
-    delta = dists[0][0]
-    if any(d != delta + 1 for d, _ in dists[1:]):
-        raise AssertionError(
-            "distance multiset over a face must be one minimum and p at minimum + 1"
-        )
-    return graph.chambers[dists[0][1]], delta
+    dist = graph.distance
+    low = min(members, key=dist.__getitem__)
+    delta = dist[low]
+    for i in members:
+        if i != low and dist[i] != delta + 1:
+            raise AssertionError(
+                "distance multiset over a face must be one minimum and p at minimum + 1"
+            )
+    return graph.chambers[low], delta
 
 
 def decay_profile(f: Cochain, graph: BallGraph) -> tuple[tuple[int, Fraction], ...]:

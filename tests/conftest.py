@@ -1,5 +1,5 @@
-"""Shared fixtures: the expensive chamber balls, built once per session, and
-per-field digests that pin a value exactly."""
+"""Shared fixtures: the expensive chamber balls, built once per session,
+per-field digests that pin a value exactly, and a counter of class hashes."""
 
 import hashlib
 from collections.abc import Mapping
@@ -7,6 +7,21 @@ from collections.abc import Mapping
 import pytest
 
 from weylbuildings import Face, FlagChamber, LatticeClass, PrimeContext, ball
+
+
+@pytest.fixture
+def class_hash_calls(monkeypatch) -> list[int]:
+    """``[count]`` of the ``LatticeClass.__hash__`` calls made since the test
+    began; a test sets it back to 0 after its warm-up."""
+    calls = [0]
+    original = LatticeClass.__hash__
+
+    def counted(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(LatticeClass, "__hash__", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -392,6 +392,101 @@ def test_lift_rejects_a_part_that_is_not_a_new_rim_edge(ctx2, swap):
         lift(BoundaryFunction(depth=2, parts=tuple(parts)), o, ctx2)
 
 
+def reference_lift(g, origin, ctx):
+    """``lift`` with its parts checked as sets: the distinct parts, counted,
+    against the set of the rim edges."""
+    r = g.depth
+    edges = {e for e, _ in g.parts}
+    if len(g.parts) != end_count(ctx.p, r) or len(edges) != len(g.parts):
+        raise ValueError("parts must enumerate the ends at this depth exactly once")
+    if edges != set(vertex_tree(ctx, origin, r).ends()):
+        raise ValueError(f"part is not a rim edge at depth {r}")
+    return one_cochain_from_map(dict(g.parts))
+
+
+ENUMERATE = "parts must enumerate the ends at this depth exactly once"
+LIFT_TREES = [
+    (p, r, anchored) for p, r in [(2, 5), (3, 3), (5, 2)] for anchored in (True, False)
+]
+
+
+def lift_case(p, r, anchored):
+    """The context, the origin (the standard vertex or [[1, 1], [0, p]]),
+    its rim edges at depth r, and seeded values for them."""
+    ctx = PrimeContext(p=p, n=2)
+    o = standard_lattice(ctx) if anchored else lattice_from_rows([[1, 1], [0, p]], p)
+    ends = vertex_tree(ctx, o, r).ends()
+    rng = random.Random(p * 100 + r * 10 + anchored)
+    values = [Fraction(rng.randint(-7, 7), rng.randint(1, 4)) for _ in ends]
+    return ctx, o, list(ends), values, rng
+
+
+@pytest.mark.parametrize("p, r, anchored", LIFT_TREES)
+def test_lift_accepts_shuffled_parts_as_the_set_check_does(p, r, anchored):
+    ctx, o, ends, values, rng = lift_case(p, r, anchored)
+    for _ in range(3):
+        parts = list(zip(ends, values))
+        rng.shuffle(parts)
+        g = BoundaryFunction(depth=r, parts=tuple(parts))
+        omega = lift(g, o, ctx)
+        assert omega == reference_lift(g, o, ctx)
+        assert boundary_value(omega, o, r, ctx).parts == g.parts
+        values = values[1:] + values[:1]
+
+
+@pytest.mark.parametrize("p, r, anchored", LIFT_TREES)
+@pytest.mark.parametrize(
+    "case",
+    [
+        "duplicate at the right count",
+        "duplicate beside every end",
+        "one end missing",
+        "rim leaf with a wrong parent",
+        "inner edge",
+        "reversed rim edge",
+    ],
+)
+def test_lift_rejects_what_the_set_check_rejects(p, r, anchored, case):
+    ctx, o, ends, values, rng = lift_case(p, r, anchored)
+    tree = vertex_tree(ctx, o, r)
+    parts = list(zip(ends, values))
+    k, j = rng.sample(range(len(parts)), 2)
+    t, s = ends[k]
+    if case == "duplicate at the right count":
+        parts[k] = (ends[j], values[k])
+    elif case == "duplicate beside every end":
+        parts.append((ends[j], values[k]))
+    elif case == "one end missing":
+        del parts[k]
+    elif case == "rim leaf with a wrong parent":
+        t = next(tree.vertices[i] for i in tree.shell(r - 1) if tree.vertices[i] != t)
+        parts[k] = ((t, s), values[k])
+    elif case == "inner edge":
+        parts[k] = ((tree.vertices[tree.parent[tree.index[t]]], t), values[k])
+    else:
+        parts[k] = ((s, t), values[k])
+    rng.shuffle(parts)
+    g = BoundaryFunction(depth=r, parts=tuple(parts))
+    message = ENUMERATE if case.startswith(("duplicate", "one")) else f"part is not a rim edge at depth {r}$"
+    for route in (lift, reference_lift):
+        with pytest.raises(ValueError, match=message):
+            route(g, o, ctx)
+
+
+@pytest.mark.parametrize("p, r, anchored", LIFT_TREES)
+def test_lift_checks_its_parts_without_hashing_them(p, r, anchored, class_hash_calls):
+    # the parts are compared with the rim in order, so the classes are
+    # hashed only where the cochain's own map keys its edges
+    ctx, o, ends, values, _ = lift_case(p, r, anchored)
+    g = BoundaryFunction(depth=r, parts=tuple(zip(ends, values)))
+    assert lift(g, o, ctx) == reference_lift(g, o, ctx)  # both read the built tree
+    class_hash_calls[0] = 0
+    reference_lift(g, o, ctx)
+    before, class_hash_calls[0] = class_hash_calls[0], 0
+    lift(g, o, ctx)
+    assert class_hash_calls[0] <= 0.6 * before
+
+
 # -- end charts -----------------------------------------------------------------------
 
 

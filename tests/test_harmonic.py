@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -262,3 +263,106 @@ def test_cochain_json_rule_form_literal(tree_p2):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1d40ad8377545a7ba081c221c0cb57335c3065427eb82084d7292bba7990fcbe"
     )
+
+
+# -- the scan kernels against the sort-based route ------------------------------------
+
+
+def reference_defect(f, face, graph):
+    """``harmonicity_defect`` with a generator over the members for each of
+    the maximum and the sum, and a new Fraction for every result."""
+    members = graph.faces.get(face)
+    if members is None or len(members) != graph.ctx.p + 1:
+        raise ValueError("face is not interior to the ball")
+    if f.values is not None:
+        return sum((f.value_at_index(i, graph) for i in members), Fraction(0))
+    q, dist = f._rule_q(graph), graph.distance
+    top = max(dist[i] for i in members)
+    num = sum((-q) ** (top - dist[i]) for i in members)
+    return Fraction(-num if top % 2 else num, q**top)
+
+
+def reference_min_distance_chamber(face, graph):
+    """``min_distance_chamber`` by sorting the (distance, index) pairs."""
+    members = graph.faces.get(face)
+    if members is None or len(members) != graph.ctx.p + 1:
+        raise ValueError("face is not interior to the ball")
+    dists = [(graph.distance[i], i) for i in members]
+    dists.sort()
+    delta = dists[0][0]
+    if any(d != delta + 1 for d, _ in dists[1:]):
+        raise AssertionError(
+            "distance multiset over a face must be one minimum and p at minimum + 1"
+        )
+    return graph.chambers[dists[0][1]], delta
+
+
+SHARP_SHAPE = "one minimum and p at minimum \\+ 1"
+SCAN_BALLS = [(2, 2, 6), (2, 3, 5), (2, 5, 3), (3, 2, 4), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("n, p, R", SCAN_BALLS)
+def test_scan_kernels_match_the_sort_based_route(n, p, R):
+    g = ball(PrimeContext(p=p, n=n), R)
+    rng = random.Random(n * 100 + p * 10 + R)
+    vectors = [iwahori_vector(g.chambers[0], p), iwahori_vector(g.chambers[0], p + 1)]
+    if p != 2:
+        vectors.append(iwahori_vector(g.chambers[0], 2))
+    vectors.append(cochain_from_map({
+        c: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for c in g.chambers if rng.random() < 0.6
+    }))
+    faces = g.interior_faces()
+    assert faces
+    for face in faces:
+        for f in vectors:
+            got = harmonicity_defect(f, face, g)
+            assert type(got) is Fraction and got == reference_defect(f, face, g)
+        chamber, delta = min_distance_chamber(face, g)
+        expected = reference_min_distance_chamber(face, g)
+        assert chamber is expected[0] and delta == expected[1]
+    assert all(harmonicity_defect(vectors[0], face, g) == 0 for face in faces)
+    # faces with fewer than p + 1 chambers in the ball: both routes refuse them
+    for face in [face for face, m in g.faces.items() if len(m) <= p][:5]:
+        for route in (min_distance_chamber, reference_min_distance_chamber):
+            with pytest.raises(ValueError, match="face is not interior"):
+                route(face, g)
+        for route in (harmonicity_defect, reference_defect):
+            with pytest.raises(ValueError, match="face is not interior"):
+                route(vectors[0], face, g)
+
+
+@pytest.mark.parametrize("n, p, R", [(2, 2, 4), (2, 3, 3), (3, 2, 3)])
+def test_a_tied_or_far_minimum_fails_both_routes(n, p, R):
+    g = ball(PrimeContext(p=p, n=n), R)
+    face = g.interior_faces()[-1]
+    members = g.faces[face]
+    low = min(members, key=g.distance.__getitem__)
+    others = [i for i in members if i != low]
+    f = iwahori_vector(g.chambers[0], p)
+    for i, d in ((others[0], g.distance[low]), (others[-1], g.distance[low] + 2)):
+        # a second chamber at the minimum, or one two steps beyond it
+        distance = list(g.distance)
+        distance[i] = d
+        tampered = with_distance(g, distance)
+        for route in (min_distance_chamber, reference_min_distance_chamber):
+            with pytest.raises(AssertionError, match=SHARP_SHAPE):
+                route(face, tampered)
+        got = harmonicity_defect(f, face, tampered)
+        assert got != 0 and got == reference_defect(f, face, tampered)
+
+
+def test_a_warm_face_scan_hashes_no_class(class_hash_calls):
+    # a ball's faces carry their hashes: looking one up in the face map, as
+    # each defect and each closest-chamber query does, hashes no class
+    scans = []
+    tree = ball(PrimeContext(p=2, n=2), 8)
+    scans.append((tree, random.Random(0).sample(tree.interior_faces(), 160)))
+    gl3 = ball(PrimeContext(p=3, n=3), 3)
+    scans.append((gl3, gl3.interior_faces()))
+    class_hash_calls[0] = 0
+    for g, faces in scans:
+        f = iwahori_vector(g.chambers[0], g.ctx.p)
+        results = [(harmonicity_defect(f, face, g), min_distance_chamber(face, g)) for face in faces]
+        assert all(defect == 0 for defect, _ in results)
+    assert class_hash_calls[0] == 0

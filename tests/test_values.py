@@ -12,6 +12,7 @@ from weylbuildings import (
     BoundaryFunction,
     Cochain,
     ExponentTable,
+    Face,
     GroupElement,
     PrimeContext,
     affine_diagram,
@@ -42,37 +43,40 @@ TREE = vertex_tree(P2, standard_lattice(P2), 2)
 ZERO = zero_cochain_from_map({standard_lattice(P2): 1, TREE.vertices[3]: Fraction(1, 3)})
 A1 = affine_diagram("A1~")
 
-# (value, its fields in constructor order, the fields == and hash ignore)
+# (value, its fields in constructor order, the fields == and hash ignore,
+# the slots after the fields that hold what the fields determine)
 VALUES = [
-    (P3, ("p", "n"), ()),
-    (standard_lattice(P3), ("hnf", "valuation"), ("valuation",)),
-    (CHAMBER, ("classes",), ()),
-    (face_of(CHAMBER, 1), ("classes",), ()),
+    (P3, ("p", "n"), (), ()),
+    (standard_lattice(P3), ("hnf", "valuation"), ("valuation",), ()),
+    (CHAMBER, ("classes",), (), ()),
+    (face_of(CHAMBER, 1), ("classes",), (), ("_hash",)),
     (
         ball(P2, 1),
         ("ctx", "radius", "chambers", "distance", "parent", "crossed_type", "faces", "index"),
         ("index",),
+        (),
     ),
-    (ZERO, ("values",), ()),
-    (coboundary(ZERO, P2), ("values",), ()),
-    (TREE, ("ctx", "origin", "radius", "vertices", "depth", "parent", "index"), ()),
-    (BoundaryFunction(2, tuple((e, 1) for e in TREE.ends())), ("depth", "parts", "chart"), ()),
-    (parse_type_label("G2~"), ("family", "rank"), ()),
-    (affine_diagram("G2~"), ("orders", "cartan", "kernel"), ("cartan", "kernel")),
-    (bfs_growth(A1, 3), ("counts", "cutoff"), ()),
-    (exponents_for("A2~"), ("label", "exponents"), ()),
-    (bott_rational(exponents_for("A2~")), ("numerator", "denominator"), ()),
-    (expand(bott_rational(exponents_for("A1~")), 3), ("coefficients",), ()),
-    (iwahori_vector(CHAMBER, 2), ("values", "rule"), ()),
-    (cochain_from_map({CHAMBER: 3}), ("values", "rule"), ()),
-    (basis_element(A1, [0, 1], 3) * basis_element(A1, [1], 3), ("diagram", "q", "terms"), ()),
+    (ZERO, ("values",), (), ()),
+    (coboundary(ZERO, P2), ("values",), (), ()),
+    (TREE, ("ctx", "origin", "radius", "vertices", "depth", "parent", "index"), (), ()),
+    (BoundaryFunction(2, tuple((e, 1) for e in TREE.ends())), ("depth", "parts", "chart"), (), ()),
+    (parse_type_label("G2~"), ("family", "rank"), (), ()),
+    (affine_diagram("G2~"), ("orders", "cartan", "kernel"), ("cartan", "kernel"), ()),
+    (bfs_growth(A1, 3), ("counts", "cutoff"), (), ()),
+    (exponents_for("A2~"), ("label", "exponents"), (), ()),
+    (bott_rational(exponents_for("A2~")), ("numerator", "denominator"), (), ()),
+    (expand(bott_rational(exponents_for("A1~")), 3), ("coefficients",), (), ()),
+    (iwahori_vector(CHAMBER, 2), ("values", "rule"), (), ()),
+    (cochain_from_map({CHAMBER: 3}), ("values", "rule"), (), ()),
+    (basis_element(A1, [0, 1], 3) * basis_element(A1, [1], 3), ("diagram", "q", "terms"), (), ()),
     (
         make_report("A1~", 2, 3),
         ("label", "q_f", "q_e", "cutoff", "partial_sums", "closed_form", "tail_bound", "majorant"),
         (),
+        (),
     ),
 ]
-IDS = [f"{i}-{type(x).__name__}" for i, (x, _, _) in enumerate(VALUES)]
+IDS = [f"{i}-{type(x).__name__}" for i, (x, _, _, _) in enumerate(VALUES)]
 
 
 def outcome(call):
@@ -94,20 +98,20 @@ def test_the_table_covers_every_value_class():
     # GroupElement is left out of the table: its equality compares matrices,
     # its hash is that of the point alone, and its methods fill three lazy
     # slots, so it has tests of its own below
-    classes = {type(x) for x, _, _ in VALUES}
+    classes = {type(x) for x, _, _, _ in VALUES}
     assert len(classes) == 18
     assert classes | {GroupElement} == set(Value.__subclasses__())
 
 
-@pytest.mark.parametrize("x, fields, uncompared", VALUES, ids=IDS)
-def test_hash_is_that_of_the_compared_fields(x, fields, uncompared):
-    assert type(x).__slots__ == fields
+@pytest.mark.parametrize("x, fields, uncompared, derived", VALUES, ids=IDS)
+def test_hash_is_that_of_the_compared_fields(x, fields, uncompared, derived):
+    assert type(x).__slots__ == fields + derived
     key = tuple(getattr(x, f) for f in fields if f not in uncompared)
     assert outcome(lambda: hash(x)) == outcome(lambda: hash(key))
 
 
-@pytest.mark.parametrize("x, fields, uncompared", VALUES, ids=IDS)
-def test_equality_reads_the_compared_fields_only(x, fields, uncompared):
+@pytest.mark.parametrize("x, fields, uncompared, derived", VALUES, ids=IDS)
+def test_equality_reads_the_compared_fields_only(x, fields, uncompared, derived):
     assert x == copy.copy(x)
     assert x.__eq__(object()) is NotImplemented and x != (x,)
     for name in fields:
@@ -119,9 +123,9 @@ def test_equality_reads_the_compared_fields_only(x, fields, uncompared):
             assert x != y
 
 
-@pytest.mark.parametrize("x, fields, uncompared", VALUES, ids=IDS)
-def test_fields_can_be_neither_assigned_nor_deleted(x, fields, uncompared):
-    for name in (*fields, "other"):
+@pytest.mark.parametrize("x, fields, uncompared, derived", VALUES, ids=IDS)
+def test_fields_can_be_neither_assigned_nor_deleted(x, fields, uncompared, derived):
+    for name in (*fields, *derived, "other"):
         with pytest.raises(AttributeError):
             setattr(x, name, 1)
         with pytest.raises(AttributeError):
@@ -136,12 +140,12 @@ def test_the_frozen_error_is_an_attribute_error_naming_the_field():
         del P3.p
 
 
-@pytest.mark.parametrize("x, fields, uncompared", VALUES, ids=IDS)
-def test_pickling_gives_an_equal_value(x, fields, uncompared):
+@pytest.mark.parametrize("x, fields, uncompared, derived", VALUES, ids=IDS)
+def test_pickling_gives_an_equal_value(x, fields, uncompared, derived):
     # a vertex tree unpickles as the shared tree of its arguments
     y = pickle.loads(pickle.dumps(x))
     assert type(y) is type(x) and y == x
-    assert all(getattr(y, f) == getattr(x, f) for f in fields)
+    assert all(getattr(y, f) == getattr(x, f) for f in fields + derived)
 
 
 @pytest.mark.parametrize(
@@ -172,6 +176,27 @@ def test_pickling_gives_an_equal_value(x, fields, uncompared):
 )
 def test_repr_is_the_dataclass_repr(x, text):
     assert repr(x) == text
+
+
+def test_a_face_keeps_the_hash_of_its_key_however_it_is_built():
+    # the hidden slot holds hash((classes,)), the hash of the compared key,
+    # on every route that makes a face: the constructor, face_of, the
+    # unchecked faces of a ball, copying and unpickling
+    face = face_of(CHAMBER, 1)
+    built = [
+        face,
+        Face(tuple(reversed(face.classes))),
+        *(face_of(CHAMBER, pos) for pos in range(3)),
+        *ball(P3, 2).faces,
+        *ball(P2, 2).faces,
+        copy.copy(face),
+        copy.deepcopy(face),
+        pickle.loads(pickle.dumps(face)),
+    ]
+    for f in built:
+        assert f._hash == hash((f.classes,)) == hash(f)
+    assert built[1] == face and built[1]._hash == face._hash
+    assert "_hash" not in repr(face) and repr(face).startswith("Face(classes=(LatticeClass(")
 
 
 def test_an_exponent_table_stores_its_exponents_as_a_tuple():
