@@ -55,17 +55,20 @@ and asserts that the diagonal exponents sum to v.  Every
 ``LatticeClass`` records the valuation of its form, so labels and
 chain-step gaps never re-derive it.
 
-Two kinds of flags are checked in two ways.  Flags that callers supply
-go through ``make_chamber``, which tests every chain step by membership;
-``lattice_from_rows`` reads v off the maximal minors of caller rows.
-Flags that ``_star`` builds, for ``chambers_containing`` and ``ball``
-alike, skip both; each of the two checks a face's classes before it asks
-for the face's star.  The vertex a face misses is an index-p sublattice
-of a face vertex L, the kernel of a nonzero functional on L / pL
-(Abramenko and Brown, *Buildings*, the SL_n example); on L's Hermite
-rows that kernel is triangular, so it goes straight to ``_class_of``,
-with no elimination.  An n = 3 face is checked by one containment, and
-either way the star must hold exactly p + 1 distinct chambers.
+One rule, ``_chain_step``, decides an index-p step a > p^k b of a flag:
+the valuation gap fixes k, and then the step is one containment.  Flags
+that callers supply go through ``make_chamber``, which tests every chain
+step; ``lattice_from_rows`` reads v off the maximal minors of caller
+rows.  Flags that ``_star`` builds, for ``chambers_containing`` and
+``ball`` alike, skip both; each of the two checks a face's classes
+before it asks for the face's star.  The vertex a face misses is an
+index-p sublattice of a face vertex L, the kernel of a nonzero
+functional on L / pL (Abramenko and Brown, *Buildings*, the SL_n
+example); on L's Hermite rows that kernel is triangular, so it goes
+straight to ``_class_of``, with no elimination.  An n = 3 face is
+checked by its one chain step, and either way the star must hold exactly
+p + 1 distinct chambers.  ``_star`` returns them unsorted: the shell
+search sorts each new shell, and ``chambers_containing`` sorts its own.
 """
 
 from __future__ import annotations
@@ -359,17 +362,20 @@ def _coordinates(basis_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> lis
     return coords
 
 
-def _contains_lattice(outer_rows: Sequence[Sequence[int]], inner_rows: Sequence[Sequence[int]]) -> bool:
-    return all(_coordinates(outer_rows, row) is not None for row in inner_rows)
+def _chain_step(a: LatticeClass, b: LatticeClass, ctx: PrimeContext) -> list[list[int]] | None:
+    """Rows of the homothety rescaling B = p^k b with a > B of index p, or
+    None when there is none: B needs valuation v(a) + 1, and then index p
+    is containment."""
+    k, rest = divmod(a.valuation + 1 - b.valuation, ctx.n)
+    if rest or k < 0:
+        return None
+    rows = b.scaled_rows(ctx.p, k)
+    return rows if all(_coordinates(a.hnf, row) is not None for row in rows) else None
 
 
-def _chain_step_ok(a: LatticeClass, b: LatticeClass, ctx: PrimeContext) -> bool:
-    # some homothety rescaling B of b satisfies a > B with index p
-    p, n = ctx.p, ctx.n
-    gap = a.valuation + 1 - b.valuation
-    if gap % n or gap < 0:
-        return False
-    return _contains_lattice(a.hnf, b.scaled_rows(p, gap // n))
+def _oriented(u: LatticeClass, v: LatticeClass, n: int) -> tuple[LatticeClass, LatticeClass]:
+    # the pair ordered so that the second label is the first plus one, if either is
+    return (u, v) if (v.valuation - u.valuation) % n == 1 else (v, u)
 
 
 def classes_adjacent(u: LatticeClass, v: LatticeClass, ctx: PrimeContext) -> bool:
@@ -382,9 +388,7 @@ def classes_adjacent(u: LatticeClass, v: LatticeClass, ctx: PrimeContext) -> boo
     labels, and so u = v, admit none.
     """
     _require_classes(ctx, u, v)
-    if (v.valuation - u.valuation) % ctx.n != 1:
-        u, v = v, u
-    return _chain_step_ok(u, v, ctx)
+    return _chain_step(*_oriented(u, v, ctx.n), ctx) is not None
 
 
 # -- chambers --------------------------------------------------------------------
@@ -430,7 +434,7 @@ def make_chamber(classes: Sequence[LatticeClass], ctx: PrimeContext) -> FlagCham
     if len(set(cs)) != len(cs):
         raise ValueError("flag classes must be distinct")
     for i in range(len(cs)):
-        if not _chain_step_ok(cs[i], cs[(i + 1) % len(cs)], ctx):
+        if _chain_step(cs[i], cs[(i + 1) % len(cs)], ctx) is None:
             raise ValueError("classes do not form an index-p cyclic flag")
     return FlagChamber(cs)
 
@@ -577,58 +581,54 @@ def chambers_containing(
     if len(classes) != ctx.n - 1:
         raise ValueError(f"a codimension-1 face has {ctx.n - 1} classes")
     _require_classes(ctx, *classes)
-    return tuple(_stored(FlagChamber, flag) for _, flag in _star(classes, ctx))
+    star = _star(classes, ctx)
+    return tuple(_stored(FlagChamber, star[key]) for key in sorted(star))
 
 
-def _star(classes: tuple[LatticeClass, ...], ctx: PrimeContext) -> list[tuple]:
-    """The p + 1 chambers on a face of checked classes, as (key, flag)
-    pairs sorted by key: each flag starts at its least class, and its key
-    is the tuple of its Hermite tuples, ``FlagChamber.sort_key``.
+def _star(classes: tuple[LatticeClass, ...], ctx: PrimeContext) -> dict[tuple, tuple]:
+    """The p + 1 chambers on a face of checked classes, unsorted, as a map
+    from key to flag: each flag starts at its least class, and its key is
+    the tuple of its Hermite tuples, ``FlagChamber.sort_key``.
 
-    The missing vertex is an index-p sublattice of a face vertex that
-    contains a line (``_sublattices``).  For n = 2 the face is one vertex,
-    the line is zero and ``_tree_neighbors`` writes the star out.  For
-    n = 3, with label(last) = label(first) + 1 and k = (v(first) + 1 -
-    v(last)) / 3, the face chains as first > p^k last by an index-p step;
-    that one containment checks the face, since an index-p sublattice of
-    first contains p first.  The missing vertex lies in p^k last and
-    contains p first, whose line is a coordinate row nonzero mod p.
+    Each flag is the face's chain followed by the missing vertex m, an
+    index-p sublattice of the chain's last vertex that contains a line
+    (``_sublattices``).  For n = 2 the chain is the one vertex, the line is
+    zero and ``_tree_neighbors`` writes the star out.  For n = 3 the chain
+    is (first, last), with label(last) = label(first) + 1, and the face
+    must be the chain step first > p^k last (``_chain_step``); that one
+    containment checks the face, since an index-p sublattice of first
+    contains p first.  The missing vertex lies in p^k last and contains
+    p first, whose line is a coordinate row nonzero mod p.
     """
     p, n = ctx.p, ctx.n
-    star: dict[tuple, tuple[LatticeClass, ...]] = {}
     if n == 2:
-        (vertex,) = classes
-        a = vertex.hnf
-        for m in _tree_neighbors(vertex, p):
-            if a <= m.hnf:
-                star[a, m.hnf] = (vertex, m)
-            else:
-                star[m.hnf, a] = (m, vertex)
+        chain, missing = classes, _tree_neighbors(classes[0], p)
     else:
-        first, last = classes
-        if (last.valuation - first.valuation) % n != 1:
-            first, last = last, first
-        k, rest = divmod(first.valuation + 1 - last.valuation, n)
-        outer = last.scaled_rows(p, k) if k >= 0 and not rest else None
-        if outer is None or not _contains_lattice(first.hnf, outer):
+        first, last = chain = _oriented(*classes, n)
+        outer = _chain_step(first, last, ctx)
+        if outer is None:
             raise ValueError("classes do not bound a codimension-1 face")
         for row in first.scaled_rows(p, 1):
             line = _coordinates(outer, row)
             if any(x % p for x in line):
                 break
-        # the least of the three rotations of (first, last, m), as in FlagChamber
-        a, b = first.hnf, last.hnf
-        for m in _sublattices(last, line, p):
-            c = m.hnf
-            if a <= b and a <= c:
-                star[a, b, c] = (first, last, m)
-            elif b <= c:
-                star[b, c, a] = (last, m, first)
-            else:
-                star[c, a, b] = (m, first, last)
+        missing = _sublattices(last, line, p)
+    # the least rotation of chain + (m,), as in FlagChamber: the chain's
+    # classes keep their order, so it starts at m or at the chain's least
+    keys = tuple(c.hnf for c in chain)
+    least = min(keys)
+    j = keys.index(least)
+    head, tail, after, before = chain[j:], chain[:j], keys[j:], keys[:j]
+    star: dict[tuple, tuple[LatticeClass, ...]] = {}
+    for m in missing:
+        c = m.hnf
+        if c < least:
+            star[(c,) + keys] = (m,) + chain
+        else:
+            star[after + (c,) + before] = head + (m,) + tail
     if len(star) != p + 1:
         raise AssertionError("a face must lie in exactly p + 1 chambers")
-    return sorted(star.items())
+    return star
 
 
 # -- group action -------------------------------------------------------------------
@@ -901,7 +901,7 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
             face = meet(i, flag, pos)
             if face is not None:
                 _require_classes(ctx, *face)
-                groups.append((flag[pos].valuation % n, _star(face, ctx)))
+                groups.append((flag[pos].valuation % n, _star(face, ctx).items()))
         return groups
 
     flags, distance, parent, crossed, last = _shells(
@@ -930,20 +930,22 @@ def ball_to_json(graph: BallGraph) -> dict:
 
     ``chambers[i]`` is the tuple of the stored Hermite tuples of chamber
     i's classes, which the JSON encoder writes as nested arrays.
-    ``adjacency[i]`` lists ``[face type, neighbor index]`` pairs for every
+    ``adjacency[i]`` lists (face type, neighbor index) pairs for every
     neighbor inside the ball, sorted by face type then neighbor: a chamber
     has one face of each type and a face's members are increasing, so the
-    faces are read type by type and the pairs come out in order.
+    faces are read type by type and the pairs come out in order.  The
+    pairs are tuples, which take less memory than lists and which the
+    JSON encoder writes as the same two-element arrays.
     """
     n = graph.ctx.n
     by_type: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for face, members in graph.faces.items():
         by_type[_face_type(face, n)].append(members)
-    adjacency: list[list[list[int]]] = [[] for _ in graph.chambers]
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in graph.chambers]
     for ftype, group in enumerate(by_type):
         for members in group:
             for i in members:
-                adjacency[i] += [[ftype, j] for j in members if j != i]
+                adjacency[i] += [(ftype, j) for j in members if j != i]
     return {
         "p": graph.ctx.p,
         "n": n,

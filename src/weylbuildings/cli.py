@@ -412,6 +412,21 @@ def _context(args) -> PrimeContext:
         raise UsageError(str(exc)) from exc
 
 
+_COMMANDS = ("growth", "period", "harmonic", "ball", "hecke", "boundary")
+_FORMATS = ("json", "csv", "table")
+
+
+def _invalid_choice(value: str, choices: tuple[str, ...]) -> str:
+    # argparse's words and quotes, which later 3.13 releases print unquoted
+    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
+def _format(text: str) -> str:
+    if text not in _FORMATS:
+        raise argparse.ArgumentTypeError(_invalid_choice(text, _FORMATS))
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylbuildings",
@@ -421,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv", "table"), default="table")
+        p.add_argument("--format", type=_format, default="table", metavar="{json,csv,table}")
         p.add_argument("--out", default=None, help="write output to this path")
 
     def ball_options(p: argparse.ArgumentParser, radius: int, radius_help=None) -> None:
@@ -467,7 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and not argv[0].startswith("-") and argv[0] not in _COMMANDS:
+        parser.error(f"argument command: {_invalid_choice(argv[0], _COMMANDS)}")
+    args = parser.parse_args(argv)
     # a request builds large acyclic structures, which the cyclic collector
     # would only rescan; it is paused for the subcommand and then restored
     collecting = gc.isenabled()

@@ -546,6 +546,23 @@ def test_boundary_function_values_become_fractions(ctx2):
     assert [rec["value"] for rec in boundary_function_to_json(g)] == [{"num": "1", "den": "1"}] * 3
 
 
+def test_boundary_functions_that_differ_by_a_constant(ctx2):
+    ends = vertex_tree(ctx2, standard_lattice(ctx2), 2).ends()
+    g = BoundaryFunction(depth=2, parts=tuple((e, Fraction(i, 5)) for i, e in enumerate(ends)))
+    shifted = BoundaryFunction(depth=2, parts=tuple((e, x - Fraction(3, 2)) for e, x in g.parts))
+    assert g.differs_by_constant(shifted) and shifted.differs_by_constant(g)
+    assert g.differs_by_constant(g)
+    bent = BoundaryFunction(depth=2, parts=g.parts[:-1] + ((g.parts[-1][0], Fraction(9)),))
+    assert not g.differs_by_constant(bent)
+    # another depth, one end fewer, or other ends: never a constant apart
+    assert not g.differs_by_constant(BoundaryFunction(depth=3, parts=g.parts))
+    assert not g.differs_by_constant(BoundaryFunction(depth=2, parts=g.parts[1:]))
+    others = vertex_tree(ctx2, lattice_from_rows([[1, 0], [0, 2]], 2), 2).ends()
+    assert len(others) == len(ends) and set(others) != set(ends)
+    here, there = (BoundaryFunction(depth=2, parts=tuple((e, 1) for e in es)) for es in (ends, others))
+    assert not here.differs_by_constant(there)
+
+
 @pytest.mark.parametrize("depth", [2.0, "2", Fraction(2)], ids=repr)
 def test_boundary_function_rejects_non_int_depth(ctx2, depth):
     ends = vertex_tree(ctx2, standard_lattice(ctx2), 2).ends()

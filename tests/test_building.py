@@ -109,9 +109,9 @@ def test_canonical_form_overdetermined_rows():
     a = lattice_from_rows([[1, 0], [0, 2], [1, 2]], p)
     b = lattice_from_rows([[1, 0], [0, 2]], p)
     assert a == b
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rows do not span a full lattice"):
         lattice_from_rows([[1, 2], [2, 4]], p)  # rank deficient
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 2 rows of length 2"):
         lattice_from_rows([[1, 2]], p)  # too few rows
 
 
@@ -345,7 +345,8 @@ def test_chambers_containing_edge_gl3():
 
 def _old_adjacency(u, v, ctx):
     # the rule before labels fixed the orientation: try both index-p steps
-    return building._chain_step_ok(u, v, ctx) or building._chain_step_ok(v, u, ctx)
+    step = building._chain_step
+    return step(u, v, ctx) is not None or step(v, u, ctx) is not None
 
 
 @pytest.mark.parametrize("n, p, radius", [(2, 3, 3), (3, 2, 2)])
@@ -491,9 +492,55 @@ def test_act_refuses_a_class_of_another_size():
         make_chamber([v3, v3], P2)
 
 
+P23 = PrimeContext(p=2, n=3)
+O3 = standard_lattice(P23)
+LABEL_0 = lattice_from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 4]], 2)  # label 0, like O3
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lattice_from_rows([[1, 2], [3]], 2), "need at least 2 rows of length 2"),
+        (lambda: lattice_from_rows([[0, 0], [0, 0]], 2), "zero matrix spans no lattice"),
+        (lambda: lattice_from_rows([[1, 2], [2, 4], [0, 0]], 2), "rows do not span a full lattice"),
+        (lambda: FlagChamber(()), "empty flag"),
+        (lambda: make_chamber([O2, O2], P2), "flag classes must be distinct"),
+        (lambda: make_chamber([O3, O3, O3], P23), "flag classes must be distinct"),
+        (lambda: face_type(Face((O3, LABEL_0)), P23), "face vertices do not carry distinct labels"),
+        (lambda: chambers_containing((O2, O2), P2), "a codimension-1 face has 1 classes"),
+        (lambda: chambers_containing((O3,), P23), "a codimension-1 face has 2 classes"),
+        (lambda: act([[1, 0, 0], [0, 1, 0], [0, 0, 1]], O2, P2), "matrix must be 2 x 2"),
+        (lambda: epsilon_from_determinant([[1, 0], [0]], P2), "matrix must be 2 x 2"),
+        (lambda: act([[1, 2], [2, 4]], O2, P2), "matrix is singular"),
+        (lambda: epsilon([[2, 0, 0], [0, 1, 0], [0, 0, 0]], P23), "matrix is singular"),
+    ],
+    ids=[
+        "ragged-rows",
+        "zero-matrix",
+        "rank-deficient",
+        "empty-flag",
+        "repeated-class-n2",
+        "repeated-class-n3",
+        "face-labels-repeat",
+        "two-classes-at-n2",
+        "one-class-at-n3",
+        "matrix-too-large",
+        "ragged-matrix",
+        "singular-act",
+        "singular-epsilon",
+    ],
+)
+def test_a_malformed_input_is_refused_by_name(call, message):
+    # each of these inputs reaches the one check that names it; without
+    # that check it would fail later under another name, or not at all
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 @pytest.mark.parametrize("p, n, radius", [(3, 2, 4), (3, 3, 2)])
 def test_chambers_are_stored_from_their_least_rotation(p, n, radius):
     for chamber in ball(PrimeContext(p=p, n=n), radius).chambers:
+        assert chamber.n == n
         cs = chamber.classes
         rotations = [cs[i:] + cs[:i] for i in range(n)]
         assert cs == min(rotations, key=lambda r: tuple(c.hnf for c in r))
@@ -582,6 +629,28 @@ def test_epsilon_rejects_entries_with_foreign_denominators():
     for route in (epsilon_from_determinant, epsilon_from_labels, epsilon):
         with pytest.raises(ValueError, match="denominators must be powers of p"):
             route(m, ctx)
+
+
+def test_a_label_route_that_permutes_no_labels_is_caught(monkeypatch):
+    # the label route reads the images of the standard flag; an action that
+    # sends every class to one vertex gives no permutation to sign
+    monkeypatch.setattr(building, "act", lambda g, x, ctx: standard_lattice(ctx))
+    for n in (2, 3):
+        ctx = PrimeContext(p=2, n=n)
+        with pytest.raises(ValueError, match="the matrix does not permute the vertex labels"):
+            epsilon_from_labels(label_shift_matrix(ctx), ctx)
+
+
+def test_disagreeing_sign_routes_are_caught(monkeypatch):
+    # epsilon computes the sign both ways; a determinant route off by a
+    # sign must fail its comparison, not pick one of the two
+    determinant = building.epsilon_from_determinant
+    monkeypatch.setattr(building, "epsilon_from_determinant", lambda g, ctx: -determinant(g, ctx))
+    for n in (2, 3):
+        ctx = PrimeContext(p=2, n=n)
+        for g in (label_shift_matrix(ctx), affine_generator_matrix(ctx, 1)):
+            with pytest.raises(AssertionError, match="label signature disagrees with determinant parity"):
+                epsilon(g, ctx)
 
 
 def test_epsilon_routes_agree_and_multiply():
@@ -868,7 +937,7 @@ def test_ball_json_deterministic_and_adjacent(gl3_p2):
     for i, pairs in enumerate(adjacency):
         for ftype, j in pairs:
             assert 0 <= ftype < 3
-            assert [ftype, i] in adjacency[j]
+            assert (ftype, i) in {tuple(pair) for pair in adjacency[j]}
 
 
 @pytest.mark.parametrize(

@@ -208,6 +208,16 @@ def test_unknown_command_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def test_the_command_check_names_every_subcommand():
+    # main refuses an unknown command before argparse does, in argparse's
+    # words; its list of commands must be the parser's own
+    import argparse
+
+    parser = weylbuildings.cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == weylbuildings.cli._COMMANDS
+
+
 def test_library_value_error_is_a_failed_check(capsys, monkeypatch):
     def broken(*args):
         raise ValueError("tail bound fails to certify the truncation")

@@ -37,6 +37,14 @@ def test_iwahori_vector_frozen_values(tree_p2):
     assert f.value_at_index(g.shell(1)[0], g) == Fraction(-1, 2)
     assert f.value_at_index(g.shell(3)[0], g) == Fraction(-1, 8)
     assert all(f.value_at_index(i, g) == Fraction(-1, 2) for i in g.shell(1))
+    # by chamber: inside the ball through its index, outside refused
+    assert f.value(g.chambers[0], g) == 1
+    assert f.value(g.chambers[g.shell(3)[0]], g) == Fraction(-1, 8)
+    assert f.value(g.chambers[g.shell(8)[-1]], g) == Fraction(1, 256)
+    beyond = ball(g.ctx, 9)
+    outside = beyond.chambers[beyond.shell(9)[0]]
+    with pytest.raises(ValueError, match="chamber outside the ball: distance unknown"):
+        f.value(outside, g)
 
 
 def test_iwahori_vector_zero_defect_everywhere(tree_p2, tree_p3, gl3_p2):
@@ -148,6 +156,23 @@ def test_rule_defect_and_profile_on_any_distances():
             expected = sum((f.value_at_index(i, tampered) for i in tampered.faces[face]), Fraction(0))
             assert harmonicity_defect(f, face, tampered) == expected
         assert decay_profile(f, tampered) == reference_profile(f, tampered)
+
+
+def test_map_decay_profile_is_the_largest_absolute_value_per_distance(tree_p2):
+    g = tree_p2
+    f = cochain_from_map(
+        {
+            g.chambers[0]: Fraction(-2),
+            g.chambers[g.shell(1)[0]]: Fraction(1, 3),
+            g.chambers[g.shell(1)[1]]: Fraction(-1, 2),
+            g.chambers[g.shell(3)[4]]: Fraction(5),
+            g.chambers[g.shell(3)[5]]: Fraction(-7, 2),
+        }
+    )
+    assert decay_profile(f, g) == (
+        (0, 2), (1, Fraction(1, 2)), (2, 0), (3, 5), (4, 0), (5, 0), (6, 0), (7, 0), (8, 0)
+    )
+    assert decay_profile(cochain_from_map({}), g) == tuple((k, 0) for k in range(9))
 
 
 def test_map_cochain_outside_ball_is_zero(tree_p2):

@@ -92,6 +92,8 @@ def test_expand_frozen_cubic():
     assert expand(rf, 5).coefficients == tuple(
         Fraction(c) for c in (1, 3, 6, 9, 12, 15)
     )
+    assert expand(rf, 5).cutoff == 5
+    assert expand(rf, 0).cutoff == 0
 
 
 # -- evaluation ------------------------------------------------------------------
