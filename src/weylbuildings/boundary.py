@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -236,9 +237,9 @@ def coboundary(f: ZeroCochain, ctx: PrimeContext) -> OneCochain:
     """d f with d f (s, t) = f(s) - f(t), on all edges meeting supp(f)."""
     _require_tree(ctx)
     out: dict[Edge, Fraction] = {}
-    for s in f.support:
+    for s, fs in f.values:
         for t in vertex_neighbors(s, ctx):
-            out[(s, t)] = f.value(s) - f.value(t)
+            out[(s, t)] = fs - f.value(t)
     return OneCochain(tuple(out.items()))
 
 
@@ -294,30 +295,33 @@ class BoundaryFunction(Value):
 
 def _integrals(
     omega: OneCochain, origin: LatticeClass, depth: int, ctx: PrimeContext
-) -> tuple[VertexTree, list[Fraction]]:
-    """The vertex tree to the given depth and the integral of omega from
-    the origin to each of its vertices, in one walk down the tree.  Each
+) -> tuple[VertexTree, list[int], int]:
+    """The vertex tree to the given depth, the integral of omega from the
+    origin to each of its vertices and their shared denominator.  Each
     supported tree edge is the step omega(parent, child) at its child; a
-    supported pair that is not an edge lies on no path and adds nothing."""
+    supported pair that is not an edge lies on no path and adds nothing.
+    The steps are scaled to integer numerators over the lcm of their
+    denominators and summed in one walk down the tree."""
     _require_tree(ctx)
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    _int(depth, "depth", 1)
     tree = vertex_tree(ctx, origin, depth)
     index, parent = tree.index, tree.parent
-    step: dict[int, Fraction] = {}
+    steps: list[tuple[int, int, int]] = []  # (child, numerator, denominator)
     for (s, t), x in omega.values:
         i, j = index.get(s), index.get(t)
         if i is None or j is None:
             raise ValueError("cochain support escapes the sphere at this depth")
         if parent[j] == i:
-            step[j] = x
+            steps.append((j, x.numerator, x.denominator))
         elif parent[i] == j:
-            step[i] = -x
-    to_vertex: list[Fraction] = [Fraction(0)] * len(tree)
+            steps.append((i, -x.numerator, x.denominator))
+    den = lcm(*(d for _, _, d in steps))
+    step = {i: n * (den // d) for i, n, d in steps}
+    to_vertex = [0] * len(tree)
     for i in range(1, len(tree)):
         x = step.get(i)
         to_vertex[i] = to_vertex[parent[i]] if x is None else to_vertex[parent[i]] + x
-    return tree, to_vertex
+    return tree, to_vertex, den
 
 
 def boundary_value(
@@ -328,9 +332,10 @@ def boundary_value(
     Requires the support of omega to sit inside the depth-r sphere at the
     origin, so integrals out of the sphere are settled.
     """
-    tree, to_vertex = _integrals(omega, origin, depth, ctx)
+    tree, to_vertex, den = _integrals(omega, origin, depth, ctx)
     # the shell lists leaves by canonical form, the order BoundaryFunction keeps
-    parts = tuple(zip(tree.ends(), (to_vertex[i] for i in tree.shell(depth))))
+    values = (Fraction(to_vertex[i], den) for i in tree.shell(depth))
+    parts = tuple(zip(tree.ends(), values))
     chart = None
     if origin == standard_lattice(ctx):
         chart = tuple((_chart(s, ctx.p), x) for (_, s), x in parts)
@@ -345,13 +350,17 @@ def primitive_cochain(
 
     Far vertices then get c - c = 0, so the support stays inside the
     sphere; a non-constant boundary value is an error (no such f exists).
+    The rim is compared and f built on the integer numerators, with one
+    Fraction per vertex where f is nonzero.
     """
-    tree, to_vertex = _integrals(omega, origin, depth, ctx)
+    tree, to_vertex, den = _integrals(omega, origin, depth, ctx)
     rim = {to_vertex[i] for i in tree.shell(depth)}
     if len(rim) != 1:
         raise ValueError("boundary value is not constant: omega is not a coboundary")
     (c,) = rim
-    return ZeroCochain(tuple((v, c - x) for v, x in zip(tree.vertices, to_vertex)))
+    return ZeroCochain(
+        tuple((v, Fraction(c - x, den)) for v, x in zip(tree.vertices, to_vertex) if x != c)
+    )
 
 
 def lift(g: BoundaryFunction, origin: LatticeClass, ctx: PrimeContext) -> OneCochain:

@@ -141,6 +141,8 @@ class PrimeContext(Value):
 
 
 def _val_int(x: int, p: int) -> int:
+    if not x:
+        raise ValueError("the valuation of x = 0 is not defined: x must be nonzero")
     v = 0
     while x % p == 0:
         x //= p

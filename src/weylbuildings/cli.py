@@ -33,6 +33,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -421,6 +422,22 @@ def _invalid_choice(value: str, choices: tuple[str, ...]) -> str:
     return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
 
 
+def _command_word(argv: list[str]) -> str | None:
+    """The argument argparse takes for the subcommand: the first that is
+    not an option, or the one after "--"; None if a help flag comes first,
+    so that argparse prints the help.  Like argparse, it reads "-", a
+    negative number and anything with a space as a value, not an option."""
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--":
+            return next(rest, None)
+        if arg == "-h" or (arg.startswith("--h") and "--help".startswith(arg)):
+            return None
+        if not arg.startswith("-") or arg == "-" or " " in arg or re.fullmatch(r"-\d+|-\d*\.\d+", arg):
+            return arg
+    return None
+
+
 def _format(text: str) -> str:
     if text not in _FORMATS:
         raise argparse.ArgumentTypeError(_invalid_choice(text, _FORMATS))
@@ -484,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and not argv[0].startswith("-") and argv[0] not in _COMMANDS:
-        parser.error(f"argument command: {_invalid_choice(argv[0], _COMMANDS)}")
+    command = _command_word(argv)
+    if command is not None and command not in _COMMANDS:
+        parser.error(f"argument command: {_invalid_choice(command, _COMMANDS)}")
     args = parser.parse_args(argv)
     # a request builds large acyclic structures, which the cyclic collector
     # would only rescan; it is paused for the subcommand and then restored

@@ -15,7 +15,10 @@ extended to e_v * e_w by decomposing w into a reduced word and applying
 the one-letter rule repeatedly; that the result does not depend on the
 chosen reduced word is itself a tested property.  Products step the
 points y = rho* w of the coxeter module, n integers per term: l(ws) < l(w)
-exactly when y_s < 0.
+exactly when y_s < 0.  The coefficients they carry between steps are
+integer numerators over one known denominator (fraction-free arithmetic,
+Cohen, GTM 138, 2.2): with q = num/den a step multiplies by num - den, num
+or den, and a product builds one Fraction per nonzero output entry.
 
 The parameter q is carried per element as an exact rational (integers in
 geometric uses, arbitrary rationals allowed algebraically); products
@@ -33,6 +36,8 @@ C's face of the generator's type.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .coxeter import (
@@ -61,6 +66,9 @@ __all__ = [
 ]
 
 
+_point = attrgetter("point")
+
+
 class HeckeElement(Value):
     """Finite linear combination of basis elements e_w over one diagram.
 
@@ -76,7 +84,7 @@ class HeckeElement(Value):
     ) -> None:
         object.__setattr__(self, "diagram", diagram)
         object.__setattr__(self, "q", _fraction(q, "q"))
-        terms = SparseMap(terms, lambda w: w.point)
+        terms = SparseMap(terms, _point)
         for w in terms.support():
             w._check(diagram)
         object.__setattr__(self, "terms", terms)
@@ -134,32 +142,48 @@ def basis_element(
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product in the algebra, bilinear over the one-letter rule, on points."""
+    """Product in the algebra, bilinear over the one-letter rule, on points.
+
+    The coefficients of a are scaled to integers over the lcm of their
+    denominators, ``scale``.  At each step, with q = num/den, a descent
+    keeps (num - den) c at y and sends num c to ys, and an ascent sends
+    den c to ys, so a right-hand term of peel length k leaves its sums
+    over scale den^k.  The terms of b are brought to one denominator, and
+    each nonzero entry of the sum becomes one Fraction.  The product's
+    points are ones it stepped itself, so it is built unchecked.
+    """
     a._require_compatible(b)
-    diagram, q, q1 = a.diagram, a.q, a.q - 1
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for w, cw in b.terms:
-        partial = {u.point: c for u, c in a.terms}
+    diagram, cartan = a.diagram, a.diagram.cartan
+    num, den = a.q.numerator, a.q.denominator
+    descent = num - den
+    scale = lcm(*(c.denominator for _, c in a.terms))
+    start = {u.point: c.numerator * (scale // c.denominator) for u, c in a.terms}
+    peels = [(w._peel_of(diagram), cw) for w, cw in b.terms]
+    k_max = max((len(peel) for peel, _ in peels), default=0)
+    b_scale = lcm(*(cw.denominator for _, cw in peels))
+    acc: dict[tuple[int, ...], int] = {}
+    for peel, cw in peels:
+        partial = start
         # w = s_k ... s_1 for its peel s_1..s_k, a reduced word
-        for s in reversed(w._peel_of(diagram)):
-            step: dict[tuple[int, ...], Fraction] = {}
+        for s in reversed(peel):
+            step: dict[tuple[int, ...], int] = {}
             for y, c in partial.items():
-                ys = _times(y, s, diagram.cartan)
+                ys = _times(y, s, cartan)
                 if y[s] < 0:
-                    _add(step, y, q1 * c)
-                    _add(step, ys, q * c)
+                    step[y] = step.get(y, 0) + descent * c
+                    step[ys] = step.get(ys, 0) + num * c
                 else:
-                    _add(step, ys, c)
+                    step[ys] = step.get(ys, 0) + den * c
             partial = {y: c for y, c in step.items() if c}
+        # bring the term to the shared denominator scale * b_scale * den^k_max
+        factor = cw.numerator * (b_scale // cw.denominator) * den ** (k_max - len(peel))
         for y, c in partial.items():
-            _add(acc, y, cw * c)
-    return HeckeElement(diagram, q, tuple((_element(diagram, y), c) for y, c in acc.items()))
-
-
-def _add(acc: dict, key: tuple[int, ...], c: Fraction) -> None:
-    """acc[key] += c, with no arithmetic for a new key."""
-    old = acc.get(key)
-    acc[key] = c if old is None else old + c
+            acc[y] = acc.get(y, 0) + factor * c
+    shared = scale * b_scale * den**k_max
+    terms = {_element(diagram, y): Fraction(c, shared) for y, c in acc.items() if c}
+    product = HeckeElement.__new__(HeckeElement)
+    product._set(diagram, a.q, SparseMap._of(terms, _point))
+    return product
 
 
 def special_character(x: HeckeElement) -> Fraction:

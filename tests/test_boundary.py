@@ -97,8 +97,10 @@ def test_one_cochain_antisymmetry(ctx2):
     omega = one_cochain_from_map({(o, s): Fraction(5)})
     assert omega.value(o, s) == 5
     assert omega.value(s, o) == -5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="conflicting values on the two orientations of an edge"):
         one_cochain_from_map({(o, s): Fraction(1), (s, o): Fraction(1)})
+    with pytest.raises(ValueError, match="an edge needs two distinct vertices"):
+        one_cochain_from_map({(o, o): Fraction(1)})
     # consistent double entry is fine
     omega = one_cochain_from_map({(o, s): Fraction(1), (s, o): Fraction(-1)})
     assert omega.value(o, s) == 1
@@ -159,7 +161,7 @@ def test_boundary_value_detects_non_coboundary(ctx2):
     omega = one_cochain_from_map({rim_edge: Fraction(1)})
     g = boundary_value(omega, o, 2, ctx2)
     assert g.constant_value() is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="boundary value is not constant: omega is not a coboundary"):
         primitive_cochain(omega, o, 2, ctx2)
 
 
@@ -568,6 +570,18 @@ def test_boundary_function_rejects_non_int_depth(ctx2, depth):
     ends = vertex_tree(ctx2, standard_lattice(ctx2), 2).ends()
     with pytest.raises(ValueError, match=re.escape(f"depth must be an int, got {depth!r}")):
         BoundaryFunction(depth=depth, parts=tuple((e, Fraction(1)) for e in ends))
+
+
+@pytest.mark.parametrize("kernel", [boundary_value, primitive_cochain])
+def test_integrals_need_an_int_depth_of_at_least_one(ctx2, kernel):
+    o = standard_lattice(ctx2)
+    omega = one_cochain_from_map({})
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match=f"depth must be at least 1, got {depth}"):
+            kernel(omega, o, depth, ctx2)
+    for depth in ("2", 2.0, True):
+        with pytest.raises(ValueError, match=re.escape(f"depth must be an int, got {depth!r}")):
+            kernel(omega, o, depth, ctx2)
 
 
 @pytest.mark.parametrize("count", [end_count, sphere_vertex_count])

@@ -1193,6 +1193,13 @@ def test_canonical_asserts_the_given_valuation():
             building._canonical(rows, 3, wrong)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_integer_valuation_refuses_zero(p):
+    assert [building._val_int(x, p) for x in (1, -p, p**3 * 7)] == [0, 1, 3]
+    with pytest.raises(ValueError, match=re.escape("the valuation of x = 0 is not defined")):
+        building._val_int(0, p)
+
+
 # -- the star rule against the line insertions it replaced -------------------------
 #
 # ``_quotient_basis`` and ``_insertions`` built every n = 3 star until the

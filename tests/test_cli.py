@@ -208,6 +208,44 @@ def test_unknown_command_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def _exit(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["--bogus", "frobnicate"], "frobnicate"),
+        (["-x", "--", "frobnicate"], "frobnicate"),
+        (["--", "-h"], "-h"),
+        (["-1"], "-1"),
+        (["--bogus", "-.5", "growth"], "-.5"),
+        (["-"], "-"),
+        (["-x", "-y z"], "-y z"),
+    ],
+)
+def test_the_command_word_is_checked_wherever_it_stands(argv, word, capsys, monkeypatch):
+    # argparse would print its own message, whose quoting differs by release
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit(argv) == 2
+    choices = "'growth', 'period', 'harmonic', 'ball', 'hecke', 'boundary'"
+    assert capsys.readouterr().err == (
+        "usage: weylbuildings [-h] {growth,period,harmonic,ball,hecke,boundary} ...\n"
+        f"weylbuildings: error: argument command: invalid choice: {word!r} (choose from {choices})\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [["--help", "frobnicate"], ["--bogus", "-h", "x"], ["--he", "growth"]])
+def test_a_help_flag_before_the_command_word_prints_help(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: weylbuildings [-h]") and "positional arguments" in out
+
+
 def test_the_command_check_names_every_subcommand():
     # main refuses an unknown command before argparse does, in argparse's
     # words; its list of commands must be the parser's own

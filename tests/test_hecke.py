@@ -187,10 +187,17 @@ def test_parameter_mismatch_rejected():
     d = affine_diagram("A1~")
     a = basis_element(d, [0], Fraction(2))
     b = basis_element(d, [1], Fraction(3))
-    with pytest.raises(ValueError):
-        multiply(a, b)
-    with pytest.raises(ValueError):
-        _ = a + b
+    for combine in (multiply, HeckeElement.__add__, HeckeElement.__sub__):
+        with pytest.raises(ValueError, match="elements carry different parameters q"):
+            combine(a, b)
+
+
+def test_diagram_mismatch_rejected():
+    a = basis_element(affine_diagram("A1~"), [0], Fraction(2))
+    b = basis_element(affine_diagram("A2~"), [0], Fraction(2))
+    for combine in (multiply, HeckeElement.__add__, HeckeElement.__sub__):
+        with pytest.raises(ValueError, match="elements live over different diagrams"):
+            combine(a, b)
 
 
 def test_json_rendering():
