@@ -333,9 +333,13 @@ def boundary_value(
     origin, so integrals out of the sphere are settled.
     """
     tree, to_vertex, den = _integrals(omega, origin, depth, ctx)
-    # the shell lists leaves by canonical form, the order BoundaryFunction keeps
-    values = (Fraction(to_vertex[i], den) for i in tree.shell(depth))
-    parts = tuple(zip(tree.ends(), values))
+    vertices, parent = tree.vertices, tree.parent
+    # the shell lists leaves by canonical form, the order BoundaryFunction
+    # keeps; read once, it gives both the ends and their values
+    parts = tuple(
+        ((vertices[parent[i]], vertices[i]), Fraction(to_vertex[i], den))
+        for i in tree.shell(depth)
+    )
     chart = None
     if origin == standard_lattice(ctx):
         chart = tuple((_chart(s, ctx.p), x) for (_, s), x in parts)

@@ -775,12 +775,19 @@ class BallGraph(Value):
     `parent` and `crossed_type` trace one minimal gallery back to the
     center, so `gallery_types` / `weyl_word` read off a word for the Weyl
     distance from the center (face type t is generator -t mod n).
+
+    The hidden, uncompared `_profile` is derived: each interior face's
+    distance shape, worked out by the ``harmonic`` module on the ball's
+    first harmonic query and read by every later one.  `ball` leaves it
+    None, and a graph built from other fields starts without one.
     """
 
     __slots__ = (
-        "ctx", "radius", "chambers", "distance", "parent", "crossed_type", "faces", "index"
+        "ctx", "radius", "chambers", "distance", "parent", "crossed_type", "faces", "index",
+        "_profile",
     )
-    _uncompared = ("index",)
+    _uncompared = ("index", "_profile")
+    _hidden = ("_profile",)
 
     def __init__(
         self,
@@ -793,7 +800,7 @@ class BallGraph(Value):
         faces: Mapping[Face, tuple[int, ...]],
         index: Mapping[FlagChamber, int],
     ) -> None:
-        self._set(ctx, radius, chambers, distance, parent, crossed_type, faces, index)
+        self._set(ctx, radius, chambers, distance, parent, crossed_type, faces, index, None)
 
     def __len__(self) -> int:
         return len(self.chambers)

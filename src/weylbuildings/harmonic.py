@@ -20,7 +20,17 @@ integers with one ``Fraction`` per result.
 among the p + 1 chambers over an interior face, exactly one sits at the
 minimal distance d and the other p at d + 1 (``min_distance_chamber``
 checks that and returns the minimizer), so the sum is
-(-1/q)^d + p (-1/q)^(d+1) = 0 exactly when q = p.
+(-1/q)^d + p (-1/q)^(d+1) = (-1)^d (q - p) / q^(d+1), zero exactly when
+q = p.
+
+A ball's interior faces and distances are fixed once ``ball`` returns, so
+each face's shape is worked out once per ``BallGraph``: its profile, a map
+from each interior face to (closest chamber, d) when the shape is sharp
+and to None otherwise, kept in the graph's hidden ``_profile`` slot.  The
+first defect, closest-chamber or rigidity query of a ball fills it;
+``ball`` never does.  Every later query reads a face's shape in one
+lookup.  Only a graph built with other distances than its ball's has a
+face that is not sharp; its defect is then summed over the members.
 
 ``finite_support_rigidity`` decides that the only cochain supported
 strictly inside a ball that is harmonic at every fully visible face is
@@ -117,21 +127,57 @@ def iwahori_vector(base: FlagChamber, q: int) -> Cochain:
 _ZERO = Fraction(0)
 
 
+def _profile_of(graph: BallGraph) -> dict[Face, tuple[int, int] | None]:
+    """Each interior face's distance shape: (low, delta) when its member
+    low sits at the minimum delta and the other p at delta + 1, None for
+    any other shape.  Built on the first call for a graph and kept in its
+    ``_profile``; later calls return that same dict."""
+    profile = graph._profile
+    if profile is None:
+        dist, full = graph.distance, graph.ctx.p + 1
+        profile = {}
+        for face, members in graph.faces.items():
+            if len(members) == full:
+                low = min(members, key=dist.__getitem__)
+                up = dist[low] + 1
+                sharp = all(dist[i] == up for i in members if i != low)
+                profile[face] = (low, up - 1) if sharp else None
+        object.__setattr__(graph, "_profile", profile)
+    return profile
+
+
+def _shape(face: Face, graph: BallGraph) -> tuple[int, int] | None:
+    """The profile entry of an interior face; ValueError for any other."""
+    try:
+        return _profile_of(graph)[face]
+    except KeyError:
+        raise ValueError("face is not interior to the ball") from None
+
+
 def harmonicity_defect(f: Cochain, face: Face, graph: BallGraph) -> Fraction:
     """Sum of f over all p + 1 chambers containing an interior face.
 
-    A rule-form f is summed in integers over the list of the members'
-    distances, with one ``Fraction`` for a nonzero result; the harmonic
-    case, a zero numerator, returns a shared ``Fraction(0)``.
+    A rule-form f on a face of sharp shape, minimum delta, has the closed
+    form (-1)^delta (q - p) / q^(delta + 1), the shared ``Fraction(0)``
+    when q = p.  On a face of any other shape it is summed in integers
+    over the members' distances, with one ``Fraction`` for a nonzero
+    result.
     """
-    members = graph.faces.get(face)
-    if members is None or len(members) != graph.ctx.p + 1:
-        raise ValueError("face is not interior to the ball")
     if f.values is not None:
+        members = graph.faces.get(face)
+        if members is None or len(members) != graph.ctx.p + 1:
+            raise ValueError("face is not interior to the ball")
         return sum((f.value_at_index(i, graph) for i in members), Fraction(0))
+    shape = _shape(face, graph)
+    q, p = f._rule_q(graph), graph.ctx.p
+    if shape is not None:
+        if q == p:
+            return _ZERO
+        delta = shape[1]
+        return Fraction(p - q if delta % 2 else q - p, q ** (delta + 1))
     # sum_i (-1/q)^d_i = (-1)^D sum_i (-q)^(D - d_i) / q^D with D = max d_i
-    q, dist = f._rule_q(graph), graph.distance
-    ds = [dist[i] for i in members]
+    dist = graph.distance
+    ds = [dist[i] for i in graph.faces[face]]
     top = max(ds)
     num = sum([(-q) ** (top - d) for d in ds])
     if not num:
@@ -144,20 +190,14 @@ def min_distance_chamber(face: Face, graph: BallGraph) -> tuple[FlagChamber, int
 
     Asserts the sharp shape of the distance multiset: one chamber at the
     minimum delta and the remaining p at delta + 1; any other shape is
-    reported as a failure, not returned.  A tied minimum fails that check,
-    so the first minimizer found is the only one.
+    reported as a failure, not returned.  Reads the ball's profile.
     """
-    members = graph.faces.get(face)
-    if members is None or len(members) != graph.ctx.p + 1:
-        raise ValueError("face is not interior to the ball")
-    dist = graph.distance
-    low = min(members, key=dist.__getitem__)
-    delta = dist[low]
-    for i in members:
-        if i != low and dist[i] != delta + 1:
-            raise AssertionError(
-                "distance multiset over a face must be one minimum and p at minimum + 1"
-            )
+    shape = _shape(face, graph)
+    if shape is None:
+        raise AssertionError(
+            "distance multiset over a face must be one minimum and p at minimum + 1"
+        )
+    low, delta = shape
     return graph.chambers[low], delta
 
 
@@ -183,21 +223,15 @@ def _ascent_faces(graph: BallGraph) -> dict[int, Face] | None:
 
     The unknowns are the chambers at distance <= R - 1; the ascent face of
     an unknown C is an interior face on which C is the closest chamber and
-    the other p sit at d(C) + 1.  Each face has one closest chamber, so
-    the chosen faces are distinct.
+    the other p sit at d(C) + 1, a sharp face of the profile.  Each face
+    has one closest chamber, so the chosen faces are distinct.
     """
-    dist, full, last = graph.distance, graph.ctx.p + 1, graph.radius - 1
+    last = graph.radius - 1
     chosen: dict[int, Face] = {}
-    for face, members in graph.faces.items():
-        if len(members) != full:
-            continue
-        low = min(members, key=dist.__getitem__)
-        d = dist[low]
-        if d > last or low in chosen:
-            continue
-        if all(dist[j] == d + 1 for j in members if j != low):
-            chosen[low] = face
-    if len(chosen) != sum(1 for d in dist if d <= last):
+    for face, shape in _profile_of(graph).items():
+        if shape is not None and shape[1] <= last:
+            chosen.setdefault(shape[0], face)
+    if len(chosen) != sum(1 for d in graph.distance if d <= last):
         return None
     return chosen
 

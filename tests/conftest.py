@@ -73,20 +73,21 @@ def _plain(x):
 
 
 def _fields(value) -> dict[str, object]:
-    return {name: _plain(getattr(value, name)) for name in type(value).__slots__}
+    # the shown fields: a hidden slot holds what the fields determine
+    return {name: _plain(getattr(value, name)) for name in type(value)._shown}
 
 
 @pytest.fixture(scope="session")
 def field_values():
-    """Field name -> the field's plain data, for every slot of a value, so
+    """Field name -> the field's plain data, for every shown field of a value, so
     that two values compare field by field, maps in their order."""
     return _fields
 
 
 @pytest.fixture(scope="session")
 def field_digests():
-    """Field name -> short sha256 of the field's plain data, for every slot
-    of a value: a change to any field, or to a map's order, shows."""
+    """Field name -> short sha256 of the field's plain data, for every shown
+    field of a value: a change to any field, or to a map's order, shows."""
 
     def digests(value) -> dict[str, str]:
         return {

@@ -1,7 +1,9 @@
 """Chamber cochains: defects, the sign-decaying vector, decay, rigidity."""
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -25,8 +27,9 @@ from weylbuildings.harmonic import _ascent_faces, _full_rank
 
 
 def with_distance(g, distance):
-    """The ball g rebuilt by keyword with other distances, every other field as it is."""
-    fields = {name: getattr(g, name) for name in BallGraph.__slots__}
+    """The ball g rebuilt by keyword with other distances, every other shown
+    field as it is; the hidden profile is the new graph's own."""
+    fields = {name: getattr(g, name) for name in BallGraph._shown}
     return BallGraph(**{**fields, "distance": tuple(distance)})
 
 
@@ -97,6 +100,12 @@ def test_cochain_forms_exclusive():
         Cochain(values=None, rule=None)
 
 
+@pytest.mark.parametrize("base", ["chamber", None, (1, 2)], ids=repr)
+def test_rule_base_must_be_a_chamber(base):
+    with pytest.raises(ValueError, match="rule base must be a chamber"):
+        Cochain(rule=(base, 2))
+
+
 @pytest.mark.parametrize("q", [2.0, Fraction(2), "2"], ids=repr)
 def test_rule_cochain_rejects_non_int_q(q, tree_p2):
     base = tree_p2.chambers[0]
@@ -108,11 +117,12 @@ def test_rule_cochain_rejects_non_int_q(q, tree_p2):
 def test_rule_cochain_requires_matching_center(tree_p2):
     g = tree_p2
     f = iwahori_vector(g.chambers[3], 2)  # centered off the ball center
-    with pytest.raises(ValueError):
+    off_center = "rule-form cochain needs a ball centered at its base"
+    with pytest.raises(ValueError, match=off_center):
         f.value_at_index(0, g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=off_center):
         harmonicity_defect(f, g.interior_faces()[0], g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=off_center):
         decay_profile(f, g)
 
 
@@ -238,8 +248,9 @@ def test_rigidity_tampered_distances_take_the_rank_fallback():
 
 def test_rigidity_requires_room():
     ctx = PrimeContext(p=2, n=2)
-    with pytest.raises(ValueError):
-        finite_support_rigidity(ball(ctx, 1))
+    for radius in (0, 1):
+        with pytest.raises(ValueError, match="rigidity needs radius at least 2"):
+            finite_support_rigidity(ball(ctx, radius))
 
 
 def test_cochain_json(tree_p2):
@@ -247,6 +258,10 @@ def test_cochain_json(tree_p2):
     f = cochain_from_map({g.chambers[0]: Fraction(-3, 4)})
     blob = cochain_to_json(f, g)
     assert blob == cochain_to_json(f, g)
+    # map form needs no ball; rule form has no support of its own
+    assert cochain_to_json(f) == blob
+    with pytest.raises(ValueError, match="rule-form serialization needs a ball"):
+        cochain_to_json(iwahori_vector(g.chambers[0], 2))
 
 
 def test_cochain_json_map_form_literal(tree_p2):
@@ -391,3 +406,81 @@ def test_a_warm_face_scan_hashes_no_class(class_hash_calls):
         results = [(harmonicity_defect(f, face, g), min_distance_chamber(face, g)) for face in faces]
         assert all(defect == 0 for defect, _ in results)
     assert class_hash_calls[0] == 0
+
+
+# -- the distance profile, worked out once per ball -----------------------------------
+
+
+def test_the_first_harmonic_query_fills_the_profile_and_later_ones_reuse_it():
+    def fresh():
+        return ball(PrimeContext(p=3, n=2), 4)
+
+    g = fresh()
+    assert g._profile is None
+    faces = g.interior_faces()
+    rule, rule5 = iwahori_vector(g.chambers[0], 3), iwahori_vector(g.chambers[0], 5)
+    # queries that read no face shape leave it empty
+    decay_profile(rule, g)
+    cochain_to_json(rule, g)
+    harmonicity_defect(cochain_from_map({g.chambers[0]: 1}), faces[0], g)
+    assert g._profile is None
+    assert harmonicity_defect(rule, faces[0], g) == 0
+    profile = g._profile
+    assert set(profile) == set(faces) and None not in profile.values()
+    for face in faces:
+        chamber, delta = min_distance_chamber(face, g)
+        assert profile[face] == (g.index[chamber], delta)
+        harmonicity_defect(rule5, face, g)
+    assert finite_support_rigidity(g)
+    assert g._profile is profile
+    # each reader fills it on a ball no query has read
+    for query in (
+        lambda h: min_distance_chamber(faces[0], h),
+        lambda h: harmonicity_defect(rule5, faces[0], h),
+        finite_support_rigidity,
+    ):
+        h = fresh()
+        query(h)
+        assert h._profile == profile and h._profile is not profile
+
+
+def test_copies_and_pickles_answer_as_the_ball_does():
+    g = ball(PrimeContext(p=2, n=3), 3)
+    faces = g.interior_faces()
+    f = iwahori_vector(g.chambers[0], 3)
+
+    def answers(h):
+        scan = [(harmonicity_defect(f, face, h), min_distance_chamber(face, h)) for face in faces]
+        return scan, _ascent_faces(h), finite_support_rigidity(h)
+
+    def copies(h):
+        return [copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))]
+
+    unread = copies(g)
+    assert all(h == g and h._profile is None for h in unread)
+    expected = answers(g)
+    read = copies(g)
+    assert all(h == g and h._profile == g._profile for h in read)
+    for h in unread + read:
+        assert answers(h) == expected
+        assert h._profile == g._profile
+
+
+def test_a_graph_rebuilt_with_other_distances_builds_its_own_profile():
+    g = ball(PrimeContext(p=2, n=2), 4)
+    face = g.interior_faces()[-1]
+    chamber, delta = min_distance_chamber(face, g)
+    profile = g._profile
+    same = with_distance(g, g.distance)
+    assert same._profile is None
+    assert min_distance_chamber(face, same) == (chamber, delta)
+    assert same._profile == profile and same._profile is not profile
+    # the closest chamber two steps farther out: the face is no longer sharp
+    distance = list(g.distance)
+    distance[g.index[chamber]] += 2
+    tampered = with_distance(g, distance)
+    assert tampered._profile is None
+    with pytest.raises(AssertionError, match=SHARP_SHAPE):
+        min_distance_chamber(face, tampered)
+    assert tampered._profile[face] is None
+    assert g._profile is profile and profile[face] == (g.index[chamber], delta)

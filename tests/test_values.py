@@ -54,7 +54,7 @@ VALUES = [
         ball(P2, 1),
         ("ctx", "radius", "chambers", "distance", "parent", "crossed_type", "faces", "index"),
         ("index",),
-        (),
+        ("_profile",),
     ),
     (ZERO, ("values",), (), ()),
     (coboundary(ZERO, P2), ("values",), (), ()),
