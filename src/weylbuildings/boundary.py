@@ -260,7 +260,9 @@ def integrate(omega: OneCochain, path: Sequence[LatticeClass], ctx: PrimeContext
 class BoundaryFunction(Value):
     """Function on the ends at one depth: (rim edge, value) per end,
     with an optional projective chart per end.  The depth is an int; the
-    values are ints or Fractions and become Fractions."""
+    values are ints or Fractions and become Fractions.  The parts are
+    kept in the order of their leaves' canonical forms, and the i-th
+    chart entry, given beside the i-th part, moves with it."""
 
     __slots__ = ("depth", "parts", "chart")
 
@@ -271,11 +273,12 @@ class BoundaryFunction(Value):
         chart: tuple[tuple[tuple[int, int], Fraction], ...] | None = None,
     ) -> None:
         _int(depth, "depth")
-        parts = ((e, _fraction(x, "values")) for e, x in parts)
-        ordered = tuple(sorted(parts, key=lambda t: (t[0][1].hnf, t[0][0].hnf)))
-        self._set(depth, ordered, chart)
-        if chart is not None and len(chart) != len(ordered):
+        parts = tuple((e, _fraction(x, "values")) for e, x in parts)
+        if chart is not None and len(chart) != len(parts):
             raise ValueError("chart must name each end exactly once")
+        order = sorted(range(len(parts)), key=lambda i: (parts[i][0][1].hnf, parts[i][0][0].hnf))
+        chart = None if chart is None else tuple(chart[i] for i in order)
+        self._set(depth, tuple(parts[i] for i in order), chart)
 
     def constant_value(self) -> Fraction | None:
         """The common value if the function is constant, else None."""
@@ -400,10 +403,7 @@ def end_chart(edge: Edge, ctx: PrimeContext) -> tuple[int, int]:
     """
     _require_tree(ctx, *edge)
     t, s = edge
-    r = s.valuation
-    if r < 1:
-        raise ValueError("the deep vertex of an end must have positive depth")
-    if t.valuation != r - 1 or not classes_adjacent(t, s, ctx):
+    if t.valuation != s.valuation - 1 or not classes_adjacent(t, s, ctx):
         raise ValueError("edge must step outward from depth r - 1 to depth r")
     return _chart(s, ctx.p)
 

@@ -402,18 +402,23 @@ def reduced_word(diagram: CoxeterDiagram, element: GroupElement) -> tuple[int, .
 
 
 class GrowthTable(Value):
-    """counts[k] = number of group elements of length exactly k <= cutoff."""
+    """counts[k] = number of group elements of length exactly k <= cutoff.
 
-    __slots__ = ("counts", "cutoff")
+    The cutoff is derived, len(counts) - 1, and not stored.
+    """
 
-    def __init__(self, counts: tuple[int, ...], cutoff: int) -> None:
-        self._set(counts, cutoff)
-        if len(counts) != cutoff + 1:
-            raise ValueError("counts must cover 0..cutoff")
-        if counts[0] != 1:
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[int, ...]) -> None:
+        self._set(counts)
+        if not counts or counts[0] != 1:
             raise ValueError("counts[0] must be 1 (the identity)")
         if any(c <= 0 for c in counts):
             raise ValueError("affine shell counts are positive at every length")
+
+    @property
+    def cutoff(self) -> int:
+        return len(self.counts) - 1
 
 
 def bfs_growth(diagram: CoxeterDiagram, cutoff: int) -> GrowthTable:
@@ -433,4 +438,4 @@ def bfs_growth(diagram: CoxeterDiagram, cutoff: int) -> GrowthTable:
             _times(y, s, diagram.cartan) for y in shell for s in range(len(y)) if y[s] > 0
         }
         counts.append(len(shell))
-    return GrowthTable(tuple(counts), cutoff)
+    return GrowthTable(tuple(counts))

@@ -103,32 +103,33 @@ def geometric_lambda(
 class PeriodReport(Value):
     """Everything the period computation produces, exactly.
 
-    Invariant: |partial_sums[-1] - closed_form| <= tail_bound, and
+    Invariant: |partial_sums[-1] - closed_form| <= tail_bound.  Two values
+    are derived and not stored: the cutoff K = len(partial_sums) - 1, and
     q_e = q_f^2 (the decay parameter lives over the quadratic extension).
     """
 
-    __slots__ = (
-        "label", "q_f", "q_e", "cutoff", "partial_sums", "closed_form", "tail_bound", "majorant"
-    )
+    __slots__ = ("label", "q_f", "partial_sums", "closed_form", "tail_bound", "majorant")
 
     def __init__(
         self,
         label: AffineTypeLabel,
         q_f: int,
-        q_e: int,
-        cutoff: int,
         partial_sums: tuple[Fraction, ...],
         closed_form: Fraction,
         tail_bound: Fraction,
         majorant: Fraction,
     ) -> None:
-        self._set(label, q_f, q_e, cutoff, partial_sums, closed_form, tail_bound, majorant)
-        if q_e != q_f**2:
-            raise ValueError("q_e must be the square of q_f")
-        if len(partial_sums) != cutoff + 1:
-            raise ValueError("partial sums must cover 0..cutoff")
+        self._set(label, q_f, partial_sums, closed_form, tail_bound, majorant)
         if abs(partial_sums[-1] - closed_form) > tail_bound:
             raise ValueError("tail bound fails to certify the truncation")
+
+    @property
+    def q_e(self) -> int:
+        return self.q_f**2
+
+    @property
+    def cutoff(self) -> int:
+        return len(self.partial_sums) - 1
 
 
 def make_report(label: AffineTypeLabel | str, q: int, cutoff: int) -> PeriodReport:
@@ -139,8 +140,6 @@ def make_report(label: AffineTypeLabel | str, q: int, cutoff: int) -> PeriodRepo
     return PeriodReport(
         label=label,
         q_f=q,
-        q_e=q * q,
-        cutoff=cutoff,
         partial_sums=tuple(sums),
         closed_form=lambda_closed(label, q),
         tail_bound=absolute_tail(exponents_for(label), q, cutoff),

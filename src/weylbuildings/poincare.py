@@ -226,8 +226,6 @@ def bott_rational(table: ExponentTable) -> RationalFunction:
     >>> bott_rational(exponents_for("A2~"))
     RationalFunction(numerator=(1, 1, 1), denominator=(1, -2, 1))
     """
-    if not table.exponents:
-        raise ValueError("empty exponent table")
     return _bott_rational(tuple(table.exponents))
 
 

@@ -516,8 +516,11 @@ def test_end_chart_rejects_inward_edge(ctx2):
     o = standard_lattice(ctx2)
     tree = vertex_tree(ctx2, o, 1)
     parent, leaf = tree.ends()[0]
-    with pytest.raises(ValueError):
-        end_chart((leaf, parent), ctx2)
+    deep_parent, deep_leaf = vertex_tree(ctx2, o, 2).ends()[0]
+    # a leaf at depth 0 has no depth r - 1 to step out from
+    for edge in ((leaf, parent), (o, o), (deep_leaf, deep_parent)):
+        with pytest.raises(ValueError, match="edge must step outward from depth r - 1 to depth r"):
+            end_chart(edge, ctx2)
 
 
 def test_boundary_value_charts_are_the_end_charts(ctx2, ctx3):
@@ -531,7 +534,36 @@ def test_boundary_value_charts_are_the_end_charts(ctx2, ctx3):
             assert g.chart == tuple((end_chart(e, ctx), x) for e, x in g.parts)
 
 
+def test_charts_stay_with_their_ends_in_any_order(ctx2):
+    # the parts are sorted by leaf, and each chart entry moves with its part
+    ends = vertex_tree(ctx2, standard_lattice(ctx2), 1).ends()
+    triples = [(e, Fraction(i), (end_chart(e, ctx2), Fraction(i))) for i, e in enumerate(ends)]
+
+    def build(rows):
+        return BoundaryFunction(1, tuple((e, x) for e, x, _ in rows), tuple(c for _, _, c in rows))
+
+    forward, backward = build(triples), build(triples[::-1])
+    assert backward == forward
+    assert backward.chart == tuple((end_chart(e, ctx2), x) for e, x in backward.parts)
+    chart_of = {int(x): list(end_chart(e, ctx2)) for e, x, _ in triples}
+    for record in boundary_function_to_json(backward):
+        assert record["chart"] == chart_of[int(record["value"]["num"])]
+
+
 # -- input checks ---------------------------------------------------------------------
+
+
+def test_boundary_function_needs_one_chart_entry_per_end(ctx2):
+    ends = vertex_tree(ctx2, standard_lattice(ctx2), 1).ends()
+    parts = tuple((e, Fraction(1)) for e in ends)
+    with pytest.raises(ValueError, match="chart must name each end exactly once"):
+        BoundaryFunction(1, parts, chart=())
+
+
+def test_the_tree_maps_refuse_an_n_3_context():
+    ctx = PrimeContext(p=2, n=3)
+    with pytest.raises(ValueError, match="the boundary machinery lives on the n = 2 tree"):
+        vertex_tree(ctx, standard_lattice(ctx), 1)
 
 
 @pytest.mark.parametrize("value", [0.5, "1/2", None], ids=repr)

@@ -20,7 +20,10 @@ from hypothesis import strategies as st
 
 from weylbuildings import (
     INFINITE_ORDER,
+    AffineTypeLabel,
+    CoxeterDiagram,
     GroupElement,
+    GrowthTable,
     affine_diagram,
     bfs_growth,
     element_from_word,
@@ -399,6 +402,32 @@ def test_length_changes_by_one(word, s):
 def test_growth_table_validation():
     with pytest.raises(ValueError):
         bfs_growth(affine_diagram("A1~"), -1)
+
+
+def test_a_growth_table_derives_its_cutoff():
+    assert GrowthTable((1, 2, 2)).cutoff == 2
+    assert GrowthTable((1,)).cutoff == 0
+    for label in FROZEN_COUNTS:
+        for cutoff in (0, 1, 7):
+            assert bfs_growth(affine_diagram(label), cutoff).cutoff == cutoff
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AffineTypeLabel("H", 3), "unknown family 'H'"),
+        (lambda: CoxeterDiagram(()), "order matrix must be square and nonempty"),
+        (lambda: CoxeterDiagram(((1, 3), (2, 1))), "order matrix must be symmetric"),
+        (lambda: CoxeterDiagram(((1, 5), (5, 1))), "non-crystallographic order 5"),
+        (lambda: GrowthTable((2, 2)), "counts[0] must be 1 (the identity)"),
+        (lambda: GrowthTable(()), "counts[0] must be 1 (the identity)"),
+        (lambda: GrowthTable((1, 2, 0, 2)), "affine shell counts are positive at every length"),
+    ],
+    ids=["family", "empty-orders", "asymmetric", "order-5", "counts-0", "no-counts", "zero-shell"],
+)
+def test_labels_diagrams_and_tables_refuse_what_they_cannot_be(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 @pytest.mark.parametrize("cutoff", [2.0, "2", None], ids=repr)

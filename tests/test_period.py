@@ -57,20 +57,29 @@ def test_report_certifies_truncation():
 
 
 def test_report_validation():
-    good = make_report(A1, 2, 6)
-    with pytest.raises(ValueError):
-        PeriodReport(
-            label=good.label,
-            q_f=good.q_f,
-            q_e=good.q_e + 1,
-            cutoff=good.cutoff,
-            partial_sums=good.partial_sums,
-            closed_form=good.closed_form,
-            tail_bound=good.tail_bound,
-            majorant=good.majorant,
-        )
     with pytest.raises(ValueError):
         make_report(A1, 1, 6)
+
+
+def test_a_report_derives_its_cutoff_and_q_e():
+    # q_e and the cutoff are worked out from q_f and the partial sums, so a
+    # report built from the six stored fields reads as make_report's does
+    for label, q, cutoff in ((A1, 2, 0), (A1, 3, 6), (A2, 5, 4)):
+        made = make_report(label, q, cutoff)
+        built = PeriodReport(
+            made.label, made.q_f, made.partial_sums, made.closed_form, made.tail_bound, made.majorant
+        )
+        assert built == made
+        assert (built.q_e, built.cutoff) == (made.q_e, made.cutoff) == (q * q, cutoff)
+        assert report_to_json(built) == report_to_json(made)
+
+
+def test_a_report_whose_tail_bound_fails_is_refused():
+    good = make_report(A1, 2, 6)
+    with pytest.raises(ValueError, match="tail bound fails to certify the truncation"):
+        PeriodReport(
+            good.label, good.q_f, good.partial_sums, good.closed_form, Fraction(0), good.majorant
+        )
 
 
 @pytest.mark.parametrize(

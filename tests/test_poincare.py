@@ -46,6 +46,21 @@ def test_exponents_frozen(label):
     assert table.exponents == FROZEN_EXPONENTS[label]
 
 
+@pytest.mark.parametrize(
+    "exponents, message",
+    [
+        ((1,), "need exactly rank many exponents"),
+        ((1, 2, 3), "need exactly rank many exponents"),
+        ((2, 1), "exponents must be ascending positive integers"),
+        ((0, 1), "exponents must be ascending positive integers"),
+    ],
+    ids=repr,
+)
+def test_exponent_tables_refuse_a_wrong_count_or_order(exponents, message):
+    with pytest.raises(ValueError, match=message):
+        ExponentTable(parse_type_label("A2~"), exponents)
+
+
 def test_exponent_product_is_finite_group_order():
     # product of (exponent + 1) = order of the finite reflection group
     orders = {"A2~": 6, "A3~": 24, "C2~": 8, "G2~": 12, "F4~": 1152}
