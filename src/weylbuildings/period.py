@@ -103,9 +103,10 @@ def geometric_lambda(
 class PeriodReport(Value):
     """Everything the period computation produces, exactly.
 
-    Invariant: |partial_sums[-1] - closed_form| <= tail_bound.  Two values
-    are derived and not stored: the cutoff K = len(partial_sums) - 1, and
-    q_e = q_f^2 (the decay parameter lives over the quadratic extension).
+    Invariant: partial_sums runs from S_0, and |partial_sums[-1] -
+    closed_form| <= tail_bound.  Two values are derived and not stored: the
+    cutoff K = len(partial_sums) - 1, and q_e = q_f^2 (the decay parameter
+    lives over the quadratic extension).
     """
 
     __slots__ = ("label", "q_f", "partial_sums", "closed_form", "tail_bound", "majorant")
@@ -120,8 +121,11 @@ class PeriodReport(Value):
         majorant: Fraction,
     ) -> None:
         self._set(label, q_f, partial_sums, closed_form, tail_bound, majorant)
-        if abs(partial_sums[-1] - closed_form) > tail_bound:
-            raise ValueError("tail bound fails to certify the truncation")
+        if not partial_sums or abs(partial_sums[-1] - closed_form) > tail_bound:
+            raise ValueError(
+                "tail bound fails to certify the truncation" if partial_sums
+                else "partial sums must include S_0"
+            )
 
     @property
     def q_e(self) -> int:

@@ -5,22 +5,23 @@ A guard is an ``if <cond>:`` (or ``elif``) whose body starts with
 ``raise UsageError(...)``.  For each guard in turn the survey sets
 ``<cond>`` to ``False`` in a scratch copy of the project and runs the Tier-1
 suite there with ``-x``.  A failing run, or one that outlives the timeout
-(a disabled guard can let a loop run forever), trips the guard; a passing
-run means no test reaches it, and the guard is printed as a survivor.
+(``TIMEOUT`` seconds; a disabled guard can let a loop run forever), trips
+the guard; a passing run means no test reaches it, and the guard is printed
+as a survivor.
 
 Usage::
 
-    python tests/survey_guards.py [--workers 2] [--timeout 300] [--list]
+    python tests/survey_guards.py
 
-Stdlib only.  The checkout is only read: each worker copies the project
-into a temporary directory and mutates and restores its own copy.  An
-unmutated run comes first; if it fails, the survey stops with exit code 2.
-Otherwise the exit code is 1 when a guard survives and 0 when none does.
+Stdlib only.  The checkout is only read: each worker (two, or one on a
+single CPU) copies the project into a temporary directory and mutates and
+restores its own copy.  An unmutated run comes first; if it fails, the
+survey stops with exit code 2.  Otherwise the exit code is 1 when a guard
+survives and 0 when none does.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import queue
@@ -35,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RAISED = {"ValueError", "AssertionError", "UsageError"}
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info")
+TIMEOUT = 300.0  # seconds per Tier-1 run
 
 
 def guards() -> list[tuple[str, ast.expr, str]]:
@@ -68,41 +70,29 @@ def disabled(source: str, cond: ast.expr) -> str:
     return source[:start] + ("False" if not breaks else "(False" + "\n" * breaks + ")") + source[end:]
 
 
-def tier1(copy: Path, timeout: float) -> str:
+def tier1(copy: Path) -> str:
     """'passed', 'failed' or 'timeout' for one Tier-1 run in the copy."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                "--continue-on-collection-errors"]
     try:
-        proc = subprocess.run(command, cwd=copy, env=env, timeout=timeout,
+        proc = subprocess.run(command, cwd=copy, env=env, timeout=TIMEOUT,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "passed" if proc.returncode == 0 else "failed"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workers", type=int, default=2, help="scratch copies run at once")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per Tier-1 run")
-    parser.add_argument("--list", action="store_true", help="list the guards and run nothing")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     found = guards()
-    if args.list:
-        for rel, cond, message in found:
-            print(f"{rel}:{cond.lineno}: {message}")
-        print(f"{len(found)} guards")
-        return 0
-
     with tempfile.TemporaryDirectory(prefix="survey-guards-") as scratch:
         copies = []
-        for k in range(max(1, args.workers)):
+        for k in range(min(2, os.cpu_count() or 1)):
             copy = Path(scratch) / f"copy{k}"
             shutil.copytree(ROOT, copy, ignore=IGNORED)
             copies.append(copy)
         start = time.monotonic()
-        baseline = tier1(copies[0], args.timeout)
+        baseline = tier1(copies[0])
         if baseline != "passed":
             print(f"the unmutated suite {baseline}; no guard can be judged", file=sys.stderr)
             return 2
@@ -125,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
                 original = target.read_text(encoding="utf-8")
                 target.write_text(disabled(original, cond), encoding="utf-8")
                 try:
-                    outcome = tier1(copy, args.timeout)
+                    outcome = tier1(copy)
                 finally:
                     target.write_text(original, encoding="utf-8")
                 with lock:

@@ -74,12 +74,14 @@ def test_a_report_derives_its_cutoff_and_q_e():
         assert report_to_json(built) == report_to_json(made)
 
 
-def test_a_report_whose_tail_bound_fails_is_refused():
+def test_a_report_whose_tail_bound_fails_or_has_no_sums_is_refused():
     good = make_report(A1, 2, 6)
     with pytest.raises(ValueError, match="tail bound fails to certify the truncation"):
         PeriodReport(
             good.label, good.q_f, good.partial_sums, good.closed_form, Fraction(0), good.majorant
         )
+    with pytest.raises(ValueError, match="partial sums must include S_0"):
+        PeriodReport(good.label, good.q_f, (), good.closed_form, good.tail_bound, good.majorant)
 
 
 @pytest.mark.parametrize(
