@@ -338,7 +338,8 @@ def boundary_value(
     tree, to_vertex, den = _integrals(omega, origin, depth, ctx)
     vertices, parent = tree.vertices, tree.parent
     # the shell lists leaves by canonical form, the order BoundaryFunction
-    # keeps; read once, it gives both the ends and their values
+    # keeps; read once, it gives both the ends and their values, so the
+    # result is built unchecked
     parts = tuple(
         ((vertices[parent[i]], vertices[i]), Fraction(to_vertex[i], den))
         for i in tree.shell(depth)
@@ -346,7 +347,9 @@ def boundary_value(
     chart = None
     if origin == standard_lattice(ctx):
         chart = tuple((_chart(s, ctx.p), x) for (_, s), x in parts)
-    return BoundaryFunction(depth=depth, parts=parts, chart=chart)
+    g = BoundaryFunction.__new__(BoundaryFunction)
+    g._set(depth, parts, chart)
+    return g
 
 
 def primitive_cochain(

@@ -26,17 +26,19 @@ Lengths, reduced words and growth come from local descent tests
 (Bjorner and Brenti, Combinatorics of Coxeter Groups, 4.2 and 4.8;
 Casselman, Invent. Math. 116, 1994).  With rho*(alpha_t) = 1 and
 y = rho* w, y_t is the sum of column t; s is a right descent of w
-(l(ws) < l(w)) iff y_s < 0, and y(ws)_t = y_t - A[s][t] y_s.  Distinct w
-give distinct y, so a group element is stored as its point y, peeling
-descents counts the length and a BFS over ascents of rho* counts the
-shells.  The matrix is derived from the peel only when it is read.
+(l(ws) < l(w)) iff y_s < 0, and y(ws)_t = y_t - A[s][t] y_s.  So y(ws)
+differs from y only at s, where it is -y_s, and at the neighbors t of s
+in the diagram (A[s][t] != 0); a step reads the diagram's ``neighbors``
+row of s, not a dense Cartan row.  Distinct w give distinct y, so a group
+element is stored as its point y, peeling descents counts the length and
+a BFS over ascents of rho* counts the shells.  The matrix is derived from
+the peel only when it is read.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from operator import mul
 from typing import Sequence
 
 from .exact import Value, _int, row_reduce
@@ -71,6 +73,8 @@ _CARTAN_PAIRS = {
 }
 
 Matrix = tuple[tuple[int, ...], ...]
+# per generator s, the pairs (t, A[s][t]) with t != s and A[s][t] != 0
+Neighbors = tuple[tuple[tuple[int, int], ...], ...]
 
 
 # -- type labels -------------------------------------------------------------
@@ -130,12 +134,14 @@ class CoxeterDiagram(Value):
 
     ``orders[s][t]`` is m(s, t); the diagonal is 1 and infinite orders are
     stored as ``math.inf``.  Derived from them: ``cartan``, the generalized
-    Cartan matrix, and ``kernel``, an integer basis of its kernel, fixed by
-    the group (the null root delta if affine).
+    Cartan matrix; ``kernel``, an integer basis of its kernel, fixed by the
+    group (the null root delta if affine); and ``neighbors``, for each
+    generator s the pairs (t, A[s][t]) of its nonzero off-diagonal Cartan
+    entries.  A reflection at s moves only coordinate s and those t.
     """
 
-    __slots__ = ("orders", "cartan", "kernel")
-    _uncompared = _hidden = ("cartan", "kernel")
+    __slots__ = ("orders", "cartan", "kernel", "neighbors")
+    _uncompared = _hidden = ("cartan", "kernel", "neighbors")
 
     def __init__(self, orders: tuple[tuple[float, ...], ...]) -> None:
         object.__setattr__(self, "orders", orders)
@@ -156,6 +162,10 @@ class CoxeterDiagram(Value):
         cartan = _cartan_matrix(self)
         object.__setattr__(self, "cartan", cartan)
         object.__setattr__(self, "kernel", _kernel(cartan))
+        neighbors = tuple(
+            tuple((t, a) for t, a in enumerate(row) if a and t != s) for s, row in enumerate(cartan)
+        )
+        object.__setattr__(self, "neighbors", neighbors)
 
     @property
     def size(self) -> int:
@@ -267,20 +277,33 @@ def generator_matrices(diagram: CoxeterDiagram) -> tuple[Matrix, ...]:
     return tuple(_matrix_of(diagram, (s,)) for s in diagram.generators)
 
 
-def _times(row: tuple[int, ...], s: int, cartan: Matrix) -> tuple[int, ...]:
-    """Row vector r times sigma_s: r_t - A[s][t] r_s.  On y = rho* w this
-    gives rho* ws."""
-    r = row[s]
-    return tuple([x - a * r for x, a in zip(row, cartan[s])])
+def _times(row: tuple[int, ...], s: int, neighbors: Neighbors) -> tuple[int, ...]:
+    """Row vector r times sigma_s: r_t - A[s][t] r_s, which is -r_s at s and
+    moves only the neighbors t of s.  On y = rho* w this gives rho* ws."""
+    out = list(row)
+    r = out[s] = -row[s]
+    for t, a in neighbors[s]:
+        out[t] += a * r
+    return tuple(out)
 
 
 def _descents(diagram: CoxeterDiagram, y: tuple[int, ...]) -> list[int]:
-    """The peel of y: s_1..s_k, each the first s with y_s < 0 left."""
-    word, s = [], 0
+    """The peel of y: s_1..s_k, each the first s with y_s < 0 left.
+
+    Before a reflection at s every index below s is non-negative, and only
+    s (now positive) and its neighbors change; so the scan goes on from the
+    first neighbor that turned negative below s, or else from s + 1."""
+    neighbors, y, word, s = diagram.neighbors, list(y), [], 0
     while s < len(y):
-        if y[s] < 0:
+        r = y[s]
+        if r < 0:
             word.append(s)
-            y, s = _times(y, s, diagram.cartan), 0
+            y[s], nxt = -r, s + 1
+            for t, a in neighbors[s]:
+                y[t] -= a * r
+                if t < nxt and y[t] < 0:
+                    nxt = t
+            s = nxt
         else:
             s += 1
     return word
@@ -288,11 +311,16 @@ def _descents(diagram: CoxeterDiagram, y: tuple[int, ...]) -> list[int]:
 
 def _matrix_of(diagram: CoxeterDiagram, peel: Sequence[int]) -> Matrix:
     """sigma_{s_k} ... sigma_{s_1} for a peel s_1..s_k.  Each factor sigma_s
-    on the left changes only row s: in each column c, c_s -= A[s] . c."""
+    on the left changes only row s: in each column c,
+    c_s = -c_s - sum over the neighbors t of s of A[s][t] c_t."""
     cols = [[int(i == j) for i in diagram.generators] for j in diagram.generators]
     for s in peel:
+        row = diagram.neighbors[s]
         for c in cols:
-            c[s] -= sum(map(mul, diagram.cartan[s], c))
+            x = -c[s]
+            for t, a in row:
+                x -= a * c[t]
+            c[s] = x
     return tuple(zip(*cols))
 
 
@@ -377,7 +405,7 @@ def element_from_word(diagram: CoxeterDiagram, word: Sequence[int]) -> GroupElem
     """Product of the generators, word read left to right."""
     y = (1,) * diagram.size
     for letter in word:
-        y = _times(y, _generator(diagram, letter), diagram.cartan)
+        y = _times(y, _generator(diagram, letter), diagram.neighbors)
     return _element(diagram, y)
 
 
@@ -394,7 +422,7 @@ def reduced_word(diagram: CoxeterDiagram, element: GroupElement) -> tuple[int, .
     """
     x = (1,) * diagram.size
     for s in element._peel_of(diagram):
-        x = _times(x, s, diagram.cartan)
+        x = _times(x, s, diagram.neighbors)
     return tuple(_descents(diagram, x))
 
 
@@ -431,11 +459,9 @@ def bfs_growth(diagram: CoxeterDiagram, cutoff: int) -> GrowthTable:
     (1, 2, 2, 2, 2)
     """
     _int(cutoff, "cutoff", 0)
-    shell = {(1,) * diagram.size}
+    neighbors, shell = diagram.neighbors, {(1,) * diagram.size}
     counts = [1]
     for _ in range(cutoff):
-        shell = {
-            _times(y, s, diagram.cartan) for y in shell for s in range(len(y)) if y[s] > 0
-        }
+        shell = {_times(y, s, neighbors) for y in shell for s in range(len(y)) if y[s] > 0}
         counts.append(len(shell))
     return GrowthTable(tuple(counts))

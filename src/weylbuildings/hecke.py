@@ -14,11 +14,12 @@ Products are computed from the only rule the presentation forces:
 extended to e_v * e_w by decomposing w into a reduced word and applying
 the one-letter rule repeatedly; that the result does not depend on the
 chosen reduced word is itself a tested property.  Products step the
-points y = rho* w of the coxeter module, n integers per term: l(ws) < l(w)
-exactly when y_s < 0.  The coefficients they carry between steps are
-integer numerators over one known denominator (fraction-free arithmetic,
-Cohen, GTM 138, 2.2): with q = num/den a step multiplies by num - den, num
-or den, and a product builds one Fraction per nonzero output entry.
+points y = rho* w of the coxeter module, n integers per term, on the
+diagram's sparse ``neighbors`` rows: l(ws) < l(w) exactly when y_s < 0.
+The coefficients they carry between steps are integer numerators over one
+known denominator (fraction-free arithmetic, Cohen, GTM 138, 2.2): with
+q = num/den a step multiplies by num - den, num or den, and a product
+builds one Fraction per nonzero output entry.
 
 The parameter q is carried per element as an exact rational (integers in
 geometric uses, arbitrary rationals allowed algebraically); products
@@ -153,7 +154,7 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     points are ones it stepped itself, so it is built unchecked.
     """
     a._require_compatible(b)
-    diagram, cartan = a.diagram, a.diagram.cartan
+    diagram, neighbors = a.diagram, a.diagram.neighbors
     num, den = a.q.numerator, a.q.denominator
     descent = num - den
     scale = lcm(*(c.denominator for _, c in a.terms))
@@ -168,7 +169,7 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
         for s in reversed(peel):
             step: dict[tuple[int, ...], int] = {}
             for y, c in partial.items():
-                ys = _times(y, s, cartan)
+                ys = _times(y, s, neighbors)
                 if y[s] < 0:
                     step[y] = step.get(y, 0) + descent * c
                     step[ys] = step.get(ys, 0) + num * c

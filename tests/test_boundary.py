@@ -534,6 +534,26 @@ def test_boundary_value_charts_are_the_end_charts(ctx2, ctx3):
             assert g.chart == tuple((end_chart(e, ctx), x) for e, x in g.parts)
 
 
+@pytest.mark.parametrize("p, r", [(2, 4), (3, 3), (5, 2)])
+def test_boundary_value_is_the_checked_boundary_function(p, r):
+    # boundary_value builds its result unchecked, in leaf order; the checked
+    # constructor, given the same parts and chart shuffled, must agree
+    ctx = PrimeContext(p=p, n=2)
+    rng = random.Random(p * 10 + r)
+    standard = standard_lattice(ctx)
+    for o in (standard, vertex_neighbors(standard, ctx)[-1]):
+        ends = vertex_tree(ctx, o, r).ends()
+        values = tuple((e, Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for e in ends)
+        g = boundary_value(lift(BoundaryFunction(r, values), o, ctx), o, r, ctx)
+        assert (g.chart is None) == (o != standard)
+        rows = list(zip(g.parts, g.chart or [None] * len(g.parts)))
+        rng.shuffle(rows)
+        chart = None if g.chart is None else tuple(c for _, c in rows)
+        checked = BoundaryFunction(r, tuple(part for part, _ in rows), chart)
+        assert g == checked  # depth, parts and chart
+        assert g.parts == BoundaryFunction(r, values).parts
+
+
 def test_charts_stay_with_their_ends_in_any_order(ctx2):
     # the parts are sorted by leaf, and each chart entry moves with its part
     ends = vertex_tree(ctx2, standard_lattice(ctx2), 1).ends()

@@ -35,6 +35,7 @@ from weylbuildings import (
     parse_type_label,
     reduced_word,
 )
+from weylbuildings.coxeter import _descents, _matrix_of, _times
 
 # -- frozen growth tables ------------------------------------------------------
 
@@ -260,6 +261,49 @@ def test_points_give_the_matrices_of_long_words(label):
     w = element_from_word(d, reduced)
     assert length(d, w) == 120
     assert _row_product(d, reduced_word(d, w)) == w.matrix
+
+
+# -- the sparse reflection step against the dense one ---------------------------
+
+
+def _dense_times(diagram, y, s):
+    """y times sigma_s over the whole Cartan row: y_t - A[s][t] y_s."""
+    return tuple(x - a * y[s] for x, a in zip(y, diagram.cartan[s]))
+
+
+def _dense_peel(diagram, y):
+    """The peel with a dense step, rescanning from 0 after every reflection."""
+    word, s = [], 0
+    while s < diagram.size:
+        if y[s] < 0:
+            word.append(s)
+            y, s = _dense_times(diagram, y, s), 0
+        else:
+            s += 1
+    return word
+
+
+@pytest.mark.parametrize("label", sorted(ORACLE_DEPTH))
+def test_sparse_step_matches_the_dense_step_on_long_words(label):
+    d = affine_diagram(label)
+    n = d.size
+    assert d.neighbors == tuple(
+        tuple((t, d.cartan[s][t]) for t in range(n) if t != s and d.cartan[s][t])
+        for s in range(n)
+    )
+    rng = random.Random(f"sparse {label}")
+    for _ in range(50):
+        y = tuple(rng.randint(-40, 40) for _ in range(n))
+        for s in range(n):
+            assert _times(y, s, d.neighbors) == _dense_times(d, y, s)
+    reduced = _reduced_by_matrices(d, rng, 200)
+    y = (1,) * n
+    for s in reduced:
+        y = _times(y, s, d.neighbors)
+    assert y == element_from_word(d, reduced).point
+    peel = _dense_peel(d, y)
+    assert _descents(d, y) == peel and len(peel) == 200
+    assert _matrix_of(d, peel) == _row_product(d, reduced) == _row_product(d, peel[::-1])
 
 
 BRAID_TYPES = ("A2~", "A3~", "B3~", "C2~", "D4~", "E6~", "F4~", "G2~")

@@ -27,7 +27,7 @@ from weylbuildings.boundary import (
     standard_lattice,
     vertex_tree,
 )
-from weylbuildings.coxeter import _element, _times, affine_diagram, element_from_word
+from weylbuildings.coxeter import _element, affine_diagram, element_from_word
 from weylbuildings.hecke import HeckeElement, basis_element, unit
 
 # -- the Fraction-step references, verbatim -------------------------------------------
@@ -54,6 +54,14 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
         for y, c in partial.items():
             _add(acc, y, cw * c)
     return HeckeElement(diagram, q, tuple((_element(diagram, y), c) for y, c in acc.items()))
+
+
+def _times(y: tuple[int, ...], s: int, cartan) -> tuple[int, ...]:
+    """y times sigma_s on the dense Cartan row: y_t - A[s][t] y_s.  The
+    reference keeps its own step, so that it does not run the sparse kernel
+    of ``coxeter`` it is checked against."""
+    r = y[s]
+    return tuple(x - a * r for x, a in zip(y, cartan[s]))
 
 
 def _add(acc: dict, key: tuple[int, ...], c: Fraction) -> None:

@@ -61,7 +61,12 @@ VALUES = [
     (TREE, ("ctx", "origin", "radius", "vertices", "depth", "parent", "index"), (), ()),
     (BoundaryFunction(2, tuple((e, 1) for e in TREE.ends())), ("depth", "parts", "chart"), (), ()),
     (parse_type_label("G2~"), ("family", "rank"), (), ()),
-    (affine_diagram("G2~"), ("orders", "cartan", "kernel"), ("cartan", "kernel"), ()),
+    (
+        affine_diagram("G2~"),
+        ("orders", "cartan", "kernel", "neighbors"),
+        ("cartan", "kernel", "neighbors"),
+        (),
+    ),
     (bfs_growth(A1, 3), ("counts",), (), ()),
     (exponents_for("A2~"), ("label", "exponents"), (), ()),
     (bott_rational(exponents_for("A2~")), ("numerator", "denominator"), (), ()),
