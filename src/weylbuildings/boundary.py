@@ -54,7 +54,7 @@ from .building import (
     classes_adjacent,
     standard_lattice,
 )
-from .exact import SparseMap, Value, _fraction, _int, fraction_json
+from .exact import SparseMap, Value, _fraction, _int, _restore, fraction_json
 
 __all__ = [
     "ZeroCochain",
@@ -109,6 +109,15 @@ def zero_cochain_from_map(values: Mapping[LatticeClass, Fraction]) -> ZeroCochai
 Edge = tuple[LatticeClass, LatticeClass]
 
 
+def _edge(edge: Edge) -> Edge:
+    """The edge, if it is a pair of classes; ValueError naming it otherwise."""
+    if type(edge) is not tuple or len(edge) != 2 or not (
+        type(edge[0]) is LatticeClass and type(edge[1]) is LatticeClass
+    ):
+        raise ValueError(f"an edge must join two lattice classes, got {edge!r}")
+    return edge
+
+
 class OneCochain(Value):
     """Antisymmetric rational function on oriented edges, finite support.
 
@@ -121,7 +130,8 @@ class OneCochain(Value):
 
     def __init__(self, values: tuple[tuple[Edge, Fraction], ...]) -> None:
         acc: dict[Edge, Fraction] = {}
-        for (s, t), x in values:
+        for edge, x in values:
+            s, t = _edge(edge)
             if s == t:
                 raise ValueError("an edge needs two distinct vertices")
             x = _fraction(x, "values")
@@ -259,10 +269,11 @@ def integrate(omega: OneCochain, path: Sequence[LatticeClass], ctx: PrimeContext
 
 class BoundaryFunction(Value):
     """Function on the ends at one depth: (rim edge, value) per end,
-    with an optional projective chart per end.  The depth is an int; the
-    values are ints or Fractions and become Fractions.  The parts are
-    kept in the order of their leaves' canonical forms, and the i-th
-    chart entry, given beside the i-th part, moves with it."""
+    with an optional (projective chart, value) per end.  The depth is an
+    int; the values are ints or Fractions and become Fractions.  The parts
+    are kept in the order of their leaves' canonical forms; the i-th chart
+    entry, given beside the i-th part, must carry that part's value, and
+    moves with it."""
 
     __slots__ = ("depth", "parts", "chart")
 
@@ -273,11 +284,13 @@ class BoundaryFunction(Value):
         chart: tuple[tuple[tuple[int, int], Fraction], ...] | None = None,
     ) -> None:
         _int(depth, "depth")
-        parts = tuple((e, _fraction(x, "values")) for e, x in parts)
+        parts = tuple((_edge(e), _fraction(x, "values")) for e, x in parts)
         if chart is not None and len(chart) != len(parts):
             raise ValueError("chart must name each end exactly once")
+        if chart is not None and any(x != y for (_, x), (_, y) in zip(chart, parts)):
+            raise ValueError("each chart value must be its part's value")
         order = sorted(range(len(parts)), key=lambda i: (parts[i][0][1].hnf, parts[i][0][0].hnf))
-        chart = None if chart is None else tuple(chart[i] for i in order)
+        chart = None if chart is None else tuple((chart[i][0], parts[i][1]) for i in order)
         self._set(depth, tuple(parts[i] for i in order), chart)
 
     def constant_value(self) -> Fraction | None:
@@ -347,9 +360,7 @@ def boundary_value(
     chart = None
     if origin == standard_lattice(ctx):
         chart = tuple((_chart(s, ctx.p), x) for (_, s), x in parts)
-    g = BoundaryFunction.__new__(BoundaryFunction)
-    g._set(depth, parts, chart)
-    return g
+    return _restore(BoundaryFunction, (depth, parts, chart))
 
 
 def primitive_cochain(

@@ -41,7 +41,7 @@ import math
 import re
 from typing import Sequence
 
-from .exact import Value, _int, row_reduce
+from .exact import Value, _int, _restore, row_reduce
 
 __all__ = [
     "INFINITE_ORDER",
@@ -241,18 +241,11 @@ def affine_diagram(label: AffineTypeLabel | str) -> CoxeterDiagram:
 
 
 def _cartan_matrix(diagram: CoxeterDiagram) -> Matrix:
-    n = diagram.size
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 2
-        for j in range(n):
-            if i == j:
-                continue
-            m = diagram.orders[i][j]
-            lo, hi = _CARTAN_PAIRS[m]
-            # the more negative entry sits in the row of the smaller index
-            rows[i][j] = lo if i < j else hi
-    return tuple(tuple(r) for r in rows)
+    # of a pair, the more negative entry sits in the row of the smaller index
+    return tuple(
+        tuple(2 if i == j else _CARTAN_PAIRS[m][i > j] for j, m in enumerate(row))
+        for i, row in enumerate(diagram.orders)
+    )
 
 
 def _kernel(matrix: Matrix) -> tuple[tuple[int, ...], ...]:
@@ -392,9 +385,7 @@ class GroupElement(Value):
 
 
 def _element(diagram: CoxeterDiagram, point: tuple[int, ...]) -> GroupElement:
-    w = GroupElement.__new__(GroupElement)
-    w._set(point, None, diagram, None)
-    return w
+    return _restore(GroupElement, (point, None, diagram, None))
 
 
 def identity_element(diagram: CoxeterDiagram) -> GroupElement:

@@ -23,7 +23,9 @@ class FrozenInstanceError(AttributeError):
 
 
 def _restore(cls: type, state: tuple) -> "Value":
-    """Unpickle a ``Value``: its fields as they were, with no ``__init__``."""
+    """The one unchecked constructor, ``building._stored`` aside: a ``Value``
+    of its fields, in ``__slots__`` order, with no ``__init__``; for
+    unpickling and for records a kernel builds of parts it made itself."""
     self = cls.__new__(cls)
     self._set(*state)
     return self
@@ -38,11 +40,11 @@ class Value:
     of the fields not named in ``_uncompared``; the hash is that of the
     key.  ``repr`` shows the fields not named in ``_hidden`` as
     ``Name(field=value, ...)``.  Assignment and deletion raise
-    ``FrozenInstanceError``; pickling and copying restore the fields
-    without calling ``__init__``.  A class on a hot path may define
-    ``__eq__`` and ``__hash__`` on its fields directly, with the same values,
-    and may keep its hash in a slot named in both ``_uncompared`` and
-    ``_hidden``, filled when the value is built, with the same value.
+    ``FrozenInstanceError``; ``_restore`` builds one without ``__init__``.
+    A class on a hot path may define ``__eq__`` and ``__hash__`` on its
+    fields directly, with the same values, and may keep its hash in a slot
+    named in both ``_uncompared`` and ``_hidden``, filled when the value is
+    built, with the same value.
     """
 
     __slots__ = ()
@@ -87,11 +89,12 @@ class SparseMap(tuple):
     """Frozen finite map to Fraction, stored as the tuple of its pairs.
 
     Values must be ints or Fractions and become Fractions; zero entries
-    are dropped, a repeated key raises ValueError, and the pairs are
-    sorted by ``order(key)``; without ``order`` they keep the given order,
-    which copying and unpickling use.  Being that tuple, it compares and
-    hashes on the ordered pairs and keeps its owners' tuple-of-pairs
-    fields; a dict beside the tuple answers ``lookup`` in O(1).
+    are dropped, a repeated key or one ``order`` cannot read raises
+    ValueError, and the pairs are sorted by ``order(key)``; without
+    ``order`` they keep the given order, which copying and unpickling use.
+    Being that tuple, it compares and hashes on the ordered pairs and keeps
+    its owners' tuple-of-pairs fields; a dict beside the tuple answers
+    ``lookup`` in O(1).
     """
 
     def __new__(cls, pairs: Iterable[tuple[Hashable, Fraction]], order: Callable | None = None):
@@ -112,7 +115,10 @@ class SparseMap(tuple):
             del index[key]
         pairs = index.items()
         if order is not None:
-            pairs = sorted(pairs, key=lambda kx: order(kx[0]))
+            try:
+                pairs = sorted(pairs, key=lambda kx: order(kx[0]))
+            except AttributeError as e:  # order read an attribute the key lacks
+                raise ValueError(f"key of the wrong type: {e.obj!r}") from None
         self = super().__new__(cls, pairs)
         self._index = index
         return self

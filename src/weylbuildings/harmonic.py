@@ -14,8 +14,8 @@ base chamber and an integer q >= 2 and means
 
 the unique cochain of that decay invariant under the base chamber's
 stabilizer; it evaluates lazily against a ball centered at the base.
-Its defects and decay profiles come from the distances alone, computed in
-integers with one ``Fraction`` per result.
+Its decay profiles, and its defects on sharp faces, come from the
+distances alone.
 ``iwahori_vector`` builds it.  Its harmonicity is a sharp cancellation:
 among the p + 1 chambers over an interior face, exactly one sits at the
 minimal distance d and the other p at d + 1 (``min_distance_chamber``
@@ -30,7 +30,7 @@ and to None otherwise, kept in the graph's hidden ``_profile`` slot.  The
 first defect, closest-chamber or rigidity query of a ball fills it;
 ``ball`` never does.  Every later query reads a face's shape in one
 lookup.  Only a graph built with other distances than its ball's has a
-face that is not sharp; its defect is then summed over the members.
+face that is not sharp; its defect, as a map form's, sums the members.
 
 ``finite_support_rigidity`` decides that the only cochain supported
 strictly inside a ball that is harmonic at every fully visible face is
@@ -159,30 +159,19 @@ def harmonicity_defect(f: Cochain, face: Face, graph: BallGraph) -> Fraction:
 
     A rule-form f on a face of sharp shape, minimum delta, has the closed
     form (-1)^delta (q - p) / q^(delta + 1), the shared ``Fraction(0)``
-    when q = p.  On a face of any other shape it is summed in integers
-    over the members' distances, with one ``Fraction`` for a nonzero
-    result.
+    when q = p.  Any other defect is the sum of the members' values.
     """
-    if f.values is not None:
-        members = graph.faces.get(face)
-        if members is None or len(members) != graph.ctx.p + 1:
-            raise ValueError("face is not interior to the ball")
-        return sum((f.value_at_index(i, graph) for i in members), Fraction(0))
-    shape = _shape(face, graph)
-    q, p = f._rule_q(graph), graph.ctx.p
-    if shape is not None:
-        if q == p:
-            return _ZERO
-        delta = shape[1]
-        return Fraction(p - q if delta % 2 else q - p, q ** (delta + 1))
-    # sum_i (-1/q)^d_i = (-1)^D sum_i (-q)^(D - d_i) / q^D with D = max d_i
-    dist = graph.distance
-    ds = [dist[i] for i in graph.faces[face]]
-    top = max(ds)
-    num = sum([(-q) ** (top - d) for d in ds])
-    if not num:
-        return _ZERO
-    return Fraction(-num if top % 2 else num, q**top)
+    if f.values is None:
+        shape = _shape(face, graph)
+        q, p = f._rule_q(graph), graph.ctx.p
+        if shape is not None:
+            if q == p:
+                return _ZERO
+            return Fraction(p - q if shape[1] % 2 else q - p, q ** (shape[1] + 1))
+    members = graph.faces.get(face)
+    if members is None or len(members) != graph.ctx.p + 1:
+        raise ValueError("face is not interior to the ball")
+    return sum((f.value_at_index(i, graph) for i in members), Fraction(0))
 
 
 def min_distance_chamber(face: Face, graph: BallGraph) -> tuple[FlagChamber, int]:

@@ -51,7 +51,7 @@ from .coxeter import (
     length,
     reduced_word,
 )
-from .exact import SparseMap, Value, _fraction, fraction_json
+from .exact import SparseMap, Value, _fraction, _restore, fraction_json
 
 if TYPE_CHECKING:
     from .building import BallGraph
@@ -182,9 +182,7 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
             acc[y] = acc.get(y, 0) + factor * c
     shared = scale * b_scale * den**k_max
     terms = {_element(diagram, y): Fraction(c, shared) for y, c in acc.items() if c}
-    product = HeckeElement.__new__(HeckeElement)
-    product._set(diagram, a.q, SparseMap._of(terms, _point))
-    return product
+    return _restore(HeckeElement, (diagram, a.q, SparseMap._of(terms, _point)))
 
 
 def special_character(x: HeckeElement) -> Fraction:

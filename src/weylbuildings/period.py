@@ -21,6 +21,7 @@ tail bound P(1/q_F) - sum_{k<=K} N(k) q_F^{-k} certifies convergence:
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -52,12 +53,7 @@ def lambda_partial(label: AffineTypeLabel | str, q: int, cutoff: int) -> list[Fr
     _int(q, "q", 2)
     counts = bfs_growth(affine_diagram(label), cutoff).counts
     x = Fraction(-1, q)
-    sums: list[Fraction] = []
-    total = Fraction(0)
-    for k, n_k in enumerate(counts):
-        total += n_k * x**k
-        sums.append(total)
-    return sums
+    return list(itertools.accumulate(n_k * x**k for k, n_k in enumerate(counts)))
 
 
 def lambda_closed(label: AffineTypeLabel | str, q: int) -> Fraction:

@@ -118,15 +118,8 @@ def _mul(a: Poly, b: Poly) -> Poly:
     return _trim(out)
 
 
-def _content(a: Poly) -> int:
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    return g
-
-
 def _primitive(a: Poly) -> Poly:
-    g = _content(a)
+    g = gcd(*a)
     return tuple(c // g for c in a) if g > 1 else a
 
 
@@ -140,7 +133,8 @@ def _pseudo_rem(a: Poly, b: Poly) -> Poly:
         r = [lead * c for c in r]
         for j in range(db + 1):
             r[j + k] -= coef * b[j]
-        assert r[db + k] == 0
+        if r[db + k]:
+            raise AssertionError("pseudo-remainder step left a leading term")
     return _trim(r[:db])
 
 
@@ -166,11 +160,13 @@ def _div_exact(a: Poly, b: Poly) -> Poly:
     r = list(a)
     for k in range(len(a) - len(b), -1, -1):
         q, rem = divmod(r[len(b) - 1 + k], b[-1])
-        assert rem == 0, "division not exact"
+        if rem:
+            raise AssertionError("division not exact: a leading coefficient does not divide")
         out[k] = q
         for j in range(len(b)):
             r[j + k] -= q * b[j]
-    assert all(c == 0 for c in r), "division not exact"
+    if any(r):
+        raise AssertionError("division not exact: a nonzero remainder is left")
     return _trim(out)
 
 
@@ -209,7 +205,7 @@ class RationalFunction(Value):
             g = _poly_gcd(num, den)
             if len(g) > 1:
                 num, den = _div_exact(num, g), _div_exact(den, g)
-            c = gcd(_content(num), _content(den))
+            c = gcd(*num, *den)
             if c > 1:
                 num = tuple(x // c for x in num)
                 den = tuple(x // c for x in den)

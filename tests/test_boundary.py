@@ -580,6 +580,22 @@ def test_boundary_function_needs_one_chart_entry_per_end(ctx2):
         BoundaryFunction(1, parts, chart=())
 
 
+def test_a_chart_value_must_be_its_parts_value(ctx2):
+    # a chart entry that contradicts its part is refused; one equal to it,
+    # in any exact or float form, is stored as the part's Fraction, so the
+    # function equals the one boundary_value builds
+    o = standard_lattice(ctx2)
+    ends = vertex_tree(ctx2, o, 1).ends()
+    parts = tuple((e, Fraction(1)) for e in ends)
+    last_wrong = tuple((end_chart(e, ctx2), 1 + (e == ends[-1])) for e in ends)
+    for chart in ((((0, 1), 99),) * 3, last_wrong):
+        with pytest.raises(ValueError, match="each chart value must be its part's value"):
+            BoundaryFunction(1, parts, chart)
+    g = BoundaryFunction(1, parts, tuple((end_chart(e, ctx2), 1.0) for e in ends))
+    assert all(type(x) is Fraction for _, x in g.chart)
+    assert g == boundary_value(lift(g, o, ctx2), o, 1, ctx2)
+
+
 def test_the_tree_maps_refuse_an_n_3_context():
     ctx = PrimeContext(p=2, n=3)
     with pytest.raises(ValueError, match="the boundary machinery lives on the n = 2 tree"):

@@ -1,13 +1,19 @@
 """Closed-form growth series: product form, expansion, evaluation, tails."""
 
+import inspect
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylbuildings.poincare as poincare
 from weylbuildings import (
     ExponentTable,
     PoleError,
@@ -201,6 +207,54 @@ def test_non_int_cutoff_and_q_rejected():
     for q in (2.5, Fraction(5, 2), "3"):
         with pytest.raises(ValueError, match=re.escape(f"q must be an int, got {q!r}")):
             absolute_tail(table, q, 3)
+
+
+def _mutated(name: str, line: str, mutant: str):
+    source = inspect.getsource(getattr(poincare, name))
+    assert source.count(line) == 1
+    namespace = dict(vars(poincare))
+    exec(source.replace(line, mutant), namespace)
+    return namespace[name]
+
+
+@pytest.mark.parametrize(
+    "name, route, numerator, failure",
+    [
+        # the remainder never scaled by lc(b) = 3: a step leaves its leading term
+        (
+            "_pseudo_rem",
+            lambda: _mutated("_pseudo_rem", "r = [lead * c for c in r]", "r = list(r)"),
+            (1, 0, 2),
+            "pseudo-remainder step left a leading term",
+        ),
+        # a "gcd" 1 + 2X, whose leading coefficient does not divide 1 + X's
+        ("_poly_gcd", lambda: lambda a, b: (1, 2), (1, 1), "a leading coefficient does not divide"),
+        # a monic "gcd" 1 + X that leaves 1 + X^2 a remainder of 2
+        ("_poly_gcd", lambda: lambda a, b: (1, 1), (1, 0, 1), "a nonzero remainder is left"),
+    ],
+    ids=["pseudo-remainder-unscaled", "gcd-lead-not-dividing", "gcd-not-dividing"],
+)
+def test_a_broken_polynomial_route_is_caught(name, route, numerator, failure, monkeypatch):
+    # each internal check of the gcd and exact division raises when one
+    # route behind RationalFunction is broken
+    monkeypatch.setattr(poincare, name, route())
+    with pytest.raises(AssertionError, match=failure):
+        RationalFunction(numerator, (1, 3))
+
+
+def test_the_polynomial_checks_survive_python_dash_o():
+    # python -O strips assert statements, not these raises
+    code = (
+        "import weylbuildings.poincare as poincare\n"
+        "poincare._poly_gcd = lambda a, b: (1, 1)\n"
+        "poincare.RationalFunction((1, 0, 1), (1, 3))\n"
+    )
+    src = str(Path(poincare.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert "AssertionError: division not exact: a nonzero remainder is left" in proc.stderr
 
 
 def test_rational_function_rejects_zero_denominator():

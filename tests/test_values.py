@@ -34,7 +34,9 @@ from weylbuildings import (
     vertex_tree,
     zero_cochain_from_map,
 )
+from weylbuildings.boundary import OneCochain, ZeroCochain
 from weylbuildings.exact import FrozenInstanceError, Value
+from weylbuildings.hecke import HeckeElement
 
 P2 = PrimeContext(p=2, n=2)
 P3 = PrimeContext(p=2, n=3)
@@ -252,3 +254,27 @@ def test_a_group_element_fills_its_lazy_slots_and_pickles():
         y = pickle.loads(pickle.dumps(x))
         assert type(y) is GroupElement and y == x and y.point == x.point
     assert copy.copy(w) == w
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ZeroCochain(((1, 2),)), "key of the wrong type: 1$"),
+        (lambda: ZeroCochain(((CHAMBER, 2),)), r"key of the wrong type: FlagChamber\("),
+        (lambda: OneCochain((((1, 2), 1),)), r"an edge must join two lattice classes, got \(1, 2\)"),
+        (lambda: OneCochain(((1, 2),)), "an edge must join two lattice classes, got 1$"),
+        (lambda: Cochain(values=((1, 2),)), "key of the wrong type: 1$"),
+        (lambda: Cochain(values=((standard_lattice(P3), 2),)), r"key of the wrong type: LatticeClass\("),
+        (lambda: HeckeElement(A1, 2, ((1, 1),)), "key of the wrong type: 1$"),
+        (lambda: BoundaryFunction(1, (((1, 2), 1),)), r"an edge must join two lattice classes, got \(1, 2\)"),
+    ],
+    ids=[
+        "zero-cochain", "zero-cochain-chamber", "one-cochain", "one-cochain-int",
+        "cochain", "cochain-class", "hecke", "boundary",
+    ],
+)
+def test_a_key_of_the_wrong_type_is_refused_by_name(build, message):
+    # each record's order reads an attribute its keys have; any other key
+    # is named in a ValueError, not met by an AttributeError
+    with pytest.raises(ValueError, match=message):
+        build()
