@@ -52,9 +52,8 @@ from .building import (
     _shells,
     _tree_neighbors,
     classes_adjacent,
-    standard_lattice,
 )
-from .exact import SparseMap, Value, _fraction, _int, _restore, fraction_json
+from .exact import SparseMap, Value, _fraction, _int, _restore
 
 __all__ = [
     "ZeroCochain",
@@ -73,7 +72,6 @@ __all__ = [
     "primitive_cochain",
     "lift",
     "end_chart",
-    "boundary_function_to_json",
 ]
 
 
@@ -268,30 +266,17 @@ def integrate(omega: OneCochain, path: Sequence[LatticeClass], ctx: PrimeContext
 
 
 class BoundaryFunction(Value):
-    """Function on the ends at one depth: (rim edge, value) per end,
-    with an optional (projective chart, value) per end.  The depth is an
-    int; the values are ints or Fractions and become Fractions.  The parts
-    are kept in the order of their leaves' canonical forms; the i-th chart
-    entry, given beside the i-th part, must carry that part's value, and
-    moves with it."""
+    """Function on the ends at one depth: (rim edge, value) per end.  The
+    depth is an int; the values are ints or Fractions and become
+    Fractions.  The parts are kept in the order of their leaves' canonical
+    forms; ``end_chart`` of a part's edge names its end."""
 
-    __slots__ = ("depth", "parts", "chart")
+    __slots__ = ("depth", "parts")
 
-    def __init__(
-        self,
-        depth: int,
-        parts: tuple[tuple[Edge, Fraction], ...],
-        chart: tuple[tuple[tuple[int, int], Fraction], ...] | None = None,
-    ) -> None:
+    def __init__(self, depth: int, parts: tuple[tuple[Edge, Fraction], ...]) -> None:
         _int(depth, "depth")
         parts = tuple((_edge(e), _fraction(x, "values")) for e, x in parts)
-        if chart is not None and len(chart) != len(parts):
-            raise ValueError("chart must name each end exactly once")
-        if chart is not None and any(x != y for (_, x), (_, y) in zip(chart, parts)):
-            raise ValueError("each chart value must be its part's value")
-        order = sorted(range(len(parts)), key=lambda i: (parts[i][0][1].hnf, parts[i][0][0].hnf))
-        chart = None if chart is None else tuple((chart[i][0], parts[i][1]) for i in order)
-        self._set(depth, tuple(parts[i] for i in order), chart)
+        self._set(depth, tuple(sorted(parts, key=lambda part: (part[0][1].hnf, part[0][0].hnf))))
 
     def constant_value(self) -> Fraction | None:
         """The common value if the function is constant, else None."""
@@ -357,10 +342,7 @@ def boundary_value(
         ((vertices[parent[i]], vertices[i]), Fraction(to_vertex[i], den))
         for i in tree.shell(depth)
     )
-    chart = None
-    if origin == standard_lattice(ctx):
-        chart = tuple((_chart(s, ctx.p), x) for (_, s), x in parts)
-    return _restore(BoundaryFunction, (depth, parts, chart))
+    return _restore(BoundaryFunction, (depth, parts))
 
 
 def primitive_cochain(
@@ -419,12 +401,7 @@ def end_chart(edge: Edge, ctx: PrimeContext) -> tuple[int, int]:
     t, s = edge
     if t.valuation != s.valuation - 1 or not classes_adjacent(t, s, ctx):
         raise ValueError("edge must step outward from depth r - 1 to depth r")
-    return _chart(s, ctx.p)
-
-
-def _chart(s: LatticeClass, p: int) -> tuple[int, int]:
-    """``end_chart`` of a rim edge known to step outward to s."""
-    r = s.valuation
+    p, r = ctx.p, s.valuation
     (a, b), (_, d) = s.hnf
     if a == 1:
         return (1, b % p**r)
@@ -434,18 +411,3 @@ def _chart(s: LatticeClass, p: int) -> tuple[int, int]:
     if d == 1:
         return (0, 1)
     raise AssertionError("canonical form of a depth-r vertex must be primitive")
-
-
-def boundary_function_to_json(g: BoundaryFunction) -> list[dict]:
-    """Records {edge, value, chart}; chart is null when not anchored."""
-    chart_by_pos = list(g.chart) if g.chart is not None else [None] * len(g.parts)
-    out = []
-    for ((t, s), value), chart in zip(g.parts, chart_by_pos):
-        out.append(
-            {
-                "edge": [[list(row) for row in t.hnf], [list(row) for row in s.hnf]],
-                "value": fraction_json(value),
-                "chart": None if chart is None else [chart[0][0], chart[0][1]],
-            }
-        )
-    return out

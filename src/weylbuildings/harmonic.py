@@ -51,7 +51,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .building import BallGraph, Face, FlagChamber
-from .exact import SparseMap, Value, _int, fraction_json, row_reduce
+from .exact import SparseMap, Value, _int, row_reduce
 
 __all__ = [
     "Cochain",
@@ -61,7 +61,6 @@ __all__ = [
     "min_distance_chamber",
     "decay_profile",
     "finite_support_rigidity",
-    "cochain_to_json",
 ]
 
 
@@ -83,7 +82,7 @@ class Cochain(Value):
         if (values is None) == (rule is None):
             raise ValueError("exactly one of values and rule must be given")
         if values is not None:
-            values = SparseMap(values, FlagChamber.sort_key)
+            values = SparseMap(values, lambda c: c.sort_key())
         else:
             base, q = rule
             if not isinstance(base, FlagChamber):
@@ -250,24 +249,3 @@ def finite_support_rigidity(graph: BallGraph) -> bool:
     if graph.radius < 2:
         raise ValueError("rigidity needs radius at least 2")
     return _ascent_faces(graph) is not None or _full_rank(graph)
-
-
-def cochain_to_json(f: Cochain, graph: BallGraph | None = None) -> list[dict]:
-    """Values as (canonical chamber form, exact rational) records.
-
-    Map form serializes its support; rule form needs a ball and
-    serializes over all its chambers.
-    """
-    if f.values is not None:
-        pairs = f.values
-    elif graph is None:
-        raise ValueError("rule-form serialization needs a ball")
-    else:
-        pairs = [(c, f.value_at_index(i, graph)) for i, c in enumerate(graph.chambers)]
-    return [
-        {
-            "chamber": [[list(row) for row in cls.hnf] for cls in chamber.classes],
-            "value": fraction_json(v),
-        }
-        for chamber, v in pairs
-    ]

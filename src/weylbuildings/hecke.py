@@ -49,9 +49,8 @@ from .coxeter import (
     element_from_word,
     identity_element,
     length,
-    reduced_word,
 )
-from .exact import SparseMap, Value, _fraction, _restore, fraction_json
+from .exact import SparseMap, Value, _fraction, _restore
 
 if TYPE_CHECKING:
     from .building import BallGraph
@@ -63,7 +62,6 @@ __all__ = [
     "multiply",
     "special_character",
     "convolve_chamber_function",
-    "hecke_to_json",
 ]
 
 
@@ -224,17 +222,3 @@ def convolve_chamber_function(
         for i in members:
             out[i] = total - f.get(i, 0)
     return out
-
-
-def hecke_to_json(x: HeckeElement) -> dict:
-    """Plain-data form: q and (reduced word, coefficient) pairs, by matrix."""
-    return {
-        "q": fraction_json(x.q),
-        "terms": [
-            {
-                "word": list(reduced_word(x.diagram, w)),
-                "coeff": fraction_json(c),
-            }
-            for w, c in sorted(x.terms, key=lambda term: term[0].matrix)
-        ],
-    }

@@ -30,7 +30,7 @@ from math import gcd
 from typing import Sequence
 
 from .coxeter import AffineTypeLabel, parse_type_label
-from .exact import Value, _fraction, _int, fraction_json
+from .exact import Value, _fraction, _int
 
 __all__ = [
     "ExponentTable",
@@ -42,7 +42,6 @@ __all__ = [
     "evaluate",
     "absolute_tail",
     "PoleError",
-    "series_to_json",
 ]
 
 
@@ -298,10 +297,3 @@ def absolute_tail(table: ExponentTable, q: int, cutoff: int) -> Fraction:
         Fraction(0),
     )
     return total - partial
-
-
-def series_to_json(series: SeriesTruncation) -> dict:
-    """Exact coefficients as {num, den} decimal-string pairs."""
-    return {
-        "coefficients": [fraction_json(c) for c in series.coefficients]
-    }

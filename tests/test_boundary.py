@@ -10,7 +10,6 @@ import weylbuildings.boundary
 from weylbuildings import (
     BoundaryFunction,
     PrimeContext,
-    boundary_function_to_json,
     boundary_value,
     classes_adjacent,
     coboundary,
@@ -124,34 +123,13 @@ def test_boundary_of_coboundary_is_constant(ctx2, ctx3):
             assert g.constant_value() == f.value(o)
 
 
-def test_boundary_value_charts_anchored(ctx2):
-    o = standard_lattice(ctx2)
-    f = zero_cochain_from_map({o: Fraction(1)})
-    g = boundary_value(coboundary(f, ctx2), o, 1, ctx2)
-    assert g.chart is not None
-    assert sorted(c for c, _ in g.chart) == [(0, 1), (1, 0), (1, 1)]
-    blob = boundary_function_to_json(g)
-    assert len(blob) == 3
-    assert all(rec["chart"] is not None for rec in blob)
-    one = {"num": "1", "den": "1"}
-    assert blob == [
-        {"edge": [[[1, 0], [0, 1]], [[1, 0], [0, 2]]], "value": one, "chart": [1, 0]},
-        {"edge": [[[1, 0], [0, 1]], [[1, 1], [0, 2]]], "value": one, "chart": [1, 1]},
-        {"edge": [[[1, 0], [0, 1]], [[2, 0], [0, 1]]], "value": one, "chart": [0, 1]},
-    ]
-
-
 def test_boundary_function_json_literal(ctx2):
     o = standard_lattice(ctx2)
     a, b, _ = vertex_neighbors(o, ctx2)
     omega = one_cochain_from_map({(o, a): Fraction(3, 2), (b, o): Fraction(-5)})
-    blob = boundary_function_to_json(boundary_value(omega, o, 1, ctx2))
-    assert [rec["value"] for rec in blob] == [
-        {"num": "3", "den": "2"},
-        {"num": "5", "den": "1"},
-        {"num": "0", "den": "1"},
-    ]
-    assert [rec["chart"] for rec in blob] == [[1, 0], [1, 1], [0, 1]]
+    g = boundary_value(omega, o, 1, ctx2)
+    assert [x for _, x in g.parts] == [Fraction(3, 2), Fraction(5), Fraction(0)]
+    assert [end_chart(e, ctx2) for e, _ in g.parts] == [(1, 0), (1, 1), (0, 1)]
 
 
 def test_boundary_value_detects_non_coboundary(ctx2):
@@ -523,21 +501,10 @@ def test_end_chart_rejects_inward_edge(ctx2):
             end_chart(edge, ctx2)
 
 
-def test_boundary_value_charts_are_the_end_charts(ctx2, ctx3):
-    rng = random.Random(5)
-    for ctx in (ctx2, ctx3):
-        o = standard_lattice(ctx)
-        for r in (1, 2, 3):
-            ends = vertex_tree(ctx, o, r).ends()
-            values = tuple((e, Fraction(rng.randint(-5, 5))) for e in ends)
-            g = boundary_value(lift(BoundaryFunction(depth=r, parts=values), o, ctx), o, r, ctx)
-            assert g.chart == tuple((end_chart(e, ctx), x) for e, x in g.parts)
-
-
 @pytest.mark.parametrize("p, r", [(2, 4), (3, 3), (5, 2)])
 def test_boundary_value_is_the_checked_boundary_function(p, r):
     # boundary_value builds its result unchecked, in leaf order; the checked
-    # constructor, given the same parts and chart shuffled, must agree
+    # constructor, given the same parts shuffled, must agree
     ctx = PrimeContext(p=p, n=2)
     rng = random.Random(p * 10 + r)
     standard = standard_lattice(ctx)
@@ -545,55 +512,13 @@ def test_boundary_value_is_the_checked_boundary_function(p, r):
         ends = vertex_tree(ctx, o, r).ends()
         values = tuple((e, Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for e in ends)
         g = boundary_value(lift(BoundaryFunction(r, values), o, ctx), o, r, ctx)
-        assert (g.chart is None) == (o != standard)
-        rows = list(zip(g.parts, g.chart or [None] * len(g.parts)))
+        rows = list(g.parts)
         rng.shuffle(rows)
-        chart = None if g.chart is None else tuple(c for _, c in rows)
-        checked = BoundaryFunction(r, tuple(part for part, _ in rows), chart)
-        assert g == checked  # depth, parts and chart
+        assert g == BoundaryFunction(r, tuple(rows))  # depth and parts
         assert g.parts == BoundaryFunction(r, values).parts
 
 
-def test_charts_stay_with_their_ends_in_any_order(ctx2):
-    # the parts are sorted by leaf, and each chart entry moves with its part
-    ends = vertex_tree(ctx2, standard_lattice(ctx2), 1).ends()
-    triples = [(e, Fraction(i), (end_chart(e, ctx2), Fraction(i))) for i, e in enumerate(ends)]
-
-    def build(rows):
-        return BoundaryFunction(1, tuple((e, x) for e, x, _ in rows), tuple(c for _, _, c in rows))
-
-    forward, backward = build(triples), build(triples[::-1])
-    assert backward == forward
-    assert backward.chart == tuple((end_chart(e, ctx2), x) for e, x in backward.parts)
-    chart_of = {int(x): list(end_chart(e, ctx2)) for e, x, _ in triples}
-    for record in boundary_function_to_json(backward):
-        assert record["chart"] == chart_of[int(record["value"]["num"])]
-
-
 # -- input checks ---------------------------------------------------------------------
-
-
-def test_boundary_function_needs_one_chart_entry_per_end(ctx2):
-    ends = vertex_tree(ctx2, standard_lattice(ctx2), 1).ends()
-    parts = tuple((e, Fraction(1)) for e in ends)
-    with pytest.raises(ValueError, match="chart must name each end exactly once"):
-        BoundaryFunction(1, parts, chart=())
-
-
-def test_a_chart_value_must_be_its_parts_value(ctx2):
-    # a chart entry that contradicts its part is refused; one equal to it,
-    # in any exact or float form, is stored as the part's Fraction, so the
-    # function equals the one boundary_value builds
-    o = standard_lattice(ctx2)
-    ends = vertex_tree(ctx2, o, 1).ends()
-    parts = tuple((e, Fraction(1)) for e in ends)
-    last_wrong = tuple((end_chart(e, ctx2), 1 + (e == ends[-1])) for e in ends)
-    for chart in ((((0, 1), 99),) * 3, last_wrong):
-        with pytest.raises(ValueError, match="each chart value must be its part's value"):
-            BoundaryFunction(1, parts, chart)
-    g = BoundaryFunction(1, parts, tuple((end_chart(e, ctx2), 1.0) for e in ends))
-    assert all(type(x) is Fraction for _, x in g.chart)
-    assert g == boundary_value(lift(g, o, ctx2), o, 1, ctx2)
 
 
 def test_the_tree_maps_refuse_an_n_3_context():
@@ -613,7 +538,7 @@ def test_boundary_function_values_become_fractions(ctx2):
     ends = vertex_tree(ctx2, standard_lattice(ctx2), 1).ends()
     g = BoundaryFunction(depth=1, parts=tuple((e, 1) for e in ends))
     assert type(g.constant_value()) is Fraction
-    assert [rec["value"] for rec in boundary_function_to_json(g)] == [{"num": "1", "den": "1"}] * 3
+    assert all(type(x) is Fraction and x == 1 for _, x in g.parts)
 
 
 def test_boundary_functions_that_differ_by_a_constant(ctx2):

@@ -22,11 +22,10 @@ from weylbuildings.boundary import (
     PrimeContext,
     VertexTree,
     ZeroCochain,
-    _chart,
     _require_tree,
-    standard_lattice,
     vertex_tree,
 )
+from weylbuildings.building import standard_lattice
 from weylbuildings.coxeter import _element, affine_diagram, element_from_word
 from weylbuildings.hecke import HeckeElement, basis_element, unit
 
@@ -109,10 +108,7 @@ def boundary_value(
     tree, to_vertex = _integrals(omega, origin, depth, ctx)
     # the shell lists leaves by canonical form, the order BoundaryFunction keeps
     parts = tuple(zip(tree.ends(), (to_vertex[i] for i in tree.shell(depth))))
-    chart = None
-    if origin == standard_lattice(ctx):
-        chart = tuple((_chart(s, ctx.p), x) for (_, s), x in parts)
-    return BoundaryFunction(depth=depth, parts=parts, chart=chart)
+    return BoundaryFunction(depth=depth, parts=parts)
 
 
 def primitive_cochain(
@@ -244,7 +240,7 @@ def test_boundary_values_match_the_fraction_sums(p, r):
             omega = _omega(rng, tree)
             got, want = boundary.boundary_value(omega, origin, r, ctx), boundary_value(omega, origin, r, ctx)
             assert got == want
-            assert got.parts == want.parts and got.chart == want.chart
+            assert got.parts == want.parts
             assert _outcome(boundary.primitive_cochain, omega, origin, r, ctx) == _outcome(
                 primitive_cochain, omega, origin, r, ctx
             )

@@ -19,7 +19,6 @@ from weylbuildings import (
     element_from_word,
     face_of,
     generator_face_types,
-    hecke_to_json,
     iwahori_vector,
     length,
     multiply,
@@ -142,7 +141,6 @@ def test_products_derive_no_matrix(monkeypatch):
     a = basis_element(d, [0, 1, 2, 3, 2, 1], q) + 2 * basis_element(d, [3, 2], q)
     b = basis_element(d, [1, 2, 1, 0, 3], q)
     expected = multiply(a, b)
-    blob = hecke_to_json(expected)
 
     def refuse(*args):
         raise AssertionError("a matrix was derived")
@@ -152,7 +150,8 @@ def test_products_derive_no_matrix(monkeypatch):
     assert product == expected
     assert special_character(product) == special_character(a) * special_character(b)
     monkeypatch.undo()
-    assert hecke_to_json(product) == blob
+    # read once the refusal is lifted, the terms' matrices are the expected ones
+    assert [(w.matrix, c) for w, c in product.terms] == [(w.matrix, c) for w, c in expected.terms]
 
 
 def test_character_on_basis():
@@ -198,34 +197,6 @@ def test_diagram_mismatch_rejected():
     for combine in (multiply, HeckeElement.__add__, HeckeElement.__sub__):
         with pytest.raises(ValueError, match="elements live over different diagrams"):
             combine(a, b)
-
-
-def test_json_rendering():
-    d = affine_diagram("A2~")
-    q = Fraction(7, 2)
-    x = multiply(basis_element(d, [0], q), basis_element(d, [0, 1], q))
-    blob = hecke_to_json(x)
-    assert blob == hecke_to_json(x)
-    assert blob["q"] == {"num": "7", "den": "2"}
-    assert len(blob["terms"]) == len(x.terms)
-    for rec in blob["terms"]:
-        assert set(rec) == {"word", "coeff"}
-        assert all(isinstance(i, int) for i in rec["word"])
-    assert blob["terms"] == [
-        {"word": [0, 1], "coeff": {"num": "5", "den": "2"}},
-        {"word": [1], "coeff": {"num": "7", "den": "2"}},
-    ]
-
-
-def test_json_lists_terms_by_matrix():
-    # terms are stored by point; the rendering keeps the order by matrix
-    d = affine_diagram("A2~")
-    q = Fraction(3)
-    x = multiply(basis_element(d, [0, 1, 2, 0], q), basis_element(d, [0, 2, 1, 0], q))
-    by_point = [w.matrix for w, _ in x.terms]
-    assert by_point != sorted(by_point)
-    rendered = [element_from_word(d, t["word"]).matrix for t in hecke_to_json(x)["terms"]]
-    assert rendered == sorted(by_point)
 
 
 # -- the chamber realization ---------------------------------------------------------

@@ -26,7 +26,6 @@ from weylbuildings import (
     expand,
     exponents_for,
     parse_type_label,
-    series_to_json,
 )
 
 # -- exponent tables -----------------------------------------------------------
@@ -306,10 +305,3 @@ def test_evaluate_matches_direct_quotient(num, den, x):
         if raw_d != 0:
             raw_n = sum(Fraction(c) * x**k for k, c in enumerate(num))
             assert evaluate(rf, x) == raw_n / raw_d
-
-
-def test_series_json_literal():
-    blob = series_to_json(expand(bott_rational(exponents_for("A1~")), 5))
-    assert blob == {
-        "coefficients": [{"num": "1", "den": "1"}] + [{"num": "2", "den": "1"}] * 5
-    }

@@ -61,7 +61,7 @@ VALUES = [
     (ZERO, ("values",), (), ()),
     (coboundary(ZERO, P2), ("values",), (), ()),
     (TREE, ("ctx", "origin", "radius", "vertices", "depth", "parent", "index"), (), ()),
-    (BoundaryFunction(2, tuple((e, 1) for e in TREE.ends())), ("depth", "parts", "chart"), (), ()),
+    (BoundaryFunction(2, tuple((e, 1) for e in TREE.ends())), ("depth", "parts"), (), ()),
     (parse_type_label("G2~"), ("family", "rank"), (), ()),
     (
         affine_diagram("G2~"),
@@ -216,7 +216,7 @@ def test_an_exponent_table_stores_its_exponents_as_a_tuple():
 def test_keywords_and_defaults_are_kept():
     assert PrimeContext(n=2, p=3) == PrimeContext(3, 2, None)
     ends = tuple((e, 1) for e in TREE.ends())
-    assert BoundaryFunction(depth=2, parts=ends).chart is None
+    assert BoundaryFunction(depth=2, parts=ends) == BoundaryFunction(2, ends)
     with pytest.raises(ValueError, match="exactly one of values and rule"):
         Cochain()
 
@@ -265,12 +265,13 @@ def test_a_group_element_fills_its_lazy_slots_and_pickles():
         (lambda: OneCochain(((1, 2),)), "an edge must join two lattice classes, got 1$"),
         (lambda: Cochain(values=((1, 2),)), "key of the wrong type: 1$"),
         (lambda: Cochain(values=((standard_lattice(P3), 2),)), r"key of the wrong type: LatticeClass\("),
+        (lambda: Cochain(values=((face_of(CHAMBER, 0), 1),)), r"key of the wrong type: Face\("),
         (lambda: HeckeElement(A1, 2, ((1, 1),)), "key of the wrong type: 1$"),
         (lambda: BoundaryFunction(1, (((1, 2), 1),)), r"an edge must join two lattice classes, got \(1, 2\)"),
     ],
     ids=[
         "zero-cochain", "zero-cochain-chamber", "one-cochain", "one-cochain-int",
-        "cochain", "cochain-class", "hecke", "boundary",
+        "cochain", "cochain-class", "cochain-face", "hecke", "boundary",
     ],
 )
 def test_a_key_of_the_wrong_type_is_refused_by_name(build, message):
