@@ -267,16 +267,23 @@ def integrate(omega: OneCochain, path: Sequence[LatticeClass], ctx: PrimeContext
 
 class BoundaryFunction(Value):
     """Function on the ends at one depth: (rim edge, value) per end.  The
-    depth is an int; the values are ints or Fractions and become
-    Fractions.  The parts are kept in the order of their leaves' canonical
-    forms; ``end_chart`` of a part's edge names its end."""
+    depth is an int of at least 1; the values are ints or Fractions and
+    become Fractions.  The parts are kept in the order of their leaves'
+    canonical forms, so an edge named twice sits beside itself and is
+    refused.  Whether the edges are the rim edges at this depth depends
+    on the origin they are measured from, which ``lift`` takes and checks.
+    ``end_chart`` of a part's edge names its end."""
 
     __slots__ = ("depth", "parts")
 
     def __init__(self, depth: int, parts: tuple[tuple[Edge, Fraction], ...]) -> None:
-        _int(depth, "depth")
+        _int(depth, "depth", 1)
         parts = tuple((_edge(e), _fraction(x, "values")) for e, x in parts)
-        self._set(depth, tuple(sorted(parts, key=lambda part: (part[0][1].hnf, part[0][0].hnf))))
+        parts = sorted(parts, key=lambda part: (part[0][1].hnf, part[0][0].hnf))
+        twice = next((e for (e, _), (f, _) in zip(parts, parts[1:]) if e == f), None)
+        if twice is not None:
+            raise ValueError(f"an end is named twice, by the edge {twice!r}")
+        self._set(depth, tuple(parts))
 
     def constant_value(self) -> Fraction | None:
         """The common value if the function is constant, else None."""
@@ -371,17 +378,17 @@ def lift(g: BoundaryFunction, origin: LatticeClass, ctx: PrimeContext) -> OneCoc
 
     Realizes g as the coboundary data of the vertex function equal to g
     on the depth-r leaves and 0 inside; only the rim edges carry values.
-    The parts must be end_count(p, r) distinct adjacent pairs (t, s) at
-    distances r - 1 and r from the origin.  In a tree such a pair is
-    (parent(s), s) for a leaf s at depth r, so the parts are checked
-    against the rim edges of the shared ``vertex_tree`` to depth r, in
-    order and without hashing: equal parts sit side by side, and the
-    distinct parts must be the rim edges themselves.
+    The parts must be end_count(p, r) adjacent pairs (t, s) at distances
+    r - 1 and r from the origin; ``BoundaryFunction`` has refused an edge
+    named twice.  In a tree such a pair is (parent(s), s) for a leaf s at
+    depth r, so the parts are checked against the rim edges of the shared
+    ``vertex_tree`` to depth r, in order and without hashing: the parts
+    must be the rim edges themselves.
     """
     _require_tree(ctx, origin)
     r = g.depth
     edges = tuple(e for e, _ in g.parts)
-    if len(edges) != end_count(ctx.p, r) or any(a == b for a, b in zip(edges, edges[1:])):
+    if len(edges) != end_count(ctx.p, r):
         raise ValueError("parts must enumerate the ends at this depth exactly once")
     # BoundaryFunction sorts its parts by leaf form, and ends() lists the
     # leaves of one shell, which the shell search orders by form too

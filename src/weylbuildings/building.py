@@ -23,8 +23,9 @@ elsewhere.  Its breadth-first shell search, ``_shells``, also builds the
 vertex tree of the ``boundary`` module.  The search runs on plain keys,
 the tuples of Hermite tuples that C hashes and orders: a chamber is keyed
 by its ``sort_key`` and a face by the sorted Hermite tuples of its
-classes, and each public ``FlagChamber`` and ``Face`` of a ball is built
-once, at the end, with its index and face maps.
+classes.  A ball keeps what the search found, each chamber's flag and
+each face's classes, members and type, and builds its public
+``FlagChamber``s, ``Face``s and index only when they are first read.
 
 The vertex labelling lambda([L]) = v_p(det L) mod n makes every chamber
 hit each label exactly once; a face's type is the label it omits.
@@ -77,9 +78,9 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .exact import Value, _fraction, _int
+from .exact import Value, _fraction, _int, _restore
 
 __all__ = [
     "PrimeContext",
@@ -492,8 +493,8 @@ def _stored(kind: type, classes: tuple[LatticeClass, ...]):
     """A ``FlagChamber`` or ``Face`` of classes already in its stored order
     (least rotation, or sorted by ``hnf``), built unchecked: for the flags
     and faces the building enumerates itself, about two per chamber of a
-    ball.  It costs half what ``exact._restore`` does, until ``ball``
-    builds them lazily."""
+    ball, built when the ball's ``chambers`` or ``faces`` are first read.
+    It costs half what ``exact._restore`` does."""
     value = object.__new__(kind)
     object.__setattr__(value, "classes", classes)
     if kind is Face:
@@ -514,12 +515,7 @@ def face_type(face: Face, ctx: PrimeContext) -> int:
     if not isinstance(face, Face):
         raise ValueError(f"expected a Face, got {face!r}")
     _require_classes(ctx, *face.classes)
-    return _face_type(face, ctx.n)
-
-
-def _face_type(face: Face, n: int) -> int:
-    # unchecked, for the faces the building enumerates itself
-    missing = set(range(n)) - {c.valuation % n for c in face.classes}
+    missing = set(range(ctx.n)) - {c.valuation % ctx.n for c in face.classes}
     if len(missing) != 1:
         raise ValueError("face vertices do not carry distinct labels")
     return missing.pop()
@@ -768,18 +764,29 @@ class BallGraph(Value):
     center, so `gallery_types` / `weyl_word` read off a word for the Weyl
     distance from the center (face type t is generator -t mod n).
 
-    The hidden, uncompared `_profile` is derived: each interior face's
-    distance shape, worked out by the ``harmonic`` module on the ball's
-    first harmonic query and read by every later one.  `ball` leaves it
-    None, and a graph built from other fields starts without one.
+    The hidden, uncompared slots after the fields are derived.  The search
+    arrays hold what the shell search found: `_flags`, each chamber's
+    class tuple, and `_face_classes`, `_face_members` and `_face_types`,
+    each face's classes, chambers and type, in the order the search first
+    met the face.  `ball` sets the arrays and leaves the slots of
+    `chambers`, `faces` and `index` unset; each of the three is a property
+    over its slot (``_derived``) that builds it from the arrays when it is
+    first read, so equality, hashing, ``repr`` and pickling see the same
+    fields either way.  A graph built from its fields derives the arrays
+    from them.  ``ball_to_json`` reads the arrays alone.  Every other
+    field stays a plain slot: a ``__getattr__`` would slow every attribute
+    read of the class.  `_profile` is each interior face's distance shape,
+    worked out by the ``harmonic`` module on the ball's first harmonic
+    query and read by every later one; a graph starts without one.
     """
 
+    _search = ("_flags", "_face_classes", "_face_members", "_face_types")
     __slots__ = (
         "ctx", "radius", "chambers", "distance", "parent", "crossed_type", "faces", "index",
-        "_profile",
+        "_profile", *_search,
     )
-    _uncompared = ("index", "_profile")
-    _hidden = ("_profile",)
+    _uncompared = ("index", "_profile", *_search)
+    _hidden = ("_profile", *_search)
 
     def __init__(
         self,
@@ -792,10 +799,27 @@ class BallGraph(Value):
         faces: Mapping[Face, tuple[int, ...]],
         index: Mapping[FlagChamber, int],
     ) -> None:
-        self._set(ctx, radius, chambers, distance, parent, crossed_type, faces, index, None)
+        self._set(
+            ctx, radius, chambers, distance, parent, crossed_type, faces, index, None,
+            tuple(c.classes for c in chambers), tuple(f.classes for f in faces),
+            tuple(faces.values()), tuple(face_type(f, ctx) for f in faces),
+        )
+
+    @classmethod
+    def _searched(
+        cls, ctx: PrimeContext, radius: int, distance: tuple, parent: tuple,
+        crossed_type: tuple, *search: tuple,
+    ) -> BallGraph:
+        """The graph of a shell search, given its arrays in ``_search``
+        order; ``chambers``, ``faces`` and ``index`` stay unset."""
+        graph = _restore(cls, (ctx, radius))
+        names = ("distance", "parent", "crossed_type", "_profile", *cls._search)
+        for name, x in zip(names, (distance, parent, crossed_type, None, *search), strict=True):
+            object.__setattr__(graph, name, x)
+        return graph
 
     def __len__(self) -> int:
-        return len(self.chambers)
+        return len(self.distance)
 
     def shell_sizes(self) -> tuple[int, ...]:
         sizes = [0] * (self.radius + 1)
@@ -814,8 +838,8 @@ class BallGraph(Value):
         return tuple(self.faces[face])
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        if not 0 <= _int(i, "chamber index") < len(self.chambers):
-            raise ValueError(f"chamber index must be in 0..{len(self.chambers) - 1}, got {i!r}")
+        if not 0 <= _int(i, "chamber index") < len(self.distance):
+            raise ValueError(f"chamber index must be in 0..{len(self.distance) - 1}, got {i!r}")
         out: set[int] = set()
         for pos in range(self.ctx.n):
             out.update(self.faces.get(face_of(self.chambers[i], pos), ()))
@@ -823,8 +847,8 @@ class BallGraph(Value):
         return tuple(sorted(out))
 
     def gallery_types(self, i: int) -> tuple[int, ...]:
-        if not 0 <= _int(i, "chamber index") < len(self.chambers):
-            raise ValueError(f"chamber index must be in 0..{len(self.chambers) - 1}, got {i!r}")
+        if not 0 <= _int(i, "chamber index") < len(self.distance):
+            raise ValueError(f"chamber index must be in 0..{len(self.distance) - 1}, got {i!r}")
         types: list[int] = []
         cur = i
         while self.parent[cur] is not None:
@@ -835,6 +859,34 @@ class BallGraph(Value):
     def weyl_word(self, i: int) -> tuple[int, ...]:
         to_generator = generator_face_types(self.ctx)
         return tuple(to_generator[t] for t in self.gallery_types(i))
+
+
+def _derived(name: str, build: Callable[[BallGraph], object]) -> property:
+    """A property over the ``BallGraph`` slot of that name: a read finds
+    the slot's value, or, while the slot is unset, sets it to what
+    ``build`` makes of the graph.  Two threads that read an unset slot at
+    once may each build it; the values are equal, and the last one stays."""
+    slot = BallGraph.__dict__[name]
+    read, write = slot.__get__, slot.__set__
+
+    def get(graph: BallGraph) -> object:
+        try:
+            return read(graph)
+        except AttributeError:
+            value = build(graph)
+            write(graph, value)
+            return value
+
+    return property(get, write)
+
+
+BallGraph.chambers = _derived(
+    "chambers", lambda g: tuple(_stored(FlagChamber, flag) for flag in g._flags)
+)
+BallGraph.faces = _derived(
+    "faces", lambda g: {_stored(Face, c): m for c, m in zip(g._face_classes, g._face_members)}
+)
+BallGraph.index = _derived("index", lambda g: {chamber: i for i, chamber in enumerate(g.chambers)})
 
 
 def _shells(start: tuple, radius: int, step) -> tuple:
@@ -871,17 +923,19 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
     checks.  The shells come from ``_shells``, stepping by chamber stars
     (``_star``) on the flags' class tuples, keyed by their Hermite tuples;
     each expanded face's classes are checked first.  Faces are keyed by
-    the sorted Hermite tuples of their classes.  The public chambers,
-    faces and index are built once, at the end."""
+    the sorted Hermite tuples of their classes, and a face's type is the
+    label of the flag entry it drops.  The graph keeps these arrays, and
+    builds its public chambers, faces and index when they are first
+    read."""
     _int(radius, "radius", 0)
     if center is not None and not isinstance(center, FlagChamber):
         raise ValueError(f"center must be a FlagChamber, got {center!r}")
     start = standard_chamber(ctx) if center is None else make_chamber(center.classes, ctx)
     n = ctx.n
-    # face key -> (face classes, in-ball chambers in index order); the first
-    # expanded chamber to meet a face discovers its whole star, so later
-    # ones only append
-    faces: dict[tuple, tuple[tuple[LatticeClass, ...], list[int]]] = {}
+    # face key -> (face classes, in-ball chambers in index order, type); the
+    # first expanded chamber to meet a face discovers its whole star, so
+    # later ones only append
+    faces: dict[tuple, tuple[tuple[LatticeClass, ...], list[int], int]] = {}
 
     def meet(i: int, flag: tuple[LatticeClass, ...], pos: int) -> tuple[LatticeClass, ...] | None:
         # the face dropping flag[pos], if chamber i is the first to meet it
@@ -893,7 +947,7 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
         if entry is not None:
             entry[1].append(i)
             return None
-        faces[key] = (face, [i])
+        faces[key] = (face, [i], flag[pos].valuation % n)
         return face
 
     def stars(i: int, flag: tuple[LatticeClass, ...]):
@@ -913,21 +967,15 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
     for i in last:
         for pos in range(n):
             meet(i, flags[i], pos)
-    chambers = tuple(_stored(FlagChamber, flag) for flag in flags)
-    return BallGraph(
-        ctx=ctx,
-        radius=radius,
-        chambers=chambers,
-        distance=distance,
-        parent=parent,
-        crossed_type=crossed,
-        faces={_stored(Face, face): tuple(m) for face, m in faces.values()},
-        index={chamber: i for i, chamber in enumerate(chambers)},
+    classes, members, types = zip(*faces.values())
+    return BallGraph._searched(
+        ctx, radius, distance, parent, crossed, flags, classes, tuple(map(tuple, members)), types
     )
 
 
 def ball_to_json(graph: BallGraph) -> dict:
-    """Deterministic plain-data rendering of a chamber ball.
+    """Deterministic plain-data rendering of a chamber ball, read off the
+    graph's search arrays, so no ``FlagChamber`` or ``Face`` is built.
 
     ``chambers[i]`` is the tuple of the stored Hermite tuples of chamber
     i's classes, which the JSON encoder writes as nested arrays.
@@ -936,24 +984,26 @@ def ball_to_json(graph: BallGraph) -> dict:
     has one face of each type and a face's members are increasing, so the
     faces are read type by type and the pairs come out in order.  The
     pairs are tuples, which take less memory than lists and which the
-    JSON encoder writes as the same two-element arrays.
+    JSON encoder writes as the same two-element arrays, and a face's pair
+    for each member is built once and shared by its other members' lists.
     """
     n = graph.ctx.n
     by_type: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for face, members in graph.faces.items():
-        by_type[_face_type(face, n)].append(members)
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in graph.chambers]
+    for members, ftype in zip(graph._face_members, graph._face_types):
+        by_type[ftype].append(members)
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in graph._flags]
     for ftype, group in enumerate(by_type):
         for members in group:
+            pairs = [(ftype, j) for j in members]
             for i in members:
-                adjacency[i] += [(ftype, j) for j in members if j != i]
+                adjacency[i] += [pair for pair in pairs if pair[1] != i]
     return {
         "p": graph.ctx.p,
         "n": n,
         "radius": graph.radius,
-        "chamber_count": len(graph.chambers),
+        "chamber_count": len(graph),
         "shell_sizes": list(graph.shell_sizes()),
-        "chambers": [chamber.sort_key() for chamber in graph.chambers],
+        "chambers": [tuple(c.hnf for c in flag) for flag in graph._flags],
         "adjacency": adjacency,
         "distance": list(graph.distance),
         "parent": [(-1 if x is None else x) for x in graph.parent],

@@ -25,7 +25,8 @@ class FrozenInstanceError(AttributeError):
 def _restore(cls: type, state: tuple) -> "Value":
     """The one unchecked constructor, ``building._stored`` aside: a ``Value``
     of its fields, in ``__slots__`` order, with no ``__init__``; for
-    unpickling and for records a kernel builds of parts it made itself."""
+    unpickling and for records a kernel builds of parts it made itself.  A
+    shorter state sets only the leading slots."""
     self = cls.__new__(cls)
     self._set(*state)
     return self

@@ -25,12 +25,13 @@ q = p.
 
 A ball's interior faces and distances are fixed once ``ball`` returns, so
 each face's shape is worked out once per ``BallGraph``: its profile, a map
-from each interior face to (closest chamber, d) when the shape is sharp
-and to None otherwise, kept in the graph's hidden ``_profile`` slot.  The
-first defect, closest-chamber or rigidity query of a ball fills it;
-``ball`` never does.  Every later query reads a face's shape in one
-lookup.  Only a graph built with other distances than its ball's has a
-face that is not sharp; its defect, as a map form's, sums the members.
+from each interior face to (closest chamber's index, d, that chamber)
+when the shape is sharp and to None otherwise, kept in the graph's hidden
+``_profile`` slot.  The first defect, closest-chamber or rigidity query of
+a ball fills it; ``ball`` never does.  Every later query reads a face's
+shape in one lookup.  Only a graph built with other distances than its
+ball's has a face that is not sharp; its defect, as a map form's, sums
+the members.
 
 ``finite_support_rigidity`` decides that the only cochain supported
 strictly inside a ball that is harmonic at every fully visible face is
@@ -107,8 +108,7 @@ class Cochain(Value):
     def _rule_q(self, graph: BallGraph) -> int:
         """The rule's q, once the ball is known to be centered at its base."""
         base, q = self.rule
-        center = graph.chambers[0]
-        if center is not base and center != base:
+        if base.classes != graph._flags[0]:  # the center's flag
             raise ValueError("rule-form cochain needs a ball centered at its base")
         return q
 
@@ -126,26 +126,26 @@ def iwahori_vector(base: FlagChamber, q: int) -> Cochain:
 _ZERO = Fraction(0)
 
 
-def _profile_of(graph: BallGraph) -> dict[Face, tuple[int, int] | None]:
-    """Each interior face's distance shape: (low, delta) when its member
-    low sits at the minimum delta and the other p at delta + 1, None for
-    any other shape.  Built on the first call for a graph and kept in its
-    ``_profile``; later calls return that same dict."""
+def _profile_of(graph: BallGraph) -> dict[Face, tuple[int, int, FlagChamber] | None]:
+    """Each interior face's distance shape: (low, delta, chamber low) when
+    its member low sits at the minimum delta and the other p at delta + 1,
+    None for any other shape.  Built on the first call for a graph and kept
+    in its ``_profile``; later calls return that same dict."""
     profile = graph._profile
     if profile is None:
-        dist, full = graph.distance, graph.ctx.p + 1
+        dist, full, chambers = graph.distance, graph.ctx.p + 1, graph.chambers
         profile = {}
         for face, members in graph.faces.items():
             if len(members) == full:
                 low = min(members, key=dist.__getitem__)
                 up = dist[low] + 1
                 sharp = all(dist[i] == up for i in members if i != low)
-                profile[face] = (low, up - 1) if sharp else None
+                profile[face] = (low, up - 1, chambers[low]) if sharp else None
         object.__setattr__(graph, "_profile", profile)
     return profile
 
 
-def _shape(face: Face, graph: BallGraph) -> tuple[int, int] | None:
+def _shape(face: Face, graph: BallGraph) -> tuple[int, int, FlagChamber] | None:
     """The profile entry of an interior face; ValueError for any other."""
     try:
         return _profile_of(graph)[face]
@@ -185,8 +185,7 @@ def min_distance_chamber(face: Face, graph: BallGraph) -> tuple[FlagChamber, int
         raise AssertionError(
             "distance multiset over a face must be one minimum and p at minimum + 1"
         )
-    low, delta = shape
-    return graph.chambers[low], delta
+    return shape[2], shape[1]
 
 
 def decay_profile(f: Cochain, graph: BallGraph) -> tuple[tuple[int, Fraction], ...]:
@@ -198,9 +197,8 @@ def decay_profile(f: Cochain, graph: BallGraph) -> tuple[tuple[int, Fraction], .
         for k in set(graph.distance):
             out[k] = Fraction(1, q**k)
         return tuple(enumerate(out))
-    for i in range(len(graph.chambers)):
-        v = abs(f.value_at_index(i, graph))
-        k = graph.distance[i]
+    for chamber, k in zip(graph.chambers, graph.distance):
+        v = abs(f.values.lookup(chamber))
         if v > out[k]:
             out[k] = v
     return tuple(enumerate(out))

@@ -199,13 +199,14 @@ def convolve_chamber_function(
     ``f`` maps chamber indices to ints or Fractions (missing indices read as 0).
     The result is defined on every chamber whose face of the generator's
     type is interior to the ball; at such a chamber C it is the sum of f
-    over the other p chambers sharing that face.
+    over the other p chambers sharing that face.  The faces and their
+    types are read off the ball's search arrays, so no ``Face`` is built.
 
     Chambers of the ball whose relevant face touches the boundary are
     omitted from the result, so compositions should stay a step inside
     the radius.
     """
-    from .building import _face_type, generator_face_types
+    from .building import generator_face_types
 
     ctx = graph.ctx
     types = generator_face_types(ctx)
@@ -215,8 +216,8 @@ def convolve_chamber_function(
     f = {i: _fraction(x, "values") for i, x in f.items()}
     full = ctx.p + 1
     out: dict[int, Fraction] = {}
-    for face, members in graph.faces.items():
-        if len(members) != full or _face_type(face, ctx.n) != ftype:
+    for members, t in zip(graph._face_members, graph._face_types):
+        if len(members) != full or t != ftype:
             continue
         total = sum((f.get(j, 0) for j in members), Fraction(0))
         for i in members:

@@ -446,8 +446,13 @@ def test_lift_rejects_what_the_set_check_rejects(p, r, anchored, case):
     else:
         parts[k] = ((s, t), values[k])
     rng.shuffle(parts)
+    if case.startswith("duplicate"):
+        # an edge named twice is refused before either route sees it
+        with pytest.raises(ValueError, match=re.escape(f"an end is named twice, by the edge {ends[j]!r}")):
+            BoundaryFunction(depth=r, parts=tuple(parts))
+        return
     g = BoundaryFunction(depth=r, parts=tuple(parts))
-    message = ENUMERATE if case.startswith(("duplicate", "one")) else f"part is not a rim edge at depth {r}$"
+    message = ENUMERATE if case == "one end missing" else f"part is not a rim edge at depth {r}$"
     for route in (lift, reference_lift):
         with pytest.raises(ValueError, match=message):
             route(g, o, ctx)
@@ -563,6 +568,24 @@ def test_boundary_function_rejects_non_int_depth(ctx2, depth):
     ends = vertex_tree(ctx2, standard_lattice(ctx2), 2).ends()
     with pytest.raises(ValueError, match=re.escape(f"depth must be an int, got {depth!r}")):
         BoundaryFunction(depth=depth, parts=tuple((e, Fraction(1)) for e in ends))
+
+
+@pytest.mark.parametrize("depth", [0, -3])
+def test_boundary_function_needs_a_depth_of_at_least_one(ctx2, depth):
+    e = vertex_tree(ctx2, standard_lattice(ctx2), 1).ends()[0]
+    with pytest.raises(ValueError, match=re.escape(f"depth must be at least 1, got {depth}")):
+        BoundaryFunction(depth, ((e, 1),))
+
+
+@pytest.mark.parametrize("values", [(1, 2), (1, 1)], ids=["two values", "one value"])
+def test_boundary_function_refuses_an_end_named_twice(ctx2, values):
+    # the two parts need not be next to each other: the sort brings them together
+    ends = vertex_tree(ctx2, standard_lattice(ctx2), 1).ends()
+    e = ends[0]
+    parts = ((e, values[0]), *((f, 0) for f in ends[1:]), (e, values[1]))
+    with pytest.raises(ValueError, match=re.escape(f"an end is named twice, by the edge {e!r}")):
+        BoundaryFunction(1, parts)
+    assert BoundaryFunction(1, parts[:-1]).parts[0] == (e, values[0])
 
 
 @pytest.mark.parametrize("kernel", [boundary_value, primitive_cochain])

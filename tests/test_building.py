@@ -1,10 +1,13 @@
 """Lattice classes, chambers, the group action, and enumerated balls."""
 
+import copy
 import hashlib
 import inspect
 import json
+import pickle
 import re
 import sys
+import threading
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
@@ -30,6 +33,7 @@ from weylbuildings import (
     bfs_growth,
     chambers_containing,
     classes_adjacent,
+    convolve_chamber_function,
     element_from_word,
     end_chart,
     epsilon,
@@ -51,7 +55,7 @@ from weylbuildings import (
     weyl_to_chamber,
 )
 from weylbuildings.boundary import VertexTree
-from weylbuildings.building import _canonical, _coordinates, _face_type
+from weylbuildings.building import _canonical, _coordinates
 from weylbuildings.exact import _int
 
 # -- canonical forms -------------------------------------------------------------
@@ -1074,7 +1078,7 @@ def _reference_ball(ctx, radius, center=None):
 def _reference_ball_to_json(graph):
     adjacency: list[list[list[int]]] = [[] for _ in graph.chambers]
     for face, members in graph.faces.items():
-        ftype = _face_type(face, graph.ctx.n)
+        ftype = face_type(face, graph.ctx)
         for i in members:
             adjacency[i].extend([ftype, j] for j in members if j != i)
     for pairs in adjacency:
@@ -1150,6 +1154,91 @@ def test_ball_hashes_each_public_key_once(n, p, radius, monkeypatch):
     graph = ball(PrimeContext(p=p, n=n), radius)
     assert calls[FlagChamber] <= len(graph.chambers)
     assert calls[Face] <= len(graph.faces)
+
+
+# -- what a ball builds only when it is read -------------------------------------------
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 3, 6), (3, 2, 4)])
+def test_a_ball_and_its_json_build_no_chamber_or_face(n, p, radius, monkeypatch):
+    calls = {FlagChamber: 0, Face: 0}
+    original = building._stored
+
+    def counted(kind, classes):
+        calls[kind] += 1
+        return original(kind, classes)
+
+    monkeypatch.setattr(building, "_stored", counted)
+    graph = ball(PrimeContext(p=p, n=n), radius)
+    ball_to_json(graph)
+    convolve_chamber_function({0: 1}, 0, graph)
+    assert graph.shell_sizes() and len(graph) == len(graph.distance)
+    assert calls == {FlagChamber: 0, Face: 0}
+    # the counter sees what a read builds: each chamber and face once
+    assert len(graph.faces) == calls[Face] and calls[FlagChamber] == 0
+    assert len(graph.index) == len(graph.chambers) == calls[FlagChamber]
+
+
+@pytest.mark.parametrize("order", list(permutations(("index", "faces", "chambers"))), ids="-".join)
+def test_the_derived_fields_read_the_same_in_any_order(order, field_values):
+    ctx = PrimeContext(p=2, n=3)
+    reference = _reference_ball(ctx, 3)
+    graph = ball(ctx, 3)
+    for name in order:
+        getattr(graph, name)
+    assert field_values(graph) == field_values(reference)
+    assert list(graph.index.items()) == list(reference.index.items())
+    # the index's keys are the chambers themselves, each built once
+    assert all(a is b for a, b in zip(graph.index, graph.chambers))
+
+
+@pytest.mark.parametrize("n, p, radius, word", [(2, 3, 4, None), (3, 2, 3, (0, 1, 2))], ids=str)
+def test_a_ball_is_the_graph_of_its_fields(n, p, radius, word):
+    ctx = PrimeContext(p=p, n=n)
+    center = None if word is None else weyl_to_chamber(word, ctx)
+    graph = ball(ctx, radius, center)
+    fields = {name: getattr(ball(ctx, radius, center), name) for name in BallGraph._shown}
+    built = BallGraph(**fields)
+    # the JSON first, while the ball's derived fields are still unset
+    assert ball_to_json(graph) == ball_to_json(built)
+    for name in BallGraph._search:
+        assert getattr(graph, name) == getattr(built, name)
+    assert graph == built and repr(graph) == repr(built)
+    for x in (graph, built):
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(x)
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert y == built and repr(y) == repr(built)
+            assert ball_to_json(y) == ball_to_json(built)
+    with pytest.raises(AttributeError, match="'BallGraph' object has no attribute 'colour'"):
+        graph.colour
+
+
+def test_threads_reading_the_faces_of_a_fresh_ball_get_equal_maps():
+    # more threads than cores, switching often, all reading at once: each may
+    # build its own map, and every map must read the same, in the same order
+    expected = list(ball(PrimeContext(p=3, n=2), 5).faces.items())
+    graph = ball(PrimeContext(p=3, n=2), 5)
+    start = threading.Barrier(4, timeout=30)
+    got = [None] * 4
+
+    def read(k):
+        start.wait()
+        got[k] = graph.faces
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for faces in [*got, graph.faces]:
+        assert list(faces.items()) == expected
 
 
 def test_make_chamber_validation():

@@ -386,7 +386,8 @@ def test_the_first_harmonic_query_fills_the_profile_and_later_ones_reuse_it():
     assert set(profile) == set(faces) and None not in profile.values()
     for face in faces:
         chamber, delta = min_distance_chamber(face, g)
-        assert profile[face] == (g.index[chamber], delta)
+        assert profile[face] == (g.index[chamber], delta, chamber)
+        assert chamber is g.chambers[profile[face][0]]
         harmonicity_defect(rule5, face, g)
     assert finite_support_rigidity(g)
     assert g._profile is profile
@@ -440,4 +441,4 @@ def test_a_graph_rebuilt_with_other_distances_builds_its_own_profile():
     with pytest.raises(AssertionError, match=SHARP_SHAPE):
         min_distance_chamber(face, tampered)
     assert tampered._profile[face] is None
-    assert g._profile is profile and profile[face] == (g.index[chamber], delta)
+    assert g._profile is profile and profile[face] == (g.index[chamber], delta, chamber)

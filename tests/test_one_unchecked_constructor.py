@@ -1,9 +1,11 @@
 """One unchecked constructor.
 
 A record is built without its ``__init__`` in two places only:
-``exact._restore``, which pickling and copying use too, and
+``exact._restore``, which pickling and copying use too, as does ``ball``
+for the graph it leaves its derived fields unset in, and
 ``building._stored``, the cheaper form for the chambers and faces a ball
-builds.  Every module under ``src/`` is parsed with ``ast``; outside those
+builds when they are first read, and for the chambers of a star.  Every
+module under ``src/`` is parsed with ``ast``; outside those
 two functions, reading ``__new__`` off anything, or calling ``_set`` on
 anything but ``self``, is an error.  ``super().__new__`` in ``SparseMap``
 builds the tuple it is, not a record, and is not counted.

@@ -56,7 +56,7 @@ VALUES = [
         ball(P2, 1),
         ("ctx", "radius", "chambers", "distance", "parent", "crossed_type", "faces", "index"),
         ("index",),
-        ("_profile",),
+        ("_profile", "_flags", "_face_classes", "_face_members", "_face_types"),
     ),
     (ZERO, ("values",), (), ()),
     (coboundary(ZERO, P2), ("values",), (), ()),
