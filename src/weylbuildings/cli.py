@@ -12,16 +12,20 @@ Shared flags: --type, --q, --p, --n, --R, --K, --format {json,csv,table},
 --out PATH, --seed.  All numbers are exact rationals rendered as text;
 rows carry a method column (enumerated vs closed-form) where two routes
 are compared.  Identical configuration produces byte-identical JSON.
-Each subcommand imports the library modules it uses when it runs, so a
-request loads only those.
+JSON is written in slices, a dict key by key and a long list a few
+thousand items at a time, so no copy of a whole document is held; the
+bytes are those of one ``json.dumps`` call.  Each subcommand imports the
+library modules it uses when it runs, so a request loads only those.
 
 Exit status: 0 when every exact check passes, 1 when any check fails,
 2 on usage errors (bad flags, malformed labels, invalid parameters).  A
 ``ValueError`` or ``AssertionError`` raised by the library once the
 arguments are validated is a broken invariant: it is reported as
-``error: check failed: <message>`` with exit status 1.  A stdout whose
-reader has gone (``... | true``) is reported as one ``error:`` line with
-exit status 2, like an ``--out`` path that cannot be opened.
+``error: check failed: <message>`` with exit status 1.  A write that
+fails or stops short, to stdout (a reader that has gone, as in
+``... | head -c 10``, or a full disk) or to ``--out``, is reported as
+one ``error:`` line with exit status 2, like an ``--out`` path that
+cannot be opened.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import argparse
 import csv
 import gc
 import io
+import itertools
 import json
 import os
 import random
@@ -59,9 +64,50 @@ def _cell(x) -> str:
     return str(x)  # a Fraction prints as n or n/d
 
 
+# items of a long list that one ``json.dumps`` call encodes
+_SLICE = 2048
+
+
+def _json_pieces(obj):
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` in pieces
+    that join to the same text: a dict is walked in the encoder's order,
+    ``sorted(obj.items())``, and a list or tuple longer than ``_SLICE`` is
+    encoded ``_SLICE`` items at a time, so no piece holds a large document
+    whole.  Every key must be a ``str``, as it is in every payload."""
+    if isinstance(obj, dict):
+        opener = "{"
+        for key, value in sorted(obj.items()):
+            yield opener + json.dumps(key) + ":"
+            yield from _json_pieces(value)
+            opener = ","
+        yield "}" if obj else "{}"
+    elif isinstance(obj, (list, tuple)) and len(obj) > _SLICE:
+        for i in range(0, len(obj), _SLICE):
+            part = json.dumps(obj[i : i + _SLICE], sort_keys=True, separators=(",", ":"))
+            yield ("," if i else "[") + part[1:-1]
+        yield "]"
+    else:
+        yield json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _write(stream, text: str) -> None:
+    """Write ``text`` to ``stream`` in full.  A text stream with no binary
+    layer (a StringIO in place of stdout) takes the text; any other gets
+    its UTF-8 bytes on the binary layer, written again from where a raw
+    one (``python -u``) stopped, so that a reader that has gone raises
+    ``BrokenPipeError`` instead of the rest being dropped in silence."""
+    binary = getattr(stream, "buffer", stream)
+    if isinstance(binary, io.TextIOBase):
+        binary.write(text)
+        return
+    view = memoryview(text.encode())
+    while view:
+        view = view[binary.write(view) :]
+
+
 def _emit(args, payload: dict, table_lines: list[str], csv_table: tuple[list[str], list[list]]) -> None:
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        pieces = itertools.chain(_json_pieces(payload), ["\n"])
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -69,19 +115,30 @@ def _emit(args, payload: dict, table_lines: list[str], csv_table: tuple[list[str
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(x) for x in row])
-        text = buf.getvalue()
+        pieces = [buf.getvalue()]
     else:
-        text = "\n".join(table_lines) + "\n"
+        pieces = ["\n".join(table_lines) + "\n"]
     if args.out:
         try:
-            fh = open(args.out, "w", encoding="utf-8")
+            fh = open(args.out, "wb")
         except OSError as exc:
             raise UsageError(f"cannot open --out {args.out}: {exc.strerror}") from exc
-        with fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
+        try:
+            with fh:
+                for piece in pieces:
+                    _write(fh, piece)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+        return
+    try:
+        sys.stdout.flush()  # what was printed before goes first
+        for piece in pieces:
+            _write(sys.stdout, piece)
+        sys.stdout.flush()  # a failed write raises here, inside main, not at exit
+    except OSError as exc:
+        # the flush at exit would fail the same way: send what is left nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write to stdout: {exc.strerror}") from exc
 
 
 def _columns(rows: list[list[str]]) -> list[str]:
@@ -514,11 +571,6 @@ def main(argv=None) -> int:
         _emit(args, payload, table_lines, csv_table)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError as exc:
-        # the reader of stdout has gone: silence the flush at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
         return 2
     except (ValueError, AssertionError) as exc:
         print(f"error: check failed: {exc}", file=sys.stderr)

@@ -1,7 +1,10 @@
 """The command line: formats, determinism, exit statuses."""
 
+import argparse
+import errno
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -182,6 +185,64 @@ def test_closed_stdout_exits_2(argv):
     assert "Traceback" not in proc.stderr
 
 
+def _child_env(unbuffered: bool) -> dict:
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:  # stdout's binary layer is then a raw FileIO
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _one_error_line(stderr: str, prefix: str) -> None:
+    assert stderr.startswith(prefix)
+    assert stderr.count("\n") == 1
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_reader_gone_after_a_few_bytes_exits_2(unbuffered):
+    # the document (175,710 bytes) is larger than a pipe's buffer, so the
+    # child is still writing when the reader goes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weylbuildings", "ball", "--n", "2", "--p", "3", "--R", "6",
+         "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(unbuffered),
+    )
+    try:
+        assert proc.stdout.read(10) == b'{"allEqual'
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    _one_error_line(stderr, "error: cannot write to stdout: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "out"])
+def test_a_failed_write_exits_2(to_out, unbuffered):
+    argv = [sys.executable, "-m", "weylbuildings", "growth", "--type", "A1~", "--K", "3",
+            "--format", "json"]
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            argv + ["--out", "/dev/full"] if to_out else argv,
+            stdout=subprocess.PIPE if to_out else full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_child_env(unbuffered),
+            timeout=60,
+        )
+    assert proc.returncode == 2
+    prefix = "error: cannot write --out /dev/full: " if to_out else "error: cannot write to stdout: "
+    _one_error_line(proc.stderr, prefix + os.strerror(errno.ENOSPC))
+
+
 def test_bad_label_exits_2(capsys):
     code, _, err = run(capsys, "growth", "--type", "Z9~", "--K", "3")
     assert code == 2
@@ -249,8 +310,6 @@ def test_a_help_flag_before_the_command_word_prints_help(argv, capsys, monkeypat
 def test_the_command_check_names_every_subcommand():
     # main refuses an unknown command before argparse does, in argparse's
     # words; its list of commands must be the parser's own
-    import argparse
-
     parser = weylbuildings.cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert tuple(sub.choices) == weylbuildings.cli._COMMANDS
@@ -353,6 +412,82 @@ def test_cli_bytes_are_pinned(record, capsys, monkeypatch):
     assert code == record["status"]
     assert out.err == record["stderr"]
     assert hashlib.sha256(out.out.encode()).hexdigest() == record["stdout_sha256"]
+
+
+# -- the JSON writer ----------------------------------------------------------------
+
+SLICE = weylbuildings.cli._SLICE
+
+
+def _one_shot(payload) -> bytes:
+    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def _ball_payload(*argv: str) -> dict:
+    args = weylbuildings.cli.build_parser().parse_args(list(argv))
+    return args.func(args)[1]
+
+
+@pytest.mark.parametrize("sink", ["stdout", "stringio", "out"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        list(range(SLICE)),
+        list(range(SLICE + 1)),
+        tuple((i, -i) for i in range(2 * SLICE + 1)),
+        [{"b": [i, {"z": -i, "a": None}], "a": str(i), "c": i % 3 == 0} for i in range(3 * SLICE + 7)],
+        {"z": {"y": list(range(2 * SLICE + 1)), "x": {}}, "a": [], "m": [[i] for i in range(SLICE + 1)]},
+    ],
+    ids=["empty dict", "empty list", "slice", "slice plus one", "tuple of pairs", "nested dicts",
+         "dict of long lists"],
+)
+def test_json_writer_matches_one_shot_dumps(payload, sink, tmp_path, capsysbinary, monkeypatch):
+    args = argparse.Namespace(format="json", out=str(tmp_path / "x.json") if sink == "out" else None)
+    if sink == "stringio":
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+    weylbuildings.cli._emit(args, payload, [], ([], []))
+    if sink == "out":
+        written = (tmp_path / "x.json").read_bytes()
+    elif sink == "stringio":
+        written = sys.stdout.getvalue().encode()
+    else:
+        written = capsysbinary.readouterr().out
+    assert written == _one_shot(payload)
+
+
+def test_ball_json_through_stdout_and_out_matches_one_shot_dumps(tmp_path, capsysbinary):
+    argv = ["ball", "--n", "2", "--p", "3", "--R", "6", "--format", "json"]
+    payload = _ball_payload(*argv)
+    assert payload["ball"]["chamber_count"] == 2185 > SLICE
+    expected = _one_shot(payload)
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == expected
+    target = tmp_path / "ball.json"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert target.read_bytes() == expected
+
+
+class _Recorder(io.BytesIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return super().write(data)
+
+
+def test_no_write_holds_a_quarter_of_a_large_document(monkeypatch):
+    argv = ["ball", "--n", "2", "--p", "3", "--R", "7", "--format", "json"]
+    expected = _one_shot(_ball_payload(*argv))
+    recorder = _Recorder()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(recorder, encoding="utf-8"))
+    assert main(argv) == 0
+    assert recorder.getvalue() == expected
+    assert max(recorder.sizes) <= len(expected) // 4
 
 
 # -- python -m ----------------------------------------------------------------------
