@@ -21,11 +21,12 @@ enumerates all chambers within a gallery radius of a base chamber, which
 is the raw material for shell counts, harmonic cochains and period sums
 elsewhere.  Its breadth-first shell search, ``_shells``, also builds the
 vertex tree of the ``boundary`` module.  The search runs on plain keys,
-the tuples of Hermite tuples that C hashes and orders: a chamber is keyed
-by its ``sort_key`` and a face by the sorted Hermite tuples of its
-classes.  A ball keeps what the search found, each chamber's flag and
-each face's classes, members and type, and builds its public
-``FlagChamber``s, ``Face``s and index only when they are first read.
+tuples of Hermite rows that C hashes and orders: a chamber is keyed by
+the rows of its flag, which order as its ``sort_key`` does, and a face by
+the rows of its classes, sorted by Hermite tuple.  A ball keeps what the
+search found, each chamber's flag and each face's classes, members and
+type, and builds its public ``FlagChamber``s, ``Face``s and index only
+when they are first read.
 
 The vertex labelling lambda([L]) = v_p(det L) mod n makes every chamber
 hit each label exactly once; a face's type is the label it omits.
@@ -77,6 +78,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -254,8 +256,10 @@ class LatticeClass(Value):
     _uncompared = ("valuation",)
 
     def __init__(self, hnf: IntMatrix, valuation: int) -> None:
-        object.__setattr__(self, "hnf", hnf)
-        object.__setattr__(self, "valuation", valuation)
+        # the slots' own setters, at half the cost of ``object.__setattr__``:
+        # a ball builds about one class per chamber
+        _set_hnf(self, hnf)
+        _set_valuation(self, valuation)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is LatticeClass:
@@ -273,6 +277,9 @@ class LatticeClass(Value):
         # integer rows of p^k times the canonical representative, k >= 0
         f = p**k
         return [[x * f for x in row] for row in self.hnf]
+
+
+_set_hnf, _set_valuation = LatticeClass.hnf.__set__, LatticeClass.valuation.__set__
 
 
 def lattice_from_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> LatticeClass:
@@ -563,13 +570,12 @@ def _tree_neighbors(vertex: LatticeClass, p: int) -> list[LatticeClass]:
     (x, y), (_, z) = vertex.hnf
     spans = [(p * x, p * y % z, z)] + [(x, y + t * z, p * z) for t in range(p)]
     v = vertex.valuation + 1
-    out = []
-    for d0, m, d1 in spans:
-        if d0 % p or m % p or d1 % p:
-            out.append(LatticeClass(((d0, m), (0, d1)), v))
-        else:
-            out.append(LatticeClass(((d0 // p, m // p), (0, d1 // p)), v - 2))
-    return out
+    return [
+        LatticeClass(((d0, m), (0, d1)), v)
+        if d0 % p or m % p or d1 % p
+        else LatticeClass(((d0 // p, m // p), (0, d1 // p)), v - 2)
+        for d0, m, d1 in spans
+    ]
 
 
 def chambers_containing(
@@ -588,7 +594,9 @@ def chambers_containing(
 def _star(classes: tuple[LatticeClass, ...], ctx: PrimeContext) -> dict[tuple, tuple]:
     """The p + 1 chambers on a face of checked classes, unsorted, as a map
     from key to flag: each flag starts at its least class, and its key is
-    the tuple of its Hermite tuples, ``FlagChamber.sort_key``.
+    the rows of its classes' Hermite tuples in flag order.  Every class is
+    n x n, so the keys order as ``FlagChamber.sort_key`` does, and they hash
+    and compare one level shallower.
 
     Each flag is the face's chain followed by the missing vertex m, an
     index-p sublattice of the chain's last vertex that contains a line
@@ -603,6 +611,7 @@ def _star(classes: tuple[LatticeClass, ...], ctx: PrimeContext) -> dict[tuple, t
     p, n = ctx.p, ctx.n
     if n == 2:
         chain, missing = classes, _tree_neighbors(classes[0], p)
+        rows, j = classes[0].hnf, 0
     else:
         first, last = chain = _oriented(*classes, n)
         outer = _chain_step(first, last, ctx)
@@ -613,19 +622,19 @@ def _star(classes: tuple[LatticeClass, ...], ctx: PrimeContext) -> dict[tuple, t
             if any(x % p for x in line):
                 break
         missing = _sublattices(last, line, p)
+        rows, j = first.hnf + last.hnf, int(last.hnf < first.hnf)
     # the least rotation of chain + (m,), as in FlagChamber: the chain's
-    # classes keep their order, so it starts at m or at the chain's least
-    keys = tuple(c.hnf for c in chain)
-    least = min(keys)
-    j = keys.index(least)
-    head, tail, after, before = chain[j:], chain[:j], keys[j:], keys[:j]
+    # classes keep their order, so it starts at m or at the chain's least,
+    # chain[j], which fills rows n j to n j + n - 1 of the chain's rows
+    least, after, before = rows[n * j : n * j + n], rows[n * j :], rows[: n * j]
+    head, tail = chain[j:], chain[:j]
     star: dict[tuple, tuple[LatticeClass, ...]] = {}
     for m in missing:
         c = m.hnf
         if c < least:
-            star[(c,) + keys] = (m,) + chain
+            star[c + rows] = (m,) + chain
         else:
-            star[after + (c,) + before] = head + (m,) + tail
+            star[after + c + before] = head + (m,) + tail
     if len(star) != p + 1:
         raise AssertionError("a face must lie in exactly p + 1 chambers")
     return star
@@ -828,6 +837,7 @@ class BallGraph(Value):
         return tuple(sizes)
 
     def shell(self, k: int) -> tuple[int, ...]:
+        _int(k, "k")
         return tuple(i for i, d in enumerate(self.distance) if d == k)
 
     def interior_faces(self) -> tuple[Face, ...]:
@@ -835,6 +845,8 @@ class BallGraph(Value):
         return tuple(f for f, members in self.faces.items() if len(members) == full)
 
     def chambers_of_face(self, face: Face) -> tuple[int, ...]:
+        if not isinstance(face, Face):
+            raise ValueError(f"face must be a Face, got {face!r}")
         return tuple(self.faces[face])
 
     def neighbors(self, i: int) -> tuple[int, ...]:
@@ -859,6 +871,12 @@ class BallGraph(Value):
     def weyl_word(self, i: int) -> tuple[int, ...]:
         to_generator = generator_face_types(self.ctx)
         return tuple(to_generator[t] for t in self.gallery_types(i))
+
+
+def _require_ball(graph: object) -> None:
+    """ValueError unless the graph is a ``BallGraph``."""
+    if not isinstance(graph, BallGraph):
+        raise ValueError(f"graph must be a BallGraph, got {graph!r}")
 
 
 def _derived(name: str, build: Callable[[BallGraph], object]) -> property:
@@ -889,6 +907,9 @@ BallGraph.faces = _derived(
 BallGraph.index = _derived("index", lambda g: {chamber: i for i, chamber in enumerate(g.chambers)})
 
 
+_first = operator.itemgetter(0)
+
+
 def _shells(start: tuple, radius: int, step) -> tuple:
     """Breadth-first shells out to the radius, on plain keys.  ``start`` and
     every neighbor are (key, item) pairs whose keys are hashable, ordered
@@ -898,22 +919,22 @@ def _shells(start: tuple, radius: int, step) -> tuple:
     last (unexpanded) shell; each caller builds its own public index."""
     key, item = start
     seen, items, distance, parent, tags = {key}, [item], [0], [None], [None]
-    frontier = [0]
+    frontier = range(1)
     for depth in range(1, radius + 1):
-        discovered: dict[object, tuple[int, object, object]] = {}
+        found = []
         for i in frontier:
             for tag, group in step(i, items[i]):
                 for key, item in group:
-                    if key not in seen and key not in discovered:
-                        discovered[key] = (i, tag, item)
-        seen.update(discovered)
-        frontier = list(range(len(items), len(items) + len(discovered)))
-        for key in sorted(discovered):
-            src, tag, item = discovered[key]
-            items.append(item)
-            distance.append(depth)
-            parent.append(src)
-            tags.append(tag)
+                    if key not in seen:
+                        seen.add(key)
+                        found.append((key, i, tag, item))
+        found.sort(key=_first)  # keys are distinct, so the sort reads them alone
+        frontier = range(len(items), len(items) + len(found))
+        _, sources, steps, new = list(zip(*found)) or [()] * 4
+        items += new
+        parent += sources
+        tags += steps
+        distance += [depth] * len(new)
     return tuple(items), tuple(distance), tuple(parent), tuple(tags), frontier
 
 
@@ -921,55 +942,55 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
     """Breadth-first enumeration of the chamber ball of the given radius,
     around the standard chamber or a caller's center, which ``make_chamber``
     checks.  The shells come from ``_shells``, stepping by chamber stars
-    (``_star``) on the flags' class tuples, keyed by their Hermite tuples;
+    (``_star``) on the flags' class tuples, keyed by their rows in order;
     each expanded face's classes are checked first.  Faces are keyed by
-    the sorted Hermite tuples of their classes, and a face's type is the
-    label of the flag entry it drops.  The graph keeps these arrays, and
-    builds its public chambers, faces and index when they are first
+    the rows of their classes, sorted by Hermite tuple, and a face's type
+    is the label of the flag entry it drops.  The graph keeps these arrays,
+    and builds its public chambers, faces and index when they are first
     read."""
     _int(radius, "radius", 0)
     if center is not None and not isinstance(center, FlagChamber):
         raise ValueError(f"center must be a FlagChamber, got {center!r}")
     start = standard_chamber(ctx) if center is None else make_chamber(center.classes, ctx)
     n = ctx.n
-    # face key -> (face classes, in-ball chambers in index order, type); the
-    # first expanded chamber to meet a face discovers its whole star, so
-    # later ones only append
-    faces: dict[tuple, tuple[tuple[LatticeClass, ...], list[int], int]] = {}
+    # face key -> in-ball chambers in index order, beside each face's classes
+    # and type in the same order; the first expanded chamber to meet a face
+    # discovers its whole star, so later ones only append
+    members: dict[tuple, list[int]] = {}
+    classes: list[tuple[LatticeClass, ...]] = []
+    types: list[int] = []
 
-    def meet(i: int, flag: tuple[LatticeClass, ...], pos: int) -> tuple[LatticeClass, ...] | None:
-        # the face dropping flag[pos], if chamber i is the first to meet it
-        face = flag[:pos] + flag[pos + 1 :]
-        if n == 3 and face[1].hnf < face[0].hnf:
-            face = face[::-1]
-        key = face[0].hnf if n == 2 else (face[0].hnf, face[1].hnf)
-        entry = faces.get(key)
-        if entry is not None:
-            entry[1].append(i)
-            return None
-        faces[key] = (face, [i], flag[pos].valuation % n)
-        return face
-
-    def stars(i: int, flag: tuple[LatticeClass, ...]):
+    def meet(i: int, flag: tuple[LatticeClass, ...], expand: bool = True) -> list:
+        # chamber i joins each of its faces; the stars of those it is the
+        # first to meet, as (type, neighbors) groups, unless it is not expanded
         groups = []
-        for pos in range(n):
-            face = meet(i, flag, pos)
-            if face is not None:
+        for pos, gone in enumerate(flag):
+            face = flag[:pos] + flag[pos + 1 :]
+            if n == 3 and face[1].hnf < face[0].hnf:
+                face = face[::-1]
+            key = face[0].hnf if n == 2 else face[0].hnf + face[1].hnf
+            known = members.get(key)
+            if known is not None:
+                known.append(i)
+                continue
+            members[key] = [i]
+            classes.append(face)
+            types.append(ftype := gone.valuation % n)
+            if expand:
                 _require_classes(ctx, *face)
-                groups.append((flag[pos].valuation % n, _star(face, ctx).items()))
+                groups.append((ftype, _star(face, ctx).items()))
         return groups
 
     flags, distance, parent, crossed, last = _shells(
-        (start.sort_key(), start.classes), radius, stars
+        (sum(start.sort_key(), ()), start.classes), radius, meet
     )
     # the last shell is never expanded; it enters here, after every
     # expanded chamber, so faces keep the order of their first chamber
     for i in last:
-        for pos in range(n):
-            meet(i, flags[i], pos)
-    classes, members, types = zip(*faces.values())
+        meet(i, flags[i], False)
     return BallGraph._searched(
-        ctx, radius, distance, parent, crossed, flags, classes, tuple(map(tuple, members)), types
+        ctx, radius, distance, parent, crossed, flags, tuple(classes),
+        tuple(map(tuple, members.values())), tuple(types),
     )
 
 
@@ -985,25 +1006,30 @@ def ball_to_json(graph: BallGraph) -> dict:
     faces are read type by type and the pairs come out in order.  The
     pairs are tuples, which take less memory than lists and which the
     JSON encoder writes as the same two-element arrays, and a face's pair
-    for each member is built once and shared by its other members' lists.
+    for each member is built once and shared by its other members' lists;
+    a face with one member, at the ball's edge, gives none.
     """
+    _require_ball(graph)
     n = graph.ctx.n
     by_type: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for members, ftype in zip(graph._face_members, graph._face_types):
-        by_type[ftype].append(members)
+        if len(members) > 1:  # a face with one member gives no pair
+            by_type[ftype].append(members)
     adjacency: list[list[tuple[int, int]]] = [[] for _ in graph._flags]
     for ftype, group in enumerate(by_type):
         for members in group:
             pairs = [(ftype, j) for j in members]
-            for i in members:
-                adjacency[i] += [pair for pair in pairs if pair[1] != i]
+            for k, i in enumerate(members):
+                row = adjacency[i]
+                row += pairs[:k]
+                row += pairs[k + 1 :]
     return {
         "p": graph.ctx.p,
         "n": n,
         "radius": graph.radius,
         "chamber_count": len(graph),
         "shell_sizes": list(graph.shell_sizes()),
-        "chambers": [tuple(c.hnf for c in flag) for flag in graph._flags],
+        "chambers": [tuple([c.hnf for c in flag]) for flag in graph._flags],
         "adjacency": adjacency,
         "distance": list(graph.distance),
         "parent": [(-1 if x is None else x) for x in graph.parent],

@@ -51,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .building import BallGraph, Face, FlagChamber
+from .building import BallGraph, Face, FlagChamber, _require_ball
 from .exact import SparseMap, Value, _int, row_reduce
 
 __all__ = [
@@ -130,8 +130,13 @@ def _profile_of(graph: BallGraph) -> dict[Face, tuple[int, int, FlagChamber] | N
     """Each interior face's distance shape: (low, delta, chamber low) when
     its member low sits at the minimum delta and the other p at delta + 1,
     None for any other shape.  Built on the first call for a graph and kept
-    in its ``_profile``; later calls return that same dict."""
-    profile = graph._profile
+    in its ``_profile``; later calls return that same dict.  A graph that
+    is not a ``BallGraph`` has no ``_profile``, which raises ValueError, so
+    the queries that run once per face check it at no cost."""
+    try:
+        profile = graph._profile
+    except AttributeError:
+        raise ValueError(f"graph must be a BallGraph, got {graph!r}") from None
     if profile is None:
         dist, full, chambers = graph.distance, graph.ctx.p + 1, graph.chambers
         profile = {}
@@ -158,15 +163,22 @@ def harmonicity_defect(f: Cochain, face: Face, graph: BallGraph) -> Fraction:
 
     A rule-form f on a face of sharp shape, minimum delta, has the closed
     form (-1)^delta (q - p) / q^(delta + 1), the shared ``Fraction(0)``
-    when q = p.  Any other defect is the sum of the members' values.
+    when q = p.  Any other defect is the sum of the members' values.  An f
+    that is not a ``Cochain``, or a graph that is not a ``BallGraph``,
+    raises ValueError.
     """
-    if f.values is None:
+    try:
+        values = f.values
+    except AttributeError:
+        raise ValueError(f"f must be a Cochain, got {f!r}") from None
+    if values is None:
         shape = _shape(face, graph)
         q, p = f._rule_q(graph), graph.ctx.p
         if shape is not None:
             if q == p:
                 return _ZERO
             return Fraction(p - q if shape[1] % 2 else q - p, q ** (shape[1] + 1))
+    _require_ball(graph)
     members = graph.faces.get(face)
     if members is None or len(members) != graph.ctx.p + 1:
         raise ValueError("face is not interior to the ball")
@@ -191,6 +203,9 @@ def min_distance_chamber(face: Face, graph: BallGraph) -> tuple[FlagChamber, int
 def decay_profile(f: Cochain, graph: BallGraph) -> tuple[tuple[int, Fraction], ...]:
     """Per-distance maxima of |f| over the ball: (k, max at distance k).
     For a rule-form f it is q^-k at each distance k that occurs, 0 elsewhere."""
+    if not isinstance(f, Cochain):
+        raise ValueError(f"f must be a Cochain, got {f!r}")
+    _require_ball(graph)
     out: list[Fraction] = [Fraction(0)] * (max(graph.distance) + 1)
     if f.values is None:
         q = f._rule_q(graph)
@@ -244,6 +259,7 @@ def finite_support_rigidity(graph: BallGraph) -> bool:
     decreasing distance, are unit lower triangular, so the kernel is
     trivial.  Otherwise the exact rank decides (``_full_rank``).
     """
+    _require_ball(graph)
     if graph.radius < 2:
         raise ValueError("rigidity needs radius at least 2")
     return _ascent_faces(graph) is not None or _full_rank(graph)

@@ -206,8 +206,9 @@ def convolve_chamber_function(
     omitted from the result, so compositions should stay a step inside
     the radius.
     """
-    from .building import generator_face_types
+    from .building import _require_ball, generator_face_types
 
+    _require_ball(graph)
     ctx = graph.ctx
     types = generator_face_types(ctx)
     if type(generator) is not int or generator not in types:

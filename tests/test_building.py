@@ -1596,3 +1596,20 @@ def test_ball_methods_refuse_an_index_outside_the_ball(method):
     for i in (True, 1.0, "1"):
         with pytest.raises(ValueError, match=re.escape(f"chamber index must be an int, got {i!r}")):
             read(i)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: ball_to_json("x"), "graph must be a BallGraph, got 'x'"),
+        (lambda g: g.shell("x"), "k must be an int, got 'x'"),
+        (lambda g: g.chambers_of_face("x"), "face must be a Face, got 'x'"),
+    ],
+    ids=["ball_to_json", "shell", "chambers_of_face"],
+)
+def test_a_ball_reader_refuses_a_value_of_the_wrong_kind(call, message):
+    # one ValueError naming the argument, where an AttributeError or
+    # KeyError came before, or an empty shell
+    g = ball(PrimeContext(p=2, n=2), 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(g)

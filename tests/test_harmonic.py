@@ -442,3 +442,35 @@ def test_a_graph_rebuilt_with_other_distances_builds_its_own_profile():
         min_distance_chamber(face, tampered)
     assert tampered._profile[face] is None
     assert g._profile is profile and profile[face] == (g.index[chamber], delta, chamber)
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        (lambda v, face, g: harmonicity_defect(v, face, "x"), "graph must be a BallGraph, got 'x'"),
+        (
+            lambda v, face, g: harmonicity_defect(cochain_from_map({}), face, "x"),
+            "graph must be a BallGraph, got 'x'",
+        ),
+        (lambda v, face, g: harmonicity_defect("x", face, g), "f must be a Cochain, got 'x'"),
+        (lambda v, face, g: min_distance_chamber(face, "x"), "graph must be a BallGraph, got 'x'"),
+        (lambda v, face, g: decay_profile(v, "x"), "graph must be a BallGraph, got 'x'"),
+        (lambda v, face, g: decay_profile("x", g), "f must be a Cochain, got 'x'"),
+        (lambda v, face, g: finite_support_rigidity("x"), "graph must be a BallGraph, got 'x'"),
+    ],
+    ids=[
+        "defect-graph",
+        "map-defect-graph",
+        "defect-cochain",
+        "min-distance-graph",
+        "decay-graph",
+        "decay-cochain",
+        "rigidity-graph",
+    ],
+)
+def test_a_harmonic_query_refuses_a_value_that_is_not_a_ball_or_cochain(query, message):
+    # one ValueError naming the argument, where an AttributeError came before
+    g = ball(PrimeContext(p=2, n=2), 3)
+    v = iwahori_vector(g.chambers[0], 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        query(v, g.interior_faces()[0], g)

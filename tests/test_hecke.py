@@ -316,3 +316,8 @@ def test_harmonic_vector_is_sign_eigenvector(tree_p2):
         for i in range(len(g)):
             if g.distance[i] <= 6:
                 assert conv[i] == -f[i]
+
+
+def test_convolution_refuses_a_value_that_is_not_a_ball():
+    with pytest.raises(ValueError, match=re.escape("graph must be a BallGraph, got 'x'")):
+        convolve_chamber_function({}, 0, "x")

@@ -139,3 +139,18 @@ def test_no_subcommand_imports_dataclasses_or_inspect(argv):
     proc = fresh(code, *argv.split())
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] + "\n" == baseline.stdout
+
+
+@pytest.mark.parametrize("fmt, loads_csv", [("json", False), ("csv", True)])
+def test_csv_loads_only_for_csv_output(fmt, loads_csv):
+    probe = "print('csv' in __import__('sys').modules)"
+    baseline = fresh(probe)
+    assert baseline.returncode == 0, baseline.stderr
+    assert baseline.stdout == "False\n"
+    code = (
+        "import sys\nfrom weylbuildings.cli import main\n"
+        f"status = main(sys.argv[1:])\nsys.stdout = sys.stderr\n{probe}\nsys.exit(status)"
+    )
+    proc = fresh(code, "ball", "--n", "2", "--p", "3", "--R", "2", "--format", fmt)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == str(loads_csv)
