@@ -45,7 +45,8 @@ from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .building import (
+from .exact import SparseMap, Value, _fraction, _int, _restore
+from .lattice import (
     LatticeClass,
     PrimeContext,
     _require_classes,
@@ -53,7 +54,6 @@ from .building import (
     _tree_neighbors,
     classes_adjacent,
 )
-from .exact import SparseMap, Value, _fraction, _int, _restore
 
 __all__ = [
     "ZeroCochain",
@@ -97,7 +97,7 @@ class ZeroCochain(Value):
         return self.values.support()
 
     def value(self, vertex: LatticeClass) -> Fraction:
-        return self.values.lookup(vertex)
+        return self.values.lookup(vertex, LatticeClass)
 
 
 def zero_cochain_from_map(values: Mapping[LatticeClass, Fraction]) -> ZeroCochain:
@@ -144,8 +144,8 @@ class OneCochain(Value):
 
     def value(self, s: LatticeClass, t: LatticeClass) -> Fraction:
         if s.hnf < t.hnf:
-            return self.values.lookup((s, t))
-        return -self.values.lookup((t, s))
+            return self.values.lookup((s, t), tuple)
+        return -self.values.lookup((t, s), tuple)
 
 
 def one_cochain_from_map(values: Mapping[Edge, Fraction]) -> OneCochain:
@@ -158,7 +158,7 @@ def one_cochain_from_map(values: Mapping[Edge, Fraction]) -> OneCochain:
 def vertex_neighbors(vertex: LatticeClass, ctx: PrimeContext) -> tuple[LatticeClass, ...]:
     """The p + 1 neighbors in canonical order: the index-p sublattices of
     the vertex, one per line of L / pL, in the closed form of the tree
-    (Serre, *Trees*, Ch. II §1; ``building._tree_neighbors``)."""
+    (Serre, *Trees*, Ch. II §1; ``lattice._tree_neighbors``)."""
     _require_tree(ctx, vertex)
     return tuple(sorted(_tree_neighbors(vertex, ctx.p), key=lambda v: v.hnf))
 
@@ -192,6 +192,7 @@ class VertexTree(Value):
         return len(self.vertices)
 
     def shell(self, k: int) -> tuple[int, ...]:
+        _int(k, "k")
         return tuple(i for i, d in enumerate(self.depth) if d == k)
 
     def ends(self) -> tuple[Edge, ...]:

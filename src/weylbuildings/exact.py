@@ -127,9 +127,19 @@ class SparseMap(tuple):
     def support(self) -> tuple:
         return tuple(k for k, _ in self)
 
-    def lookup(self, key: Hashable) -> Fraction:
-        """The value at a key; a key outside the support reads as 0."""
-        return self._index.get(key, Fraction(0))
+    def lookup(self, key: Hashable, kind: type) -> Fraction:
+        """The value at a key: 0 for a key of the owner's kind outside the
+        support, and ValueError naming any other key.  The kind is checked
+        only when the key misses."""
+        try:
+            x = self._index.get(key)
+        except TypeError:  # an unhashable key is of no kind a map holds
+            x = None
+        if x is None:
+            if not isinstance(key, kind):
+                raise ValueError(f"key of the wrong type: {key!r}")
+            return Fraction(0)
+        return x
 
 
 def _fraction(x: int | Fraction, name: str) -> Fraction:

@@ -51,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .building import BallGraph, Face, FlagChamber, _require_ball
+from .building import BallGraph, Face, FlagChamber, _not_a_ball, _require_ball
 from .exact import SparseMap, Value, _int, row_reduce
 
 __all__ = [
@@ -94,21 +94,32 @@ class Cochain(Value):
     def value(self, chamber: FlagChamber, graph: BallGraph) -> Fraction:
         """Evaluate at a chamber, resolving distances through ``graph``."""
         if self.values is not None:
-            return self.values.lookup(chamber)
+            return self.values.lookup(chamber, FlagChamber)
+        q = self._rule_q(graph)
         i = graph.index.get(chamber)
         if i is None:
             raise ValueError("chamber outside the ball: distance unknown")
-        return self.value_at_index(i, graph)
+        return Fraction(-1, q) ** graph.distance[i]
 
     def value_at_index(self, i: int, graph: BallGraph) -> Fraction:
-        if self.values is not None:
-            return self.values.lookup(graph.chambers[i])
-        return Fraction(-1, self._rule_q(graph)) ** graph.distance[i]
+        if self.values is None:
+            return Fraction(-1, self._rule_q(graph)) ** graph.distance[i]
+        try:
+            chambers = graph.chambers
+        except AttributeError:
+            raise _not_a_ball(graph) from None
+        return self.values.lookup(chambers[i], FlagChamber)
 
     def _rule_q(self, graph: BallGraph) -> int:
-        """The rule's q, once the ball is known to be centered at its base."""
+        """The rule's q, once the ball is known to be centered at its base;
+        a graph that is not a ``BallGraph`` has no ``_flags``, which raises
+        ValueError."""
         base, q = self.rule
-        if base.classes != graph._flags[0]:  # the center's flag
+        try:
+            center = graph._flags[0]
+        except AttributeError:
+            raise _not_a_ball(graph) from None
+        if base.classes != center:
             raise ValueError("rule-form cochain needs a ball centered at its base")
         return q
 
@@ -136,7 +147,7 @@ def _profile_of(graph: BallGraph) -> dict[Face, tuple[int, int, FlagChamber] | N
     try:
         profile = graph._profile
     except AttributeError:
-        raise ValueError(f"graph must be a BallGraph, got {graph!r}") from None
+        raise _not_a_ball(graph) from None
     if profile is None:
         dist, full, chambers = graph.distance, graph.ctx.p + 1, graph.chambers
         profile = {}
@@ -213,7 +224,7 @@ def decay_profile(f: Cochain, graph: BallGraph) -> tuple[tuple[int, Fraction], .
             out[k] = Fraction(1, q**k)
         return tuple(enumerate(out))
     for chamber, k in zip(graph.chambers, graph.distance):
-        v = abs(f.values.lookup(chamber))
+        v = abs(f.values.lookup(chamber, FlagChamber))
         if v > out[k]:
             out[k] = v
     return tuple(enumerate(out))

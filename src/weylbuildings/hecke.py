@@ -93,7 +93,7 @@ class HeckeElement(Value):
         return self.terms.support()
 
     def coefficient(self, w: GroupElement) -> Fraction:
-        return self.terms.lookup(w)
+        return self.terms.lookup(w, GroupElement)
 
     def is_zero(self) -> bool:
         return not self.terms

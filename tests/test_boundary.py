@@ -261,6 +261,15 @@ def test_a_radius_zero_tree_has_no_ends(ctx2):
     assert len(vertex_tree(ctx2, standard_lattice(ctx2), 1).ends()) == end_count(2, 1)
 
 
+@pytest.mark.parametrize("k", ["x", 1.0, None], ids=repr)
+def test_a_tree_shell_index_must_be_an_int(ctx2, k):
+    # as BallGraph.shell: an index of another kind is named, not read as empty
+    tree = vertex_tree(ctx2, standard_lattice(ctx2), 2)
+    with pytest.raises(ValueError, match=re.escape(f"k must be an int, got {k!r}")):
+        tree.shell(k)
+    assert tree.shell(3) == ()
+
+
 @pytest.mark.parametrize("radius", [2.0, "2"], ids=repr)
 def test_vertex_tree_rejects_non_int_radius(ctx2, radius):
     o = standard_lattice(ctx2)

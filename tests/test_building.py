@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import weylbuildings.building as building
+import weylbuildings.lattice as lattice
 from weylbuildings import (
     BallGraph,
     Face,
@@ -1459,7 +1460,10 @@ def test_stars_need_no_hermite_elimination(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a star ran the Hermite elimination")
 
-    monkeypatch.setattr(building, "_hermite_rows", refuse)
+    # the elimination lives in the vertex layer; building holds its own
+    # binding of ``_canonical``, for ``act``
+    monkeypatch.setattr(lattice, "_hermite_rows", refuse)
+    monkeypatch.setattr(lattice, "_canonical", refuse)
     monkeypatch.setattr(building, "_canonical", refuse)
     for n, p, radius in [(2, 3, 5), (3, 3, 3), (3, 2, 4)]:
         ctx = PrimeContext(p=p, n=n)

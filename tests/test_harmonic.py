@@ -19,6 +19,8 @@ from weylbuildings import (
     harmonicity_defect,
     iwahori_vector,
     min_distance_chamber,
+    standard_lattice,
+    vertex_tree,
 )
 from weylbuildings.harmonic import _ascent_faces, _full_rank
 
@@ -457,6 +459,15 @@ def test_a_graph_rebuilt_with_other_distances_builds_its_own_profile():
         (lambda v, face, g: decay_profile(v, "x"), "graph must be a BallGraph, got 'x'"),
         (lambda v, face, g: decay_profile("x", g), "f must be a Cochain, got 'x'"),
         (lambda v, face, g: finite_support_rigidity("x"), "graph must be a BallGraph, got 'x'"),
+        (lambda v, face, g: v.value(g.chambers[1], "x"), "graph must be a BallGraph, got 'x'"),
+        (
+            lambda v, face, g: v.value_at_index(0, vertex_tree(g.ctx, standard_lattice(g.ctx), 1)),
+            "graph must be a BallGraph, got VertexTree(",
+        ),
+        (
+            lambda v, face, g: cochain_from_map({}).value_at_index(0, "x"),
+            "graph must be a BallGraph, got 'x'",
+        ),
     ],
     ids=[
         "defect-graph",
@@ -466,6 +477,9 @@ def test_a_graph_rebuilt_with_other_distances_builds_its_own_profile():
         "decay-graph",
         "decay-cochain",
         "rigidity-graph",
+        "rule-value-graph",
+        "rule-value-at-index-tree",
+        "map-value-at-index-graph",
     ],
 )
 def test_a_harmonic_query_refuses_a_value_that_is_not_a_ball_or_cochain(query, message):

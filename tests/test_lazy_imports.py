@@ -1,13 +1,16 @@
 """Lazy loading: the package namespace and each CLI subcommand import only
-the modules they use.
+the modules they use, and a request imports only its own subcommand's
+module of ``weylbuildings.commands``.
 
 Every check runs in a fresh interpreter, because this test process has
 already imported every module.
 """
 
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +18,8 @@ from pathlib import Path
 import pytest
 
 import weylbuildings
+import weylbuildings.commands
+from weylbuildings.cli import _COMMANDS
 
 SRC = str(Path(weylbuildings.__file__).resolve().parents[1])
 PINNED = {
@@ -43,16 +48,29 @@ def test_importing_the_cli_loads_no_library_module():
     assert proc.stdout == "['weylbuildings.cli']\n"
 
 
+def test_every_subcommand_is_one_command_module():
+    # the parser's subcommands and the modules of weylbuildings.commands are
+    # the same names, and each module's run is what main dispatches to
+    found = {m.name for m in pkgutil.iter_modules(weylbuildings.commands.__path__)}
+    assert found == set(_COMMANDS)
+    for name in _COMMANDS:
+        assert callable(importlib.import_module(f"weylbuildings.commands.{name}").run)
+
+
 @pytest.mark.parametrize(
     "argv, modules",
     [
         ("growth --type A2~ --K 5", {"coxeter", "exact", "poincare"}),
         ("hecke --type A2~ --q 3", {"coxeter", "exact", "hecke"}),
         ("period --type B3~ --q 2 --K 3", {"coxeter", "exact", "period", "poincare"}),
-        ("period --type A1~ --q 2 --K 5", {"building", "coxeter", "exact", "period", "poincare"}),
-        ("ball --n 2 --p 3 --R 2", {"building", "coxeter", "exact"}),
-        ("harmonic --n 3 --p 2 --R 2", {"building", "exact", "harmonic"}),
-        ("boundary --p 3 --R 2 --seed 4", {"boundary", "building", "exact"}),
+        (
+            "period --type A1~ --q 2 --K 5",
+            {"building", "coxeter", "exact", "lattice", "period", "poincare"},
+        ),
+        ("ball --n 2 --p 3 --R 2", {"building", "coxeter", "exact", "lattice"}),
+        ("harmonic --n 3 --p 2 --R 2", {"building", "exact", "harmonic", "lattice"}),
+        # the tree reads the vertex layer alone: no chamber layer, no building
+        ("boundary --p 3 --R 2 --seed 4", {"boundary", "exact", "lattice"}),
     ],
     ids=lambda x: x if isinstance(x, str) else None,
 )
@@ -69,7 +87,9 @@ def test_a_subcommand_loads_only_what_it_runs(argv, modules):
     assert proc.returncode == record["status"]
     assert "".join(err) == record["stderr"]
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == record["stdout_sha256"]
-    assert loaded == repr(sorted(f"weylbuildings.{m}" for m in modules | {"cli"})) + "\n"
+    # the library modules, the CLI, and exactly one command module: its own
+    command = f"commands.{record['argv'][0]}"
+    assert loaded == repr(sorted(f"weylbuildings.{m}" for m in modules | {"cli", "commands", command})) + "\n"
 
 
 def test_star_import_binds_every_public_name():
@@ -96,11 +116,12 @@ def test_a_submodule_resolves_without_an_import():
         "print(weylbuildings.ball is weylbuildings.building.ball)\n" + LOADED
     )
     assert proc.returncode == 0, proc.stderr
-    # reading ``ball`` searches coxeter and poincare before building
+    # reading ``ball`` searches coxeter and poincare before building, which
+    # loads its vertex layer
     assert proc.stdout == (
         "weylbuildings.building\nTrue\n"
         "['weylbuildings.building', 'weylbuildings.coxeter', 'weylbuildings.exact', "
-        "'weylbuildings.poincare']\n"
+        "'weylbuildings.lattice', 'weylbuildings.poincare']\n"
     )
 
 

@@ -279,3 +279,30 @@ def test_a_key_of_the_wrong_type_is_refused_by_name(build, message):
     # is named in a ValueError, not met by an AttributeError
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda: ZERO.value(None), "key of the wrong type: None$"),
+        (lambda: ZERO.value(CHAMBER), r"key of the wrong type: FlagChamber\("),
+        (lambda: ZERO.value([1]), r"key of the wrong type: \[1\]$"),
+        (lambda: basis_element(A1, [0], 2).coefficient("x"), "key of the wrong type: 'x'$"),
+        (
+            lambda: cochain_from_map({CHAMBER: 1}).value(face_of(CHAMBER, 0), ball(P3, 1)),
+            r"key of the wrong type: Face\(",
+        ),
+    ],
+    ids=["zero-cochain-none", "zero-cochain-chamber", "zero-cochain-list", "hecke", "cochain-face"],
+)
+def test_a_lookup_of_the_wrong_type_is_refused_by_name(read, message):
+    # a key of the map's kind outside the support reads 0; any other key is
+    # named, where it read 0 before (or, unhashable, raised TypeError)
+    with pytest.raises(ValueError, match=message):
+        read()
+
+
+def test_a_lookup_outside_the_support_reads_zero():
+    assert ZERO.value(TREE.vertices[1]) == 0
+    assert basis_element(A1, [0], 2).coefficient(element_from_word(A1, [1])) == 0
+    assert cochain_from_map({CHAMBER: 1}).value(ball(P3, 1).chambers[1], None) == 0
