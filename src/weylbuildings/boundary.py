@@ -143,7 +143,11 @@ class OneCochain(Value):
         return self.values.support()
 
     def value(self, s: LatticeClass, t: LatticeClass) -> Fraction:
-        if s.hnf < t.hnf:
+        try:
+            forward = s.hnf < t.hnf
+        except AttributeError:  # a vertex that is not a lattice class
+            raise ValueError(f"key of the wrong type: {(s, t)!r}") from None
+        if forward:
             return self.values.lookup((s, t), tuple)
         return -self.values.lookup((t, s), tuple)
 

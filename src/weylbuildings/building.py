@@ -51,17 +51,19 @@ chain step (``lattice._chain_step``).  Flags that ``_star`` builds, for
 checks a face's classes before it asks for the face's star.  The vertex
 a face misses is an index-p sublattice of a face vertex L, the kernel of
 a nonzero functional on L / pL (Abramenko and Brown, *Buildings*, the
-SL_n example); on L's Hermite rows that kernel is triangular, so it goes
-straight to ``lattice._class_of``, with no elimination.  An n = 3 face
-is checked by its one chain step, and either way the star must hold
-exactly p + 1 distinct chambers.  ``_star`` returns them unsorted: the
-shell search sorts each new shell, and ``chambers_containing`` sorts its
-own.
+SL_n example).  The star is written out, with no elimination and no scan
+over all functionals: ``lattice._tree_neighbors`` for n = 2 (Serre,
+*Trees*, Ch. II §1), and for n = 3 ``_kernels``, which reads the p + 1
+functionals that vanish on the face's line off the line's residues mod
+p and writes each kernel's triangular rows in Hermite form in place.  An
+n = 3 face is checked by its one chain step, whose coordinates also give
+the line, and either way the star must hold exactly p + 1 distinct
+chambers.  ``_star`` returns them unsorted: the shell search sorts each
+new shell, and ``chambers_containing`` sorts its own.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -69,8 +71,8 @@ from typing import Callable, Mapping, Sequence
 from .exact import Value, _int, _restore
 from .lattice import (  # the vertex layer, its public names re-exported
     LatticeClass, PrimeContext, classes_adjacent, lattice_from_rows, standard_lattice, vertex_label,
-    _canonical, _chain_step, _class_of, _coordinates, _det, _integer_rows, _not_a_class, _oriented,
-    _require_classes, _shells, _tree_neighbors, _val_int,
+    _canonical, _chain_step, _det, _integer_rows, _not_a_class, _oriented, _require_classes,
+    _shells, _tree_neighbors, _val_int,
 )
 
 __all__ = [
@@ -230,36 +232,52 @@ def face_type(face: Face, ctx: PrimeContext) -> int:
     return missing.pop()
 
 
-@functools.lru_cache(maxsize=32)  # a process meets few primes; the bound caps a long-lived one
-def _functionals(n: int, p: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The nonzero functionals phi on F_p^n up to scalars, each scaled to 1
-    at its last nonzero entry j, as pairs (j, phi)."""
-    return tuple(
-        (j, head + (1,) + (0,) * (n - 1 - j))
-        for j in range(n)
-        for head in itertools.product(range(p), repeat=j)
-    )
+def _kernels(vertex: LatticeClass, line: Sequence[int], p: int) -> list[LatticeClass]:
+    """Classes of the p + 1 index-p sublattices of L = vertex, n = 3, that
+    contain a line of L / pL, given over L's Hermite rows r0, r1, r2.  They
+    are the kernels of the functionals phi that vanish on the line, each
+    scaled to 1 at its last nonzero entry j: r_i - phi_i r_j (i < j), p r_j
+    and r_i (i > j).  The line's residues l give those phi directly, with
+    g and h for phi_0 and phi_1 below:
 
+    - l0 != 0: j = 1 at phi_0 = -l1 / l0, and j = 2 at each phi_1, with
+      phi_0 = -(phi_1 l1 + l2) / l0;
+    - l0 = 0, l1 != 0: j = 0, and j = 2 at each phi_0, with phi_1 = -l2 / l1;
+    - l0 = l1 = 0: j = 0, and j = 1 at each phi_0.
 
-def _sublattices(vertex: LatticeClass, line: Sequence[int], p: int) -> list[LatticeClass]:
-    """Classes of the index-p sublattices of L = vertex that contain a line
-    of L / pL, given over L's Hermite rows r_0..r_(n-1); the zero line
-    gives all of them.  They are the kernels of the ``_functionals`` phi
-    that vanish on the line, r_i - phi_i r_j (i < j), p r_j, r_i (i > j):
-    upper triangular with a p-power diagonal, so ``_class_of`` reduces them
-    and strips their p-content, which is 0 or 1 since the kernel contains
-    pL with L primitive."""
-    basis, n = vertex.hnf, vertex.n
+    A zero line would keep all p^2 + p + 1 functionals, so it is a failed
+    invariant.  The kernel rows are upper triangular with a p-power
+    diagonal, and ``_reduced`` writes each one's class."""
+    (x0, m01, m02), (_, x1, m12), (_, _, x2) = vertex.hnf
+    l0, l1, l2 = line[0] % p, line[1] % p, line[2] % p
+    if not (l0 or l1 or l2):
+        raise AssertionError("the line of a face is zero mod p")
+    if l0:
+        s = pow(-l0, -1, p)
+        ones, twos = [l1 * s % p], [((h * l1 + l2) * s % p, h) for h in range(p)]
+    elif l1:
+        h = -l2 * pow(l1, -1, p) % p
+        ones, twos = [], [(g, h) for g in range(p)]
+    else:
+        ones, twos = range(p), []
     v = vertex.valuation + 1
-    out = []
-    for j, phi in _functionals(n, p):
-        if sum(f * x for f, x in zip(phi, line)) % p:
-            continue
-        rj = basis[j]
-        rows = [[x - f * y for x, y in zip(r, rj)] for r, f in zip(basis[:j], phi)]
-        rows += [[p * y for y in rj]] + [list(r) for r in basis[j + 1 :]]
-        out.append(_class_of(rows, p, v))
+    out = [] if l0 else [_reduced(p * x0, p * m01, p * m02, x1, m12, x2, p, v)]
+    out += [_reduced(x0, m01 - g * x1, m02 - g * m12, p * x1, p * m12, x2, p, v) for g in ones]
+    out += [_reduced(x0, m01, m02 - g * x2, x1, m12 - h * x2, p * x2, p, v) for g, h in twos]
     return out
+
+
+def _reduced(a: int, b: int, c: int, d: int, e: int, f: int, p: int, v: int) -> LatticeClass:
+    """Class of the span of the rows (a, b, c), (0, d, e), (0, 0, f), with
+    a p-power diagonal and determinant valuation v: ``lattice._class_of``
+    written out for one n = 3 kernel.  The entries above the diagonal are
+    reduced modulo the diagonal entry of their column, and the p-content,
+    0 or 1 since the kernel contains pL with L primitive, is stripped."""
+    t, b = divmod(b, d)
+    c, e = (c - t * e) % f, e % f
+    if a % p or b % p or c % p or d % p or e % p or f % p:
+        return LatticeClass(((a, b, c), (0, d, e), (0, 0, f)), v)
+    return LatticeClass(((a // p, b // p, c // p), (0, d // p, e // p), (0, 0, f // p)), v - 3)
 
 
 def chambers_containing(
@@ -283,14 +301,18 @@ def _star(classes: tuple[LatticeClass, ...], ctx: PrimeContext) -> dict[tuple, t
     and compare one level shallower.
 
     Each flag is the face's chain followed by the missing vertex m, an
-    index-p sublattice of the chain's last vertex that contains a line
-    (``_sublattices``).  For n = 2 the chain is the one vertex, the line is
-    zero and ``_tree_neighbors`` writes the star out.  For n = 3 the chain
-    is (first, last), with label(last) = label(first) + 1, and the face
-    must be the chain step first > p^k last (``_chain_step``); that one
-    containment checks the face, since an index-p sublattice of first
-    contains p first.  The missing vertex lies in p^k last and contains
-    p first, whose line is a coordinate row nonzero mod p.
+    index-p sublattice of the chain's last vertex.  For n = 2 the chain is
+    the one vertex and ``_tree_neighbors`` writes the star out.  For n = 3
+    the chain is (first, last), with label(last) = label(first) + 1, and
+    the face must be the chain step first > B = p^k last (``_chain_step``);
+    that one containment checks the face, since an index-p sublattice of
+    first contains p first.  The missing vertex lies in B and contains
+    p first, whose image in B / pB is a line, and ``_kernels`` writes out
+    the p + 1 sublattices that contain it.  The line is read off the
+    step's coordinates C of B's rows over first's: C is upper triangular
+    with one diagonal entry p and the others 1, so det C = p and
+    p first = adj(C) B, and the adjugate's row at that entry is nonzero
+    mod p, with a 1 there.
     """
     p, n = ctx.p, ctx.n
     if n == 2:
@@ -298,14 +320,13 @@ def _star(classes: tuple[LatticeClass, ...], ctx: PrimeContext) -> dict[tuple, t
         rows, j = classes[0].hnf, 0
     else:
         first, last = chain = _oriented(*classes, n)
-        outer = _chain_step(first, last, ctx)
-        if outer is None:
+        step = _chain_step(first, last, ctx)
+        if step is None:
             raise ValueError("classes do not bound a codimension-1 face")
-        for row in first.scaled_rows(p, 1):
-            line = _coordinates(outer, row)
-            if any(x % p for x in line):
-                break
-        missing = _sublattices(last, line, p)
+        # p first = adj(C) B: the adjugate's row at C's diagonal entry p
+        (c0, a, b), (_, c1, d), _ = step
+        line = (1, -a, a * d - b) if c0 != 1 else (0, 1, -d) if c1 != 1 else (0, 0, 1)
+        missing = _kernels(last, line, p)
         rows, j = first.hnf + last.hnf, int(last.hnf < first.hnf)
     # the least rotation of chain + (m,), as in FlagChamber: the chain's
     # classes keep their order, so it starts at m or at the chain's least,

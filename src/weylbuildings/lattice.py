@@ -19,10 +19,11 @@ exactly once.
 
 Arithmetic is exact, and inside this module it is integer arithmetic:
 ``lattice_from_rows`` scales its rows to integers once.  The canonical
-matrix of a derived class comes from one function, ``_class_of``: given
+matrix of a derived class comes from ``_class_of``: given
 upper-triangular rows with a p-power diagonal and their determinant
 valuation v, it reduces the entries above the diagonal and strips the
-p-content (``_tree_neighbors`` is its closed form on the tree).  Caller
+p-content.  The chamber stars write that step out for their own rows:
+``_tree_neighbors`` on the tree, ``building._kernels`` for n = 3.  Caller
 rows first go through ``_hermite_rows``, an elimination modulo p^(v+1)
 that yields triangular rows of the same span, because row operations are
 unimodular over Z_p, and asserts that the diagonal exponents sum to v;
@@ -304,20 +305,23 @@ def _coordinates(basis_rows: Sequence[Sequence[int]], vec: Sequence[int]) -> lis
         if rest:
             return None
         coords.append(c)
-        if c:
-            v = [y - c * z for y, z in zip(v, row)]
+        if c:  # only the entries after i are read again
+            for j in range(i + 1, len(v)):
+                v[j] -= c * row[j]
     return coords
 
 
 def _chain_step(a: LatticeClass, b: LatticeClass, ctx: PrimeContext) -> list[list[int]] | None:
-    """Rows of the homothety rescaling B = p^k b with a > B of index p, or
-    None when there is none: B needs valuation v(a) + 1, and then index p
-    is containment."""
+    """Coordinates over a's Hermite rows of the rows of the homothety
+    rescaling B = p^k b with a > B of index p, or None when there is none:
+    B needs valuation v(a) + 1, and then index p is containment.  Both
+    bases are upper triangular with a p-power diagonal, so the coordinates
+    are too, and their diagonal exponents sum to 1."""
     k, rest = divmod(a.valuation + 1 - b.valuation, ctx.n)
     if rest or k < 0:
         return None
-    rows = b.scaled_rows(ctx.p, k)
-    return rows if all(_coordinates(a.hnf, row) is not None for row in rows) else None
+    coordinates = [_coordinates(a.hnf, row) for row in b.scaled_rows(ctx.p, k)]
+    return None if None in coordinates else coordinates
 
 
 def _oriented(u: LatticeClass, v: LatticeClass, n: int) -> tuple[LatticeClass, LatticeClass]:
@@ -344,10 +348,10 @@ def classes_adjacent(u: LatticeClass, v: LatticeClass, ctx: PrimeContext) -> boo
 def _tree_neighbors(vertex: LatticeClass, p: int) -> list[LatticeClass]:
     """The p + 1 neighbors of a vertex L of the n = 2 tree: <p r0, r1> and
     <r0 + t r1, p r1>, one per line of L / pL (Serre, *Trees*, Ch. II §1).
-    This is the closed form of ``building._sublattices`` plus ``_class_of`` on the
-    zero line, with t in place of -t: each span is already reduced, and its
-    p-content is 0 or 1.  It is written out because the tree's stars are
-    about twice as fast without the generic rows and helper."""
+    They are the kernels of all p + 1 functionals on L / pL, since an
+    n = 2 face leaves no line to vanish on, written out as
+    ``building._kernels`` writes the n = 3 ones: each span is already
+    reduced, and its p-content is 0 or 1."""
     (x, y), (_, z) = vertex.hnf
     spans = [(p * x, p * y % z, z)] + [(x, y + t * z, p * z) for t in range(p)]
     v = vertex.valuation + 1

@@ -26,7 +26,8 @@ from weylbuildings import (
     vertex_tree,
     zero_cochain_from_map,
 )
-from weylbuildings.building import _coordinates, _det, _val_int
+from weylbuildings.building import _det, _val_int
+from weylbuildings.lattice import _coordinates
 
 
 @pytest.fixture(scope="module")

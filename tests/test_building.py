@@ -1,8 +1,10 @@
 """Lattice classes, chambers, the group action, and enumerated balls."""
 
 import copy
+import functools
 import hashlib
 import inspect
+import itertools
 import json
 import pickle
 import re
@@ -56,8 +58,9 @@ from weylbuildings import (
     weyl_to_chamber,
 )
 from weylbuildings.boundary import VertexTree
-from weylbuildings.building import _canonical, _coordinates
+from weylbuildings.building import _canonical
 from weylbuildings.exact import _int
+from weylbuildings.lattice import _class_of, _coordinates
 
 # -- canonical forms -------------------------------------------------------------
 
@@ -1290,12 +1293,15 @@ def test_integer_valuation_refuses_zero(p):
         building._val_int(0, p)
 
 
-# -- the star rule against the line insertions it replaced -------------------------
+# -- the star rule against the two rules it replaced ------------------------------------
 #
-# ``_quotient_basis`` and ``_insertions`` built every n = 3 star until the
-# kernel rule ``building._sublattices`` replaced them: the inner lattice of
-# a face gap plus one line of its residue plane, each sum put in Hermite
-# form by ``_canonical``.  They stay here, unchanged, as the reference.
+# ``_quotient_basis`` and ``_insertions`` built every n = 3 star until a
+# kernel rule replaced them: the inner lattice of a face gap plus one line
+# of its residue plane, each sum put in Hermite form by ``_canonical``.
+# That kernel rule, ``_functionals`` and ``_sublattices``, scanned all
+# p^2 + p + 1 functionals for those that vanish on the line, until
+# ``building._kernels`` wrote them out from the line's residues.  Both
+# stay here, unchanged, as references.
 
 
 def _quotient_basis(
@@ -1341,6 +1347,38 @@ def _insertions(
     return [_canonical(list(inner_rows) + [w], p, inner_valuation - 1) for w in lines]
 
 
+@functools.lru_cache(maxsize=32)  # a process meets few primes; the bound caps a long-lived one
+def _functionals(n: int, p: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The nonzero functionals phi on F_p^n up to scalars, each scaled to 1
+    at its last nonzero entry j, as pairs (j, phi)."""
+    return tuple(
+        (j, head + (1,) + (0,) * (n - 1 - j))
+        for j in range(n)
+        for head in itertools.product(range(p), repeat=j)
+    )
+
+
+def _sublattices(vertex: LatticeClass, line: Sequence[int], p: int) -> list[LatticeClass]:
+    """Classes of the index-p sublattices of L = vertex that contain a line
+    of L / pL, given over L's Hermite rows r_0..r_(n-1); the zero line
+    gives all of them.  They are the kernels of the ``_functionals`` phi
+    that vanish on the line, r_i - phi_i r_j (i < j), p r_j, r_i (i > j):
+    upper triangular with a p-power diagonal, so ``_class_of`` reduces them
+    and strips their p-content, which is 0 or 1 since the kernel contains
+    pL with L primitive."""
+    basis, n = vertex.hnf, vertex.n
+    v = vertex.valuation + 1
+    out = []
+    for j, phi in _functionals(n, p):
+        if sum(f * x for f, x in zip(phi, line)) % p:
+            continue
+        rj = basis[j]
+        rows = [[x - f * y for x, y in zip(r, rj)] for r, f in zip(basis[:j], phi)]
+        rows += [[p * y for y in rj]] + [list(r) for r in basis[j + 1 :]]
+        out.append(_class_of(rows, p, v))
+    return out
+
+
 def _face_gap(face, ctx):
     # the gap p^k last > p first that an n = 3 face leaves open: outer rows,
     # inner rows and the inner valuation
@@ -1363,7 +1401,7 @@ def _reference_star(face, ctx):
 def _spans_lattice(rows, basis, p):
     # the rows lie in the lattice of the triangular basis, and their span
     # has its determinant valuation (the least over maximal minors)
-    if any(building._coordinates(basis, row) is None for row in rows):
+    if any(_coordinates(basis, row) is None for row in rows):
         return False
     minors = [building._det(list(m)) for m in combinations(rows, len(basis))]
     return min(_val(d, p) for d in minors if d) == _val(building._det(basis), p)
@@ -1427,31 +1465,73 @@ def test_insertion_inside_the_inner_lattice_fails_the_valuation_check(n, monkeyp
         else:
             _insertions(*_face_gap(face, ctx), 3)
     if n == 3:
-        # the kernel rule, handed a line inside p outer, keeps every functional:
-        # p^2 + p + 1 chambers on one face, which the star count refuses
+        # the kernel rule, handed a line inside p outer, would keep every
+        # functional; it refuses the line as a failed invariant instead
         # (``_star`` writes the stars of both chambers_containing and ball)
-        line = "line = _coordinates(outer, row)"
+        line = "missing = _kernels(last, line, p)"
         source = inspect.getsource(building._star)
         assert source.count(line) == 1
         namespace = dict(vars(building))
-        exec(source.replace(line, "line = [p * x for x in _coordinates(outer, row)]"), namespace)
+        exec(source.replace(line, "missing = _kernels(last, [p * x for x in line], p)"), namespace)
         monkeypatch.setattr(building, "_star", namespace["_star"])
+        with pytest.raises(AssertionError, match="the line of a face is zero mod p"):
+            chambers_containing(face, ctx)
         from weylbuildings.cli import main
 
         assert main(["ball", "--n", "3", "--p", "3", "--R", "2"]) == 1
-        assert "exactly p + 1 chambers" in capsys.readouterr().err
+        assert "the line of a face is zero mod p" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("p, radius", [(2, 4), (3, 3), (5, 2)])
-def test_the_kernel_rule_matches_the_line_insertions(p, radius):
+def _line_case(line, p):
+    # which of ``building._kernels``'s three cases a line falls in: the
+    # index of its first entry nonzero mod p
+    return next(i for i, x in enumerate(line) if x % p)
+
+
+@pytest.mark.parametrize("p, radius", [(2, 4), (3, 3), (5, 2), (7, 2)])
+def test_the_kernel_rule_matches_the_line_insertions(p, radius, monkeypatch):
     # second route to every n = 3 star: the kernels of the functionals
-    # against the reference sums, chambers and valuations, on every face
+    # against the reference sums, chambers and valuations, on every face;
+    # the faces checked meet all three cases of the line
     ctx = PrimeContext(p=p, n=3)
-    for face in ball(ctx, radius).faces:
+    graph = ball(ctx, radius)
+    cases = set()
+    kernels = building._kernels
+
+    def recording(vertex, line, p):
+        cases.add(_line_case(line, p))
+        return kernels(vertex, line, p)
+
+    monkeypatch.setattr(building, "_kernels", recording)
+    for face in graph.faces:
         reference = _reference_star(face, ctx)
         star = chambers_containing(face, ctx)
         assert list(star) == reference
         assert _classes(c.classes[2] for c in star) == _classes(c.classes[2] for c in reference)
+    assert cases == {0, 1, 2}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_kernel_rule_matches_the_functional_scan(p):
+    # every nonzero line of L / pL, in residues and shifted by p, on the
+    # vertices of a ball: the written-out kernels against the scan over all
+    # functionals, classes and valuations; a zero line is refused
+    ctx = PrimeContext(p=p, n=3)
+    vertices = {c for chamber in ball(ctx, 1).chambers for c in chamber.classes}
+    lines = [line for line in product(range(p), repeat=3) if any(line)]
+    for v in vertices:
+        for line in lines:
+            kernels = building._kernels(v, line, p)
+            assert len(kernels) == p + 1
+            assert _classes(kernels) == _classes(_sublattices(v, line, p))
+            shifted = [x + p * i for i, x in enumerate(line)]
+            assert _classes(building._kernels(v, shifted, p)) == _classes(kernels)
+    assert {_line_case(line, p) for line in lines} == {0, 1, 2}
+    # a zero line would keep every functional, and nothing after the rule
+    # would notice: the star count holds on the p + 1 it would give
+    for line in [(0, 0, 0), (p, 0, -p), (3 * p, 2 * p, p)]:
+        with pytest.raises(AssertionError, match="the line of a face is zero mod p"):
+            building._kernels(standard_lattice(ctx), line, p)
 
 
 def test_stars_need_no_hermite_elimination(monkeypatch):
@@ -1499,28 +1579,31 @@ def test_a_mutated_tree_neighbor_rule_fails_the_star_count(line, mutant, monkeyp
 @pytest.mark.parametrize(
     "name, line, mutant, failure",
     [
-        # phi scaled to -1 at j: the filter tests one functional, the rows
-        # are the kernel of another, and a flag beyond the ball breaks
+        # the j = 2 rows taken with phi scaled to -1 at j: phi vanishes on
+        # the line, the rows are the kernel of another functional, and a
+        # flag beyond the ball breaks
         (
-            "_functionals",
-            "head + (1,) + (0,) * (n - 1 - j)",
-            "head + (p - 1,) + (0,) * (n - 1 - j)",
+            "_kernels",
+            "m02 - g * x2, x1, m12 - h * x2",
+            "m02 + g * x2, x1, m12 + h * x2",
             "classes do not bound a codimension-1 face",
         ),
-        # entries above the diagonal left unreduced: one class, two forms
-        ("_class_of", "if t := row[c] // d:", "if t := 0:", "all equal: no"),
+        # entries above the diagonal of column 1 left unreduced: one class,
+        # two forms
+        ("_reduced", "t, b = divmod(b, d)", "t = 0", "all equal: no"),
         # a kernel inside pL kept whole: not primitive, so not canonical
         (
-            "_class_of",
-            "while not any(x % p for row in rows for x in row):",
-            "while False:",
+            "_reduced",
+            "if a % p or b % p or c % p or d % p or e % p or f % p:",
+            "if True:",
             "all equal: no",
         ),
-        # every functional kept: p^2 + p + 1 chambers on one face
+        # the line's condition dropped from the j = 2 functionals when
+        # l0 != 0: p^2 + 1 of them, so p^2 + 2 chambers on one face
         (
-            "_sublattices",
-            "if sum(f * x for f, x in zip(phi, line)) % p:",
-            "if False:",
+            "_kernels",
+            "[((h * l1 + l2) * s % p, h) for h in range(p)]",
+            "[(g, h) for g in range(p) for h in range(p)]",
             "exactly p + 1 chambers",
         ),
     ],
@@ -1529,8 +1612,7 @@ def test_a_mutated_tree_neighbor_rule_fails_the_star_count(line, mutant, monkeyp
 def test_a_mutated_kernel_rule_is_caught(name, line, mutant, failure, monkeypatch, capsys):
     # the mutant's stars differ from the reference on some face of a ball
     # built by the real rule, and the CLI exits 1 on a radius-3 ball; the
-    # reference stars are taken first, since ``_canonical`` behind them
-    # calls ``_class_of`` too
+    # reference stars are taken first, from the real rule's faces
     ctx = PrimeContext(p=3, n=3)
     references = {face: _reference_star(face, ctx) for face in ball(ctx, 2).faces}
     source = inspect.getsource(getattr(building, name))
@@ -1565,7 +1647,7 @@ def test_tree_neighbors_match_the_generic_insertions(p, radius):
             closed = [(c.hnf, c.valuation) for c in building._tree_neighbors(v, p)]
             assert len(set(closed)) == p + 1
             assert set(closed) == _classes(_generic_tree_neighbors(v, p))
-            assert set(closed) == _classes(building._sublattices(v, [0, 0], p))
+            assert set(closed) == _classes(_sublattices(v, [0, 0], p))
             assert all(val == sum(_val(row[i], p) for i, row in enumerate(h)) for h, val in closed)
 
 

@@ -43,6 +43,7 @@ P3 = PrimeContext(p=2, n=3)
 CHAMBER = standard_chamber(P3)
 TREE = vertex_tree(P2, standard_lattice(P2), 2)
 ZERO = zero_cochain_from_map({standard_lattice(P2): 1, TREE.vertices[3]: Fraction(1, 3)})
+EDGES = OneCochain((((TREE.vertices[0], TREE.vertices[1]), 1),))
 A1 = affine_diagram("A1~")
 
 # (value, its fields in constructor order, the fields == and hash ignore,
@@ -292,8 +293,13 @@ def test_a_key_of_the_wrong_type_is_refused_by_name(build, message):
             lambda: cochain_from_map({CHAMBER: 1}).value(face_of(CHAMBER, 0), ball(P3, 1)),
             r"key of the wrong type: Face\(",
         ),
+        (lambda: EDGES.value(1, TREE.vertices[0]), r"key of the wrong type: \(1, LatticeClass\("),
+        (lambda: EDGES.value(TREE.vertices[0], "x"), r"key of the wrong type: \(LatticeClass\(.*, 'x'\)$"),
     ],
-    ids=["zero-cochain-none", "zero-cochain-chamber", "zero-cochain-list", "hecke", "cochain-face"],
+    ids=[
+        "zero-cochain-none", "zero-cochain-chamber", "zero-cochain-list", "hecke", "cochain-face",
+        "one-cochain-int", "one-cochain-str",
+    ],
 )
 def test_a_lookup_of_the_wrong_type_is_refused_by_name(read, message):
     # a key of the map's kind outside the support reads 0; any other key is
@@ -304,5 +310,7 @@ def test_a_lookup_of_the_wrong_type_is_refused_by_name(read, message):
 
 def test_a_lookup_outside_the_support_reads_zero():
     assert ZERO.value(TREE.vertices[1]) == 0
+    v = TREE.vertices
+    assert EDGES.value(v[0], v[1]) == -EDGES.value(v[1], v[0]) == 1 and EDGES.value(v[1], v[2]) == 0
     assert basis_element(A1, [0], 2).coefficient(element_from_word(A1, [1])) == 0
     assert cochain_from_map({CHAMBER: 1}).value(ball(P3, 1).chambers[1], None) == 0
