@@ -26,8 +26,15 @@ the boundary value of a 1-cochain carried by the rim edges.
 
 ``vertex_tree`` builds each sphere once per (context, origin, depth), by
 the shell search behind ``building.ball``, and hands every caller that one
-read-only tree; ``boundary_value`` and ``primitive_cochain`` walk it
-instead of rebuilding it, and ``lift`` checks its parts against its rim.
+read-only tree.  The tree keeps, once, each vertex's index by Hermite
+tuple, a key C hashes, and its rim edges, read off the last shell's index
+range, so the maps run on its indices and hash no ``LatticeClass`` in
+Python.  ``boundary_value`` and ``primitive_cochain`` walk it instead of
+rebuilding it, and ``lift`` matches its parts to its rim in one pass.
+``lift``, ``coboundary`` and ``primitive_cochain`` build their cochains
+unchecked (``exact._restore``) from values they matched or computed
+themselves.  A context, cochain or boundary function of the wrong kind
+raises ValueError naming the parameter (``exact._field``).
 
 When o is the standard vertex, each end is named by a point ball of the
 projective line: a vertex at depth r is the line lattice
@@ -43,13 +50,15 @@ import functools
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .exact import SparseMap, Value, _fraction, _int, _restore
+from .exact import SparseMap, Value, _field, _fraction, _int, _restore
 from .lattice import (
     LatticeClass,
     PrimeContext,
+    _first,
     _require_classes,
+    _shell,
     _shells,
     _tree_neighbors,
     classes_adjacent,
@@ -76,7 +85,7 @@ __all__ = [
 
 
 def _require_tree(ctx: PrimeContext, *vertices: LatticeClass) -> None:
-    if ctx.n != 2:
+    if _field(ctx, PrimeContext, "n", "ctx") != 2:
         raise ValueError("the boundary machinery lives on the n = 2 tree")
     _require_classes(ctx, *vertices)
 
@@ -156,6 +165,20 @@ def one_cochain_from_map(values: Mapping[Edge, Fraction]) -> OneCochain:
     return OneCochain(tuple(values.items()))
 
 
+def _entry(s: LatticeClass, t: LatticeClass, x: Fraction) -> tuple:
+    """(forms, edge, value) of omega(s, t) = x on the orientation a
+    ``OneCochain`` keys, the smaller canonical form first."""
+    return ((s.hnf, t.hnf), (s, t), x) if s.hnf < t.hnf else ((t.hnf, s.hnf), (t, s), -x)
+
+
+def _by_form(entries: Iterable[tuple]) -> SparseMap:
+    """The map of (form, key, Fraction) entries with distinct forms, in the
+    order of the forms, which is the order of both cochains' keys, and
+    with the zero values dropped; for keys and values a kernel matched or
+    computed itself, so it is built unchecked."""
+    return SparseMap._ordered(tuple((k, x) for _, k, x in sorted(entries, key=_first) if x))
+
+
 # -- tree structure -----------------------------------------------------------------
 
 
@@ -171,10 +194,14 @@ class VertexTree(Value):
     """Vertices within a depth around an origin, with BFS parents.
 
     Trees are cached and shared between callers, so every field is
-    immutable: ``index`` is a read-only view.
+    immutable: ``index`` is a read-only view.  The hidden, uncompared
+    slots are derived from the fields once: ``_at`` maps each vertex's
+    Hermite tuple to its index, a lookup C hashes, and ``_rim`` holds the
+    rim edges, read off the last shell's index range.
     """
 
-    __slots__ = ("ctx", "origin", "radius", "vertices", "depth", "parent", "index")
+    __slots__ = ("ctx", "origin", "radius", "vertices", "depth", "parent", "index", "_at", "_rim")
+    _uncompared = _hidden = ("_at", "_rim")
 
     def __init__(
         self,
@@ -186,7 +213,12 @@ class VertexTree(Value):
         parent: tuple[int | None, ...],
         index: Mapping[LatticeClass, int],
     ) -> None:
-        self._set(ctx, origin, radius, vertices, depth, parent, index)
+        rim = _shell(depth, radius) if radius else ()
+        self._set(
+            ctx, origin, radius, vertices, depth, parent, index,
+            {v.hnf: i for i, v in enumerate(vertices)},
+            tuple((vertices[parent[i]], vertices[i]) for i in rim),
+        )
 
     def __reduce__(self) -> tuple:
         # the read-only index does not pickle; the shared tree is rebuilt
@@ -196,15 +228,13 @@ class VertexTree(Value):
         return len(self.vertices)
 
     def shell(self, k: int) -> tuple[int, ...]:
-        _int(k, "k")
-        return tuple(i for i, d in enumerate(self.depth) if d == k)
+        return tuple(_shell(self.depth, k))
 
     def ends(self) -> tuple[Edge, ...]:
         """Oriented rim edges (parent, leaf), leaves at the full depth."""
         if self.radius < 1:
             raise ValueError("ends need depth at least 1")
-        rim = self.shell(self.radius)
-        return tuple((self.vertices[self.parent[i]], self.vertices[i]) for i in rim)
+        return self._rim
 
 
 def vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> VertexTree:
@@ -214,11 +244,14 @@ def vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> VertexT
     origin, radius); every call returns that same read-only tree."""
     _require_tree(ctx, origin)
     _int(radius, "radius", 0)
-    return _vertex_tree(ctx, origin, radius)
+    return _vertex_tree(ctx, origin.hnf, origin.valuation, radius)
 
 
-@functools.lru_cache(maxsize=32)  # a process meets few spheres; the bound caps a long-lived one
-def _vertex_tree(ctx: PrimeContext, origin: LatticeClass, radius: int) -> VertexTree:
+# a process meets few spheres; the bound caps a long-lived one.  The origin
+# is keyed by its Hermite tuple, which C hashes
+@functools.lru_cache(maxsize=32)
+def _vertex_tree(ctx: PrimeContext, hnf: tuple, valuation: int, radius: int) -> VertexTree:
+    origin = LatticeClass(hnf, valuation)
     vertices, depth, parent, _, _ = _shells(
         (origin.hnf, origin),
         radius,
@@ -247,17 +280,28 @@ def end_count(p: int, r: int) -> int:
 
 
 def coboundary(f: ZeroCochain, ctx: PrimeContext) -> OneCochain:
-    """d f with d f (s, t) = f(s) - f(t), on all edges meeting supp(f)."""
-    _require_tree(ctx)
-    out: dict[Edge, Fraction] = {}
-    for s, fs in f.values:
-        for t in vertex_neighbors(s, ctx):
-            out[(s, t)] = fs - f.value(t)
-    return OneCochain(tuple(out.items()))
+    """d f with d f (s, t) = f(s) - f(t), on all edges meeting supp(f).
+
+    Each support vertex is checked once, and its p + 1 neighbors come from
+    the closed form; f at a neighbor is one lookup by Hermite tuple.  Each
+    edge is keyed by the forms of its ends, smaller first, so two support
+    vertices' shared edge is kept once, and a sort of those plain keys
+    gives the cochain's order: the result is built unchecked."""
+    values = _field(f, ZeroCochain, "values", "f")
+    _require_tree(ctx, *(s for s, _ in values))
+    at = {s.hnf: x for s, x in values}
+    out: dict[tuple, tuple] = {}
+    for s, fs in values:
+        for t in _tree_neighbors(s, ctx.p):
+            ft = at.get(t.hnf)
+            entry = _entry(s, t, fs if ft is None else fs - ft)
+            out[entry[0]] = entry
+    return _restore(OneCochain, (_by_form(out.values()),))
 
 
 def integrate(omega: OneCochain, path: Sequence[LatticeClass], ctx: PrimeContext) -> Fraction:
     """Sum of omega along consecutive oriented edges of a vertex path."""
+    _field(omega, OneCochain, "values", "omega")
     _require_tree(ctx, *path)
     total = Fraction(0)
     for s, t in zip(path, path[1:]):
@@ -313,15 +357,17 @@ def _integrals(
     origin to each of its vertices and their shared denominator.  Each
     supported tree edge is the step omega(parent, child) at its child; a
     supported pair that is not an edge lies on no path and adds nothing.
-    The steps are scaled to integer numerators over the lcm of their
-    denominators and summed in one walk down the tree."""
-    _require_tree(ctx)
+    Both ends of an entry are found by Hermite tuple in the tree's ``_at``,
+    a lookup C hashes.  The steps are scaled to integer numerators over
+    the lcm of their denominators and summed down the tree, where a
+    parent's index is below its child's."""
+    entries = _field(omega, OneCochain, "values", "omega")
     _int(depth, "depth", 1)
     tree = vertex_tree(ctx, origin, depth)
-    index, parent = tree.index, tree.parent
+    at, parent = tree._at, tree.parent
     steps: list[tuple[int, int, int]] = []  # (child, numerator, denominator)
-    for (s, t), x in omega.values:
-        i, j = index.get(s), index.get(t)
+    for (s, t), x in entries:
+        i, j = at.get(s.hnf), at.get(t.hnf)
         if i is None or j is None:
             raise ValueError("cochain support escapes the sphere at this depth")
         if parent[j] == i:
@@ -329,11 +375,11 @@ def _integrals(
         elif parent[i] == j:
             steps.append((i, -x.numerator, x.denominator))
     den = lcm(*(d for _, _, d in steps))
-    step = {i: n * (den // d) for i, n, d in steps}
     to_vertex = [0] * len(tree)
+    for i, n, d in steps:  # one entry per edge, so one step per child
+        to_vertex[i] = n * (den // d)
     for i in range(1, len(tree)):
-        x = step.get(i)
-        to_vertex[i] = to_vertex[parent[i]] if x is None else to_vertex[parent[i]] + x
+        to_vertex[i] += to_vertex[parent[i]]
     return tree, to_vertex, den
 
 
@@ -346,14 +392,11 @@ def boundary_value(
     origin, so integrals out of the sphere are settled.
     """
     tree, to_vertex, den = _integrals(omega, origin, depth, ctx)
-    vertices, parent = tree.vertices, tree.parent
-    # the shell lists leaves by canonical form, the order BoundaryFunction
-    # keeps; read once, it gives both the ends and their values, so the
-    # result is built unchecked
-    parts = tuple(
-        ((vertices[parent[i]], vertices[i]), Fraction(to_vertex[i], den))
-        for i in tree.shell(depth)
-    )
+    # the rim lists leaves by canonical form, the order BoundaryFunction
+    # keeps, and its index range gives their values, so the result is
+    # built unchecked
+    rim = _shell(tree.depth, depth)
+    parts = tuple(zip(tree._rim, [Fraction(to_vertex[i], den) for i in rim]))
     return _restore(BoundaryFunction, (depth, parts))
 
 
@@ -366,16 +409,16 @@ def primitive_cochain(
     Far vertices then get c - c = 0, so the support stays inside the
     sphere; a non-constant boundary value is an error (no such f exists).
     The rim is compared and f built on the integer numerators, with one
-    Fraction per vertex where f is nonzero.
+    Fraction per vertex where f is nonzero; its vertices are the tree's
+    own, so f is built unchecked, in the order of their forms.
     """
     tree, to_vertex, den = _integrals(omega, origin, depth, ctx)
-    rim = {to_vertex[i] for i in tree.shell(depth)}
+    rim = {to_vertex[i] for i in _shell(tree.depth, depth)}
     if len(rim) != 1:
         raise ValueError("boundary value is not constant: omega is not a coboundary")
     (c,) = rim
-    return ZeroCochain(
-        tuple((v, Fraction(c - x, den)) for v, x in zip(tree.vertices, to_vertex) if x != c)
-    )
+    entries = [(v.hnf, v, Fraction(c - x, den)) for v, x in zip(tree.vertices, to_vertex) if x != c]
+    return _restore(ZeroCochain, (_by_form(entries),))
 
 
 def lift(g: BoundaryFunction, origin: LatticeClass, ctx: PrimeContext) -> OneCochain:
@@ -387,19 +430,23 @@ def lift(g: BoundaryFunction, origin: LatticeClass, ctx: PrimeContext) -> OneCoc
     r - 1 and r from the origin; ``BoundaryFunction`` has refused an edge
     named twice.  In a tree such a pair is (parent(s), s) for a leaf s at
     depth r, so the parts are checked against the rim edges of the shared
-    ``vertex_tree`` to depth r, in order and without hashing: the parts
-    must be the rim edges themselves.
+    ``vertex_tree`` to depth r, in order, by Hermite tuple and without
+    hashing: the parts must be the rim edges themselves.  The same pass
+    orients each rim edge as the cochain keys it, and the cochain is built
+    unchecked on the tree's own vertices.
     """
-    _require_tree(ctx, origin)
-    r = g.depth
-    edges = tuple(e for e, _ in g.parts)
-    if len(edges) != end_count(ctx.p, r):
+    r = _field(g, BoundaryFunction, "depth", "g")
+    rim = vertex_tree(ctx, origin, r)._rim
+    if len(g.parts) != len(rim):
         raise ValueError("parts must enumerate the ends at this depth exactly once")
-    # BoundaryFunction sorts its parts by leaf form, and ends() lists the
+    # BoundaryFunction sorts its parts by leaf form, and the rim lists the
     # leaves of one shell, which the shell search orders by form too
-    if edges != vertex_tree(ctx, origin, r).ends():
-        raise ValueError(f"part is not a rim edge at depth {r}")
-    return OneCochain(g.parts)
+    entries = []
+    for ((t, s), x), (a, b) in zip(g.parts, rim):
+        if t.hnf != a.hnf or s.hnf != b.hnf:
+            raise ValueError(f"part is not a rim edge at depth {r}")
+        entries.append(_entry(a, b, x))
+    return _restore(OneCochain, (_by_form(entries),))
 
 
 def end_chart(edge: Edge, ctx: PrimeContext) -> tuple[int, int]:

@@ -72,7 +72,7 @@ from .exact import Value, _int, _restore
 from .lattice import (  # the vertex layer, its public names re-exported
     LatticeClass, PrimeContext, classes_adjacent, lattice_from_rows, standard_lattice, vertex_label,
     _canonical, _chain_step, _det, _integer_rows, _not_a_class, _oriented, _require_classes,
-    _shells, _tree_neighbors, _val_int,
+    _shell, _shells, _tree_neighbors, _val_int,
 )
 
 __all__ = [
@@ -471,7 +471,8 @@ def generator_face_types(ctx: PrimeContext) -> dict[int, int]:
 class BallGraph(Value):
     """All chambers within a gallery radius of a center chamber.
 
-    Chambers are indexed breadth-first, sorted within each shell; `faces`
+    Chambers are indexed breadth-first, sorted within each shell, so
+    `shell` reads a shell as one index range (``lattice._shell``); `faces`
     records, for every face of a ball chamber, the increasing indices of
     its in-ball chambers (a face is interior when it has p + 1 of them).
     `parent` and `crossed_type` trace one minimal gallery back to the
@@ -542,8 +543,7 @@ class BallGraph(Value):
         return tuple(sizes)
 
     def shell(self, k: int) -> tuple[int, ...]:
-        _int(k, "k")
-        return tuple(i for i, d in enumerate(self.distance) if d == k)
+        return tuple(_shell(self.distance, k))
 
     def interior_faces(self) -> tuple[Face, ...]:
         full = self.ctx.p + 1

@@ -3,7 +3,8 @@
 ``SparseMap`` is the one finitely supported function to Fraction: chamber,
 vertex and edge cochains and Hecke elements all store their values in
 one.  ``_fraction`` and ``_int`` are the one checks of a rational and of
-an integer argument.  ``fraction_json`` is the one {num, den} encoder.
+an integer argument, and ``_field`` of an argument's record class.
+``fraction_json`` is the one {num, den} encoder.
 ``row_reduce`` is the one Gauss-Jordan elimination, over Q; a building
 face's chamber star is written out without it, as the kernels of the
 functionals that vanish on the face's line.
@@ -95,7 +96,8 @@ class SparseMap(tuple):
     ValueError, and the pairs are sorted by ``order(key)``; without
     ``order`` they keep the given order, which copying and unpickling use.
     Being that tuple, it compares and hashes on the ordered pairs and keeps
-    its owners' tuple-of-pairs fields; a dict beside the tuple answers
+    its owners' tuple-of-pairs fields; a dict beside the tuple, built with
+    the map or, for one from ``_ordered``, on its first lookup, answers
     ``lookup`` in O(1).
     """
 
@@ -125,6 +127,13 @@ class SparseMap(tuple):
         self._index = index
         return self
 
+    @classmethod
+    def _ordered(cls, pairs: Iterable[tuple[Hashable, Fraction]]) -> "SparseMap":
+        """The map of pairs a kernel built itself: distinct keys, nonzero
+        Fraction values, in the owner's order.  Nothing is checked or
+        hashed here; ``lookup`` builds the index on its first call."""
+        return super().__new__(cls, pairs)
+
     def support(self) -> tuple:
         return tuple(k for k, _ in self)
 
@@ -133,7 +142,11 @@ class SparseMap(tuple):
         support, and ValueError naming any other key.  The kind is checked
         only when the key misses."""
         try:
-            x = self._index.get(key)
+            index = self._index
+        except AttributeError:  # built by ``_ordered``: indexed on its first lookup
+            index = self._index = dict(self)
+        try:
+            x = index.get(key)
         except TypeError:  # an unhashable key is of no kind a map holds
             x = None
         if x is None:
@@ -162,6 +175,17 @@ def _int(value: int, name: str, least: int | None = None) -> int:
         bound = "nonnegative" if least == 0 else f"at least {least}"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
     return value
+
+
+def _field(value: object, cls: type, name: str, param: str) -> object:
+    """The field of a value of the class, read through the class's own
+    slot, which refuses a value of any other class: ValueError naming the
+    parameter.  The read a kernel needs anyway is the check, with no
+    ``isinstance`` beside it."""
+    try:
+        return cls.__dict__[name].__get__(value)
+    except TypeError:
+        raise ValueError(f"{param} must be a {cls.__name__}, got {value!r}") from None
 
 
 def fraction_json(x: Fraction) -> dict:

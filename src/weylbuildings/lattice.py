@@ -37,7 +37,8 @@ the valuation gap fixes k, and then the step is one containment.
 
 ``_shells`` runs on plain keys, tuples of Hermite rows that C hashes and
 orders: ``building.ball`` keys a chamber by the rows of its flag, and
-``boundary.vertex_tree`` a vertex by its rows.
+``boundary.vertex_tree`` a vertex by its rows.  Its distances never
+decrease, so ``_shell`` reads a ball's or a tree's shell as one range.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Sequence
 
@@ -392,6 +394,15 @@ def _shells(start: tuple, radius: int, step) -> tuple:
         tags += steps
         distance += [depth] * len(new)
     return tuple(items), tuple(distance), tuple(parent), tuple(tags), frontier
+
+
+def _shell(distance: Sequence[int], k: int) -> range:
+    """The indices at distance k, for an int k: ``_shells`` indexes shell by
+    shell, so the distances are nondecreasing and each shell is the one
+    range that bisection finds, with no scan.  ``BallGraph.shell`` and
+    ``VertexTree.shell`` read it."""
+    _int(k, "k")
+    return range(bisect_left(distance, k), bisect_right(distance, k))
 
 
 # the package lists these under ``building``, which re-exports them: pickles

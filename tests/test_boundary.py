@@ -10,6 +10,7 @@ import weylbuildings.boundary
 from weylbuildings import (
     BoundaryFunction,
     PrimeContext,
+    ball,
     boundary_value,
     classes_adjacent,
     coboundary,
@@ -26,6 +27,7 @@ from weylbuildings import (
     vertex_tree,
     zero_cochain_from_map,
 )
+from weylbuildings.boundary import OneCochain, ZeroCochain
 from weylbuildings.building import _det, _val_int
 from weylbuildings.lattice import _coordinates
 
@@ -533,7 +535,121 @@ def test_boundary_value_is_the_checked_boundary_function(p, r):
         assert g.parts == BoundaryFunction(r, values).parts
 
 
+def reference_coboundary(f, ctx):
+    """d f by the checked constructor: f(s) - f(t) on every (s, t) with s in
+    the support, the neighbors listed by ``vertex_neighbors``."""
+    out = {}
+    for s, fs in f.values:
+        for t in vertex_neighbors(s, ctx):
+            out[(s, t)] = fs - f.value(t)
+    return OneCochain(tuple(out.items()))
+
+
+def same_cochain(built, checked):
+    # equal values, hashes and lookups on both orientations of every edge
+    assert built == checked and hash(built) == hash(checked)
+    assert built.support == checked.support
+    for s, t in checked.support:
+        assert built.value(s, t) == checked.value(s, t) == -built.value(t, s)
+
+
+@pytest.mark.parametrize("p, r", [(2, 4), (3, 3), (5, 2)])
+def test_lift_and_coboundary_build_the_checked_cochain(p, r):
+    # both build their cochains unchecked; the checked constructor, given
+    # the same pairs, must agree, zero values and shared edges included
+    ctx = PrimeContext(p=p, n=2)
+    rng = random.Random(p * 100 + r)
+    standard = standard_lattice(ctx)
+    for o in (standard, vertex_neighbors(standard, ctx)[-1]):
+        tree = vertex_tree(ctx, o, r)
+        for _ in range(5):
+            parts = tuple((e, Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for e in tree.ends())
+            g = BoundaryFunction(r, parts)
+            same_cochain(lift(g, o, ctx), OneCochain(g.parts))
+            inner = [v for v, d in zip(tree.vertices, tree.depth) if d < r]
+            picks = rng.sample(inner, rng.randint(1, min(5, len(inner))))
+            # values from a short list, so neighbors in the support often agree
+            f = zero_cochain_from_map({v: Fraction(rng.choice((-1, 2, 2))) for v in picks})
+            omega = coboundary(f, ctx)
+            same_cochain(omega, reference_coboundary(f, ctx))
+            recovered = primitive_cochain(omega, o, r, ctx)
+            assert recovered == f == ZeroCochain(tuple(recovered.values))
+            assert all(recovered.value(v) == f.value(v) for v in tree.vertices)
+
+
+@pytest.mark.parametrize("p, r", [(2, 4), (3, 3), (5, 2)])
+def test_tree_shells_and_ends_by_range_match_the_scan(p, r):
+    ctx = PrimeContext(p=p, n=2)
+    for o in (standard_lattice(ctx), lattice_from_rows([[1, 1], [0, p]], p)):
+        tree = vertex_tree(ctx, o, r)
+        for k in range(-1, r + 2):
+            assert tree.shell(k) == tuple(i for i, d in enumerate(tree.depth) if d == k)
+        rim = [i for i, d in enumerate(tree.depth) if d == r]
+        assert tree.ends() == tuple((tree.vertices[tree.parent[i]], tree.vertices[i]) for i in rim)
+    graph = ball(ctx, r)
+    for k in range(-1, r + 2):
+        assert graph.shell(k) == tuple(i for i, d in enumerate(graph.distance) if d == k)
+
+
+@pytest.mark.parametrize("p, r", [(2, 4), (3, 3), (5, 2)])
+def test_the_tree_maps_hash_no_lattice_class(p, r, class_hash_calls):
+    # every lookup on the built tree goes by Hermite tuple, and the cochains
+    # are built unchecked, so no LatticeClass hash runs in Python
+    ctx = PrimeContext(p=p, n=2)
+    o = standard_lattice(ctx)
+    tree = vertex_tree(ctx, o, r)
+    g = BoundaryFunction(r, tuple((e, Fraction(i, 3)) for i, e in enumerate(tree.ends())))
+    f = zero_cochain_from_map({tree.vertices[0]: 1, tree.vertices[1]: Fraction(-2, 5)})
+    class_hash_calls[0] = 0
+    omega = lift(g, o, ctx)
+    assert boundary_value(omega, o, r, ctx) == g
+    assert class_hash_calls[0] == 0
+    assert primitive_cochain(coboundary(f, ctx), o, r, ctx) == f
+    assert class_hash_calls[0] == 0
+
+
 # -- input checks ---------------------------------------------------------------------
+
+
+def _wrong_kind_calls(ctx):
+    """Parameter -> (its kind, calls taking the value at that parameter,
+    values of other kinds) for the tree maps, every other argument valid."""
+    o = standard_lattice(ctx)
+    tree = vertex_tree(ctx, o, 2)
+    g = BoundaryFunction(2, tuple((e, 1) for e in tree.ends()))
+    omega, f = lift(g, o, ctx), zero_cochain_from_map({o: 1})
+    others = ["x", None, 1.5, object(), o]
+    return {
+        "ctx": ("PrimeContext", [
+            lambda x: lift(g, o, x),
+            lambda x: coboundary(f, x),
+            lambda x: vertex_tree(x, o, 1),
+            lambda x: vertex_neighbors(o, x),
+            lambda x: boundary_value(omega, o, 2, x),
+            lambda x: primitive_cochain(omega, o, 2, x),
+            lambda x: integrate(omega, [o], x),
+            lambda x: end_chart(tree.ends()[0], x),
+        ], others + [g]),
+        "omega": ("OneCochain", [
+            lambda x: boundary_value(x, o, 2, ctx),
+            lambda x: primitive_cochain(x, o, 2, ctx),
+            lambda x: integrate(x, [o], ctx),
+        ], others + [f, zero_cochain_from_map({}), g]),
+        "g": ("BoundaryFunction", [lambda x: lift(x, o, ctx)], others + [omega]),
+        "f": ("ZeroCochain", [lambda x: coboundary(x, ctx)], others + [omega, one_cochain_from_map({})]),
+    }
+
+
+@pytest.mark.parametrize("param", ["ctx", "omega", "g", "f"])
+def test_the_tree_maps_name_an_argument_of_the_wrong_kind(ctx2, param):
+    # one ValueError naming the parameter, where an AttributeError, a
+    # TypeError or a silent 0 came before; a cochain of the other degree,
+    # even an empty one, is of the wrong kind
+    kind, calls, values = _wrong_kind_calls(ctx2)[param]
+    for call in calls:
+        for x in values:
+            with pytest.raises(ValueError, match=re.escape(f"{param} must be a {kind}, got {x!r}")):
+                call(x)
 
 
 def test_the_tree_maps_refuse_an_n_3_context():

@@ -61,7 +61,12 @@ VALUES = [
     ),
     (ZERO, ("values",), (), ()),
     (coboundary(ZERO, P2), ("values",), (), ()),
-    (TREE, ("ctx", "origin", "radius", "vertices", "depth", "parent", "index"), (), ()),
+    (
+        TREE,
+        ("ctx", "origin", "radius", "vertices", "depth", "parent", "index"),
+        (),
+        ("_at", "_rim"),
+    ),
     (BoundaryFunction(2, tuple((e, 1) for e in TREE.ends())), ("depth", "parts"), (), ()),
     (parse_type_label("G2~"), ("family", "rank"), (), ()),
     (
