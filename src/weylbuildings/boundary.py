@@ -56,6 +56,7 @@ from .exact import SparseMap, Value, _field, _fraction, _int, _restore
 from .lattice import (
     LatticeClass,
     PrimeContext,
+    _dimension,
     _first,
     _require_classes,
     _shell,
@@ -85,7 +86,7 @@ __all__ = [
 
 
 def _require_tree(ctx: PrimeContext, *vertices: LatticeClass) -> None:
-    if _field(ctx, PrimeContext, "n", "ctx") != 2:
+    if _dimension(ctx) != 2:
         raise ValueError("the boundary machinery lives on the n = 2 tree")
     _require_classes(ctx, *vertices)
 
@@ -300,8 +301,11 @@ def coboundary(f: ZeroCochain, ctx: PrimeContext) -> OneCochain:
 
 
 def integrate(omega: OneCochain, path: Sequence[LatticeClass], ctx: PrimeContext) -> Fraction:
-    """Sum of omega along consecutive oriented edges of a vertex path."""
+    """Sum of omega along consecutive oriented edges of a vertex path, a
+    sequence of lattice classes."""
     _field(omega, OneCochain, "values", "omega")
+    if not isinstance(path, Sequence):
+        raise ValueError(f"path must be a sequence of lattice classes, got {path!r}")
     _require_tree(ctx, *path)
     total = Fraction(0)
     for s, t in zip(path, path[1:]):
@@ -340,7 +344,8 @@ class BoundaryFunction(Value):
         return vals.pop() if len(vals) == 1 else None
 
     def differs_by_constant(self, other: "BoundaryFunction") -> bool:
-        if self.depth != other.depth or len(self.parts) != len(other.parts):
+        depth = _field(other, BoundaryFunction, "depth", "other")
+        if self.depth != depth or len(self.parts) != len(other.parts):
             return False
         gaps = set()
         for (e1, x1), (e2, x2) in zip(self.parts, other.parts):
@@ -456,8 +461,8 @@ def end_chart(edge: Edge, ctx: PrimeContext) -> tuple[int, int]:
     p^r } for a primitive vector v, recovered from the canonical form and
     normalized to (1, y) with y mod p^r, or (x, 1) with p | x, x mod p^r.
     """
-    _require_tree(ctx, *edge)
-    t, s = edge
+    t, s = _edge(edge)
+    _require_tree(ctx, t, s)
     if t.valuation != s.valuation - 1 or not classes_adjacent(t, s, ctx):
         raise ValueError("edge must step outward from depth r - 1 to depth r")
     p, r = ctx.p, s.valuation

@@ -71,8 +71,8 @@ from typing import Callable, Mapping, Sequence
 from .exact import Value, _int, _restore
 from .lattice import (  # the vertex layer, its public names re-exported
     LatticeClass, PrimeContext, classes_adjacent, lattice_from_rows, standard_lattice, vertex_label,
-    _canonical, _chain_step, _det, _integer_rows, _not_a_class, _oriented, _require_classes,
-    _shell, _shells, _tree_neighbors, _val_int,
+    _canonical, _chain_step, _det, _dimension, _integer_rows, _not_a_class, _oriented,
+    _require_classes, _shell, _shells, _tree_neighbors, _val_int,
 )
 
 __all__ = [
@@ -141,9 +141,10 @@ class FlagChamber(Value):
 
 def make_chamber(classes: Sequence[LatticeClass], ctx: PrimeContext) -> FlagChamber:
     """Validated chamber from a caller-supplied cyclic flag of n classes."""
+    n = _dimension(ctx)
     cs = tuple(classes)
-    if len(cs) != ctx.n:
-        raise ValueError(f"a chamber needs exactly {ctx.n} classes")
+    if len(cs) != n:
+        raise ValueError(f"a chamber needs exactly {n} classes")
     _require_classes(ctx, *cs)
     if len(set(cs)) != len(cs):
         raise ValueError("flag classes must be distinct")
@@ -155,7 +156,7 @@ def make_chamber(classes: Sequence[LatticeClass], ctx: PrimeContext) -> FlagCham
 
 def standard_chamber(ctx: PrimeContext) -> FlagChamber:
     """The coordinate flag: L_k = diag(1, ..., 1, p, ..., p), k entries p."""
-    n, p = ctx.n, ctx.p
+    n, p = _dimension(ctx), ctx.p
     classes = []
     for k in range(n):
         rows = tuple(
@@ -285,9 +286,10 @@ def chambers_containing(
 ) -> tuple[FlagChamber, ...]:
     """All p + 1 chambers containing a codimension-1 face, sorted: the
     face's classes are checked, then ``_star`` writes the chambers out."""
+    n = _dimension(ctx)
     classes = tuple(face.classes) if isinstance(face, Face) else tuple(face)
-    if len(classes) != ctx.n - 1:
-        raise ValueError(f"a codimension-1 face has {ctx.n - 1} classes")
+    if len(classes) != n - 1:
+        raise ValueError(f"a codimension-1 face has {n - 1} classes")
     _require_classes(ctx, *classes)
     star = _star(classes, ctx)
     return tuple(_stored(FlagChamber, star[key]) for key in sorted(star))
@@ -354,7 +356,7 @@ def _integral_matrix(
     """The integer matrix p^a g for the least such a >= 0, and the
     valuation of its determinant.  Raises ValueError unless g is an
     invertible n x n matrix whose denominators are powers of p."""
-    n = ctx.n
+    n = _dimension(ctx)
     if len(g) != n or any(len(r) != n for r in g):
         raise ValueError(f"matrix must be {n} x {n}")
     gi = _integer_rows(g, ctx.p)
@@ -424,7 +426,7 @@ def label_shift_matrix(ctx: PrimeContext) -> QMatrix:
     Its determinant has valuation 1, so it shifts every vertex label by 1;
     it rotates the standard chamber's flag onto itself.
     """
-    n, p = ctx.n, ctx.p
+    n, p = _dimension(ctx), ctx.p
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n - 1):
         rows[i][i + 1] = Fraction(1)
@@ -439,7 +441,7 @@ def affine_generator_matrix(ctx: PrimeContext, i: int) -> QMatrix:
     affine generator 0 is the first one conjugated by the label shift,
     which swaps e_1 and e_n with weights: e_1 -> p e_n, e_n -> e_1 / p.
     """
-    n, p = ctx.n, ctx.p
+    n, p = _dimension(ctx), ctx.p
     if type(i) is not int or not 0 <= i < n:
         raise ValueError(f"generator index must be an int in 0..{n - 1}, got {i!r}")
     a, b, up, down = (i - 1, i, 1, 1) if i >= 1 else (0, n - 1, Fraction(1, p), p)
@@ -462,7 +464,8 @@ def generator_face_types(ctx: PrimeContext) -> dict[int, int]:
     each generator i: -i mod n.  Generator i >= 1 swaps coordinates i - 1
     and i, so of the standard flag it moves only the class with n - i
     entries p (label n - i); generator 0 moves only the standard lattice."""
-    return {i: -i % ctx.n for i in range(ctx.n)}
+    n = _dimension(ctx)
+    return {i: -i % n for i in range(n)}
 
 
 # -- balls of chambers ----------------------------------------------------------------

@@ -28,10 +28,12 @@ each face's shape is worked out once per ``BallGraph``: its profile, a map
 from each interior face to (closest chamber's index, d, that chamber)
 when the shape is sharp and to None otherwise, kept in the graph's hidden
 ``_profile`` slot.  The first defect, closest-chamber or rigidity query of
-a ball fills it; ``ball`` never does.  Every later query reads a face's
-shape in one lookup.  Only a graph built with other distances than its
-ball's has a face that is not sharp; its defect, as a map form's, sums
-the members.
+a ball fills it; ``ball`` never does.  The defect and closest-chamber
+queries read the slot themselves, so every later one answers with one
+lookup in it and calls nothing but the face's hash; a rule form whose
+base is the ball's own center flag skips the comparison with the center.
+Only a graph built with other distances than its ball's has a face that
+is not sharp; its defect, as a map form's, sums the members.
 
 ``finite_support_rigidity`` decides that the only cochain supported
 strictly inside a ball that is harmonic at every fully visible face is
@@ -140,14 +142,9 @@ _ZERO = Fraction(0)
 def _profile_of(graph: BallGraph) -> dict[Face, tuple[int, int, FlagChamber] | None]:
     """Each interior face's distance shape: (low, delta, chamber low) when
     its member low sits at the minimum delta and the other p at delta + 1,
-    None for any other shape.  Built on the first call for a graph and kept
-    in its ``_profile``; later calls return that same dict.  A graph that
-    is not a ``BallGraph`` has no ``_profile``, which raises ValueError, so
-    the queries that run once per face check it at no cost."""
-    try:
-        profile = graph._profile
-    except AttributeError:
-        raise _not_a_ball(graph) from None
+    None for any other shape.  Built on the first call for a ball and kept
+    in its ``_profile``; later calls return that same dict."""
+    profile = graph._profile
     if profile is None:
         dist, full, chambers = graph.distance, graph.ctx.p + 1, graph.chambers
         profile = {}
@@ -161,37 +158,47 @@ def _profile_of(graph: BallGraph) -> dict[Face, tuple[int, int, FlagChamber] | N
     return profile
 
 
-def _shape(face: Face, graph: BallGraph) -> tuple[int, int, FlagChamber] | None:
-    """The profile entry of an interior face; ValueError for any other."""
-    try:
-        return _profile_of(graph)[face]
-    except KeyError:
-        raise ValueError("face is not interior to the ball") from None
-
-
 def harmonicity_defect(f: Cochain, face: Face, graph: BallGraph) -> Fraction:
     """Sum of f over all p + 1 chambers containing an interior face.
 
     A rule-form f on a face of sharp shape, minimum delta, has the closed
     form (-1)^delta (q - p) / q^(delta + 1), the shared ``Fraction(0)``
-    when q = p.  Any other defect is the sum of the members' values.  An f
-    that is not a ``Cochain``, or a graph that is not a ``BallGraph``,
-    raises ValueError.
+    when q = p; the face's shape is one lookup in the ball's profile, and
+    a base whose flag is the ball's own center flag (``iwahori_vector`` of
+    ``graph.chambers[0]``) needs no comparison with the center.  Any other
+    defect is the sum of the members' values.  An f that is not a
+    ``Cochain``, a graph that is not a ``BallGraph`` and a face that is not
+    interior, hashable or not, raise ValueError; each is caught where its
+    first read fails, with no check beside it.
     """
     try:
         values = f.values
     except AttributeError:
         raise ValueError(f"f must be a Cochain, got {f!r}") from None
+    try:
+        profile = graph._profile
+    except AttributeError:
+        raise _not_a_ball(graph) from None
     if values is None:
-        shape = _shape(face, graph)
-        q, p = f._rule_q(graph), graph.ctx.p
+        if profile is None:
+            profile = _profile_of(graph)
+        try:
+            shape = profile[face]
+        except (KeyError, TypeError):  # not an interior face, or not hashable
+            raise ValueError("face is not interior to the ball") from None
+        base, q = f.rule
+        if base.classes is not graph._flags[0]:
+            q = f._rule_q(graph)
         if shape is not None:
+            p = graph.ctx.p
             if q == p:
                 return _ZERO
             return Fraction(p - q if shape[1] % 2 else q - p, q ** (shape[1] + 1))
-    _require_ball(graph)
-    members = graph.faces.get(face)
-    if members is None or len(members) != graph.ctx.p + 1:
+    try:
+        members = graph.faces[face]
+    except (KeyError, TypeError):
+        members = ()
+    if len(members) != graph.ctx.p + 1:
         raise ValueError("face is not interior to the ball")
     return sum((f.value_at_index(i, graph) for i in members), Fraction(0))
 
@@ -201,9 +208,20 @@ def min_distance_chamber(face: Face, graph: BallGraph) -> tuple[FlagChamber, int
 
     Asserts the sharp shape of the distance multiset: one chamber at the
     minimum delta and the remaining p at delta + 1; any other shape is
-    reported as a failure, not returned.  Reads the ball's profile.
+    reported as a failure, not returned.  One lookup in the ball's
+    profile; a graph that is not a ``BallGraph`` and a face that is not
+    interior raise ValueError where that read fails.
     """
-    shape = _shape(face, graph)
+    try:
+        profile = graph._profile
+    except AttributeError:
+        raise _not_a_ball(graph) from None
+    if profile is None:
+        profile = _profile_of(graph)
+    try:
+        shape = profile[face]
+    except (KeyError, TypeError):  # not an interior face, or not hashable
+        raise ValueError("face is not interior to the ball") from None
     if shape is None:
         raise AssertionError(
             "distance multiset over a face must be one minimum and p at minimum + 1"

@@ -50,7 +50,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Value, _fraction, _int
+from .exact import Value, _field, _fraction, _int
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -78,6 +78,13 @@ class PrimeContext(Value):
         _prime(p)
         if _int(n, "n") not in (2, 3):
             raise ValueError("only n = 2 and n = 3 are supported")
+
+
+def _dimension(ctx: PrimeContext) -> int:
+    """ctx's n, read through the ``PrimeContext`` slot: ValueError naming
+    ctx for a value of any other kind (``exact._field``).  The first read
+    of the context in each public function that takes one."""
+    return _field(ctx, PrimeContext, "n", "ctx")
 
 
 # -- valuations and determinants ---------------------------------------------
@@ -259,7 +266,8 @@ def _canonical(rows: Sequence[Sequence[int]], p: int, valuation: int | None = No
 
 
 def standard_lattice(ctx: PrimeContext) -> LatticeClass:
-    eye = tuple(tuple(1 if i == j else 0 for j in range(ctx.n)) for i in range(ctx.n))
+    n = _dimension(ctx)
+    eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     return LatticeClass(eye, 0)
 
 
@@ -276,8 +284,13 @@ def vertex_label(cls: LatticeClass, ctx: PrimeContext) -> int:
 def _require_classes(ctx: PrimeContext, *classes: LatticeClass) -> None:
     """ValueError unless each class is a ``LatticeClass``, n x n, and the
     product of its Hermite diagonal is p ** valuation, as for every class
-    built under ctx."""
-    n, p = ctx.n, ctx.p
+    built under ctx; ValueError naming ctx unless it is a context.  It runs
+    once per face ``ball`` expands, so the context is caught where its
+    first read fails, with no check beside it."""
+    try:
+        n, p = ctx.n, ctx.p
+    except AttributeError:
+        raise ValueError(f"ctx must be a PrimeContext, got {ctx!r}") from None
     for c in classes:
         if not isinstance(c, LatticeClass):
             raise _not_a_class(classes)

@@ -93,6 +93,13 @@ def test_integrate_needs_adjacent_steps(ctx2):
         integrate(omega, [o, far], ctx2)
 
 
+def test_integrate_names_a_path_that_is_not_a_sequence(ctx2):
+    # one class for the whole path: "Value after * must be an iterable" came before
+    o = standard_lattice(ctx2)
+    with pytest.raises(ValueError, match=re.escape(f"path must be a sequence of lattice classes, got {o!r}")):
+        integrate(one_cochain_from_map({}), o, ctx2)
+
+
 def test_one_cochain_antisymmetry(ctx2):
     o = standard_lattice(ctx2)
     s = lattice_from_rows([[1, 0], [0, 2]], 2)
@@ -518,6 +525,15 @@ def test_end_chart_rejects_inward_edge(ctx2):
             end_chart(edge, ctx2)
 
 
+def test_end_chart_names_an_edge_that_is_not_a_pair_of_classes(ctx2):
+    # "not enough values to unpack" came before, naming neither the edge
+    # nor the parameter
+    o = standard_lattice(ctx2)
+    for edge in ((o,), o):
+        with pytest.raises(ValueError, match=re.escape(f"an edge must join two lattice classes, got {edge!r}")):
+            end_chart(edge, ctx2)
+
+
 @pytest.mark.parametrize("p, r", [(2, 4), (3, 3), (5, 2)])
 def test_boundary_value_is_the_checked_boundary_function(p, r):
     # boundary_value builds its result unchecked, in leaf order; the checked
@@ -687,6 +703,14 @@ def test_boundary_functions_that_differ_by_a_constant(ctx2):
     assert len(others) == len(ends) and set(others) != set(ends)
     here, there = (BoundaryFunction(depth=2, parts=tuple((e, 1) for e in es)) for es in (ends, others))
     assert not here.differs_by_constant(there)
+
+
+@pytest.mark.parametrize("other", ["x", None, ((), 1)], ids=repr)
+def test_differs_by_constant_names_another_kind_of_other(ctx2, other):
+    # an AttributeError on other.depth came before
+    g = BoundaryFunction(depth=1, parts=tuple((e, 1) for e in vertex_tree(ctx2, standard_lattice(ctx2), 1).ends()))
+    with pytest.raises(ValueError, match=re.escape(f"other must be a BoundaryFunction, got {other!r}")):
+        g.differs_by_constant(other)
 
 
 @pytest.mark.parametrize("depth", [2.0, "2", Fraction(2)], ids=repr)

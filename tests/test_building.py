@@ -45,6 +45,7 @@ from weylbuildings import (
     face_of,
     face_type,
     generator_face_types,
+    geometric_lambda,
     label_shift_matrix,
     lattice_from_rows,
     length,
@@ -438,6 +439,38 @@ def test_a_class_of_another_prime_is_refused(call):
     # the p = 2 tree can be right
     with pytest.raises(ValueError, match=re.escape("expected a class of the p = 2 building, got ((1, 0), (0, 3))")):
         call()
+
+
+CONTEXT_CALLS = {
+    "standard_lattice": lambda x: standard_lattice(x),
+    "vertex_label": lambda x: vertex_label(O2, x),
+    "classes_adjacent": lambda x: classes_adjacent(O2, O2, x),
+    "make_chamber": lambda x: make_chamber(standard_chamber(P2).classes, x),
+    "standard_chamber": lambda x: standard_chamber(x),
+    "face_type": lambda x: face_type(Face((O2,)), x),
+    "chambers_containing": lambda x: chambers_containing((O2,), x),
+    "chambers_containing-face": lambda x: chambers_containing(Face((O2,)), x),
+    "act": lambda x: act([[1, 0], [0, 1]], O2, x),
+    "epsilon": lambda x: epsilon([[1, 0], [0, 1]], x),
+    "epsilon_from_labels": lambda x: epsilon_from_labels([[1, 0], [0, 1]], x),
+    "epsilon_from_determinant": lambda x: epsilon_from_determinant([[1, 0], [0, 1]], x),
+    "label_shift_matrix": lambda x: label_shift_matrix(x),
+    "affine_generator_matrix": lambda x: affine_generator_matrix(x, 0),
+    "generator_face_types": lambda x: generator_face_types(x),
+    "weyl_to_chamber": lambda x: weyl_to_chamber((0,), x),
+    "ball": lambda x: ball(x, 1),
+    "ball-centered": lambda x: ball(x, 1, center=standard_chamber(P2)),
+    "geometric_lambda": lambda x: geometric_lambda(x, 2),
+}
+
+
+@pytest.mark.parametrize("call", CONTEXT_CALLS.values(), ids=CONTEXT_CALLS.keys())
+@pytest.mark.parametrize("ctx", ["x", None, O2], ids=["str", "None", "class"])
+def test_a_context_of_the_wrong_kind_is_named(call, ctx):
+    # one ValueError naming ctx, where "'str' object has no attribute 'n'"
+    # came before
+    with pytest.raises(ValueError, match=re.escape(f"ctx must be a PrimeContext, got {ctx!r}")):
+        call(ctx)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
 """Chamber cochains: defects, the sign-decaying vector, decay, rigidity."""
 
+import collections
 import copy
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -368,6 +371,45 @@ def test_a_warm_face_scan_hashes_no_class(class_hash_calls):
     assert class_hash_calls[0] == 0
 
 
+def test_a_warm_face_query_enters_no_function_but_the_face_hash():
+    # once a ball's profile is built, a defect of its own sign-decaying
+    # vector and a closest-chamber query each answer with one lookup in the
+    # profile: the face's hash is the only Python function of the package
+    # that either enters
+    package = Path(harmonicity_defect.__code__.co_filename).parent
+    for ctx, R in ((PrimeContext(p=2, n=2), 8), (PrimeContext(p=3, n=3), 3)):
+        g = ball(ctx, R)
+        interior = g.interior_faces()  # 510 and 129: a session scan's 160, or all
+        faces = random.Random(0).sample(interior, min(160, len(interior)))
+        f = iwahori_vector(g.chambers[0], ctx.p)
+        min_distance_chamber(faces[0], g)  # builds the profile
+        entered = collections.Counter()
+
+        def profiler(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and Path(code.co_filename).parent == package:
+                entered[Path(code.co_filename).name, code.co_name] += 1
+
+        sys.setprofile(profiler)
+        try:
+            results = [(harmonicity_defect(f, face, g), min_distance_chamber(face, g)) for face in faces]
+        finally:
+            sys.setprofile(None)
+        assert all(defect == 0 for defect, _ in results)
+        assert entered == {
+            ("harmonic.py", "harmonicity_defect"): len(faces),
+            ("harmonic.py", "min_distance_chamber"): len(faces),
+            ("building.py", "__hash__"): 2 * len(faces),
+        }
+        # a base equal to the center but not built on the ball's own flag
+        # takes the comparison with the center, and answers the same
+        for q in (ctx.p, ctx.p + 1):
+            own, twin = (iwahori_vector(base, q) for base in (g.chambers[0], copy.deepcopy(g.chambers[0])))
+            assert twin.rule[0].classes is not g._flags[0]
+            assert [harmonicity_defect(own, face, g) for face in faces] == [
+                harmonicity_defect(twin, face, g) for face in faces]
+
+
 # -- the distance profile, worked out once per ball -----------------------------------
 
 
@@ -468,6 +510,12 @@ def test_a_graph_rebuilt_with_other_distances_builds_its_own_profile():
             lambda v, face, g: cochain_from_map({}).value_at_index(0, "x"),
             "graph must be a BallGraph, got 'x'",
         ),
+        (lambda v, face, g: harmonicity_defect(v, [], g), "face is not interior to the ball"),
+        (
+            lambda v, face, g: harmonicity_defect(cochain_from_map({}), [], g),
+            "face is not interior to the ball",
+        ),
+        (lambda v, face, g: min_distance_chamber([], g), "face is not interior to the ball"),
     ],
     ids=[
         "defect-graph",
@@ -480,6 +528,9 @@ def test_a_graph_rebuilt_with_other_distances_builds_its_own_profile():
         "rule-value-graph",
         "rule-value-at-index-tree",
         "map-value-at-index-graph",
+        "defect-unhashable-face",
+        "map-defect-unhashable-face",
+        "min-distance-unhashable-face",
     ],
 )
 def test_a_harmonic_query_refuses_a_value_that_is_not_a_ball_or_cochain(query, message):
