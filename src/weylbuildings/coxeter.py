@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import math
 import re
+from operator import mul
 from typing import Sequence
 
-from .exact import Value, _int, _restore, row_reduce
+from .exact import Value, _field, _int, _restore, row_reduce
 
 __all__ = [
     "INFINITE_ORDER",
@@ -267,7 +268,7 @@ def generator_matrices(diagram: CoxeterDiagram) -> tuple[Matrix, ...]:
     Matrix of sigma_s in the basis (alpha_t): identity except in row s,
     where the entry at column t is delta_st - A[s][t].
     """
-    return tuple(_matrix_of(diagram, (s,)) for s in diagram.generators)
+    return tuple(_matrix_of(diagram, (s,)) for s in range(_size(diagram)))
 
 
 def _times(row: tuple[int, ...], s: int, neighbors: Neighbors) -> tuple[int, ...]:
@@ -306,9 +307,10 @@ def _matrix_of(diagram: CoxeterDiagram, peel: Sequence[int]) -> Matrix:
     """sigma_{s_k} ... sigma_{s_1} for a peel s_1..s_k.  Each factor sigma_s
     on the left changes only row s: in each column c,
     c_s = -c_s - sum over the neighbors t of s of A[s][t] c_t."""
+    neighbors = diagram.neighbors
     cols = [[int(i == j) for i in diagram.generators] for j in diagram.generators]
     for s in peel:
-        row = diagram.neighbors[s]
+        row = neighbors[s]
         for c in cols:
             x = -c[s]
             for t, a in row:
@@ -350,12 +352,15 @@ class GroupElement(Value):
     def _check(self, diagram: CoxeterDiagram) -> None:
         """ValueError, naming the matrix, unless it is in the diagram's group;
         checked once per diagram.  M is a member iff it fixes the kernel and
-        equals the matrix derived from the peel of its column sums."""
+        equals the matrix derived from the peel of its column sums.  Its
+        first read, of the diagram's ``kernel`` slot, names a diagram of
+        another kind (``exact._field``)."""
+        kernel = _field(diagram, CoxeterDiagram, "kernel", "diagram")
         if self._diagram is diagram or self._diagram == diagram:
             return
         m, n = self.matrix, diagram.size
         fixes_kernel = len(m) == n and all(len(row) == n for row in m) and all(
-            tuple(sum(a * b for a, b in zip(row, v)) for row in m) == v for v in diagram.kernel
+            tuple(sum(map(mul, row, v)) for row in m) == v for v in kernel
         )
         # M delta = delta gives rho*(M delta) > 0: rho* M is in the Tits cone, the peel ends
         peel = _descents(diagram, self.point) if fixes_kernel else None
@@ -365,8 +370,12 @@ class GroupElement(Value):
         object.__setattr__(self, "_peel", peel)
 
     def _peel_of(self, diagram: CoxeterDiagram) -> list[int]:
-        """The peel s_1..s_k of the point, with w s_1...s_k = 1; once per diagram."""
-        self._check(diagram)
+        """The peel s_1..s_k of the point, with w s_1...s_k = 1; once per
+        diagram.  Its first read, of the ``_diagram`` slot, names an element
+        of another kind (``exact._field``)."""
+        # an element not yet checked against any diagram holds None there
+        if _field(self, GroupElement, "_diagram", "element") is not diagram or diagram is None:
+            self._check(diagram)
         if self._peel is None:
             object.__setattr__(self, "_peel", _descents(diagram, self.point))
         return self._peel
@@ -388,32 +397,48 @@ def _element(diagram: CoxeterDiagram, point: tuple[int, ...]) -> GroupElement:
     return _restore(GroupElement, (point, None, diagram, None))
 
 
+def _size(diagram: CoxeterDiagram) -> int:
+    """The diagram's number of generators, read through its ``orders``
+    slot: ValueError naming ``diagram`` for a value of any other kind
+    (``exact._field``)."""
+    return len(_field(diagram, CoxeterDiagram, "orders", "diagram"))
+
+
 def identity_element(diagram: CoxeterDiagram) -> GroupElement:
-    return _element(diagram, (1,) * diagram.size)
+    return _element(diagram, (1,) * _size(diagram))
 
 
 def element_from_word(diagram: CoxeterDiagram, word: Sequence[int]) -> GroupElement:
     """Product of the generators, word read left to right."""
-    y = (1,) * diagram.size
-    for letter in word:
+    y = (1,) * _size(diagram)
+    try:
+        letters = iter(word)
+    except TypeError:
+        raise ValueError(f"word must be a sequence of generators, got {word!r}") from None
+    for letter in letters:
         y = _times(y, _generator(diagram, letter), diagram.neighbors)
     return _element(diagram, y)
 
 
 def length(diagram: CoxeterDiagram, element: GroupElement) -> int:
-    """Word length of an element; ValueError for a matrix outside the group."""
-    return len(element._peel_of(diagram))
+    """Word length of an element; ValueError for a matrix outside the group
+    and, naming the parameter, for a diagram or element of another kind."""
+    return len(GroupElement._peel_of(element, diagram))
 
 
 def reduced_word(diagram: CoxeterDiagram, element: GroupElement) -> tuple[int, ...]:
     """The lexicographically first reduced word, in generator index order.
 
     Its first letter is the first left descent s of w (x_s < 0 for
-    x = rho* w^-1), followed by the word of sw.  ValueError as for length.
+    x = rho* w^-1), followed by the word of sw; x is stepped in place along
+    the peel, as ``_times`` steps a point.  ValueError as for length.
     """
-    x = (1,) * diagram.size
-    for s in element._peel_of(diagram):
-        x = _times(x, s, diagram.neighbors)
+    peel, neighbors = GroupElement._peel_of(element, diagram), diagram.neighbors
+    x = [1] * len(neighbors)
+    for s in peel:
+        r = x[s] = -x[s]
+        for t, a in neighbors[s]:
+            x[t] += a * r
     return tuple(_descents(diagram, x))
 
 
@@ -450,7 +475,7 @@ def bfs_growth(diagram: CoxeterDiagram, cutoff: int) -> GrowthTable:
     (1, 2, 2, 2, 2)
     """
     _int(cutoff, "cutoff", 0)
-    neighbors, shell = diagram.neighbors, {(1,) * diagram.size}
+    shell, neighbors = {(1,) * _size(diagram)}, diagram.neighbors
     counts = [1]
     for _ in range(cutoff):
         shell = {_times(y, s, neighbors) for y in shell for s in range(len(y)) if y[s] > 0}

@@ -28,7 +28,8 @@ def _restore(cls: type, state: tuple) -> "Value":
     """The one unchecked constructor, ``building._stored`` aside: a ``Value``
     of its fields, in ``__slots__`` order, with no ``__init__``; for
     unpickling and for records a kernel builds of parts it made itself.  A
-    shorter state sets only the leading slots."""
+    shorter state sets only the leading slots.  ``_set`` sets them, through
+    the class's slot setters."""
     self = cls.__new__(cls)
     self._set(*state)
     return self
@@ -37,7 +38,9 @@ def _restore(cls: type, state: tuple) -> "Value":
 class Value:
     """An immutable record whose fields are its ``__slots__``, in the order
     of its ``__init__`` parameters, which sets each with
-    ``object.__setattr__`` or ``_set``.
+    ``object.__setattr__`` or ``_set``.  Each class keeps the ``__set__``
+    of its slots, in that order, as ``_setters``: ``_set`` and ``_restore``
+    call them directly, with no lookup of a field by name.
 
     ``==`` holds between instances of one class with equal keys, the tuple
     of the fields not named in ``_uncompared``; the hash is that of the
@@ -60,11 +63,13 @@ class Value:
         get = attrgetter(*compared)
         cls._key = (lambda self: get(self)) if len(compared) > 1 else (lambda self: (get(self),))
         cls._shown = tuple(f for f in cls.__slots__ if f not in cls._hidden)
+        cls._setters = tuple(cls.__dict__[f].__set__ for f in cls.__slots__)
 
     def _set(self, *values: object) -> None:
-        """Set the fields to the values, in ``__slots__`` order."""
-        for name, x in zip(self.__slots__, values):
-            object.__setattr__(self, name, x)
+        """Set the fields to the values, in ``__slots__`` order, through the
+        slots' own setters (``_setters``); fewer values set the leading ones."""
+        for put, x in zip(self._setters, values):
+            put(self, x)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

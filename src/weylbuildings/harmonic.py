@@ -231,16 +231,20 @@ def min_distance_chamber(face: Face, graph: BallGraph) -> tuple[FlagChamber, int
 
 def decay_profile(f: Cochain, graph: BallGraph) -> tuple[tuple[int, Fraction], ...]:
     """Per-distance maxima of |f| over the ball: (k, max at distance k).
-    For a rule-form f it is q^-k at each distance k that occurs, 0 elsewhere."""
+    For a rule-form f it is q^-k at each distance k that occurs, 0 elsewhere;
+    that form reads the distances once, into the set of those that occur,
+    and takes its length from the largest of them."""
     if not isinstance(f, Cochain):
         raise ValueError(f"f must be a Cochain, got {f!r}")
     _require_ball(graph)
-    out: list[Fraction] = [Fraction(0)] * (max(graph.distance) + 1)
     if f.values is None:
         q = f._rule_q(graph)
-        for k in set(graph.distance):
+        occurring = set(graph.distance)
+        out: list[Fraction] = [_ZERO] * (max(occurring) + 1)
+        for k in occurring:
             out[k] = Fraction(1, q**k)
         return tuple(enumerate(out))
+    out = [_ZERO] * (max(graph.distance) + 1)
     for chamber, k in zip(graph.chambers, graph.distance):
         v = abs(f.values.lookup(chamber, FlagChamber))
         if v > out[k]:

@@ -19,7 +19,9 @@ diagram's sparse ``neighbors`` rows: l(ws) < l(w) exactly when y_s < 0.
 The coefficients they carry between steps are integer numerators over one
 known denominator (fraction-free arithmetic, Cohen, GTM 138, 2.2): with
 q = num/den a step multiplies by num - den, num or den, and a product
-builds one Fraction per nonzero output entry.
+builds one Fraction and one element per nonzero output entry, in point
+order, with no element hashed.  A factor, diagram or element of another
+kind is named by its parameter (``exact._field``).
 
 The parameter q is carried per element as an exact rational (integers in
 geometric uses, arbitrary rationals allowed algebraically); products
@@ -44,13 +46,11 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .coxeter import (
     CoxeterDiagram,
     GroupElement,
-    _element,
-    _times,
     element_from_word,
     identity_element,
     length,
 )
-from .exact import SparseMap, Value, _fraction, _restore
+from .exact import SparseMap, Value, _field, _fraction, _restore
 
 if TYPE_CHECKING:
     from .building import BallGraph
@@ -73,7 +73,8 @@ class HeckeElement(Value):
 
     ``terms`` is a ``SparseMap`` sorted by the point of w, with no zero
     coefficients, so equality of elements is equality of the fields.  A w
-    outside the diagram's group raises ValueError here, naming its matrix.
+    outside the diagram's group raises ValueError here, naming its matrix,
+    and so does a diagram of another kind, naming ``diagram``.
     """
 
     __slots__ = ("diagram", "q", "terms")
@@ -81,6 +82,7 @@ class HeckeElement(Value):
     def __init__(
         self, diagram: CoxeterDiagram, q: Fraction, terms: tuple[tuple[GroupElement, Fraction], ...]
     ) -> None:
+        _field(diagram, CoxeterDiagram, "orders", "diagram")
         object.__setattr__(self, "diagram", diagram)
         object.__setattr__(self, "q", _fraction(q, "q"))
         terms = SparseMap(terms, _point)
@@ -98,13 +100,19 @@ class HeckeElement(Value):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _require_compatible(self, other: "HeckeElement") -> None:
-        if self.diagram != other.diagram:
+    def _require_compatible(self, other: "HeckeElement", name: str = "other") -> None:
+        """ValueError unless other is an element over the same diagram and
+        q; its first read, of the ``diagram`` slot, names the parameter
+        for a value of another kind (``exact._field``)."""
+        diagram = _field(other, HeckeElement, "diagram", name)
+        if diagram is not self.diagram and diagram != self.diagram:
             raise ValueError("elements live over different diagrams")
-        if self.q != other.q:
+        if other.q is not self.q and other.q != self.q:
             raise ValueError("elements carry different parameters q")
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
+        if not isinstance(other, HeckeElement):
+            return NotImplemented
         self._require_compatible(other)
         support = dict.fromkeys(self.support + other.support)
         terms = tuple((w, self.coefficient(w) + other.coefficient(w)) for w in support)
@@ -114,6 +122,8 @@ class HeckeElement(Value):
         return HeckeElement(self.diagram, self.q, tuple((w, -c) for w, c in self.terms))
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
+        if not isinstance(other, HeckeElement):
+            return NotImplemented
         return self + (-other)
 
     def __rmul__(self, scalar: int | Fraction) -> "HeckeElement":
@@ -147,46 +157,57 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     denominators, ``scale``.  At each step, with q = num/den, a descent
     keeps (num - den) c at y and sends num c to ys, and an ascent sends
     den c to ys, so a right-hand term of peel length k leaves its sums
-    over scale den^k.  The terms of b are brought to one denominator, and
-    each nonzero entry of the sum becomes one Fraction.  The product's
-    points are ones it stepped itself, so it is built unchecked.
+    over scale den^k.  A step reflects each point in a list, reading the
+    generator's diagram neighbors inline; only a step with a descent can
+    cancel, so only such a step drops zeros.  The terms of b are brought to
+    one denominator, and the nonzero entries of the sum, sorted by point,
+    become one Fraction and one element each.  The product's points are
+    ones it stepped itself, so it is built unchecked and in order, with
+    no element hashed.  A factor of another kind is named.
     """
-    a._require_compatible(b)
-    diagram, neighbors = a.diagram, a.diagram.neighbors
-    num, den = a.q.numerator, a.q.denominator
+    diagram = _field(a, HeckeElement, "diagram", "a")
+    a._require_compatible(b, "b")
+    neighbors, q = diagram.neighbors, a.q
+    num, den = q.numerator, q.denominator
     descent = num - den
-    scale = lcm(*(c.denominator for _, c in a.terms))
+    scale = lcm(*[c.denominator for _, c in a.terms])
     start = {u.point: c.numerator * (scale // c.denominator) for u, c in a.terms}
     peels = [(w._peel_of(diagram), cw) for w, cw in b.terms]
-    k_max = max((len(peel) for peel, _ in peels), default=0)
-    b_scale = lcm(*(cw.denominator for _, cw in peels))
+    k_max = max([len(peel) for peel, _ in peels], default=0)
+    b_scale = lcm(*[cw.denominator for _, cw in peels])
     acc: dict[tuple[int, ...], int] = {}
     for peel, cw in peels:
         partial = start
         # w = s_k ... s_1 for its peel s_1..s_k, a reduced word
         for s in reversed(peel):
-            step: dict[tuple[int, ...], int] = {}
+            row, step, fell = neighbors[s], {}, False
             for y, c in partial.items():
-                ys = _times(y, s, neighbors)
-                if y[s] < 0:
+                ys = list(y)
+                r = ys[s] = -y[s]
+                for t, x in row:
+                    ys[t] += x * r
+                ys = tuple(ys)
+                if r > 0:  # y_s < 0: s is a descent
+                    fell = True
                     step[y] = step.get(y, 0) + descent * c
                     step[ys] = step.get(ys, 0) + num * c
                 else:
                     step[ys] = step.get(ys, 0) + den * c
-            partial = {y: c for y, c in step.items() if c}
+            partial = {y: c for y, c in step.items() if c} if fell else step
         # bring the term to the shared denominator scale * b_scale * den^k_max
         factor = cw.numerator * (b_scale // cw.denominator) * den ** (k_max - len(peel))
         for y, c in partial.items():
             acc[y] = acc.get(y, 0) + factor * c
     shared = scale * b_scale * den**k_max
-    terms = {_element(diagram, y): Fraction(c, shared) for y, c in acc.items() if c}
-    return _restore(HeckeElement, (diagram, a.q, SparseMap._of(terms, _point)))
+    terms = [(_restore(GroupElement, (y, None, diagram, None)), Fraction(c, shared))
+             for y, c in sorted(acc.items()) if c]
+    return _restore(HeckeElement, (diagram, q, SparseMap._ordered(terms)))
 
 
 def special_character(x: HeckeElement) -> Fraction:
     """The character sending every e_s to -1, hence e_w to (-1)^l(w)."""
     total = Fraction(0)
-    for w, c in x.terms:
+    for w, c in _field(x, HeckeElement, "terms", "x"):
         total += c * (-1) ** length(x.diagram, w)
     return total
 

@@ -83,16 +83,20 @@ def geometric_lambda(
     ctx: PrimeContext, radius: int, graph: BallGraph | None = None
 ) -> Fraction:
     """Partial period over an enumerated ball: the geometric shell terms
-    summed up to the radius."""
-    from .building import ball
+    summed up to the radius.  A ctx or a graph of another kind is named."""
+    from .building import _require_ball, ball
+    from .lattice import _dimension
 
     _int(radius, "radius", 0)
+    _dimension(ctx)
     if graph is None:
         graph = ball(ctx, radius)
-    elif graph.ctx != ctx:
-        raise ValueError(f"supplied ball belongs to {graph.ctx!r}, not to {ctx!r}")
-    elif graph.radius < radius:
-        raise ValueError("supplied ball does not cover the requested radius")
+    else:
+        _require_ball(graph)
+        if graph.ctx != ctx:
+            raise ValueError(f"supplied ball belongs to {graph.ctx!r}, not to {ctx!r}")
+        if graph.radius < radius:
+            raise ValueError("supplied ball does not cover the requested radius")
     return sum(geometric_shell_terms(graph)[: radius + 1], Fraction(0))
 
 

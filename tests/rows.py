@@ -3,15 +3,18 @@
     python tests/rows.py
 
 Prints one row per measurement: the Coxeter layer's growth, length and
-reduced words; the harmonic face queries, the defect of the sign-decaying
-vector and the closest chamber, over every interior face of the balls of
-the benchmark's ``session`` workload; and the tree boundary maps' two
-round trips, lift then ``boundary_value`` and ``coboundary`` then
-``primitive_cochain``, on its trees.  Each harmonic row checks every
-result it times against the members' distances, and each boundary row
-against the input it started from, and says whether all matched; the
-script exits 1 when one did not.  Stdlib only, with
-no options; it puts the checkout's ``src`` first on the path.  Not a test
+reduced words; the Hecke and decay requests of the benchmark's ``session``
+workload, its product mix, its long A1~ products, its element queries on
+elements built from a caller's matrix and the rule-form decay profile of
+its balls; the harmonic face queries, the defect of the sign-decaying
+vector and the closest chamber, over every interior face of those balls;
+and the tree boundary maps' two round trips, lift then ``boundary_value``
+and ``coboundary`` then ``primitive_cochain``, on its trees.  Each Hecke
+row checks every result it times against this script's own matrix
+arithmetic, each harmonic row against the members' distances, and each
+boundary row against the input it started from, and says whether all
+matched; the script exits 1 when one did not.  Stdlib only, with no
+options; it puts the checkout's ``src`` first on the path.  Not a test
 module: the default collection reads it for doctests only.
 """
 
@@ -29,6 +32,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 BALLS = ((2, 2, 8), (2, 3, 6), (2, 5, 4), (3, 2, 4), (3, 3, 3))
 TREES = ((2, 4), (3, 3), (5, 2))
 ROUND_TRIPS = 200  # per tree
+# the session workload's Hecke products, element queries and long products
+HECKE_TYPES = ("A2~", "C2~", "G2~", "A3~", "B3~")
+HECKE_LENGTHS = (3, 8)
+HECKE_Q = (Fraction(2), Fraction(3), Fraction(7, 2), Fraction(5, 3))
+QUERY_TYPES = {"A1~": 60, "A2~": 20, "G2~": 20, "A3~": 12, "D4~": 8, "F4~": 8}
+LONG_FIRST, LONG_TOTAL = (30, 50), (66, 90)
+PRODUCTS, QUERIES, LONG_PRODUCTS, PROFILES = 300, 400, 60, 40
 
 
 def coxeter_rows() -> None:
@@ -64,6 +74,140 @@ def best_of_3(run) -> tuple[float, object]:
         result = run()
         seconds.append(time.perf_counter() - start)
     return min(seconds), result
+
+
+# -- this script's own matrix arithmetic -----------------------------------------
+
+
+def reflections(d) -> list:
+    """sigma_s: the identity but in row s, where column t holds delta_st - A[s][t]."""
+    n = d.size
+    return [
+        tuple(tuple(int(i == t) - int(i == s) * d.cartan[s][t] for t in range(n)) for i in range(n))
+        for s in range(n)
+    ]
+
+
+def matmul(a, b) -> tuple:
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, c)) for c in cols) for row in a)
+
+
+def word_matrix(mats, word) -> tuple:
+    acc = tuple(tuple(int(i == j) for j in range(len(mats))) for i in range(len(mats)))
+    for s in word:
+        acc = matmul(acc, mats[s])
+    return acc
+
+
+def descent(m, s) -> bool:
+    # s is a right descent of w iff column s of w's matrix is negative
+    return any(row[s] < 0 for row in m)
+
+
+def reduced(rng, mats, size) -> list:
+    word, m = [], word_matrix(mats, ())
+    while len(word) < size:
+        s = rng.choice([s for s in range(len(mats)) if not descent(m, s)])
+        word.append(s)
+        m = matmul(m, mats[s])
+    return word
+
+
+def dense_product(mats, q, v, w) -> dict:
+    """e_v e_w as {matrix: coefficient}, one letter of w at a time."""
+    acc = {word_matrix(mats, v): Fraction(1)}
+    for s in w:
+        step: dict = {}
+        for m, c in acc.items():
+            ms = matmul(m, mats[s])
+            if descent(m, s):
+                step[m] = step.get(m, 0) + (q - 1) * c
+                step[ms] = step.get(ms, 0) + q * c
+            else:
+                step[ms] = step.get(ms, 0) + c
+        acc = {m: c for m, c in step.items() if c}
+    return acc
+
+
+def hecke_rows() -> bool:
+    """Best-of-3 wall seconds of the session workload's Hecke products, its
+    long A1~ products, ``length`` plus ``reduced_word`` on elements built
+    from a caller's matrix (so the membership check is timed), and the
+    rule-form ``decay_profile`` of each ball, and whether every result
+    matched this script's matrix arithmetic."""
+    from weylbuildings.building import PrimeContext, ball
+    from weylbuildings.coxeter import GroupElement, affine_diagram, length, reduced_word
+    from weylbuildings.harmonic import decay_profile, iwahori_vector
+    from weylbuildings.hecke import HeckeElement, multiply
+
+    rng = random.Random(0)
+    diagrams = {label: affine_diagram(label) for label in {*HECKE_TYPES, *QUERY_TYPES}}
+    mats = {label: reflections(d) for label, d in diagrams.items()}
+
+    def basis(label, word, q):
+        element = GroupElement(word_matrix(mats[label], word))
+        return HeckeElement(diagrams[label], q, ((element, Fraction(1)),))
+
+    products, longs, queries = [], [], []
+    for _ in range(PRODUCTS):
+        label, q = rng.choice(HECKE_TYPES), rng.choice(HECKE_Q)
+        v, w = (reduced(rng, mats[label], rng.randint(*HECKE_LENGTHS)) for _ in "vw")
+        products.append((basis(label, v, q), basis(label, w, q), dense_product(mats[label], q, v, w)))
+    for _ in range(LONG_PRODUCTS):
+        q, a = rng.choice(HECKE_Q), rng.randint(*LONG_FIRST)
+        v, w = [i % 2 for i in range(a)], [(a + i) % 2 for i in range(rng.randint(*LONG_TOTAL) - a)]
+        longs.append((basis("A1~", v, q), basis("A1~", w, q), dense_product(mats["A1~"], q, v, w)))
+    for _ in range(QUERIES):
+        label = rng.choice(sorted(QUERY_TYPES))
+        size = rng.randint(1, QUERY_TYPES[label])
+        queries.append((label, size, word_matrix(mats[label], reduced(rng, mats[label], size))))
+
+    def multiplied(pairs):
+        def run():
+            return [multiply(a, b) for a, b, _ in pairs]
+
+        def check(results):
+            return len(results) == len(pairs) and all(
+                {u.matrix: c for u, c in x.terms} == expected for x, (_, _, expected) in zip(results, pairs))
+
+        return run, check
+
+    def queried():
+        # fresh elements each time: an element keeps its peel once read
+        elements = [(diagrams[label], GroupElement(m)) for label, _, m in queries]
+        start = time.perf_counter()
+        results = [(length(d, w), reduced_word(d, w)) for d, w in elements]
+        return time.perf_counter() - start, results
+
+    def query_check(results):
+        return len(results) == len(queries) and all(
+            n == size == len(word) and word_matrix(mats[label], word) == m
+            for (n, word), (label, size, m) in zip(results, queries))
+
+    ok = True
+    rows = [("session Hecke products", PRODUCTS, *multiplied(products)),
+            ("long A1~ products, length 66-90", LONG_PRODUCTS, *multiplied(longs))]
+    for name, count, run, check in rows:
+        seconds, results = best_of_3(run)
+        equal = check(results)
+        print(f"{name}, {count}: {seconds:.4f} s ({seconds / count * 1e6:.2f} us each), all match: {equal}")
+        ok = ok and equal
+    timed = [queried() for _ in range(3)]
+    seconds, equal = min(t for t, _ in timed), all(query_check(r) for _, r in timed)
+    print(f"length + reduced_word, caller-matrix elements, {QUERIES}: {seconds:.4f} s "
+          f"({seconds / QUERIES * 1e6:.2f} us each), all match: {equal}")
+    ok = ok and equal
+    for n, p, radius in BALLS:
+        g = ball(PrimeContext(p=p, n=n), radius)
+        f = iwahori_vector(g.chambers[0], p)
+        seconds, results = best_of_3(lambda: [decay_profile(f, g) for _ in range(PROFILES)])
+        expected = tuple((k, Fraction(1, p**k)) for k in range(radius + 1))
+        equal = all(r == expected for r in results)
+        print(f"rule-form decay_profile, (n, p, R) = ({n}, {p}, {radius}), {PROFILES}: {seconds:.6f} s "
+              f"({seconds / PROFILES * 1e6:.2f} us each), all match: {equal}")
+        ok = ok and equal
+    return ok
 
 
 def harmonic_rows() -> bool:
@@ -138,8 +282,9 @@ def boundary_rows() -> bool:
 def main() -> int:
     sys.path.insert(0, str(SRC))
     coxeter_rows()
+    hecke = hecke_rows()
     harmonic = harmonic_rows()
-    return 0 if boundary_rows() and harmonic else 1
+    return 0 if boundary_rows() and harmonic and hecke else 1
 
 
 if __name__ == "__main__":

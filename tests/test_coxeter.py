@@ -521,3 +521,70 @@ def test_non_members_rejected_quickly(case):
 def test_a_matrix_that_is_not_square_is_refused(matrix):
     with pytest.raises(ValueError, match=re.escape(f"a group element needs a square matrix, got {matrix!r}")):
         GroupElement(matrix)
+
+
+def _stepped_word(d, peel):
+    """Reference: x = rho* w^-1 stepped one tuple per letter of the peel,
+    then peeled, as the word was read before it was stepped in place."""
+    x = (1,) * d.size
+    for s in peel:
+        x = _times(x, s, d.neighbors)
+    return tuple(_descents(d, x))
+
+
+def test_reduced_word_matches_the_tuple_stepping_route():
+    d = affine_diagram("A1~")
+    rng = random.Random("stepped")
+    words = [[rng.randrange(2) for _ in range(size)] for size in range(0, 201, 7)]
+    words += [[(i + j) % 2 for i in range(size)] for j in (0, 1) for size in (1, 64, 65, 199, 200)]
+    for word in words:
+        w = element_from_word(d, word)
+        caller = GroupElement(w.matrix)
+        expected = _stepped_word(d, _descents(d, w.point))
+        assert reduced_word(d, w) == reduced_word(d, caller) == expected
+        assert _row_product(d, expected) == w.matrix and len(expected) == length(d, caller)
+
+
+def test_the_membership_check_refuses_a_matrix_of_another_size():
+    # a kernel test over map() stops at the shorter operand, so the sizes
+    # are compared before it
+    a1, a2 = affine_diagram("A1~"), affine_diagram("A2~")
+    for d, matrix in ((a1, element_from_word(a2, [0]).matrix), (a2, element_from_word(a1, [0, 1]).matrix)):
+        with pytest.raises(ValueError, match="not an element of the group"):
+            length(d, GroupElement(matrix))
+
+
+A2 = affine_diagram("A2~")
+W = element_from_word(A2, [0, 1])
+
+DIAGRAM_CALLS = {
+    "length": lambda x: length(x, W),
+    "length-caller-matrix": lambda x: length(x, GroupElement(W.matrix)),
+    "reduced_word": lambda x: reduced_word(x, GroupElement(W.matrix)),
+    "element_from_word": lambda x: element_from_word(x, [0]),
+    "identity_element": lambda x: identity_element(x),
+    "generator_matrices": lambda x: generator_matrices(x),
+    "bfs_growth": lambda x: bfs_growth(x, 3),
+}
+
+
+@pytest.mark.parametrize("call", DIAGRAM_CALLS.values(), ids=DIAGRAM_CALLS.keys())
+@pytest.mark.parametrize("x", ["x", None, W], ids=["str", "None", "element"])
+def test_a_diagram_of_the_wrong_kind_is_named(call, x):
+    # one ValueError naming the diagram, where "'str' object has no
+    # attribute 'size'" (or 'diagram', or '_diagram') came before
+    with pytest.raises(ValueError, match=re.escape(f"diagram must be a CoxeterDiagram, got {x!r}")):
+        call(x)
+
+
+@pytest.mark.parametrize("call", [length, reduced_word], ids=["length", "reduced_word"])
+@pytest.mark.parametrize("x", ["x", [0, 1], None, A2], ids=["str", "word", "None", "diagram"])
+def test_an_element_of_the_wrong_kind_is_named(call, x):
+    with pytest.raises(ValueError, match=re.escape(f"element must be a GroupElement, got {x!r}")):
+        call(A2, x)
+
+
+@pytest.mark.parametrize("word", [5, None, 1.5], ids=repr)
+def test_a_word_that_is_not_a_sequence_is_named(word):
+    with pytest.raises(ValueError, match=re.escape(f"word must be a sequence of generators, got {word!r}")):
+        element_from_word(A2, word)

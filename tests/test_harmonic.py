@@ -170,6 +170,22 @@ def test_rule_defect_and_profile_on_any_distances():
         assert decay_profile(f, tampered) == reference_profile(f, tampered)
 
 
+# (n, p, R) of the balls the benchmark's session workload queries
+SESSION_BALLS = ((2, 2, 8), (2, 3, 6), (2, 5, 4), (3, 2, 4), (3, 3, 3))
+
+
+@pytest.mark.parametrize("n, p, radius", SESSION_BALLS, ids=str)
+def test_rule_decay_profile_matches_the_reference_on_the_session_balls(n, p, radius):
+    # the rule form reads the distances once; the reference reads each
+    # chamber's value and keeps the largest per distance
+    g = ball(PrimeContext(p=p, n=n), radius)
+    for q in (p, p + 1, 5):
+        f = iwahori_vector(g.chambers[0], q)
+        profile = decay_profile(f, g)
+        assert profile == reference_profile(f, g)
+        assert profile == tuple((k, Fraction(1, q**k)) for k in range(radius + 1))
+
+
 def test_map_decay_profile_is_the_largest_absolute_value_per_distance(tree_p2):
     g = tree_p2
     f = cochain_from_map(

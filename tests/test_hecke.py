@@ -1,9 +1,13 @@
 """Deformed group algebra on the Weyl basis, plus its chamber realization."""
 
+import collections
+import random
 import re
+import sys
 from collections import defaultdict
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,7 @@ from weylbuildings import (
     element_from_word,
     face_of,
     generator_face_types,
+    identity_element,
     iwahori_vector,
     length,
     multiply,
@@ -197,6 +202,186 @@ def test_diagram_mismatch_rejected():
     for combine in (multiply, HeckeElement.__add__, HeckeElement.__sub__):
         with pytest.raises(ValueError, match="elements live over different diagrams"):
             combine(a, b)
+
+
+# -- products against a dense matrix route ----------------------------------------
+
+REFERENCE_TYPES = ("A1~", "A2~", "C2~", "G2~", "A3~", "B3~")
+REFERENCE_Q = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(7, 2), Fraction(5, 3))
+
+
+def _reflections(d):
+    """sigma_s: the identity but in row s, where column t holds delta_st - A[s][t]."""
+    n = d.size
+    return [
+        tuple(tuple(int(i == t) - int(i == s) * d.cartan[s][t] for t in range(n)) for i in range(n))
+        for s in range(n)
+    ]
+
+
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, c)) for c in cols) for row in a)
+
+
+def _word_matrix(mats, word):
+    n = len(mats)
+    acc = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for s in word:
+        acc = _matmul(acc, mats[s])
+    return acc
+
+
+def _reduced(mats, rng, size):
+    """A word the matrices certify reduced: each letter is no right descent."""
+    word, m = [], _word_matrix(mats, ())
+    while len(word) < size:
+        s = rng.choice([s for s in range(len(mats)) if all(row[s] >= 0 for row in m)])
+        word.append(s)
+        m = _matmul(m, mats[s])
+    return word
+
+
+def _dense_product(mats, q, a, b):
+    """sum over (u, cu) of a and (w, cw) of b of cu cw e_u e_w, as {matrix:
+    coefficient}, with a and b given as (reduced word, coefficient) pairs:
+    e_u e_s is e_us when column s of u is positive, else (q - 1) e_u + q e_us."""
+    out = defaultdict(Fraction)
+    for u, cu in a:
+        for w, cw in b:
+            acc = {_word_matrix(mats, u): cu * cw}
+            for s in w:
+                nxt = defaultdict(Fraction)
+                for m, c in acc.items():
+                    ms = _matmul(m, mats[s])
+                    if any(row[s] < 0 for row in m):
+                        nxt[m] += (q - 1) * c
+                        nxt[ms] += q * c
+                    else:
+                        nxt[ms] += c
+                acc = nxt
+            for m, c in acc.items():
+                out[m] += c
+    return {m: c for m, c in out.items() if c}
+
+
+def _combination(d, mats, q, pairs):
+    return HeckeElement(d, q, tuple((GroupElement(_word_matrix(mats, w)), c) for w, c in pairs))
+
+
+def _assert_matches_dense(d, mats, q, a, b):
+    product = multiply(_combination(d, mats, q, a), _combination(d, mats, q, b))
+    expected = _dense_product(mats, q, a, b)
+    assert {w.matrix: c for w, c in product.terms} == expected
+    # one normalized Fraction per nonzero entry, in point order: the
+    # element the constructor builds of the same terms
+    assert all(type(c) is Fraction and c for _, c in product.terms)
+    assert product == HeckeElement(d, q, tuple((GroupElement(m), c) for m, c in expected.items()))
+    assert product.diagram is d and product.q == q
+
+
+@pytest.mark.parametrize("label", REFERENCE_TYPES)
+@pytest.mark.parametrize("q", REFERENCE_Q, ids=str)
+def test_products_match_the_dense_matrix_route(label, q):
+    d = affine_diagram(label)
+    mats = _reflections(d)
+    rng = random.Random(f"dense {label} {q}")
+    coefficients = [Fraction(1), Fraction(-2), Fraction(3, 4), Fraction(-5, 3)]
+    for _ in range(6):
+        a = [(_reduced(mats, rng, rng.randint(0, 6)), Fraction(1))]
+        b = [(_reduced(mats, rng, rng.randint(0, 6)), Fraction(1))]
+        _assert_matches_dense(d, mats, q, a, b)
+    for _ in range(3):
+        # multi-term factors: distinct words, signed coefficients
+        a = {tuple(_reduced(mats, rng, rng.randint(0, 5))): rng.choice(coefficients) for _ in range(3)}
+        b = {tuple(_reduced(mats, rng, rng.randint(0, 5))): rng.choice(coefficients) for _ in range(3)}
+        a = [(list(w), c) for w, c in {_word_matrix(mats, w): (w, c) for w, c in a.items()}.values()]
+        b = [(list(w), c) for w, c in {_word_matrix(mats, w): (w, c) for w, c in b.items()}.values()]
+        _assert_matches_dense(d, mats, q, a, b)
+    # (e_s + (1 - q) e_1) e_s = q e_1: the two terms at s cancel in a step
+    # with a descent (with q = 1 the descent's own coefficient is 0)
+    cancel = multiply(_combination(d, mats, q, [([0], 1), ([], 1 - q)]), _combination(d, mats, q, [([0], 1)]))
+    assert cancel.terms == ((identity_element(d), q),)
+
+
+@pytest.mark.parametrize("q", REFERENCE_Q, ids=str)
+def test_long_a1_products_match_the_dense_matrix_route(q):
+    # in A1~ every alternating word is reduced; the factors are longer than
+    # the Cayley index cutoff of 64, and so are their products' terms
+    d = affine_diagram("A1~")
+    mats = _reflections(d)
+    rng = random.Random(f"long {q}")
+    for _ in range(3):
+        a = [([(i + j) % 2 for i in range(rng.randint(30, 70))], Fraction(j + 1, 2)) for j in range(2)]
+        b = [([(i + j) % 2 for i in range(rng.randint(36, 70))], Fraction(1 - 2 * j)) for j in range(2)]
+        _assert_matches_dense(d, mats, q, a, b)
+
+
+def test_a_warm_product_of_basis_elements_steps_and_builds_in_place():
+    # the points are stepped inline and the product built from its sorted
+    # points: no reflection helper, no element helper, no dict of elements
+    # and so no element hash; one unchecked build per term and one for the
+    # product
+    package = Path(multiply.__code__.co_filename).parent
+    rng = random.Random(1)
+    cases = []
+    for label in REFERENCE_TYPES:
+        d = affine_diagram(label)
+        mats = _reflections(d)
+        for q in REFERENCE_Q:
+            a, b = (_combination(d, mats, q, [(_reduced(mats, rng, rng.randint(3, 8)), 1)]) for _ in "ab")
+            cases.append((a, b, multiply(a, b)))
+    entered = collections.Counter()
+
+    def profiler(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and Path(code.co_filename).parent == package:
+            entered[Path(code.co_filename).name, code.co_name] += 1
+
+    sys.setprofile(profiler)
+    try:
+        products = [multiply(a, b) for a, b, _ in cases]
+    finally:
+        sys.setprofile(None)
+    assert products == [expected for _, _, expected in cases]
+    for name in (("coxeter.py", "_times"), ("coxeter.py", "_element"), ("exact.py", "_of"),
+                 ("coxeter.py", "__hash__")):
+        assert entered[name] == 0, name
+    assert entered["hecke.py", "multiply"] == len(cases)
+    assert entered["exact.py", "_restore"] == sum(len(p.terms) + 1 for p in products)
+
+
+# -- arguments of the wrong kind ----------------------------------------------------
+
+A2 = affine_diagram("A2~")
+E0 = basis_element(A2, [0], 2)
+
+WRONG_KIND_CALLS = {
+    "multiply-a": (lambda x: multiply(x, E0), "a must be a HeckeElement"),
+    "multiply-b": (lambda x: multiply(E0, x), "b must be a HeckeElement"),
+    "special_character": (lambda x: special_character(x), "x must be a HeckeElement"),
+    "HeckeElement": (lambda x: HeckeElement(x, 2, ()), "diagram must be a CoxeterDiagram"),
+    "basis_element": (lambda x: basis_element(x, [0], 2), "diagram must be a CoxeterDiagram"),
+    "basis_element-element": (
+        lambda x: basis_element(x, element_from_word(A2, [0]), 2), "diagram must be a CoxeterDiagram"),
+    "unit": (lambda x: unit(x, 2), "diagram must be a CoxeterDiagram"),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_KIND_CALLS.values(), ids=WRONG_KIND_CALLS.keys())
+@pytest.mark.parametrize("x", ["x", 5, None], ids=repr)
+def test_a_hecke_argument_of_the_wrong_kind_is_named(call, message, x):
+    with pytest.raises(ValueError, match=re.escape(f"{message}, got {x!r}")):
+        call(x)
+
+
+@pytest.mark.parametrize("x", ["x", 5, None, element_from_word(A2, [0])], ids=repr)
+def test_sums_with_another_kind_are_not_implemented(x):
+    assert E0.__add__(x) is NotImplemented and E0.__sub__(x) is NotImplemented
+    assert E0.__mul__(x) is NotImplemented
+    for combine in (lambda: E0 + x, lambda: E0 - x, lambda: x + E0, lambda: E0 * x):
+        with pytest.raises(TypeError):
+            combine()
 
 
 # -- the chamber realization ---------------------------------------------------------

@@ -152,6 +152,21 @@ def test_geometric_names_a_ball_of_another_building(tree_p2):
         geometric_lambda(tree_p2.ctx, 9, graph=tree_p2)
 
 
+@pytest.mark.parametrize("graph", ["x", 5, PrimeContext(p=2, n=2)], ids=repr)
+def test_geometric_names_a_graph_of_another_kind(tree_p2, graph):
+    # one ValueError naming the graph, where "'str' object has no attribute
+    # 'ctx'" came before
+    with pytest.raises(ValueError, match=re.escape(f"graph must be a BallGraph, got {graph!r}")):
+        geometric_lambda(tree_p2.ctx, 2, graph=graph)
+
+
+@pytest.mark.parametrize("ctx", ["x", None, 2], ids=repr)
+def test_geometric_names_a_context_of_another_kind_beside_a_ball(tree_p2, ctx):
+    # the parameter is named, where the ball's own context was compared with it
+    with pytest.raises(ValueError, match=re.escape(f"ctx must be a PrimeContext, got {ctx!r}")):
+        geometric_lambda(ctx, 2, graph=tree_p2)
+
+
 @pytest.mark.parametrize("radius", [2.0, "2"], ids=repr)
 def test_geometric_rejects_non_int_radius(tree_p2, radius):
     with pytest.raises(ValueError, match=re.escape(f"radius must be an int, got {radius!r}")):

@@ -35,7 +35,7 @@ from weylbuildings import (
     zero_cochain_from_map,
 )
 from weylbuildings.boundary import OneCochain, ZeroCochain
-from weylbuildings.exact import FrozenInstanceError, Value
+from weylbuildings.exact import FrozenInstanceError, Value, _restore
 from weylbuildings.hecke import HeckeElement
 
 P2 = PrimeContext(p=2, n=2)
@@ -225,6 +225,32 @@ def test_keywords_and_defaults_are_kept():
     assert BoundaryFunction(depth=2, parts=ends) == BoundaryFunction(2, ends)
     with pytest.raises(ValueError, match="exactly one of values and rule"):
         Cochain()
+
+
+EVERY = [x for x, _, _, _ in VALUES] + [element_from_word(A1, [0, 1]), GroupElement(((3, -2), (2, -1)))]
+
+
+@pytest.mark.parametrize("x", EVERY, ids=[*IDS, "GroupElement", "GroupElement-caller"])
+def test_every_value_sets_its_slots_through_their_setters(x):
+    cls = type(x)
+    # the setters are the slots' own, one per slot, in __slots__ order
+    assert [put.__self__.__name__ for put in cls._setters] == list(cls.__slots__)
+    slots = [put.__self__ for put in cls._setters]
+    state = tuple(getattr(x, name) for name in cls.__slots__)  # a ball derives its lazy fields
+    assert tuple(slot.__get__(x, cls) for slot in slots) == state
+    y = pickle.loads(pickle.dumps(x))
+    assert type(y) is cls and y == x
+    assert tuple(slot.__get__(_restore(cls, state), cls) for slot in slots) == state
+    # a shorter state sets the leading slots and leaves the others unset
+    short = _restore(cls, state[:1])
+    assert slots[0].__get__(short, cls) is state[0]
+    for slot in slots[1:]:
+        with pytest.raises(AttributeError):
+            slot.__get__(short, cls)
+    for name in cls.__slots__:
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(x, name, 1)
+    assert tuple(slot.__get__(x, cls) for slot in slots) == state
 
 
 @pytest.mark.parametrize("name", ["point", "_matrix", "_diagram", "_peel", "other"])
