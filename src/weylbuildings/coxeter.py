@@ -308,7 +308,9 @@ def _matrix_of(diagram: CoxeterDiagram, peel: Sequence[int]) -> Matrix:
     on the left changes only row s: in each column c,
     c_s = -c_s - sum over the neighbors t of s of A[s][t] c_t."""
     neighbors = diagram.neighbors
-    cols = [[int(i == j) for i in diagram.generators] for j in diagram.generators]
+    cols = [[0] * len(neighbors) for _ in neighbors]
+    for j, c in enumerate(cols):
+        c[j] = 1
     for s in peel:
         row = neighbors[s]
         for c in cols:
