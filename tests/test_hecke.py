@@ -265,6 +265,15 @@ def _dense_product(mats, q, a, b):
     return {m: c for m, c in out.items() if c}
 
 
+def _distinct_terms(mats, rng, longest, coefficients):
+    """Up to three (reduced word, coefficient) pairs, one per element."""
+    by_matrix = {}
+    for _ in range(3):
+        w = _reduced(mats, rng, rng.randint(0, longest))
+        by_matrix[_word_matrix(mats, w)] = (w, rng.choice(coefficients))
+    return list(by_matrix.values())
+
+
 def _combination(d, mats, q, pairs):
     return HeckeElement(d, q, tuple((GroupElement(_word_matrix(mats, w)), c) for w, c in pairs))
 
@@ -292,11 +301,8 @@ def test_products_match_the_dense_matrix_route(label, q):
         b = [(_reduced(mats, rng, rng.randint(0, 6)), Fraction(1))]
         _assert_matches_dense(d, mats, q, a, b)
     for _ in range(3):
-        # multi-term factors: distinct words, signed coefficients
-        a = {tuple(_reduced(mats, rng, rng.randint(0, 5))): rng.choice(coefficients) for _ in range(3)}
-        b = {tuple(_reduced(mats, rng, rng.randint(0, 5))): rng.choice(coefficients) for _ in range(3)}
-        a = [(list(w), c) for w, c in {_word_matrix(mats, w): (w, c) for w, c in a.items()}.values()]
-        b = [(list(w), c) for w, c in {_word_matrix(mats, w): (w, c) for w, c in b.items()}.values()]
+        # multi-term factors with signed coefficients
+        a, b = (_distinct_terms(mats, rng, 5, coefficients) for _ in "ab")
         _assert_matches_dense(d, mats, q, a, b)
     # (e_s + (1 - q) e_1) e_s = q e_1: the two terms at s cancel in a step
     # with a descent (with q = 1 the descent's own coefficient is 0)
