@@ -14,38 +14,38 @@ base chamber and an integer q >= 2 and means
 
 the unique cochain of that decay invariant under the base chamber's
 stabilizer; it evaluates lazily against a ball centered at the base.
-Its decay profiles, and its defects on sharp faces, come from the
-distances alone.
+Its decay profiles and its defects come from the distances alone.
 ``iwahori_vector`` builds it.  Its harmonicity is a sharp cancellation:
 among the p + 1 chambers over an interior face, exactly one sits at the
-minimal distance d and the other p at d + 1 (``min_distance_chamber``
-checks that and returns the minimizer), so the sum is
+minimal distance d and the other p at d + 1 (the ball's profile checks
+that, and ``min_distance_chamber`` returns the minimizer), so the sum is
 (-1/q)^d + p (-1/q)^(d+1) = (-1)^d (q - p) / q^(d+1), zero exactly when
 q = p.
 
-A ball's interior faces and distances are fixed once ``ball`` returns, so
-each face's shape is worked out once per ``BallGraph``: its profile, a map
-from each interior face to (closest chamber's index, d, that chamber)
-when the shape is sharp and to None otherwise, kept in the graph's hidden
-``_profile`` slot.  The first defect, closest-chamber or rigidity query of
-a ball fills it; ``ball`` never does.  The defect and closest-chamber
-queries read the slot themselves, so every later one answers with one
-lookup in it and calls nothing but the face's hash; a rule form whose
-base is the ball's own center flag skips the comparison with the center.
-Only a graph built with other distances than its ball's has a face that
-is not sharp; its defect, as a map form's, sums the members.
+A ball's interior faces and distances are fixed once ``ball`` returns, and
+each interior face is sharp: over it one chamber sits at the least
+distance d and the other p at d + 1, by the gate property of panels
+(Abramenko and Brown, *Buildings: Theory and Applications*, on
+projections).  So each face's shape is worked out once per ``BallGraph``:
+its profile, a map from each interior face to (closest chamber's index,
+d, that chamber), kept in the graph's hidden ``_profile`` slot.  The first
+rule-form defect, closest-chamber or rigidity query of a ball fills it;
+``ball`` never does.  Building it checks every interior face, and a face
+that is not sharp, which only a graph built with other distances than its
+ball's can have, is a failed invariant: AssertionError naming the face.
+The defect and closest-chamber queries read the slot themselves, so every
+later one answers with one lookup in it and calls nothing but the face's
+hash; a rule form whose base is the ball's own center flag skips the
+comparison with the center.  A map form's defect sums its members.
 
 ``finite_support_rigidity`` decides that the only cochain supported
 strictly inside a ball that is harmonic at every fully visible face is
-zero.  It first looks for a unit-triangular certificate: each unknown
-chamber C gets an ascent face, an interior face on which C is the closest
-chamber and the other p sit at d(C) + 1 (such a face exists because an
-affine Weyl group has no longest element, and the gate property of panels
-gives the distance shape).  Ordered by decreasing distance, those rows
+zero, from a unit-triangular certificate: each unknown chamber C gets an
+ascent face, an interior face on which C is the closest chamber and so
+the other p sit at d(C) + 1.  Ordered by decreasing distance, those rows
 form a lower triangular matrix with 1 on the diagonal, so the system has
-full rank.  Only when some unknown has no ascent face does it fall back to
-the exact rank over Q from the sparse row reduction of the ``exact``
-module.
+full rank.  Such a face exists because an affine Weyl group has no
+longest element; an unknown without one is the same failed invariant.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .building import BallGraph, Face, FlagChamber, _not_a_ball, _require_ball
-from .exact import SparseMap, Value, _int, row_reduce
+from .exact import SparseMap, Value, _field, _int
 
 __all__ = [
     "Cochain",
@@ -104,24 +104,21 @@ class Cochain(Value):
         return Fraction(-1, q) ** graph.distance[i]
 
     def value_at_index(self, i: int, graph: BallGraph) -> Fraction:
+        """The value at the ball's chamber of index i; an i that is not an
+        int in range(len(graph)) raises ValueError naming it."""
+        _require_ball(graph)
+        if not 0 <= _int(i, "i") < len(graph):
+            raise ValueError(f"i must be a chamber index in 0..{len(graph) - 1}, got {i!r}")
         if self.values is None:
             return Fraction(-1, self._rule_q(graph)) ** graph.distance[i]
-        try:
-            chambers = graph.chambers
-        except AttributeError:
-            raise _not_a_ball(graph) from None
-        return self.values.lookup(chambers[i], FlagChamber)
+        return self.values.lookup(graph.chambers[i], FlagChamber)
 
     def _rule_q(self, graph: BallGraph) -> int:
         """The rule's q, once the ball is known to be centered at its base;
-        a graph that is not a ``BallGraph`` has no ``_flags``, which raises
-        ValueError."""
+        its first read, of the graph's ``_flags``, names a graph that is not
+        a ``BallGraph`` (``exact._field``)."""
         base, q = self.rule
-        try:
-            center = graph._flags[0]
-        except AttributeError:
-            raise _not_a_ball(graph) from None
-        if base.classes != center:
+        if base.classes != _field(graph, BallGraph, "_flags", "graph")[0]:
             raise ValueError("rule-form cochain needs a ball centered at its base")
         return q
 
@@ -137,13 +134,15 @@ def iwahori_vector(base: FlagChamber, q: int) -> Cochain:
 
 
 _ZERO = Fraction(0)
+_UNSHARP = "distance multiset over a face must be one minimum and p at minimum + 1: {!r}"
 
 
-def _profile_of(graph: BallGraph) -> dict[Face, tuple[int, int, FlagChamber] | None]:
-    """Each interior face's distance shape: (low, delta, chamber low) when
-    its member low sits at the minimum delta and the other p at delta + 1,
-    None for any other shape.  Built on the first call for a ball and kept
-    in its ``_profile``; later calls return that same dict."""
+def _profile_of(graph: BallGraph) -> dict[Face, tuple[int, int, FlagChamber]]:
+    """Each interior face's distance shape (low, delta, chamber low): its
+    member low sits at the minimum delta and the other p at delta + 1.
+    Built on the first call for a ball and kept in its ``_profile``; later
+    calls return that same dict.  A face of any other shape is a failed
+    invariant, AssertionError naming it, and leaves no profile."""
     profile = graph._profile
     if profile is None:
         dist, full, chambers = graph.distance, graph.ctx.p + 1, graph.chambers
@@ -152,8 +151,9 @@ def _profile_of(graph: BallGraph) -> dict[Face, tuple[int, int, FlagChamber] | N
             if len(members) == full:
                 low = min(members, key=dist.__getitem__)
                 up = dist[low] + 1
-                sharp = all(dist[i] == up for i in members if i != low)
-                profile[face] = (low, up - 1, chambers[low]) if sharp else None
+                if any(dist[i] != up for i in members if i != low):
+                    raise AssertionError(_UNSHARP.format(face))
+                profile[face] = (low, up - 1, chambers[low])
         object.__setattr__(graph, "_profile", profile)
     return profile
 
@@ -161,12 +161,12 @@ def _profile_of(graph: BallGraph) -> dict[Face, tuple[int, int, FlagChamber] | N
 def harmonicity_defect(f: Cochain, face: Face, graph: BallGraph) -> Fraction:
     """Sum of f over all p + 1 chambers containing an interior face.
 
-    A rule-form f on a face of sharp shape, minimum delta, has the closed
-    form (-1)^delta (q - p) / q^(delta + 1), the shared ``Fraction(0)``
-    when q = p; the face's shape is one lookup in the ball's profile, and
-    a base whose flag is the ball's own center flag (``iwahori_vector`` of
-    ``graph.chambers[0]``) needs no comparison with the center.  Any other
-    defect is the sum of the members' values.  An f that is not a
+    A rule-form f on a face whose closest chamber sits at delta has the
+    closed form (-1)^delta (q - p) / q^(delta + 1), the shared
+    ``Fraction(0)`` when q = p; delta is one lookup in the ball's profile,
+    and a base whose flag is the ball's own center flag (``iwahori_vector``
+    of ``graph.chambers[0]``) needs no comparison with the center.  A
+    map-form defect is the sum of the members' values.  An f that is not a
     ``Cochain``, a graph that is not a ``BallGraph`` and a face that is not
     interior, hashable or not, raise ValueError; each is caught where its
     first read fails, with no check beside it.
@@ -189,26 +189,24 @@ def harmonicity_defect(f: Cochain, face: Face, graph: BallGraph) -> Fraction:
         base, q = f.rule
         if base.classes is not graph._flags[0]:
             q = f._rule_q(graph)
-        if shape is not None:
-            p = graph.ctx.p
-            if q == p:
-                return _ZERO
-            return Fraction(p - q if shape[1] % 2 else q - p, q ** (shape[1] + 1))
+        p = graph.ctx.p
+        if q == p:
+            return _ZERO
+        return Fraction(p - q if shape[1] % 2 else q - p, q ** (shape[1] + 1))
     try:
         members = graph.faces[face]
     except (KeyError, TypeError):
         members = ()
     if len(members) != graph.ctx.p + 1:
         raise ValueError("face is not interior to the ball")
-    return sum((f.value_at_index(i, graph) for i in members), Fraction(0))
+    return sum((values.lookup(graph.chambers[i], FlagChamber) for i in members), Fraction(0))
 
 
 def min_distance_chamber(face: Face, graph: BallGraph) -> tuple[FlagChamber, int]:
     """The unique chamber over an interior face closest to the center.
 
-    Asserts the sharp shape of the distance multiset: one chamber at the
-    minimum delta and the remaining p at delta + 1; any other shape is
-    reported as a failure, not returned.  One lookup in the ball's
+    Returns that chamber and its distance delta; the other p sit at
+    delta + 1, as building the ball's profile asserts.  One lookup in the
     profile; a graph that is not a ``BallGraph`` and a face that is not
     interior raise ValueError where that read fails.
     """
@@ -222,10 +220,6 @@ def min_distance_chamber(face: Face, graph: BallGraph) -> tuple[FlagChamber, int
         shape = profile[face]
     except (KeyError, TypeError):  # not an interior face, or not hashable
         raise ValueError("face is not interior to the ball") from None
-    if shape is None:
-        raise AssertionError(
-            "distance multiset over a face must be one minimum and p at minimum + 1"
-        )
     return shape[2], shape[1]
 
 
@@ -252,34 +246,24 @@ def decay_profile(f: Cochain, graph: BallGraph) -> tuple[tuple[int, Fraction], .
     return tuple(enumerate(out))
 
 
-def _ascent_faces(graph: BallGraph) -> dict[int, Face] | None:
-    """One ascent face per unknown chamber, or None if some unknown has none.
+def _ascent_faces(graph: BallGraph) -> dict[int, Face]:
+    """One ascent face per unknown chamber, the unit-triangular certificate.
 
     The unknowns are the chambers at distance <= R - 1; the ascent face of
-    an unknown C is an interior face on which C is the closest chamber and
-    the other p sit at d(C) + 1, a sharp face of the profile.  Each face
-    has one closest chamber, so the chosen faces are distinct.
+    an unknown C is an interior face on which C is the closest chamber, so
+    the other p sit at d(C) + 1.  Each face has one closest chamber, so
+    the chosen faces are distinct.  An unknown with no ascent face is a
+    failed invariant, AssertionError naming its index.
     """
-    last = graph.radius - 1
+    last, dist = graph.radius - 1, graph.distance
     chosen: dict[int, Face] = {}
-    for face, shape in _profile_of(graph).items():
-        if shape is not None and shape[1] <= last:
-            chosen.setdefault(shape[0], face)
-    if len(chosen) != sum(1 for d in graph.distance if d <= last):
-        return None
+    for face, (low, delta, _) in _profile_of(graph).items():
+        if delta <= last:
+            chosen.setdefault(low, face)
+    if len(chosen) != sum(1 for d in dist if d <= last):
+        raise AssertionError("chamber {} at distance <= R - 1 has no ascent face".format(
+            next(i for i, d in enumerate(dist) if d <= last and i not in chosen)))
     return chosen
-
-
-def _full_rank(graph: BallGraph) -> bool:
-    """Whether the sparse reduced echelon form over Q of the whole system
-    has a pivot in every column."""
-    interior = [i for i, d in enumerate(graph.distance) if d <= graph.radius - 1]
-    column_of = {i: j for j, i in enumerate(interior)}
-    rows = (
-        {column_of[i]: 1 for i in graph.faces[face] if i in column_of}
-        for face in graph.interior_faces()
-    )
-    return len(row_reduce(rows)) == len(interior)
 
 
 def finite_support_rigidity(graph: BallGraph) -> bool:
@@ -287,12 +271,13 @@ def finite_support_rigidity(graph: BallGraph) -> bool:
     that is harmonic at every face fully visible in the ball.
 
     The linear system has one 0/1 equation per interior face and one
-    unknown per interior chamber.  If every unknown has an ascent face
-    (``_ascent_faces``), the rows of those faces, unknowns ordered by
-    decreasing distance, are unit lower triangular, so the kernel is
-    trivial.  Otherwise the exact rank decides (``_full_rank``).
+    unknown per interior chamber.  Every unknown has an ascent face
+    (``_ascent_faces``), so the rows of those faces, unknowns ordered by
+    decreasing distance, are unit lower triangular and the kernel is
+    trivial: the answer is True once the certificate is found, and a
+    graph without one fails the invariant (AssertionError).
     """
     _require_ball(graph)
     if graph.radius < 2:
         raise ValueError("rigidity needs radius at least 2")
-    return _ascent_faces(graph) is not None or _full_rank(graph)
+    return bool(_ascent_faces(graph))

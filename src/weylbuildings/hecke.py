@@ -74,7 +74,8 @@ class HeckeElement(Value):
     ``terms`` is a ``SparseMap`` sorted by the point of w, with no zero
     coefficients, so equality of elements is equality of the fields.  A w
     outside the diagram's group raises ValueError here, naming its matrix,
-    and so does a diagram of another kind, naming ``diagram``.
+    and so do a diagram of another kind, naming ``diagram``, and terms that
+    are not pairs to iterate, naming ``terms``.
     """
 
     __slots__ = ("diagram", "q", "terms")
@@ -85,7 +86,10 @@ class HeckeElement(Value):
         _field(diagram, CoxeterDiagram, "orders", "diagram")
         object.__setattr__(self, "diagram", diagram)
         object.__setattr__(self, "q", _fraction(q, "q"))
-        terms = SparseMap(terms, _point)
+        try:
+            terms = SparseMap(terms, _point)
+        except TypeError:  # not iterable, or not pairs
+            raise ValueError(f"terms must be (element, coefficient) pairs, got {terms!r}") from None
         for w in terms.support():
             w._check(diagram)
         object.__setattr__(self, "terms", terms)
@@ -144,9 +148,14 @@ def unit(diagram: CoxeterDiagram, q: int | Fraction) -> HeckeElement:
 def basis_element(
     diagram: CoxeterDiagram, w: GroupElement | Sequence[int], q: int | Fraction
 ) -> HeckeElement:
-    """The basis element e_w; w may be given as a word in the generators."""
+    """The basis element e_w; w may be given as a word in the generators.
+    A w that is neither raises ValueError naming it."""
     if not isinstance(w, GroupElement):
-        w = element_from_word(diagram, w)
+        try:
+            letters = iter(w)
+        except TypeError:
+            raise ValueError(f"w must be a GroupElement or a word, got {w!r}") from None
+        w = element_from_word(diagram, letters)
     return HeckeElement(diagram, q, ((w, Fraction(1)),))
 
 
@@ -217,7 +226,8 @@ def convolve_chamber_function(
 ) -> dict[int, Fraction]:
     """Right action of e_s on a function over a ball's chambers.
 
-    ``f`` maps chamber indices to ints or Fractions (missing indices read as 0).
+    ``f`` maps chamber indices to ints or Fractions (missing indices read
+    as 0); an ``f`` with no ``items`` to read raises ValueError naming it.
     The result is defined on every chamber whose face of the generator's
     type is interior to the ball; at such a chamber C it is the sum of f
     over the other p chambers sharing that face.  The faces and their
@@ -235,7 +245,10 @@ def convolve_chamber_function(
     if type(generator) is not int or generator not in types:
         raise ValueError(f"unknown generator {generator!r}: the generators are 0..{ctx.n - 1}")
     ftype = types[generator]
-    f = {i: _fraction(x, "values") for i, x in f.items()}
+    try:
+        f = {i: _fraction(x, "values") for i, x in f.items()}
+    except AttributeError:  # no items to read
+        raise ValueError(f"f must be a mapping of chamber indices, got {f!r}") from None
     full = ctx.p + 1
     out: dict[int, Fraction] = {}
     for members, t in zip(graph._face_members, graph._face_types):

@@ -8,7 +8,10 @@ With ``--requests`` each subcommand request runs in a fresh interpreter
 without a bytecode cache, its output sent to ``os.devnull``, and the
 ``weylbuildings`` modules it loaded are listed with their code lines and
 their total, ``cli`` and the package's ``__init__`` included: the code
-that request compiles.  Stdlib only; run from the root of the checkout.
+that request compiles.  A bare ``import weylbuildings.cli`` is listed
+first, the same way.  Each line also names which of ``dataclasses`` and
+``inspect`` were loaded, and so does a first line for the interpreter
+alone.  Stdlib only; run from the root of the checkout.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ BLANK = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
          tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 OWNERS = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 REQUESTS = (
+    "",  # the import alone
     "growth --type A2~ --K 5",
     "hecke --type A2~ --q 3",
     "period --type B3~ --q 2 --K 3",
@@ -33,10 +37,14 @@ REQUESTS = (
     "harmonic --n 3 --p 2 --R 2",
     "boundary --p 3 --R 2 --seed 4",
 )
-# runs one request and prints each loaded package module's name and file
+HEAVY = "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+# imports the CLI, runs the request if one is given, and prints the HEAVY
+# modules loaded, then each loaded package module's name and file
 PROBE = (
     "import os, sys\nfrom weylbuildings.cli import main\n"
-    "main(sys.argv[1:] + ['--format', 'json', '--out', os.devnull])\n"
+    "if sys.argv[1:]:\n"
+    "    main(sys.argv[1:] + ['--format', 'json', '--out', os.devnull])\n"
+    f"{HEAVY}\n"
     "for name, module in sorted(sys.modules.items()):\n"
     "    if name.split('.')[0] == 'weylbuildings':\n"
     "        print(name, module.__file__)"
@@ -65,13 +73,19 @@ def modules() -> None:
 
 def requests() -> None:
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+
+    def probe(*argv: str) -> list[str]:
+        return subprocess.run([sys.executable, "-c", *argv], env=env,
+                              capture_output=True, text=True, check=True).stdout.splitlines()
+
+    print(f"interpreter alone: dataclasses/inspect loaded: {probe(f'import sys; {HEAVY}')[0]}")
     for request in REQUESTS:
-        out = subprocess.run([sys.executable, "-c", PROBE, *request.split()], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        loaded = (line.split(" ", 1) for line in out.splitlines())
+        heavy, *modules = probe(PROBE, *request.split())
+        loaded = (line.split(" ", 1) for line in modules)
         counts = {name: code_lines(Path(file)) for name, file in loaded}
         listed = ", ".join(f"{name} {count}" for name, count in counts.items())
-        print(f"{sum(counts.values()):6d} code lines compiled by {request}: {listed}")
+        print(f"{sum(counts.values()):6d} code lines compiled by {request or 'import weylbuildings.cli'}: "
+              f"{listed}; dataclasses/inspect loaded: {heavy}")
 
 
 if __name__ == "__main__":

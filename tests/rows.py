@@ -8,12 +8,14 @@ workload, its product mix, its long A1~ products, its element queries on
 elements built from a caller's matrix and the rule-form decay profile of
 its balls; the harmonic face queries, the defect of the sign-decaying
 vector and the closest chamber, over every interior face of those balls;
+``finite_support_rigidity`` on its rigidity balls and one larger ball;
 and the tree boundary maps' two round trips, lift then ``boundary_value``
 and ``coboundary`` then ``primitive_cochain``, on its trees.  Each Hecke
 row checks every result it times against this script's own matrix
-arithmetic, each harmonic row against the members' distances, and each
-boundary row against the input it started from, and says whether all
-matched; the script exits 1 when one did not.  Stdlib only, with no
+arithmetic, each harmonic row against the members' distances, each
+rigidity row against the exact rank of ``references.full_rank``, and
+each boundary row against the input it started from, and says whether
+all matched; the script exits 1 when one did not.  Stdlib only, with no
 options; it puts the checkout's ``src`` first on the path.  Not a test
 module: the default collection reads it for doctests only.
 """
@@ -30,6 +32,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # (n, p, R) of the balls and (p, depth) of the vertex trees, as in the
 # session workload
 BALLS = ((2, 2, 8), (2, 3, 6), (2, 5, 4), (3, 2, 4), (3, 3, 3))
+# the session workload's rigidity balls, and (3, 2, 7): 1,927 unknowns,
+# whose exact rank takes about 2 s on 2 CPUs ((3, 2, 8) and (3, 3, 6) take 8)
+RIGIDITY_BALLS = ((2, 2, 4), (2, 3, 3), (3, 2, 3), (3, 2, 7))
+RIGIDITY_CALLS = 40  # per ball
 TREES = ((2, 4), (3, 3), (5, 2))
 ROUND_TRIPS = 200  # per tree
 # the session workload's Hecke products, element queries and long products
@@ -240,6 +246,30 @@ def harmonic_rows() -> bool:
     return ok
 
 
+def rigidity_rows() -> bool:
+    """Best-of-3 wall seconds of RIGIDITY_CALLS ``finite_support_rigidity``
+    calls per ball, the first building the ball's profile, the wall
+    seconds of the exact rank, and whether every answer matched it."""
+    from references import full_rank
+    from weylbuildings.building import PrimeContext, ball
+    from weylbuildings.harmonic import finite_support_rigidity
+
+    ok = True
+    for n, p, radius in RIGIDITY_BALLS:
+        g = ball(PrimeContext(p=p, n=n), radius)
+        seconds, results = best_of_3(lambda: [finite_support_rigidity(g) for _ in range(RIGIDITY_CALLS)])
+        start = time.perf_counter()
+        rank = full_rank(g)
+        rank_seconds = time.perf_counter() - start
+        equal = all(r is rank for r in results)
+        unknowns = sum(1 for d in g.distance if d < radius)
+        print(f"finite_support_rigidity, (n, p, R) = ({n}, {p}, {radius}), {unknowns} unknowns, "
+              f"{RIGIDITY_CALLS}: {seconds:.6f} s ({seconds / RIGIDITY_CALLS * 1e6:.2f} us each); "
+              f"exact rank {rank_seconds:.3f} s, all match: {equal}")
+        ok = ok and equal
+    return ok
+
+
 def boundary_rows() -> bool:
     """Best-of-3 wall seconds of the two round trips over ROUND_TRIPS seeded
     inputs per tree, and whether each came back equal to its input."""
@@ -284,7 +314,8 @@ def main() -> int:
     coxeter_rows()
     hecke = hecke_rows()
     harmonic = harmonic_rows()
-    return 0 if boundary_rows() and harmonic and hecke else 1
+    rigidity = rigidity_rows()
+    return 0 if boundary_rows() and rigidity and harmonic and hecke else 1
 
 
 if __name__ == "__main__":

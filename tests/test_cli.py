@@ -337,6 +337,28 @@ def test_library_assertion_is_a_failed_check(capsys, monkeypatch):
     assert err == "error: check failed: a face must lie in exactly p + 1 chambers\n"
 
 
+def test_a_face_that_is_not_sharp_fails_the_harmonic_check(capsys, monkeypatch):
+    # a ball given other distances: the defect scan's profile refuses its
+    # first face that is not one closest chamber and p one step out
+    real = weylbuildings.building.ball
+
+    def tampered(ctx, radius):
+        g = real(ctx, radius)
+        fields = {name: getattr(g, name) for name in g._shown}
+        distance = list(g.distance)
+        distance[-1] += 2  # a chamber of the last shell, two steps farther out
+        return type(g)(**{**fields, "distance": tuple(distance)})
+
+    monkeypatch.setattr(weylbuildings.building, "ball", tampered)
+    code, out, err = run(capsys, "harmonic", "--n", "2", "--p", "2", "--R", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(
+        "error: check failed: distance multiset over a face must be one minimum and p at"
+        " minimum + 1: Face(classes=(LatticeClass("
+    )
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_the_collector_is_paused_for_a_request_and_then_restored(enabled, capsys, monkeypatch):
     during = []

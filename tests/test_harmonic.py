@@ -25,7 +25,9 @@ from weylbuildings import (
     standard_lattice,
     vertex_tree,
 )
-from weylbuildings.harmonic import _ascent_faces, _full_rank
+from weylbuildings.harmonic import _ascent_faces
+
+from references import full_rank
 
 
 def with_distance(g, distance):
@@ -33,6 +35,10 @@ def with_distance(g, distance):
     field as it is; the hidden profile is the new graph's own."""
     fields = {name: getattr(g, name) for name in BallGraph._shown}
     return BallGraph(**{**fields, "distance": tuple(distance)})
+
+
+# the failed invariant of a face that is not sharp
+SHARP_SHAPE = "one minimum and p at minimum \\+ 1"
 
 
 def test_iwahori_vector_frozen_values(tree_p2):
@@ -149,6 +155,8 @@ def test_rule_defect_and_profile_when_q_is_not_p(tree_p2, gl3_p2):
 
 
 def test_rule_defect_and_profile_on_any_distances():
+    # faces that are not sharp fail the profile's invariant, so a rule-form
+    # defect refuses the graph; its decay profile reads the distances alone
     g = ball(PrimeContext(p=2, n=2), 4)
     # distance multisets of other shapes than one at delta and p at
     # delta + 1, and no chamber at distance 3
@@ -165,9 +173,10 @@ def test_rule_defect_and_profile_on_any_distances():
     for q in (2, 3):
         f = iwahori_vector(g.chambers[0], q)
         for face in tampered.interior_faces():
-            expected = sum((f.value_at_index(i, tampered) for i in tampered.faces[face]), Fraction(0))
-            assert harmonicity_defect(f, face, tampered) == expected
+            with pytest.raises(AssertionError, match=SHARP_SHAPE):
+                harmonicity_defect(f, face, tampered)
         assert decay_profile(f, tampered) == reference_profile(f, tampered)
+    assert tampered._profile is None
 
 
 # (n, p, R) of the balls the benchmark's session workload queries
@@ -210,11 +219,23 @@ def test_map_cochain_outside_ball_is_zero(tree_p2):
     assert f.value_at_index(2, g) == 0
 
 
+@pytest.mark.parametrize("form", ["rule", "map"])
+def test_value_at_index_names_an_index_outside_the_ball(tree_p2, form):
+    # a negative index no longer reads from the end, nor True as 1
+    g = tree_p2
+    last = g.chambers[-1]
+    f = iwahori_vector(g.chambers[0], 2) if form == "rule" else cochain_from_map({last: Fraction(3)})
+    for i in (-1, len(g), "x", True, 1.0):
+        kind = "a chamber index in 0..{}".format(len(g) - 1) if type(i) is int else "an int"
+        with pytest.raises(ValueError, match=re.escape(f"i must be {kind}, got {i!r}")):
+            f.value_at_index(i, g)
+    assert f.value_at_index(len(g) - 1, g) == f.value(last, g)
+
+
 def assert_certificate(g):
     """One distinct interior ascent face per unknown, every other member
     of it one step farther out: the unit-triangular certificate."""
     chosen = _ascent_faces(g)
-    assert chosen is not None
     assert sorted(chosen) == [i for i, d in enumerate(g.distance) if d <= g.radius - 1]
     assert len(set(chosen.values())) == len(chosen)
     for i, face in chosen.items():
@@ -230,7 +251,7 @@ def test_finite_support_rigidity():
     ctx_gl3 = PrimeContext(p=2, n=3)
     for g in (ball(ctx2, 3), ball(ctx3, 3), ball(ctx_gl3, 2)):
         assert_certificate(g)
-        assert _full_rank(g)
+        assert full_rank(g)
         assert finite_support_rigidity(g)
 
 
@@ -240,7 +261,7 @@ def test_finite_support_rigidity():
 def test_finite_support_rigidity_larger_balls(n, p, R):
     g = ball(PrimeContext(p=p, n=n), R)
     assert_certificate(g)
-    assert _full_rank(g)
+    assert full_rank(g)
     assert finite_support_rigidity(g)
 
 
@@ -254,14 +275,31 @@ def test_rigidity_certificate_on_balls_too_large_for_the_rank(n, p, R):
 def test_rigidity_tampered_distances_take_the_rank_fallback():
     g = ball(PrimeContext(p=2, n=2), 4)
     # push one child of a distance-1 chamber out to distance 3: that
-    # chamber's outward face no longer has all its other members at 2
+    # chamber's outward face no longer has all its other members at 2, a
+    # failed invariant; the exact rank, a reference route now, still
+    # finds the system of the same faces and unknowns of full rank
     c = g.shell(1)[0]
     child = next(j for j in g.shell(2) if g.parent[j] == c)
     distance = list(g.distance)
     distance[child] = 3
     tampered = with_distance(g, distance)
-    assert _ascent_faces(tampered) is None
-    assert finite_support_rigidity(tampered) == _full_rank(tampered)
+    for query in (_ascent_faces, finite_support_rigidity):
+        with pytest.raises(AssertionError, match=SHARP_SHAPE):
+            query(tampered)
+    assert full_rank(tampered)
+
+
+def test_rigidity_refuses_a_graph_whose_radius_is_not_its_balls():
+    # every face sharp, but one more shell of unknowns than the ball can
+    # give ascent faces: the outermost chambers have no interior face outward
+    g = ball(PrimeContext(p=2, n=2), 4)
+    fields = {name: getattr(g, name) for name in BallGraph._shown}
+    wider = BallGraph(**{**fields, "radius": 5})
+    first = g.shell(4)[0]
+    for query in (_ascent_faces, finite_support_rigidity):
+        with pytest.raises(AssertionError, match=f"chamber {first} at distance <= R - 1 has no ascent face"):
+            query(wider)
+    assert not full_rank(wider)
 
 
 def test_rigidity_requires_room():
@@ -316,7 +354,15 @@ def reference_min_distance_chamber(face, graph):
     return graph.chambers[dists[0][1]], delta
 
 
-SHARP_SHAPE = "one minimum and p at minimum \\+ 1"
+def is_sharp(face, graph):
+    """Whether the reference route finds the face's shape sharp."""
+    try:
+        reference_min_distance_chamber(face, graph)
+    except AssertionError:
+        return False
+    return True
+
+
 SCAN_BALLS = [(2, 2, 6), (2, 3, 5), (2, 5, 3), (3, 2, 4), (3, 3, 3)]
 
 
@@ -367,8 +413,15 @@ def test_a_tied_or_far_minimum_fails_both_routes(n, p, R):
         for route in (min_distance_chamber, reference_min_distance_chamber):
             with pytest.raises(AssertionError, match=SHARP_SHAPE):
                 route(face, tampered)
-        got = harmonicity_defect(f, face, tampered)
-        assert got != 0 and got == reference_defect(f, face, tampered)
+        # the reference still sums the members; the library refuses the
+        # graph at its first face that is not sharp, which it names
+        assert reference_defect(f, face, tampered) != 0
+        with pytest.raises(AssertionError, match=SHARP_SHAPE) as refused:
+            harmonicity_defect(f, face, tampered)
+        named = str(refused.value).rsplit(": ", 1)[1]
+        unsharp = [repr(other) for other in tampered.interior_faces()
+                   if i in tampered.faces[other] and not is_sharp(other, tampered)]
+        assert named == unsharp[0]
 
 
 def test_a_warm_face_scan_hashes_no_class(class_hash_calls):
@@ -493,14 +546,15 @@ def test_a_graph_rebuilt_with_other_distances_builds_its_own_profile():
     assert same._profile is None
     assert min_distance_chamber(face, same) == (chamber, delta)
     assert same._profile == profile and same._profile is not profile
-    # the closest chamber two steps farther out: the face is no longer sharp
+    # the closest chamber two steps farther out: the face is no longer
+    # sharp, a failed invariant that leaves the graph with no profile
     distance = list(g.distance)
     distance[g.index[chamber]] += 2
     tampered = with_distance(g, distance)
     assert tampered._profile is None
     with pytest.raises(AssertionError, match=SHARP_SHAPE):
         min_distance_chamber(face, tampered)
-    assert tampered._profile[face] is None
+    assert tampered._profile is None
     assert g._profile is profile and profile[face] == (g.index[chamber], delta, chamber)
 
 

@@ -381,6 +381,18 @@ def test_a_hecke_argument_of_the_wrong_kind_is_named(call, message, x):
         call(x)
 
 
+@pytest.mark.parametrize("x", [5, None, 1.5, [1, 2]], ids=repr)
+def test_hecke_terms_that_are_not_pairs_are_named(x):
+    with pytest.raises(ValueError, match=re.escape(f"terms must be (element, coefficient) pairs, got {x!r}")):
+        HeckeElement(A2, 2, x)
+
+
+@pytest.mark.parametrize("x", [5, None, 1.5], ids=repr)
+def test_a_basis_element_of_no_word_names_w(x):
+    with pytest.raises(ValueError, match=re.escape(f"w must be a GroupElement or a word, got {x!r}")):
+        basis_element(A2, x, 2)
+
+
 @pytest.mark.parametrize("x", ["x", 5, None, element_from_word(A2, [0])], ids=repr)
 def test_sums_with_another_kind_are_not_implemented(x):
     assert E0.__add__(x) is NotImplemented and E0.__sub__(x) is NotImplemented
@@ -507,6 +519,12 @@ def test_harmonic_vector_is_sign_eigenvector(tree_p2):
         for i in range(len(g)):
             if g.distance[i] <= 6:
                 assert conv[i] == -f[i]
+
+
+@pytest.mark.parametrize("f", ["x", None, 5, [1, 2]], ids=repr)
+def test_convolution_names_an_f_that_is_not_a_mapping(tree_p2, f):
+    with pytest.raises(ValueError, match=re.escape(f"f must be a mapping of chamber indices, got {f!r}")):
+        convolve_chamber_function(f, 0, tree_p2)
 
 
 def test_convolution_refuses_a_value_that_is_not_a_ball():
