@@ -47,8 +47,9 @@ the kernels behind each chamber star) works on Python integers.
 
 Flags that callers supply go through ``make_chamber``, which tests every
 chain step (``lattice._chain_step``).  Flags that ``_star`` builds, for
-``chambers_containing`` and ``ball`` alike, skip that; each of the two
-checks a face's classes before it asks for the face's star.  The vertex
+``chambers_containing`` and ``ball`` alike, skip that, and become chambers
+and faces through the one unchecked constructor, ``exact._restore``; each
+of the two checks a face's classes before it asks for the face's star.  The vertex
 a face misses is an index-p sublattice of a face vertex L, the kernel of
 a nonzero functional on L / pL (Abramenko and Brown, *Buildings*, the
 SL_n example).  The star is written out, with no elimination and no scan
@@ -68,7 +69,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .exact import Value, _int, _restore
+from .exact import Value, _field, _int, _restore
 from .lattice import (  # the vertex layer, its public names re-exported
     LatticeClass, PrimeContext, classes_adjacent, lattice_from_rows, standard_lattice, vertex_label,
     _canonical, _chain_step, _det, _dimension, _integer_rows, _not_a_class, _oriented,
@@ -201,22 +202,9 @@ class Face(Value):
         return self._hash
 
 
-def _stored(kind: type, classes: tuple[LatticeClass, ...]):
-    """A ``FlagChamber`` or ``Face`` of classes already in its stored order
-    (least rotation, or sorted by ``hnf``), built unchecked: for the flags
-    and faces the building enumerates itself, about two per chamber of a
-    ball, built when the ball's ``chambers`` or ``faces`` are first read.
-    It costs half what ``exact._restore`` does."""
-    value = object.__new__(kind)
-    object.__setattr__(value, "classes", classes)
-    if kind is Face:
-        object.__setattr__(value, "_hash", hash((classes,)))
-    return value
-
-
 def face_of(chamber: FlagChamber, position: int) -> Face:
     """Face obtained by dropping the flag entry at a position in 0..n-1."""
-    cs = chamber.classes
+    cs = _field(chamber, FlagChamber, "classes", "chamber")
     if not 0 <= _int(position, "position") < len(cs):
         raise ValueError(f"position must be in 0..{len(cs) - 1}, got {position!r}")
     return Face(cs[:position] + cs[position + 1 :])
@@ -292,7 +280,7 @@ def chambers_containing(
         raise ValueError(f"a codimension-1 face has {n - 1} classes")
     _require_classes(ctx, *classes)
     star = _star(classes, ctx)
-    return tuple(_stored(FlagChamber, star[key]) for key in sorted(star))
+    return tuple(_restore(FlagChamber, (star[key],)) for key in sorted(star))
 
 
 def _star(classes: tuple[LatticeClass, ...], ctx: PrimeContext) -> dict[tuple, tuple]:
@@ -553,8 +541,7 @@ class BallGraph(Value):
         return tuple(f for f, members in self.faces.items() if len(members) == full)
 
     def chambers_of_face(self, face: Face) -> tuple[int, ...]:
-        if not isinstance(face, Face):
-            raise ValueError(f"face must be a Face, got {face!r}")
+        _field(face, Face, "classes", "face")
         return tuple(self.faces[face])
 
     def neighbors(self, i: int) -> tuple[int, ...]:
@@ -581,17 +568,6 @@ class BallGraph(Value):
         return tuple(to_generator[t] for t in self.gallery_types(i))
 
 
-def _require_ball(graph: object) -> None:
-    """ValueError unless the graph is a ``BallGraph``."""
-    if not isinstance(graph, BallGraph):
-        raise _not_a_ball(graph)
-
-
-def _not_a_ball(graph: object) -> ValueError:
-    """The error for a graph that is not a ``BallGraph``."""
-    return ValueError(f"graph must be a BallGraph, got {graph!r}")
-
-
 def _derived(name: str, build: Callable[[BallGraph], object]) -> property:
     """A property over the ``BallGraph`` slot of that name: a read finds
     the slot's value, or, while the slot is unset, sets it to what
@@ -611,12 +587,12 @@ def _derived(name: str, build: Callable[[BallGraph], object]) -> property:
     return property(get, write)
 
 
+# the search's flags and faces are in their stored order already: built unchecked
 BallGraph.chambers = _derived(
-    "chambers", lambda g: tuple(_stored(FlagChamber, flag) for flag in g._flags)
+    "chambers", lambda g: tuple(_restore(FlagChamber, (flag,)) for flag in g._flags)
 )
-BallGraph.faces = _derived(
-    "faces", lambda g: {_stored(Face, c): m for c, m in zip(g._face_classes, g._face_members)}
-)
+BallGraph.faces = _derived("faces", lambda g: {
+    _restore(Face, (c, hash((c,)))): m for c, m in zip(g._face_classes, g._face_members)})
 BallGraph.index = _derived("index", lambda g: {chamber: i for i, chamber in enumerate(g.chambers)})
 
 
@@ -631,9 +607,8 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
     and builds its public chambers, faces and index when they are first
     read."""
     _int(radius, "radius", 0)
-    if center is not None and not isinstance(center, FlagChamber):
-        raise ValueError(f"center must be a FlagChamber, got {center!r}")
-    start = standard_chamber(ctx) if center is None else make_chamber(center.classes, ctx)
+    start = standard_chamber(ctx) if center is None else make_chamber(
+        _field(center, FlagChamber, "classes", "center"), ctx)
     n = ctx.n
     # face key -> in-ball chambers in index order, beside each face's classes
     # and type in the same order; the first expanded chamber to meet a face
@@ -691,8 +666,7 @@ def ball_to_json(graph: BallGraph) -> dict:
     for each member is built once and shared by its other members' lists;
     a face with one member, at the ball's edge, gives none.
     """
-    _require_ball(graph)
-    n = graph.ctx.n
+    n = _field(graph, BallGraph, "ctx", "graph").n
     by_type: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for members, ftype in zip(graph._face_members, graph._face_types):
         if len(members) > 1:  # a face with one member gives no pair

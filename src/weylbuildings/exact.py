@@ -10,7 +10,8 @@ face's chamber star is written out without it, as the kernels of the
 functionals that vanish on the face's line.
 ``Value`` is the one base of the library's immutable records: slotted,
 frozen, compared and hashed on a per-class key, with no code generated
-when a class is defined.
+when a class is defined; ``_restore`` is the one constructor that builds
+one without its checks.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ class FrozenInstanceError(AttributeError):
 
 
 def _restore(cls: type, state: tuple) -> "Value":
-    """The one unchecked constructor, ``building._stored`` aside: a ``Value``
-    of its fields, in ``__slots__`` order, with no ``__init__``; for
-    unpickling and for records a kernel builds of parts it made itself.  A
-    shorter state sets only the leading slots.  ``_set`` sets them, through
-    the class's slot setters."""
-    self = cls.__new__(cls)
-    self._set(*state)
+    """The one unchecked constructor: a ``Value`` of its fields, in
+    ``__slots__`` order, with no ``__init__``; for unpickling and for records
+    a kernel builds of parts it made itself, a ball's chambers and faces
+    among them.  A shorter state sets only the leading slots, each through
+    the class's own slot setter (``_setters``)."""
+    self = object.__new__(cls)
+    for put, x in zip(cls._setters, state):
+        put(self, x)
     return self
 
 
@@ -100,15 +102,23 @@ class SparseMap(tuple):
     are dropped, a repeated key or one ``order`` cannot read raises
     ValueError, and the pairs are sorted by ``order(key)``; without
     ``order`` they keep the given order, which copying and unpickling use.
+    Pairs that are not an iterable of pairs raise ValueError naming the
+    owner's field, ``name``.
     Being that tuple, it compares and hashes on the ordered pairs and keeps
     its owners' tuple-of-pairs fields; a dict beside the tuple, built with
     the map or, for one from ``_ordered``, on its first lookup, answers
     ``lookup`` in O(1).
     """
 
-    def __new__(cls, pairs: Iterable[tuple[Hashable, Fraction]], order: Callable | None = None):
+    def __new__(cls, pairs: Iterable[tuple[Hashable, Fraction]], order: Callable | None = None,
+                name: str = "values"):
+        try:
+            items = [(key, x) for key, x in pairs]
+        except (TypeError, ValueError):  # not iterable, or an item is not a pair
+            raise ValueError(
+                f"{name} must be (element, coefficient) pairs, got {pairs!r}") from None
         index: dict[Hashable, Fraction] = {}
-        for key, x in pairs:
+        for key, x in items:
             size = len(index)
             index[key] = _fraction(x, "values")
             if len(index) == size:

@@ -53,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .building import BallGraph, Face, FlagChamber, _not_a_ball, _require_ball
+from .building import BallGraph, Face, FlagChamber
 from .exact import SparseMap, Value, _field, _int
 
 __all__ = [
@@ -106,8 +106,7 @@ class Cochain(Value):
     def value_at_index(self, i: int, graph: BallGraph) -> Fraction:
         """The value at the ball's chamber of index i; an i that is not an
         int in range(len(graph)) raises ValueError naming it."""
-        _require_ball(graph)
-        if not 0 <= _int(i, "i") < len(graph):
+        if not 0 <= _int(i, "i") < len(_field(graph, BallGraph, "distance", "graph")):
             raise ValueError(f"i must be a chamber index in 0..{len(graph) - 1}, got {i!r}")
         if self.values is None:
             return Fraction(-1, self._rule_q(graph)) ** graph.distance[i]
@@ -174,11 +173,11 @@ def harmonicity_defect(f: Cochain, face: Face, graph: BallGraph) -> Fraction:
     try:
         values = f.values
     except AttributeError:
-        raise ValueError(f"f must be a Cochain, got {f!r}") from None
+        values = _field(f, Cochain, "values", "f")
     try:
         profile = graph._profile
     except AttributeError:
-        raise _not_a_ball(graph) from None
+        profile = _field(graph, BallGraph, "_profile", "graph")
     if values is None:
         if profile is None:
             profile = _profile_of(graph)
@@ -213,7 +212,7 @@ def min_distance_chamber(face: Face, graph: BallGraph) -> tuple[FlagChamber, int
     try:
         profile = graph._profile
     except AttributeError:
-        raise _not_a_ball(graph) from None
+        profile = _field(graph, BallGraph, "_profile", "graph")
     if profile is None:
         profile = _profile_of(graph)
     try:
@@ -228,19 +227,18 @@ def decay_profile(f: Cochain, graph: BallGraph) -> tuple[tuple[int, Fraction], .
     For a rule-form f it is q^-k at each distance k that occurs, 0 elsewhere;
     that form reads the distances once, into the set of those that occur,
     and takes its length from the largest of them."""
-    if not isinstance(f, Cochain):
-        raise ValueError(f"f must be a Cochain, got {f!r}")
-    _require_ball(graph)
-    if f.values is None:
+    values = _field(f, Cochain, "values", "f")
+    distance = _field(graph, BallGraph, "distance", "graph")
+    if values is None:
         q = f._rule_q(graph)
-        occurring = set(graph.distance)
+        occurring = set(distance)
         out: list[Fraction] = [_ZERO] * (max(occurring) + 1)
         for k in occurring:
             out[k] = Fraction(1, q**k)
         return tuple(enumerate(out))
-    out = [_ZERO] * (max(graph.distance) + 1)
-    for chamber, k in zip(graph.chambers, graph.distance):
-        v = abs(f.values.lookup(chamber, FlagChamber))
+    out = [_ZERO] * (max(distance) + 1)
+    for chamber, k in zip(graph.chambers, distance):
+        v = abs(values.lookup(chamber, FlagChamber))
         if v > out[k]:
             out[k] = v
     return tuple(enumerate(out))
@@ -277,7 +275,6 @@ def finite_support_rigidity(graph: BallGraph) -> bool:
     trivial: the answer is True once the certificate is found, and a
     graph without one fails the invariant (AssertionError).
     """
-    _require_ball(graph)
-    if graph.radius < 2:
+    if _field(graph, BallGraph, "radius", "graph") < 2:
         raise ValueError("rigidity needs radius at least 2")
     return bool(_ascent_faces(graph))

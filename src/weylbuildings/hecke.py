@@ -86,10 +86,7 @@ class HeckeElement(Value):
         _field(diagram, CoxeterDiagram, "orders", "diagram")
         object.__setattr__(self, "diagram", diagram)
         object.__setattr__(self, "q", _fraction(q, "q"))
-        try:
-            terms = SparseMap(terms, _point)
-        except TypeError:  # not iterable, or not pairs
-            raise ValueError(f"terms must be (element, coefficient) pairs, got {terms!r}") from None
+        terms = SparseMap(terms, _point, "terms")
         for w in terms.support():
             w._check(diagram)
         object.__setattr__(self, "terms", terms)
@@ -237,10 +234,9 @@ def convolve_chamber_function(
     omitted from the result, so compositions should stay a step inside
     the radius.
     """
-    from .building import _require_ball, generator_face_types
+    from .building import BallGraph, generator_face_types
 
-    _require_ball(graph)
-    ctx = graph.ctx
+    ctx = _field(graph, BallGraph, "ctx", "graph")
     types = generator_face_types(ctx)
     if type(generator) is not int or generator not in types:
         raise ValueError(f"unknown generator {generator!r}: the generators are 0..{ctx.n - 1}")

@@ -290,7 +290,7 @@ def _require_classes(ctx: PrimeContext, *classes: LatticeClass) -> None:
     try:
         n, p = ctx.n, ctx.p
     except AttributeError:
-        raise ValueError(f"ctx must be a PrimeContext, got {ctx!r}") from None
+        n, p = _field(ctx, PrimeContext, "n", "ctx"), ctx.p
     for c in classes:
         if not isinstance(c, LatticeClass):
             raise _not_a_class(classes)

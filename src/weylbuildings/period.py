@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .coxeter import AffineTypeLabel, affine_diagram, bfs_growth, parse_type_label
-from .exact import Value, _int, fraction_json
+from .exact import Value, _field, _int, fraction_json
 from .poincare import absolute_tail, bott_rational, evaluate, exponents_for
 
 if TYPE_CHECKING:
@@ -73,7 +73,9 @@ def geometric_shell_terms(graph: BallGraph) -> list[Fraction]:
 
     Purely geometric: only enumerated chambers and their distances enter.
     """
-    p = graph.ctx.p
+    from .building import BallGraph
+
+    p = _field(graph, BallGraph, "ctx", "graph").p
     x = Fraction(-1, p * p)
     sizes = graph.shell_sizes()
     return [sizes[k] * x**k for k in range(len(sizes))]
@@ -84,19 +86,17 @@ def geometric_lambda(
 ) -> Fraction:
     """Partial period over an enumerated ball: the geometric shell terms
     summed up to the radius.  A ctx or a graph of another kind is named."""
-    from .building import _require_ball, ball
+    from .building import BallGraph, ball
     from .lattice import _dimension
 
     _int(radius, "radius", 0)
     _dimension(ctx)
     if graph is None:
         graph = ball(ctx, radius)
-    else:
-        _require_ball(graph)
-        if graph.ctx != ctx:
-            raise ValueError(f"supplied ball belongs to {graph.ctx!r}, not to {ctx!r}")
-        if graph.radius < radius:
-            raise ValueError("supplied ball does not cover the requested radius")
+    elif _field(graph, BallGraph, "ctx", "graph") != ctx:
+        raise ValueError(f"supplied ball belongs to {graph.ctx!r}, not to {ctx!r}")
+    elif graph.radius < radius:
+        raise ValueError("supplied ball does not cover the requested radius")
     return sum(geometric_shell_terms(graph)[: radius + 1], Fraction(0))
 
 
@@ -153,7 +153,7 @@ def make_report(label: AffineTypeLabel | str, q: int, cutoff: int) -> PeriodRepo
 
 def report_to_json(report: PeriodReport) -> dict:
     return {
-        "type": str(report.label),
+        "type": str(_field(report, PeriodReport, "label", "report")),
         "qF": report.q_f,
         "qE": report.q_e,
         "K": report.cutoff,

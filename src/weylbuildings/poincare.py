@@ -30,7 +30,7 @@ from math import gcd
 from typing import Sequence
 
 from .coxeter import AffineTypeLabel, parse_type_label
-from .exact import Value, _fraction, _int
+from .exact import Value, _field, _fraction, _int
 
 __all__ = [
     "ExponentTable",
@@ -63,7 +63,7 @@ class ExponentTable(Value):
             raise ValueError(f"exponents must be a sequence of ints, got {exponents!r}")
         exponents = tuple(exponents)
         self._set(label, exponents)
-        if len(exponents) != label.rank:
+        if len(exponents) != _field(label, AffineTypeLabel, "rank", "label"):
             raise ValueError("need exactly rank many exponents")
         for x in exponents:
             _int(x, "exponents")
@@ -221,7 +221,7 @@ def bott_rational(table: ExponentTable) -> RationalFunction:
     >>> bott_rational(exponents_for("A2~"))
     RationalFunction(numerator=(1, 1, 1), denominator=(1, -2, 1))
     """
-    return _bott_rational(tuple(table.exponents))
+    return _bott_rational(tuple(_field(table, ExponentTable, "exponents", "table")))
 
 
 @functools.lru_cache(maxsize=32)  # immutable results; the bound caps a long-lived process
@@ -257,7 +257,7 @@ def expand(rf: RationalFunction, cutoff: int) -> SeriesTruncation:
     den_0 c_k = num_k - sum_{j>=1} den_j c_{k-j}.
     """
     _int(cutoff, "cutoff", 0)
-    den = rf.denominator
+    den = _field(rf, RationalFunction, "denominator", "rf")
     if not den or den[0] == 0:
         raise ZeroDivisionError("denominator has a zero constant term")
     d0 = Fraction(den[0])
@@ -277,7 +277,7 @@ def evaluate(rf: RationalFunction, x: Fraction) -> Fraction:
     Fraction(1, 3)
     """
     x = _fraction(x, "x")
-    den = _eval(rf.denominator, x)
+    den = _eval(_field(rf, RationalFunction, "denominator", "rf"), x)
     if den == 0:
         raise PoleError(f"pole at {x}")
     return _eval(rf.numerator, x) / den

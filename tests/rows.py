@@ -1,6 +1,8 @@
-"""Measurement rows of the library's layers, in process.
+"""Measurement rows of the library's layers, in process, and of the CLI's
+top request end to end.
 
     python tests/rows.py
+    python tests/rows.py --top-request
 
 Prints one row per measurement: the Coxeter layer's growth, length and
 reduced words; the Hecke and decay requests of the benchmark's ``session``
@@ -15,8 +17,19 @@ row checks every result it times against this script's own matrix
 arithmetic, each harmonic row against the members' distances, each
 rigidity row against the exact rank of ``references.full_rank``, and
 each boundary row against the input it started from, and says whether
-all matched; the script exits 1 when one did not.  Stdlib only, with no
-options; it puts the checkout's ``src`` first on the path.  Not a test
+all matched; the script exits 1 when one did not.
+
+With ``--top-request`` it prints the top ``ball`` request's rows instead:
+cold CLI requests of it and of one ``harmonic`` request, three each, with
+their wall seconds, each child's peak RSS and whether stdout matches the
+digest recorded in ``bench/expected.json`` (read only); the top request
+written with ``--out``; its three layers in process with the collector off,
+``ball``, ``ball_to_json`` and the encoding, and whether the encoder's
+pieces join to the text of one ``json.dumps`` call; and one larger ball and
+its JSON with the collector on, with how many more objects it then tracks.
+It exits 1 when a digest or the pieces do not match.
+
+Stdlib only; it puts the checkout's ``src`` first on the path.  Not a test
 module: the default collection reads it for doctests only.
 """
 
@@ -309,8 +322,100 @@ def boundary_rows() -> bool:
     return ok
 
 
+def top_request_rows() -> bool:
+    """The rows of ``--top-request``, and whether every digest and the
+    pieces matched."""
+    import gc
+    import hashlib
+    import json
+    import os
+    import statistics
+    import subprocess
+    import tempfile
+
+    top = "ball --n 2 --p 3 --R 8 --format json"
+    expected = json.loads((SRC.parent / "bench" / "expected.json").read_text(encoding="utf-8"))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def digest(stream) -> str:
+        sha = hashlib.sha256()
+        for chunk in iter(lambda: stream.read(1 << 16), b""):
+            sha.update(chunk)
+        return sha.hexdigest()
+
+    def cold(request: str, *extra: str) -> tuple[str, float, float]:
+        # stdout's digest, wall seconds and the child's own peak RSS in MB
+        # (wait4).  A child's peak takes in its parent's at the spawn, so
+        # stdout is hashed as it streams, and the library is imported after
+        start = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-m", "weylbuildings", *request.split(), *extra],
+                                 env=env, stdout=subprocess.PIPE)
+        with child.stdout:
+            out = digest(child.stdout)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        if child.returncode:
+            raise subprocess.CalledProcessError(child.returncode, child.args)
+        return out, time.perf_counter() - start, usage.ru_maxrss / 1024
+
+    ok = True
+    # the harmonic request is the CLI path that reads a ball's distance profile
+    for request in (top, "harmonic --n 2 --p 3 --R 5 --format json"):
+        for _ in range(3):
+            out, wall, peak_mb = cold(request)
+            same = out == expected[request]
+            print(f"{request}: {wall:.3f} s wall, {peak_mb:.1f} MB peak RSS, digest matches: {same}")
+            ok = ok and same
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "ball.json"
+        _, _, peak_mb = cold(top, "--out", str(path))
+        with path.open("rb") as f:
+            same = digest(f) == expected[top]
+    print(f"{top} --out FILE: {peak_mb:.1f} MB peak RSS, digest matches: {same}")
+    ok = ok and same
+
+    from weylbuildings.building import PrimeContext, ball, ball_to_json
+    from weylbuildings.cli import _json_pieces
+
+    # the three layers with the collector off, as cli.main runs them: medians of 3
+    gc.disable()
+    ms: dict[str, list[float]] = {"ball": [], "ball_to_json": [], "encoding": []}
+    for _ in range(3):
+        start = time.perf_counter()
+        graph = ball(PrimeContext(p=3, n=2), 8)
+        built = time.perf_counter()
+        payload = ball_to_json(graph)
+        rendered = time.perf_counter()
+        pieces = list(_json_pieces(payload))
+        encoded = time.perf_counter()
+        spans = (("ball", start, built), ("ball_to_json", built, rendered), ("encoding", rendered, encoded))
+        for name, a, b in spans:
+            ms[name].append(1e3 * (b - a))
+    same = "".join(pieces) == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    del graph, payload, pieces
+    gc.enable()
+    medians = ", ".join(f"{name} {statistics.median(v):.1f} ms" for name, v in ms.items())
+    print(f"in process, collector off, ball n=2 p=3 R=8: {medians}; pieces join to json.dumps: {same}")
+    ok = ok and same
+
+    # with the collector on: the wall seconds, and how many more objects it
+    # tracks after them, the graph and its JSON both still held
+    gc.collect()
+    before = len(gc.get_objects())
+    start = time.perf_counter()
+    graph = ball(PrimeContext(p=5, n=2), 6)
+    data = ball_to_json(graph)
+    wall = time.perf_counter() - start
+    tracked = len(gc.get_objects()) - before
+    print(f"in process, collector on, ball plus ball_to_json n=2 p=5 R=6: {wall:.3f} s wall, "
+          f"{tracked} more tracked objects")
+    return ok
+
+
 def main() -> int:
     sys.path.insert(0, str(SRC))
+    if sys.argv[1:] == ["--top-request"]:
+        return 0 if top_request_rows() else 1
     coxeter_rows()
     hecke = hecke_rows()
     harmonic = harmonic_rows()

@@ -122,6 +122,23 @@ def test_missing_key_reads_zero(owner):
     assert all(read(f, k) == 0 and isinstance(read(f, k), Fraction) for k in keys[1:])
 
 
+@pytest.mark.parametrize(
+    "build, name, given",
+    [
+        (lambda x: HeckeElement(affine_diagram("A2~"), 2, x), "terms", "x"),
+        (lambda x: HeckeElement(affine_diagram("A2~"), 2, x), "terms", [[1]]),
+        (lambda x: Cochain(values=x), "values", [1]),
+        (lambda x: ZeroCochain(x), "values", [1]),
+    ],
+    ids=["hecke-str", "hecke-short-item", "cochain", "zero-cochain"],
+)
+def test_items_that_are_not_pairs_are_named(build, name, given):
+    # one ValueError naming the owner's field, where "not enough values to
+    # unpack" or a TypeError came before
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be (element, coefficient) pairs, got {given!r}")):
+        build(given)
+
+
 def test_pickle_round_trip(owner):
     build, read, _, keys = owner
     f = build([(k, Fraction(-i, 2)) for i, k in enumerate(keys)])

@@ -27,14 +27,7 @@ from weylbuildings import (
 )
 from weylbuildings.harmonic import _ascent_faces
 
-from references import full_rank
-
-
-def with_distance(g, distance):
-    """The ball g rebuilt by keyword with other distances, every other shown
-    field as it is; the hidden profile is the new graph's own."""
-    fields = {name: getattr(g, name) for name in BallGraph._shown}
-    return BallGraph(**{**fields, "distance": tuple(distance)})
+from references import full_rank, reference_defect, reference_min_distance_chamber, with_distance
 
 
 # the failed invariant of a face that is not sharp
@@ -322,36 +315,7 @@ def test_cochain_json_map_form_literal(tree_p2):
     assert f.values == ((g.chambers[0], Fraction(-3, 4)), (g.chambers[5], Fraction(2)))
 
 
-# -- the scan kernels against the sort-based route ------------------------------------
-
-
-def reference_defect(f, face, graph):
-    """``harmonicity_defect`` with a generator over the members for each of
-    the maximum and the sum, and a new Fraction for every result."""
-    members = graph.faces.get(face)
-    if members is None or len(members) != graph.ctx.p + 1:
-        raise ValueError("face is not interior to the ball")
-    if f.values is not None:
-        return sum((f.value_at_index(i, graph) for i in members), Fraction(0))
-    q, dist = f._rule_q(graph), graph.distance
-    top = max(dist[i] for i in members)
-    num = sum((-q) ** (top - dist[i]) for i in members)
-    return Fraction(-num if top % 2 else num, q**top)
-
-
-def reference_min_distance_chamber(face, graph):
-    """``min_distance_chamber`` by sorting the (distance, index) pairs."""
-    members = graph.faces.get(face)
-    if members is None or len(members) != graph.ctx.p + 1:
-        raise ValueError("face is not interior to the ball")
-    dists = [(graph.distance[i], i) for i in members]
-    dists.sort()
-    delta = dists[0][0]
-    if any(d != delta + 1 for d, _ in dists[1:]):
-        raise AssertionError(
-            "distance multiset over a face must be one minimum and p at minimum + 1"
-        )
-    return graph.chambers[dists[0][1]], delta
+# -- the scan kernels against the member-scanning references -------------------------
 
 
 def is_sharp(face, graph):

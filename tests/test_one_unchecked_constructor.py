@@ -1,14 +1,13 @@
 """One unchecked constructor.
 
-A record is built without its ``__init__`` in two places only:
-``exact._restore``, which pickling and copying use too, as does ``ball``
-for the graph it leaves its derived fields unset in, and
-``building._stored``, the cheaper form for the chambers and faces a ball
-builds when they are first read, and for the chambers of a star.  Every
-module under ``src/`` is parsed with ``ast``; outside those
-two functions, reading ``__new__`` off anything, or calling ``_set`` on
-anything but ``self``, is an error.  ``super().__new__`` in ``SparseMap``
-builds the tuple it is, not a record, and is not counted.
+A record is built without its ``__init__`` in one place only,
+``exact._restore``: pickling and copying use it, as do ``ball`` for the
+graph it leaves its derived fields unset in, a ball's chambers and faces
+when they are first read, and the chambers of a star.  Every module under
+``src/`` is parsed with ``ast``; outside that function, reading
+``__new__`` off anything, or calling ``_set`` on anything but ``self``, is
+an error.  ``super().__new__`` in ``SparseMap`` builds the tuple it is, not
+a record, and is not counted.
 """
 
 import ast
@@ -20,7 +19,7 @@ import weylbuildings
 
 SRC = Path(weylbuildings.__file__).resolve().parents[1]
 MODULES = sorted(SRC.rglob("*.py"))
-ALLOWED = {("weylbuildings/exact.py", "_restore"), ("weylbuildings/building.py", "_stored")}
+ALLOWED = {("weylbuildings/exact.py", "_restore")}
 
 
 def _is_super_call(node: ast.expr) -> bool:
@@ -33,7 +32,7 @@ def _is_super_call(node: ast.expr) -> bool:
 
 def unchecked_builds(source: str, name: str) -> list[str]:
     """Uses of ``__new__`` or of another object's ``_set`` in the source of
-    the module at ``name`` (relative to src/), outside the allowed functions."""
+    the module at ``name`` (relative to src/), outside the allowed function."""
     found = []
 
     def visit(node: ast.AST, function: str | None) -> None:
@@ -65,8 +64,8 @@ def test_no_other_unchecked_constructor(path):
 
 
 @pytest.mark.parametrize("rel, function", sorted(ALLOWED))
-def test_the_two_constructors_build_without_init(rel, function):
-    # each exempt function is defined once and does read __new__
+def test_the_one_constructor_builds_without_init(rel, function):
+    # the exempt function is defined once and does read __new__
     tree = ast.parse((SRC / rel).read_text(encoding="utf-8"))
     (node,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == function]
     assert any(isinstance(n, ast.Attribute) and n.attr == "__new__" for n in ast.walk(node))

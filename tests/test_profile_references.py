@@ -2,10 +2,11 @@
 
 ``harmonicity_defect``, ``min_distance_chamber`` and ``_ascent_faces`` read
 each interior face's distance shape from the ball's profile, worked out once
-per ``BallGraph``.  The kernels below are the earlier ones, kept verbatim as
-references: each works the shape out again from the face's members.  Both
-must give the same results and raise the same errors on the balls the
-library serves, on faces at the ball's edge or outside it too.  On graphs
+per ``BallGraph``.  The earlier kernels are kept verbatim as references, the
+two face queries in ``references`` and the certificate below: each works the
+shape out again from the face's members.  Both must give the same results
+and raise the same errors on the balls the library serves, on faces at the
+ball's edge or outside it too.  On graphs
 with other distances the references still find the faces that are not
 sharp; the kernels refuse such a graph as a failed invariant, naming the
 first of those faces, and only a map form's defect still answers there.
@@ -27,54 +28,12 @@ from weylbuildings import (
     iwahori_vector,
     min_distance_chamber,
 )
-from weylbuildings.building import Face, FlagChamber
+from weylbuildings.building import Face
 from weylbuildings.harmonic import _ZERO, Cochain, _ascent_faces
 
-# -- the member-scanning references, verbatim -----------------------------------------
+from references import reference_defect, reference_min_distance_chamber, with_distance
 
-
-def reference_defect(f: Cochain, face: Face, graph: BallGraph) -> Fraction:
-    """Sum of f over all p + 1 chambers containing an interior face.
-
-    A rule-form f is summed in integers over the list of the members'
-    distances, with one ``Fraction`` for a nonzero result; the harmonic
-    case, a zero numerator, returns a shared ``Fraction(0)``.
-    """
-    members = graph.faces.get(face)
-    if members is None or len(members) != graph.ctx.p + 1:
-        raise ValueError("face is not interior to the ball")
-    if f.values is not None:
-        return sum((f.value_at_index(i, graph) for i in members), Fraction(0))
-    # sum_i (-1/q)^d_i = (-1)^D sum_i (-q)^(D - d_i) / q^D with D = max d_i
-    q, dist = f._rule_q(graph), graph.distance
-    ds = [dist[i] for i in members]
-    top = max(ds)
-    num = sum([(-q) ** (top - d) for d in ds])
-    if not num:
-        return _ZERO
-    return Fraction(-num if top % 2 else num, q**top)
-
-
-def reference_min_distance_chamber(face: Face, graph: BallGraph) -> tuple[FlagChamber, int]:
-    """The unique chamber over an interior face closest to the center.
-
-    Asserts the sharp shape of the distance multiset: one chamber at the
-    minimum delta and the remaining p at delta + 1; any other shape is
-    reported as a failure, not returned.  A tied minimum fails that check,
-    so the first minimizer found is the only one.
-    """
-    members = graph.faces.get(face)
-    if members is None or len(members) != graph.ctx.p + 1:
-        raise ValueError("face is not interior to the ball")
-    dist = graph.distance
-    low = min(members, key=dist.__getitem__)
-    delta = dist[low]
-    for i in members:
-        if i != low and dist[i] != delta + 1:
-            raise AssertionError(
-                "distance multiset over a face must be one minimum and p at minimum + 1"
-            )
-    return graph.chambers[low], delta
+# -- the member-scanning certificate, verbatim ---------------------------------------
 
 
 def reference_ascent_faces(graph: BallGraph) -> dict[int, Face] | None:
@@ -120,12 +79,6 @@ def outcome(call):
     return type(result), result, result is _ZERO
 
 
-def rebuilt(g: BallGraph, distance) -> BallGraph:
-    """The ball g rebuilt with other distances, every other shown field as it is."""
-    fields = {name: getattr(g, name) for name in BallGraph._shown}
-    return BallGraph(**{**fields, "distance": tuple(distance)})
-
-
 def tampered(g: BallGraph, seed: int) -> BallGraph:
     """g with the members of some interior faces moved to other distances,
     so that those faces take shapes other than one at delta and p at
@@ -135,7 +88,7 @@ def tampered(g: BallGraph, seed: int) -> BallGraph:
     for face in rng.sample(g.interior_faces(), 10):
         for i in g.faces[face]:
             distance[i] = max(0, distance[i] + rng.choice((-1, 0, 1, 2)))
-    return rebuilt(g, distance)
+    return with_distance(g, distance)
 
 
 def cochains(g: BallGraph, seed: int) -> list[Cochain]:
@@ -218,7 +171,7 @@ def test_the_profile_kernels_match_the_references_on_other_distances(n, p, R):
     # the last shell moved out by two: every ascent face of an unknown at
     # distance R - 1 loses its shape, so the reference finds no certificate
     distance = [d + 2 if d == R else d for d in g.distance]
-    h = rebuilt(g, distance)
+    h = with_distance(g, distance)
     assert_refused(h, faces, cochains(h, R))
     assert reference_ascent_faces(h) is None
     # one chamber of the last shell moved out by two at a time: an unknown
@@ -228,7 +181,7 @@ def test_the_profile_kernels_match_the_references_on_other_distances(n, p, R):
     for x in g.shell(R)[:40]:
         distance = list(g.distance)
         distance[x] += 2
-        h = rebuilt(g, distance)
+        h = with_distance(g, distance)
         assert outcome(lambda: _ascent_faces(h))[0] is AssertionError
         chosen = reference_ascent_faces(h)
         changed += chosen is not None and chosen != certificate

@@ -4,6 +4,7 @@ no assignment or deletion, and pickling."""
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from weylbuildings import (
     Face,
     GroupElement,
     PrimeContext,
+    absolute_tail,
     affine_diagram,
     ball,
     basis_element,
@@ -23,12 +25,15 @@ from weylbuildings import (
     coboundary,
     cochain_from_map,
     element_from_word,
+    evaluate,
     expand,
     exponents_for,
     face_of,
+    geometric_shell_terms,
     iwahori_vector,
     make_report,
     parse_type_label,
+    report_to_json,
     standard_chamber,
     standard_lattice,
     vertex_tree,
@@ -345,3 +350,24 @@ def test_a_lookup_outside_the_support_reads_zero():
     assert EDGES.value(v[0], v[1]) == -EDGES.value(v[1], v[0]) == 1 and EDGES.value(v[1], v[2]) == 0
     assert basis_element(A1, [0], 2).coefficient(element_from_word(A1, [1])) == 0
     assert cochain_from_map({CHAMBER: 1}).value(ball(P3, 1).chambers[1], None) == 0
+
+
+# a call whose first read is of a record's field, and the error naming it
+FIRST_READS = {
+    "ExponentTable-label": (lambda x: ExponentTable(x, (1, 2)), "label must be a AffineTypeLabel"),
+    "bott_rational": (bott_rational, "table must be a ExponentTable"),
+    "absolute_tail": (lambda x: absolute_tail(x, 2, 3), "table must be a ExponentTable"),
+    "expand": (lambda x: expand(x, 3), "rf must be a RationalFunction"),
+    "evaluate": (lambda x: evaluate(x, 1), "rf must be a RationalFunction"),
+    "face_of": (lambda x: face_of(x, 0), "chamber must be a FlagChamber"),
+    "geometric_shell_terms": (geometric_shell_terms, "graph must be a BallGraph"),
+    "report_to_json": (report_to_json, "report must be a PeriodReport"),
+}
+
+
+@pytest.mark.parametrize("x", ["x", None, 1.5, object()], ids=["str", "None", "float", "object"])
+@pytest.mark.parametrize("call, message", FIRST_READS.values(), ids=FIRST_READS.keys())
+def test_a_record_of_the_wrong_kind_is_named_at_its_first_read(call, message, x):
+    # one ValueError naming the parameter, where an AttributeError came before
+    with pytest.raises(ValueError, match=re.escape(f"{message}, got {x!r}")):
+        call(x)
