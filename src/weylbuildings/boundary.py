@@ -52,7 +52,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .exact import SparseMap, Value, _field, _fraction, _int, _restore
+from .exact import SparseMap, Value, _field, _fraction, _int, _pairs, _restore
 from .lattice import (
     LatticeClass,
     PrimeContext,
@@ -138,7 +138,7 @@ class OneCochain(Value):
 
     def __init__(self, values: tuple[tuple[Edge, Fraction], ...]) -> None:
         acc: dict[Edge, Fraction] = {}
-        for edge, x in values:
+        for edge, x in _pairs(values, "values"):
             s, t = _edge(edge)
             if s == t:
                 raise ValueError("an edge needs two distinct vertices")

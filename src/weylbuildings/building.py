@@ -25,7 +25,9 @@ which order as its ``sort_key`` does, and a face by the rows of its
 classes, sorted by Hermite tuple.  A ball keeps what the search found,
 each chamber's flag and each face's classes, members and type, and
 builds its public ``FlagChamber``s, ``Face``s and index only when they
-are first read.
+are first read.  Its JSON rows are read off the same arrays by the row
+makers of ``_ball_rows``, which ``ball_to_json`` calls once over every
+chamber and the CLI a slice at a time.
 
 The vertex labelling lambda([L]) = v_p(det L) mod n makes every chamber
 hit each label exactly once; a face's type is the label it omits.
@@ -109,6 +111,16 @@ QMatrix = tuple[tuple[Fraction, ...], ...]
 # -- chambers --------------------------------------------------------------------
 
 
+def _tuple(items: Sequence, name: str, what: str) -> tuple:
+    """The items as a tuple; ValueError naming the parameter when they
+    cannot be iterated, caught at the first iteration, with no check of
+    their kind beside it."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of {what}, got {items!r}") from None
+
+
 class FlagChamber(Value):
     """Cyclic flag of n lattice classes, stored from its least class: a
     chamber's classes carry distinct labels, so that is its least rotation."""
@@ -143,7 +155,7 @@ class FlagChamber(Value):
 def make_chamber(classes: Sequence[LatticeClass], ctx: PrimeContext) -> FlagChamber:
     """Validated chamber from a caller-supplied cyclic flag of n classes."""
     n = _dimension(ctx)
-    cs = tuple(classes)
+    cs = _tuple(classes, "classes", "lattice classes")
     if len(cs) != n:
         raise ValueError(f"a chamber needs exactly {n} classes")
     _require_classes(ctx, *cs)
@@ -275,7 +287,7 @@ def chambers_containing(
     """All p + 1 chambers containing a codimension-1 face, sorted: the
     face's classes are checked, then ``_star`` writes the chambers out."""
     n = _dimension(ctx)
-    classes = tuple(face.classes) if isinstance(face, Face) else tuple(face)
+    classes = face.classes if isinstance(face, Face) else _tuple(face, "face", "lattice classes")
     if len(classes) != n - 1:
         raise ValueError(f"a codimension-1 face has {n - 1} classes")
     _require_classes(ctx, *classes)
@@ -442,7 +454,7 @@ def affine_generator_matrix(ctx: PrimeContext, i: int) -> QMatrix:
 def weyl_to_chamber(word: Sequence[int], ctx: PrimeContext) -> FlagChamber:
     """Image of the standard chamber under the product of generators."""
     chamber = standard_chamber(ctx)
-    for letter in reversed(word):
+    for letter in reversed(_tuple(word, "word", "generator indices")):
         chamber = act(affine_generator_matrix(ctx, letter), chamber, ctx)
     return chamber
 
@@ -651,43 +663,79 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
     )
 
 
-def ball_to_json(graph: BallGraph) -> dict:
-    """Deterministic plain-data rendering of a chamber ball, read off the
-    graph's search arrays, so no ``FlagChamber`` or ``Face`` is built.
+def _ball_rows(graph: BallGraph) -> dict:
+    """``ball_to_json``'s document with each chamber-length array left as
+    a row maker: ``rows(lo, hi)`` makes the array's items lo to hi - 1,
+    fewer past its end, read off the graph's search arrays.  The CLI writes
+    them a slice at a time, so none of them is held whole.
 
     ``chambers[i]`` is the tuple of the stored Hermite tuples of chamber
     i's classes, which the JSON encoder writes as nested arrays.
     ``adjacency[i]`` lists (face type, neighbor index) pairs for every
     neighbor inside the ball, sorted by face type then neighbor: a chamber
     has one face of each type and a face's members are increasing, so the
-    faces are read type by type and the pairs come out in order.  The
-    pairs are tuples, which take less memory than lists and which the
-    JSON encoder writes as the same two-element arrays, and a face's pair
-    for each member is built once and shared by its other members' lists;
-    a face with one member, at the ball's edge, gives none.
+    faces are read type by type and the pairs come out in order.  A call
+    over every chamber reads all the faces; a call over part of them reads
+    the faces of that part off ``at``, each chamber's face of each type,
+    built on the first such call.  The pairs are tuples, which take less
+    memory than lists and which the JSON encoder writes as the same
+    two-element arrays, and a face's pair for each member is built once
+    per call and shared by its other members' lists; a face with one
+    member, at the ball's edge, gives none.
     """
     n = _field(graph, BallGraph, "ctx", "graph").n
+    flags = graph._flags
+    count = len(flags)
     by_type: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for members, ftype in zip(graph._face_members, graph._face_types):
         if len(members) > 1:  # a face with one member gives no pair
             by_type[ftype].append(members)
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in graph._flags]
-    for ftype, group in enumerate(by_type):
-        for members in group:
-            pairs = [(ftype, j) for j in members]
-            for k, i in enumerate(members):
-                row = adjacency[i]
-                row += pairs[:k]
-                row += pairs[k + 1 :]
+    # at[t][i]: where chamber i's face of type t is in by_type[t], -1 for one member
+    at: list[list[int]] = []
+
+    def adjacency(lo: int, hi: int) -> list[list[tuple[int, int]]]:
+        out: list[list[tuple[int, int]]] = [[] for _ in flags[lo:hi]]
+        if not out:  # past the end
+            return out
+        hi = lo + len(out)
+        if hi - lo < count and not at:  # the first call over part of the ball
+            for group in by_type:
+                at.append([-1] * count)
+                for f, members in enumerate(group):
+                    for i in members:
+                        at[-1][i] = f
+        for ftype, group in enumerate(by_type):
+            if hi - lo < count:  # the faces of the type with a member in the part
+                found = dict.fromkeys(at[ftype][lo:hi])
+                found.pop(-1, None)
+                group = map(group.__getitem__, found)
+            for members in group:
+                pairs = [(ftype, j) for j in members]
+                for k, j in enumerate(members):
+                    if lo <= j < hi:
+                        row = out[j - lo]
+                        row += pairs[:k]
+                        row += pairs[k + 1 :]
+        return out
+
     return {
-        "p": graph.ctx.p,
-        "n": n,
-        "radius": graph.radius,
-        "chamber_count": len(graph),
+        "p": graph.ctx.p, "n": n, "radius": graph.radius, "chamber_count": count,
         "shell_sizes": list(graph.shell_sizes()),
-        "chambers": [tuple([c.hnf for c in flag]) for flag in graph._flags],
+        "chambers": lambda lo, hi: [tuple([c.hnf for c in flag]) for flag in flags[lo:hi]],
         "adjacency": adjacency,
-        "distance": list(graph.distance),
-        "parent": [(-1 if x is None else x) for x in graph.parent],
-        "crossed_type": [(-1 if x is None else x) for x in graph.crossed_type],
+        "distance": lambda lo, hi: list(graph.distance[lo:hi]),
+        "parent": lambda lo, hi: [-1 if x is None else x for x in graph.parent[lo:hi]],
+        "crossed_type": lambda lo, hi: [-1 if x is None else x for x in graph.crossed_type[lo:hi]],
     }
+
+
+def ball_to_json(graph: BallGraph) -> dict:
+    """Deterministic plain-data rendering of a chamber ball, read off the
+    graph's search arrays, so no ``FlagChamber`` or ``Face`` is built: the
+    document of ``_ball_rows`` with each row maker called once over all
+    chambers, so each face's pairs are shared by all its members."""
+    document = _ball_rows(graph)
+    for key, value in document.items():
+        if callable(value):
+            document[key] = value(0, len(graph))  # what only the maker held goes with it
+    return document

@@ -13,11 +13,14 @@ Shared flags: --type, --q, --p, --n, --R, --K, --format {json,csv,table},
 rows carry a method column (enumerated vs closed-form) where two routes
 are compared.  Identical configuration produces byte-identical JSON.
 JSON is written in slices, a dict key by key and a long list a few
-thousand items at a time, so no copy of a whole document is held; the
-bytes are those of one ``json.dumps`` call.  The encoder runs without its
-cycle scan (``check_circular=False``): every payload is a tree of
-containers the subcommand has just built, which may share a value but
-never contains itself.
+hundred items at a time, so no copy of a whole document is held; the
+bytes are those of one ``json.dumps`` call.  A payload may hold a row
+maker in place of a long list, whose rows are then made a slice at a
+time too, so the ``ball`` subcommand's chamber-length arrays are never
+held whole.  The encoder runs without its cycle scan
+(``check_circular=False``): every payload is a tree of containers the
+subcommand has just built, which may share a value but never contains
+itself.
 
 This module holds the parser, the shared renderings, the writer and
 ``main``; each subcommand's body is its own module, ``commands.<name>``,
@@ -71,8 +74,12 @@ def _cell(x) -> str:
     return str(x)  # a Fraction prints as n or n/d
 
 
-# items of a long list that one ``json.dumps`` call encodes
-_SLICE = 2048
+# items of a long list, or rows of a row maker, that one ``json.dumps`` call
+# encodes.  The encoder keeps every small string of a piece until it joins
+# them, which takes more memory than the slice's rows: the writer's
+# ``tracemalloc`` peak on the (2,3,8) ball's rows is about 1.3 MB at 512
+# and 3.4 MB at 2048, beside the 9.8 MB that the ball itself holds
+_SLICE = 512
 
 
 def _json_pieces(obj):
@@ -80,7 +87,11 @@ def _json_pieces(obj):
     that join to the same text: a dict is walked in the encoder's order,
     ``sorted(obj.items())``, and a list or tuple longer than ``_SLICE`` is
     encoded ``_SLICE`` items at a time, so no piece holds a large document
-    whole.  Every key must be a ``str``, as it is in every payload."""
+    whole.  A row maker, a callable ``rows(lo, hi)`` that returns the items
+    lo to hi - 1 of an array and fewer past its end, stands for that
+    array: its rows are made ``_SLICE`` at a time, so the array is never
+    held whole either.  Every key must be a ``str``, as it is in every
+    payload."""
     if isinstance(obj, dict):
         opener = "{"
         for key, value in sorted(obj.items()):
@@ -88,13 +99,15 @@ def _json_pieces(obj):
             yield from _json_pieces(value)
             opener = ","
         yield "}" if obj else "{}"
-    elif isinstance(obj, (list, tuple)) and len(obj) > _SLICE:
-        for i in range(0, len(obj), _SLICE):
-            part = json.dumps(
-                obj[i : i + _SLICE], sort_keys=True, separators=(",", ":"), check_circular=False
-            )
-            yield ("," if i else "[") + part[1:-1]
-        yield "]"
+    elif callable(obj) or isinstance(obj, (list, tuple)) and len(obj) > _SLICE:
+        rows = obj if callable(obj) else lambda lo, hi: obj[lo:hi]
+        opener = "["
+        parts = (rows(lo, lo + _SLICE) for lo in itertools.count(0, _SLICE))
+        for part in itertools.takewhile(len, parts):  # up to the first empty part
+            text = json.dumps(part, sort_keys=True, separators=(",", ":"), check_circular=False)
+            yield opener + text[1:-1]
+            opener = ","
+        yield "]" if opener == "," else "[]"
     else:
         yield json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 

@@ -1,5 +1,6 @@
 """``ball``: shell counts of an enumerated ball against the counting
-formula, and the ball itself."""
+formula, and the ball itself, its chamber-length arrays as row makers
+that the writer calls a slice at a time."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from ..cli import Result, _comparison, _context
 
 
 def run(args) -> Result:
-    from ..building import ball, ball_to_json
+    from ..building import _ball_rows, ball
     from ..coxeter import affine_diagram, bfs_growth
 
     ctx = _context(args)
@@ -20,4 +21,4 @@ def run(args) -> Result:
         predicted,
         int,
     )
-    return ok, {"command": "ball", **body, "ball": ball_to_json(graph)}, table, csv_table
+    return ok, {"command": "ball", **body, "ball": _ball_rows(graph)}, table, csv_table

@@ -103,7 +103,7 @@ class SparseMap(tuple):
     ValueError, and the pairs are sorted by ``order(key)``; without
     ``order`` they keep the given order, which copying and unpickling use.
     Pairs that are not an iterable of pairs raise ValueError naming the
-    owner's field, ``name``.
+    owner's field, ``name`` (``_pairs``).
     Being that tuple, it compares and hashes on the ordered pairs and keeps
     its owners' tuple-of-pairs fields; a dict beside the tuple, built with
     the map or, for one from ``_ordered``, on its first lookup, answers
@@ -112,13 +112,8 @@ class SparseMap(tuple):
 
     def __new__(cls, pairs: Iterable[tuple[Hashable, Fraction]], order: Callable | None = None,
                 name: str = "values"):
-        try:
-            items = [(key, x) for key, x in pairs]
-        except (TypeError, ValueError):  # not iterable, or an item is not a pair
-            raise ValueError(
-                f"{name} must be (element, coefficient) pairs, got {pairs!r}") from None
         index: dict[Hashable, Fraction] = {}
-        for key, x in items:
+        for key, x in _pairs(pairs, name):
             size = len(index)
             index[key] = _fraction(x, "values")
             if len(index) == size:
@@ -169,6 +164,16 @@ class SparseMap(tuple):
                 raise ValueError(f"key of the wrong type: {key!r}")
             return Fraction(0)
         return x
+
+
+def _pairs(pairs: Iterable[tuple], name: str) -> list[tuple]:
+    """The items of ``pairs`` as (key, value) tuples, through the one
+    failed-unpack path: pairs that are not iterable, or an item that is
+    not a pair, raise ValueError naming the owner's field, ``name``."""
+    try:
+        return [(key, x) for key, x in pairs]
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be (element, coefficient) pairs, got {pairs!r}") from None
 
 
 def _fraction(x: int | Fraction, name: str) -> Fraction:

@@ -386,8 +386,9 @@ def _shells(start: tuple, radius: int, step) -> tuple:
     every neighbor are (key, item) pairs whose keys are hashable, ordered
     and name the item; ``step(i, item)`` returns (tag, neighbors) groups.  A
     neighbor's first finder is its parent, and each new shell is indexed in
-    key order.  Returns the items, distances, parents and tags, and the
-    last (unexpanded) shell; each caller builds its own public index."""
+    key order and appended to the lists column by column.  Returns the
+    items, distances, parents and tags, and the last (unexpanded) shell;
+    each caller builds its own public index."""
     key, item = start
     seen, items, distance, parent, tags = {key}, [item], [0], [None], [None]
     frontier = range(1)
@@ -401,11 +402,11 @@ def _shells(start: tuple, radius: int, step) -> tuple:
                         found.append((key, i, tag, item))
         found.sort(key=_first)  # keys are distinct, so the sort reads them alone
         frontier = range(len(items), len(items) + len(found))
-        _, sources, steps, new = list(zip(*found)) or [()] * 4
-        items += new
-        parent += sources
-        tags += steps
-        distance += [depth] * len(new)
+        # each list takes its column of the sorted shell straight: a transposed
+        # copy of the largest shell, beside ``seen``, would raise the peak
+        for column, out in enumerate((parent, tags, items), 1):
+            out += map(operator.itemgetter(column), found)
+        distance += [depth] * len(found)
     return tuple(items), tuple(distance), tuple(parent), tuple(tags), frontier
 
 

@@ -21,13 +21,16 @@ all matched; the script exits 1 when one did not.
 
 With ``--top-request`` it prints the top ``ball`` request's rows instead:
 cold CLI requests of it and of one ``harmonic`` request, three each, with
-their wall seconds, each child's peak RSS and whether stdout matches the
-digest recorded in ``bench/expected.json`` (read only); the top request
-written with ``--out``; its three layers in process with the collector off,
-``ball``, ``ball_to_json`` and the encoding, and whether the encoder's
-pieces join to the text of one ``json.dumps`` call; and one larger ball and
-its JSON with the collector on, with how many more objects it then tracks.
-It exits 1 when a digest or the pieces do not match.
+their wall seconds, each child's own peak RSS (its VmHWM, which it reports
+as it exits) and whether stdout matches the digest recorded in
+``bench/expected.json`` (read only); the top request written with
+``--out``; in process with the collector off, its ball, the CLI's path
+(rows made a slice at a time, then encoded) and ``ball_to_json``, whether
+the streamed pieces join to the text of one ``json.dumps`` call on
+``ball_to_json``, and the ``tracemalloc`` peak of the CLI's path and of
+``ball_to_json`` above the ball; and one larger ball and its JSON with the
+collector on, with how many more objects it then tracks.  It exits 1 when
+a digest or the pieces do not match.
 
 Stdlib only; it puts the checkout's ``src`` first on the path.  Not a test
 module: the default collection reads it for doctests only.
@@ -322,6 +325,28 @@ def boundary_rows() -> bool:
     return ok
 
 
+# a cold child: the CLI run as ``python -m weylbuildings`` runs it, that
+# writes its own peak RSS in kB to stderr as it exits.  VmHWM starts again
+# at exec; ru_maxrss, read only where there is no /proc, takes in on Linux
+# the peak of the process that spawned the child
+COLD_CHILD = """\
+import atexit, runpy, sys
+
+def peak():
+    try:
+        with open("/proc/self/status") as f:
+            kb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        import resource
+        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    sys.stderr.write(f"peak_kb {kb}\\n")
+
+atexit.register(peak)
+sys.argv[0] = "weylbuildings"
+runpy.run_module("weylbuildings", run_name="__main__")
+"""
+
+
 def top_request_rows() -> bool:
     """The rows of ``--top-request``, and whether every digest and the
     pieces matched."""
@@ -332,6 +357,8 @@ def top_request_rows() -> bool:
     import statistics
     import subprocess
     import tempfile
+    import tracemalloc
+    from collections import deque
 
     top = "ball --n 2 --p 3 --R 8 --format json"
     expected = json.loads((SRC.parent / "bench" / "expected.json").read_text(encoding="utf-8"))
@@ -344,19 +371,20 @@ def top_request_rows() -> bool:
         return sha.hexdigest()
 
     def cold(request: str, *extra: str) -> tuple[str, float, float]:
-        # stdout's digest, wall seconds and the child's own peak RSS in MB
-        # (wait4).  A child's peak takes in its parent's at the spawn, so
-        # stdout is hashed as it streams, and the library is imported after
+        # stdout's digest, wall seconds and the child's own peak RSS in MB;
+        # stdout is hashed as it streams
         start = time.perf_counter()
-        child = subprocess.Popen([sys.executable, "-m", "weylbuildings", *request.split(), *extra],
-                                 env=env, stdout=subprocess.PIPE)
+        child = subprocess.Popen([sys.executable, "-c", COLD_CHILD, *request.split(), *extra],
+                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         with child.stdout:
             out = digest(child.stdout)
-        _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
-        if child.returncode:
+        with child.stderr:
+            err = child.stderr.read().decode()
+        if child.wait():
+            sys.stderr.write(err)
             raise subprocess.CalledProcessError(child.returncode, child.args)
-        return out, time.perf_counter() - start, usage.ru_maxrss / 1024
+        kb = int(err.splitlines()[-1].removeprefix("peak_kb "))
+        return out, time.perf_counter() - start, kb / 1024
 
     ok = True
     # the harmonic request is the CLI path that reads a ball's distance profile
@@ -364,39 +392,58 @@ def top_request_rows() -> bool:
         for _ in range(3):
             out, wall, peak_mb = cold(request)
             same = out == expected[request]
-            print(f"{request}: {wall:.3f} s wall, {peak_mb:.1f} MB peak RSS, digest matches: {same}")
+            print(f"{request}: {wall:.3f} s wall, {peak_mb:.1f} MB own peak RSS, digest matches: {same}")
             ok = ok and same
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "ball.json"
         _, _, peak_mb = cold(top, "--out", str(path))
         with path.open("rb") as f:
             same = digest(f) == expected[top]
-    print(f"{top} --out FILE: {peak_mb:.1f} MB peak RSS, digest matches: {same}")
+    print(f"{top} --out FILE: {peak_mb:.1f} MB own peak RSS, digest matches: {same}")
     ok = ok and same
 
-    from weylbuildings.building import PrimeContext, ball, ball_to_json
+    from weylbuildings.building import PrimeContext, _ball_rows, ball, ball_to_json
     from weylbuildings.cli import _json_pieces
 
-    # the three layers with the collector off, as cli.main runs them: medians of 3
+    def streamed(graph) -> None:
+        # the CLI's path: rows made a slice at a time and encoded, each
+        # piece dropped once made, as the writer drops it once written
+        deque(_json_pieces(_ball_rows(graph)), maxlen=0)
+
+    # the layers with the collector off, as cli.main runs them, and
+    # ball_to_json beside them: medians of 3
     gc.disable()
-    ms: dict[str, list[float]] = {"ball": [], "ball_to_json": [], "encoding": []}
+    ms: dict[str, list[float]] = {"ball": [], "streamed rows and encoding": [], "ball_to_json": []}
     for _ in range(3):
         start = time.perf_counter()
         graph = ball(PrimeContext(p=3, n=2), 8)
         built = time.perf_counter()
-        payload = ball_to_json(graph)
-        rendered = time.perf_counter()
-        pieces = list(_json_pieces(payload))
+        streamed(graph)
         encoded = time.perf_counter()
-        spans = (("ball", start, built), ("ball_to_json", built, rendered), ("encoding", rendered, encoded))
+        ball_to_json(graph)
+        rendered = time.perf_counter()
+        spans = (("ball", start, built), ("streamed rows and encoding", built, encoded),
+                 ("ball_to_json", encoded, rendered))
         for name, a, b in spans:
             ms[name].append(1e3 * (b - a))
-    same = "".join(pieces) == json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    del graph, payload, pieces
-    gc.enable()
+    one_shot = json.dumps(ball_to_json(graph), sort_keys=True, separators=(",", ":"))
+    same = "".join(_json_pieces(_ball_rows(graph))) == one_shot
+    del one_shot
     medians = ", ".join(f"{name} {statistics.median(v):.1f} ms" for name, v in ms.items())
-    print(f"in process, collector off, ball n=2 p=3 R=8: {medians}; pieces join to json.dumps: {same}")
+    print(f"in process, collector off, ball n=2 p=3 R=8: {medians}; "
+          f"the streamed pieces join to json.dumps of ball_to_json: {same}")
     ok = ok and same
+
+    # what each path allocates above the ball it reads, at its peak
+    peaks = []
+    for name, run in (("streamed rows and encoding", streamed), ("ball_to_json", ball_to_json)):
+        tracemalloc.start()
+        run(graph)
+        peaks.append(f"{name} {tracemalloc.get_traced_memory()[1] / 2**20:.2f} MB")
+        tracemalloc.stop()
+    del graph
+    gc.enable()
+    print(f"tracemalloc peak above the ball, n=2 p=3 R=8: {', '.join(peaks)}")
 
     # with the collector on: the wall seconds, and how many more objects it
     # tracks after them, the graph and its JSON both still held

@@ -21,6 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import weylbuildings.building as building
+import weylbuildings.cli
 import weylbuildings.lattice as lattice
 from weylbuildings import (
     BallGraph,
@@ -1176,6 +1177,36 @@ def test_vertex_tree_matches_the_reference_route(p, radius, field_values):
         assert field_values(tree) == field_values(_reference_vertex_tree(ctx, origin, radius))
 
 
+@pytest.mark.parametrize(
+    "n, p, radius", [(2, 2, 0), (2, 2, 7), (2, 2, 8), (3, 3, 0), (3, 2, 4), (3, 3, 4)], ids=str
+)
+def test_row_makers_join_to_ball_to_json_at_every_slice(n, p, radius):
+    # 1 chamber, and counts below and above the writer's slice; each maker,
+    # cut at widths below, at and above the chamber count, and at the
+    # writer's own, joins to ball_to_json's list
+    graph = ball(PrimeContext(p=p, n=n), radius)
+    whole, count = ball_to_json(graph), len(graph)
+    for width in sorted({1, 7, max(count - 1, 1), count, count + 1, weylbuildings.cli._SLICE}):
+        makers = building._ball_rows(graph)
+        for key, rows in makers.items():
+            if callable(rows):
+                parts = [rows(lo, lo + width) for lo in range(0, count + width, width)]
+                assert [x for part in parts for x in part] == whole[key], (key, width)
+                assert parts[-1] == [] and all(len(part) == width for part in parts[:-2])
+            else:
+                assert rows == whole[key]
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 3, 5), (3, 2, 3)], ids=str)
+def test_ball_to_json_shares_each_face_pair(n, p, radius):
+    # a pair (t, j) is member j of chamber j's face of type t, so each face
+    # builds it once and its other members' lists share that one tuple
+    adjacency = ball_to_json(ball(PrimeContext(p=p, n=n), radius))["adjacency"]
+    pairs = [pair for row in adjacency for pair in row]
+    assert all(type(pair) is tuple for pair in pairs)
+    assert len({id(pair) for pair in pairs}) == len(set(pairs)) < len(pairs)
+
+
 @pytest.mark.parametrize("n, p, radius", [(2, 3, 6), (3, 2, 4)])
 def test_ball_hashes_each_public_key_once(n, p, radius, monkeypatch):
     # the search runs on Hermite tuples; chambers and faces are hashed only
@@ -1717,6 +1748,23 @@ def test_ball_methods_refuse_an_index_outside_the_ball(method):
     for i in (True, 1.0, "1"):
         with pytest.raises(ValueError, match=re.escape(f"chamber index must be an int, got {i!r}")):
             read(i)
+
+
+@pytest.mark.parametrize("given", [None, 1.5, object()], ids=["None", "float", "object"])
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda x: make_chamber(x, P2), "classes must be a sequence of lattice classes"),
+        (lambda x: chambers_containing(x, P2), "face must be a sequence of lattice classes"),
+        (lambda x: weyl_to_chamber(x, P2), "word must be a sequence of generator indices"),
+    ],
+    ids=["make_chamber", "chambers_containing", "weyl_to_chamber"],
+)
+def test_a_sequence_argument_that_is_not_one_is_named(call, message, given):
+    # one ValueError naming the parameter, where "'NoneType' object is not
+    # iterable" or "'float' object is not reversible" came before
+    with pytest.raises(ValueError, match=re.escape(f"{message}, got {given!r}")):
+        call(given)
 
 
 @pytest.mark.parametrize(

@@ -441,13 +441,27 @@ def test_cli_bytes_are_pinned(record, capsys, monkeypatch):
 SLICE = weylbuildings.cli._SLICE
 
 
+def _every_row(rows) -> list:
+    # a row maker, rows(lo, hi), stands for all of its rows
+    return rows(0, sys.maxsize)
+
+
 def _one_shot(payload) -> bytes:
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_every_row)
+    return (text + "\n").encode()
 
 
 def _ball_payload(*argv: str) -> dict:
     args = weylbuildings.cli.build_parser().parse_args(list(argv))
     return args.func(args)[1]
+
+
+def _maker(items: list):
+    return lambda lo, hi: items[lo:hi]
+
+
+# a row maker's lengths: none, one, below, at and above a slice, and two slices
+_COUNTS = (0, 1, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE)
 
 
 @pytest.mark.parametrize("sink", ["stdout", "stringio", "out"])
@@ -461,9 +475,10 @@ def _ball_payload(*argv: str) -> dict:
         tuple((i, -i) for i in range(2 * SLICE + 1)),
         [{"b": [i, {"z": -i, "a": None}], "a": str(i), "c": i % 3 == 0} for i in range(3 * SLICE + 7)],
         {"z": {"y": list(range(2 * SLICE + 1)), "x": {}}, "a": [], "m": [[i] for i in range(SLICE + 1)]},
+        *({"rows": _maker([[i, (i, -i)] for i in range(count)]), "k": count} for count in _COUNTS),
     ],
     ids=["empty dict", "empty list", "slice", "slice plus one", "tuple of pairs", "nested dicts",
-         "dict of long lists"],
+         "dict of long lists", *(f"row maker of {count}" for count in _COUNTS)],
 )
 def test_json_writer_matches_one_shot_dumps(payload, sink, tmp_path, capsysbinary, monkeypatch):
     args = argparse.Namespace(format="json", out=str(tmp_path / "x.json") if sink == "out" else None)
@@ -489,6 +504,23 @@ def test_ball_json_through_stdout_and_out_matches_one_shot_dumps(tmp_path, capsy
     target = tmp_path / "ball.json"
     assert main(argv + ["--out", str(target)]) == 0
     assert capsysbinary.readouterr().out == b""
+    assert target.read_bytes() == expected
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 2, 7), (2, 2, 8), (3, 2, 4), (3, 3, 4)], ids=str)
+def test_ball_bytes_are_one_dumps_of_ball_to_json(n, p, radius, tmp_path, capsysbinary):
+    # balls on either side of the slice: stdout and --out, whose rows the
+    # writer made a slice at a time, are one json.dumps of ball_to_json
+    from weylbuildings.building import PrimeContext, ball, ball_to_json
+
+    argv = ["ball", "--n", str(n), "--p", str(p), "--R", str(radius), "--format", "json"]
+    payload = _ball_payload(*argv)
+    payload["ball"] = ball_to_json(ball(PrimeContext(p=p, n=n), radius))
+    expected = _one_shot(payload)
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == expected
+    target = tmp_path / "ball.json"
+    assert main(argv + ["--out", str(target)]) == 0
     assert target.read_bytes() == expected
 
 

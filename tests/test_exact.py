@@ -129,8 +129,11 @@ def test_missing_key_reads_zero(owner):
         (lambda x: HeckeElement(affine_diagram("A2~"), 2, x), "terms", [[1]]),
         (lambda x: Cochain(values=x), "values", [1]),
         (lambda x: ZeroCochain(x), "values", [1]),
+        (lambda x: OneCochain(x), "values", [1]),
+        (lambda x: OneCochain(x), "values", 5),
     ],
-    ids=["hecke-str", "hecke-short-item", "cochain", "zero-cochain"],
+    ids=["hecke-str", "hecke-short-item", "cochain", "zero-cochain", "one-cochain-int-item",
+         "one-cochain-int"],
 )
 def test_items_that_are_not_pairs_are_named(build, name, given):
     # one ValueError naming the owner's field, where "not enough values to
