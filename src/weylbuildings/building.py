@@ -1,5 +1,5 @@
 """Lattice model of the affine building of GL(n) over Q_p, n in {2, 3}:
-its chambers, faces, balls and the group action.
+its chambers, faces and balls.
 
 The vertices are the homothety classes of ``LatticeClass``, held in
 canonical Hermite form with their determinant valuation, and the vertex
@@ -33,19 +33,17 @@ The vertex labelling lambda([L]) = v_p(det L) mod n makes every chamber
 hit each label exactly once; a face's type is the label it omits.
 Generator i of the affine Weyl group A(n-1)~ is the index i; it crosses
 the standard chamber's face of type -i mod n (``generator_face_types``).
-GL_n(Q_p) acts by g.[L] = [gL]; the label permutation induced by g is the
-power of an n-cycle given by v_p(det g), whence the sign character
-epsilon(g) = (-1)^((n-1) v_p(det g)).  Both computations of epsilon live
-here and must agree.
+The group action of GL_n(Q_p), the sign character computed both ways,
+the generator matrices, ``weyl_to_chamber`` and ``lattice_from_rows`` live
+in the internal ``action`` module, which no request of the chamber layer
+runs.  This module re-exports them through a module ``__getattr__``
+(PEP 562): the first read of one imports ``action`` and binds the name
+here, so ``from weylbuildings.building import act`` works, and a ball,
+a star or a harmonic query never compiles them.
 
-Arithmetic is exact, and inside this module it is integer arithmetic.
-``Fraction`` enters only at the public entry points that take or return
-rational matrices: ``act``, the ``epsilon`` functions,
-``affine_generator_matrix`` and ``label_shift_matrix``.  ``act`` scales
-g once to the integer matrix p^a g, which moves no homothety class;
-``weyl_to_chamber`` applies the generators one at a time through
-``act``.  Everything after that (Hermite normalization, membership and
-the kernels behind each chamber star) works on Python integers.
+Arithmetic is exact, and inside this module it is integer arithmetic:
+membership and the kernels behind each chamber star work on Python
+integers.
 
 Flags that callers supply go through ``make_chamber``, which tests every
 chain step (``lattice._chain_step``).  Flags that ``_star`` builds, for
@@ -67,15 +65,13 @@ new shell, and ``chambers_containing`` sorts its own.
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .exact import Value, _field, _int, _restore
 from .lattice import (  # the vertex layer, its public names re-exported
-    LatticeClass, PrimeContext, classes_adjacent, lattice_from_rows, standard_lattice, vertex_label,
-    _canonical, _chain_step, _det, _dimension, _integer_rows, _not_a_class, _oriented,
-    _require_classes, _shell, _shells, _tree_neighbors, _val_int,
+    LatticeClass, PrimeContext, classes_adjacent, standard_lattice, vertex_label,
+    _chain_step, _dimension, _not_a_class, _oriented, _require_classes, _shell, _shells,
+    _tree_neighbors,
 )
 
 __all__ = [
@@ -105,7 +101,23 @@ __all__ = [
     "ball_to_json",
 ]
 
-QMatrix = tuple[tuple[Fraction, ...], ...]
+# the group action and the caller-rows Hermite route, re-exported from
+# ``action``, which imports this module: no request of the chamber layer
+# runs them, so a first read imports it and binds the name here
+_ACTION = (
+    "lattice_from_rows", "act", "epsilon", "epsilon_from_labels", "epsilon_from_determinant",
+    "affine_generator_matrix", "label_shift_matrix", "weyl_to_chamber",
+    "_canonical", "_det", "_hermite_rows", "_integer_rows", "_integral_matrix",
+)
+
+
+def __getattr__(name: str):
+    if name not in _ACTION:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import action
+
+    value = globals()[name] = getattr(action, name)
+    return value
 
 
 # -- chambers --------------------------------------------------------------------
@@ -347,116 +359,7 @@ def _star(classes: tuple[LatticeClass, ...], ctx: PrimeContext) -> dict[tuple, t
     return star
 
 
-# -- group action -------------------------------------------------------------------
-
-
-def _integral_matrix(
-    g: Sequence[Sequence[Fraction | int]], ctx: PrimeContext
-) -> tuple[list[list[int]], int]:
-    """The integer matrix p^a g for the least such a >= 0, and the
-    valuation of its determinant.  Raises ValueError unless g is an
-    invertible n x n matrix whose denominators are powers of p."""
-    n = _dimension(ctx)
-    if len(g) != n or any(len(r) != n for r in g):
-        raise ValueError(f"matrix must be {n} x {n}")
-    gi = _integer_rows(g, ctx.p)
-    d = _det(gi)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    return gi, _val_int(d, ctx.p)
-
-
-def act(g: Sequence[Sequence[Fraction | int]], x, ctx: PrimeContext):
-    """Left action of g in GL_n(Q_p) on a lattice class or a chamber.
-
-    Basis vectors are the rows r_i of the stored matrix; the image lattice
-    is spanned by the rows r_i g^T.  The action is taken through the
-    integer matrix g' = p^a g, which gives the same classes since p^a is a
-    homothety; the image of a class of valuation v then has valuation
-    v + v_p(det g'), which ``_hermite_rows`` asserts.
-    """
-    gi, shift = _integral_matrix(g, ctx)
-
-    def image(cls: LatticeClass) -> LatticeClass:
-        rows = [[sum(a * b for a, b in zip(r, gj)) for gj in gi] for r in cls.hnf]
-        return _canonical(rows, ctx.p, cls.valuation + shift)
-
-    if isinstance(x, LatticeClass):
-        _require_classes(ctx, x)
-        return image(x)
-    if isinstance(x, FlagChamber):
-        _require_classes(ctx, *x.classes)
-        return FlagChamber(tuple(image(c) for c in x.classes))
-    raise TypeError("act expects a LatticeClass or a FlagChamber")
-
-
-def epsilon_from_determinant(g: Sequence[Sequence[Fraction | int]], ctx: PrimeContext) -> int:
-    """Sign character via the determinant: (-1)^((n-1) v_p(det g))."""
-    # v_p(det p^a g) = v_p(det g) + n a, and (n - 1) n a is even
-    _, v = _integral_matrix(g, ctx)
-    return -1 if ((ctx.n - 1) * v) % 2 else 1
-
-
-def epsilon_from_labels(g: Sequence[Sequence[Fraction | int]], ctx: PrimeContext) -> int:
-    """Sign character via the inversion parity of the induced label permutation."""
-    perm: dict[int, int] = {}
-    for cls in standard_chamber(ctx).classes:
-        perm[vertex_label(cls, ctx)] = vertex_label(act(g, cls, ctx), ctx)
-    if sorted(perm) != list(range(ctx.n)) or sorted(perm.values()) != list(range(ctx.n)):
-        raise ValueError("the matrix does not permute the vertex labels")
-    images = [perm[k] for k in range(ctx.n)]
-    return (-1) ** sum(a > b for a, b in itertools.combinations(images, 2))
-
-
-def epsilon(g: Sequence[Sequence[Fraction | int]], ctx: PrimeContext) -> int:
-    """The sign character, computed both ways; the two must agree."""
-    a = epsilon_from_labels(g, ctx)
-    b = epsilon_from_determinant(g, ctx)
-    if a != b:
-        raise AssertionError("label signature disagrees with determinant parity")
-    return a
-
-
-# -- affine Weyl group inside GL_n --------------------------------------------------
-
-
-def label_shift_matrix(ctx: PrimeContext) -> QMatrix:
-    """The cyclic element sending e_i to e_(i-1) for i >= 2 and e_1 to p e_n.
-
-    Its determinant has valuation 1, so it shifts every vertex label by 1;
-    it rotates the standard chamber's flag onto itself.
-    """
-    n, p = _dimension(ctx), ctx.p
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n - 1):
-        rows[i][i + 1] = Fraction(1)
-    rows[n - 1][0] = Fraction(p)
-    return tuple(tuple(r) for r in rows)
-
-
-def affine_generator_matrix(ctx: PrimeContext, i: int) -> QMatrix:
-    """Matrix realizing the i-th affine Weyl generator, 0 <= i < n.
-
-    Generators 1 .. n-1 are the adjacent-coordinate transpositions; the
-    affine generator 0 is the first one conjugated by the label shift,
-    which swaps e_1 and e_n with weights: e_1 -> p e_n, e_n -> e_1 / p.
-    """
-    n, p = _dimension(ctx), ctx.p
-    if type(i) is not int or not 0 <= i < n:
-        raise ValueError(f"generator index must be an int in 0..{n - 1}, got {i!r}")
-    a, b, up, down = (i - 1, i, 1, 1) if i >= 1 else (0, n - 1, Fraction(1, p), p)
-    rows = [[Fraction(1 if r == c else 0) for c in range(n)] for r in range(n)]
-    rows[a][a] = rows[b][b] = Fraction(0)
-    rows[a][b], rows[b][a] = Fraction(up), Fraction(down)
-    return tuple(tuple(r) for r in rows)
-
-
-def weyl_to_chamber(word: Sequence[int], ctx: PrimeContext) -> FlagChamber:
-    """Image of the standard chamber under the product of generators."""
-    chamber = standard_chamber(ctx)
-    for letter in reversed(_tuple(word, "word", "generator indices")):
-        chamber = act(affine_generator_matrix(ctx, letter), chamber, ctx)
-    return chamber
+# -- affine Weyl generators ----------------------------------------------------------
 
 
 def generator_face_types(ctx: PrimeContext) -> dict[int, int]:

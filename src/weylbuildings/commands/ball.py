@@ -7,14 +7,20 @@ from __future__ import annotations
 from ..cli import Result, _comparison, _context
 
 
+def _counts(n: int, radius: int) -> list[int]:
+    """N(0), ..., N(radius): the elements of each length of the affine Weyl
+    group A(n-1)~, n in {2, 3}, read off Bott's formula W(q) = (1 + q) / (1 - q)
+    for A1~ and (1 + q + q^2) / (1 - q)^2 for A2~: N(0) = 1, then N(k) = 2
+    and N(k) = 3k."""
+    return [1] + [2 if n == 2 else 3 * k for k in range(1, radius + 1)]
+
+
 def run(args) -> Result:
     from ..building import _ball_rows, ball
-    from ..coxeter import affine_diagram, bfs_growth
 
     ctx = _context(args)
     graph = ball(ctx, args.R)
-    counts = bfs_growth(affine_diagram(f"A{ctx.n - 1}~"), args.R).counts
-    predicted = [counts[k] * ctx.p**k for k in range(args.R + 1)]
+    predicted = [count * ctx.p**k for k, count in enumerate(_counts(ctx.n, args.R))]
     ok, body, table, csv_table = _comparison(
         f"shell counts for n = {ctx.n}, p = {ctx.p}, R = {args.R}",
         graph.shell_sizes(),

@@ -17,19 +17,17 @@ canonical matrices are equal.  The vertex labelling
 lambda([L]) = v_p(det L) mod n makes every chamber hit each label
 exactly once.
 
-Arithmetic is exact, and inside this module it is integer arithmetic:
-``lattice_from_rows`` scales its rows to integers once.  The canonical
-matrix of a derived class comes from ``_class_of``: given
+Arithmetic is exact, and inside this module it is integer arithmetic.
+The canonical matrix of a derived class comes from ``_class_of``: given
 upper-triangular rows with a p-power diagonal and their determinant
 valuation v, it reduces the entries above the diagonal and strips the
 p-content.  The chamber stars write that step out for their own rows:
 ``_tree_neighbors`` on the tree, ``building._kernels`` for n = 3.  Caller
-rows first go through ``_hermite_rows``, an elimination modulo p^(v+1)
-that yields triangular rows of the same span, because row operations are
-unimodular over Z_p, and asserts that the diagonal exponents sum to v;
-``lattice_from_rows`` reads v off the maximal minors.  Every
-``LatticeClass`` records the valuation of its form, so labels and
-chain-step gaps never re-derive it.
+rows, of ``lattice_from_rows`` and of the group action, are made
+triangular by the Hermite elimination of the internal ``action`` module
+first, which no star, ball or tree runs.  Every ``LatticeClass`` records
+the valuation of its form, so labels and chain-step gaps never re-derive
+it.
 
 One rule, ``_chain_step``, decides an index-p step a > p^k b of a flag:
 the valuation gap fixes k, and then the step is one containment.
@@ -43,14 +41,12 @@ decrease, so ``_shell`` reads a ball's or a tree's shell as one range.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from typing import Sequence
 
-from .exact import Value, _field, _fraction, _int
+from .exact import Value, _field, _int
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -87,7 +83,7 @@ def _dimension(ctx: PrimeContext) -> int:
     return _field(ctx, PrimeContext, "n", "ctx")
 
 
-# -- valuations and determinants ---------------------------------------------
+# -- valuations and the canonical form ------------------------------------------
 
 
 def _val_int(x: int, p: int) -> int:
@@ -98,74 +94,6 @@ def _val_int(x: int, p: int) -> int:
         x //= p
         v += 1
     return v
-
-
-def _integer_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> list[list[int]]:
-    """The rows times the least power of p that makes them integral; every
-    entry must be an int or a Fraction whose denominator is a power of p."""
-    scale = 1
-    for row in rows:
-        for x in row:
-            d = _fraction(x, "entries").denominator
-            if d != p ** _val_int(d, p):
-                raise ValueError("denominators must be powers of p")
-            scale = max(scale, d)
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-
-
-def _det(m: Sequence[Sequence]) -> object:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-    raise ValueError("determinants only needed for n <= 3")
-
-
-# -- Hermite form over Z_p ----------------------------------------------------
-
-
-def _hermite_rows(rows: Sequence[Sequence[int]], p: int, valuation: int) -> list[list[int]]:
-    """n upper-triangular rows with p-power diagonal that span the same
-    Z_p-lattice as the given integer rows, whose span has v = v_p(det).
-
-    Works modulo p^(v + 1), which yields rows of the span plus
-    p^(v + 1) Z_p^n: their diagonal exponents are min(e_i, v + 1) for the
-    elementary divisor exponents e_i of the span.  They sum to v exactly
-    when the span's valuation is v, and then every e_i <= v, so the span
-    already contains p^(v + 1) Z_p^n and the rows span it exactly.  Any
-    other valuation raises AssertionError.  All row operations are
-    unimodular over Z_p.  The entries above the diagonal are left for
-    ``_class_of`` to reduce.
-    """
-    n = len(rows[0])
-    cap = valuation + 1
-    modulus = p**cap
-    work = [[x % modulus for x in row] for row in rows]
-    m = len(work)
-    diag: list[int] = []
-    for col in range(n):
-        # the pivot is the first row of least valuation in the column
-        a, pivot = min((_val_int(x, p) if (x := work[r][col]) else cap, r) for r in range(col, m))
-        if a == cap:
-            raise AssertionError("rows do not span a lattice of the expected valuation")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = pow(work[col][col] // p**a, -1, modulus)
-        work[col] = [(x * inv) % modulus for x in work[col]]
-        work[col][col] = p**a
-        diag.append(a)
-        for r in range(col + 1, m):
-            if f := work[r][col] // p**a:
-                work[r] = [(y - f * z) % modulus for y, z in zip(work[r], work[col])]
-    if sum(diag) != valuation:
-        raise AssertionError("rows do not span a lattice of the expected valuation")
-    return work[:n]
 
 
 def _class_of(rows: list[list[int]], p: int, valuation: int) -> LatticeClass:
@@ -227,42 +155,6 @@ class LatticeClass(Value):
 
 
 _set_hnf, _set_valuation = LatticeClass.hnf.__set__, LatticeClass.valuation.__set__
-
-
-def lattice_from_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> LatticeClass:
-    """Canonicalize the homothety class spanned by the given generating rows.
-
-    Entries are ints or Fractions with p-power denominators, for a prime
-    int p.  The rows are scaled to integers by the largest denominator,
-    then canonicalized in integer arithmetic.  Extra rows beyond n are
-    allowed as long as the span is full.
-    """
-    _prime(p)
-    if not isinstance(rows, Sequence) or not all(isinstance(row, Sequence) for row in rows):
-        raise ValueError(f"rows must be a sequence of rows of entries, got {rows!r}")
-    if not rows or not rows[0]:
-        raise ValueError("need at least n rows of length n, for some n >= 1")
-    n = len(rows[0])
-    if any(len(row) != n for row in rows) or len(rows) < n:
-        raise ValueError(f"need at least {n} rows of length {n}")
-    return _canonical(_integer_rows(rows, p), p)
-
-
-def _canonical(rows: Sequence[Sequence[int]], p: int, valuation: int | None = None) -> LatticeClass:
-    """Class of the Z_p-span of integer rows: ``_hermite_rows`` makes them
-    triangular relative to the span's determinant valuation, and
-    ``_class_of`` reduces them and strips their p-content.  A caller that
-    knows that valuation passes it (``_hermite_rows`` asserts it);
-    otherwise it is read off the maximal minors."""
-    if not any(x for row in rows for x in row):
-        raise ValueError("zero matrix spans no lattice")
-    if valuation is None:
-        # the lattice determinant valuation is the minimum over maximal minors
-        minors = [d for m in itertools.combinations(rows, len(rows[0])) if (d := _det(m))]
-        if not minors:
-            raise ValueError("rows do not span a full lattice")
-        valuation = min(_val_int(d, p) for d in minors)
-    return _class_of(_hermite_rows(rows, p, valuation), p, valuation)
 
 
 def standard_lattice(ctx: PrimeContext) -> LatticeClass:
@@ -421,6 +313,5 @@ def _shell(distance: Sequence[int], k: int) -> range:
 
 # the package lists these under ``building``, which re-exports them: pickles
 # and tools that look a public name up by its module find it there
-for _public in (PrimeContext, LatticeClass, lattice_from_rows, standard_lattice, vertex_label,
-                classes_adjacent):
+for _public in (PrimeContext, LatticeClass, standard_lattice, vertex_label, classes_adjacent):
     _public.__module__ = "weylbuildings.building"

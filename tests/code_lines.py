@@ -8,18 +8,23 @@ With ``--requests`` each subcommand request runs in a fresh interpreter
 without a bytecode cache, its output sent to ``os.devnull``, and the
 ``weylbuildings`` modules it loaded are listed with their code lines and
 their total, ``cli`` and the package's ``__init__`` included: the code
-that request compiles.  A bare ``import weylbuildings.cli`` is listed
-first, the same way.  Each line also names which of ``dataclasses`` and
-``inspect`` were loaded, and so does a first line for the interpreter
-alone.  Stdlib only; run from the root of the checkout.
+that request compiles.  Beside the total is the median wall time of
+``RUNS`` such cold runs, from the spawn to the exit.  A bare
+``import weylbuildings.cli`` is listed first, the same way.  Each line
+also names which of ``dataclasses`` and ``inspect`` were loaded, and so
+does a first line for the interpreter alone.  The interpreters write no
+bytecode, so the package is compiled on each run unless ``src/`` holds a
+``__pycache__`` already.  Stdlib only; run from the root of the checkout.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import statistics
 import subprocess
 import sys
+import time
 import tokenize
 from pathlib import Path
 
@@ -37,6 +42,7 @@ REQUESTS = (
     "harmonic --n 3 --p 2 --R 2",
     "boundary --p 3 --R 2 --seed 4",
 )
+RUNS = 5  # cold runs per request, for the median wall time
 HEAVY = "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
 # imports the CLI, runs the request if one is given, and prints the HEAVY
 # modules loaded, then each loaded package module's name and file
@@ -74,18 +80,23 @@ def modules() -> None:
 def requests() -> None:
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
 
-    def probe(*argv: str) -> list[str]:
-        return subprocess.run([sys.executable, "-c", *argv], env=env,
-                              capture_output=True, text=True, check=True).stdout.splitlines()
+    def probe(*argv: str) -> tuple[list[str], float]:
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-c", *argv], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        return out.splitlines(), time.perf_counter() - start
 
-    print(f"interpreter alone: dataclasses/inspect loaded: {probe(f'import sys; {HEAVY}')[0]}")
+    print(f"interpreter alone: dataclasses/inspect loaded: {probe(f'import sys; {HEAVY}')[0][0]}")
     for request in REQUESTS:
-        heavy, *modules = probe(PROBE, *request.split())
+        runs = [probe(PROBE, *request.split()) for _ in range(RUNS)]
+        heavy, *modules = runs[0][0]
         loaded = (line.split(" ", 1) for line in modules)
         counts = {name: code_lines(Path(file)) for name, file in loaded}
         listed = ", ".join(f"{name} {count}" for name, count in counts.items())
-        print(f"{sum(counts.values()):6d} code lines compiled by {request or 'import weylbuildings.cli'}: "
-              f"{listed}; dataclasses/inspect loaded: {heavy}")
+        wall = statistics.median(seconds for _, seconds in runs)
+        print(f"{sum(counts.values()):6d} code lines, {wall * 1000:5.1f} ms cold (median of {RUNS}), "
+              f"compiled by {request or 'import weylbuildings.cli'}: {listed}; "
+              f"dataclasses/inspect loaded: {heavy}")
 
 
 if __name__ == "__main__":

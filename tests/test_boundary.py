@@ -28,8 +28,8 @@ from weylbuildings import (
     zero_cochain_from_map,
 )
 from weylbuildings.boundary import OneCochain, ZeroCochain
-from weylbuildings.building import _det, _val_int
-from weylbuildings.lattice import _coordinates
+from weylbuildings.building import _det
+from weylbuildings.lattice import _coordinates, _val_int
 
 
 @pytest.fixture(scope="module")

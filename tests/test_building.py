@@ -20,6 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import weylbuildings.action as action
 import weylbuildings.building as building
 import weylbuildings.cli
 import weylbuildings.lattice as lattice
@@ -676,7 +677,7 @@ def test_epsilon_rejects_entries_with_foreign_denominators():
 def test_a_label_route_that_permutes_no_labels_is_caught(monkeypatch):
     # the label route reads the images of the standard flag; an action that
     # sends every class to one vertex gives no permutation to sign
-    monkeypatch.setattr(building, "act", lambda g, x, ctx: standard_lattice(ctx))
+    monkeypatch.setattr(action, "act", lambda g, x, ctx: standard_lattice(ctx))
     for n in (2, 3):
         ctx = PrimeContext(p=2, n=n)
         with pytest.raises(ValueError, match="the matrix does not permute the vertex labels"):
@@ -686,8 +687,8 @@ def test_a_label_route_that_permutes_no_labels_is_caught(monkeypatch):
 def test_disagreeing_sign_routes_are_caught(monkeypatch):
     # epsilon computes the sign both ways; a determinant route off by a
     # sign must fail its comparison, not pick one of the two
-    determinant = building.epsilon_from_determinant
-    monkeypatch.setattr(building, "epsilon_from_determinant", lambda g, ctx: -determinant(g, ctx))
+    determinant = action.epsilon_from_determinant
+    monkeypatch.setattr(action, "epsilon_from_determinant", lambda g, ctx: -determinant(g, ctx))
     for n in (2, 3):
         ctx = PrimeContext(p=2, n=n)
         for g in (label_shift_matrix(ctx), affine_generator_matrix(ctx, 1)):
@@ -1354,9 +1355,9 @@ def test_canonical_asserts_the_given_valuation():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_integer_valuation_refuses_zero(p):
-    assert [building._val_int(x, p) for x in (1, -p, p**3 * 7)] == [0, 1, 3]
+    assert [lattice._val_int(x, p) for x in (1, -p, p**3 * 7)] == [0, 1, 3]
     with pytest.raises(ValueError, match=re.escape("the valuation of x = 0 is not defined")):
-        building._val_int(0, p)
+        lattice._val_int(0, p)
 
 
 # -- the star rule against the two rules it replaced ------------------------------------
@@ -1606,11 +1607,9 @@ def test_stars_need_no_hermite_elimination(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a star ran the Hermite elimination")
 
-    # the elimination lives in the vertex layer; building holds its own
-    # binding of ``_canonical``, for ``act``
-    monkeypatch.setattr(lattice, "_hermite_rows", refuse)
-    monkeypatch.setattr(lattice, "_canonical", refuse)
-    monkeypatch.setattr(building, "_canonical", refuse)
+    # the elimination lives in the group action's module, beside ``act``
+    monkeypatch.setattr(action, "_hermite_rows", refuse)
+    monkeypatch.setattr(action, "_canonical", refuse)
     for n, p, radius in [(2, 3, 5), (3, 3, 3), (3, 2, 4)]:
         ctx = PrimeContext(p=p, n=n)
         graph = ball(ctx, radius)
@@ -1719,13 +1718,13 @@ def test_tree_neighbors_match_the_generic_insertions(p, radius):
 
 def test_weyl_word_needs_no_group_action(tree_p2, monkeypatch):
     calls = []
-    real_act = building.act
+    real_act = action.act
 
     def counting_act(g, x, ctx):
         calls.append(ctx)
         return real_act(g, x, ctx)
 
-    monkeypatch.setattr(building, "act", counting_act)
+    monkeypatch.setattr(action, "act", counting_act)
     words = [tree_p2.weyl_word(i) for i in range(len(tree_p2))]
     assert calls == []  # the face types are read off the generator indices
     assert {words[i] for i in tree_p2.shell(1)} == {(0,), (1,)}

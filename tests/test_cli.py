@@ -85,6 +85,21 @@ def test_ball_shell_counts(capsys):
     assert "all equal: yes" in out
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_counts_are_the_growth_of_the_affine_weyl_group(n):
+    # the ball subcommand reads N(k) off its closed form; the Coxeter layer
+    # gives it two other ways, by search and from Bott's series
+    from weylbuildings import affine_diagram, bfs_growth, bott_rational, expand, exponents_for
+    from weylbuildings.commands.ball import _counts
+
+    label, radius = f"A{n - 1}~", 60
+    counts = _counts(n, radius)
+    assert counts[:4] == ([1, 2, 2, 2] if n == 2 else [1, 3, 6, 9])
+    assert counts == list(bfs_growth(affine_diagram(label), radius).counts)
+    assert counts == list(expand(bott_rational(exponents_for(label)), radius).coefficients)
+    assert all(type(count) is int for count in counts)
+
+
 def test_ball_json_contains_adjacency(capsys):
     code, out, _ = run(capsys, "ball", "--n", "2", "--p", "2", "--R", "2", "--format", "json")
     assert code == 0

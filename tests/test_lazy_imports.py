@@ -67,7 +67,8 @@ def test_every_subcommand_is_one_command_module():
             "period --type A1~ --q 2 --K 5",
             {"building", "coxeter", "exact", "lattice", "period", "poincare"},
         ),
-        ("ball --n 2 --p 3 --R 2", {"building", "coxeter", "exact", "lattice"}),
+        # N(k) is read off its closed form: no Coxeter layer
+        ("ball --n 2 --p 3 --R 2", {"building", "exact", "lattice"}),
         ("harmonic --n 3 --p 2 --R 2", {"building", "exact", "harmonic", "lattice"}),
         # the tree reads the vertex layer alone: no chamber layer, no building
         ("boundary --p 3 --R 2 --seed 4", {"boundary", "exact", "lattice"}),
@@ -90,6 +91,44 @@ def test_a_subcommand_loads_only_what_it_runs(argv, modules):
     # the library modules, the CLI, and exactly one command module: its own
     command = f"commands.{record['argv'][0]}"
     assert loaded == repr(sorted(f"weylbuildings.{m}" for m in modules | {"cli", "commands", command})) + "\n"
+
+
+def test_no_request_loads_the_group_action():
+    # every pinned request, of every subcommand, in one fresh interpreter
+    code = (
+        f"import sys\nsys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "import replay_cli_bytes\nstatus = replay_cli_bytes.main()\n"
+        "print('weylbuildings.action' in sys.modules)\nsys.exit(status)"
+    )
+    proc = fresh(code)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [
+        f"Python {'.'.join(map(str, sys.version_info[:3]))}: {len(PINNED)} of {len(PINNED)} pins match",
+        "False",
+    ]
+
+
+def test_the_group_action_resolves_from_building():
+    # in a fresh interpreter, so that each name's first read goes through
+    # building's module __getattr__, which imports action and binds the name
+    code = (
+        "import pickle, sys\nimport weylbuildings.building as building\n"
+        "missing = hasattr(building, 'no_such_name')\n"
+        "print(missing, 'weylbuildings.action' in sys.modules)\n"
+        "from weylbuildings.building import act, lattice_from_rows, _canonical\n"
+        "import weylbuildings.action as action\n"
+        "public = [name for name in building._ACTION if not name.startswith('_')]\n"
+        "print(set(public) <= set(building.__all__))\n"
+        "print({getattr(building, name).__module__ for name in public})\n"
+        "print(all(getattr(building, name) is getattr(action, name) for name in building._ACTION))\n"
+        "print([pickle.loads(pickle.dumps(f)) is f for f in (act, lattice_from_rows)])\n"
+        "import weylbuildings\nprint(weylbuildings.act is act, 'act' in weylbuildings.__all__)"
+    )
+    proc = fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "False False\nTrue\n{'weylbuildings.building'}\nTrue\n[True, True]\nTrue True\n"
+    )
 
 
 def test_star_import_binds_every_public_name():
