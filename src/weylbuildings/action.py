@@ -21,7 +21,7 @@ integers once and go through ``_hermite_rows``, an elimination modulo
 p^(v+1) that yields triangular rows of the same span, because row
 operations are unimodular over Z_p, and asserts that the diagonal
 exponents sum to v; ``lattice_from_rows`` reads v off the maximal minors.
-``lattice._class_of`` then reduces the rows and strips their p-content.
+``_class_of`` then reduces the rows and strips their p-content.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from .building import FlagChamber, _tuple, standard_chamber
-from .exact import _fraction
+from .building import FlagChamber, standard_chamber
+from .exact import _fraction, _tuple
 from .lattice import (
-    LatticeClass, PrimeContext, vertex_label, _class_of, _dimension, _prime, _require_classes, _val_int,
+    LatticeClass, PrimeContext, vertex_label, _dimension, _prime, _require_classes, _val_int,
 )
 
 QMatrix = tuple[tuple[Fraction, ...], ...]
@@ -105,6 +105,26 @@ def _hermite_rows(rows: Sequence[Sequence[int]], p: int, valuation: int) -> list
     if sum(diag) != valuation:
         raise AssertionError("rows do not span a lattice of the expected valuation")
     return work[:n]
+
+
+def _class_of(rows: list[list[int]], p: int, valuation: int) -> LatticeClass:
+    """Class of the lattice spanned by upper-triangular integer rows with a
+    p-power diagonal, given v = v_p(det) of that span; the rows are
+    rewritten in place.  Each entry above the diagonal is reduced modulo
+    the diagonal entry of its column, in exact integers, which gives the
+    one Hermite form of the lattice (Cohen, GTM 138, §2.4).  Then p is
+    divided out while it divides every entry, each time taking n from v,
+    which leaves the canonical, primitive form of the class."""
+    n = len(rows)
+    for c in range(1, n):
+        d = rows[c][c]
+        for row in rows[:c]:
+            if t := row[c] // d:
+                row[:] = [x - t * y for x, y in zip(row, rows[c])]
+    while not any(x % p for row in rows for x in row):
+        rows = [[x // p for x in row] for row in rows]
+        valuation -= n
+    return LatticeClass(tuple(map(tuple, rows)), valuation)
 
 
 def lattice_from_rows(rows: Sequence[Sequence[Fraction | int]], p: int) -> LatticeClass:

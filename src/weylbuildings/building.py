@@ -23,11 +23,12 @@ elsewhere.  Its shell search runs on plain keys, tuples of Hermite rows
 that C hashes and orders: a chamber is keyed by the rows of its flag,
 which order as its ``sort_key`` does, and a face by the rows of its
 classes, sorted by Hermite tuple.  A ball keeps what the search found,
-each chamber's flag and each face's classes, members and type, and
-builds its public ``FlagChamber``s, ``Face``s and index only when they
-are first read.  Its JSON rows are read off the same arrays by the row
-makers of ``_ball_rows``, which ``ball_to_json`` calls once over every
-chamber and the CLI a slice at a time.
+each chamber's flag and each face's classes, members and type; its
+public ``FlagChamber``s, ``Face``s and index are None until they are
+first read, which builds them.  Its JSON rows are read off the same
+arrays by the row makers of ``_ball_rows``, which ``ball_to_json`` calls
+once over every chamber and the CLI a slice at a time, each through one
+index of each chamber's faces.
 
 The vertex labelling lambda([L]) = v_p(det L) mod n makes every chamber
 hit each label exactly once; a face's type is the label it omits.
@@ -67,7 +68,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from .exact import Value, _field, _int, _restore
+from .exact import Value, _field, _int, _restore, _tuple
 from .lattice import (  # the vertex layer, its public names re-exported
     LatticeClass, PrimeContext, classes_adjacent, standard_lattice, vertex_label,
     _chain_step, _dimension, _not_a_class, _oriented, _require_classes, _shell, _shells,
@@ -121,16 +122,6 @@ def __getattr__(name: str):
 
 
 # -- chambers --------------------------------------------------------------------
-
-
-def _tuple(items: Sequence, name: str, what: str) -> tuple:
-    """The items as a tuple; ValueError naming the parameter when they
-    cannot be iterated, caught at the first iteration, with no check of
-    their kind beside it."""
-    try:
-        return tuple(items)
-    except TypeError:
-        raise ValueError(f"{name} must be a sequence of {what}, got {items!r}") from None
 
 
 class FlagChamber(Value):
@@ -282,7 +273,7 @@ def _kernels(vertex: LatticeClass, line: Sequence[int], p: int) -> list[LatticeC
 
 def _reduced(a: int, b: int, c: int, d: int, e: int, f: int, p: int, v: int) -> LatticeClass:
     """Class of the span of the rows (a, b, c), (0, d, e), (0, 0, f), with
-    a p-power diagonal and determinant valuation v: ``lattice._class_of``
+    a p-power diagonal and determinant valuation v: ``action._class_of``
     written out for one n = 3 kernel.  The entries above the diagonal are
     reduced modulo the diagonal entry of their column, and the p-content,
     0 or 1 since the kernel contains pL with L primitive, is stripped."""
@@ -389,16 +380,16 @@ class BallGraph(Value):
     arrays hold what the shell search found: `_flags`, each chamber's
     class tuple, and `_face_classes`, `_face_members` and `_face_types`,
     each face's classes, chambers and type, in the order the search first
-    met the face.  `ball` sets the arrays and leaves the slots of
-    `chambers`, `faces` and `index` unset; each of the three is a property
-    over its slot (``_derived``) that builds it from the arrays when it is
-    first read, so equality, hashing, ``repr`` and pickling see the same
-    fields either way.  A graph built from its fields derives the arrays
-    from them.  ``ball_to_json`` reads the arrays alone.  Every other
-    field stays a plain slot: a ``__getattr__`` would slow every attribute
-    read of the class.  `_profile` is each interior face's distance shape,
+    met the face.  `ball` sets the arrays and leaves `chambers`, `faces`
+    and `index` None until they are first read; each of the three is a
+    property over its slot (``_derived``) that builds it from the arrays
+    then, so equality, hashing, ``repr`` and pickling see the same fields
+    either way.  A graph built from its fields derives the arrays from
+    them.  ``ball_to_json`` reads the arrays alone.  Every other field
+    stays a plain slot: a ``__getattr__`` would slow every attribute read
+    of the class.  `_profile` is each interior face's distance shape,
     worked out by the ``harmonic`` module on the ball's first harmonic
-    query and read by every later one; a graph starts without one.
+    query and read by every later one; it too is None until then.
     """
 
     _search = ("_flags", "_face_classes", "_face_members", "_face_types")
@@ -425,19 +416,6 @@ class BallGraph(Value):
             tuple(c.classes for c in chambers), tuple(f.classes for f in faces),
             tuple(faces.values()), tuple(face_type(f, ctx) for f in faces),
         )
-
-    @classmethod
-    def _searched(
-        cls, ctx: PrimeContext, radius: int, distance: tuple, parent: tuple,
-        crossed_type: tuple, *search: tuple,
-    ) -> BallGraph:
-        """The graph of a shell search, given its arrays in ``_search``
-        order; ``chambers``, ``faces`` and ``index`` stay unset."""
-        graph = _restore(cls, (ctx, radius))
-        names = ("distance", "parent", "crossed_type", "_profile", *cls._search)
-        for name, x in zip(names, (distance, parent, crossed_type, None, *search), strict=True):
-            object.__setattr__(graph, name, x)
-        return graph
 
     def __len__(self) -> int:
         return len(self.distance)
@@ -485,19 +463,18 @@ class BallGraph(Value):
 
 def _derived(name: str, build: Callable[[BallGraph], object]) -> property:
     """A property over the ``BallGraph`` slot of that name: a read finds
-    the slot's value, or, while the slot is unset, sets it to what
-    ``build`` makes of the graph.  Two threads that read an unset slot at
-    once may each build it; the values are equal, and the last one stays."""
+    the slot's value, or, while the slot is None, sets it to what ``build``
+    makes of the graph.  Two threads that read a None slot at once may
+    each build it; the values are equal, and the last one stays."""
     slot = BallGraph.__dict__[name]
     read, write = slot.__get__, slot.__set__
 
     def get(graph: BallGraph) -> object:
-        try:
-            return read(graph)
-        except AttributeError:
+        value = read(graph)
+        if value is None:
             value = build(graph)
             write(graph, value)
-            return value
+        return value
 
     return property(get, write)
 
@@ -519,8 +496,7 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
     each expanded face's classes are checked first.  Faces are keyed by
     the rows of their classes, sorted by Hermite tuple, and a face's type
     is the label of the flag entry it drops.  The graph keeps these arrays,
-    and builds its public chambers, faces and index when they are first
-    read."""
+    and its public chambers, faces and index are None until first read."""
     _int(radius, "radius", 0)
     start = standard_chamber(ctx) if center is None else make_chamber(
         _field(center, FlagChamber, "classes", "center"), ctx)
@@ -560,10 +536,10 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
     # expanded chamber, so faces keep the order of their first chamber
     for i in last:
         meet(i, flags[i], False)
-    return BallGraph._searched(
-        ctx, radius, distance, parent, crossed, flags, tuple(classes),
-        tuple(map(tuple, members.values())), tuple(types),
-    )
+    return _restore(BallGraph, (
+        ctx, radius, None, distance, parent, crossed, None, None, None,
+        flags, tuple(classes), tuple(map(tuple, members.values())), tuple(types),
+    ))
 
 
 def _ball_rows(graph: BallGraph) -> dict:
@@ -577,42 +553,32 @@ def _ball_rows(graph: BallGraph) -> dict:
     ``adjacency[i]`` lists (face type, neighbor index) pairs for every
     neighbor inside the ball, sorted by face type then neighbor: a chamber
     has one face of each type and a face's members are increasing, so the
-    faces are read type by type and the pairs come out in order.  A call
-    over every chamber reads all the faces; a call over part of them reads
-    the faces of that part off ``at``, each chamber's face of each type,
-    built on the first such call.  The pairs are tuples, which take less
-    memory than lists and which the JSON encoder writes as the same
-    two-element arrays, and a face's pair for each member is built once
-    per call and shared by its other members' lists; a face with one
-    member, at the ball's edge, gives none.
+    faces are read type by type and the pairs come out in order.  Every
+    call, over all chambers or over a slice, reads the faces of its
+    chambers off ``at``, each chamber's face of each type, built with the
+    document.  The pairs are tuples, which take less memory than lists
+    and which the JSON encoder writes as the same two-element arrays, and
+    a face's pair for each member is built once per call and shared by
+    its other members' lists; a face with one member, at the ball's edge,
+    gives none.
     """
     n = _field(graph, BallGraph, "ctx", "graph").n
-    flags = graph._flags
-    count = len(flags)
-    by_type: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for members, ftype in zip(graph._face_members, graph._face_types):
-        if len(members) > 1:  # a face with one member gives no pair
-            by_type[ftype].append(members)
-    # at[t][i]: where chamber i's face of type t is in by_type[t], -1 for one member
-    at: list[list[int]] = []
+    flags, faces = graph._flags, graph._face_members
+    # at[t][i]: where chamber i's face of type t is in ``faces``, -1 for one member
+    at = [[-1] * len(flags) for _ in range(n)]
+    for f, (members, ftype) in enumerate(zip(faces, graph._face_types)):
+        if len(members) > 1:
+            face_at = at[ftype]
+            for i in members:
+                face_at[i] = f
 
     def adjacency(lo: int, hi: int) -> list[list[tuple[int, int]]]:
         out: list[list[tuple[int, int]]] = [[] for _ in flags[lo:hi]]
-        if not out:  # past the end
-            return out
-        hi = lo + len(out)
-        if hi - lo < count and not at:  # the first call over part of the ball
-            for group in by_type:
-                at.append([-1] * count)
-                for f, members in enumerate(group):
-                    for i in members:
-                        at[-1][i] = f
-        for ftype, group in enumerate(by_type):
-            if hi - lo < count:  # the faces of the type with a member in the part
-                found = dict.fromkeys(at[ftype][lo:hi])
-                found.pop(-1, None)
-                group = map(group.__getitem__, found)
-            for members in group:
+        for ftype, face_at in enumerate(at):
+            found = dict.fromkeys(face_at[lo:hi])  # the type's faces met in the slice, once
+            found.pop(-1, None)
+            for f in found:
+                members = faces[f]
                 pairs = [(ftype, j) for j in members]
                 for k, j in enumerate(members):
                     if lo <= j < hi:
@@ -622,7 +588,7 @@ def _ball_rows(graph: BallGraph) -> dict:
         return out
 
     return {
-        "p": graph.ctx.p, "n": n, "radius": graph.radius, "chamber_count": count,
+        "p": graph.ctx.p, "n": n, "radius": graph.radius, "chamber_count": len(flags),
         "shell_sizes": list(graph.shell_sizes()),
         "chambers": lambda lo, hi: [tuple([c.hnf for c in flag]) for flag in flags[lo:hi]],
         "adjacency": adjacency,

@@ -42,7 +42,7 @@ import re
 from operator import mul
 from typing import Sequence
 
-from .exact import Value, _field, _int, _restore, row_reduce
+from .exact import Value, _field, _int, _restore, _tuple, row_reduce
 
 __all__ = [
     "INFINITE_ORDER",
@@ -413,11 +413,7 @@ def identity_element(diagram: CoxeterDiagram) -> GroupElement:
 def element_from_word(diagram: CoxeterDiagram, word: Sequence[int]) -> GroupElement:
     """Product of the generators, word read left to right."""
     y = (1,) * _size(diagram)
-    try:
-        letters = iter(word)
-    except TypeError:
-        raise ValueError(f"word must be a sequence of generators, got {word!r}") from None
-    for letter in letters:
+    for letter in _tuple(word, "word", "generators"):
         y = _times(y, _generator(diagram, letter), diagram.neighbors)
     return _element(diagram, y)
 

@@ -3,7 +3,8 @@
 ``SparseMap`` is the one finitely supported function to Fraction: chamber,
 vertex and edge cochains and Hecke elements all store their values in
 one.  ``_fraction`` and ``_int`` are the one checks of a rational and of
-an integer argument, and ``_field`` of an argument's record class.
+an integer argument, ``_tuple`` the one read of a sequence argument, and
+``_field`` of an argument's record class.
 ``fraction_json`` is the one {num, den} encoder.
 ``row_reduce`` is the one Gauss-Jordan elimination, over Q; a building
 face's chamber star is written out without it, as the kernels of the
@@ -28,9 +29,10 @@ class FrozenInstanceError(AttributeError):
 def _restore(cls: type, state: tuple) -> "Value":
     """The one unchecked constructor: a ``Value`` of its fields, in
     ``__slots__`` order, with no ``__init__``; for unpickling and for records
-    a kernel builds of parts it made itself, a ball's chambers and faces
-    among them.  A shorter state sets only the leading slots, each through
-    the class's own slot setter (``_setters``)."""
+    a kernel builds of parts it made itself, a ball, its chambers and its
+    faces among them.  Every caller gives one value per slot, each set
+    through the class's own slot setter (``_setters``); a slot built on its
+    first read, as a ball's chambers are, is given None."""
     self = object.__new__(cls)
     for put, x in zip(cls._setters, state):
         put(self, x)
@@ -68,8 +70,8 @@ class Value:
         cls._setters = tuple(cls.__dict__[f].__set__ for f in cls.__slots__)
 
     def _set(self, *values: object) -> None:
-        """Set the fields to the values, in ``__slots__`` order, through the
-        slots' own setters (``_setters``); fewer values set the leading ones."""
+        """Set the fields to the values, one per slot, in ``__slots__`` order,
+        through the slots' own setters (``_setters``)."""
         for put, x in zip(self._setters, values):
             put(self, x)
 
@@ -195,6 +197,16 @@ def _int(value: int, name: str, least: int | None = None) -> int:
         bound = "nonnegative" if least == 0 else f"at least {least}"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
     return value
+
+
+def _tuple(items: Iterable, name: str, what: str) -> tuple:
+    """The items as a tuple; ValueError naming the parameter when they
+    cannot be iterated, caught at the first iteration, with no check of
+    their kind beside it."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of {what}, got {items!r}") from None
 
 
 def _field(value: object, cls: type, name: str, param: str) -> object:

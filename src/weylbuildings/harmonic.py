@@ -98,9 +98,12 @@ class Cochain(Value):
         if self.values is not None:
             return self.values.lookup(chamber, FlagChamber)
         q = self._rule_q(graph)
-        i = graph.index.get(chamber)
-        if i is None:
-            raise ValueError("chamber outside the ball: distance unknown")
+        try:
+            i = graph.index[chamber]
+        except (KeyError, TypeError):  # the kind is checked on a miss only, as in ``lookup``
+            if not isinstance(chamber, FlagChamber):
+                raise ValueError(f"key of the wrong type: {chamber!r}") from None
+            raise ValueError("chamber outside the ball: distance unknown") from None
         return Fraction(-1, q) ** graph.distance[i]
 
     def value_at_index(self, i: int, graph: BallGraph) -> Fraction:

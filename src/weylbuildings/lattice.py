@@ -18,16 +18,15 @@ lambda([L]) = v_p(det L) mod n makes every chamber hit each label
 exactly once.
 
 Arithmetic is exact, and inside this module it is integer arithmetic.
-The canonical matrix of a derived class comes from ``_class_of``: given
-upper-triangular rows with a p-power diagonal and their determinant
-valuation v, it reduces the entries above the diagonal and strips the
-p-content.  The chamber stars write that step out for their own rows:
-``_tree_neighbors`` on the tree, ``building._kernels`` for n = 3.  Caller
-rows, of ``lattice_from_rows`` and of the group action, are made
-triangular by the Hermite elimination of the internal ``action`` module
-first, which no star, ball or tree runs.  Every ``LatticeClass`` records
-the valuation of its form, so labels and chain-step gaps never re-derive
-it.
+A derived class's canonical matrix is written out where the class is
+made: given upper-triangular rows with a p-power diagonal and their
+determinant valuation v, the entries above the diagonal are reduced and
+the p-content is stripped, by ``_tree_neighbors`` on the tree and
+``building._kernels`` for n = 3.  Caller rows, of ``lattice_from_rows``
+and of the group action, go through the internal ``action`` module
+instead, whose Hermite elimination and ``_class_of`` no star, ball or
+tree runs.  Every ``LatticeClass`` records the valuation of its form, so
+labels and chain-step gaps never re-derive it.
 
 One rule, ``_chain_step``, decides an index-p step a > p^k b of a flag:
 the valuation gap fixes k, and then the step is one containment.
@@ -83,7 +82,7 @@ def _dimension(ctx: PrimeContext) -> int:
     return _field(ctx, PrimeContext, "n", "ctx")
 
 
-# -- valuations and the canonical form ------------------------------------------
+# -- valuations -------------------------------------------------------------------
 
 
 def _val_int(x: int, p: int) -> int:
@@ -94,26 +93,6 @@ def _val_int(x: int, p: int) -> int:
         x //= p
         v += 1
     return v
-
-
-def _class_of(rows: list[list[int]], p: int, valuation: int) -> LatticeClass:
-    """Class of the lattice spanned by upper-triangular integer rows with a
-    p-power diagonal, given v = v_p(det) of that span; the rows are
-    rewritten in place.  Each entry above the diagonal is reduced modulo
-    the diagonal entry of its column, in exact integers, which gives the
-    one Hermite form of the lattice (Cohen, GTM 138, §2.4).  Then p is
-    divided out while it divides every entry, each time taking n from v,
-    which leaves the canonical, primitive form of the class."""
-    n = len(rows)
-    for c in range(1, n):
-        d = rows[c][c]
-        for row in rows[:c]:
-            if t := row[c] // d:
-                row[:] = [x - t * y for x, y in zip(row, rows[c])]
-    while not any(x % p for row in rows for x in row):
-        rows = [[x // p for x in row] for row in rows]
-        valuation -= n
-    return LatticeClass(tuple(map(tuple, rows)), valuation)
 
 
 # -- lattice classes -----------------------------------------------------------

@@ -13,8 +13,8 @@ vector and the closest chamber, over every interior face of those balls;
 ``finite_support_rigidity`` on its rigidity balls and one larger ball;
 and the tree boundary maps' two round trips, lift then ``boundary_value``
 and ``coboundary`` then ``primitive_cochain``, on its trees.  Each Hecke
-row checks every result it times against this script's own matrix
-arithmetic, each harmonic row against the members' distances, each
+row checks every result it times against the dense matrix arithmetic of
+``references``, each harmonic row against the members' distances, each
 rigidity row against the exact rank of ``references.full_rank``, and
 each boundary row against the input it started from, and says whether
 all matched; the script exits 1 when one did not.
@@ -98,66 +98,13 @@ def best_of_3(run) -> tuple[float, object]:
     return min(seconds), result
 
 
-# -- this script's own matrix arithmetic -----------------------------------------
-
-
-def reflections(d) -> list:
-    """sigma_s: the identity but in row s, where column t holds delta_st - A[s][t]."""
-    n = d.size
-    return [
-        tuple(tuple(int(i == t) - int(i == s) * d.cartan[s][t] for t in range(n)) for i in range(n))
-        for s in range(n)
-    ]
-
-
-def matmul(a, b) -> tuple:
-    cols = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, c)) for c in cols) for row in a)
-
-
-def word_matrix(mats, word) -> tuple:
-    acc = tuple(tuple(int(i == j) for j in range(len(mats))) for i in range(len(mats)))
-    for s in word:
-        acc = matmul(acc, mats[s])
-    return acc
-
-
-def descent(m, s) -> bool:
-    # s is a right descent of w iff column s of w's matrix is negative
-    return any(row[s] < 0 for row in m)
-
-
-def reduced(rng, mats, size) -> list:
-    word, m = [], word_matrix(mats, ())
-    while len(word) < size:
-        s = rng.choice([s for s in range(len(mats)) if not descent(m, s)])
-        word.append(s)
-        m = matmul(m, mats[s])
-    return word
-
-
-def dense_product(mats, q, v, w) -> dict:
-    """e_v e_w as {matrix: coefficient}, one letter of w at a time."""
-    acc = {word_matrix(mats, v): Fraction(1)}
-    for s in w:
-        step: dict = {}
-        for m, c in acc.items():
-            ms = matmul(m, mats[s])
-            if descent(m, s):
-                step[m] = step.get(m, 0) + (q - 1) * c
-                step[ms] = step.get(ms, 0) + q * c
-            else:
-                step[ms] = step.get(ms, 0) + c
-        acc = {m: c for m, c in step.items() if c}
-    return acc
-
-
 def hecke_rows() -> bool:
     """Best-of-3 wall seconds of the session workload's Hecke products, its
     long A1~ products, ``length`` plus ``reduced_word`` on elements built
     from a caller's matrix (so the membership check is timed), and the
     rule-form ``decay_profile`` of each ball, and whether every result
-    matched this script's matrix arithmetic."""
+    matched the dense matrix arithmetic of ``references``."""
+    from references import dense_product, reduced, reflections, word_matrix
     from weylbuildings.building import PrimeContext, ball
     from weylbuildings.coxeter import GroupElement, affine_diagram, length, reduced_word
     from weylbuildings.harmonic import decay_profile, iwahori_vector
@@ -174,16 +121,18 @@ def hecke_rows() -> bool:
     products, longs, queries = [], [], []
     for _ in range(PRODUCTS):
         label, q = rng.choice(HECKE_TYPES), rng.choice(HECKE_Q)
-        v, w = (reduced(rng, mats[label], rng.randint(*HECKE_LENGTHS)) for _ in "vw")
-        products.append((basis(label, v, q), basis(label, w, q), dense_product(mats[label], q, v, w)))
+        v, w = (reduced(mats[label], rng, rng.randint(*HECKE_LENGTHS)) for _ in "vw")
+        expected = dense_product(mats[label], q, [(v, 1)], [(w, 1)])
+        products.append((basis(label, v, q), basis(label, w, q), expected))
     for _ in range(LONG_PRODUCTS):
         q, a = rng.choice(HECKE_Q), rng.randint(*LONG_FIRST)
         v, w = [i % 2 for i in range(a)], [(a + i) % 2 for i in range(rng.randint(*LONG_TOTAL) - a)]
-        longs.append((basis("A1~", v, q), basis("A1~", w, q), dense_product(mats["A1~"], q, v, w)))
+        expected = dense_product(mats["A1~"], q, [(v, 1)], [(w, 1)])
+        longs.append((basis("A1~", v, q), basis("A1~", w, q), expected))
     for _ in range(QUERIES):
         label = rng.choice(sorted(QUERY_TYPES))
         size = rng.randint(1, QUERY_TYPES[label])
-        queries.append((label, size, word_matrix(mats[label], reduced(rng, mats[label], size))))
+        queries.append((label, size, word_matrix(mats[label], reduced(mats[label], rng, size))))
 
     def multiplied(pairs):
         def run():

@@ -60,10 +60,13 @@ from weylbuildings import (
     vertex_tree,
     weyl_to_chamber,
 )
+from weylbuildings.action import _class_of
 from weylbuildings.boundary import VertexTree
 from weylbuildings.building import _canonical
 from weylbuildings.exact import _int
-from weylbuildings.lattice import _class_of, _coordinates
+from weylbuildings.lattice import _coordinates
+
+from references import matmul
 
 # -- canonical forms -------------------------------------------------------------
 
@@ -228,9 +231,10 @@ def test_canonical_form_gl3_rational_rows(case, shear, k):
 
 # -- the normal form, checked by its definition ---------------------------------------
 #
-# ``_class_of`` writes every class the building derives, and the reference
-# ``_insertions`` below reaches it through ``_canonical`` as well, so the
-# predicate here is written out from the definition instead.
+# ``action._class_of`` writes every class of caller rows and of the group
+# action, and the reference ``_insertions`` below reaches it through
+# ``_canonical`` as well, so the predicate here is written out from the
+# definition instead.
 
 
 def _is_normal_form(hnf, valuation, p):
@@ -875,17 +879,13 @@ def test_generator_matrices_are_involutions():
             assert act(m, moved, ctx) == chamber
 
 
-def _matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_affine_generator_is_conjugate_by_label_shift(n, p):
     ctx = PrimeContext(p=p, n=n)
     shift = label_shift_matrix(ctx)
     s0, s1 = affine_generator_matrix(ctx, 0), affine_generator_matrix(ctx, 1)
-    assert _matmul(s0, shift) == _matmul(shift, s1)
+    assert matmul(s0, shift) == matmul(shift, s1)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -898,7 +898,7 @@ def test_weyl_to_chamber_is_the_action_of_the_word_matrix(n, longest, p):
         for word in product(range(n), repeat=k):
             g = eye
             for letter in word:
-                g = _matmul(g, affine_generator_matrix(ctx, letter))
+                g = matmul(g, affine_generator_matrix(ctx, letter))
             assert weyl_to_chamber(word, ctx) == act(g, base, ctx), word
 
 
@@ -943,7 +943,7 @@ def test_bruhat_iwahori_galleries_give_the_ball(n, p, radius):
             for ts in product(range(p), repeat=k):
                 g = eye
                 for i, t in zip(word, ts):
-                    g = _matmul(_matmul(g, _unipotent(ctx, i, t)), affine_generator_matrix(ctx, i))
+                    g = matmul(matmul(g, _unipotent(ctx, i, t)), affine_generator_matrix(ctx, i))
                 reached[act(g, base, ctx)] = word
         assert len(reached) == len(words) * p**k
         assert set(reached) == {graph.chambers[i] for i in graph.shell(k)}

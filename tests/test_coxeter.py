@@ -37,6 +37,8 @@ from weylbuildings import (
 )
 from weylbuildings.coxeter import _descents, _matrix_of, _times
 
+from references import reduced, reflections, word_matrix
+
 # -- frozen growth tables ------------------------------------------------------
 
 FROZEN_COUNTS = {
@@ -211,46 +213,21 @@ def test_descents_match_matrix_bfs(label):
 # -- the point route against the matrix route ---------------------------------
 
 
-def _matmul(a, b):
-    cols = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, c)) for c in cols) for row in a)
-
-
 def _row_product(diagram, word):
-    """Reference: the generator matrices multiplied row by column, word read
-    left to right."""
-    mats = generator_matrices(diagram)
-    acc = tuple(tuple(int(i == j) for j in range(diagram.size)) for i in range(diagram.size))
-    for s in word:
-        acc = _matmul(acc, mats[s])
-    return acc
-
-
-def _reduced_by_matrices(diagram, rng, size):
-    """A random word that the matrices certify reduced: each new letter s is
-    not a right descent, i.e. column s of the product so far is positive."""
-    mats = generator_matrices(diagram)
-    word, m = [], _row_product(diagram, ())
-    while len(word) < size:
-        s = rng.choice([s for s in diagram.generators if all(row[s] >= 0 for row in m)])
-        word.append(s)
-        m = _matmul(m, mats[s])
-    return word
+    """Reference: the reflection matrices of ``references``, which are the
+    generator matrices, multiplied row by column, word read left to right."""
+    return word_matrix(reflections(diagram), word)
 
 
 @pytest.mark.parametrize("label", sorted(ORACLE_DEPTH))
 def test_points_give_the_matrices_of_long_words(label):
     d = affine_diagram(label)
     n = d.size
-    # sigma_s is the identity but in row s, where column t holds delta_st - A[s][t]
-    assert generator_matrices(d) == tuple(
-        tuple(tuple(int(i == t) - int(i == s) * d.cartan[s][t] for t in range(n)) for i in range(n))
-        for s in range(n)
-    )
+    assert generator_matrices(d) == tuple(reflections(d))
     rng = random.Random(label)
     words = [[rng.randrange(n) for _ in range(size)] for size in (0, 1, 17, 120)]
-    reduced = _reduced_by_matrices(d, rng, 120)
-    for word in words + [reduced]:
+    certified = reduced(reflections(d), rng, 120)
+    for word in words + [certified]:
         expected = _row_product(d, word)
         w = element_from_word(d, word)
         assert w.matrix == expected
@@ -258,7 +235,7 @@ def test_points_give_the_matrices_of_long_words(label):
         assert caller == w and hash(caller) == hash(w)
         assert length(d, caller) == length(d, w) <= len(word)
         assert reduced_word(d, caller) == reduced_word(d, w)
-    w = element_from_word(d, reduced)
+    w = element_from_word(d, certified)
     assert length(d, w) == 120
     assert _row_product(d, reduced_word(d, w)) == w.matrix
 
@@ -296,14 +273,14 @@ def test_sparse_step_matches_the_dense_step_on_long_words(label):
         y = tuple(rng.randint(-40, 40) for _ in range(n))
         for s in range(n):
             assert _times(y, s, d.neighbors) == _dense_times(d, y, s)
-    reduced = _reduced_by_matrices(d, rng, 200)
+    certified = reduced(reflections(d), rng, 200)
     y = (1,) * n
-    for s in reduced:
+    for s in certified:
         y = _times(y, s, d.neighbors)
-    assert y == element_from_word(d, reduced).point
+    assert y == element_from_word(d, certified).point
     peel = _dense_peel(d, y)
     assert _descents(d, y) == peel and len(peel) == 200
-    assert _matrix_of(d, peel) == _row_product(d, reduced) == _row_product(d, peel[::-1])
+    assert _matrix_of(d, peel) == _row_product(d, certified) == _row_product(d, peel[::-1])
 
 
 BRAID_TYPES = ("A2~", "A3~", "B3~", "C2~", "D4~", "E6~", "F4~", "G2~")

@@ -32,6 +32,8 @@ from weylbuildings import (
     vertex_label,
 )
 
+from references import dense_product, reduced, reflections, word_matrix
+
 PARAMS = [Fraction(2), Fraction(3), Fraction(4), Fraction(7, 2)]
 
 
@@ -210,77 +212,22 @@ REFERENCE_TYPES = ("A1~", "A2~", "C2~", "G2~", "A3~", "B3~")
 REFERENCE_Q = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(7, 2), Fraction(5, 3))
 
 
-def _reflections(d):
-    """sigma_s: the identity but in row s, where column t holds delta_st - A[s][t]."""
-    n = d.size
-    return [
-        tuple(tuple(int(i == t) - int(i == s) * d.cartan[s][t] for t in range(n)) for i in range(n))
-        for s in range(n)
-    ]
-
-
-def _matmul(a, b):
-    cols = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, c)) for c in cols) for row in a)
-
-
-def _word_matrix(mats, word):
-    n = len(mats)
-    acc = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    for s in word:
-        acc = _matmul(acc, mats[s])
-    return acc
-
-
-def _reduced(mats, rng, size):
-    """A word the matrices certify reduced: each letter is no right descent."""
-    word, m = [], _word_matrix(mats, ())
-    while len(word) < size:
-        s = rng.choice([s for s in range(len(mats)) if all(row[s] >= 0 for row in m)])
-        word.append(s)
-        m = _matmul(m, mats[s])
-    return word
-
-
-def _dense_product(mats, q, a, b):
-    """sum over (u, cu) of a and (w, cw) of b of cu cw e_u e_w, as {matrix:
-    coefficient}, with a and b given as (reduced word, coefficient) pairs:
-    e_u e_s is e_us when column s of u is positive, else (q - 1) e_u + q e_us."""
-    out = defaultdict(Fraction)
-    for u, cu in a:
-        for w, cw in b:
-            acc = {_word_matrix(mats, u): cu * cw}
-            for s in w:
-                nxt = defaultdict(Fraction)
-                for m, c in acc.items():
-                    ms = _matmul(m, mats[s])
-                    if any(row[s] < 0 for row in m):
-                        nxt[m] += (q - 1) * c
-                        nxt[ms] += q * c
-                    else:
-                        nxt[ms] += c
-                acc = nxt
-            for m, c in acc.items():
-                out[m] += c
-    return {m: c for m, c in out.items() if c}
-
-
 def _distinct_terms(mats, rng, longest, coefficients):
     """Up to three (reduced word, coefficient) pairs, one per element."""
     by_matrix = {}
     for _ in range(3):
-        w = _reduced(mats, rng, rng.randint(0, longest))
-        by_matrix[_word_matrix(mats, w)] = (w, rng.choice(coefficients))
+        w = reduced(mats, rng, rng.randint(0, longest))
+        by_matrix[word_matrix(mats, w)] = (w, rng.choice(coefficients))
     return list(by_matrix.values())
 
 
 def _combination(d, mats, q, pairs):
-    return HeckeElement(d, q, tuple((GroupElement(_word_matrix(mats, w)), c) for w, c in pairs))
+    return HeckeElement(d, q, tuple((GroupElement(word_matrix(mats, w)), c) for w, c in pairs))
 
 
 def _assert_matches_dense(d, mats, q, a, b):
     product = multiply(_combination(d, mats, q, a), _combination(d, mats, q, b))
-    expected = _dense_product(mats, q, a, b)
+    expected = dense_product(mats, q, a, b)
     assert {w.matrix: c for w, c in product.terms} == expected
     # one normalized Fraction per nonzero entry, in point order: the
     # element the constructor builds of the same terms
@@ -293,12 +240,12 @@ def _assert_matches_dense(d, mats, q, a, b):
 @pytest.mark.parametrize("q", REFERENCE_Q, ids=str)
 def test_products_match_the_dense_matrix_route(label, q):
     d = affine_diagram(label)
-    mats = _reflections(d)
+    mats = reflections(d)
     rng = random.Random(f"dense {label} {q}")
     coefficients = [Fraction(1), Fraction(-2), Fraction(3, 4), Fraction(-5, 3)]
     for _ in range(6):
-        a = [(_reduced(mats, rng, rng.randint(0, 6)), Fraction(1))]
-        b = [(_reduced(mats, rng, rng.randint(0, 6)), Fraction(1))]
+        a = [(reduced(mats, rng, rng.randint(0, 6)), Fraction(1))]
+        b = [(reduced(mats, rng, rng.randint(0, 6)), Fraction(1))]
         _assert_matches_dense(d, mats, q, a, b)
     for _ in range(3):
         # multi-term factors with signed coefficients
@@ -315,7 +262,7 @@ def test_long_a1_products_match_the_dense_matrix_route(q):
     # in A1~ every alternating word is reduced; the factors are longer than
     # the Cayley index cutoff of 64, and so are their products' terms
     d = affine_diagram("A1~")
-    mats = _reflections(d)
+    mats = reflections(d)
     rng = random.Random(f"long {q}")
     for _ in range(3):
         a = [([(i + j) % 2 for i in range(rng.randint(30, 70))], Fraction(j + 1, 2)) for j in range(2)]
@@ -333,9 +280,9 @@ def test_a_warm_product_of_basis_elements_steps_and_builds_in_place():
     cases = []
     for label in REFERENCE_TYPES:
         d = affine_diagram(label)
-        mats = _reflections(d)
+        mats = reflections(d)
         for q in REFERENCE_Q:
-            a, b = (_combination(d, mats, q, [(_reduced(mats, rng, rng.randint(3, 8)), 1)]) for _ in "ab")
+            a, b = (_combination(d, mats, q, [(reduced(mats, rng, rng.randint(3, 8)), 1)]) for _ in "ab")
             cases.append((a, b, multiply(a, b)))
     entered = collections.Counter()
 

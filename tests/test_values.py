@@ -331,15 +331,25 @@ def test_a_key_of_the_wrong_type_is_refused_by_name(build, message):
         ),
         (lambda: EDGES.value(1, TREE.vertices[0]), r"key of the wrong type: \(1, LatticeClass\("),
         (lambda: EDGES.value(TREE.vertices[0], "x"), r"key of the wrong type: \(LatticeClass\(.*, 'x'\)$"),
+        (lambda: iwahori_vector(CHAMBER, 2).value([1], ball(P3, 1)), r"key of the wrong type: \[1\]$"),
+        (lambda: iwahori_vector(CHAMBER, 2).value("x", ball(P3, 1)), "key of the wrong type: 'x'$"),
+        (lambda: iwahori_vector(CHAMBER, 2).value(None, ball(P3, 1)), "key of the wrong type: None$"),
+        (lambda: iwahori_vector(CHAMBER, 2).value(1.5, ball(P3, 1)), "key of the wrong type: 1.5$"),
+        (
+            lambda: iwahori_vector(CHAMBER, 2).value(face_of(CHAMBER, 0), ball(P3, 1)),
+            r"key of the wrong type: Face\(",
+        ),
     ],
     ids=[
         "zero-cochain-none", "zero-cochain-chamber", "zero-cochain-list", "hecke", "cochain-face",
-        "one-cochain-int", "one-cochain-str",
+        "one-cochain-int", "one-cochain-str", "rule-list", "rule-str", "rule-none", "rule-float",
+        "rule-face",
     ],
 )
 def test_a_lookup_of_the_wrong_type_is_refused_by_name(read, message):
-    # a key of the map's kind outside the support reads 0; any other key is
-    # named, where it read 0 before (or, unhashable, raised TypeError)
+    # a key of the map's kind outside the support reads 0 (or, for the rule
+    # form, outside the ball is refused as such); any other key is named,
+    # where it read 0 before (or, unhashable, raised TypeError)
     with pytest.raises(ValueError, match=message):
         read()
 
