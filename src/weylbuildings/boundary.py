@@ -52,7 +52,7 @@ from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .exact import SparseMap, Value, _field, _fraction, _int, _pairs, _restore
+from .exact import SparseMap, Value, _field, _fraction, _int, _items, _pairs, _restore
 from .lattice import (
     LatticeClass,
     PrimeContext,
@@ -111,7 +111,7 @@ class ZeroCochain(Value):
 
 
 def zero_cochain_from_map(values: Mapping[LatticeClass, Fraction]) -> ZeroCochain:
-    return ZeroCochain(tuple(values.items()))
+    return ZeroCochain(_items(values, "values", "lattice classes"))
 
 
 Edge = tuple[LatticeClass, LatticeClass]
@@ -137,16 +137,15 @@ class OneCochain(Value):
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[tuple[Edge, Fraction], ...]) -> None:
-        acc: dict[Edge, Fraction] = {}
+        acc: dict[tuple, tuple] = {}  # by the edge's forms, as ``_entry`` orients it
         for edge, x in _pairs(values, "values"):
             s, t = _edge(edge)
             if s == t:
                 raise ValueError("an edge needs two distinct vertices")
-            x = _fraction(x, "values")
-            key, signed = ((s, t), x) if s.hnf < t.hnf else ((t, s), -x)
-            if acc.setdefault(key, signed) != signed:
+            entry = _entry(s, t, _fraction(x, "values"))
+            if acc.setdefault(entry[0], entry)[2] != entry[2]:
                 raise ValueError("conflicting values on the two orientations of an edge")
-        self._set(SparseMap._of(acc, lambda e: (e[0].hnf, e[1].hnf)))
+        self._set(_by_form(acc.values()))
 
     @property
     def support(self) -> tuple[Edge, ...]:
@@ -163,7 +162,7 @@ class OneCochain(Value):
 
 
 def one_cochain_from_map(values: Mapping[Edge, Fraction]) -> OneCochain:
-    return OneCochain(tuple(values.items()))
+    return OneCochain(_items(values, "values", "edges"))
 
 
 def _entry(s: LatticeClass, t: LatticeClass, x: Fraction) -> tuple:
@@ -331,7 +330,7 @@ class BoundaryFunction(Value):
 
     def __init__(self, depth: int, parts: tuple[tuple[Edge, Fraction], ...]) -> None:
         _int(depth, "depth", 1)
-        parts = tuple((_edge(e), _fraction(x, "values")) for e, x in parts)
+        parts = tuple((_edge(e), _fraction(x, "values")) for e, x in _pairs(parts, "parts"))
         parts = sorted(parts, key=lambda part: (part[0][1].hnf, part[0][0].hnf))
         twice = next((e for (e, _), (f, _) in zip(parts, parts[1:]) if e == f), None)
         if twice is not None:

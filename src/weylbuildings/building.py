@@ -137,7 +137,7 @@ class FlagChamber(Value):
             best = min(range(len(classes)), key=lambda i: classes[i].hnf)
         except AttributeError:
             raise _not_a_class(classes) from None
-        object.__setattr__(self, "classes", classes[best:] + classes[:best] if best else classes)
+        self._set(classes[best:] + classes[:best] if best else classes)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is FlagChamber:
@@ -205,8 +205,7 @@ class Face(Value):
             ordered = tuple(sorted(classes, key=lambda c: c.hnf))
         except AttributeError:
             raise _not_a_class(classes) from None
-        object.__setattr__(self, "classes", ordered)
-        object.__setattr__(self, "_hash", hash((ordered,)))
+        self._set(ordered, hash((ordered,)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is Face:
@@ -227,10 +226,9 @@ def face_of(chamber: FlagChamber, position: int) -> Face:
 
 def face_type(face: Face, ctx: PrimeContext) -> int:
     """The vertex label missing from the face."""
-    if not isinstance(face, Face):
-        raise ValueError(f"expected a Face, got {face!r}")
-    _require_classes(ctx, *face.classes)
-    missing = set(range(ctx.n)) - {c.valuation % ctx.n for c in face.classes}
+    classes = _field(face, Face, "classes", "face")
+    _require_classes(ctx, *classes)
+    missing = set(range(ctx.n)) - {c.valuation % ctx.n for c in classes}
     if len(missing) != 1:
         raise ValueError("face vertices do not carry distinct labels")
     return missing.pop()

@@ -32,17 +32,21 @@ in the diagram (A[s][t] != 0); a step reads the diagram's ``neighbors``
 row of s, not a dense Cartan row.  Distinct w give distinct y, so a group
 element is stored as its point y, peeling descents counts the length and
 a BFS over ascents of rho* counts the shells.  The matrix is derived from
-the peel only when it is read.
+the peel only when it is read.  The diagram's ``kernel`` comes from
+``row_reduce``, the one Gauss-Jordan elimination over Q; a building face's
+chamber star is written out without it, as the kernels of the functionals
+that vanish on the face's line.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .exact import Value, _field, _int, _restore, _tuple, row_reduce
+from .exact import Value, _field, _int, _restore, _tuple
 
 __all__ = [
     "INFINITE_ORDER",
@@ -145,7 +149,6 @@ class CoxeterDiagram(Value):
     _uncompared = _hidden = ("cartan", "kernel", "neighbors")
 
     def __init__(self, orders: tuple[tuple[float, ...], ...]) -> None:
-        object.__setattr__(self, "orders", orders)
         n = len(orders)
         if n == 0 or any(len(row) != n for row in orders):
             raise ValueError("order matrix must be square and nonempty")
@@ -160,13 +163,11 @@ class CoxeterDiagram(Value):
                     raise ValueError(f"an order must be an int or math.inf, got {m!r}")
                 if m not in CRYSTALLOGRAPHIC_ORDERS:
                     raise ValueError(f"non-crystallographic order {m!r}")
-        cartan = _cartan_matrix(self)
-        object.__setattr__(self, "cartan", cartan)
-        object.__setattr__(self, "kernel", _kernel(cartan))
+        cartan = _cartan_matrix(orders)
         neighbors = tuple(
             tuple((t, a) for t, a in enumerate(row) if a and t != s) for s, row in enumerate(cartan)
         )
-        object.__setattr__(self, "neighbors", neighbors)
+        self._set(orders, cartan, _kernel(cartan), neighbors)
 
     @property
     def size(self) -> int:
@@ -241,12 +242,49 @@ def affine_diagram(label: AffineTypeLabel | str) -> CoxeterDiagram:
 # -- reflection representation ------------------------------------------------
 
 
-def _cartan_matrix(diagram: CoxeterDiagram) -> Matrix:
+def _cartan_matrix(orders: tuple[tuple[float, ...], ...]) -> Matrix:
     # of a pair, the more negative entry sits in the row of the smaller index
     return tuple(
         tuple(2 if i == j else _CARTAN_PAIRS[m][i > j] for j, m in enumerate(row))
-        for i, row in enumerate(diagram.orders)
+        for i, row in enumerate(orders)
     )
+
+
+def row_reduce(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form over Q of the span of sparse rows.
+
+    A row maps columns to values; zero values may be left out.  The result
+    maps each pivot column, in increasing order, to its row: 1 at the
+    pivot, nothing at smaller columns or at the other pivots, no stored
+    zeros.  The reduced echelon form of a row space is unique, so neither
+    the pivots nor the rows depend on the order of the input.  The rank is
+    the number of pivots; each free column f gives the kernel vector
+    e_f - sum over pivots c of row_c[f] e_c (Cohen, GTM 138, 2.3.1).
+    """
+
+    def subtract(row: dict, factor: Fraction, pivot_row: dict) -> None:
+        for k, y in pivot_row.items():
+            x = row.get(k, 0) - factor * y
+            if x:
+                row[k] = x
+            else:
+                row.pop(k, None)
+
+    reduced: dict[int, dict] = {}
+    for given in rows:
+        row = {c: x for c, x in given.items() if x}
+        for c in [c for c in row if c in reduced]:
+            subtract(row, row[c], reduced[c])
+        if not row:
+            continue
+        lead = min(row)
+        inv = 1 / Fraction(row[lead])
+        row = {k: x * inv for k, x in row.items()}
+        for other in reduced.values():
+            if lead in other:
+                subtract(other, other[lead], row)
+        reduced[lead] = row
+    return dict(sorted(reduced.items()))
 
 
 def _kernel(matrix: Matrix) -> tuple[tuple[int, ...], ...]:
@@ -348,7 +386,7 @@ class GroupElement(Value):
     def matrix(self) -> Matrix:
         if self._matrix is None:
             matrix = _matrix_of(self._diagram, self._peel_of(self._diagram))
-            object.__setattr__(self, "_matrix", matrix)
+            GroupElement._matrix.__set__(self, matrix)
         return self._matrix
 
     def _check(self, diagram: CoxeterDiagram) -> None:
@@ -368,8 +406,7 @@ class GroupElement(Value):
         peel = _descents(diagram, self.point) if fixes_kernel else None
         if peel is None or _matrix_of(diagram, peel) != m:
             raise ValueError(f"not an element of the group: {m!r}")
-        object.__setattr__(self, "_diagram", diagram)
-        object.__setattr__(self, "_peel", peel)
+        self._set(self.point, m, diagram, peel)
 
     def _peel_of(self, diagram: CoxeterDiagram) -> list[int]:
         """The peel s_1..s_k of the point, with w s_1...s_k = 1; once per
@@ -379,7 +416,7 @@ class GroupElement(Value):
         if _field(self, GroupElement, "_diagram", "element") is not diagram or diagram is None:
             self._check(diagram)
         if self._peel is None:
-            object.__setattr__(self, "_peel", _descents(diagram, self.point))
+            GroupElement._peel.__set__(self, _descents(diagram, self.point))
         return self._peel
 
     def __eq__(self, other: object) -> bool:

@@ -3,16 +3,15 @@
 ``SparseMap`` is the one finitely supported function to Fraction: chamber,
 vertex and edge cochains and Hecke elements all store their values in
 one.  ``_fraction`` and ``_int`` are the one checks of a rational and of
-an integer argument, ``_tuple`` the one read of a sequence argument, and
-``_field`` of an argument's record class.
-``fraction_json`` is the one {num, den} encoder.
-``row_reduce`` is the one Gauss-Jordan elimination, over Q; a building
-face's chamber star is written out without it, as the kernels of the
-functionals that vanish on the face's line.
+an integer argument, ``_tuple`` the one read of a sequence argument,
+``_items`` of a mapping argument, and ``_field`` of an argument's record
+class.  ``fraction_json`` is the one {num, den} encoder.
 ``Value`` is the one base of the library's immutable records: slotted,
 frozen, compared and hashed on a per-class key, with no code generated
-when a class is defined; ``_restore`` is the one constructor that builds
-one without its checks.
+when a class is defined.  A record's fields are set through its slots'
+own setters: by ``_set`` in its ``__init__``, after the checks, or by
+``_restore``, the one constructor that builds one without them; either
+takes exactly one value per slot.
 """
 
 from __future__ import annotations
@@ -30,21 +29,24 @@ def _restore(cls: type, state: tuple) -> "Value":
     """The one unchecked constructor: a ``Value`` of its fields, in
     ``__slots__`` order, with no ``__init__``; for unpickling and for records
     a kernel builds of parts it made itself, a ball, its chambers and its
-    faces among them.  Every caller gives one value per slot, each set
-    through the class's own slot setter (``_setters``); a slot built on its
-    first read, as a ball's chambers are, is given None."""
+    faces among them.  The state holds exactly one value per slot, each set
+    through the class's own slot setter (``_setters``); a state of any other
+    length raises ValueError, so a miscounted state fails here, not at a
+    later read of an unset slot.  A slot built on its first read, as a
+    ball's chambers are, is given None."""
     self = object.__new__(cls)
-    for put, x in zip(cls._setters, state):
+    for put, x in zip(cls._setters, state, strict=True):
         put(self, x)
     return self
 
 
 class Value:
     """An immutable record whose fields are its ``__slots__``, in the order
-    of its ``__init__`` parameters, which sets each with
-    ``object.__setattr__`` or ``_set``.  Each class keeps the ``__set__``
-    of its slots, in that order, as ``_setters``: ``_set`` and ``_restore``
-    call them directly, with no lookup of a field by name.
+    of its ``__init__`` parameters, which sets them all with one call of
+    ``_set``, after its checks.  Each class keeps the ``__set__`` of its
+    slots, in that order, as ``_setters``: ``_set`` and ``_restore`` call
+    them directly, with no lookup of a field by name, and a slot filled on
+    its first read is written through its own setter.
 
     ``==`` holds between instances of one class with equal keys, the tuple
     of the fields not named in ``_uncompared``; the hash is that of the
@@ -70,9 +72,10 @@ class Value:
         cls._setters = tuple(cls.__dict__[f].__set__ for f in cls.__slots__)
 
     def _set(self, *values: object) -> None:
-        """Set the fields to the values, one per slot, in ``__slots__`` order,
-        through the slots' own setters (``_setters``)."""
-        for put, x in zip(self._setters, values):
+        """Set the fields to the values, exactly one per slot, in
+        ``__slots__`` order, through the slots' own setters (``_setters``);
+        any other number of values raises ValueError, as in ``_restore``."""
+        for put, x in zip(self._setters, values, strict=True):
             put(self, x)
 
     def __eq__(self, other: object) -> bool:
@@ -105,7 +108,8 @@ class SparseMap(tuple):
     ValueError, and the pairs are sorted by ``order(key)``; without
     ``order`` they keep the given order, which copying and unpickling use.
     Pairs that are not an iterable of pairs raise ValueError naming the
-    owner's field, ``name`` (``_pairs``).
+    owner's field, ``name`` (``_pairs``).  ``_ordered`` is the one other
+    constructor, unchecked, for pairs a kernel built itself.
     Being that tuple, it compares and hashes on the ordered pairs and keeps
     its owners' tuple-of-pairs fields; a dict beside the tuple, built with
     the map or, for one from ``_ordered``, on its first lookup, answers
@@ -120,21 +124,14 @@ class SparseMap(tuple):
             index[key] = _fraction(x, "values")
             if len(index) == size:
                 raise ValueError(f"duplicate key: {key!r}")
-        return cls._of(index, order)
-
-    @classmethod
-    def _of(cls, index: dict[Hashable, Fraction], order: Callable | None = None) -> "SparseMap":
-        """The map of a dict whose values are already Fractions; the dict
-        becomes the lookup index, so each key is hashed only where the
-        caller built it (and once more if its value is zero)."""
+        # the dict becomes the lookup index, so each key is hashed here only
+        # (and once more if its value is zero)
         for key in [k for k, x in index.items() if not x]:
             del index[key]
-        pairs = index.items()
-        if order is not None:
-            try:
-                pairs = sorted(pairs, key=lambda kx: order(kx[0]))
-            except AttributeError as e:  # order read an attribute the key lacks
-                raise ValueError(f"key of the wrong type: {e.obj!r}") from None
+        try:
+            pairs = sorted(index.items(), key=lambda kx: order(kx[0])) if order else index.items()
+        except AttributeError as e:  # order read an attribute the key lacks
+            raise ValueError(f"key of the wrong type: {e.obj!r}") from None
         self = super().__new__(cls, pairs)
         self._index = index
         return self
@@ -209,6 +206,15 @@ def _tuple(items: Iterable, name: str, what: str) -> tuple:
         raise ValueError(f"{name} must be a sequence of {what}, got {items!r}") from None
 
 
+def _items(mapping: Mapping, name: str, what: str) -> tuple:
+    """The items of a mapping argument, read through its ``items``: a value
+    with none to read raises ValueError naming the parameter."""
+    try:
+        return tuple(mapping.items())
+    except AttributeError:
+        raise ValueError(f"{name} must be a mapping of {what}, got {mapping!r}") from None
+
+
 def _field(value: object, cls: type, name: str, param: str) -> object:
     """The field of a value of the class, read through the class's own
     slot, which refuses a value of any other class: ValueError naming the
@@ -222,40 +228,3 @@ def _field(value: object, cls: type, name: str, param: str) -> object:
 
 def fraction_json(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def row_reduce(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Reduced row echelon form over Q of the span of sparse rows.
-
-    A row maps columns to values; zero values may be left out.  The result
-    maps each pivot column, in increasing order, to its row: 1 at the
-    pivot, nothing at smaller columns or at the other pivots, no stored
-    zeros.  The reduced echelon form of a row space is unique, so neither
-    the pivots nor the rows depend on the order of the input.  The rank is
-    the number of pivots; each free column f gives the kernel vector
-    e_f - sum over pivots c of row_c[f] e_c (Cohen, GTM 138, 2.3.1).
-    """
-
-    def subtract(row: dict, factor: Fraction, pivot_row: dict) -> None:
-        for k, y in pivot_row.items():
-            x = row.get(k, 0) - factor * y
-            if x:
-                row[k] = x
-            else:
-                row.pop(k, None)
-
-    reduced: dict[int, dict] = {}
-    for given in rows:
-        row = {c: x for c, x in given.items() if x}
-        for c in [c for c in row if c in reduced]:
-            subtract(row, row[c], reduced[c])
-        if not row:
-            continue
-        lead = min(row)
-        inv = 1 / Fraction(row[lead])
-        row = {k: x * inv for k, x in row.items()}
-        for other in reduced.values():
-            if lead in other:
-                subtract(other, other[lead], row)
-        reduced[lead] = row
-    return dict(sorted(reduced.items()))

@@ -54,7 +54,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .building import BallGraph, Face, FlagChamber
-from .exact import SparseMap, Value, _field, _int
+from .exact import SparseMap, Value, _field, _int, _items
 
 __all__ = [
     "Cochain",
@@ -84,14 +84,15 @@ class Cochain(Value):
     ) -> None:
         if (values is None) == (rule is None):
             raise ValueError("exactly one of values and rule must be given")
-        if values is not None:
-            values = SparseMap(values, lambda c: c.sort_key())
-        else:
-            base, q = rule
+        if rule is not None:
+            try:
+                base, q = rule
+            except (TypeError, ValueError):  # not a pair to unpack
+                raise ValueError(f"rule must be a (base chamber, q) pair, got {rule!r}") from None
             if not isinstance(base, FlagChamber):
                 raise ValueError("rule base must be a chamber")
             _int(q, "rule parameter q", 2)
-        self._set(values, rule)
+        self._set(None if values is None else SparseMap(values, lambda c: c.sort_key()), rule)
 
     def value(self, chamber: FlagChamber, graph: BallGraph) -> Fraction:
         """Evaluate at a chamber, resolving distances through ``graph``."""
@@ -127,7 +128,7 @@ class Cochain(Value):
 
 def cochain_from_map(values: Mapping[FlagChamber, Fraction]) -> Cochain:
     """Map-form cochain; zero entries are dropped."""
-    return Cochain(values=tuple(values.items()))
+    return Cochain(values=_items(values, "values", "chambers"))
 
 
 def iwahori_vector(base: FlagChamber, q: int) -> Cochain:
@@ -156,7 +157,7 @@ def _profile_of(graph: BallGraph) -> dict[Face, tuple[int, int, FlagChamber]]:
                 if any(dist[i] != up for i in members if i != low):
                     raise AssertionError(_UNSHARP.format(face))
                 profile[face] = (low, up - 1, chambers[low])
-        object.__setattr__(graph, "_profile", profile)
+        BallGraph._profile.__set__(graph, profile)
     return profile
 
 

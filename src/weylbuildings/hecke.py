@@ -50,7 +50,7 @@ from .coxeter import (
     identity_element,
     length,
 )
-from .exact import SparseMap, Value, _field, _fraction, _restore
+from .exact import SparseMap, Value, _field, _fraction, _items, _restore
 
 if TYPE_CHECKING:
     from .building import BallGraph
@@ -84,12 +84,11 @@ class HeckeElement(Value):
         self, diagram: CoxeterDiagram, q: Fraction, terms: tuple[tuple[GroupElement, Fraction], ...]
     ) -> None:
         _field(diagram, CoxeterDiagram, "orders", "diagram")
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "q", _fraction(q, "q"))
+        q = _fraction(q, "q")
         terms = SparseMap(terms, _point, "terms")
         for w in terms.support():
             w._check(diagram)
-        object.__setattr__(self, "terms", terms)
+        self._set(diagram, q, terms)
 
     @property
     def support(self) -> tuple[GroupElement, ...]:
@@ -241,10 +240,7 @@ def convolve_chamber_function(
     if type(generator) is not int or generator not in types:
         raise ValueError(f"unknown generator {generator!r}: the generators are 0..{ctx.n - 1}")
     ftype = types[generator]
-    try:
-        f = {i: _fraction(x, "values") for i, x in f.items()}
-    except AttributeError:  # no items to read
-        raise ValueError(f"f must be a mapping of chamber indices, got {f!r}") from None
+    f = {i: _fraction(x, "values") for i, x in _items(f, "f", "chamber indices")}
     full = ctx.p + 1
     out: dict[int, Fraction] = {}
     for members, t in zip(graph._face_members, graph._face_types):

@@ -26,7 +26,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from weylbuildings.building import BallGraph, Face, FlagChamber
-from weylbuildings.exact import row_reduce
+from weylbuildings.coxeter import row_reduce
 from weylbuildings.harmonic import _ZERO, Cochain
 
 

@@ -516,7 +516,7 @@ def test_labels_and_face_types_refuse_a_class_of_another_size_or_a_non_face():
     assert face.classes[0] == v3
     with pytest.raises(ValueError, match=re.escape(f"expected a 2x2 class, got 3x3: {v3.hnf}")):
         face_type(face, P2)
-    with pytest.raises(ValueError, match=re.escape("expected a Face, got 'x'")):
+    with pytest.raises(ValueError, match=re.escape("face must be a Face, got 'x'")):
         face_type("x", P2)
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylbuildings import (
+    BoundaryFunction,
     Cochain,
     HeckeElement,
     OneCochain,
@@ -28,7 +29,7 @@ from weylbuildings import (
     vertex_neighbors,
     vertex_tree,
 )
-from weylbuildings.exact import row_reduce
+from weylbuildings.coxeter import row_reduce
 
 CTX = PrimeContext(p=2, n=2)
 
@@ -131,9 +132,13 @@ def test_missing_key_reads_zero(owner):
         (lambda x: ZeroCochain(x), "values", [1]),
         (lambda x: OneCochain(x), "values", [1]),
         (lambda x: OneCochain(x), "values", 5),
+        (lambda x: BoundaryFunction(1, x), "parts", [1]),
+        (lambda x: BoundaryFunction(1, x), "parts", None),
+        (lambda x: BoundaryFunction(1, x), "parts", 5),
     ],
     ids=["hecke-str", "hecke-short-item", "cochain", "zero-cochain", "one-cochain-int-item",
-         "one-cochain-int"],
+         "one-cochain-int", "boundary-function-int-item", "boundary-function-none",
+         "boundary-function-int"],
 )
 def test_items_that_are_not_pairs_are_named(build, name, given):
     # one ValueError naming the owner's field, where "not enough values to

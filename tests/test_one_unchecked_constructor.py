@@ -8,6 +8,11 @@ when they are first read, and the chambers of a star.  Every module under
 ``__new__`` off anything, or calling ``_set`` on anything but ``self``, is
 an error.  ``super().__new__`` in ``SparseMap`` builds the tuple it is, not
 a record, and is not counted.
+
+A record's fields are filled one way too: through its slots' own setters,
+by ``_set`` or ``_restore``, or, for a slot filled on its first read, by
+that slot's setter.  Reading ``__setattr__`` off anything, as
+``object.__setattr__(self, name, value)`` does, is an error everywhere.
 """
 
 import ast
@@ -52,6 +57,16 @@ def unchecked_builds(source: str, name: str) -> list[str]:
     return found
 
 
+def setattr_reads(source: str, name: str) -> list[str]:
+    """Reads of ``__setattr__`` off anything in the source of the module at
+    ``name``; defining a ``__setattr__`` method is not one."""
+    found = [
+        node for node in ast.walk(ast.parse(source, filename=name))
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+    ]
+    return [f"{name}:{node.lineno}: {ast.unparse(node)}" for node in sorted(found, key=lambda n: n.lineno)]
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
     assert {SRC / rel for rel, _ in ALLOWED} <= set(MODULES)
@@ -61,6 +76,12 @@ def test_modules_found():
 def test_no_other_unchecked_constructor(path):
     name = path.relative_to(SRC).as_posix()
     assert unchecked_builds(path.read_text(encoding="utf-8"), name) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
+def test_no_field_is_set_by_name(path):
+    name = path.relative_to(SRC).as_posix()
+    assert setattr_reads(path.read_text(encoding="utf-8"), name) == []
 
 
 @pytest.mark.parametrize("rel, function", sorted(ALLOWED))
@@ -94,4 +115,20 @@ def test_checker_sees_unchecked_builds():
     assert unchecked_builds(source, "weylbuildings/exact.py") == [
         "weylbuildings/exact.py:2: BoundaryFunction.__new__",
         "weylbuildings/exact.py:3: g._set",
+    ]
+
+
+def test_checker_sees_fields_set_by_name():
+    source = (
+        "class Face(Value):\n"
+        "    def __setattr__(self, name, value):\n"
+        "        raise FrozenInstanceError(name)\n"
+        "    def __init__(self, classes):\n"
+        "        object.__setattr__(self, 'classes', classes)\n"
+        "        put = super().__setattr__\n"
+        "        put('_hash', hash(classes))\n"
+    )
+    assert setattr_reads(source, "weylbuildings/building.py") == [
+        "weylbuildings/building.py:5: object.__setattr__",
+        "weylbuildings/building.py:6: super().__setattr__",
     ]

@@ -29,9 +29,11 @@ from weylbuildings import (
     expand,
     exponents_for,
     face_of,
+    face_type,
     geometric_shell_terms,
     iwahori_vector,
     make_report,
+    one_cochain_from_map,
     parse_type_label,
     report_to_json,
     standard_chamber,
@@ -246,16 +248,27 @@ def test_every_value_sets_its_slots_through_their_setters(x):
     y = pickle.loads(pickle.dumps(x))
     assert type(y) is cls and y == x
     assert tuple(slot.__get__(_restore(cls, state), cls) for slot in slots) == state
-    # a shorter state sets the leading slots and leaves the others unset
-    short = _restore(cls, state[:1])
-    assert slots[0].__get__(short, cls) is state[0]
-    for slot in slots[1:]:
-        with pytest.raises(AttributeError):
-            slot.__get__(short, cls)
+    # a state has exactly one value per slot: a shorter one is refused when
+    # it is built, not at a later read of an unset slot
+    if len(slots) > 1:
+        with pytest.raises(ValueError):
+            _restore(cls, state[:1])
     for name in cls.__slots__:
         with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
             setattr(x, name, 1)
     assert tuple(slot.__get__(x, cls) for slot in slots) == state
+
+
+def test_a_state_or_a_setting_of_another_length_is_refused():
+    # one value per slot: a longer state is refused too, and so is a
+    # ``_set`` of too few or too many values
+    label = parse_type_label("A2~")
+    with pytest.raises(ValueError):
+        _restore(type(label), ("A", 2, None))
+    with pytest.raises(ValueError):
+        _restore(type(label), ("A", 2))._set("A", 2, 3)
+    with pytest.raises(ValueError):
+        _restore(type(label), ("A", 2))._set("A")
 
 
 @pytest.mark.parametrize("name", ["point", "_matrix", "_diagram", "_peel", "other"])
@@ -354,6 +367,30 @@ def test_a_lookup_of_the_wrong_type_is_refused_by_name(read, message):
         read()
 
 
+@pytest.mark.parametrize("x", [5, None, [(1, 2)]], ids=repr)
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (cochain_from_map, "chambers"),
+        (zero_cochain_from_map, "lattice classes"),
+        (one_cochain_from_map, "edges"),
+    ],
+    ids=["cochain", "zero-cochain", "one-cochain"],
+)
+def test_a_map_without_items_is_named(call, what, x):
+    # one ValueError naming values, where an AttributeError on .items() came before
+    with pytest.raises(ValueError, match=re.escape(f"values must be a mapping of {what}, got {x!r}")):
+        call(x)
+
+
+@pytest.mark.parametrize("rule", [5, 1.5, (CHAMBER,), (CHAMBER, 2, 3)], ids=["int", "float", "one", "three"])
+def test_a_rule_that_is_not_a_pair_is_named(rule):
+    # one ValueError naming rule, where a TypeError or an unnamed unpacking
+    # ValueError came before
+    with pytest.raises(ValueError, match=re.escape(f"rule must be a (base chamber, q) pair, got {rule!r}")):
+        Cochain(rule=rule)
+
+
 def test_a_lookup_outside_the_support_reads_zero():
     assert ZERO.value(TREE.vertices[1]) == 0
     v = TREE.vertices
@@ -370,6 +407,7 @@ FIRST_READS = {
     "expand": (lambda x: expand(x, 3), "rf must be a RationalFunction"),
     "evaluate": (lambda x: evaluate(x, 1), "rf must be a RationalFunction"),
     "face_of": (lambda x: face_of(x, 0), "chamber must be a FlagChamber"),
+    "face_type": (lambda x: face_type(x, P3), "face must be a Face"),
     "geometric_shell_terms": (geometric_shell_terms, "graph must be a BallGraph"),
     "report_to_json": (report_to_json, "report must be a PeriodReport"),
 }
