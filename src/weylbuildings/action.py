@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .building import FlagChamber, standard_chamber
-from .exact import _fraction, _tuple
+from .exact import _fraction, _int, _tuple
 from .lattice import (
     LatticeClass, PrimeContext, vertex_label, _dimension, _prime, _require_classes, _val_int,
 )
@@ -173,6 +173,7 @@ def _integral_matrix(
     valuation of its determinant.  Raises ValueError unless g is an
     invertible n x n matrix whose denominators are powers of p."""
     n = _dimension(ctx)
+    g = [_tuple(r, "each row of g", "entries") for r in _tuple(g, "g", "rows")]
     if len(g) != n or any(len(r) != n for r in g):
         raise ValueError(f"matrix must be {n} x {n}")
     gi = _integer_rows(g, ctx.p)
@@ -203,7 +204,7 @@ def act(g: Sequence[Sequence[Fraction | int]], x, ctx: PrimeContext):
     if isinstance(x, FlagChamber):
         _require_classes(ctx, *x.classes)
         return FlagChamber(tuple(image(c) for c in x.classes))
-    raise TypeError("act expects a LatticeClass or a FlagChamber")
+    raise ValueError(f"x must be a LatticeClass or a FlagChamber, got {x!r}")
 
 
 def epsilon_from_determinant(g: Sequence[Sequence[Fraction | int]], ctx: PrimeContext) -> int:
@@ -258,8 +259,7 @@ def affine_generator_matrix(ctx: PrimeContext, i: int) -> QMatrix:
     which swaps e_1 and e_n with weights: e_1 -> p e_n, e_n -> e_1 / p.
     """
     n, p = _dimension(ctx), ctx.p
-    if type(i) is not int or not 0 <= i < n:
-        raise ValueError(f"generator index must be an int in 0..{n - 1}, got {i!r}")
+    _int(i, "generator", 0, n)
     a, b, up, down = (i - 1, i, 1, 1) if i >= 1 else (0, n - 1, Fraction(1, p), p)
     rows = [[Fraction(1 if r == c else 0) for c in range(n)] for r in range(n)]
     rows[a][a] = rows[b][b] = Fraction(0)

@@ -131,6 +131,7 @@ class FlagChamber(Value):
     __slots__ = ("classes",)
 
     def __init__(self, classes: tuple[LatticeClass, ...]) -> None:
+        classes = _tuple(classes, "classes", "lattice classes")
         if not classes:
             raise ValueError("empty flag")
         try:
@@ -201,6 +202,7 @@ class Face(Value):
     _hidden = ("_hash",)
 
     def __init__(self, classes: tuple[LatticeClass, ...]) -> None:
+        classes = _tuple(classes, "classes", "lattice classes")
         try:
             ordered = tuple(sorted(classes, key=lambda c: c.hnf))
         except AttributeError:
@@ -219,8 +221,7 @@ class Face(Value):
 def face_of(chamber: FlagChamber, position: int) -> Face:
     """Face obtained by dropping the flag entry at a position in 0..n-1."""
     cs = _field(chamber, FlagChamber, "classes", "chamber")
-    if not 0 <= _int(position, "position") < len(cs):
-        raise ValueError(f"position must be in 0..{len(cs) - 1}, got {position!r}")
+    _int(position, "position", 0, len(cs))
     return Face(cs[:position] + cs[position + 1 :])
 
 
@@ -436,8 +437,7 @@ class BallGraph(Value):
         return tuple(self.faces[face])
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        if not 0 <= _int(i, "chamber index") < len(self.distance):
-            raise ValueError(f"chamber index must be in 0..{len(self.distance) - 1}, got {i!r}")
+        _int(i, "chamber index", 0, len(self.distance))
         out: set[int] = set()
         for pos in range(self.ctx.n):
             out.update(self.faces.get(face_of(self.chambers[i], pos), ()))
@@ -445,8 +445,7 @@ class BallGraph(Value):
         return tuple(sorted(out))
 
     def gallery_types(self, i: int) -> tuple[int, ...]:
-        if not 0 <= _int(i, "chamber index") < len(self.distance):
-            raise ValueError(f"chamber index must be in 0..{len(self.distance) - 1}, got {i!r}")
+        _int(i, "chamber index", 0, len(self.distance))
         types: list[int] = []
         cur = i
         while self.parent[cur] is not None:

@@ -149,6 +149,8 @@ class CoxeterDiagram(Value):
     _uncompared = _hidden = ("cartan", "kernel", "neighbors")
 
     def __init__(self, orders: tuple[tuple[float, ...], ...]) -> None:
+        rows = _tuple(orders, "orders", "rows of orders")
+        orders = tuple(_tuple(row, "each row of orders", "orders") for row in rows)
         n = len(orders)
         if n == 0 or any(len(row) != n for row in orders):
             raise ValueError("order matrix must be square and nonempty")
@@ -178,13 +180,8 @@ class CoxeterDiagram(Value):
         return range(self.size)
 
     def order(self, s: int, t: int) -> float:
-        return self.orders[_generator(self, s)][_generator(self, t)]
-
-
-def _generator(diagram: CoxeterDiagram, letter: int) -> int:
-    if type(letter) is not int or not 0 <= letter < diagram.size:
-        raise ValueError(f"unknown generator {letter!r}")
-    return letter
+        n = self.size
+        return self.orders[_int(s, "generator", 0, n)][_int(t, "generator", 0, n)]
 
 
 def _diagram_from_edges(count: int, edges: dict[tuple[int, int], float]) -> CoxeterDiagram:
@@ -193,7 +190,7 @@ def _diagram_from_edges(count: int, edges: dict[tuple[int, int], float]) -> Coxe
         rows[i][i] = 1
     for (a, b), m in edges.items():
         rows[a][b] = rows[b][a] = m
-    return CoxeterDiagram(tuple(tuple(row) for row in rows))
+    return CoxeterDiagram(rows)
 
 
 def affine_diagram(label: AffineTypeLabel | str) -> CoxeterDiagram:
@@ -392,9 +389,13 @@ class GroupElement(Value):
     def _check(self, diagram: CoxeterDiagram) -> None:
         """ValueError, naming the matrix, unless it is in the diagram's group;
         checked once per diagram.  M is a member iff it fixes the kernel and
-        equals the matrix derived from the peel of its column sums.  Its
-        first read, of the diagram's ``kernel`` slot, names a diagram of
-        another kind (``exact._field``)."""
+        equals the matrix derived from the peel of its column sums.  The
+        kernel test ends the peel for finite and affine diagrams only: on
+        one that is neither it need not, and the peel of a point outside
+        the Tits cone does not end: three generators with all orders
+        infinite have an empty kernel, and the peel of -I's point
+        (-1, -1, -1) never returns.  Its first read, of the diagram's
+        ``kernel`` slot, names a diagram of another kind (``exact._field``)."""
         kernel = _field(diagram, CoxeterDiagram, "kernel", "diagram")
         if self._diagram is diagram or self._diagram == diagram:
             return
@@ -451,7 +452,7 @@ def element_from_word(diagram: CoxeterDiagram, word: Sequence[int]) -> GroupElem
     """Product of the generators, word read left to right."""
     y = (1,) * _size(diagram)
     for letter in _tuple(word, "word", "generators"):
-        y = _times(y, _generator(diagram, letter), diagram.neighbors)
+        y = _times(y, _int(letter, "generator", 0, len(y)), diagram.neighbors)
     return _element(diagram, y)
 
 
@@ -489,6 +490,7 @@ class GrowthTable(Value):
     __slots__ = ("counts",)
 
     def __init__(self, counts: tuple[int, ...]) -> None:
+        counts = _tuple(counts, "counts", "ints")
         self._set(counts)
         if not counts or counts[0] != 1:
             raise ValueError("counts[0] must be 1 (the identity)")
@@ -515,4 +517,4 @@ def bfs_growth(diagram: CoxeterDiagram, cutoff: int) -> GrowthTable:
     for _ in range(cutoff):
         shell = {_times(y, s, neighbors) for y in shell for s in range(len(y)) if y[s] > 0}
         counts.append(len(shell))
-    return GrowthTable(tuple(counts))
+    return GrowthTable(counts)

@@ -3,9 +3,12 @@
 ``SparseMap`` is the one finitely supported function to Fraction: chamber,
 vertex and edge cochains and Hecke elements all store their values in
 one.  ``_fraction`` and ``_int`` are the one checks of a rational and of
-an integer argument, ``_tuple`` the one read of a sequence argument,
-``_items`` of a mapping argument, and ``_field`` of an argument's record
-class.  ``fraction_json`` is the one {num, den} encoder.
+an integer argument, ``_int`` with its range check also of an index, a
+position or a generator; ``_tuple`` is the one read of a sequence
+argument, and a record stores a sequence field as the tuple it returns,
+so a record built from lists hashes and equals its tuple twin; ``_items``
+is the one read of a mapping argument, and ``_field`` of an argument's
+record class.  ``fraction_json`` is the one {num, den} encoder.
 ``Value`` is the one base of the library's immutable records: slotted,
 frozen, compared and hashed on a per-class key, with no code generated
 when a class is defined.  A record's fields are set through its slots'
@@ -186,10 +189,14 @@ def _fraction(x: int | Fraction, name: str) -> Fraction:
     return Fraction(x)
 
 
-def _int(value: int, name: str, least: int | None = None) -> int:
-    """The value if it is an int (a bool is not) of at least ``least``."""
+def _int(value: int, name: str, least: int | None = None, below: int | None = None) -> int:
+    """The value if it is an int (a bool is not) of at least ``least``
+    and, given ``below``, less than it: the range check of an index, a
+    position or a generator, whose message names ``least..below - 1``."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
+    if below is not None and not least <= value < below:
+        raise ValueError(f"{name} must be in {least}..{below - 1}, got {value!r}")
     if least is not None and value < least:
         bound = "nonnegative" if least == 0 else f"at least {least}"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
@@ -197,9 +204,9 @@ def _int(value: int, name: str, least: int | None = None) -> int:
 
 
 def _tuple(items: Iterable, name: str, what: str) -> tuple:
-    """The items as a tuple; ValueError naming the parameter when they
-    cannot be iterated, caught at the first iteration, with no check of
-    their kind beside it."""
+    """The items as a tuple, which a record stores as its sequence field;
+    ValueError naming the parameter when they cannot be iterated, caught
+    at the first iteration, with no check of their kind beside it."""
     try:
         return tuple(items)
     except TypeError:

@@ -110,8 +110,7 @@ class Cochain(Value):
     def value_at_index(self, i: int, graph: BallGraph) -> Fraction:
         """The value at the ball's chamber of index i; an i that is not an
         int in range(len(graph)) raises ValueError naming it."""
-        if not 0 <= _int(i, "i") < len(_field(graph, BallGraph, "distance", "graph")):
-            raise ValueError(f"i must be a chamber index in 0..{len(graph) - 1}, got {i!r}")
+        _int(i, "i", 0, len(_field(graph, BallGraph, "distance", "graph")))
         if self.values is None:
             return Fraction(-1, self._rule_q(graph)) ** graph.distance[i]
         return self.values.lookup(graph.chambers[i], FlagChamber)

@@ -50,7 +50,7 @@ from .coxeter import (
     identity_element,
     length,
 )
-from .exact import SparseMap, Value, _field, _fraction, _items, _restore
+from .exact import SparseMap, Value, _field, _fraction, _int, _items, _restore, _tuple
 
 if TYPE_CHECKING:
     from .building import BallGraph
@@ -147,11 +147,7 @@ def basis_element(
     """The basis element e_w; w may be given as a word in the generators.
     A w that is neither raises ValueError naming it."""
     if not isinstance(w, GroupElement):
-        try:
-            letters = iter(w)
-        except TypeError:
-            raise ValueError(f"w must be a GroupElement or a word, got {w!r}") from None
-        w = element_from_word(diagram, letters)
+        w = element_from_word(diagram, _tuple(w, "w", "generators or a GroupElement"))
     return HeckeElement(diagram, q, ((w, Fraction(1)),))
 
 
@@ -236,10 +232,7 @@ def convolve_chamber_function(
     from .building import BallGraph, generator_face_types
 
     ctx = _field(graph, BallGraph, "ctx", "graph")
-    types = generator_face_types(ctx)
-    if type(generator) is not int or generator not in types:
-        raise ValueError(f"unknown generator {generator!r}: the generators are 0..{ctx.n - 1}")
-    ftype = types[generator]
+    ftype = generator_face_types(ctx)[_int(generator, "generator", 0, ctx.n)]
     f = {i: _fraction(x, "values") for i, x in _items(f, "f", "chamber indices")}
     full = ctx.p + 1
     out: dict[int, Fraction] = {}

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .coxeter import AffineTypeLabel, affine_diagram, bfs_growth, parse_type_label
-from .exact import Value, _field, _int, fraction_json
+from .exact import Value, _field, _int, _tuple, fraction_json
 from .poincare import absolute_tail, bott_rational, evaluate, exponents_for
 
 if TYPE_CHECKING:
@@ -120,6 +120,7 @@ class PeriodReport(Value):
         tail_bound: Fraction,
         majorant: Fraction,
     ) -> None:
+        partial_sums = _tuple(partial_sums, "partial_sums", "Fractions")
         self._set(label, q_f, partial_sums, closed_form, tail_bound, majorant)
         if not partial_sums or abs(partial_sums[-1] - closed_form) > tail_bound:
             raise ValueError(
@@ -144,7 +145,7 @@ def make_report(label: AffineTypeLabel | str, q: int, cutoff: int) -> PeriodRepo
     return PeriodReport(
         label=label,
         q_f=q,
-        partial_sums=tuple(sums),
+        partial_sums=sums,
         closed_form=lambda_closed(label, q),
         tail_bound=absolute_tail(exponents_for(label), q, cutoff),
         majorant=absolute_majorant(label, q),

@@ -30,7 +30,7 @@ from math import gcd
 from typing import Sequence
 
 from .coxeter import AffineTypeLabel, parse_type_label
-from .exact import Value, _field, _fraction, _int
+from .exact import Value, _field, _fraction, _int, _tuple
 
 __all__ = [
     "ExponentTable",
@@ -195,9 +195,8 @@ class RationalFunction(Value):
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: Poly, denominator: Poly) -> None:
-        for x in (*numerator, *denominator):
-            _int(x, "coefficients")
-        num, den = _trim(list(numerator)), _trim(list(denominator))
+        num = _trim([_int(x, "coefficients") for x in _tuple(numerator, "numerator", "ints")])
+        den = _trim([_int(x, "coefficients") for x in _tuple(denominator, "denominator", "ints")])
         if not den:
             raise ZeroDivisionError("zero denominator polynomial")
         if num:

@@ -861,7 +861,8 @@ def test_generator_face_types_match_the_action(n, p):
 @pytest.mark.parametrize("letter", [2, -1, 1.0, "1"], ids=repr)
 def test_generator_matrix_rejects_non_index(letter):
     ctx = PrimeContext(p=2, n=2)
-    message = re.escape(f"generator index must be an int in 0..1, got {letter!r}")
+    kind = "in 0..1" if type(letter) is int else "an int"
+    message = re.escape(f"generator must be {kind}, got {letter!r}")
     with pytest.raises(ValueError, match=message):
         affine_generator_matrix(ctx, letter)
     with pytest.raises(ValueError, match=message):

@@ -379,7 +379,8 @@ def test_generators_are_indices(letter):
     d = affine_diagram("A2~")
     assert d.generators == range(3)
     assert reduced_word(d, element_from_word(d, [2, 1])) == (2, 1)
-    message = re.escape(f"unknown generator {letter!r}")
+    kind = "in 0..2" if type(letter) is int else "an int"
+    message = re.escape(f"generator must be {kind}, got {letter!r}")
     with pytest.raises(ValueError, match=message):
         element_from_word(d, [0, letter])
     with pytest.raises(ValueError, match=message):

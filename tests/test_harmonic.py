@@ -219,7 +219,7 @@ def test_value_at_index_names_an_index_outside_the_ball(tree_p2, form):
     last = g.chambers[-1]
     f = iwahori_vector(g.chambers[0], 2) if form == "rule" else cochain_from_map({last: Fraction(3)})
     for i in (-1, len(g), "x", True, 1.0):
-        kind = "a chamber index in 0..{}".format(len(g) - 1) if type(i) is int else "an int"
+        kind = "in 0..{}".format(len(g) - 1) if type(i) is int else "an int"
         with pytest.raises(ValueError, match=re.escape(f"i must be {kind}, got {i!r}")):
             f.value_at_index(i, g)
     assert f.value_at_index(len(g) - 1, g) == f.value(last, g)

@@ -336,7 +336,8 @@ def test_hecke_terms_that_are_not_pairs_are_named(x):
 
 @pytest.mark.parametrize("x", [5, None, 1.5], ids=repr)
 def test_a_basis_element_of_no_word_names_w(x):
-    with pytest.raises(ValueError, match=re.escape(f"w must be a GroupElement or a word, got {x!r}")):
+    message = f"w must be a sequence of generators or a GroupElement, got {x!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         basis_element(A2, x, 2)
 
 
@@ -453,7 +454,8 @@ def test_convolution_rejects_non_rational_values(tree_p2, value):
 
 @pytest.mark.parametrize("generator", [5, 2, -1, 1.0])
 def test_convolution_rejects_unknown_generator(tree_p2, generator):
-    with pytest.raises(ValueError, match=rf"unknown generator {generator}: .* 0\.\.1"):
+    kind = "in 0..1" if type(generator) is int else "an int"
+    with pytest.raises(ValueError, match=re.escape(f"generator must be {kind}, got {generator!r}")):
         convolve_chamber_function({0: Fraction(1)}, generator, tree_p2)
 
 

@@ -1,8 +1,10 @@
 """Integer arguments are ints: a bool, a float or a string fails at the
-boundary with a ValueError that names the argument and the value, and no
-module under ``src/`` tests for an int with ``isinstance``, which lets a
-bool through.  No module under ``src/`` imports ``dataclasses`` either: its
-import alone costs a cold request more than most of the library."""
+boundary with a ValueError that names the argument and the value, and so
+does an index or a generator out of range, or a sequence argument that
+cannot be iterated, which a record stores as a tuple.  No module under
+``src/`` tests for an int with ``isinstance``, which lets a bool through.
+No module under ``src/`` imports ``dataclasses`` either: its import alone
+costs a cold request more than most of the library."""
 
 import ast
 import re
@@ -18,19 +20,28 @@ from weylbuildings import (
     Cochain,
     CoxeterDiagram,
     ExponentTable,
+    Face,
+    FlagChamber,
     GroupElement,
+    GrowthTable,
+    PeriodReport,
     PrimeContext,
     RationalFunction,
     absolute_majorant,
     absolute_tail,
+    act,
     affine_diagram,
     affine_generator_matrix,
     ball,
+    basis_element,
     bfs_growth,
     bott_rational,
     convolve_chamber_function,
     element_from_word,
     end_count,
+    epsilon,
+    epsilon_from_determinant,
+    epsilon_from_labels,
     evaluate,
     expand,
     exponents_for,
@@ -94,14 +105,14 @@ def test_integer_argument_refuses_non_int(name, call, value):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: element_from_word(affine_diagram("A1~"), [True]), "unknown generator True"),
         (
-            lambda: affine_generator_matrix(P2, True),
-            "generator index must be an int in 0..1, got True",
+            lambda: element_from_word(affine_diagram("A1~"), [True]),
+            "generator must be an int, got True",
         ),
+        (lambda: affine_generator_matrix(P2, True), "generator must be an int, got True"),
         (
             lambda: convolve_chamber_function({}, True, ball(P2, 2)),
-            "unknown generator True: the generators are 0..1",
+            "generator must be an int, got True",
         ),
         (
             lambda: zero_cochain_from_map({standard_lattice(P2): True}),
@@ -138,6 +149,78 @@ def test_generators_and_rationals_refuse_bool(call, message):
 def test_arguments_of_the_wrong_kind_are_named(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+# (parameter, what it must be, call with that argument set to x): each
+# sequence a record stores, the group action's matrix g and its rows, a
+# basis element's word, and the value act moves
+SEQUENCE_ARGUMENTS = [
+    ("orders", "a sequence of rows of orders", lambda x: CoxeterDiagram(x)),
+    ("each row of orders", "a sequence of orders", lambda x: CoxeterDiagram(((1, 3), x))),
+    ("counts", "a sequence of ints", lambda x: GrowthTable(x)),
+    ("numerator", "a sequence of ints", lambda x: RationalFunction(x, (1,))),
+    ("denominator", "a sequence of ints", lambda x: RationalFunction((1,), x)),
+    ("classes", "a sequence of lattice classes", lambda x: FlagChamber(x)),
+    ("classes", "a sequence of lattice classes", lambda x: Face(x)),
+    (
+        "partial_sums", "a sequence of Fractions",
+        lambda x: PeriodReport(parse_type_label("A1~"), 2, x, Fraction(0), Fraction(0), Fraction(0)),
+    ),
+    ("g", "a sequence of rows", lambda x: act(x, standard_lattice(P2), P2)),
+    ("each row of g", "a sequence of entries", lambda x: act(((1, 0), x), standard_lattice(P2), P2)),
+    ("g", "a sequence of rows", lambda x: epsilon(x, P2)),
+    ("g", "a sequence of rows", lambda x: epsilon_from_labels(x, P2)),
+    ("g", "a sequence of rows", lambda x: epsilon_from_determinant(x, P2)),
+    (
+        "w", "a sequence of generators or a GroupElement",
+        lambda x: basis_element(affine_diagram("A1~"), x, 2),
+    ),
+    ("x", "a LatticeClass or a FlagChamber", lambda x: act(((1, 0), (0, 1)), x, P2)),
+]
+
+
+@pytest.mark.parametrize("value", [None, 1.5, object()], ids=["None", "1.5", "object"])
+@pytest.mark.parametrize(
+    "name, what, call", SEQUENCE_ARGUMENTS,
+    ids=[f"{i}-{name.replace(' ', '_')}" for i, (name, _, _) in enumerate(SEQUENCE_ARGUMENTS)],
+)
+def test_sequence_argument_of_the_wrong_kind_is_named(name, what, call, value):
+    # a TypeError, or a ValueError that did not name the parameter, came before
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be {what}, got {value!r}")):
+        call(value)
+
+
+def _period_report_twins():
+    report = make_report("A1~", 2, 3)
+    fields = [getattr(report, f) for f in PeriodReport.__slots__]
+    return PeriodReport(*fields[:2], list(report.partial_sums), *fields[3:]), report
+
+
+# record kind -> (that record built from lists, its twin built from tuples)
+LIST_TWINS = {
+    "CoxeterDiagram": lambda: (CoxeterDiagram([[1, 3], [3, 1]]), CoxeterDiagram(((1, 3), (3, 1)))),
+    "GrowthTable": lambda: (GrowthTable([1, 2, 2]), GrowthTable((1, 2, 2))),
+    "FlagChamber": lambda: (FlagChamber(list(standard_chamber(P2).classes)), standard_chamber(P2)),
+    "PeriodReport": _period_report_twins,
+}
+
+
+@pytest.mark.parametrize("kind", LIST_TWINS)
+def test_a_record_built_from_lists_hashes_and_equals_its_tuple_twin(kind):
+    listed, twin = LIST_TWINS[kind]()
+    assert listed == twin and hash(listed) == hash(twin)
+    assert {listed, twin} == {twin}
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(3, "generator must be in 0..2, got 3"), (-1, "generator must be in 0..2, got -1")],
+    ids=["above", "below"],
+)
+def test_int_below_names_the_range(value, message):
+    assert _int(2, "generator", 0, 3) == 2 and _int(0, "generator", 0, 3) == 0
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _int(value, "generator", 0, 3)
 
 
 def test_infinite_orders_stay_admitted():
