@@ -490,10 +490,14 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
     around the standard chamber or a caller's center, which ``make_chamber``
     checks.  The shells come from ``_shells``, stepping by chamber stars
     (``_star``) on the flags' class tuples, keyed by their rows in order;
-    each expanded face's classes are checked first.  Faces are keyed by
-    the rows of their classes, sorted by Hermite tuple, and a face's type
-    is the label of the flag entry it drops.  The graph keeps these arrays,
-    and its public chambers, faces and index are None until first read."""
+    each expanded face's classes are checked first.  A face is expanded
+    only from the first chamber to meet it, its gate, so its star holds
+    that chamber and p chambers of the next shell, as ``_shells`` needs.
+    Faces are keyed by the rows of their classes, sorted by Hermite tuple,
+    and a face's type is the label of the flag entry it drops.  The graph
+    keeps these arrays, each face's members a tuple made from its list in
+    place, and its public chambers, faces and index are None until first
+    read."""
     _int(radius, "radius", 0)
     start = standard_chamber(ctx) if center is None else make_chamber(
         _field(center, FlagChamber, "classes", "center"), ctx)
@@ -533,9 +537,13 @@ def ball(ctx: PrimeContext, radius: int, center: FlagChamber | None = None) -> B
     # expanded chamber, so faces keep the order of their first chamber
     for i in last:
         meet(i, flags[i], False)
+    # each face's list becomes its tuple in place, so no two copies of all
+    # the members are held at once
+    for key, found in members.items():
+        members[key] = tuple(found)
     return _restore(BallGraph, (
         ctx, radius, None, distance, parent, crossed, None, None, None,
-        flags, tuple(classes), tuple(map(tuple, members.values())), tuple(types),
+        flags, tuple(classes), tuple(members.values()), tuple(types),
     ))
 
 

@@ -494,7 +494,7 @@ class GrowthTable(Value):
         self._set(counts)
         if not counts or counts[0] != 1:
             raise ValueError("counts[0] must be 1 (the identity)")
-        if any(c <= 0 for c in counts):
+        if any(_int(c, "counts") <= 0 for c in counts):
             raise ValueError("affine shell counts are positive at every length")
 
     @property

@@ -34,8 +34,15 @@ the valuation gap fixes k, and then the step is one containment.
 
 ``_shells`` runs on plain keys, tuples of Hermite rows that C hashes and
 orders: ``building.ball`` keys a chamber by the rows of its flag, and
-``boundary.vertex_tree`` a vertex by its rows.  Its distances never
-decrease, so ``_shell`` reads a ball's or a tree's shell as one range.
+``boundary.vertex_tree`` a vertex by its rows.  It keeps no set of every
+key it met.  A tree vertex's neighbors are its parent and vertices one
+step further out.  A face of a ball is first met by its gate, its unique
+closest chamber, whose star holds the gate and p chambers one step
+further out (Abramenko and Brown, *Buildings*, on projections).  So the
+search skips a neighbor keyed as its finder or its finder's parent, and
+keeps the first finder of a key found twice in one shell.  Its distances
+never decrease, so ``_shell`` reads a ball's or a tree's shell as one
+range.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
+from itertools import groupby
 from typing import Sequence
 
 from .exact import Value, _field, _int
@@ -237,15 +245,24 @@ def _tree_neighbors(vertex: LatticeClass, p: int) -> list[LatticeClass]:
     They are the kernels of all p + 1 functionals on L / pL, since an
     n = 2 face leaves no line to vanish on, written out as
     ``building._kernels`` writes the n = 3 ones: each span is already
-    reduced, and its p-content is 0 or 1."""
-    (x, y), (_, z) = vertex.hnf
-    spans = [(p * x, p * y % z, z)] + [(x, y + t * z, p * z) for t in range(p)]
-    v = vertex.valuation + 1
+    reduced, and its p-content is 0 or 1.
+
+    Each span is its diagonal entries and the entry above them, (d0, m)
+    and its second row, then that row with the content stripped.  Rows
+    are immutable, so neighbors share them: the p neighbors
+    <r0 + t r1, p r1> that keep their content share one (0, p z) row, and
+    <p r0, r1> when it keeps its content, or an <r0 + t r1, p r1> when it
+    loses it, takes the vertex's own (0, z)."""
+    (x, y), row = vertex.hnf
+    z, v = row[1], vertex.valuation + 1
+    wide = (0, p * z)
+    spans = [(p * x, p * y % z, row, (0, z // p))]
+    spans += [(x, y + t * z, wide, row) for t in range(p)]
     return [
-        LatticeClass(((d0, m), (0, d1)), v)
-        if d0 % p or m % p or d1 % p
-        else LatticeClass(((d0 // p, m // p), (0, d1 // p)), v - 2)
-        for d0, m, d1 in spans
+        LatticeClass(((d0, m), low), v)
+        if d0 % p or m % p or low[1] % p
+        else LatticeClass(((d0 // p, m // p), stripped), v - 2)
+        for d0, m, low, stripped in spans
     ]
 
 
@@ -255,26 +272,38 @@ _first = operator.itemgetter(0)
 def _shells(start: tuple, radius: int, step) -> tuple:
     """Breadth-first shells out to the radius, on plain keys.  ``start`` and
     every neighbor are (key, item) pairs whose keys are hashable, ordered
-    and name the item; ``step(i, item)`` returns (tag, neighbors) groups.  A
-    neighbor's first finder is its parent, and each new shell is indexed in
-    key order and appended to the lists column by column.  Returns the
-    items, distances, parents and tags, and the last (unexpanded) shell;
-    each caller builds its own public index."""
+    and name the item; ``step(i, item)`` returns (tag, neighbors) groups.
+
+    Every neighbor a step returns is the item itself, the item's parent or
+    an item one shell further out, so the search skips a neighbor whose
+    key is its finder's own or its finder's parent's, and keeps no set of
+    every key met: only the keys of the frontier and of the shell before
+    it.  Each new shell is indexed in key order and appended to the lists
+    column by column; of a key found twice in one shell the stable sort
+    leaves the first finder first, and that entry is kept, so a neighbor's
+    first finder is its parent.  Returns the items, distances, parents and
+    tags, and the last (unexpanded) shell; each caller builds its own
+    public index."""
     key, item = start
-    seen, items, distance, parent, tags = {key}, [item], [0], [None], [None]
-    frontier = range(1)
+    items, distance, parent, tags = [item], [0], [None], [None]
+    # the frontier and the shell before it, each with its keys in index order
+    frontier, keys, back, back_keys = range(1), [key], range(0), []
     for depth in range(1, radius + 1):
         found = []
-        for i in frontier:
+        for i, own in zip(frontier, keys):
+            up = parent[i]
+            above = None if up is None else back_keys[up - back.start]
             for tag, group in step(i, items[i]):
                 for key, item in group:
-                    if key not in seen:
-                        seen.add(key)
+                    if key != own and key != above:
                         found.append((key, i, tag, item))
-        found.sort(key=_first)  # keys are distinct, so the sort reads them alone
+        found.sort(key=_first)
+        found = [next(twins) for _, twins in groupby(found, _first)]
+        back, back_keys = frontier, keys
         frontier = range(len(items), len(items) + len(found))
-        # each list takes its column of the sorted shell straight: a transposed
-        # copy of the largest shell, beside ``seen``, would raise the peak
+        keys = [entry[0] for entry in found]
+        # each list takes its column of the sorted shell straight: a
+        # transposed copy of the largest shell would raise the peak
         for column, out in enumerate((parent, tags, items), 1):
             out += map(operator.itemgetter(column), found)
         distance += [depth] * len(found)

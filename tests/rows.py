@@ -27,7 +27,8 @@ as it exits) and whether stdout matches the digest recorded in
 ``--out``; in process with the collector off, its ball, the CLI's path
 (rows made a slice at a time, then encoded) and ``ball_to_json``, whether
 the streamed pieces join to the text of one ``json.dumps`` call on
-``ball_to_json``, and the ``tracemalloc`` peak of the CLI's path and of
+``ball_to_json``, the ``tracemalloc`` size the ball keeps and its peak
+while it is built, and the ``tracemalloc`` peak of the CLI's path and of
 ``ball_to_json`` above the ball; and one larger ball and its JSON with the
 collector on, with how many more objects it then tracks.  It exits 1 when
 a digest or the pieces do not match.
@@ -382,6 +383,16 @@ def top_request_rows() -> bool:
     print(f"in process, collector off, ball n=2 p=3 R=8: {medians}; "
           f"the streamed pieces join to json.dumps of ball_to_json: {same}")
     ok = ok and same
+
+    # the ball's own build: the size it keeps, and its peak while the
+    # shell search and the face map run
+    del graph
+    tracemalloc.start()
+    graph = ball(PrimeContext(p=3, n=2), 8)
+    kept, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    print(f"tracemalloc of the ball n=2 p=3 R=8: keeps {kept / 2**20:.2f} MB, "
+          f"peak {peak / 2**20:.2f} MB while it is built")
 
     # what each path allocates above the ball it reads, at its peak
     peaks = []

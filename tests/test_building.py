@@ -1171,6 +1171,54 @@ def test_ball_matches_the_reference_route(n, p, radius, word, field_values):
     assert json.dumps(ball_to_json(graph)) == json.dumps(_reference_ball_to_json(reference))
 
 
+def test_shells_index_a_node_found_twice_once_under_its_first_finder():
+    # a square a - b, a - c, b - d, c - d: each step returns the node itself,
+    # its parent and its neighbors further out, so d is found by b and by c
+    # in one shell; each neighbor's tag is the name of its finder
+    square = {"a": "bc", "b": "ad", "c": "ad", "d": "bc"}
+
+    def step(i, node):
+        return ((node, [(other, other) for other in node + square[node]]),)
+
+    items, distance, parent, tags, last = lattice._shells(("a", "a"), 2, step)
+    assert items == ("a", "b", "c", "d")
+    assert distance == (0, 1, 1, 2)
+    assert parent == (None, 0, 0, 1)
+    assert tags == (None, "a", "a", "b")
+    assert last == range(3, 4)
+
+
+@pytest.mark.parametrize("n, p, radius, twice", [(3, 2, 5, 264), (3, 3, 4, 324)], ids=str)
+def test_some_n3_chambers_are_found_twice_in_one_shell(n, p, radius, twice):
+    # a chamber with two faces whose gates lie in the shell before it is
+    # found from both, so the reference-route test above runs the search's
+    # removal of a key found twice; the parent is the first finder, the
+    # least index among those gates
+    graph = ball(PrimeContext(p=p, n=n), radius)
+    found_twice = 0
+    for j, d in enumerate(graph.distance):
+        finders = [i for i in graph.neighbors(j) if graph.distance[i] == d - 1]
+        if finders:
+            assert graph.parent[j] == min(finders)
+        found_twice += len(finders) > 1
+    assert found_twice == twice
+
+
+def test_tree_neighbors_share_their_second_rows():
+    # the p neighbors <r0 + t r1, p r1> that keep their content share one
+    # (0, p z) row; <p r0, r1> keeping its content, and a stripped
+    # <r0 + t r1, p r1>, reuse the vertex's own (0, z) row
+    p = 3
+    v = LatticeClass(((1, 0), (0, 1)), 0)
+    first, *rest = building._tree_neighbors(v, p)
+    assert [w.hnf for w in rest] == [((1, t), (0, p)) for t in range(p)]
+    assert all(w.hnf[1] is rest[0].hnf[1] for w in rest)
+    assert first.hnf == ((p, 0), (0, 1)) and first.hnf[1] is v.hnf[1]
+    w = LatticeClass(((p, 0), (0, 1)), 1)
+    stripped = building._tree_neighbors(w, p)[1]
+    assert stripped.hnf == ((1, 0), (0, 1)) and stripped.hnf[1] is w.hnf[1]
+
+
 @pytest.mark.parametrize("p, radius", [(2, 8), (3, 5), (5, 3)])
 def test_vertex_tree_matches_the_reference_route(p, radius, field_values):
     ctx = PrimeContext(p=p, n=2)
@@ -1622,7 +1670,13 @@ def test_stars_need_no_hermite_elimination(monkeypatch):
     "line, mutant",
     [
         ("y + t * z", "y"),  # r0 in place of r0 + t r1
-        ("(p * x, p * y % z, z)", "(x, y, p * z)"),  # <r0, p r1> in place of <p r0, r1>
+        # <r0, p r1> in place of <p r0, r1>; the id writes each span as its
+        # diagonal entries and the entry above them, (d0, m, d1)
+        pytest.param(
+            "(p * x, p * y % z, row, (0, z // p))",
+            "(x, y, wide, row)",
+            id="(p * x, p * y % z, z)-(x, y, p * z)",
+        ),
     ],
 )
 def test_a_mutated_tree_neighbor_rule_fails_the_star_count(line, mutant, monkeypatch, capsys):

@@ -452,6 +452,13 @@ def test_labels_diagrams_and_tables_refuse_what_they_cannot_be(build, message):
         build()
 
 
+@pytest.mark.parametrize("count", ["a", 2.5, True], ids=repr)
+def test_a_growth_table_refuses_a_count_that_is_not_an_int(count):
+    # "a" raised TypeError from the sign check, and 2.5 built a table
+    with pytest.raises(ValueError, match=re.escape(f"counts must be an int, got {count!r}")):
+        GrowthTable((1, count))
+
+
 @pytest.mark.parametrize("cutoff", [2.0, "2", None], ids=repr)
 def test_growth_rejects_non_int_cutoff(cutoff):
     with pytest.raises(ValueError, match=re.escape(f"got {cutoff!r}")):
